@@ -40,7 +40,6 @@ from repro.arch.serialize import config_from_json, config_to_json
 from repro.devices.asic import AsicSpec
 from repro.devices.fpga import get_device, list_devices
 from repro.dse.objective import OBJECTIVES, RERANK_ORACLES
-from repro.dse.surrogate import DEFAULT_MIN_SAMPLES, SURROGATE_MODES
 from repro.dse.space import Customization
 from repro.fcad.flow import FCad
 from repro.fcad.report import render_markdown_report
@@ -469,24 +468,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
                     objective=args.objective,
                     rerank_oracle=args.rerank,
                     rerank_top_k=args.rerank_top_k,
-                    surrogate=args.surrogate,
-                    surrogate_min_samples=args.surrogate_min_samples,
                 )
             print(_sweep_summary(results))
-            stats = [
-                r.dse.surrogate_stats
-                for r in results
-                if r.dse.surrogate_stats is not None
-            ]
-            if stats:
-                print(
-                    f"surrogate ({stats[0].mode}): "
-                    f"{sum(s.pruned_candidates for s in stats)} candidates "
-                    f"pruned ({sum(s.pruned_buckets for s in stats)} bucket "
-                    f"solves skipped), "
-                    f"{sum(s.false_prunes for s in stats)} false prunes "
-                    f"across {len(stats)} searched cases"
-                )
             if args.save_config or args.report:
                 print(
                     "(--save-config/--report apply to single-case "
@@ -510,8 +493,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 objective=args.objective,
                 rerank_oracle=args.rerank,
                 rerank_top_k=args.rerank_top_k,
-                surrogate=args.surrogate,
-                surrogate_min_samples=args.surrogate_min_samples,
             )
         print(result.render())
         dse = result.dse
@@ -527,15 +508,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             f"{dse.cache_seconds:.2f}s, pool overhead "
             f"{dse.overhead_seconds:.2f}s"
         )
-        if dse.surrogate_stats is not None:
-            ss = dse.surrogate_stats
-            print(
-                f"surrogate ({ss.mode}): {ss.pruned_candidates} candidates "
-                f"pruned ({ss.pruned_buckets} bucket solves skipped, "
-                f"{ss.solved_buckets} solved), {ss.predictions} predictions, "
-                f"{ss.false_prunes}/{ss.audited} audited false prunes, "
-                f"model {ss.model_samples} samples / {ss.refits} refits"
-            )
         print(
             f"objective: {dse.objective}; oracle stages: "
             + "; ".join(
@@ -1026,7 +998,7 @@ def cmd_fleet_coordinator(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.dist.coordinator import FleetSpec, run_fleet_sweep
-    from repro.dist.faults import FaultPlan
+    from repro.faults import FaultPlan
     from repro.fcad.flow import sweep_grid
 
     token = _resolve_token(args.token, "repro fleet coordinator")
@@ -1228,14 +1200,7 @@ def build_parser() -> argparse.ArgumentParser:
             "      --rerank serving --rerank-top-k 4\n"
             "      score every candidate analytically, replay each\n"
             "      generation's top 4 through the serving layer, and pick\n"
-            "      the design with the best p99/deadline-miss under load\n"
-            "surrogate-accelerated search:\n"
-            "  repro explore codec_avatar_decoder --cache-file evals.db \\\n"
-            "      --surrogate prune\n"
-            "      fit a cheap cost model on the warm cache and skip\n"
-            "      Algorithm-2 solves for candidates it confidently rules\n"
-            "      out; --surrogate verify only prunes trajectory-safe\n"
-            "      candidates (final design identical to --surrogate off)"
+            "      the design with the best p99/deadline-miss under load"
         ),
     )
     p.add_argument("model")
@@ -1267,24 +1232,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="dump the full raw pstats profile of the search to this file "
         "(works with or without --profile)",
-    )
-    p.add_argument(
-        "--surrogate",
-        default="off",
-        choices=list(SURROGATE_MODES),
-        help="learned cost-model filter on the eval path: 'prune' skips "
-        "Algorithm-2 solves for candidates confidently below the "
-        "incumbent best (fastest; swarm trajectory may drift within the "
-        "audited margin), 'verify' prunes only trajectory-safe "
-        "candidates so the final design is identical to 'off'",
-    )
-    p.add_argument(
-        "--surrogate-min-samples",
-        type=_positive_int,
-        default=DEFAULT_MIN_SAMPLES,
-        help="training-set size (cached bucket solves) the surrogate "
-        "needs before it starts predicting; below it the filter "
-        "passes everything through to the exact solver",
     )
     p.add_argument(
         "--objective",

@@ -20,7 +20,6 @@ the determinism guarantees.
 """
 
 from repro.dist.coordinator import FleetSpec, SweepCoordinator, run_fleet_sweep
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.protocol import PROTOCOL_VERSION, AuthError, ProtocolError
 from repro.dist.remote_transport import (
     RemoteReplicaError,
@@ -29,6 +28,7 @@ from repro.dist.remote_transport import (
 )
 from repro.dist.wire import LineSocket, WireClosed, pack_blob, unpack_blob
 from repro.dist.worker import FleetWorker, run_worker
+from repro.faults import FaultInjector, FaultPlan
 
 __all__ = [
     "PROTOCOL_VERSION",

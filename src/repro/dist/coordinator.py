@@ -46,9 +46,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from repro.dist.faults import FAULT_ENV
 from repro.dist.protocol import ProtocolError, server_handshake
 from repro.dist.wire import LineSocket, pack_blob, unpack_blob
+from repro.faults import FAULT_ENV
 from repro.utils.rng import seed_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -132,7 +132,7 @@ class FleetSpec:
     #: Hard wall-time ceiling for the whole sweep.
     timeout_s: float = 600.0
     #: Fault spec per spawned-worker index (test hook; see
-    #: :class:`~repro.dist.faults.FaultPlan`). Shorter than ``workers``
+    #: :class:`~repro.faults.FaultPlan`). Shorter than ``workers``
     #: means the remaining workers run clean.
     worker_faults: tuple[str, ...] = field(default=())
 

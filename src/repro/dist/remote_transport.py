@@ -35,7 +35,6 @@ import threading
 import time
 from collections import OrderedDict
 
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.protocol import (
     MessageIds,
     ProtocolError,
@@ -43,6 +42,7 @@ from repro.dist.protocol import (
     server_handshake,
 )
 from repro.dist.wire import LineSocket, WireClosed
+from repro.faults import FaultInjector, FaultPlan
 from repro.serving.replica import Replica, ReplicaPool
 from repro.sim.runner import FrameLatencyProfile
 

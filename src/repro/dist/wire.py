@@ -22,7 +22,7 @@ import socket
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dist.faults import FaultInjector
+    from repro.faults import FaultInjector
 
 
 class WireClosed(ConnectionError):
@@ -57,7 +57,7 @@ class LineSocket:
 
     Wraps the raw socket with buffered text files and exposes
     ``send(dict)`` / ``recv() -> dict | None`` (``None`` on EOF). An
-    optional :class:`~repro.dist.faults.FaultInjector` can drop or delay
+    optional :class:`~repro.faults.FaultInjector` can drop or delay
     outbound messages — the seam the fault-injection tests use.
     """
 

@@ -19,7 +19,7 @@ error; it never hangs.
 
 ``spawned_main`` is the entry point coordinator-spawned subprocesses run
 (connection target, token, and fault plan arrive via environment
-variables — see :data:`repro.dist.faults.FAULT_ENV`).
+variables — see :data:`repro.faults.FAULT_ENV`).
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ import os
 import random
 import time
 
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.protocol import ProtocolError, client_handshake
 from repro.dist.wire import LineSocket, WireClosed, pack_blob, unpack_blob
 from repro.dse.cache import DeltaEvalCache, LocalEvalCache
+from repro.faults import FaultInjector, FaultPlan
 
 
 class FleetWorker:

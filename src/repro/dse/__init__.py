@@ -6,26 +6,21 @@ from repro.dse.cache import (
     EvalCache,
     FileEvalCache,
     LocalEvalCache,
-    SharedEvalCache,
-    harvest_entries,
     make_cache,
 )
 from repro.dse.crossbranch import CrossBranchOptimizer, Particle
 from repro.dse.engine import DseEngine
-from repro.dse.fitness import fitness_score
 from repro.dse.inbranch import BranchEvalTable, BranchSolution, optimize_branch
 from repro.dse.objective import (
     OBJECTIVES,
     RERANK_ORACLES,
     AnalyticalOracle,
     BranchMetrics,
-    CalibratedOracle,
     CompositeObjective,
     MetricsOracle,
     Objective,
     OracleStats,
     PaperObjective,
-    ResidualCalibration,
     ServingOracle,
     SimOracle,
     SloObjective,
@@ -41,14 +36,6 @@ from repro.dse.result import (
     result_to_json,
 )
 from repro.dse.space import Customization, DesignSpace, get_pf
-from repro.dse.surrogate import (
-    DEFAULT_MIN_SAMPLES,
-    SURROGATE_MODES,
-    SurrogateFilter,
-    SurrogateStats,
-    calibration_from_cache,
-    resolve_surrogate_mode,
-)
 from repro.dse.worker import (
     CandidateEval,
     EvalSpec,
@@ -63,12 +50,10 @@ __all__ = [
     "BranchMetrics",
     "BranchSolution",
     "CACHE_BACKENDS",
-    "CalibratedOracle",
     "CandidateEval",
     "CompositeObjective",
     "CrossBranchOptimizer",
     "Customization",
-    "DEFAULT_MIN_SAMPLES",
     "DeltaEvalCache",
     "DesignSpace",
     "DseEngine",
@@ -85,26 +70,17 @@ __all__ = [
     "PaperObjective",
     "Particle",
     "RERANK_ORACLES",
-    "ResidualCalibration",
-    "SURROGATE_MODES",
     "ServingOracle",
-    "SharedEvalCache",
     "SimOracle",
     "SloObjective",
-    "SurrogateFilter",
-    "SurrogateStats",
     "SweepWorkerPool",
-    "calibration_from_cache",
     "evaluate_candidate",
-    "fitness_score",
     "get_pf",
-    "harvest_entries",
     "make_cache",
     "make_objective",
     "make_oracle",
     "metrics_from_solutions",
     "optimize_branch",
-    "resolve_surrogate_mode",
     "result_from_dict",
     "result_from_json",
     "result_to_dict",

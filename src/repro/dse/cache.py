@@ -32,11 +32,6 @@ Backends, in the order a search should prefer them:
   runs and processes. Warm-starting a search from a previous run's file is
   free, and the file is the seam for sharding one sweep across machines
   (each machine appends its deltas; a merge is a plain ``put`` loop).
-- :class:`SharedEvalCache` — the legacy ``multiprocessing.Manager`` dict.
-  Every ``get``/``put`` is an IPC round-trip to the manager process, which
-  made 4-worker searches *slower* than serial; it remains only as a
-  compatibility fallback for callers that genuinely need one live mapping
-  visible from several processes at once.
 - :class:`DeltaEvalCache` — an overlay recording new entries on top of any
   read-only base. Workers evaluate through one of these so a chunk's new
   solutions come back as an explicit delta (``new_entries``) that the
@@ -49,7 +44,6 @@ never changes search results, only how fast they arrive.
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 import sqlite3
 from typing import Any, Hashable, Iterable, Iterator, Protocol
@@ -107,10 +101,6 @@ class LocalEvalCache:
     def items(self) -> Iterable[tuple[Hashable, Any]]:
         return self._store.items()
 
-    def harvest(self, digest: str) -> list[tuple[int, tuple[int, int, int], Any]]:
-        """One spec's entries as surrogate training rows (sorted)."""
-        return harvest_entries(self, digest)
-
     def clear(self) -> None:
         self._store.clear()
 
@@ -164,10 +154,6 @@ class DeltaEvalCache:
         for key, value in self.base.items():
             if key not in seen:
                 yield key, value
-
-    def harvest(self, digest: str) -> list[tuple[int, tuple[int, int, int], Any]]:
-        """One spec's entries (delta over base) as sorted training rows."""
-        return harvest_entries(self, digest)
 
     def __len__(self) -> int:
         return len(self._delta) + sum(
@@ -235,15 +221,6 @@ class FileEvalCache:
     def items(self) -> Iterable[tuple[Hashable, Any]]:
         return self._store.items()
 
-    def harvest(self, digest: str) -> list[tuple[int, tuple[int, int, int], Any]]:
-        """One spec's persisted entries as sorted training rows.
-
-        Because the file is the training set, a warm start warms the
-        surrogate *model* along with the solution memo — no separate
-        model artifact to version or ship.
-        """
-        return harvest_entries(self, digest)
-
     def __len__(self) -> int:
         return len(self._store)
 
@@ -286,141 +263,8 @@ class FileEvalCache:
         self.close()
 
 
-class SharedEvalCache:
-    """Compatibility fallback: a cache backed by a ``Manager`` dict.
-
-    Every lookup or store is an IPC round-trip to the manager process, so
-    this backend should never sit on a search's hot path — the zero-IPC
-    data path (parent-side dedup + worker deltas) replaced it there. It
-    remains for callers that need one live mapping genuinely shared
-    between processes, e.g. ad-hoc cross-process coordination outside the
-    engine's own pools.
-
-    The instance is picklable: workers receive the dict *proxy* (which
-    reconnects to the manager server) plus a fresh empty L1. The manager
-    process itself lives in — and is shut down by — the creating process;
-    call :meth:`close` (or use the instance as a context manager) when
-    done. Entries are immutable results of a deterministic function, so
-    the L1 can never go stale in a way that changes results.
-    """
-
-    def __init__(self) -> None:
-        self._manager: multiprocessing.managers.SyncManager | None = (
-            multiprocessing.Manager()
-        )
-        self._store = self._manager.dict()
-        self._l1: dict[Hashable, Any] = {}
-        self._undrained: dict[Hashable, Any] = {}
-
-    def get(self, key: Hashable) -> Any | None:
-        value = self._l1.get(key)
-        if value is None:
-            value = self._store.get(key)
-            if value is not None:
-                self._l1[key] = value
-        return value
-
-    def put(self, key: Hashable, value: Any) -> None:
-        self._l1[key] = value
-        self._store[key] = value
-        self._undrained[key] = value
-
-    def put_many(self, entries: Iterable[tuple[Hashable, Any]]) -> None:
-        # One proxy round-trip per entry either way (Manager dicts have no
-        # efficient bulk update through the proxy's update() that avoids
-        # re-sending the whole mapping), so this is put() in a loop.
-        for key, value in entries:
-            self.put(key, value)
-
-    def preload(self, entries: Iterable[tuple[Hashable, Any]]) -> None:
-        """Seed the shared store (e.g. from a warm local cache).
-
-        Preloaded entries are by definition already known to the caller,
-        so they are excluded from :meth:`drain_new`.
-        """
-        for key, value in entries:
-            self._l1[key] = value
-            self._store[key] = value
-
-    def items(self) -> Iterable[tuple[Hashable, Any]]:
-        return self._store.items()
-
-    def drain_new(self) -> list[tuple[Hashable, Any]]:
-        """Entries put through *this* handle since the last drain.
-
-        Unlike :meth:`items`, this never round-trips the proxy: the owner
-        side tracks its own writes, so draining a warm cache back into a
-        local one costs nothing per already-drained entry. Preloaded
-        entries are not "new". An owner that never drains merely keeps
-        one extra dict slot per entry (the same references the L1 already
-        holds), bounded by the cache size.
-        """
-        drained = list(self._undrained.items())
-        self._undrained.clear()
-        return drained
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def close(self) -> None:
-        """Shut down the manager process (owner side only)."""
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
-
-    def __enter__(self) -> "SharedEvalCache":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # Workers get the reconnectable proxy, never the manager or the L1.
-    def __getstate__(self) -> dict[str, Any]:
-        return {"store": self._store}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self._manager = None
-        self._store = state["store"]
-        self._l1 = {}
-        self._undrained = {}
-
-
-# ---------------------------------------------------------------------------
-# surrogate training harvest
-# ---------------------------------------------------------------------------
-def harvest_entries(
-    cache: EvalCache, digest: str
-) -> list[tuple[int, tuple[int, int, int], Any]]:
-    """One spec's analytical entries as sorted surrogate training rows.
-
-    Filters the cache down to the ``(digest, branch index, bucket)``
-    analytical keys of one problem spec — re-rank entries (their second
-    element is the string ``"rerank"``) and other specs' entries are
-    skipped — and returns ``(branch, bucket, solution)`` rows sorted by
-    ``(branch, bucket)``. The sort makes the harvest order a pure
-    function of the cache's *contents*: training a model from a file
-    cache, from the same entries held locally, or from a merged shard
-    file yields the identical model.
-
-    Works on every backend through the shared ``items()`` interface, so
-    a persistent :class:`FileEvalCache` warm-starts the surrogate model
-    exactly as it warm-starts the solution memo — for free, from the
-    same file.
-    """
-    rows = [
-        (key[1], key[2], value)
-        for key, value in cache.items()
-        if isinstance(key, tuple)
-        and len(key) == 3
-        and key[0] == digest
-        and isinstance(key[1], int)
-    ]
-    rows.sort(key=lambda row: (row[0], row[1]))
-    return rows
-
-
-#: Backend names accepted by :func:`make_cache` (and the CLI).
-CACHE_BACKENDS = ("local", "file", "manager")
+#: Backend names accepted by :func:`make_cache`.
+CACHE_BACKENDS = ("local", "file")
 
 
 def make_cache(backend: str = "local", path: str | None = None) -> EvalCache:
@@ -430,8 +274,6 @@ def make_cache(backend: str = "local", path: str | None = None) -> EvalCache:
       runs inside one engine process (serial *and* parallel searches).
     - ``"file"`` — :class:`FileEvalCache` at ``path``; persists across
       runs, required for warm starts and cross-machine sharding.
-    - ``"manager"`` — :class:`SharedEvalCache`; compatibility fallback,
-      pays one IPC round-trip per lookup.
     """
     if backend == "local":
         return LocalEvalCache()
@@ -439,8 +281,6 @@ def make_cache(backend: str = "local", path: str | None = None) -> EvalCache:
         if not path:
             raise ValueError("the file backend needs a path")
         return FileEvalCache(path)
-    if backend == "manager":
-        return SharedEvalCache()
     raise ValueError(
         f"unknown cache backend {backend!r}; pick one of {CACHE_BACKENDS}"
     )
@@ -452,8 +292,6 @@ __all__ = [
     "EvalCache",
     "FileEvalCache",
     "LocalEvalCache",
-    "SharedEvalCache",
-    "harvest_entries",
     "make_cache",
     "put_entries",
 ]

@@ -46,12 +46,6 @@ from repro.dse.objective import (
     resolve_oracle,
 )
 from repro.dse.space import Customization
-from repro.dse.surrogate import (
-    DEFAULT_MIN_SAMPLES,
-    SurrogateFilter,
-    SurrogateStats,
-    resolve_surrogate_mode,
-)
 from repro.dse.worker import (
     EvalSpec,
     EvalTimings,
@@ -102,13 +96,10 @@ class CrossBranchOptimizer:
         objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int = 4,
-        surrogate: str = "off",
-        surrogate_min_samples: int = DEFAULT_MIN_SAMPLES,
     ) -> None:
         customization.validate_for(plan)
         if rerank_top_k < 1:
             raise ValueError("rerank_top_k must be at least 1")
-        surrogate = resolve_surrogate_mode(surrogate)
         self.plan = plan
         self.budget = budget
         self.customization = customization
@@ -129,19 +120,6 @@ class CrossBranchOptimizer:
         self.objective = resolve_objective(objective, alpha=alpha)
         self.rerank_oracle = resolve_oracle(rerank_oracle)
         self.rerank_top_k = rerank_top_k
-        if surrogate != "off" and self.rerank_oracle is not None:
-            # A pruned candidate carries no solutions, so it cannot be
-            # re-measured if the analytical top-K sort surfaces it; the
-            # combination would also let predicted scores pick which
-            # candidates the expensive oracle sees. Staged searches keep
-            # the exact evaluator.
-            raise ValueError(
-                "surrogate pruning cannot be combined with a re-rank "
-                "oracle; run with surrogate='off' or rerank_oracle=None"
-            )
-        self.surrogate_mode = surrogate
-        self.surrogate_min_samples = surrogate_min_samples
-        self.surrogate_stats: SurrogateStats | None = None
         self._cache: EvalCache = cache if cache is not None else LocalEvalCache()
         self.evaluations = 0
         self.cache_hits = 0
@@ -303,61 +281,15 @@ class CrossBranchOptimizer:
         rerank_best_metrics: BranchMetrics | None = None
         rerank_best_iteration = 0
 
-        surrogate = None
-        if self.surrogate_mode != "off":
-            surrogate = SurrogateFilter(
-                self.spec,
-                self.objective,
-                self.surrogate_mode,
-                min_samples=self.surrogate_min_samples,
-            )
-            # A warm cache (persistent file, shared sweep cache) is a
-            # warm model: the harvest is sorted, so the fitted model is
-            # a pure function of the cache contents.
-            surrogate.warm_from_cache(self._cache)
-
         with candidate_runner(
             self.spec, self._cache, workers, pool=pool,
-            objective=self.objective, surrogate=surrogate,
+            objective=self.objective,
         ) as run_batch:
             for iteration in range(iterations):
-                thresholds = None
-                if surrogate is not None and self.surrogate_mode == "verify":
-                    # The lowest score that could still matter for each
-                    # candidate. Both terms only rise while the
-                    # generation folds (a particle's best changes only
-                    # at its own fold turn), so a bound below the
-                    # dispatch-time threshold is below the live one too
-                    # — pruning against it cannot change any
-                    # best-update the exact search would make.
-                    thresholds = [
-                        min(
-                            p.best_fitness,
-                            global_best_fitness + improvement_tolerance,
-                        )
-                        for p in particles
-                    ]
-                elif surrogate is not None:
-                    # Prune mode trades the per-particle bound for the
-                    # global one: candidates confidently below the
-                    # incumbent global best cannot become the final
-                    # design, but skipping them may leave a particle's
-                    # personal best stale and so nudge the swarm
-                    # trajectory. The bench gate (fitness within 1% of
-                    # exact) is the accuracy contract for this mode.
-                    thresholds = [
-                        global_best_fitness + improvement_tolerance
-                    ] * len(particles)
-                results = run_batch(
-                    [p.position for p in particles], thresholds=thresholds
-                )
+                results = run_batch([p.position for p in particles])
                 for particle, result in zip(particles, results):
                     self.evaluations += result.evaluations
                     self.cache_hits += result.cache_hits
-                    if result.pruned:
-                        # A pruned verdict is a bound, not a measurement:
-                        # never let it move personal or global bests.
-                        continue
                     if result.score > particle.best_fitness:
                         particle.best_fitness = result.score
                         particle.best_position = list(particle.position)
@@ -397,13 +329,6 @@ class CrossBranchOptimizer:
             self.stage_hits += run_batch.stage_hits
             self.stage_lookups += run_batch.stage_lookups
             self.eval_timings.add(run_batch.timings)
-
-        if surrogate is not None:
-            # Post-hoc audit: pruned candidates whose buckets were later
-            # solved anyway get their exact score recomputed for free —
-            # false_prunes counts the margin violations.
-            surrogate.finalize(self._cache)
-            self.surrogate_stats = surrogate.stats()
 
         if self.rerank_oracle is not None and rerank_best_solutions is not None:
             self.best_metrics = rerank_best_metrics

@@ -25,7 +25,6 @@ from repro.dse.objective import (
 )
 from repro.dse.result import DseResult
 from repro.dse.space import Customization
-from repro.dse.surrogate import DEFAULT_MIN_SAMPLES, resolve_surrogate_mode
 from repro.dse.worker import EvalSpec, SweepWorkerPool
 from repro.perf.estimator import evaluate
 from repro.quant.schemes import QuantScheme
@@ -53,8 +52,6 @@ class DseEngine:
         objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int = 4,
-        surrogate: str = "off",
-        surrogate_min_samples: int = DEFAULT_MIN_SAMPLES,
     ) -> None:
         if quant is None:
             raise ValueError("a quantization scheme is required")
@@ -69,8 +66,6 @@ class DseEngine:
         self.objective = objective
         self.rerank_oracle = rerank_oracle
         self.rerank_top_k = rerank_top_k
-        self.surrogate = resolve_surrogate_mode(surrogate)
-        self.surrogate_min_samples = surrogate_min_samples
 
     @property
     def spec(self) -> EvalSpec:
@@ -108,8 +103,6 @@ class DseEngine:
         objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int | None = None,
-        surrogate: str | None = None,
-        surrogate_min_samples: int | None = None,
     ) -> DseResult:
         """Run Algorithm 1 (which invokes Algorithm 2 per candidate).
 
@@ -125,26 +118,12 @@ class DseEngine:
         engine-level objective configuration for this run. With the
         default paper objective and no re-rank oracle the result is
         bit-identical to the historical search at the same seed.
-
-        ``surrogate`` selects the pre-solve filter mode (``"off"`` /
-        ``"prune"`` / ``"verify"``, see :mod:`repro.dse.surrogate`);
-        ``surrogate_min_samples`` is the training-set size below which
-        the filter never prunes. ``"off"`` (the default) bypasses the
-        filter entirely — bit-identical to the historical search.
         """
         resolved = self.resolved_objective(objective)
         oracle = resolve_oracle(
             rerank_oracle if rerank_oracle is not None else self.rerank_oracle
         )
         top_k = rerank_top_k if rerank_top_k is not None else self.rerank_top_k
-        surrogate_mode = resolve_surrogate_mode(
-            surrogate if surrogate is not None else self.surrogate
-        )
-        min_samples = (
-            surrogate_min_samples
-            if surrogate_min_samples is not None
-            else self.surrogate_min_samples
-        )
         optimizer = CrossBranchOptimizer(
             plan=self.plan,
             budget=self.budget,
@@ -156,8 +135,6 @@ class DseEngine:
             objective=resolved,
             rerank_oracle=oracle,
             rerank_top_k=top_k,
-            surrogate=surrogate_mode,
-            surrogate_min_samples=min_samples,
         )
         started = time.perf_counter()
         fitness, config, history, convergence = optimizer.search(
@@ -207,7 +184,6 @@ class DseEngine:
             objective=resolved.key,
             oracle_stats=tuple(oracle_stats),
             best_metrics=optimizer.best_metrics,
-            surrogate_stats=optimizer.surrogate_stats,
         )
 
     @staticmethod
@@ -223,8 +199,6 @@ class DseEngine:
         objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int | None = None,
-        surrogate: str | None = None,
-        surrogate_min_samples: int | None = None,
         fleet: "object | None" = None,
     ) -> tuple[DseResult, ...]:
         """Run a batch of searches with shared caching and deduplication.
@@ -268,15 +242,6 @@ class DseEngine:
         fleet mode (each shard runs serially on its worker).
         """
         if fleet is not None:
-            if surrogate is not None and resolve_surrogate_mode(surrogate) != "off":
-                # Fleet shards run each case through their own engine
-                # config; a sweep-level surrogate override has no seat on
-                # the wire protocol (and pruning across shard-local
-                # caches would not reproduce the single-process model).
-                raise ValueError(
-                    "surrogate override is not supported in fleet mode; "
-                    "configure surrogate on the engines or run locally"
-                )
             from repro.dist.coordinator import run_fleet_sweep
 
             return run_fleet_sweep(
@@ -320,14 +285,6 @@ class DseEngine:
                     if rerank_top_k is not None
                     else engine.rerank_top_k
                 )
-                case_surrogate = resolve_surrogate_mode(
-                    surrogate if surrogate is not None else engine.surrogate
-                )
-                case_min_samples = (
-                    surrogate_min_samples
-                    if surrogate_min_samples is not None
-                    else engine.surrogate_min_samples
-                )
                 key = None
                 if fingerprint is not None:
                     key = (
@@ -339,9 +296,6 @@ class DseEngine:
                         case_objective.key,
                         case_oracle.key if case_oracle is not None else None,
                         case_top_k if case_oracle is not None else None,
-                        case_surrogate,
-                        # min_samples only matters when the filter is on.
-                        case_min_samples if case_surrogate != "off" else None,
                     )
                     if key in solved:
                         results.append(solved[key])
@@ -361,8 +315,6 @@ class DseEngine:
                     # the search from the dedup key above.
                     rerank_oracle=case_oracle if case_oracle is not None else "none",
                     rerank_top_k=case_top_k,
-                    surrogate=case_surrogate,
-                    surrogate_min_samples=case_min_samples,
                 )
                 if key is not None:
                     solved[key] = result

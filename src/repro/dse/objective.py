@@ -30,7 +30,7 @@ Oracles, from cheapest to most expensive:
 Objectives:
 
 - :class:`PaperObjective` — Sec. VI-B1, bit-identical to the historical
-  ``fitness_score``: priority-weighted FPS minus ``alpha`` times the
+  fitness formula: priority-weighted FPS minus ``alpha`` times the
   branch-FPS population variance.
 - :class:`SloObjective` — maximize ``-(p99 + miss_weight x (miss_rate +
   shed_rate + failed_rate))`` when serving metrics are present; falls
@@ -136,7 +136,7 @@ class PaperObjective:
     ``P`` the variance penalty ``alpha x sigma^2(Perf)`` that discourages
     starving one branch to fatten another (an avatar whose geometry
     updates at 120 FPS but whose texture crawls at 10 FPS is useless).
-    Bit-identical to the historical ``fitness_score``.
+    Bit-identical to the historical fitness formula.
     """
 
     alpha: float = 0.05
@@ -505,82 +505,6 @@ class ServingOracle:
 
 
 @dataclass(frozen=True)
-class ResidualCalibration:
-    """Per-branch multiplicative FPS correction: analytical → measured.
-
-    The fig. 6/7 error machinery measures how far the analytical model
-    sits from cycle-accurate (or replayed) truth; this is that residual
-    as an applicable object — one scale per branch, fit by least squares
-    through the origin over ``(analytical fps, measured fps)`` pairs.
-    A scale is multiplicative because the analytical model's error is
-    dominated by effects proportional to throughput (pipeline fill, DRAM
-    contention), not by a fixed offset. Branches without enough pairs
-    keep the identity scale.
-
-    Built by :func:`repro.dse.surrogate.calibration_from_cache` from the
-    re-rank entries a staged search leaves in a persistent cache, or by
-    hand from any paired measurements.
-    """
-
-    scales: tuple[float, ...]
-    samples: int = 0
-    source: str = "identity"
-
-    @classmethod
-    def identity(cls, branches: int) -> "ResidualCalibration":
-        return cls(scales=tuple(1.0 for _ in range(branches)))
-
-    def scale(self, branch: int) -> float:
-        """The correction for one branch (identity past the known ones)."""
-        return self.scales[branch] if branch < len(self.scales) else 1.0
-
-    def apply(self, metrics: BranchMetrics) -> BranchMetrics:
-        """Metrics with every branch's FPS pulled toward measured truth."""
-        return replace(
-            metrics,
-            fps=tuple(
-                f * self.scale(i) for i, f in enumerate(metrics.fps)
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class CalibratedOracle:
-    """The analytical oracle, corrected by a fitted residual.
-
-    Costs exactly what the analytical oracle costs (nothing beyond the
-    Algorithm-2 solutions already in hand) but scores with the accuracy
-    the calibration data earned: re-rank measurements accumulated across
-    runs pull the cheap oracle toward cycle-accurate truth without ever
-    running the expensive oracle again. Usable anywhere a
-    :class:`MetricsOracle` is — including as a re-rank oracle, where it
-    re-ranks the top-K for free.
-
-    The calibration is folded into :attr:`key`, so cached metrics from
-    differently-calibrated oracles never collide.
-    """
-
-    calibration: ResidualCalibration
-
-    name: ClassVar[str] = "calibrated"
-
-    @property
-    def key(self) -> str:
-        scales = ",".join(f"{s:.6g}" for s in self.calibration.scales)
-        return f"calibrated(scales=[{scales}])"
-
-    def measure(
-        self,
-        spec: "EvalSpec",
-        position: Sequence[float],
-        solutions: Sequence["BranchSolution"],
-    ) -> BranchMetrics:
-        return self.calibration.apply(
-            metrics_from_solutions(solutions, oracle=self.name)
-        )
-
-
-@dataclass(frozen=True)
 class OracleStats:
     """Per-stage oracle accounting for one search, reported in DseResult.
 
@@ -672,7 +596,6 @@ def resolve_oracle(
 __all__ = [
     "AnalyticalOracle",
     "BranchMetrics",
-    "CalibratedOracle",
     "CompositeObjective",
     "INFEASIBILITY_PENALTY",
     "MetricsOracle",
@@ -681,7 +604,6 @@ __all__ = [
     "OracleStats",
     "PaperObjective",
     "RERANK_ORACLES",
-    "ResidualCalibration",
     "ServingOracle",
     "SimOracle",
     "SloObjective",

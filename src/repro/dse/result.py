@@ -3,9 +3,10 @@
 The codec (:func:`result_to_dict` / :func:`result_from_dict`) exists so
 results survive as plain-JSON artifacts — bench archives, fleet
 checkpoints, regression fixtures — without pickle's coupling to class
-layout. It is forward-tolerant: fields added after a payload was written
-(e.g. ``surrogate_stats``) simply take their defaults on load, which the
-pinned fixture under ``tests/data/`` holds.
+layout. It is forward-tolerant: fields added after a payload was
+written simply take their defaults on load, which the pinned fixture
+under ``tests/data/`` holds. Keys for fields that no longer exist (the
+``surrogate_stats`` block older searches wrote) are ignored on load.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Any
 from repro.arch.config import AcceleratorConfig, ConfigError
 from repro.arch.serialize import config_from_dict, config_to_dict
 from repro.dse.objective import BranchMetrics, OracleStats
-from repro.dse.surrogate import SurrogateStats
 from repro.perf.estimator import AcceleratorPerf, BranchPerf, StagePerf
 from repro.perf.resources import StageResources
 from repro.utils.tables import render_table
@@ -65,10 +65,6 @@ class DseResult:
     # (analytical for a plain search, the re-rank oracle for a staged one;
     # serving-oracle metrics carry the replayed p99 / deadline-miss SLOs).
     best_metrics: BranchMetrics | None = None
-    # Surrogate-filter accounting (pruned/solved/false-prune counts, model
-    # size, fit time). None on surrogate-off searches — and on every
-    # payload written before the surrogate existed.
-    surrogate_stats: SurrogateStats | None = None
 
     @property
     def iterations(self) -> int:
@@ -251,7 +247,7 @@ def _metrics_from_dict(data: dict[str, Any]) -> BranchMetrics:
 
 def result_to_dict(result: DseResult) -> dict[str, Any]:
     """Serialize a result to plain dicts/lists (stable JSON shape)."""
-    payload: dict[str, Any] = {
+    return {
         "version": RESULT_FORMAT_VERSION,
         "best_config": config_to_dict(result.best_config),
         "best_perf": _perf_to_dict(result.best_perf),
@@ -285,48 +281,19 @@ def result_to_dict(result: DseResult) -> dict[str, Any]:
             else None
         ),
     }
-    if result.surrogate_stats is not None:
-        payload["surrogate_stats"] = {
-            "mode": result.surrogate_stats.mode,
-            "pruned_candidates": result.surrogate_stats.pruned_candidates,
-            "pruned_buckets": result.surrogate_stats.pruned_buckets,
-            "solved_buckets": result.surrogate_stats.solved_buckets,
-            "predictions": result.surrogate_stats.predictions,
-            "false_prunes": result.surrogate_stats.false_prunes,
-            "audited": result.surrogate_stats.audited,
-            "model_samples": result.surrogate_stats.model_samples,
-            "refits": result.surrogate_stats.refits,
-            "fit_seconds": result.surrogate_stats.fit_seconds,
-        }
-    return payload
 
 
 def result_from_dict(data: dict[str, Any]) -> DseResult:
     """Rebuild a result serialized by :func:`result_to_dict`.
 
     Payloads written before a field existed load fine: absent optional
-    keys (notably ``surrogate_stats``) fall back to the dataclass
-    defaults.
+    keys fall back to the dataclass defaults. Keys this codec no longer
+    reads (``surrogate_stats``) are ignored.
     """
     version = data.get("version", RESULT_FORMAT_VERSION)
     if version != RESULT_FORMAT_VERSION:
         raise ConfigError(f"unsupported result format version {version}")
     try:
-        surrogate = None
-        raw_surrogate = data.get("surrogate_stats")
-        if raw_surrogate is not None:
-            surrogate = SurrogateStats(
-                mode=raw_surrogate["mode"],
-                pruned_candidates=raw_surrogate.get("pruned_candidates", 0),
-                pruned_buckets=raw_surrogate.get("pruned_buckets", 0),
-                solved_buckets=raw_surrogate.get("solved_buckets", 0),
-                predictions=raw_surrogate.get("predictions", 0),
-                false_prunes=raw_surrogate.get("false_prunes", 0),
-                audited=raw_surrogate.get("audited", 0),
-                model_samples=raw_surrogate.get("model_samples", 0),
-                refits=raw_surrogate.get("refits", 0),
-                fit_seconds=raw_surrogate.get("fit_seconds", 0.0),
-            )
         raw_metrics = data.get("best_metrics")
         return DseResult(
             best_config=config_from_dict(data["best_config"]),
@@ -360,7 +327,6 @@ def result_from_dict(data: dict[str, Any]) -> DseResult:
                 if raw_metrics is not None
                 else None
             ),
-            surrogate_stats=surrogate,
         )
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed result payload: {exc}") from exc

@@ -24,9 +24,7 @@ The data path is built to move as little as possible between processes:
    :class:`~repro.dse.cache.DeltaEvalCache` and returns the delta (the
    ``(key, solution)`` entries plus solve-time and memo statistics). The
    parent folds deltas into the authoritative cache at the generation
-   barrier. No ``multiprocessing.Manager`` sits on the hot path — the
-   old shared-dict cache paid an IPC round-trip per lookup, which made
-   4-worker searches slower than serial.
+   barrier, so no cache lookup ever crosses a process boundary.
 3. **Rehydration** — the parent reassembles every candidate's solutions
    from the cache in submission order and scores them inline (the
    fitness arithmetic is trivial next to Algorithm 2).
@@ -48,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.construction.reorg import PipelinePlan
 from repro.devices.budget import ResourceBudget
@@ -75,12 +73,6 @@ from repro.dse.inbranch import (
 )
 from repro.dse.space import Customization
 from repro.quant.schemes import QuantScheme
-
-if TYPE_CHECKING:
-    # The surrogate layer imports this module for keys and specs; the
-    # runtime dependency points only that way (the evaluator takes an
-    # already-built filter), so the import here is type-only.
-    from repro.dse.surrogate import SurrogateFilter
 
 #: Quantization grid for candidate evaluation: per-branch budgets are
 #: snapped DOWN to this grid before Algorithm 2 runs, so every budget in a
@@ -142,10 +134,6 @@ class CandidateEval:
     solutions: tuple[BranchSolution, ...]
     evaluations: int
     cache_hits: int
-    #: True when the surrogate filter skipped this candidate's solves:
-    #: ``score`` / ``metrics`` are then *predictions* (bounded below the
-    #: candidate's best-update thresholds) and ``solutions`` is empty.
-    pruned: bool = False
 
 
 def quantize_rd(rd: ResourceBudget) -> tuple[int, int, int]:
@@ -527,21 +515,17 @@ class GenerationEvaluator:
         submit: SubmitFn | None = None,
         workers: int = 1,
         objective: Objective | None = None,
-        surrogate: "SurrogateFilter | None" = None,
     ) -> None:
         self.spec = spec
         self.cache = cache
         self.workers = max(1, workers)
         self.objective = objective if objective is not None else PaperObjective()
-        self.surrogate = surrogate
         self._submit = submit
         self.timings = EvalTimings()
         self.stage_hits = 0
         self.stage_lookups = 0
 
-    def _solve_inline(
-        self, todo: Sequence[EvalKey]
-    ) -> dict[EvalKey, BranchSolution]:
+    def _solve_inline(self, todo: Sequence[EvalKey]) -> None:
         hits_before, lookups_before = stage_memo_stats()
         started = time.perf_counter()
         kernel_timings = KernelTimings()
@@ -554,16 +538,12 @@ class GenerationEvaluator:
         hits_after, lookups_after = stage_memo_stats()
         self.stage_hits += hits_after - hits_before
         self.stage_lookups += lookups_after - lookups_before
-        return solved
 
-    def _solve_pooled(
-        self, todo: Sequence[EvalKey]
-    ) -> dict[EvalKey, BranchSolution]:
+    def _solve_pooled(self, todo: Sequence[EvalKey]) -> None:
         dispatched = time.perf_counter()
         results = self._submit(todo)
         dispatch_wall = time.perf_counter() - dispatched
         solve_seconds = 0.0
-        solved: dict[EvalKey, BranchSolution] = {}
         fold: list[tuple[EvalKey, BranchSolution]] = []
         for result in results:
             fold.extend(result.entries)
@@ -574,98 +554,39 @@ class GenerationEvaluator:
             self.timings.growth_seconds += result.growth_seconds
             self.timings.measure_seconds += result.measure_seconds
         put_entries(self.cache, fold)
-        solved.update(fold)
         self.timings.eval_seconds += solve_seconds
         self.timings.overhead_seconds += max(
             0.0, dispatch_wall - solve_seconds / self.workers
         )
-        return solved
 
     def __call__(
-        self,
-        positions: Sequence[Sequence[float]],
-        thresholds: Sequence[float] | None = None,
+        self, positions: Sequence[Sequence[float]]
     ) -> list[CandidateEval]:
-        """Evaluate one generation; optionally prune against ``thresholds``.
-
-        ``thresholds[i]`` is the lowest score that could still matter for
-        candidate ``i`` — ``min(particle best, global best + tolerance)``
-        at dispatch time (see
-        :meth:`~repro.dse.crossbranch.CrossBranchOptimizer.search`). When
-        a surrogate filter is attached and thresholds are given, the
-        filter may skip solving candidates whose calibrated score bound
-        falls below their threshold: their unseen buckets never reach
-        Algorithm 2. Without a filter (or thresholds), the path is the
-        historical one, bit for bit.
-        """
+        """Evaluate one generation: keys, dedup, batched solve, score."""
         bucket_started = time.perf_counter()
         keys_per_candidate = [
             candidate_keys(self.spec, position) for position in positions
         ]
-
-        pruned: dict[int, "object"] = {}
-        predictions: dict[int, "object"] = {}
-        if self.surrogate is not None and thresholds is not None:
-            self.surrogate.prepare()
-            if self.surrogate.ready():
-                predictions = self.surrogate.predict_candidates(
-                    keys_per_candidate, self.cache
-                )
-                for i, prediction in predictions.items():
-                    verdict = self.surrogate.decide(prediction, thresholds[i])
-                    if verdict is not None:
-                        pruned[i] = verdict
-
         todo: list[EvalKey] = []
         todo_set: set[EvalKey] = set()
-        for i, keys in enumerate(keys_per_candidate):
-            if i in pruned:
-                continue
+        for keys in keys_per_candidate:
             for key in keys:
                 if key not in todo_set and self.cache.get(key) is None:
                     todo_set.add(key)
                     todo.append(key)
-        if self.surrogate is not None:
-            # The buckets pruning actually saved: unseen, and referenced
-            # by no surviving candidate this generation.
-            skipped: set[EvalKey] = set()
-            for i in pruned:
-                for key in keys_per_candidate[i]:
-                    if key not in todo_set and self.cache.get(key) is None:
-                        skipped.add(key)
-            self.surrogate.note_generation(len(skipped), len(todo))
         self.timings.cache_seconds += time.perf_counter() - bucket_started
 
         if todo:
             # Tiny generations are not worth a round-trip to the pool.
             if self._submit is None or len(todo) < self.workers:
-                solved = self._solve_inline(todo)
+                self._solve_inline(todo)
             else:
-                solved = self._solve_pooled(todo)
-            if self.surrogate is not None:
-                # Solutions feed the model straight from the solve batch
-                # (no cache round-trip), in dedup order as before.
-                self.surrogate.record_solutions(
-                    [(key[1], key[2], solved[key]) for key in todo]
-                )
+                self._solve_pooled(todo)
 
         rehydrate_started = time.perf_counter()
         out: list[CandidateEval] = []
         claimed: set[EvalKey] = set()
-        for i, keys in enumerate(keys_per_candidate):
-            verdict = pruned.get(i)
-            if verdict is not None:
-                out.append(
-                    CandidateEval(
-                        score=verdict.score,
-                        metrics=verdict.metrics,
-                        solutions=(),
-                        evaluations=0,
-                        cache_hits=0,
-                        pruned=True,
-                    )
-                )
-                continue
+        for keys in keys_per_candidate:
             solutions = []
             evaluations = 0
             cache_hits = 0
@@ -679,18 +600,13 @@ class GenerationEvaluator:
                 assert solution is not None, f"bucket never solved: {key}"
                 solutions.append(solution)
             metrics = metrics_from_solutions(solutions)
-            score = penalized_score(
-                self.objective, metrics, self.spec.customization.priorities
-            )
-            prediction = predictions.get(i)
-            if prediction is not None:
-                # Predicted, then solved anyway: the exact score is a
-                # free residual observation that tightens (or widens)
-                # the filter's safety margin.
-                self.surrogate.observe(prediction, score)
             out.append(
                 CandidateEval(
-                    score=score,
+                    score=penalized_score(
+                        self.objective,
+                        metrics,
+                        self.spec.customization.priorities,
+                    ),
                     metrics=metrics,
                     solutions=tuple(solutions),
                     evaluations=evaluations,
@@ -755,20 +671,16 @@ def candidate_runner(
     workers: int = 1,
     pool: SweepWorkerPool | None = None,
     objective: Objective | None = None,
-    surrogate: "SurrogateFilter | None" = None,
 ) -> Iterator[GenerationEvaluator]:
     """Yield the generation evaluator for one search.
 
     The yielded callable evaluates one generation's positions and returns
     results in submission order — calling it IS the per-generation
-    barrier. ``cache`` is the authoritative store in every mode (local,
-    file-backed, or Manager — the parent is its only writer during the
-    search, so no promotion or drain-back dance is needed). ``workers >
-    1`` forks a pool for the search's lifetime; a live
+    barrier. ``cache`` is the authoritative store in every mode (local or
+    file-backed — the parent is its only writer during the search).
+    ``workers > 1`` forks a pool for the search's lifetime; a live
     :class:`SweepWorkerPool` takes precedence, and its lifetime belongs
-    to the sweep that owns it. ``surrogate`` attaches a pre-solve filter
-    (:class:`~repro.dse.surrogate.SurrogateFilter`) that the evaluator
-    consults when the caller passes per-candidate thresholds.
+    to the sweep that owns it.
     """
     if pool is not None:
         yield GenerationEvaluator(
@@ -777,14 +689,11 @@ def candidate_runner(
             submit=lambda keys: pool.solve(spec, keys),
             workers=pool.workers,
             objective=objective,
-            surrogate=surrogate,
         )
         return
 
     if workers <= 1:
-        yield GenerationEvaluator(
-            spec, cache, objective=objective, surrogate=surrogate
-        )
+        yield GenerationEvaluator(spec, cache, objective=objective)
         return
 
     with ProcessPoolExecutor(
@@ -802,7 +711,6 @@ def candidate_runner(
             submit=submit,
             workers=workers,
             objective=objective,
-            surrogate=surrogate,
         )
 
 

@@ -106,33 +106,6 @@ class ConvergenceResult:
         return sum(s.runtime_seconds for s in self.searches)
 
     @property
-    def total_pruned_candidates(self) -> int:
-        """Candidates the surrogate settled without an Algorithm-2 solve."""
-        return sum(
-            s.surrogate_stats.pruned_candidates
-            for s in self.searches
-            if s.surrogate_stats is not None
-        )
-
-    @property
-    def total_pruned_buckets(self) -> int:
-        """Quantized bucket solves skipped by the surrogate, whole study."""
-        return sum(
-            s.surrogate_stats.pruned_buckets
-            for s in self.searches
-            if s.surrogate_stats is not None
-        )
-
-    @property
-    def total_false_prunes(self) -> int:
-        """Audited margin violations across every search (0 = clean run)."""
-        return sum(
-            s.surrogate_stats.false_prunes
-            for s in self.searches
-            if s.surrogate_stats is not None
-        )
-
-    @property
     def fitness_spread_pct(self) -> float:
         """Relative spread of the best fitness across seeds."""
         best = [s.best_fitness for s in self.searches]
@@ -180,8 +153,6 @@ def run_convergence(
     heuristic_seed: bool = False,
     workers: int = 1,
     objective: str = "paper",
-    surrogate: str = "off",
-    surrogate_min_samples: int | None = None,
 ) -> ConvergenceResult:
     """Run repeated independent searches and collect convergence stats.
 
@@ -196,10 +167,6 @@ def run_convergence(
     ``objective`` picks the fitness (``"paper"`` reproduces the study;
     the benchmark harness records it next to its timings so trajectories
     under different objectives are never compared against each other).
-    ``surrogate`` (``"off"`` / ``"prune"`` / ``"verify"``) turns on the
-    learned eval-path filter for every search; because the batch shares
-    one evaluation cache, later seeds start with a model already fitted
-    on earlier seeds' solves.
     """
     plan = build_pipeline_plan(build_codec_avatar_decoder())
     device = get_device(device_name)
@@ -225,8 +192,6 @@ def run_convergence(
         heuristic_seed=heuristic_seed,
         workers=workers,
         objective=objective,
-        surrogate=surrogate,
-        surrogate_min_samples=surrogate_min_samples,
     )
     return ConvergenceResult(
         device=device_name,

@@ -13,9 +13,8 @@ run is as reproducible as a clean one. The serving layer's richer
 per-replica fault grammar builds on the same rule — see
 :mod:`repro.serving.chaos`.
 
-This module started life as ``repro.dist.faults`` (PR 7) and was
-promoted here once serving chaos needed the same machinery;
-``repro.dist.faults`` remains as a compatibility alias.
+The fleet runtime (:mod:`repro.dist`) and the serving chaos layer both
+import it from here.
 """
 
 from __future__ import annotations

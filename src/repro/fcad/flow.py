@@ -264,8 +264,6 @@ class FCad:
         rerank_oracle: "MetricsOracle | str | None" = None,
         rerank_top_k: int = 4,
         alpha: float | None = None,
-        surrogate: str | None = None,
-        surrogate_min_samples: int | None = None,
     ) -> FcadResult:
         """Execute Analysis, Construction and Optimization.
 
@@ -282,11 +280,8 @@ class FCad:
         re-measures the analytical top-``rerank_top_k`` candidates per
         generation with an expensive oracle and selects the final design
         by *its* scores. ``alpha`` overrides the constructor's
-        variance-penalty weight. ``surrogate`` turns on the learned
-        eval-path filter (``"prune"`` / ``"verify"``, see
-        :mod:`repro.dse.surrogate`) and ``surrogate_min_samples`` sets
-        how much training data it needs before its first prediction.
-        The defaults reproduce the paper's search bit for bit.
+        variance-penalty weight. The defaults reproduce the paper's search
+        bit for bit.
         """
         analysis, plan, engine = self.prepare(alpha=alpha)
         dse = engine.search(
@@ -298,8 +293,6 @@ class FCad:
             objective=objective,
             rerank_oracle=rerank_oracle,
             rerank_top_k=rerank_top_k,
-            surrogate=surrogate,
-            surrogate_min_samples=surrogate_min_samples,
         )
         return self._result(analysis, plan, dse)
 
@@ -346,8 +339,6 @@ def run_sweep(
     objective: "Objective | str | None" = None,
     rerank_oracle: "MetricsOracle | str | None" = None,
     rerank_top_k: int | None = None,
-    surrogate: str | None = None,
-    surrogate_min_samples: int | None = None,
 ) -> tuple[FcadResult, ...]:
     """Explore a whole batch of flows in one call.
 
@@ -360,9 +351,7 @@ def run_sweep(
     this one's solutions; because cache entries are objective-independent
     metrics, a sweep under a new objective still warm-starts from an old
     sweep's file. ``objective`` / ``rerank_oracle`` / ``rerank_top_k``
-    / ``surrogate`` / ``surrogate_min_samples`` apply to every case; a
-    warm shared cache doubles as surrogate training data, so later
-    cases in a sweep prune with a model fitted on earlier ones.
+    apply to every case.
     """
     prepared = [flow.prepare() for flow in flows]
     dse_results = DseEngine.search_many(
@@ -375,8 +364,6 @@ def run_sweep(
         objective=objective,
         rerank_oracle=rerank_oracle,
         rerank_top_k=rerank_top_k,
-        surrogate=surrogate,
-        surrogate_min_samples=surrogate_min_samples,
     )
     return tuple(
         flow._result(analysis, plan, dse)

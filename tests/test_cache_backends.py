@@ -2,14 +2,12 @@
 
 Every backend implements the same tiny mapping protocol, so one shared
 test suite runs against all of them; backend-specific guarantees
-(persistence, delta tracking, proxy pickling) get their own classes. The
+(persistence, delta tracking) get their own classes. The
 final class asserts the property everything rests on: serial, parallel,
 and file-backed warm-started searches return the same DseResult.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -19,7 +17,6 @@ from repro.dse.cache import (
     DeltaEvalCache,
     FileEvalCache,
     LocalEvalCache,
-    SharedEvalCache,
     make_cache,
     put_entries,
 )
@@ -28,16 +25,9 @@ from repro.dse.space import Customization
 from repro.quant.schemes import INT8
 from tests.conftest import make_tiny_decoder
 
-#: One Manager cache for the whole module — forking a manager process per
-#: test triples the suite's wall time for no extra coverage.
-@pytest.fixture(scope="module")
-def manager_cache():
-    with SharedEvalCache() as cache:
-        yield cache
-
 
 @pytest.fixture
-def backend(request, tmp_path, manager_cache):
+def backend(request, tmp_path):
     """Yield a fresh cache of the requested flavour."""
     if request.param == "local":
         yield LocalEvalCache()
@@ -46,13 +36,11 @@ def backend(request, tmp_path, manager_cache):
     elif request.param == "file":
         with FileEvalCache(tmp_path / "cache.sqlite") as cache:
             yield cache
-    elif request.param == "manager":
-        yield manager_cache
     else:  # pragma: no cover
         raise ValueError(request.param)
 
 
-ALL_BACKENDS = ["local", "delta", "file", "manager"]
+ALL_BACKENDS = ["local", "delta", "file"]
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS, indirect=True)
@@ -115,7 +103,7 @@ class TestMakeCache:
             assert isinstance(cache, FileEvalCache)
         finally:
             cache.close()
-        assert set(CACHE_BACKENDS) == {"local", "file", "manager"}
+        assert set(CACHE_BACKENDS) == {"local", "file"}
 
     def test_file_needs_path(self):
         with pytest.raises(ValueError, match="path"):
@@ -124,6 +112,8 @@ class TestMakeCache:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             make_cache("redis")
+        with pytest.raises(ValueError, match="unknown"):
+            make_cache("manager")
 
 
 class TestDeltaCache:
@@ -209,31 +199,6 @@ class TestFileCache:
         with FileEvalCache(path) as third:
             assert third.get("run1") == 1
             assert third.get("run2") == 2
-
-
-class TestManagerFallback:
-    def test_roundtrip_and_pickle(self, manager_cache):
-        manager_cache.put("pickled", (1, 2))
-        clone = pickle.loads(pickle.dumps(manager_cache))
-        # The clone reconnects to the same manager-backed store.
-        assert clone.get("pickled") == (1, 2)
-        clone.put("from-clone", 3)
-        assert manager_cache.get("from-clone") == 3
-
-    def test_preload(self, manager_cache):
-        local = LocalEvalCache()
-        local.put("preloaded", "v")
-        manager_cache.preload(local.items())
-        assert manager_cache.get("preloaded") == "v"
-
-    def test_drain_new_returns_only_fresh_entries(self, manager_cache):
-        manager_cache.drain_new()  # reset whatever earlier tests wrote
-        manager_cache.put("fresh-1", 1)
-        manager_cache.put("fresh-2", 2)
-        drained = dict(manager_cache.drain_new())
-        assert drained == {"fresh-1": 1, "fresh-2": 2}
-        # A second drain without new puts moves nothing.
-        assert manager_cache.drain_new() == []
 
 
 class TestBitIdentity:

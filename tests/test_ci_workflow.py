@@ -1,0 +1,61 @@
+"""The CI workflow parses cleanly: no repeated keys, every job can run."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+yaml = pytest.importorskip("yaml")
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+
+
+class UniqueKeyLoader(yaml.SafeLoader):
+    """A safe loader that refuses a mapping with a repeated key.
+
+    Plain PyYAML keeps the last value of a repeated key without a word, so
+    a job whose ``name``/``runs-on``/``steps`` appear twice silently loses
+    the first set of steps.
+    """
+
+
+def _construct_unique_mapping(loader, node, deep=False):
+    seen = set()
+    for key_node, _ in node.value:
+        key = loader.construct_object(key_node, deep=deep)
+        if key in seen:
+            raise yaml.constructor.ConstructorError(
+                "while constructing a mapping",
+                node.start_mark,
+                f"found duplicate key {key!r}",
+                key_node.start_mark,
+            )
+        seen.add(key)
+    return loader.construct_mapping(node, deep=deep)
+
+
+UniqueKeyLoader.add_constructor(
+    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_unique_mapping
+)
+
+
+def load_workflow() -> dict:
+    return yaml.load(WORKFLOW.read_text(), Loader=UniqueKeyLoader)
+
+
+def test_loader_rejects_duplicate_keys():
+    with pytest.raises(yaml.constructor.ConstructorError, match="duplicate key 'name'"):
+        yaml.load("job:\n  name: a\n  name: b\n", Loader=UniqueKeyLoader)
+
+
+def test_workflow_has_no_duplicate_keys():
+    load_workflow()
+
+
+def test_every_job_has_runs_on_and_steps():
+    jobs = load_workflow()["jobs"]
+    assert jobs
+    for name, job in jobs.items():
+        assert "runs-on" in job, f"job {name!r} has no runs-on"
+        assert job.get("steps"), f"job {name!r} has no steps"

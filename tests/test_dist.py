@@ -27,7 +27,6 @@ from repro.dist.coordinator import (
     SweepCoordinator,
     run_fleet_sweep,
 )
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
     AuthError,
@@ -48,6 +47,7 @@ from repro.dse.cache import FileEvalCache, LocalEvalCache
 from repro.dse.engine import DseEngine
 from repro.dse.objective import resolve_oracle
 from repro.dse.space import Customization
+from repro.faults import FaultInjector, FaultPlan
 from repro.quant.schemes import INT8
 from tests.conftest import make_tiny_decoder
 

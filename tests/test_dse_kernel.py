@@ -6,8 +6,7 @@ identical to calling ``optimize_branch`` per bucket. The randomized
 suites here hammer that over thousands of budgets per branch (including
 zero-resource and saturating edge budgets and the customization's
 ``max_h`` / ``max_pf`` constraints), and the end-to-end tests pin the
-seeded search results across the surrogate modes that ride on top of the
-kernel-routed evaluation path.
+seeded search results of the kernel-routed evaluation path.
 """
 
 from __future__ import annotations
@@ -183,20 +182,7 @@ class TestReplicasSupportedFallback:
 class TestEndToEndIdentity:
     """Seeded search identity across the kernel-routed evaluation path."""
 
-    def _run(self, surrogate: str):
-        from repro.experiments.convergence import run_convergence
-
-        clear_process_caches()
-        return run_convergence(
-            searches=2,
-            iterations=3,
-            population=12,
-            workers=1,
-            surrogate=surrogate,
-        )
-
-    @pytest.fixture(scope="class")
-    def off_run(self):
+    def _run(self):
         from repro.experiments.convergence import run_convergence
 
         clear_process_caches()
@@ -245,29 +231,12 @@ class TestEndToEndIdentity:
             assert b.metrics == s.metrics
             assert pickle.dumps(b.solutions) == pickle.dumps(s.solutions)
 
-    def test_verify_mode_reproduces_off(self, off_run):
-        verify = self._run("verify")
-        assert [
-            (s.best_fitness, s.best_config) for s in verify.searches
-        ] == [(s.best_fitness, s.best_config) for s in off_run.searches]
-
-    def test_prune_mode_deterministic(self, off_run):
-        prune_a = self._run("prune")
-        prune_b = self._run("prune")
-        assert [
-            (s.best_fitness, s.best_config, s.history)
-            for s in prune_a.searches
-        ] == [
-            (s.best_fitness, s.best_config, s.history)
-            for s in prune_b.searches
-        ]
-
-    def test_off_run_repeats_bit_identically(self, off_run):
-        again = self._run("off")
+    def test_off_run_repeats_bit_identically(self):
+        first, again = self._run(), self._run()
         assert [
             (s.best_fitness, s.best_config, s.history)
             for s in again.searches
         ] == [
             (s.best_fitness, s.best_config, s.history)
-            for s in off_run.searches
+            for s in first.searches
         ]

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.devices.fpga import get_device
-from repro.dse.cache import LocalEvalCache, SharedEvalCache
+from repro.dse.cache import LocalEvalCache
 from repro.dse.engine import DseEngine
 from repro.dse.space import Customization
 from repro.dse.worker import (
@@ -344,8 +344,8 @@ class TestSweepWorkerPool:
         assert len(created) == 1
 
     def test_callers_cache_is_used_directly(self, tiny_plan_module):
-        """workers>1 no longer promotes the cache to a Manager store: the
-        caller's local cache IS the authoritative store and ends up warm."""
+        """With workers>1 the caller's local cache IS the authoritative
+        store and ends up warm."""
         engines = [
             make_engine(tiny_plan_module, device=device)
             for device in ("Z7045", "ZU17EG")
@@ -378,18 +378,6 @@ class TestSweepWorkerPool:
             assert s.best_fitness == p.best_fitness
             assert s.best_config == p.best_config
             assert s.history == p.history
-
-    def test_manager_cache_still_works_as_fallback(self, tiny_plan_module):
-        """SharedEvalCache remains a valid (if slow) backend choice."""
-        engine = make_engine(tiny_plan_module)
-        with SharedEvalCache() as cache:
-            shared = engine.search(
-                iterations=2, population=8, seed=9, cache=cache
-            )
-            assert len(cache) > 0
-        plain = engine.search(iterations=2, population=8, seed=9)
-        assert shared.best_fitness == plain.best_fitness
-        assert shared.best_config == plain.best_config
 
 
 class TestResultStats:

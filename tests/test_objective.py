@@ -1,15 +1,13 @@
-"""Objective-layer unit tests: metrics, objectives, factories, the shim."""
+"""Objective-layer unit tests: metrics, objectives, factories."""
 
 from __future__ import annotations
 
 import random
 import statistics
-import warnings
 from types import SimpleNamespace
 
 import pytest
 
-from repro.dse.fitness import fitness_score
 from repro.dse.objective import (
     INFEASIBILITY_PENALTY,
     AnalyticalOracle,
@@ -101,30 +99,8 @@ class TestPaperObjective:
             objective_cases += 1
         assert objective_cases == 300
 
-    def test_bit_identical_to_deprecated_shim(self):
-        rng = random.Random(1)
-        for _ in range(50):
-            n = rng.randint(1, 4)
-            fps = [rng.uniform(0.0, 200.0) for _ in range(n)]
-            priorities = tuple(rng.uniform(0.5, 2.0) for _ in range(n))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                old = fitness_score(fps, priorities, alpha=0.05)
-            assert PaperObjective().score(analytical(fps), priorities) == old
-
     def test_key_carries_alpha(self):
         assert PaperObjective(alpha=0.5).key != PaperObjective(alpha=0.05).key
-
-
-class TestDeprecatedShim:
-    def test_fitness_score_warns_but_works(self):
-        with pytest.warns(DeprecationWarning):
-            assert fitness_score([10.0, 20.0], (1.0, 1.0), alpha=0.0) == 30.0
-
-    def test_fitness_score_still_validates_lengths(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                fitness_score([1.0], (1.0, 1.0))
 
 
 class TestSloObjective:

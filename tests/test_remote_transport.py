@@ -17,7 +17,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.dist.faults import FaultInjector, FaultPlan
 from repro.dist.protocol import AuthError
 from repro.dist.remote_transport import (
     RemoteTransport,
@@ -25,6 +24,7 @@ from repro.dist.remote_transport import (
     profile_to_wire,
     serve_replicas,
 )
+from repro.faults import FaultInjector, FaultPlan
 from repro.serving import (
     ReplicaPool,
     canned_workload,

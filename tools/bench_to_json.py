@@ -6,7 +6,8 @@ comparable PR over PR:
 
 - ``--suite dse`` (default) — the DSE convergence study at reduced size,
   serial vs parallel, written to ``BENCH_dse.json``. Exits nonzero if the
-  parallel run is not bit-identical to the serial one.
+  parallel run is not bit-identical to the serial one, or if the serial
+  run's per-search best fitness differs from the committed file's.
 - ``--suite serving`` — the avatar serving layer: explore a design once,
   deploy simulated replicas, and serve the *same* mixed-deadline workload
   under FIFO and EDF batching, then push the event-heap engine through a
@@ -207,108 +208,6 @@ def compare_to_baseline(
     return deltas
 
 
-#: Minimum fraction of Algorithm-2 bucket solves the prune-mode
-#: surrogate must skip relative to the surrogate-off run, and the bound
-#: on how far its best fitness may drift from exact.
-SURROGATE_SOLVE_REDUCTION_GATE = 0.30
-SURROGATE_FITNESS_TOLERANCE = 0.01
-
-
-def _surrogate_run_fields(result: ConvergenceResult, wall: float) -> dict:
-    return {
-        "wall_seconds": round(wall, 3),
-        "best_fitness": result.best_fitness,
-        "best_fitness_per_search": [s.best_fitness for s in result.searches],
-        "evaluations": result.total_evaluations,
-        "pruned_candidates": result.total_pruned_candidates,
-        "pruned_buckets": result.total_pruned_buckets,
-        "false_prunes": result.total_false_prunes,
-    }
-
-
-def run_surrogate_section(
-    run_kwargs: dict, serial: ConvergenceResult
-) -> tuple[dict, list[str]]:
-    """Surrogate modes vs the exact (surrogate-off) serial run.
-
-    Four hard gates: prune mode must skip at least 30% of the off run's
-    Algorithm-2 bucket solves while landing within 1% of its best
-    fitness; two prune runs at one seed must be bit-identical; verify
-    mode must reproduce the off run's per-search best fitness and design
-    exactly.
-    """
-    from repro.dse.worker import clear_process_caches
-
-    def timed(mode):
-        clear_process_caches()
-        started = time.perf_counter()
-        result = run_convergence(**run_kwargs, workers=1, surrogate=mode)
-        return result, time.perf_counter() - started
-
-    prune, prune_wall = timed("prune")
-    prune_again, _ = timed("prune")
-    verify, verify_wall = timed("verify")
-
-    off_evals = serial.total_evaluations
-    reduction = (
-        (off_evals - prune.total_evaluations) / off_evals if off_evals else 0.0
-    )
-    fitness_drift = (
-        abs(prune.best_fitness - serial.best_fitness)
-        / abs(serial.best_fitness)
-        if serial.best_fitness
-        else 0.0
-    )
-    prune_deterministic = _surrogate_run_fields(
-        prune, 0.0
-    ) == _surrogate_run_fields(prune_again, 0.0) and [
-        s.best_config for s in prune.searches
-    ] == [s.best_config for s in prune_again.searches]
-    verify_identical = [
-        (s.best_fitness, s.best_config) for s in verify.searches
-    ] == [(s.best_fitness, s.best_config) for s in serial.searches]
-
-    gates = []
-    if reduction < SURROGATE_SOLVE_REDUCTION_GATE:
-        gates.append(
-            f"prune mode skipped only {reduction:.1%} of Algorithm-2 "
-            f"solves ({off_evals} -> {prune.total_evaluations}, gate "
-            f"{SURROGATE_SOLVE_REDUCTION_GATE:.0%})"
-        )
-    if fitness_drift > SURROGATE_FITNESS_TOLERANCE:
-        gates.append(
-            f"prune mode best fitness drifted {fitness_drift:.2%} from "
-            f"exact ({serial.best_fitness} -> {prune.best_fitness}, "
-            f"tolerance {SURROGATE_FITNESS_TOLERANCE:.0%})"
-        )
-    if not prune_deterministic:
-        gates.append("two prune-mode runs diverged at the same seeds")
-    if not verify_identical:
-        gates.append(
-            "verify mode did not reproduce the surrogate-off per-search "
-            "results exactly"
-        )
-    if verify.total_evaluations > off_evals:
-        gates.append(
-            f"verify mode solved more buckets than surrogate-off "
-            f"({verify.total_evaluations} > {off_evals})"
-        )
-
-    section = {
-        "off_evaluations": off_evals,
-        "prune": _surrogate_run_fields(prune, prune_wall),
-        "verify": _surrogate_run_fields(verify, verify_wall),
-        "solve_reduction": round(reduction, 4),
-        "solve_reduction_gate": SURROGATE_SOLVE_REDUCTION_GATE,
-        "fitness_drift": round(fitness_drift, 6),
-        "fitness_tolerance": SURROGATE_FITNESS_TOLERANCE,
-        "prune_deterministic": prune_deterministic,
-        "verify_identical_to_off": verify_identical,
-        "gates": gates,
-    }
-    return section, gates
-
-
 #: Minimum speedup of the batched Algorithm-2 kernel over the scalar
 #: solver on the committed microbenchmark config, and the stream size the
 #: gate is measured at. The speedup comes from vectorization, not
@@ -406,35 +305,22 @@ def run_dse_suite(args: argparse.Namespace) -> int:
 
     kernel_section, kernel_gates = run_kernel_section(args)
 
-    surrogate_section, surrogate_gates = run_surrogate_section(
-        run_kwargs, serial
+    # The serial run must stay on the committed trajectory: same seeds,
+    # same per-search best fitness as the baseline file.
+    serial_fitness = [s.best_fitness for s in serial.searches]
+    base_fitness = (baseline or {}).get("serial", {}).get(
+        "best_fitness_per_search"
     )
-    # The off run itself must stay on the committed trajectory: the
-    # surrogate machinery sits on the eval path, and "off" promises that
-    # path is untouched.
-    off_identical = None
-    if baseline is not None:
-        base_fitness = baseline.get("serial", {}).get(
-            "best_fitness_per_search"
-        )
-        if base_fitness is not None:
-            off_identical = base_fitness == [
-                s.best_fitness for s in serial.searches
-            ]
-            if not off_identical:
-                surrogate_gates.append(
-                    f"surrogate-off serial run diverged from the committed "
-                    f"baseline ({base_fitness} -> "
-                    f"{[s.best_fitness for s in serial.searches]})"
-                )
-    if off_identical is None:
+    baseline_identical = (
+        None if base_fitness is None else base_fitness == serial_fitness
+    )
+    if baseline_identical is None:
         gate_skips.append(
             {
-                "gate": "surrogate-off-baseline-identity",
+                "gate": "baseline-identity",
                 "reason": "no comparable committed baseline",
             }
         )
-    surrogate_section["off_identical_to_baseline"] = off_identical
 
     payload = {
         "benchmark": "dse_convergence",
@@ -449,7 +335,7 @@ def run_dse_suite(args: argparse.Namespace) -> int:
         "speedup_gate": gate,
         "gate_skips": gate_skips,
         "kernel": kernel_section,
-        "surrogate": surrogate_section,
+        "baseline_identical": baseline_identical,
     }
     payload["baseline_comparison"] = compare_to_baseline(
         baseline, payload, objective_note
@@ -493,35 +379,27 @@ def run_dse_suite(args: argparse.Namespace) -> int:
         f"{kernel_phases['measure_seconds']}s, "
         f"identical={kernel_section['identical']}"
     )
-    print(
-        f"surrogate: prune skipped "
-        f"{surrogate_section['solve_reduction']:.1%} of "
-        f"{surrogate_section['off_evaluations']} solves "
-        f"({surrogate_section['prune']['pruned_candidates']} candidates, "
-        f"{surrogate_section['prune']['false_prunes']} false prunes), "
-        f"fitness drift {surrogate_section['fitness_drift']:.2%}; verify "
-        f"identical={surrogate_section['verify_identical_to_off']}, "
-        f"prune deterministic={surrogate_section['prune_deterministic']}"
-    )
+    print(f"baseline identity: {baseline_identical}")
+    # Report every failed gate, so a machine-dependent speedup failure
+    # never hides a correctness one.
+    errors = []
     if not deterministic:
-        print("ERROR: parallel search diverged from serial results")
-        return 1
+        errors.append("parallel search diverged from serial results")
     if gate == "failed":
-        print(
-            f"ERROR: speedup gate failed on a multi-core runner "
+        errors.append(
+            f"speedup gate failed on a multi-core runner "
             f"({os.cpu_count()} cores): parallel {parallel_wall:.2f}s > "
             f"serial {serial_wall:.2f}s x {SPEEDUP_GATE_TOLERANCE}"
         )
-        return 1
-    if kernel_gates:
-        for failed in kernel_gates:
-            print(f"ERROR: kernel gate failed: {failed}")
-        return 1
-    if surrogate_gates:
-        for failed in surrogate_gates:
-            print(f"ERROR: surrogate gate failed: {failed}")
-        return 1
-    return 0
+    errors += [f"kernel gate failed: {failed}" for failed in kernel_gates]
+    if baseline_identical is False:
+        errors.append(
+            f"baseline-identity gate failed: serial run diverged from the "
+            f"committed baseline ({base_fitness} -> {serial_fitness})"
+        )
+    for error in errors:
+        print(f"ERROR: {error}")
+    return 1 if errors else 0
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +439,9 @@ def run_dist_suite(args: argparse.Namespace) -> int:
     import threading
 
     from repro.dist.coordinator import FleetSpec, run_fleet_sweep
-    from repro.dist.faults import FaultInjector, FaultPlan
     from repro.dist.remote_transport import RemoteTransport, serve_replicas
     from repro.dse.engine import DseEngine
+    from repro.faults import FaultInjector, FaultPlan
     from repro.fcad.flow import sweep_grid
     from repro.models.zoo import get_model
     from repro.serving import ReplicaPool, canned_workload, serve_workload
