@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import repeat, starmap
 from typing import Sequence
+
+import numpy as np
 
 from repro.arch.config import AcceleratorConfig
 from repro.construction.reorg import PipelinePlan
@@ -72,9 +75,16 @@ class Particle:
 
 
 def _normalize_block(values: list[float]) -> list[float]:
-    """Clip to the floor and normalize a block of fractions to sum 1."""
+    """Clip to the floor and normalize a block of fractions to sum 1.
+
+    The block sum adds left to right, as :meth:`CrossBranchOptimizer.evolve`
+    does, and not with ``sum()``: Python 3.12 made ``sum()`` of floats
+    compensated, which would give one seed a different swarm per Python.
+    """
     clipped = [max(_FRACTION_FLOOR, v) for v in values]
-    total = sum(clipped)
+    total = 0.0
+    for v in clipped:
+        total += v
     return [v / total for v in clipped]
 
 
@@ -217,26 +227,43 @@ class CrossBranchOptimizer:
 
     def evolve(
         self,
-        particle: Particle,
-        global_best: list[float],
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        best_positions: np.ndarray,
+        global_best: np.ndarray,
         rng: random.Random,
     ) -> None:
-        """One PSO velocity/position update, then re-normalize."""
-        B = self.num_branches
-        for i in range(3 * B):
-            r_local = rng.random()
-            r_global = rng.random()
-            particle.velocity[i] = (
-                self.inertia * particle.velocity[i]
-                + self.c_local * r_local * (particle.best_position[i] - particle.position[i])
-                + self.c_global * r_global * (global_best[i] - particle.position[i])
-            )
-            particle.position[i] += particle.velocity[i]
-        for block in range(3):
-            start, end = block * B, (block + 1) * B
-            particle.position[start:end] = _normalize_block(
-                particle.position[start:end]
-            )
+        """One PSO velocity/position update of the whole swarm, in place.
+
+        ``positions``, ``velocities`` and ``best_positions`` are ``(P, 3B)``
+        float64 arrays, one row per particle; ``global_best`` is one row.
+        The result is bit-identical to updating particle after particle
+        with Python floats: the draws come in the same order (particle by
+        particle, dimension by dimension, ``r_local`` before ``r_global``),
+        every element goes through the same float64 operations in the same
+        order, and each block is clipped and normalized like
+        :func:`_normalize_block`, its sum added column by column.
+        """
+        P, D = positions.shape
+        count = 2 * P * D
+        draws = np.fromiter(
+            starmap(rng.random, repeat((), count)), dtype=np.float64, count=count
+        ).reshape(P, D, 2)
+        r_local = draws[:, :, 0]
+        r_global = draws[:, :, 1]
+        velocities[:] = (
+            self.inertia * velocities
+            + self.c_local * r_local * (best_positions - positions)
+            + self.c_global * r_global * (global_best - positions)
+        )
+        positions += velocities
+        blocks = positions.reshape(P, 3, D // 3)
+        # max(_FRACTION_FLOOR, v) keeps v only when v > floor: NaN clips too.
+        clipped = np.where(blocks > _FRACTION_FLOOR, blocks, _FRACTION_FLOOR)
+        total = clipped[:, :, 0].copy()
+        for column in range(1, D // 3):
+            total += clipped[:, :, column]
+        positions[:] = (clipped / total[:, :, None]).reshape(P, D)
 
     # ------------------------------------------------------------------
     def search(
@@ -264,12 +291,21 @@ class CrossBranchOptimizer:
         Returns (best fitness, best config, fitness history per iteration,
         iteration at which the global best last improved).
         """
+        if iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {iterations}")
+        if population < 1:
+            raise ValueError(f"population must be at least 1, got {population}")
         rng = make_rng(seed)
         particles = self.init_population(
             population, rng, heuristic_seed=heuristic_seed
         )
+        # The swarm as (P, 3B) arrays, one row per particle.
+        positions = np.array([p.position for p in particles], dtype=np.float64)
+        velocities = np.array([p.velocity for p in particles], dtype=np.float64)
+        best_positions = positions.copy()
+        best_fitness = np.full(len(particles), float("-inf"))
         global_best_fitness = float("-inf")
-        global_best_position: list[float] | None = None
+        global_best_position: np.ndarray | None = None
         global_best_solutions: tuple[BranchSolution, ...] | None = None
         history: list[float] = []
         convergence_iteration = 0
@@ -286,16 +322,21 @@ class CrossBranchOptimizer:
             objective=self.objective,
         ) as run_batch:
             for iteration in range(iterations):
-                results = run_batch([p.position for p in particles])
-                for particle, result in zip(particles, results):
+                rows = positions.tolist()
+                results = run_batch(rows)
+                scores = np.array([result.score for result in results])
+                improved = scores > best_fitness
+                best_fitness[improved] = scores[improved]
+                best_positions[improved] = positions[improved]
+                # The global best stays a sequential scan: with the
+                # improvement tolerance, which particle wins depends on
+                # the order they are compared in.
+                for index, result in enumerate(results):
                     self.evaluations += result.evaluations
                     self.cache_hits += result.cache_hits
-                    if result.score > particle.best_fitness:
-                        particle.best_fitness = result.score
-                        particle.best_position = list(particle.position)
                     if result.score > global_best_fitness + improvement_tolerance:
                         global_best_fitness = result.score
-                        global_best_position = list(particle.position)
+                        global_best_position = positions[index].copy()
                         global_best_solutions = result.solutions
                         self.best_metrics = result.metrics
                         convergence_iteration = iteration + 1
@@ -304,13 +345,13 @@ class CrossBranchOptimizer:
                     # top-K with the expensive oracle. Sorting is stable,
                     # so ties resolve in particle order — deterministic.
                     ranked = sorted(
-                        range(len(particles)),
+                        range(len(rows)),
                         key=lambda i: results[i].score,
                         reverse=True,
                     )[: self.rerank_top_k]
                     for idx in ranked:
                         metrics = self._oracle_metrics(
-                            particles[idx].position, results[idx].solutions
+                            rows[idx], results[idx].solutions
                         )
                         score = penalized_score(
                             self.objective,
@@ -324,8 +365,9 @@ class CrossBranchOptimizer:
                             rerank_best_iteration = iteration + 1
                 history.append(global_best_fitness)
                 assert global_best_position is not None
-                for particle in particles:
-                    self.evolve(particle, global_best_position, rng)
+                self.evolve(
+                    positions, velocities, best_positions, global_best_position, rng
+                )
             self.stage_hits += run_batch.stage_hits
             self.stage_lookups += run_batch.stage_lookups
             self.eval_timings.add(run_batch.timings)

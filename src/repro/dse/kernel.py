@@ -403,14 +403,15 @@ def solve_buckets(
 
     # Growth phase: group buckets by halving end-state, trace each
     # state's doubling walk once, and stop each bucket at the first step
-    # its budget cannot pay for.
+    # its budget cannot pay for. States and batch sizes leave numpy as
+    # plain ints in one ``tolist`` each, not one scalar index per cell.
     states: list[tuple[int, ...]] = [
-        tuple(int(final_idx[k, i]) for k in range(num_stages))
-        for i in range(n)
+        tuple(row) for row in final_idx.T.tolist()
     ]
+    batches: list[int] = batch.tolist()
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i in range(n):
-        if batch[i] >= 1:
+    for i, size in enumerate(batches):
+        if size >= 1:
             groups.setdefault(states[i], []).append(i)
     for start, members in groups.items():
         path = ladder.growth_path(start)
@@ -441,8 +442,8 @@ def solve_buckets(
         memo_served += int(
             (3 * first_stop + np.where(has_stop, 3, 1)).sum()
         )
-        for g, i in enumerate(members):
-            states[i] = path.states[int(first_stop[g])]
+        for i, stop_at in zip(members, first_stop.tolist()):
+            states[i] = path.states[stop_at]
     if timings is not None:
         now = time.perf_counter()
         timings.growth_seconds += now - started
@@ -450,8 +451,8 @@ def solve_buckets(
 
     # Measure phase: distinct (batch, state) pairs only.
     solutions = [
-        ladder.solution(int(batch[i]), states[i], batch_target)
-        for i in range(n)
+        ladder.solution(size, state, batch_target)
+        for size, state in zip(batches, states)
     ]
     table.credit_memo(memo_served, memo_served)
     if timings is not None:

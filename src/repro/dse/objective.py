@@ -48,6 +48,7 @@ entries never need it, because they are the same for every oracle stack.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, ClassVar, Protocol, Sequence, runtime_checkable
@@ -154,8 +155,37 @@ class PaperObjective:
         if len(fps) != len(priorities):
             raise ValueError("fps and priorities must have the same length")
         weighted = sum(f * p for f, p in zip(fps, priorities))
-        variance = statistics.pvariance(fps) if len(fps) > 1 else 0.0
+        variance = _pvariance(fps) if len(fps) > 1 else 0.0
         return weighted - self.alpha * variance
+
+
+def _pvariance(values: Sequence[float]) -> float:
+    """``statistics.pvariance`` of floats, computed with integers.
+
+    Every finite float is a dyadic rational ``n / 2**k``. Scaling each
+    numerator to the common denominator ``2**s`` makes the population
+    variance the single rational ``(n·Σx² − (Σx)²) / (n²·2**(2s))`` of two
+    integers, and int/int true division rounds it once, correctly. That is
+    the rational ``pvariance`` builds from ``Fraction`` objects and rounds
+    once, so the float is the same, bit for bit, without a ``Fraction`` in
+    sight. Anything but finite floats goes to ``pvariance`` itself.
+    """
+    ratios = []
+    den = 1  # the common denominator: the largest power of two
+    for x in values:
+        if type(x) is not float or not math.isfinite(x):
+            return statistics.pvariance(values)
+        n, d = x.as_integer_ratio()
+        ratios.append((n, d))
+        if d > den:
+            den = d
+    total = squares = 0
+    for n, d in ratios:
+        n *= den // d
+        total += n
+        squares += n * n
+    count = len(ratios)
+    return (count * squares - total * total) / (count * count * den * den)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,8 @@ class DseResult:
     # Where the wall time went: aggregate Algorithm-2 solve time (CPU
     # seconds across workers), parent-side cache bookkeeping, and pool
     # dispatch overhead. Serial searches have zero overhead by definition.
+    # ``cache_seconds`` also holds objective scoring: the parent scores
+    # each candidate while it reassembles the candidate's solutions.
     eval_seconds: float = 0.0
     cache_seconds: float = 0.0
     overhead_seconds: float = 0.0

@@ -26,7 +26,8 @@ The data path is built to move as little as possible between processes:
    parent folds deltas into the authoritative cache at the generation
    barrier, so no cache lookup ever crosses a process boundary.
 3. **Rehydration** — the parent reassembles every candidate's solutions
-   from the cache in submission order and scores them inline (the
+   in submission order from the generation's lookups (each unique key is
+   read from the cache once) and its solves, and scores them inline (the
    fitness arithmetic is trivial next to Algorithm 2).
 
 Both serial and parallel paths run the identical arithmetic on the
@@ -158,29 +159,29 @@ def canonical_rd(bucket: tuple[int, int, int]) -> ResourceBudget:
     )
 
 
-def split_budget(
-    spec: EvalSpec, position: Sequence[float]
-) -> list[ResourceBudget]:
-    """Turn a 3xB fraction vector into absolute per-branch budgets."""
+def candidate_keys(spec: EvalSpec, position: Sequence[float]) -> list[EvalKey]:
+    """The per-branch cache keys one candidate position resolves to.
+
+    A position is ``3 x B`` fractions: ``[C..., M..., BW...]``. Each bucket
+    comes straight from them with the arithmetic of :func:`quantize_rd`
+    on the branch's absolute budget: DSPs and BRAMs truncate to whole
+    units before snapping down to the grid, bandwidth snaps down from the
+    absolute GB/s.
+    """
+    digest = spec.digest
+    budget = spec.budget
     B = spec.plan.num_branches
-    compute = position[0:B]
-    memory = position[B : 2 * B]
-    bandwidth = position[2 * B : 3 * B]
     return [
-        ResourceBudget(
-            compute=int(spec.budget.compute * compute[j]),
-            memory=int(spec.budget.memory * memory[j]),
-            bandwidth_gbps=spec.budget.bandwidth_gbps * bandwidth[j],
+        (
+            digest,
+            j,
+            (
+                int(budget.compute * position[j]) // _COMPUTE_GRID,
+                int(budget.memory * position[B + j]) // _MEMORY_GRID,
+                int(budget.bandwidth_gbps * position[2 * B + j] / _BANDWIDTH_GRID),
+            ),
         )
         for j in range(B)
-    ]
-
-
-def candidate_keys(spec: EvalSpec, position: Sequence[float]) -> list[EvalKey]:
-    """The per-branch cache keys one candidate position resolves to."""
-    return [
-        (spec.digest, branch, quantize_rd(rd))
-        for branch, rd in enumerate(split_budget(spec, position))
     ]
 
 
@@ -195,9 +196,7 @@ def rerank_key(
     position in the same buckets completes to the same configuration, so
     its replay/simulation is the same measurement.
     """
-    buckets = tuple(
-        quantize_rd(rd) for rd in split_budget(spec, position)
-    )
+    buckets = tuple(key[2] for key in candidate_keys(spec, position))
     return (spec.digest, "rerank", oracle_key, buckets)
 
 
@@ -456,7 +455,8 @@ class EvalTimings:
     ``eval_seconds`` is aggregate Algorithm-2 solve CPU time, summed
     across workers for parallel runs (serial runs measure the same loop
     inline, where CPU and wall coincide). ``cache_seconds`` is the
-    parent-side bucketing / dedup / fold / rehydration cost.
+    parent-side bucketing / dedup / fold / rehydration cost, and it
+    includes objective scoring, which runs during rehydration.
     ``overhead_seconds`` is everything else a dispatched generation
     cost: pickling, scheduling, result transport, and core contention —
     the dispatch wall minus the solve time's ideal share per worker,
@@ -525,7 +525,9 @@ class GenerationEvaluator:
         self.stage_hits = 0
         self.stage_lookups = 0
 
-    def _solve_inline(self, todo: Sequence[EvalKey]) -> None:
+    def _solve_inline(
+        self, todo: Sequence[EvalKey]
+    ) -> dict[EvalKey, BranchSolution]:
         hits_before, lookups_before = stage_memo_stats()
         started = time.perf_counter()
         kernel_timings = KernelTimings()
@@ -538,8 +540,11 @@ class GenerationEvaluator:
         hits_after, lookups_after = stage_memo_stats()
         self.stage_hits += hits_after - hits_before
         self.stage_lookups += lookups_after - lookups_before
+        return solved
 
-    def _solve_pooled(self, todo: Sequence[EvalKey]) -> None:
+    def _solve_pooled(
+        self, todo: Sequence[EvalKey]
+    ) -> dict[EvalKey, BranchSolution]:
         dispatched = time.perf_counter()
         results = self._submit(todo)
         dispatch_wall = time.perf_counter() - dispatched
@@ -558,6 +563,7 @@ class GenerationEvaluator:
         self.timings.overhead_seconds += max(
             0.0, dispatch_wall - solve_seconds / self.workers
         )
+        return dict(fold)
 
     def __call__(
         self, positions: Sequence[Sequence[float]]
@@ -567,50 +573,47 @@ class GenerationEvaluator:
         keys_per_candidate = [
             candidate_keys(self.spec, position) for position in positions
         ]
+        # Each unique key is read from the cache once; the misses are the
+        # generation's solve list, in first-reference order.
+        found: dict[EvalKey, BranchSolution | None] = {}
         todo: list[EvalKey] = []
-        todo_set: set[EvalKey] = set()
         for keys in keys_per_candidate:
             for key in keys:
-                if key not in todo_set and self.cache.get(key) is None:
-                    todo_set.add(key)
-                    todo.append(key)
+                if key not in found:
+                    solution = self.cache.get(key)
+                    found[key] = solution
+                    if solution is None:
+                        todo.append(key)
         self.timings.cache_seconds += time.perf_counter() - bucket_started
 
         if todo:
             # Tiny generations are not worth a round-trip to the pool.
             if self._submit is None or len(todo) < self.workers:
-                self._solve_inline(todo)
+                found.update(self._solve_inline(todo))
             else:
-                self._solve_pooled(todo)
+                found.update(self._solve_pooled(todo))
+            unsolved = [key for key in todo if found[key] is None]
+            assert not unsolved, f"buckets never solved: {unsolved}"
 
         rehydrate_started = time.perf_counter()
+        priorities = self.spec.customization.priorities
+        unclaimed = set(todo)
         out: list[CandidateEval] = []
-        claimed: set[EvalKey] = set()
         for keys in keys_per_candidate:
-            solutions = []
             evaluations = 0
-            cache_hits = 0
             for key in keys:
-                if key in todo_set and key not in claimed:
-                    claimed.add(key)
+                if key in unclaimed:
+                    unclaimed.remove(key)
                     evaluations += 1
-                else:
-                    cache_hits += 1
-                solution = self.cache.get(key)
-                assert solution is not None, f"bucket never solved: {key}"
-                solutions.append(solution)
+            solutions = tuple([found[key] for key in keys])
             metrics = metrics_from_solutions(solutions)
             out.append(
                 CandidateEval(
-                    score=penalized_score(
-                        self.objective,
-                        metrics,
-                        self.spec.customization.priorities,
-                    ),
+                    score=penalized_score(self.objective, metrics, priorities),
                     metrics=metrics,
-                    solutions=tuple(solutions),
+                    solutions=solutions,
                     evaluations=evaluations,
-                    cache_hits=cache_hits,
+                    cache_hits=len(keys) - evaluations,
                 )
             )
         self.timings.cache_seconds += time.perf_counter() - rehydrate_started
@@ -733,5 +736,4 @@ __all__ = [
     "solve_bucket",
     "solve_chunk",
     "solve_key_batch",
-    "split_budget",
 ]

@@ -59,3 +59,16 @@ def test_every_job_has_runs_on_and_steps():
     for name, job in jobs.items():
         assert "runs-on" in job, f"job {name!r} has no runs-on"
         assert job.get("steps"), f"job {name!r} has no steps"
+
+
+def test_perfbench_smoke_job_checks_pinned_dse_runs():
+    job = load_workflow()["jobs"]["perfbench-smoke"]
+    setup = next(step for step in job["steps"] if "setup-python" in step.get("uses", ""))
+    # The pins come from Python 3.11; another version may not reproduce them.
+    assert setup["with"]["python-version"] == "3.11"
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    assert any("pytest perfbench" in run for run in runs)
+    for workload in ("dse-paper", "dse-sweep"):
+        (run,) = [run for run in runs if f"--workload {workload}" in run]
+        assert "--seed 0" in run and "--trace 0" in run
+        assert "['correct'] is True" in run.splitlines()[-1]

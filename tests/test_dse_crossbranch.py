@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.construction.reorg import build_pipeline_plan
 from repro.devices.fpga import get_device
-from repro.dse.crossbranch import CrossBranchOptimizer, _normalize_block
+from repro.dse.crossbranch import CrossBranchOptimizer, Particle, _normalize_block
 from repro.dse.engine import DseEngine
 from repro.dse.objective import BranchMetrics, PaperObjective
 from repro.dse.space import Customization
+from repro.models.benchmarks import build_tiny_yolo
 from repro.perf.estimator import evaluate
 from repro.quant.schemes import INT8
 
@@ -50,6 +57,16 @@ class TestNormalization:
         out = _normalize_block([100.0, 0.0])
         assert min(out) > 0.0
         assert max(out) < 1.0
+
+    def test_block_sum_adds_left_to_right(self):
+        # (0.1 + 0.2) + 0.3 == 0.6000000000000001, while a compensated sum
+        # (Python 3.12's sum() of floats) gives 0.6: the same seed would
+        # start a different swarm on 3.12.
+        assert _normalize_block([0.1, 0.2, 0.3]) == [
+            0.16666666666666666,
+            0.3333333333333333,
+            0.4999999999999999,
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +135,138 @@ class TestSwarm:
     def test_batch_customization_honoured(self, optimizer):
         _, config, _, _ = optimizer.search(iterations=4, population=20, seed=1)
         assert [b.batch_size for b in config.branches] == [1, 2, 2]
+
+
+def scalar_evolve(optimizer, particle, global_best, rng, B):
+    """The per-particle PSO update: the scalar reference for the array ``evolve``."""
+    for i in range(3 * B):
+        r_local = rng.random()
+        r_global = rng.random()
+        particle.velocity[i] = (
+            optimizer.inertia * particle.velocity[i]
+            + optimizer.c_local * r_local * (particle.best_position[i] - particle.position[i])
+            + optimizer.c_global * r_global * (global_best[i] - particle.position[i])
+        )
+        particle.position[i] += particle.velocity[i]
+    for block in range(3):
+        start, end = block * B, (block + 1) * B
+        particle.position[start:end] = _normalize_block(particle.position[start:end])
+
+
+def random_row(rng, width):
+    # Positions can leave [0, 1] between updates, so some cells clip.
+    return [rng.uniform(-0.5, 1.5) for _ in range(width)]
+
+
+class TestArrayEvolve:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        P=st.integers(1, 40),
+        B=st.integers(1, 4),
+        inertia=st.floats(0.0, 1.5),
+        c_local=st.floats(0.0, 3.0),
+        c_global=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+        generations=st.integers(1, 3),
+    )
+    def test_matches_the_per_particle_loop(
+        self, decoder_plan, P, B, inertia, c_local, c_global, seed, generations
+    ):
+        # evolve takes the swarm's width from the arrays, so one optimizer
+        # evolves swarms of any branch count.
+        optimizer = CrossBranchOptimizer(
+            plan=decoder_plan,
+            budget=get_device("ZU9CG").budget(),
+            customization=Customization.uniform(3),
+            quant=INT8,
+            inertia=inertia,
+            c_local=c_local,
+            c_global=c_global,
+        )
+        fill = random.Random(seed)
+        particles = [
+            Particle(
+                position=random_row(fill, 3 * B),
+                velocity=[fill.uniform(-1.0, 1.0) for _ in range(3 * B)],
+                best_position=random_row(fill, 3 * B),
+            )
+            for _ in range(P)
+        ]
+        global_best = random_row(fill, 3 * B)
+        positions = np.array([p.position for p in particles])
+        velocities = np.array([p.velocity for p in particles])
+        best_positions = np.array([p.best_position for p in particles])
+        scalar_rng, array_rng = random.Random(seed), random.Random(seed)
+        for _ in range(generations):
+            for particle in particles:
+                scalar_evolve(optimizer, particle, global_best, scalar_rng, B)
+            optimizer.evolve(
+                positions, velocities, best_positions, np.array(global_best), array_rng
+            )
+        assert positions.tolist() == [p.position for p in particles]
+        assert velocities.tolist() == [p.velocity for p in particles]
+        assert array_rng.getstate() == scalar_rng.getstate()
+
+
+class TestSearchSizes:
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(iterations=0), "iterations"),
+            (dict(iterations=-3), "iterations"),
+            (dict(population=0, heuristic_seed=False), "population"),
+            (dict(population=0), "population"),
+        ],
+    )
+    def test_degenerate_sizes_raise_value_error(self, optimizer, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            optimizer.search(**{"iterations": 2, "population": 4, **kwargs})
+
+    def test_engine_reports_the_same_error(self, decoder_plan):
+        engine = DseEngine(
+            plan=decoder_plan,
+            budget=get_device("ZU9CG").budget(),
+            quant=INT8,
+        )
+        with pytest.raises(ValueError, match="iterations"):
+            engine.search(iterations=0, population=4)
+
+
+#: (best_fitness, history, evaluations, cache_hits) per seed, captured
+#: from the per-particle swarm and the Fraction-based variance that the
+#: array update and the integer variance replaced.
+PINNED_TINY_YOLO = {
+    seed: (64.20529257067719, (64.20529257067719,) * 3, 1, 47) for seed in range(3)
+}
+PINNED_DECODER = {
+    0: (147.39609126687515, (138.7779231418572, 147.39609126687515, 147.39609126687515), 141, 3),
+    1: (154.2560612760144, (147.39609126687515, 154.2560612760144, 154.2560612760144), 141, 3),
+    2: (132.71082014701324, (94.4589396803915, 132.71082014701324, 132.71082014701324), 141, 3),
+}
+
+
+class TestPinnedSearches:
+    """N=3, P=16 searches on Z7045 give the values pinned before the rewrite."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tiny_yolo(self, seed):
+        plan = build_pipeline_plan(build_tiny_yolo())
+        self.check(plan, seed, PINNED_TINY_YOLO[seed])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_codec_avatar_decoder(self, decoder_plan, seed):
+        self.check(decoder_plan, seed, PINNED_DECODER[seed])
+
+    @staticmethod
+    def check(plan, seed, pinned):
+        engine = DseEngine(plan=plan, budget=get_device("Z7045").budget(), quant=INT8)
+        result = engine.search(iterations=3, population=16, seed=seed)
+        assert (
+            result.best_fitness,
+            result.history,
+            result.evaluations,
+            result.cache_hits,
+        ) == pinned
 
 
 class TestEngine:

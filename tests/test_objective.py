@@ -7,6 +7,8 @@ import statistics
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dse.objective import (
     INFEASIBILITY_PENALTY,
@@ -21,6 +23,7 @@ from repro.dse.objective import (
     make_oracle,
     metrics_from_solutions,
     penalized_score,
+    _pvariance,
     resolve_objective,
     resolve_oracle,
 )
@@ -101,6 +104,69 @@ class TestPaperObjective:
 
     def test_key_carries_alpha(self):
         assert PaperObjective(alpha=0.5).key != PaperObjective(alpha=0.05).key
+
+
+def outcome(fn, *args):
+    """A float's exact bits, or the exception type a call raised."""
+    try:
+        return fn(*args).hex()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+FINITE = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    st.floats(-500.0, 500.0),
+    # Subnormals: below the smallest normal float, 2.2250738585072014e-308.
+    st.floats(-2.2e-308, 2.2e-308, allow_subnormal=True),
+)
+NON_FINITE = st.sampled_from([float("inf"), float("-inf"), float("nan")])
+
+
+class TestIntegerVariance:
+    """``_pvariance`` is ``statistics.pvariance``, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(FINITE, min_size=2, max_size=8))
+    def test_matches_pvariance(self, values):
+        assert outcome(_pvariance, values) == outcome(statistics.pvariance, values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(FINITE, min_size=1, max_size=7),
+        NON_FINITE,
+        st.integers(0, 7),
+    )
+    def test_non_finite_values_keep_pvariance_behaviour(self, values, bad, index):
+        values.insert(min(index, len(values)), bad)
+        assert outcome(_pvariance, values) == outcome(statistics.pvariance, values)
+
+    def test_non_float_values_keep_pvariance_types(self):
+        assert _pvariance([1, 3]) == 1 and type(_pvariance([1, 3])) is int
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(FINITE, min_size=2, max_size=8).flatmap(
+            lambda fps: st.tuples(
+                st.just(fps),
+                st.lists(st.floats(0.0, 4.0), min_size=len(fps), max_size=len(fps)),
+            )
+        ),
+        st.sampled_from([0.0, 0.05, 0.5, 5.0]),
+    )
+    def test_paper_score_matches_historical_formula(self, case, alpha):
+        fps, priorities = case
+
+        def historical():
+            weighted = sum(f * p for f, p in zip(fps, priorities))
+            return weighted - alpha * statistics.pvariance(fps)
+
+        def score():
+            return PaperObjective(alpha=alpha).score(analytical(fps), tuple(priorities))
+
+        assert outcome(score) == outcome(historical)
 
 
 class TestSloObjective:
