@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, ClassVar, Protocol, Sequence, runtime_checkable
 
@@ -159,6 +160,11 @@ class PaperObjective:
         return weighted - self.alpha * variance
 
 
+#: From Python 3.11 on, ``statistics.pvariance`` rounds the exact rational
+#: variance once; not every older release does.
+_EXACT_PVARIANCE = sys.version_info >= (3, 11)
+
+
 def _pvariance(values: Sequence[float]) -> float:
     """``statistics.pvariance`` of floats, computed with integers.
 
@@ -168,8 +174,13 @@ def _pvariance(values: Sequence[float]) -> float:
     integers, and int/int true division rounds it once, correctly. That is
     the rational ``pvariance`` builds from ``Fraction`` objects and rounds
     once, so the float is the same, bit for bit, without a ``Fraction`` in
-    sight. Anything but finite floats goes to ``pvariance`` itself.
+    sight. Anything but finite floats goes to ``pvariance`` itself, and so
+    does everything on Python before 3.11: not every older ``pvariance``
+    rounds the exact rational (3.9's squares float deviations from a float
+    mean).
     """
+    if not _EXACT_PVARIANCE:
+        return statistics.pvariance(values)
     ratios = []
     den = 1  # the common denominator: the largest power of two
     for x in values:

@@ -137,12 +137,17 @@ class CandidateEval:
     cache_hits: int
 
 
-def quantize_rd(rd: ResourceBudget) -> tuple[int, int, int]:
+def _bucket(compute: int, memory: int, bandwidth_gbps: float) -> tuple[int, int, int]:
+    """The quantization bucket of one branch budget: each axis snaps down."""
     return (
-        rd.compute // _COMPUTE_GRID,
-        rd.memory // _MEMORY_GRID,
-        int(rd.bandwidth_gbps / _BANDWIDTH_GRID),
+        compute // _COMPUTE_GRID,
+        memory // _MEMORY_GRID,
+        int(bandwidth_gbps / _BANDWIDTH_GRID),
     )
+
+
+def quantize_rd(rd: ResourceBudget) -> tuple[int, int, int]:
+    return _bucket(rd.compute, rd.memory, rd.bandwidth_gbps)
 
 
 def canonical_rd(bucket: tuple[int, int, int]) -> ResourceBudget:
@@ -162,11 +167,10 @@ def canonical_rd(bucket: tuple[int, int, int]) -> ResourceBudget:
 def candidate_keys(spec: EvalSpec, position: Sequence[float]) -> list[EvalKey]:
     """The per-branch cache keys one candidate position resolves to.
 
-    A position is ``3 x B`` fractions: ``[C..., M..., BW...]``. Each bucket
-    comes straight from them with the arithmetic of :func:`quantize_rd`
-    on the branch's absolute budget: DSPs and BRAMs truncate to whole
-    units before snapping down to the grid, bandwidth snaps down from the
-    absolute GB/s.
+    A position is ``3 x B`` fractions: ``[C..., M..., BW...]``. Each
+    branch's absolute budget goes straight to :func:`_bucket`, without a
+    :class:`ResourceBudget` in between: DSPs and BRAMs truncate to whole
+    units, bandwidth stays in GB/s.
     """
     digest = spec.digest
     budget = spec.budget
@@ -175,10 +179,10 @@ def candidate_keys(spec: EvalSpec, position: Sequence[float]) -> list[EvalKey]:
         (
             digest,
             j,
-            (
-                int(budget.compute * position[j]) // _COMPUTE_GRID,
-                int(budget.memory * position[B + j]) // _MEMORY_GRID,
-                int(budget.bandwidth_gbps * position[2 * B + j] / _BANDWIDTH_GRID),
+            _bucket(
+                int(budget.compute * position[j]),
+                int(budget.memory * position[B + j]),
+                budget.bandwidth_gbps * position[2 * B + j],
             ),
         )
         for j in range(B)

@@ -6,7 +6,10 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.devices.budget import ResourceBudget
 from repro.devices.fpga import get_device
 from repro.dse.cache import LocalEvalCache
 from repro.dse.engine import DseEngine
@@ -17,6 +20,7 @@ from repro.dse.worker import (
     SweepWorkerPool,
     candidate_keys,
     evaluate_candidate,
+    quantize_rd,
     solve_bucket,
     solve_chunk,
 )
@@ -64,6 +68,28 @@ class TestEvalSpec:
         int16 = make_engine(tiny_plan_module, quant=INT16).spec
         other_device = make_engine(tiny_plan_module, device="ZU17EG").spec
         assert len({int8.digest, int16.digest, other_device.digest}) == 3
+
+
+class TestCandidateKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.5), min_size=6, max_size=6))
+    def test_bucket_of_each_branch_budget(self, spec, position):
+        # The reference: build each branch's absolute budget, then quantize it.
+        B = spec.plan.num_branches
+        budget = spec.budget
+        expected = [
+            quantize_rd(
+                ResourceBudget(
+                    compute=int(budget.compute * position[j]),
+                    memory=int(budget.memory * position[B + j]),
+                    bandwidth_gbps=budget.bandwidth_gbps * position[2 * B + j],
+                )
+            )
+            for j in range(B)
+        ]
+        keys = candidate_keys(spec, position)
+        assert [key[2] for key in keys] == expected
+        assert [key[:2] for key in keys] == [(spec.digest, j) for j in range(B)]
 
 
 class TestEvaluateCandidate:
