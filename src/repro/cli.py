@@ -31,6 +31,7 @@ same seed, so parallelism is purely a wall-clock knob.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -86,7 +87,7 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected a positive number, got {text!r}"
         ) from None
-    if value <= 0:
+    if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(
             f"expected a positive number, got {value}"
         )
@@ -653,7 +654,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if not tiers or any(tier <= 0 for tier in tiers):
+        if not tiers or not all(0 < tier < math.inf for tier in tiers):
             print(
                 "error: --deadline-tiers budgets must all be positive",
                 file=sys.stderr,
@@ -667,8 +668,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.batch_window_ms < 0:
-        print("error: --batch-window-ms must be >= 0", file=sys.stderr)
+    if not 0 <= args.batch_window_ms < math.inf:
+        print(
+            "error: --batch-window-ms must be a finite number >= 0",
+            file=sys.stderr,
+        )
         return 2
     if args.sim_frames < 2:
         print(

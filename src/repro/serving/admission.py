@@ -29,6 +29,7 @@ sees a dropped frame, not a hang) and is tracked as a first-class
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,7 +53,7 @@ class AdmissionControl:
     def __post_init__(self) -> None:
         if self.max_queue_per_replica is not None and self.max_queue_per_replica < 1:
             raise ValueError("max queue per replica must be >= 1")
-        if self.slack <= 0:
+        if not 0 < self.slack < math.inf:
             raise ValueError("admission slack must be positive")
 
     def admit(self, group: "ReplicaGroup", deadline_rel_ms: float) -> bool:

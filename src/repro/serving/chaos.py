@@ -40,6 +40,7 @@ path runs — sessions are bit-identical to the pre-chaos stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: Fault kinds and the number of ``:``-separated fields each clause takes
@@ -258,7 +259,9 @@ class RecoveryPolicy:
             raise ValueError("max_retries must be >= 0")
         if self.breaker_threshold < 0:
             raise ValueError("breaker_threshold must be >= 0")
-        if self.replace_after_ms is not None and self.replace_after_ms < 0:
+        if self.replace_after_ms is not None and not (
+            0 <= self.replace_after_ms < math.inf
+        ):
             raise ValueError("replace_after_ms must be >= 0")
 
 

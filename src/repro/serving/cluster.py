@@ -38,6 +38,7 @@ End to end::
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,6 +87,13 @@ class GroupSpec:
             raise ValueError("a replica group needs a name")
         if self.replicas < 1:
             raise ValueError("a replica group needs at least one replica")
+        if not 0 <= self.batch_window_ms < math.inf:
+            raise ValueError(
+                "batch_window_ms must be a finite number >= 0, "
+                f"got {self.batch_window_ms}"
+            )
+        if self.max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
 
 
 class ReplicaGroup:

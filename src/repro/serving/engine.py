@@ -58,7 +58,7 @@ from repro.serving.cluster import GroupSpec
 from repro.serving.policies import get_policy
 from repro.serving.replica import Replica, ReplicaPool, health_summary
 from repro.serving.router import RoutingPolicy, failover_route, get_router
-from repro.serving.slo import GroupReport, ServingReport
+from repro.serving.slo import GroupReport, ServingReport, ordered_sum
 from repro.serving.traffic import RequestTrace, trace_from_workload
 from repro.serving.workload import AvatarWorkload
 
@@ -113,7 +113,10 @@ class AutoscalePolicy:
     max_step: int = 8
 
     def __post_init__(self) -> None:
-        if self.check_interval_ms <= 0 or self.warmup_ms < 0:
+        if not (
+            0 < self.check_interval_ms < math.inf
+            and 0 <= self.warmup_ms < math.inf
+        ):
             raise ValueError("autoscale intervals must be positive")
         if not 0 < self.target_utilization <= 1.0:
             raise ValueError("target utilization must be in (0, 1]")
@@ -125,7 +128,15 @@ class AutoscalePolicy:
 
 class _EngineGroup:
     """One group's live state, duck-typing :class:`ReplicaGroup` for the
-    routers and admission control (same properties, same units)."""
+    routers and admission control under the same names and units.
+
+    ``backlog_frames``, ``replicas`` and ``capacity_fps`` are plain
+    attributes here, not properties: the session's event handlers keep
+    them current (the backlog as frames are queued, finish or fail; the
+    fleet size through :meth:`refresh_fleet` whenever ``live`` or
+    ``pending_drain`` moves), so every admission and routing decision
+    reads them without recomputing.
+    """
 
     def __init__(
         self,
@@ -161,7 +172,8 @@ class _EngineGroup:
         self.provisioning = 0  # replicas inside their warmup_ms delay
         self.state = _IDLE
         self.queue_len = 0
-        self.inflight = 0
+        self.backlog_frames = 0  # frames queued plus in flight
+        self.refresh_fleet()
         # Policy-native queues (request indices, not request objects).
         self.fifo_q: deque[int] = deque()
         self.edf_q: list[tuple[float, int]] = []
@@ -199,6 +211,7 @@ class _EngineGroup:
         self.all_replicas.append(replica)
         self.free.append(replica)
         self.live += 1
+        self.refresh_fleet()
         return replica
 
     def adopt_pool(self, pool: ReplicaPool) -> None:
@@ -207,23 +220,15 @@ class _EngineGroup:
         self.all_replicas = list(pool.replicas)
         self.free = deque(pool.replicas)
         self.live = len(pool.replicas)
+        self.refresh_fleet()
+
+    def refresh_fleet(self) -> None:
+        """Recompute ``replicas`` (live minus draining, at least one) and
+        ``capacity_fps`` (their warm steady-state frames/second)."""
+        self.replicas = max(1, self.live - self.pending_drain)
+        self.capacity_fps = self.replicas * self.profile.steady_fps
 
     # -- the ReplicaGroup interface routers and admission read ----------
-    @property
-    def replicas(self) -> int:
-        """Replicas currently able to serve (live minus draining)."""
-        return max(1, self.live - self.pending_drain)
-
-    @property
-    def capacity_fps(self) -> float:
-        """Steady-state frames/second of the live replicas, warm."""
-        return self.replicas * self.profile.steady_fps
-
-    @property
-    def backlog_frames(self) -> int:
-        """Frames queued plus in flight in this group."""
-        return self.queue_len + self.inflight
-
     def backlog_ms(self) -> float:
         """Estimated ms until a frame admitted now starts service."""
         return (
@@ -389,6 +394,7 @@ class _HeapSession:
             else:
                 queue.append(i)
         group.queue_len += 1
+        group.backlog_frames += 1
         if group.state == _IDLE:
             self._drive(group, t)
 
@@ -454,7 +460,6 @@ class _HeapSession:
             batch = self._select_fair(group, t, limit)
         size = len(batch)
         group.queue_len -= size
-        group.inflight += size
         gi = group.index
         outcome = None
         if group.chaos_states is not None:
@@ -585,7 +590,7 @@ class _HeapSession:
         self, t: float, group: _EngineGroup, req: int, replica
     ) -> None:
         self._finish[req] = t
-        group.inflight -= 1
+        group.backlog_frames -= 1
         self._pending -= 1
         if self._chaos_active:
             self._attempts.pop(req, None)
@@ -600,6 +605,7 @@ class _HeapSession:
         if group.pending_drain > 0:
             group.pending_drain -= 1
             group.live -= 1
+            group.refresh_fleet()
             return
         group.free.append(replica)
         if group.state == _WAIT:
@@ -639,6 +645,7 @@ class _HeapSession:
         if replica.health != "dead":
             replica.health = "dead"
             group.live -= 1
+            group.refresh_fleet()
             group.replicas_lost += 1
             if group.recovery.replace_after_ms is not None:
                 group.replacing += 1
@@ -655,7 +662,7 @@ class _HeapSession:
             return
         group.breaker.record_failure()
         size = len(batch)
-        group.inflight -= size
+        group.backlog_frames -= size
         recoverable = group.live > 0 or group.replacing > 0
         max_retries = group.recovery.max_retries
         for req in batch:
@@ -688,6 +695,7 @@ class _HeapSession:
         if group.pending_drain > 0:
             group.pending_drain -= 1
             group.live -= 1
+            group.refresh_fleet()
             return
         group.free.append(replica)
         if group.state == _WAIT:
@@ -732,6 +740,7 @@ class _HeapSession:
                         break
                 queue.insert(pos, req)
         group.queue_len += 1
+        group.backlog_frames += 1
 
     def _fail_request(self, group: _EngineGroup, req: int) -> None:
         self._attempts.pop(req, None)
@@ -743,6 +752,9 @@ class _HeapSession:
         if group.exhausted or group.live > 0 or group.replacing > 0:
             return
         group.exhausted = True
+        # The dispatcher retires: a parked _WAIT would otherwise dispatch
+        # an empty queue when an autoscaled replica lands later.
+        group.state = _IDLE
         kind = group.policy_kind
         if kind == _FIFO:
             drained = [item[1] for item in group.fifo_q]
@@ -757,6 +769,7 @@ class _HeapSession:
             group.fair_q.clear()
         for req in drained:
             self._fail_request(group, req)
+        group.backlog_frames -= group.queue_len
         group.queue_len = 0
 
     def _on_scale(self, t: float) -> None:
@@ -794,6 +807,7 @@ class _HeapSession:
                     group.live -= 1
                     step -= 1
                 group.pending_drain += step
+                group.refresh_fleet()
         if self._cursor < len(self._arrival) or self._pending > 0:
             self._push(t + policy.check_interval_ms, _EV_SCALE, 0, 0, None)
 
@@ -846,7 +860,9 @@ class _HeapSession:
             )
         if groups_in_report:
             group_reports = tuple(
-                self._group_report(g, served, missed, group_of, duration_ms)
+                self._group_report(
+                    g, finish, served, missed, group_of, duration_ms
+                )
                 for g in self.groups
             )
 
@@ -893,12 +909,15 @@ class _HeapSession:
             failovers=sum(g.failovers for g in self.groups),
             replicas_lost=sum(g.replicas_lost for g in self.groups),
             replicas_replaced=sum(g.replicas_replaced for g in self.groups),
-            degraded_time_ms=sum(g.degraded_time_ms for g in self.groups),
+            degraded_time_ms=ordered_sum(
+                g.degraded_time_ms for g in self.groups
+            ),
         )
 
     def _group_report(
         self,
         group: _EngineGroup,
+        finish: np.ndarray,
         served: np.ndarray,
         missed: np.ndarray,
         group_of: np.ndarray,
@@ -906,7 +925,6 @@ class _HeapSession:
     ) -> GroupReport:
         mine = group_of == group.index
         mine_served = mine & served
-        finish = np.asarray(self._finish)
         latencies = np.sort(
             finish[mine_served] - self.trace.arrival_ms[mine_served]
         )
@@ -933,7 +951,9 @@ class _HeapSession:
                 else 0.0
             ),
             mean_utilization=(
-                sum(utilizations) / len(utilizations) if utilizations else 0.0
+                ordered_sum(utilizations) / len(utilizations)
+                if utilizations
+                else 0.0
             ),
             scale_ups=group.scale_ups,
             scale_downs=group.scale_downs,

@@ -21,7 +21,7 @@ sessions stay bit-identical per seed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 if TYPE_CHECKING:
     from repro.serving.cluster import ReplicaGroup
@@ -114,15 +114,35 @@ class DeadlineTieredRouter:
         now_ms: float,
         groups: Sequence["ReplicaGroup"],
     ) -> int:
-        unloaded = [group.unloaded_latency_ms() for group in groups]
-        feasible = [
-            i for i, est in enumerate(unloaded) if est <= deadline_rel_ms
-        ]
-        if feasible:
-            return max(
-                feasible, key=lambda i: (groups[i].capacity_fps, -i)
-            )
-        return min(range(len(groups)), key=lambda i: (unloaded[i], i))
+        return _tiered_pick(range(len(groups)), deadline_rel_ms, groups)
+
+
+def _tiered_pick(
+    candidates: Iterable[int],
+    deadline_rel_ms: float,
+    groups: Sequence["ReplicaGroup"],
+) -> int:
+    """The deadline-tiered choice among ``candidates`` (ascending indices,
+    at least one): the highest-capacity group whose unloaded latency fits
+    the budget, else the quickest one.
+
+    One pass; strict comparisons keep the lowest index on ties, for both
+    the home tier and the quickest group.
+    """
+    home = -1
+    home_fps = 0.0
+    quickest = -1
+    quickest_ms = 0.0
+    for i in candidates:
+        group = groups[i]
+        unloaded = group.unloaded_latency_ms()
+        if unloaded <= deadline_rel_ms:
+            fps = group.capacity_fps
+            if home < 0 or fps > home_fps:
+                home, home_fps = i, fps
+        if quickest < 0 or unloaded < quickest_ms:
+            quickest, quickest_ms = i, unloaded
+    return home if home >= 0 else quickest
 
 
 def failover_route(
@@ -150,11 +170,7 @@ def failover_route(
     candidates = [i for i, ok in enumerate(available) if ok]
     if not candidates:
         return None
-    unloaded = {i: groups[i].unloaded_latency_ms() for i in candidates}
-    feasible = [i for i in candidates if unloaded[i] <= deadline_rel_ms]
-    if feasible:
-        return max(feasible, key=lambda i: (groups[i].capacity_fps, -i))
-    return min(candidates, key=lambda i: (unloaded[i], i))
+    return _tiered_pick(candidates, deadline_rel_ms, groups)
 
 
 _ROUTERS: dict[str, Callable[[], RoutingPolicy]] = {

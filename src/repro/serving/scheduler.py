@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 
 from repro.serving.chaos import ChaosPlan, CircuitBreaker, RecoveryPolicy
 from repro.serving.clock import now_ms, sleep_ms, sleep_until_ms
@@ -57,8 +58,8 @@ class BatchScheduler:
         chaos: ChaosPlan | None = None,
         recovery: RecoveryPolicy | None = None,
     ) -> None:
-        if batch_window_ms < 0:
-            raise ValueError("batch window must be >= 0")
+        if not 0 <= batch_window_ms < math.inf:
+            raise ValueError("batch window must be a finite number >= 0")
         self.pool = pool
         self.policy = get_policy(policy)
         self.transport = get_transport(transport)

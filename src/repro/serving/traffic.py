@@ -253,13 +253,13 @@ def make_trace(
     """
     if avatars < 1:
         raise ValueError("need at least one avatar")
-    if duration_s <= 0:
+    if not 0 < duration_s < math.inf:
         raise ValueError("duration must be positive")
-    if avatar_fps <= 0:
+    if not 0 < avatar_fps < math.inf:
         raise ValueError("avatar fps must be positive")
-    if deadline_ms <= 0:
+    if not 0 < deadline_ms < math.inf:
         raise ValueError("deadline must be positive")
-    if any(tier <= 0 for tier in deadline_tiers):
+    if not all(0 < tier < math.inf for tier in deadline_tiers):
         raise ValueError("deadline tiers must be positive")
     interval_ms = 1000.0 / avatar_fps
     if not 0 <= jitter_ms < interval_ms:

@@ -192,6 +192,8 @@ class TestRecoveryPolicy:
             {"max_retries": -1},
             {"breaker_threshold": -1},
             {"replace_after_ms": -0.5},
+            {"replace_after_ms": float("nan")},
+            {"replace_after_ms": float("inf")},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):

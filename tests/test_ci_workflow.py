@@ -68,7 +68,7 @@ def test_perfbench_smoke_job_checks_pinned_dse_runs():
     assert setup["with"]["python-version"] == "3.11"
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert any("pytest perfbench" in run for run in runs)
-    for workload in ("dse-paper", "dse-sweep"):
+    for workload in ("dse-paper", "dse-sweep", "serve-diurnal", "serve-chaos"):
         (run,) = [run for run in runs if f"--workload {workload}" in run]
         assert "--seed 0" in run and "--trace 0" in run
         assert "['correct'] is True" in run.splitlines()[-1]

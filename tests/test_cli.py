@@ -191,7 +191,7 @@ class TestValidation:
                 main(["explore", "tiny_yolo", flag, value])
             assert "positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["0", "-0.5", "nan-ish"])
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan-ish", "nan", "inf"])
     def test_alpha_rejects_nonpositive_values(self, capsys, value):
         with pytest.raises(SystemExit) as excinfo:
             main(["explore", "tiny_yolo", "--alpha", value])
@@ -301,11 +301,16 @@ class TestServe:
             main(["serve", "--avatars", "0"])
         assert "positive integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tiers", ["25,abc", "", "25,-5", "0"])
+    @pytest.mark.parametrize("tiers", ["25,abc", "", "25,-5", "0", "25,nan", "inf"])
     def test_serve_rejects_bad_deadline_tiers(self, capsys, tiers):
         # Validated before the design search runs, with a friendly error.
         assert main(["serve", "--deadline-tiers", tiers]) == 2
         assert "--deadline-tiers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["-5", "nan", "inf"])
+    def test_serve_rejects_bad_batch_window(self, capsys, window):
+        assert main(["serve", "--batch-window-ms", window]) == 2
+        assert "--batch-window-ms" in capsys.readouterr().err
 
     def test_serve_rejects_oversized_jitter(self, capsys):
         assert main(["serve", "--jitter-ms", "40"]) == 2

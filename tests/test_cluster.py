@@ -73,6 +73,11 @@ class TestSpecsAndValidation:
             GroupSpec("", FAST)
         with pytest.raises(ValueError, match="replica"):
             GroupSpec("g", FAST, replicas=0)
+        for window in (-5.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="batch_window_ms"):
+                GroupSpec("g", FAST, batch_window_ms=window)
+        with pytest.raises(ValueError, match="max_batch"):
+            GroupSpec("g", FAST, max_batch=0)
 
     def test_cluster_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="unique"):
@@ -93,8 +98,9 @@ class TestSpecsAndValidation:
     def test_admission_validation(self):
         with pytest.raises(ValueError):
             AdmissionControl(max_queue_per_replica=0)
-        with pytest.raises(ValueError):
-            AdmissionControl(slack=0.0)
+        for slack in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="slack"):
+                AdmissionControl(slack=slack)
 
     def test_replica_budget(self):
         cluster = Cluster(mixed_groups())

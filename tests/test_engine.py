@@ -10,7 +10,9 @@ import pytest
 
 from repro.serving import (
     AutoscalePolicy,
+    ChaosPlan,
     GroupSpec,
+    RecoveryPolicy,
     ReplicaPool,
     canned_workload,
     list_shapes,
@@ -271,6 +273,9 @@ def test_make_trace_validation():
         make_trace(0, 1.0)
     with pytest.raises(ValueError):
         make_trace(10, 1.0, jitter_ms=1000.0, avatar_fps=30.0)
+    for duration in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="duration must be positive"):
+            make_trace(10, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +338,36 @@ def test_autoscale_warmup_is_charged():
     assert slow.deadline_misses > fast.deadline_misses
 
 
+def test_exhausted_group_ignores_a_late_autoscaled_replica():
+    # The only replica dies while a frame waits for it, the group is
+    # exhausted, and then the autoscaler lands a replica there. The group
+    # stays retired (later arrivals fail at the door) rather than
+    # dispatching its empty queue to the new replica.
+    spec = GroupSpec(
+        "g", FAST, replicas=1, policy="fifo", batch_window_ms=0.0, max_batch=1
+    )
+    report = serve_trace(
+        spec,
+        make_trace(3, 0.5, avatar_fps=10.0, seed=2),
+        autoscale=AutoscalePolicy(
+            check_interval_ms=50.0, warmup_ms=0.0, max_replicas=1
+        ),
+        chaos=ChaosPlan.parse("die-at:0:0"),
+        recovery=RecoveryPolicy(max_retries=0),
+    )
+    assert report.scale_ups == 1
+    assert report.replicas_lost == 1
+    assert report.completed == 0
+    assert report.failed == report.submitted
+
+
 def test_autoscale_validation():
-    with pytest.raises(ValueError):
-        AutoscalePolicy(check_interval_ms=0.0)
+    for interval in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="intervals"):
+            AutoscalePolicy(check_interval_ms=interval)
+    for warmup in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="intervals"):
+            AutoscalePolicy(warmup_ms=warmup)
     with pytest.raises(ValueError):
         AutoscalePolicy(target_utilization=1.5)
     with pytest.raises(ValueError):
