@@ -54,6 +54,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, ClassVar, Protocol, Sequence, runtime_checkable
 
+from repro.utils.sums import ordered_sum
+
 if TYPE_CHECKING:
     from repro.dse.inbranch import BranchSolution
     from repro.dse.worker import EvalSpec
@@ -138,7 +140,8 @@ class PaperObjective:
     ``P`` the variance penalty ``alpha x sigma^2(Perf)`` that discourages
     starving one branch to fatten another (an avatar whose geometry
     updates at 120 FPS but whose texture crawls at 10 FPS is useless).
-    Bit-identical to the historical fitness formula.
+    Bit-identical to the historical fitness formula, whose weighted sum
+    adds left to right on every Python (:func:`ordered_sum`).
     """
 
     alpha: float = 0.05
@@ -155,7 +158,7 @@ class PaperObjective:
         fps = metrics.fps
         if len(fps) != len(priorities):
             raise ValueError("fps and priorities must have the same length")
-        weighted = sum(f * p for f, p in zip(fps, priorities))
+        weighted = ordered_sum(f * p for f, p in zip(fps, priorities))
         variance = _pvariance(fps) if len(fps) > 1 else 0.0
         return weighted - self.alpha * variance
 
@@ -273,7 +276,7 @@ class CompositeObjective:
         weights = [weight for _, weight in self.parts]
         if any(weight <= 0 for weight in weights):
             raise ValueError("composite weights must all be positive")
-        total = sum(weights)
+        total = ordered_sum(weights)
         object.__setattr__(
             self,
             "parts",
@@ -293,7 +296,7 @@ class CompositeObjective:
     def score(
         self, metrics: BranchMetrics, priorities: tuple[float, ...]
     ) -> float:
-        return sum(
+        return ordered_sum(
             weight * objective.score(metrics, priorities)
             for objective, weight in self.parts
         )

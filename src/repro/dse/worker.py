@@ -227,7 +227,7 @@ def clear_process_caches() -> None:
     """Drop this process's warm tables and solved-bucket L1.
 
     Benchmark / test hygiene only: back-to-back measured runs in one
-    process (e.g. the serial-vs-parallel bench) would otherwise leak the
+    process (e.g. perfbench's repetitions) would otherwise leak the
     first run's warm Algorithm-2 tables into the second — via plain
     module state in the parent and via fork inheritance in its workers —
     and blur the comparison.

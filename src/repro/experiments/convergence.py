@@ -41,10 +41,6 @@ class ConvergenceResult:
         return statistics.mean(s.runtime_seconds for s in self.searches)
 
     @property
-    def best_fitness(self) -> float:
-        return max(s.best_fitness for s in self.searches)
-
-    @property
     def total_evaluations(self) -> int:
         return sum(s.evaluations for s in self.searches)
 
@@ -59,12 +55,6 @@ class ConvergenceResult:
     @property
     def total_stage_lookups(self) -> int:
         return sum(s.stage_lookups for s in self.searches)
-
-    @property
-    def bucket_hit_rate(self) -> float:
-        """Result-cache hits over candidate-branch lookups, whole study."""
-        lookups = self.total_evaluations + self.total_cache_hits
-        return self.total_cache_hits / lookups if lookups else 0.0
 
     @property
     def combined_hit_rate(self) -> float:
@@ -88,22 +78,6 @@ class ConvergenceResult:
     @property
     def overhead_seconds(self) -> float:
         return sum(s.overhead_seconds for s in self.searches)
-
-    @property
-    def ladder_seconds(self) -> float:
-        return sum(s.ladder_seconds for s in self.searches)
-
-    @property
-    def growth_seconds(self) -> float:
-        return sum(s.growth_seconds for s in self.searches)
-
-    @property
-    def measure_seconds(self) -> float:
-        return sum(s.measure_seconds for s in self.searches)
-
-    @property
-    def total_runtime_seconds(self) -> float:
-        return sum(s.runtime_seconds for s in self.searches)
 
     @property
     def fitness_spread_pct(self) -> float:
@@ -164,9 +138,7 @@ def run_convergence(
     share an evaluation cache — seeds agree on many in-branch subproblems
     even when their swarms differ — and ``workers > 1`` evaluates each
     generation on a process pool. Neither changes any search's result.
-    ``objective`` picks the fitness (``"paper"`` reproduces the study;
-    the benchmark harness records it next to its timings so trajectories
-    under different objectives are never compared against each other).
+    ``objective`` picks the fitness (``"paper"`` reproduces the study).
     """
     plan = build_pipeline_plan(build_codec_avatar_decoder())
     device = get_device(device_name)

@@ -58,9 +58,10 @@ from repro.serving.cluster import GroupSpec
 from repro.serving.policies import get_policy
 from repro.serving.replica import Replica, ReplicaPool, health_summary
 from repro.serving.router import RoutingPolicy, failover_route, get_router
-from repro.serving.slo import GroupReport, ServingReport, ordered_sum
+from repro.serving.slo import GroupReport, ServingReport
 from repro.serving.traffic import RequestTrace, trace_from_workload
 from repro.serving.workload import AvatarWorkload
+from repro.utils.sums import ordered_sum
 
 #: Per-avatar p99 latencies are only folded into the report up to this
 #: many avatars — a million-avatar session does not want a million-entry

@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
 
 from repro.serving.request import DecodeResponse
+from repro.utils.sums import ordered_sum
 from repro.utils.tables import render_table
 
 
@@ -32,19 +32,6 @@ def percentile(samples: list[float], q: float) -> float:
     ordered = sorted(samples)
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
-
-
-def ordered_sum(values: Iterable[float]) -> float:
-    """Add ``values`` left to right.
-
-    Not ``sum()``: Python 3.12 made ``sum()`` of floats compensated, so a
-    report built with it would round differently per Python. On 3.10 and
-    3.11 the two agree bit for bit.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 @dataclass(frozen=True)

@@ -224,15 +224,14 @@ def saturation_workload(
     jitter_ms: float = 8.0,
     seed: int = 0,
 ) -> AvatarWorkload:
-    """The canonical benchmark workload, sized off measured capacity.
+    """A mixed-deadline workload, sized off measured capacity.
 
     The avatar fleet is scaled so the offered load is ``saturation`` of
     the pool's steady-state capacity — the regime where scheduling policy
     decides how many frames make their deadlines (well under it nothing
     misses; far over it everything does). Deriving the fleet from the
-    profile keeps ``BENCH_serving.json`` and the pytest benchmark in the
-    same regime even as the cost models evolve, and keeps the two
-    benchmark surfaces measuring one and the same workload.
+    profile keeps a session in that regime even as the cost models
+    evolve.
     """
     capacity_fps = replicas * profile.steady_fps
     avatars = max(2, round(saturation * capacity_fps / avatar_fps))

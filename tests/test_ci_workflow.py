@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
 
 yaml = pytest.importorskip("yaml")
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+REPO = Path(__file__).resolve().parents[1]
+WORKFLOW = REPO / ".github" / "workflows" / "ci.yml"
+
+#: A repo script named in a ``run:`` step, e.g. ``perfbench/run.py``.
+SCRIPT = re.compile(
+    r"(?<![\w/.-])((?:tools|benchmarks|examples|perfbench|tests)/[\w/.-]*\.py)\b"
+)
 
 
 class UniqueKeyLoader(yaml.SafeLoader):
@@ -72,3 +79,15 @@ def test_perfbench_smoke_job_checks_pinned_dse_runs():
         (run,) = [run for run in runs if f"--workload {workload}" in run]
         assert "--seed 0" in run and "--trace 0" in run
         assert "['correct'] is True" in run.splitlines()[-1]
+
+
+def test_every_file_a_step_runs_exists():
+    scripts = {
+        path
+        for job in load_workflow()["jobs"].values()
+        for step in job["steps"]
+        for path in SCRIPT.findall(step.get("run", ""))
+    }
+    assert "perfbench/run.py" in scripts and "examples/quickstart.py" in scripts
+    missing = sorted(path for path in scripts if not (REPO / path).is_file())
+    assert not missing, f"CI steps run files that do not exist: {missing}"

@@ -23,7 +23,13 @@ from repro.serving import (
     serve_workload,
 )
 from repro.sim.runner import FrameLatencyProfile
-from tests.conftest import make_tiny_decoder
+from tests.conftest import (
+    EXPLORED_BATCH1,
+    EXPLORED_BATCH2,
+    make_tiny_decoder,
+    two_tier_groups,
+    two_tier_workload,
+)
 
 #: The low-latency design: quick cold start, 250 FPS warm.
 FAST = FrameLatencyProfile(
@@ -247,6 +253,59 @@ class TestClusterSessions:
         )
         assert report.submitted == 16 * 12
         assert report.completed < report.submitted
+
+
+#: Replicas every fleet of the mixed-vs-homogeneous comparison gets.
+CLUSTER_BUDGET = 6
+
+#: Offered load as a share of a batch-1 pool's capacity. Slightly past
+#: capacity on purpose: EDF on a shared pool starts serving stale
+#: deadlines there, while tiering isolates the tight tier and shedding
+#: keeps the accepted frames inside their budgets.
+CLUSTER_SATURATION = 1.05
+
+#: Offered load of the load-shedding sessions.
+SHED_OVERLOAD = 1.5
+
+
+def tiered_cluster(workload, admission):
+    return serve_cluster(
+        two_tier_groups(CLUSTER_BUDGET),
+        workload,
+        router="deadline",
+        admission=admission,
+    )
+
+
+class TestMixedClusterOnExploredDesigns:
+    """A batch-1/batch-2 cluster against one-design pools of equal size."""
+
+    def test_mixed_cluster_beats_every_homogeneous_pool(self):
+        workload = two_tier_workload(CLUSTER_SATURATION, CLUSTER_BUDGET)
+        best = min(
+            serve_workload(
+                ReplicaPool(profile, replicas=CLUSTER_BUDGET, max_batch=8),
+                workload,
+                policy=policy,
+            ).miss_rate
+            for profile in (EXPLORED_BATCH1, EXPLORED_BATCH2)
+            for policy in ("fifo", "edf")
+        )
+        mixed = tiered_cluster(workload, admission=True)
+        # The best pool is batch-1 FIFO; the cluster misses 0.575 less.
+        assert mixed.miss_rate < best
+        (latency,) = [g for g in mixed.groups if g.name == "latency"]
+        assert latency.miss_rate <= 0.05
+        again = tiered_cluster(workload, admission=True)
+        assert report_to_json(mixed) == report_to_json(again)
+
+    def test_shedding_bounds_accepted_p99_at_overload(self):
+        overload = two_tier_workload(SHED_OVERLOAD, CLUSTER_BUDGET)
+        shed = tiered_cluster(overload, admission=True)
+        unshed = tiered_cluster(overload, admission=None)
+        assert shed.latency_p99_ms <= 2.0 * max(overload.deadline_tiers)
+        assert shed.shed_rate > 0.0
+        assert unshed.latency_p99_ms > shed.latency_p99_ms
 
 
 class TestReplayWorkloadClusters:

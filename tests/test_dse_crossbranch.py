@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 
 from repro.construction.reorg import build_pipeline_plan
 from repro.devices.fpga import get_device
+from repro.dse import crossbranch, objective
 from repro.dse.crossbranch import CrossBranchOptimizer, Particle, _normalize_block
 from repro.dse.engine import DseEngine
 from repro.dse.objective import BranchMetrics, PaperObjective
 from repro.dse.space import Customization
-from repro.models.variants import build_gan_decoder
+from repro.models.codec_avatar import build_codec_avatar_decoder
+from repro.models.variants import build_gan_decoder, build_modular_decoder
 from repro.perf.estimator import evaluate
 from repro.quant.schemes import INT8
+from tests.conftest import compensated_sum
 
 
 def paper_fitness(fps, priorities, alpha=0.05):
@@ -246,6 +249,23 @@ PINNED_DECODER = {
     1: (154.2560612760144, (147.39609126687515, 154.2560612760144, 154.2560612760144), 141, 3),
     2: (132.71082014701324, (94.4589396803915, 132.71082014701324, 132.71082014701324), 141, 3),
 }
+#: The four-branch decoder, captured at 3.11 ``sum()`` semantics: at seed 0
+#: a compensated weighted sum rounds the best fitness one bit higher.
+PINNED_MODULAR_DECODER = {
+    0: (871.7405921025827, (817.987092787244, 871.7405921025827, 871.7405921025827), 188, 4),
+    1: (817.987092787244, (817.987092787244, 817.987092787244, 817.987092787244), 184, 8),
+    2: (817.987092787244, (817.987092787244, 817.987092787244, 817.987092787244), 184, 8),
+}
+
+PINNED_CASES = [
+    (build, seed, pins[seed])
+    for build, pins in (
+        (build_gan_decoder, PINNED_GAN_DECODER),
+        (build_codec_avatar_decoder, PINNED_DECODER),
+        (build_modular_decoder, PINNED_MODULAR_DECODER),
+    )
+    for seed in range(3)
+]
 
 
 class TestPinnedSearches:
@@ -259,6 +279,24 @@ class TestPinnedSearches:
     @pytest.mark.parametrize("seed", range(3))
     def test_codec_avatar_decoder(self, decoder_plan, seed):
         self.check(decoder_plan, seed, PINNED_DECODER[seed])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_modular_decoder(self, seed):
+        plan = build_pipeline_plan(build_modular_decoder())
+        self.check(plan, seed, PINNED_MODULAR_DECODER[seed])
+
+    @pytest.mark.parametrize(
+        "build, seed, pinned",
+        PINNED_CASES,
+        ids=[f"{build.__name__}-{seed}" for build, seed, _ in PINNED_CASES],
+    )
+    def test_pins_hold_under_a_compensated_sum(self, build, seed, pinned, monkeypatch):
+        # The tier-1 matrix runs Python 3.10-3.12. A float ``sum()`` left in
+        # scoring or the swarm would round differently on 3.12 and send the
+        # search down another trajectory there.
+        for module in (objective, crossbranch):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+        self.check(build_pipeline_plan(build()), seed, pinned)
 
     @staticmethod
     def check(plan, seed, pinned):

@@ -20,9 +20,7 @@ the last test re-checks them with a compensated ``sum()`` patched in.
 
 from __future__ import annotations
 
-import builtins
 import hashlib
-import math
 
 import pytest
 
@@ -39,6 +37,7 @@ from repro.serving import (
     serve_trace,
 )
 from repro.sim.runner import FrameLatencyProfile
+from tests.conftest import compensated_sum
 
 FAST = FrameLatencyProfile(
     finish_ms=(6.0, 8.0),
@@ -322,24 +321,12 @@ def test_heap_report_matches_pin(name):
     assert report_digest(report) == PINS[name]
 
 
-def _compensated_sum(values, start=0):
-    """``sum()`` that adds floats compensated, as Python 3.12's does.
-
-    ``math.fsum`` rounds once, which is what 3.12's ``sum()`` gives on
-    short lists like these; integer sums are left to the builtin.
-    """
-    values = list(values)
-    if any(type(v) is float for v in values):
-        return math.fsum([start, *values])
-    return builtins.sum(values, start)
-
-
 @pytest.mark.parametrize("name", sorted(SESSIONS))
 def test_pins_hold_under_a_compensated_sum(name, monkeypatch):
     # The tier-1 matrix runs Python 3.10-3.12. A float ``sum()`` left in
     # the report path (the utilization means, the degraded time) would
     # round differently on 3.12 and move these digests there.
     for module in (engine, slo):
-        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     report, _ = SESSIONS[name]()
     assert report_digest(report) == PINS[name]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dse import objective
 from repro.dse.objective import (
     INFEASIBILITY_PENALTY,
     AnalyticalOracle,
@@ -27,6 +28,7 @@ from repro.dse.objective import (
     resolve_objective,
     resolve_oracle,
 )
+from tests.conftest import compensated_sum
 
 
 def analytical(fps, meets=None):
@@ -34,6 +36,17 @@ def analytical(fps, meets=None):
         fps=tuple(fps),
         meets_batch=tuple(meets) if meets is not None else (True,) * len(fps),
     )
+
+
+def historical_weighted(fps, priorities):
+    """The pinned fitness's weighted sum, as Python 3.10 and 3.11 added it.
+
+    ``sum()`` added floats left to right there; 3.12 compensates.
+    """
+    weighted = 0.0
+    for f, p in zip(fps, priorities):
+        weighted += f * p
+    return weighted
 
 
 class TestBranchMetrics:
@@ -91,8 +104,8 @@ class TestPaperObjective:
             fps = [rng.uniform(0.0, 500.0) for _ in range(n)]
             priorities = tuple(rng.uniform(0.0, 4.0) for _ in range(n))
             alpha = rng.choice([0.0, 0.05, 0.5, 5.0, rng.random()])
-            # The pre-refactor fitness_score implementation, verbatim.
-            weighted = sum(f * p for f, p in zip(fps, priorities))
+            # The pre-refactor fitness_score implementation.
+            weighted = historical_weighted(fps, priorities)
             variance = statistics.pvariance(fps) if len(fps) > 1 else 0.0
             old = weighted - alpha * variance
             new = PaperObjective(alpha=alpha).score(
@@ -160,7 +173,7 @@ class TestIntegerVariance:
         fps, priorities = case
 
         def historical():
-            weighted = sum(f * p for f, p in zip(fps, priorities))
+            weighted = historical_weighted(fps, priorities)
             return weighted - alpha * statistics.pvariance(fps)
 
         def score():
@@ -223,6 +236,28 @@ class TestCompositeObjective:
         assert composite.score(metrics, priorities) == pytest.approx(
             PaperObjective().score(metrics, priorities)
         )
+
+    def test_blend_adds_left_to_right_under_a_compensated_sum(self, monkeypatch):
+        # Python 3.12's ``sum()`` would round a blend of three or more
+        # parts differently from 3.10 and 3.11.
+        monkeypatch.setattr(objective, "sum", compensated_sum, raising=False)
+        rng = random.Random(0)
+        for _ in range(200):
+            parts = [
+                (PaperObjective(alpha=rng.random()), rng.uniform(0.1, 3.0))
+                for _ in range(rng.randint(3, 5))
+            ]
+            composite = CompositeObjective(parts=tuple(parts))
+            total = 0.0
+            for _, weight in parts:
+                total += weight
+            assert composite.parts == tuple((part, w / total) for part, w in parts)
+            fps = [rng.uniform(0.0, 500.0) for _ in range(3)]
+            metrics, priorities = analytical(fps), (1.0, 2.0, 0.5)
+            expected = 0.0
+            for part, weight in composite.parts:
+                expected += weight * part.score(metrics, priorities)
+            assert composite.score(metrics, priorities) == expected
 
     def test_empty_and_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError):
