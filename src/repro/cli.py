@@ -311,11 +311,13 @@ def _add_target_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--asic-macs",
-        type=int,
+        type=_positive_int,
         help="target an ASIC with this many MAC units instead of an FPGA",
     )
-    parser.add_argument("--asic-sram-kb", type=int, default=4096)
-    parser.add_argument("--asic-bandwidth-gbps", type=float, default=25.6)
+    parser.add_argument("--asic-sram-kb", type=_positive_int, default=4096)
+    parser.add_argument(
+        "--asic-bandwidth-gbps", type=_positive_float, default=25.6
+    )
 
 
 def _target(args: argparse.Namespace):

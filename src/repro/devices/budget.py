@@ -12,6 +12,7 @@ resource models:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -26,6 +27,8 @@ class ResourceBudget:
     def __post_init__(self) -> None:
         if self.compute < 0 or self.memory < 0 or self.bandwidth_gbps < 0:
             raise ValueError(f"budget components must be non-negative: {self}")
+        if not math.isfinite(self.bandwidth_gbps):
+            raise ValueError(f"budget bandwidth must be finite: {self}")
 
     def scaled(self, fraction: float) -> "ResourceBudget":
         """A proportionally smaller budget (used to split across branches)."""

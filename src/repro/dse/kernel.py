@@ -15,17 +15,23 @@ all N unique buckets of a PSO generation at once:
 
 - **ladder** — per-stage chains are enumerated once per branch
   (:class:`StageChain`, struct-of-arrays: configs, pf products, latency,
-  DSP, BRAM) and the halving loop becomes a synchronized rung descent:
-  each rung realizes every active bucket's targets with one
-  ``searchsorted`` per stage, reduces resource sums and the bottleneck
-  latency across stages, and retires buckets whose replica count fits
-  (or whose targets hit all-ones).
+  DSP, BRAM). The halving loop's starting targets depend only on the
+  bucket's bandwidth (lines 8-12), and rung ``r`` asks for
+  ``max(1, t0 >> r)``. So everything a rung measures — the realized chain
+  states, their DSP and BRAM sums, the bandwidth-limited replica quotient,
+  whether the targets have bottomed out — is a function of the bandwidth
+  value alone. Each bandwidth value a branch meets is descended once, in
+  one vectorized pass over all of a call's new values, into a *rung
+  table* kept for the table's lifetime. A bucket's stop rung is then the
+  first rung of its row whose replicas its budget pays for (or the row's
+  bottom).
 - **growth** — the bottleneck-doubling walk is independent of the budget
   except for *where it stops*, so the walk from each distinct halving
-  end-state is traced once (:meth:`BranchLadder.growth_path`), storing the
-  trial resource sums per step; each bucket then just finds the first step
-  its budget cannot pay for. Buckets landing on the same rung pay for the
-  walk once per table lifetime.
+  end-state is traced once (:class:`GrowthPath`) and kept as running
+  maxima of its trial DSP and BRAM sums. For integers ``c, batch >= 1``,
+  ``compute // c < batch`` holds exactly when ``c > compute // batch``, so
+  a bucket's compute and memory stops are two ``searchsorted`` calls; only
+  the bandwidth term is compared step by step.
 - **measure** — final ``(batch, chain-state)`` pairs repeat heavily across
   buckets, and :func:`~repro.perf.estimator.evaluate_branch` is a pure
   function of them, so solutions are memoized per pair.
@@ -40,14 +46,11 @@ Python interpretation that dominated ``eval_seconds``.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from repro.arch.config import BranchConfig, StageConfig
-from repro.devices.budget import ResourceBudget
 from repro.dse.inbranch import (
     BW_PLANNING_MARGIN,
     BranchEvalTable,
@@ -55,16 +58,23 @@ from repro.dse.inbranch import (
 )
 from repro.perf.estimator import evaluate_branch
 
-#: Clip for the bandwidth-quotient term before int64 conversion. Any true
-#: quotient above this is irrelevant: the final replica count is the min
-#: over three terms and is compared against batch targets orders of
-#: magnitude smaller, so clipping here can never change a solution.
-_INT_CLIP = float(2**62)
+#: Clip for the bandwidth quotient before int64 conversion, and the
+#: quotient of a replica that moves no external bytes. Any true quotient
+#: above this is irrelevant: the final replica count is the min over
+#: three terms and is compared against batch targets orders of magnitude
+#: smaller, so clipping here — or treating the clip as unlimited — can
+#: never change a solution.
+_INT_CLIP = 2**62
 
 
 @dataclass
 class KernelTimings:
-    """Where the batched solve spent its time, by phase."""
+    """Where the batched solve spent its time, by phase.
+
+    ``ladder`` covers building the rung tables for new bandwidth values
+    and looking up each bucket's stop rung; ``growth`` the bottleneck
+    doubling; ``measure`` the final branch evaluation.
+    """
 
     ladder_seconds: float = 0.0
     growth_seconds: float = 0.0
@@ -93,12 +103,12 @@ class StageChain:
         "lat",
         "dsp",
         "bram",
-        "prods_list",
         "lat_list",
         "dsp_list",
         "bram_list",
         "max_pf",
         "last",
+        "doubled",
     )
 
     def __init__(
@@ -128,16 +138,19 @@ class StageChain:
         # scalar and batched solves feed the same tables and counters.
         evals = [table.stage_eval(idx, cfg) for cfg in configs]
         self.configs = tuple(configs)
-        self.prods_list = [cfg.cpf * cfg.kpf * cfg.h for cfg in configs]
         self.lat_list = [e[0] for e in evals]
         self.dsp_list = [e[1] for e in evals]
         self.bram_list = [e[2] for e in evals]
-        self.prods = np.array(self.prods_list, dtype=np.int64)
+        self.prods = np.array(
+            [cfg.cpf * cfg.kpf * cfg.h for cfg in configs], dtype=np.int64
+        )
         self.lat = np.array(self.lat_list, dtype=np.int64)
         self.dsp = np.array(self.dsp_list, dtype=np.int64)
         self.bram = np.array(self.bram_list, dtype=np.int64)
         self.max_pf = max_pf
         self.last = len(configs) - 1
+        #: The state a growth step moves each state to (itself: saturated).
+        self.doubled = self.indices_for(2 * self.prods).tolist()
 
     def indices_for(self, targets: np.ndarray) -> np.ndarray:
         """Chain indices GetPF would return for an array of targets."""
@@ -146,36 +159,109 @@ class StageChain:
         idx = np.searchsorted(self.prods, targets, side="left")
         return np.minimum(idx, self.last)
 
-    def index_for(self, target: int) -> int:
-        """Chain index GetPF would return for one scalar target."""
-        if self.max_pf is not None:
-            target = min(target, self.max_pf)
-        return min(bisect_left(self.prods_list, target), self.last)
+
+def _bandwidth_quotient(
+    bw_margin: np.ndarray, bw_replica: np.ndarray
+) -> np.ndarray:
+    """``int(BW / Σbw)``: the replicas a bandwidth budget pays for, as int64.
+
+    ``bw_margin`` is the budget after the planning margin and
+    ``bw_replica`` one replica's GB/s; they broadcast. A replica that moves
+    no external bytes (``bw_replica == 0``) gets the unlimited quotient
+    ``_INT_CLIP``, so no batch target is baked into the result: one rung
+    table serves every batch target, and :func:`_replicas_supported`
+    turns the unlimited quotient into the scalar's fallback.
+    """
+    uses = bw_replica > 0
+    # floor == int() truncation here (the quotient is non-negative).
+    quotient = np.floor(bw_margin / np.where(uses, bw_replica, 1.0))
+    return np.where(
+        uses, np.minimum(quotient, float(_INT_CLIP)), float(_INT_CLIP)
+    ).astype(np.int64)
+
+
+def _replicas_supported(
+    c_sum: np.ndarray,
+    m_sum: np.ndarray,
+    bw_quotient: np.ndarray,
+    compute: np.ndarray,
+    memory: np.ndarray,
+    batch_target: int,
+) -> np.ndarray:
+    """Vectorized ``min(C/Σc, M/Σm, BW/Σbw)``, bit-matching the scalar.
+
+    Broadcasts: the per-replica triple and the budget pair may differ in
+    shape (e.g. ``(buckets, rungs)`` sums against ``(buckets, 1)``
+    budgets). ``bw_quotient`` comes from :func:`_bandwidth_quotient`.
+    Zero ``c_sum`` / ``m_sum`` and an unlimited quotient fall back to
+    ``batch_target`` exactly like the scalar solver: an unconsumed
+    resource can never be the limiter. The growth phase relies on the
+    same rule in :meth:`GrowthPath.stops`: a zero sum or an unlimited
+    quotient never stops the walk.
+    """
+    bt = np.int64(batch_target)
+    comp_term = np.where(c_sum > 0, compute // np.maximum(c_sum, 1), bt)
+    mem_term = np.where(m_sum > 0, memory // np.maximum(m_sum, 1), bt)
+    bw_term = np.where(bw_quotient < _INT_CLIP, bw_quotient, bt)
+    return np.minimum(np.minimum(comp_term, mem_term), bw_term)
 
 
 @dataclass(frozen=True)
 class GrowthPath:
     """The budget-independent bottleneck-doubling walk from one state.
 
-    ``states[s]`` is the per-stage chain-index tuple after applying ``s``
-    doubling steps (``states[0]`` is the start); step ``s`` costs
-    ``trial_c[s]`` DSPs / ``trial_m[s]`` BRAMs and leaves the pipeline's
-    bottleneck latency at ``trial_maxlat[s]``. A bucket applies the
-    longest prefix of steps its budget still pays for.
+    ``states[s]`` holds the per-stage chain indices after ``s`` doubling
+    steps (``states[0]`` is the start), one small-int row per state. For
+    the walk's steps ``0..s``, ``dsp_max[s]`` / ``bram_max[s]`` are the
+    running maxima of the trial DSP / BRAM sums, and ``bw_replica[s]`` is
+    one replica's bandwidth after step ``s``. A bucket applies the longest
+    prefix of steps its budget still pays for.
     """
 
-    states: tuple[tuple[int, ...], ...]
-    trial_c: np.ndarray
-    trial_m: np.ndarray
-    trial_maxlat: np.ndarray
+    states: np.ndarray
+    dsp_max: np.ndarray
+    bram_max: np.ndarray
+    bw_replica: np.ndarray
+
+    def stops(
+        self,
+        compute: np.ndarray,
+        memory: np.ndarray,
+        bw_margin: np.ndarray,
+        batch: np.ndarray,
+    ) -> np.ndarray:
+        """Steps each bucket applies before its budget refuses one.
+
+        ``batch`` (every entry >= 1) is each bucket's halving-phase replica
+        count. The first refused step is the first whose replica count
+        falls below ``batch``: a trial DSP sum above ``compute // batch``,
+        a BRAM sum above ``memory // batch``, or a bandwidth quotient
+        below ``batch``. A bucket the walk never refuses stops at
+        saturation, ``len(self.bw_replica)``.
+        """
+        steps = len(self.bw_replica)
+        if steps == 0:
+            return np.zeros(len(batch), dtype=np.intp)
+        stop = np.minimum(
+            np.searchsorted(self.dsp_max, compute // batch, side="right"),
+            np.searchsorted(self.bram_max, memory // batch, side="right"),
+        )
+        short = (
+            _bandwidth_quotient(bw_margin[:, None], self.bw_replica)
+            < batch[:, None]
+        )
+        return np.minimum(
+            stop, np.where(short.any(axis=1), short.argmax(axis=1), steps)
+        )
 
 
 class BranchLadder:
     """Precomputed batched-solve state for one :class:`BranchEvalTable`.
 
     Built lazily (``table.ladder()``) because only the batched kernel
-    needs it; holds the per-stage chains plus two memo tables keyed by
-    chain state: growth paths and measured solutions.
+    needs it. Holds the per-stage chains, the rung tables (one row per
+    bandwidth value the branch has met, ``rungs`` columns), the growth
+    paths traced so far, and the measured solutions.
     """
 
     def __init__(self, table: BranchEvalTable) -> None:
@@ -184,18 +270,170 @@ class BranchLadder:
             StageChain(table, idx, table.max_pf)
             for idx in range(len(table.stages))
         ]
-        self._paths: dict[tuple[int, ...], GrowthPath] = {}
+        num_stages = len(self.chains)
+        self._ratios = np.array([op / table.op_min for op in table.ops])
+        self._caps = np.array(table.max_parallelism, dtype=np.float64)
+        self._freq_hz = table.frequency_mhz * 1e6
+        #: Rungs a descent can take: the bit length of the largest target.
+        self.rungs = max(1, max(table.max_parallelism).bit_length())
+        self._state_dtype = np.min_scalar_type(
+            max(chain.last for chain in self.chains)
+        )
+        # Any rung's or growth step's DSP or BRAM sum takes one state per
+        # stage, so this bound picks the narrowest safe dtype for them.
+        bound = sum(
+            max(chain.dsp_list) + max(chain.bram_list)
+            for chain in self.chains
+        )
+        self._sum_dtype = (
+            np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+        )
+        rungs = self.rungs
+        # The bandwidth values met so far, sorted, and each one's row.
+        self._known_bw = np.empty(0, dtype=np.float64)
+        self._known_rows = np.empty(0, dtype=np.intp)
+        # Per row and rung: DSP and BRAM sums, bandwidth quotient, chain
+        # states, and the growth path from those states (-1: not traced).
+        # Rungs past the row's first bottomed rung repeat it.
+        self._rung_dsp = np.empty((0, rungs), dtype=self._sum_dtype)
+        self._rung_bram = np.empty((0, rungs), dtype=self._sum_dtype)
+        self._rung_quotient = np.empty((0, rungs), dtype=np.int64)
+        self._rung_states = np.empty(
+            (0, rungs, num_stages), dtype=self._state_dtype
+        )
+        self._rung_path = np.empty((0, rungs), dtype=np.int32)
+        self._rung_floor = np.empty(0, dtype=np.intp)
+        #: Growth paths traced so far, indexed by :meth:`path_ids`.
+        self.paths: list[GrowthPath] = []
+        self._path_ids: dict[tuple[int, ...], int] = {}
         self._solutions: dict[
             tuple[int, int, tuple[int, ...]], BranchSolution
         ] = {}
 
-    def growth_path(self, start: tuple[int, ...]) -> GrowthPath:
-        """The doubling walk from ``start``, traced once and memoized."""
-        path = self._paths.get(start)
-        if path is None:
-            path = self._trace_growth(start)
-            self._paths[start] = path
-        return path
+    def _bw_replica(self, maxlat: np.ndarray) -> np.ndarray:
+        """One replica's GB/s at a bottleneck latency, in scalar op order."""
+        fps_single = self._freq_hz / maxlat
+        return self.table.dram_bytes * fps_single / 1e9
+
+    def rung_rows(self, bandwidth: np.ndarray) -> np.ndarray:
+        """Each bandwidth value's rung-table row, building missing rows."""
+        rows = self._find_rows(bandwidth)
+        new = rows < 0
+        if new.any():
+            # A set, not np.unique: that would import numpy.ma.
+            self._descend(np.array(sorted(set(bandwidth[new].tolist()))))
+            rows = self._find_rows(bandwidth)
+        return rows
+
+    def _find_rows(self, bandwidth: np.ndarray) -> np.ndarray:
+        """Rows of known bandwidth values; -1 for values not met yet."""
+        known = self._known_bw
+        if len(known) == 0:
+            return np.full(len(bandwidth), -1, dtype=np.intp)
+        at = np.minimum(np.searchsorted(known, bandwidth), len(known) - 1)
+        return np.where(known[at] == bandwidth, self._known_rows[at], -1)
+
+    def _descend(self, bandwidth: np.ndarray) -> None:
+        """Append one rung-table row per new bandwidth value (one pass)."""
+        table = self.table
+        bw_margin = bandwidth * BW_PLANNING_MARGIN
+        # Lines 8-12: optimistic targets from the allocated bandwidth, in
+        # the scalar's float order: scale first, then ceil(scale * ratio).
+        if table.norm_bw > 0:
+            scale = bw_margin * 1e9 / table.norm_bw
+        else:
+            scale = np.zeros(len(bandwidth), dtype=np.float64)
+        start = np.ceil(scale[:, None] * self._ratios)
+        start = np.minimum(np.maximum(start, 1.0), self._caps).astype(
+            np.int64
+        )
+        # Rung r asks for max(1, t0 >> r); the descent stops once every
+        # target is 1, and later rungs repeat that one.
+        depth = max(1, int(start.max()).bit_length())
+        targets = np.maximum(
+            start[:, None, :] >> np.arange(depth)[:, None], 1
+        )
+        shape = targets.shape[:2]
+        states = np.empty(targets.shape, dtype=self._state_dtype)
+        c_sum = np.zeros(shape, dtype=self._sum_dtype)
+        m_sum = np.zeros(shape, dtype=self._sum_dtype)
+        maxlat = np.zeros(shape, dtype=np.int64)
+        for k, chain in enumerate(self.chains):
+            jk = chain.indices_for(targets[:, :, k])
+            states[:, :, k] = jk
+            c_sum += chain.dsp[jk]
+            m_sum += chain.bram[jk]
+            np.maximum(maxlat, chain.lat[jk], out=maxlat)
+        quotient = _bandwidth_quotient(
+            bw_margin[:, None], self._bw_replica(maxlat)
+        )
+        floor = (targets <= 1).all(axis=2).argmax(axis=1)
+        cols = np.minimum(np.arange(self.rungs), depth - 1)
+        first_row = len(self._rung_floor)
+        self._rung_dsp = np.concatenate((self._rung_dsp, c_sum[:, cols]))
+        self._rung_bram = np.concatenate((self._rung_bram, m_sum[:, cols]))
+        self._rung_quotient = np.concatenate(
+            (self._rung_quotient, quotient[:, cols])
+        )
+        self._rung_states = np.concatenate(
+            (self._rung_states, states[:, cols])
+        )
+        untraced = np.full((len(bandwidth), self.rungs), -1, dtype=np.int32)
+        self._rung_path = np.concatenate((self._rung_path, untraced))
+        self._rung_floor = np.concatenate((self._rung_floor, floor))
+        known = np.concatenate((self._known_bw, bandwidth))
+        rows = np.concatenate(
+            (self._known_rows, first_row + np.arange(len(bandwidth)))
+        )
+        order = np.argsort(known, kind="stable")
+        self._known_bw = known[order]
+        self._known_rows = rows[order]
+
+    def stop_rungs(
+        self,
+        rows: np.ndarray,
+        compute: np.ndarray,
+        memory: np.ndarray,
+        batch_target: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each bucket's stop rung, replica count and chain states there.
+
+        A bucket stops at the first rung whose replicas fit, or at its
+        row's first bottomed rung ("fits" wins when both hold).
+        """
+        supported = _replicas_supported(
+            self._rung_dsp[rows],
+            self._rung_bram[rows],
+            self._rung_quotient[rows],
+            compute[:, None],
+            memory[:, None],
+            batch_target,
+        )
+        met = supported >= batch_target
+        bottomed = np.arange(self.rungs) >= self._rung_floor[rows][:, None]
+        stop = (met | bottomed).argmax(axis=1)
+        at = (np.arange(len(rows)), stop)
+        batch = np.where(
+            met[at], np.int64(batch_target), np.maximum(supported[at], 0)
+        )
+        return stop, batch, self._rung_states[rows, stop]
+
+    def path_ids(self, rows: np.ndarray, rungs: np.ndarray) -> np.ndarray:
+        """The growth path from each (row, rung) end state, traced once."""
+        ids = self._rung_path[rows, rungs]
+        untraced = ids < 0
+        if untraced.any():
+            pairs = zip(rows[untraced].tolist(), rungs[untraced].tolist())
+            for row, rung in dict.fromkeys(pairs):
+                start = tuple(self._rung_states[row, rung].tolist())
+                path_id = self._path_ids.get(start)
+                if path_id is None:
+                    path_id = len(self.paths)
+                    self.paths.append(self._trace_growth(start))
+                    self._path_ids[start] = path_id
+                self._rung_path[row, rung] = path_id
+            ids = self._rung_path[rows, rungs]
+        return ids
 
     def _trace_growth(self, start: tuple[int, ...]) -> GrowthPath:
         chains = self.chains
@@ -203,16 +441,20 @@ class BranchLadder:
         lats = [chains[k].lat_list[j] for k, j in enumerate(state)]
         c_sum = sum(chains[k].dsp_list[j] for k, j in enumerate(state))
         m_sum = sum(chains[k].bram_list[j] for k, j in enumerate(state))
-        states = [tuple(state)]
+        states = [start]
         trial_c: list[int] = []
         trial_m: list[int] = []
-        trial_maxlat: list[int] = []
+        # Bottleneck latency before each step; from index 1 on, that is
+        # the previous step's trial latency.
+        maxlat: list[int] = []
         while True:
             # First maximum, matching the scalar bottleneck scan.
-            b = max(range(len(lats)), key=lats.__getitem__)
+            top = max(lats)
+            b = lats.index(top)
+            maxlat.append(top)
             chain = chains[b]
             j = state[b]
-            grown = chain.index_for(2 * chain.prods_list[j])
+            grown = chain.doubled[j]
             if grown == j:
                 break  # saturated: no parallelism left in this stage
             c_sum += chain.dsp_list[grown] - chain.dsp_list[j]
@@ -221,13 +463,18 @@ class BranchLadder:
             state[b] = grown
             trial_c.append(c_sum)
             trial_m.append(m_sum)
-            trial_maxlat.append(max(lats))
             states.append(tuple(state))
         return GrowthPath(
-            states=tuple(states),
-            trial_c=np.array(trial_c, dtype=np.int64),
-            trial_m=np.array(trial_m, dtype=np.int64),
-            trial_maxlat=np.array(trial_maxlat, dtype=np.int64),
+            states=np.array(states, dtype=self._state_dtype),
+            dsp_max=np.maximum.accumulate(
+                np.array(trial_c, dtype=self._sum_dtype)
+            ),
+            bram_max=np.maximum.accumulate(
+                np.array(trial_m, dtype=self._sum_dtype)
+            ),
+            bw_replica=self._bw_replica(
+                np.array(maxlat[1:], dtype=np.int64)
+            ),
         )
 
     def solution(
@@ -257,203 +504,94 @@ class BranchLadder:
         return sol
 
 
-def _replicas_supported(
-    c_sum: np.ndarray,
-    m_sum: np.ndarray,
-    maxlat: np.ndarray,
-    compute: np.ndarray,
-    memory: np.ndarray,
-    bw_margin: np.ndarray,
-    batch_target: int,
-    dram_bytes: float,
-    freq_hz: float,
-) -> np.ndarray:
-    """Vectorized ``min(C/Σc, M/Σm, BW/Σbw)``, bit-matching the scalar.
-
-    Broadcasts: the resource-sum triple and the budget triple may differ
-    in shape (e.g. ``(steps,)`` sums against ``(buckets, 1)`` budgets).
-    Zero ``c_sum`` / ``m_sum`` / ``bw_replica`` fall back to
-    ``batch_target`` exactly like the scalar solver: an unconsumed
-    resource can never be the limiter.
-    """
-    fps_single = freq_hz / maxlat
-    bw_replica = dram_bytes * fps_single / 1e9
-    bt = np.int64(batch_target)
-    comp_term = np.where(
-        c_sum > 0, compute // np.maximum(c_sum, 1), bt
-    )
-    mem_term = np.where(m_sum > 0, memory // np.maximum(m_sum, 1), bt)
-    # floor == int() truncation here (the quotient is non-negative); the
-    # clip guards the int64 conversion and is proven irrelevant to the
-    # min (see _INT_CLIP).
-    quotient = np.floor(
-        bw_margin / np.where(bw_replica > 0, bw_replica, 1.0)
-    )
-    bw_term = np.where(
-        bw_replica > 0,
-        np.minimum(quotient, _INT_CLIP).astype(np.int64),
-        bt,
-    )
-    return np.minimum(np.minimum(comp_term, mem_term), bw_term)
-
-
 def solve_buckets(
     table: BranchEvalTable,
-    rds: Sequence[ResourceBudget],
+    compute: np.ndarray,
+    memory: np.ndarray,
+    bandwidth: np.ndarray,
     batch_target: int,
     timings: KernelTimings | None = None,
 ) -> list[BranchSolution]:
     """Solve Algorithm 2 for N budget buckets of one branch, batched.
 
-    Returns one :class:`BranchSolution` per budget, in input order,
-    bit-identical to ``optimize_branch(pipeline, rd, batch_target, ...)``
-    per bucket. ``timings`` (optional) accumulates the per-phase wall
-    time split the benchmarks record.
+    Bucket ``i`` is the budget ``compute[i]`` DSPs, ``memory[i]`` BRAMs and
+    ``bandwidth[i]`` GB/s (non-negative and finite). Returns one
+    :class:`BranchSolution` per bucket, in input order, bit-identical to
+    ``optimize_branch(pipeline, rd, batch_target, ...)`` per bucket.
+    ``timings`` (optional) accumulates the per-phase wall time split the
+    benchmarks record.
     """
-    n = len(rds)
+    compute = np.asarray(compute, dtype=np.int64)
+    memory = np.asarray(memory, dtype=np.int64)
+    bandwidth = np.asarray(bandwidth, dtype=np.float64)
+    n = len(compute)
     if n == 0:
         return []
     started = time.perf_counter()
     ladder = table.ladder()
-    chains = ladder.chains
-    num_stages = len(chains)
+    num_stages = len(ladder.chains)
 
-    compute = np.array([rd.compute for rd in rds], dtype=np.int64)
-    memory = np.array([rd.memory for rd in rds], dtype=np.int64)
-    bw_margin = (
-        np.array([rd.bandwidth_gbps for rd in rds], dtype=np.float64)
-        * BW_PLANNING_MARGIN
+    rows = ladder.rung_rows(bandwidth)
+    stop, batch, final = ladder.stop_rungs(
+        rows, compute, memory, batch_target
     )
-    bw_bytes = bw_margin * 1e9
-    freq_hz = table.frequency_mhz * 1e6
-    dram_bytes = table.dram_bytes
-
-    # Lines 8-12: optimistic targets from the allocated bandwidth. The
-    # ratio is computed in Python float exactly as the scalar does, so
-    # ceil(scale * ratio) reproduces its rounding bit for bit.
-    if table.norm_bw > 0:
-        scale = bw_bytes / table.norm_bw
-    else:
-        scale = np.zeros(n, dtype=np.float64)
-    targets = np.empty((num_stages, n), dtype=np.int64)
-    for k in range(num_stages):
-        ratio = table.ops[k] / table.op_min
-        t = np.ceil(scale * ratio)
-        t = np.minimum(
-            np.maximum(t, 1.0), float(table.max_parallelism[k])
-        )
-        targets[k] = t.astype(np.int64)
-
-    # Halving phase as a synchronized rung descent: all still-active
-    # buckets realize their targets, measure, and either retire (replicas
-    # fit, or targets bottomed out at all-ones) or halve and descend.
-    final_idx = np.zeros((num_stages, n), dtype=np.int64)
-    batch = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
     # Memo-traffic accounting: the ladder serves every realization and
     # stage evaluation the scalar loop would have looked up, so the same
     # lookup counts are credited to the table as hits (2 per stage per
-    # rung per active bucket — one GetPF, one stage eval).
-    memo_served = 0
-    while True:
-        cols = np.flatnonzero(active)
-        memo_served += 2 * num_stages * len(cols)
-        t_act = targets[:, cols]
-        j_act = np.empty_like(t_act)
-        c_sum = np.zeros(len(cols), dtype=np.int64)
-        m_sum = np.zeros(len(cols), dtype=np.int64)
-        maxlat = np.zeros(len(cols), dtype=np.int64)
-        for k, chain in enumerate(chains):
-            jk = chain.indices_for(t_act[k])
-            j_act[k] = jk
-            c_sum += chain.dsp[jk]
-            m_sum += chain.bram[jk]
-            np.maximum(maxlat, chain.lat[jk], out=maxlat)
-        supported = _replicas_supported(
-            c_sum,
-            m_sum,
-            maxlat,
-            compute[cols],
-            memory[cols],
-            bw_margin[cols],
-            batch_target,
-            dram_bytes,
-            freq_hz,
-        )
-        met = supported >= batch_target
-        bottomed = (t_act <= 1).all(axis=0)
-        finished = met | bottomed  # "fits" wins when both hold
-        if finished.any():
-            done = cols[finished]
-            final_idx[:, done] = j_act[:, finished]
-            batch[done] = np.where(
-                met[finished],
-                np.int64(batch_target),
-                np.maximum(supported[finished], 0),
-            )
-            active[done] = False
-        if not active.any():
-            break
-        rest = cols[~finished]
-        targets[:, rest] = np.maximum(1, targets[:, rest] >> 1)
+    # rung visited — one GetPF, one stage eval).
+    memo_served = 2 * num_stages * (int(stop.sum()) + n)
     if timings is not None:
         now = time.perf_counter()
         timings.ladder_seconds += now - started
         started = now
 
-    # Growth phase: group buckets by halving end-state, trace each
-    # state's doubling walk once, and stop each bucket at the first step
-    # its budget cannot pay for. States and batch sizes leave numpy as
-    # plain ints in one ``tolist`` each, not one scalar index per cell.
-    states: list[tuple[int, ...]] = [
-        tuple(row) for row in final_idx.T.tolist()
-    ]
-    batches: list[int] = batch.tolist()
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, size in enumerate(batches):
-        if size >= 1:
-            groups.setdefault(states[i], []).append(i)
-    for start, members in groups.items():
-        path = ladder.growth_path(start)
-        steps = len(path.trial_c)
-        if steps == 0:
-            # Immediately saturated: end state == start state. The scalar
-            # loop still paid one realize lookup to learn that.
-            memo_served += len(members)
-            continue
-        rows = np.array(members, dtype=np.intp)
-        supported = _replicas_supported(
-            path.trial_c,
-            path.trial_m,
-            path.trial_maxlat,
-            compute[rows][:, None],
-            memory[rows][:, None],
-            bw_margin[rows][:, None],
-            batch_target,
-            dram_bytes,
-            freq_hz,
-        )
-        stop = supported < batch[rows][:, None]
-        has_stop = stop.any(axis=1)
-        first_stop = np.where(has_stop, np.argmax(stop, axis=1), steps)
-        # Scalar equivalence: each applied step costs 3 lookups (realize
-        # grown + eval old + eval new); a budget-stopped walk pays all 3
-        # on the refused step, a saturated one pays 1 (realize only).
-        memo_served += int(
-            (3 * first_stop + np.where(has_stop, 3, 1)).sum()
-        )
-        for i, stop_at in zip(members, first_stop.tolist()):
-            states[i] = path.states[stop_at]
+    # Growth phase: buckets that fit at least one replica walk on from
+    # their halving end state, grouped by the path that state starts.
+    grow = np.flatnonzero(batch >= 1)
+    if len(grow):
+        path_ids = ladder.path_ids(rows[grow], stop[grow])
+        grow_batch = batch[grow]
+        grow_compute = compute[grow]
+        grow_memory = memory[grow]
+        grow_margin = bandwidth[grow] * BW_PLANNING_MARGIN
+        order = np.argsort(path_ids, kind="stable")
+        cuts = np.flatnonzero(np.diff(path_ids[order])) + 1
+        for members in np.split(order, cuts):
+            path = ladder.paths[path_ids[members[0]]]
+            steps = path.stops(
+                grow_compute[members],
+                grow_memory[members],
+                grow_margin[members],
+                grow_batch[members],
+            )
+            final[grow[members]] = path.states[steps]
+            # Scalar equivalence: each applied step costs 3 lookups
+            # (realize grown + eval old + eval new); a budget-stopped walk
+            # pays all 3 on the refused step, a saturated one pays 1
+            # (realize only).
+            length = len(path.bw_replica)
+            memo_served += int(
+                (3 * steps + np.where(steps < length, 3, 1)).sum()
+            )
     if timings is not None:
         now = time.perf_counter()
         timings.growth_seconds += now - started
         started = now
 
-    # Measure phase: distinct (batch, state) pairs only.
-    solutions = [
-        ladder.solution(size, state, batch_target)
-        for size, state in zip(batches, states)
+    # Measure phase: distinct (batch, state) rows only, compared as raw
+    # bytes; only those rows become tuples.
+    keyed = np.column_stack((batch, final))
+    as_bytes = keyed.view(
+        np.dtype((np.void, keyed.itemsize * keyed.shape[1]))
+    )
+    _, first, inverse = np.unique(
+        as_bytes.ravel(), return_index=True, return_inverse=True
+    )
+    measured = [
+        ladder.solution(row[0], tuple(row[1:]), batch_target)
+        for row in keyed[first].tolist()
     ]
+    solutions = [measured[i] for i in inverse.tolist()]
     table.credit_memo(memo_served, memo_served)
     if timings is not None:
         timings.measure_seconds += time.perf_counter() - started

@@ -49,6 +49,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from repro.construction.reorg import PipelinePlan
 from repro.devices.budget import ResourceBudget
 from repro.dse.cache import (
@@ -290,9 +292,13 @@ def solve_key_batch(
     solved: dict[EvalKey, BranchSolution] = {}
     for branch in sorted(by_branch):
         branch_keys = by_branch[branch]
+        # canonical_rd's arithmetic (bucket x grid), one column at a time.
+        buckets = np.array([key[2] for key in branch_keys], dtype=np.int64)
         solutions = solve_buckets(
             branch_table(spec, branch),
-            [canonical_rd(key[2]) for key in branch_keys],
+            buckets[:, 0] * _COMPUTE_GRID,
+            buckets[:, 1] * _MEMORY_GRID,
+            buckets[:, 2] * _BANDWIDTH_GRID,
             spec.customization.batch_sizes[branch],
             timings,
         )
@@ -467,8 +473,9 @@ class EvalTimings:
     clamped at zero.
 
     The ``ladder`` / ``growth`` / ``measure`` fields split the batched
-    kernel's share of ``eval_seconds`` by Algorithm-2 phase (rung
-    descent, bottleneck doubling, final branch measurement). They are
+    kernel's share of ``eval_seconds`` by Algorithm-2 phase (building
+    rung tables for new bandwidth values and looking up each bucket's
+    stop rung, bottleneck doubling, final branch measurement). They are
     wall-clock inside the solving process, so under heavy core
     contention their sum can drift from the CPU-time ``eval_seconds``;
     they attribute where the solve went, they do not re-measure it.

@@ -75,10 +75,24 @@ def test_perfbench_smoke_job_checks_pinned_dse_runs():
     assert setup["with"]["python-version"] == "3.11"
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert any("pytest perfbench" in run for run in runs)
-    for workload in ("dse-paper", "dse-sweep", "serve-diurnal", "serve-chaos"):
-        (run,) = [run for run in runs if f"--workload {workload}" in run]
-        assert "--seed 0" in run and "--trace 0" in run
-        assert "['correct'] is True" in run.splitlines()[-1]
+    # Every workload at seed 0; the DSE workloads also at pinned seed 19.
+    expected = {
+        "dse-paper": ["0", "19"],
+        "dse-sweep": ["0", "19"],
+        "serve-diurnal": ["0"],
+        "serve-chaos": ["0"],
+    }
+    for workload, seeds in expected.items():
+        steps = [run for run in runs if f"--workload {workload}" in run]
+        assert sorted(
+            run.split("--seed ")[1].split()[0] for run in steps
+        ) == seeds
+        for run in steps:
+            assert "--trace 0" in run
+            # Each check reads the JSON its own run wrote.
+            log = run.split("| tee ")[1].split()[0]
+            assert run.splitlines()[-1].startswith(f"tail -n 1 {log} |")
+            assert "['correct'] is True" in run.splitlines()[-1]
 
 
 def test_every_file_a_step_runs_exists():

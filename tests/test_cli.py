@@ -198,6 +198,23 @@ class TestValidation:
         assert excinfo.value.code == 2
         assert "positive number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--asic-bandwidth-gbps", "nan", "positive number"),
+            ("--asic-bandwidth-gbps", "inf", "positive number"),
+            ("--asic-bandwidth-gbps", "0", "positive number"),
+            ("--asic-macs", "0", "positive integer"),
+            ("--asic-macs", "-5", "positive integer"),
+            ("--asic-sram-kb", "0", "positive integer"),
+        ],
+    )
+    def test_asic_flags_reject_bad_values(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "tiny_yolo", "--asic-macs", "1024", flag, value])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_rerank_rejects_unknown_oracles(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["explore", "tiny_yolo", "--rerank", "quantum"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.devices.asic import AsicSpec
@@ -48,6 +50,11 @@ class TestResourceBudget:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ResourceBudget(compute=-1, memory=0, bandwidth_gbps=0)
+
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf])
+    def test_non_finite_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match="finite"):
+            ResourceBudget(compute=1, memory=1, bandwidth_gbps=bandwidth)
 
     def test_scaled_fraction(self):
         budget = ResourceBudget(100, 50, 10.0).scaled(0.5)

@@ -5,8 +5,11 @@ The kernel's contract is absolute: for any sequence of budget buckets,
 identical to calling ``optimize_branch`` per bucket. The randomized
 suites here hammer that over thousands of budgets per branch (including
 zero-resource and saturating edge budgets and the customization's
-``max_h`` / ``max_pf`` constraints), and the end-to-end tests pin the
-seeded search results of the kernel-routed evaluation path.
+``max_h`` / ``max_pf`` constraints), a property suite drives one
+long-lived table through many calls and batch targets, the memo counts
+the kernel credits are checked against the scalar loop's, and the
+end-to-end tests pin the seeded search results of the kernel-routed
+evaluation path.
 """
 
 from __future__ import annotations
@@ -16,11 +19,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices.budget import ResourceBudget
 from repro.dse.inbranch import BranchEvalTable, optimize_branch
 from repro.dse.kernel import (
     KernelTimings,
+    _bandwidth_quotient,
     _replicas_supported,
     solve_buckets,
 )
@@ -60,9 +66,18 @@ def random_budgets(seed: int, count: int) -> list[ResourceBudget]:
     return budgets
 
 
+def budget_arrays(budgets):
+    """The compute, memory and bandwidth arrays ``solve_buckets`` takes."""
+    return (
+        np.array([rd.compute for rd in budgets], dtype=np.int64),
+        np.array([rd.memory for rd in budgets], dtype=np.int64),
+        np.array([rd.bandwidth_gbps for rd in budgets], dtype=np.float64),
+    )
+
+
 def assert_bit_identical(pipeline, budgets, batch_target, **table_kwargs):
     table = BranchEvalTable(pipeline, INT8, **table_kwargs)
-    batched = solve_buckets(table, budgets, batch_target)
+    batched = solve_buckets(table, *budget_arrays(budgets), batch_target)
     for rd, batch_sol in zip(budgets, batched):
         scalar_sol = optimize_branch(
             pipeline,
@@ -106,23 +121,45 @@ class TestRandomizedIdentity:
         budgets = random_budgets(seed=7, count=500)
         assert_bit_identical(decoder_plan.branches[2], budgets, 4)
 
+    def test_zero_traffic_pipeline(self, decoder_plan):
+        """A replica moving no external bytes is never bandwidth-bound.
+
+        Its bandwidth quotient is unlimited at every rung and growth step,
+        which must fall back exactly as the scalar's ``bw_replica == 0``.
+        """
+        pipeline = decoder_plan.branches[0]
+        budgets = random_budgets(seed=5, count=300)
+        table = BranchEvalTable(pipeline, INT8)
+        table.dram_bytes = 0.0
+        for batch_target in (1, 4):
+            batched = solve_buckets(
+                table, *budget_arrays(budgets), batch_target
+            )
+            for rd, batch_sol in zip(budgets, batched):
+                scalar_sol = optimize_branch(
+                    pipeline, rd, batch_target, INT8, table=table
+                )
+                assert pickle.dumps(batch_sol) == pickle.dumps(scalar_sol)
+
     def test_empty_and_single_bucket(self, decoder_plan):
         table = BranchEvalTable(decoder_plan.branches[0], INT8)
-        assert solve_buckets(table, [], 1) == []
-        [sol] = solve_buckets(table, [EDGE_BUDGETS[2]], 1)
+        assert solve_buckets(table, [], [], [], 1) == []
+        [sol] = solve_buckets(table, *budget_arrays([EDGE_BUDGETS[2]]), 1)
         assert sol.meets_batch_target
 
     def test_repeated_buckets_share_solutions(self, decoder_plan):
         """Duplicate buckets resolve to one memoized solution object."""
         table = BranchEvalTable(decoder_plan.branches[0], INT8)
         rd = ResourceBudget(compute=800, memory=800, bandwidth_gbps=6.0)
-        a, b = solve_buckets(table, [rd, rd], 1)
+        a, b = solve_buckets(table, *budget_arrays([rd, rd]), 1)
         assert a is b
 
     def test_timings_accumulate(self, decoder_plan):
         table = BranchEvalTable(decoder_plan.branches[0], INT8)
         timings = KernelTimings()
-        solve_buckets(table, random_budgets(3, 64), 1, timings)
+        solve_buckets(
+            table, *budget_arrays(random_budgets(3, 64)), 1, timings
+        )
         assert timings.ladder_seconds > 0.0
         assert timings.growth_seconds >= 0.0
         assert timings.measure_seconds > 0.0
@@ -137,29 +174,29 @@ class TestReplicasSupportedFallback:
         out = _replicas_supported(
             c_sum=np.array([0], dtype=np.int64),
             m_sum=np.array([0], dtype=np.int64),
-            maxlat=np.array([1000], dtype=np.int64),
+            bw_quotient=_bandwidth_quotient(
+                bw_margin=np.array([1e9], dtype=np.float64),
+                bw_replica=np.array([2e-4], dtype=np.float64),
+            ),
             compute=np.array([0], dtype=np.int64),
             memory=np.array([0], dtype=np.int64),
-            bw_margin=np.array([1e9], dtype=np.float64),
             batch_target=8,
-            dram_bytes=1.0,
-            freq_hz=2e8,
         )
         assert out[0] == 8
 
     def test_zero_bw_replica_falls_back_to_batch_target(self):
-        # dram_bytes == 0 means the pipeline touches no external memory:
-        # bandwidth can never be the limiter.
+        # A replica that moves no external bytes (dram_bytes == 0): its
+        # quotient is unlimited, so bandwidth can never be the limiter.
         out = _replicas_supported(
             c_sum=np.array([10], dtype=np.int64),
             m_sum=np.array([10], dtype=np.int64),
-            maxlat=np.array([1000], dtype=np.int64),
+            bw_quotient=_bandwidth_quotient(
+                bw_margin=np.array([0.0], dtype=np.float64),
+                bw_replica=np.array([0.0], dtype=np.float64),
+            ),
             compute=np.array([100], dtype=np.int64),
             memory=np.array([55], dtype=np.int64),
-            bw_margin=np.array([0.0], dtype=np.float64),
             batch_target=16,
-            dram_bytes=0.0,
-            freq_hz=2e8,
         )
         assert out[0] == 5  # memory is the binding term (55 // 10)
 
@@ -167,16 +204,108 @@ class TestReplicasSupportedFallback:
         out = _replicas_supported(
             c_sum=np.array([4, 4], dtype=np.int64),
             m_sum=np.array([2, 2], dtype=np.int64),
-            maxlat=np.array([100, 100], dtype=np.int64),
+            bw_quotient=_bandwidth_quotient(
+                bw_margin=np.array([1e6, 1e6], dtype=np.float64),
+                bw_replica=np.array([2e-3, 2e-3], dtype=np.float64),
+            ),
             compute=np.array([40, 8], dtype=np.int64),
             memory=np.array([100, 100], dtype=np.int64),
-            bw_margin=np.array([1e6, 1e6], dtype=np.float64),
             batch_target=64,
-            dram_bytes=1.0,
-            freq_hz=2e8,
         )
         assert out[0] == 10  # compute-bound: 40 // 4
         assert out[1] == 2  # tighter compute: 8 // 4
+
+
+class TestMemoAccounting:
+    """The kernel credits exactly the memo lookups the scalar loop makes.
+
+    ``stage_hits`` / ``stage_lookups`` land in every serialized
+    ``DseResult``, so the batched path must book 2 lookups per stage per
+    rung visited, 3 per growth step applied, and 3 for a refused step or
+    1 for a saturated walk — the scalar loop's counts, lookup for lookup.
+    """
+
+    @pytest.mark.parametrize("batch_target", [1, 2, 4])
+    @pytest.mark.parametrize("branch_idx", [0, 1, 2])
+    def test_credited_lookups_match_scalar(
+        self, decoder_plan, branch_idx, batch_target
+    ):
+        pipeline = decoder_plan.branches[branch_idx]
+        budgets = random_budgets(seed=20 + branch_idx, count=300)
+        table = BranchEvalTable(pipeline, INT8)
+        table.ladder()  # chain construction is not solve traffic
+        hits, lookups = table.stage_hits, table.stage_lookups
+        # Two calls, so the second reuses the first call's rung tables.
+        solve_buckets(table, *budget_arrays(budgets[:100]), batch_target)
+        solve_buckets(table, *budget_arrays(budgets), batch_target)
+        scalar = BranchEvalTable(pipeline, INT8)
+        for rd in budgets[:100] + budgets:
+            optimize_branch(pipeline, rd, batch_target, INT8, table=scalar)
+        expected = scalar.stage_lookups
+        assert (
+            table.stage_hits - hits,
+            table.stage_lookups - lookups,
+        ) == (expected, expected)
+
+
+#: Bandwidths a long-lived table meets: zero, grid points, off-grid floats.
+BANDWIDTHS = st.one_of(
+    st.just(0.0),
+    st.integers(0, 320).map(lambda bucket: bucket * 0.05),
+    st.floats(0.0, 16.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def solve_calls(draw):
+    """A sequence of (batch target, budgets) calls over one bandwidth pool."""
+    pool = draw(st.lists(BANDWIDTHS, min_size=1, max_size=4))
+    budget = st.builds(
+        ResourceBudget,
+        compute=st.integers(0, 3000),
+        memory=st.integers(0, 3000),
+        bandwidth_gbps=st.sampled_from(pool),
+    )
+    return draw(
+        st.lists(
+            st.tuples(st.integers(1, 8), st.lists(budget, max_size=12)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+
+
+class TestLongLivedTable:
+    """One table across many calls: rung tables and paths are reused."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        branch_idx=st.integers(0, 2),
+        constraints=st.sampled_from(
+            [{}, {"max_h": 1}, {"max_pf": 64}, {"max_h": 1, "max_pf": 16}]
+        ),
+        calls=solve_calls(),
+    )
+    def test_every_call_matches_scalar(
+        self, decoder_plan, branch_idx, constraints, calls
+    ):
+        pipeline = decoder_plan.branches[branch_idx]
+        table = BranchEvalTable(pipeline, INT8, **constraints)
+        reference = BranchEvalTable(pipeline, INT8, **constraints)
+        for batch_target, budgets in calls:
+            batched = solve_buckets(
+                table, *budget_arrays(budgets), batch_target
+            )
+            assert len(batched) == len(budgets)
+            for rd, batch_sol in zip(budgets, batched):
+                scalar_sol = optimize_branch(
+                    pipeline, rd, batch_target, INT8, table=reference,
+                    **constraints,
+                )
+                assert pickle.dumps(batch_sol) == pickle.dumps(scalar_sol), (
+                    f"kernel diverged from scalar at rd={rd}, "
+                    f"batch_target={batch_target}"
+                )
 
 
 class TestEndToEndIdentity:
