@@ -35,6 +35,7 @@ import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable
 
 from repro.analysis.analyzer import analyze_network
 from repro.arch.serialize import config_from_json, config_to_json
@@ -53,6 +54,7 @@ from repro.serving.router import list_routers
 from repro.serving.traffic import list_shapes
 from repro.serving.transport import list_transports
 from repro.sim.runner import simulate
+from repro.sim.timeline import MIN_WIDTH as TIMELINE_MIN_WIDTH
 from repro.sim.timeline import render_timeline
 
 
@@ -64,19 +66,31 @@ def _load_network(spec: str) -> NetworkGraph:
     return get_model(spec)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: a strictly positive integer, with a friendly error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value}"
-        )
-    return value
+def _int_at_least(minimum: int, expected: str) -> Callable[[str], int]:
+    """argparse type: an integer of at least ``minimum``, with a friendly
+    error that names the ``expected`` value."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
+_timeline_width = _int_at_least(
+    TIMELINE_MIN_WIDTH, f"a width of at least {TIMELINE_MIN_WIDTH} columns"
+)
 
 
 def _positive_float(text: str) -> float:
@@ -1273,9 +1287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     _add_target_args(p)
     p.add_argument("--config", help="configuration JSON (default: explore first)")
-    p.add_argument("--frames", type=int, default=8)
+    p.add_argument("--frames", type=_positive_int, default=8)
     p.add_argument("--timeline", action="store_true", help="print a Gantt timeline")
-    p.add_argument("--timeline-width", type=int, default=72)
+    p.add_argument("--timeline-width", type=_timeline_width, default=72)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
@@ -1531,7 +1545,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared auth secret workers must present",
     )
     c.add_argument(
-        "--workers", type=int, default=2,
+        "--workers", type=_non_negative_int, default=2,
         help="local worker processes to spawn (0 = workers join from "
         "elsewhere; default 2)",
     )

@@ -136,6 +136,13 @@ class FleetSpec:
     #: means the remaining workers run clean.
     worker_faults: tuple[str, ...] = field(default=())
 
+    def __post_init__(self) -> None:
+        if self.workers < 0:
+            raise ValueError(
+                f"workers must be >= 0 (0: workers join from outside), "
+                f"got {self.workers}"
+            )
+
 
 @dataclass
 class _Lease:

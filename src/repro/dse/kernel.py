@@ -29,9 +29,11 @@ all N unique buckets of a PSO generation at once:
   except for *where it stops*, so the walk from each distinct halving
   end-state is traced once (:class:`GrowthPath`) and kept as running
   maxima of its trial DSP and BRAM sums. For integers ``c, batch >= 1``,
-  ``compute // c < batch`` holds exactly when ``c > compute // batch``, so
-  a bucket's compute and memory stops are two ``searchsorted`` calls; only
-  the bandwidth term is compared step by step.
+  ``compute // c < batch`` holds exactly when ``c > compute // batch``.
+  Every traced path's maxima sit in one sorted array, each path's shifted
+  past the one before it, so the compute and memory stops of all of a
+  call's growing buckets are two ``searchsorted`` calls; the bandwidth
+  term is one ``(buckets × steps)`` comparison.
 - **measure** — final ``(batch, chain-state)`` pairs repeat heavily across
   buckets, and :func:`~repro.perf.estimator.evaluate_branch` is a pure
   function of them, so solutions are memoized per pair.
@@ -196,8 +198,8 @@ def _replicas_supported(
     Zero ``c_sum`` / ``m_sum`` and an unlimited quotient fall back to
     ``batch_target`` exactly like the scalar solver: an unconsumed
     resource can never be the limiter. The growth phase relies on the
-    same rule in :meth:`GrowthPath.stops`: a zero sum or an unlimited
-    quotient never stops the walk.
+    same rule in :meth:`BranchLadder.growth_stops`: a zero sum or an
+    unlimited quotient never stops the walk.
     """
     bt = np.int64(batch_target)
     comp_term = np.where(c_sum > 0, compute // np.maximum(c_sum, 1), bt)
@@ -223,45 +225,15 @@ class GrowthPath:
     bram_max: np.ndarray
     bw_replica: np.ndarray
 
-    def stops(
-        self,
-        compute: np.ndarray,
-        memory: np.ndarray,
-        bw_margin: np.ndarray,
-        batch: np.ndarray,
-    ) -> np.ndarray:
-        """Steps each bucket applies before its budget refuses one.
-
-        ``batch`` (every entry >= 1) is each bucket's halving-phase replica
-        count. The first refused step is the first whose replica count
-        falls below ``batch``: a trial DSP sum above ``compute // batch``,
-        a BRAM sum above ``memory // batch``, or a bandwidth quotient
-        below ``batch``. A bucket the walk never refuses stops at
-        saturation, ``len(self.bw_replica)``.
-        """
-        steps = len(self.bw_replica)
-        if steps == 0:
-            return np.zeros(len(batch), dtype=np.intp)
-        stop = np.minimum(
-            np.searchsorted(self.dsp_max, compute // batch, side="right"),
-            np.searchsorted(self.bram_max, memory // batch, side="right"),
-        )
-        short = (
-            _bandwidth_quotient(bw_margin[:, None], self.bw_replica)
-            < batch[:, None]
-        )
-        return np.minimum(
-            stop, np.where(short.any(axis=1), short.argmax(axis=1), steps)
-        )
-
 
 class BranchLadder:
     """Precomputed batched-solve state for one :class:`BranchEvalTable`.
 
     Built lazily (``table.ladder()``) because only the batched kernel
     needs it. Holds the per-stage chains, the rung tables (one row per
-    bandwidth value the branch has met, ``rungs`` columns), the growth
-    paths traced so far, and the measured solutions.
+    bandwidth value the branch has met, ``rungs`` columns), the arrays of
+    every growth path traced so far, joined end to end, and the measured
+    solutions.
     """
 
     def __init__(self, table: BranchEvalTable) -> None:
@@ -288,6 +260,10 @@ class BranchLadder:
         self._sum_dtype = (
             np.int32 if bound <= np.iinfo(np.int32).max else np.int64
         )
+        # Path p's entries in the joined maxima are shifted by p * stride;
+        # the stride exceeds every sum, so each path's block lies above
+        # the block of the path before it.
+        self._stride = bound + 1
         rungs = self.rungs
         # The bandwidth values met so far, sorted, and each one's row.
         self._known_bw = np.empty(0, dtype=np.float64)
@@ -303,9 +279,19 @@ class BranchLadder:
         )
         self._rung_path = np.empty((0, rungs), dtype=np.int32)
         self._rung_floor = np.empty(0, dtype=np.intp)
-        #: Growth paths traced so far, indexed by :meth:`path_ids`.
-        self.paths: list[GrowthPath] = []
+        #: Steps of each growth path traced so far, by :meth:`path_ids` id.
+        self.path_steps = np.empty(0, dtype=np.intp)
         self._path_ids: dict[tuple[int, ...], int] = {}
+        # Every traced path joined end to end (see _join_paths): each
+        # path's first step; its shifted DSP and BRAM maxima; its states;
+        # its replica GB/s per step, zero-padded.
+        self._step_start = np.empty(0, dtype=np.intp)
+        self._dsp_steps = np.empty(0, dtype=np.int64)
+        self._bram_steps = np.empty(0, dtype=np.int64)
+        self._path_states = np.empty(
+            (0, num_stages), dtype=self._state_dtype
+        )
+        self._path_bw = np.empty((0, 0), dtype=np.float64)
         self._solutions: dict[
             tuple[int, int, tuple[int, ...]], BranchSolution
         ] = {}
@@ -423,17 +409,104 @@ class BranchLadder:
         ids = self._rung_path[rows, rungs]
         untraced = ids < 0
         if untraced.any():
+            traced = len(self.path_steps)
+            new: list[GrowthPath] = []
             pairs = zip(rows[untraced].tolist(), rungs[untraced].tolist())
             for row, rung in dict.fromkeys(pairs):
                 start = tuple(self._rung_states[row, rung].tolist())
                 path_id = self._path_ids.get(start)
                 if path_id is None:
-                    path_id = len(self.paths)
-                    self.paths.append(self._trace_growth(start))
+                    path_id = traced + len(new)
+                    new.append(self._trace_growth(start))
                     self._path_ids[start] = path_id
                 self._rung_path[row, rung] = path_id
+            if new:
+                self._join_paths(new)
             ids = self._rung_path[rows, rungs]
         return ids
+
+    def _join_paths(self, new: list[GrowthPath]) -> None:
+        """Append a call's newly traced paths to the joined arrays.
+
+        New paths take the next ids, so their shifted maxima sort after
+        every earlier path's: appending keeps the joined arrays sorted.
+        """
+        first_id = len(self.path_steps)
+        steps = np.array([len(path.bw_replica) for path in new])
+        ids = np.arange(first_id, first_id + len(new), dtype=np.int64)
+        shift = np.repeat(ids * self._stride, steps)
+        first_step = len(self._dsp_steps) + np.cumsum(steps) - steps
+        self._step_start = np.concatenate((self._step_start, first_step))
+        self.path_steps = np.concatenate((self.path_steps, steps))
+        dsp = shift + np.concatenate([path.dsp_max for path in new])
+        bram = shift + np.concatenate([path.bram_max for path in new])
+        self._dsp_steps = np.concatenate((self._dsp_steps, dsp))
+        self._bram_steps = np.concatenate((self._bram_steps, bram))
+        self._path_states = np.concatenate(
+            [self._path_states] + [path.states for path in new]
+        )
+        old_rows, old_width = self._path_bw.shape
+        bw = np.zeros((len(self.path_steps), int(self.path_steps.max())))
+        bw[:old_rows, :old_width] = self._path_bw
+        for row, path in zip(bw[old_rows:], new):
+            row[: len(path.bw_replica)] = path.bw_replica
+        self._path_bw = bw
+
+    def growth_stops(
+        self,
+        ids: np.ndarray,
+        compute: np.ndarray,
+        memory: np.ndarray,
+        bw_margin: np.ndarray,
+        batch: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Steps each bucket applies along its path, the path's length,
+        and the chain states the bucket ends in.
+
+        ``ids`` are the buckets' paths and ``batch`` (every entry >= 1)
+        their halving-phase replica counts. The first refused step is the
+        first whose replica count falls below ``batch``: a trial DSP sum
+        above ``compute // batch``, a BRAM sum above ``memory // batch``,
+        or a bandwidth quotient below ``batch``. A bucket its path never
+        refuses stops at saturation, the path's length.
+
+        Path ``p``'s maxima are shifted by ``p * stride`` in the joined
+        arrays, above every entry of the paths before it, so the arrays
+        stay sorted, and a query clipped to ``stride - 1`` and shifted
+        alike counts exactly the entries of its own path that it covers.
+        A zero-padded step has an unlimited bandwidth quotient.
+        """
+        ids = ids.astype(np.int64)
+        shift = ids * self._stride
+        top = self._stride - 1
+        first = self._step_start[ids]
+        stop = np.minimum(
+            np.searchsorted(
+                self._dsp_steps,
+                shift + np.minimum(compute // batch, top),
+                side="right",
+            ),
+            np.searchsorted(
+                self._bram_steps,
+                shift + np.minimum(memory // batch, top),
+                side="right",
+            ),
+        ) - first
+        length = self.path_steps[ids]
+        longest = int(length.max())
+        if longest:
+            short = (
+                _bandwidth_quotient(
+                    bw_margin[:, None], self._path_bw[:, :longest][ids]
+                )
+                < batch[:, None]
+            )
+            stop = np.minimum(
+                stop,
+                np.where(short.any(axis=1), short.argmax(axis=1), longest),
+            )
+        # A path has one more state than steps: path p's start at first + p.
+        return stop, length, self._path_states[first + ids + stop]
 
     def _trace_growth(self, start: tuple[int, ...]) -> GrowthPath:
         chains = self.chains
@@ -546,33 +619,23 @@ def solve_buckets(
         started = now
 
     # Growth phase: buckets that fit at least one replica walk on from
-    # their halving end state, grouped by the path that state starts.
+    # their halving end state along the path that state starts.
     grow = np.flatnonzero(batch >= 1)
     if len(grow):
-        path_ids = ladder.path_ids(rows[grow], stop[grow])
-        grow_batch = batch[grow]
-        grow_compute = compute[grow]
-        grow_memory = memory[grow]
-        grow_margin = bandwidth[grow] * BW_PLANNING_MARGIN
-        order = np.argsort(path_ids, kind="stable")
-        cuts = np.flatnonzero(np.diff(path_ids[order])) + 1
-        for members in np.split(order, cuts):
-            path = ladder.paths[path_ids[members[0]]]
-            steps = path.stops(
-                grow_compute[members],
-                grow_memory[members],
-                grow_margin[members],
-                grow_batch[members],
-            )
-            final[grow[members]] = path.states[steps]
-            # Scalar equivalence: each applied step costs 3 lookups
-            # (realize grown + eval old + eval new); a budget-stopped walk
-            # pays all 3 on the refused step, a saturated one pays 1
-            # (realize only).
-            length = len(path.bw_replica)
-            memo_served += int(
-                (3 * steps + np.where(steps < length, 3, 1)).sum()
-            )
+        steps, length, grown = ladder.growth_stops(
+            ladder.path_ids(rows[grow], stop[grow]),
+            compute[grow],
+            memory[grow],
+            bandwidth[grow] * BW_PLANNING_MARGIN,
+            batch[grow],
+        )
+        final[grow] = grown
+        # Scalar equivalence: each applied step costs 3 lookups (realize
+        # grown + eval old + eval new); a budget-stopped walk pays all 3
+        # on the refused step, a saturated one pays 1 (realize only).
+        memo_served += int(
+            (3 * steps + np.where(steps < length, 3, 1)).sum()
+        )
     if timings is not None:
         now = time.perf_counter()
         timings.growth_seconds += now - started

@@ -118,7 +118,14 @@ def metrics_from_solutions(
 # ---------------------------------------------------------------------------
 @runtime_checkable
 class Objective(Protocol):
-    """Metrics → scalar fitness (maximized by the cross-branch search)."""
+    """Metrics → scalar fitness (maximized by the cross-branch search).
+
+    ``score`` must be a pure function of ``(metrics, priorities)``: no
+    state, no randomness, no side effects. Candidates that resolve to the
+    same design share one metrics record
+    (:class:`~repro.dse.worker.GenerationEvaluator`), and a search's
+    result must not depend on how often or in what order it is scored.
+    """
 
     name: ClassVar[str]
 

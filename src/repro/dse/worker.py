@@ -27,8 +27,9 @@ The data path is built to move as little as possible between processes:
    barrier, so no cache lookup ever crosses a process boundary.
 3. **Rehydration** — the parent reassembles every candidate's solutions
    in submission order from the generation's lookups (each unique key is
-   read from the cache once) and its solves, and scores them inline (the
-   fitness arithmetic is trivial next to Algorithm 2).
+   read from the cache once) and its solves, and scores them inline;
+   candidates that resolve to the same solution objects share one
+   metrics record per search.
 
 Both serial and parallel paths run the identical arithmetic on the
 identical inputs through :class:`GenerationEvaluator`, so a parallel
@@ -512,7 +513,12 @@ class GenerationEvaluator:
 
     The evaluator produces *metrics* from the cache and applies the
     objective parent-side during rehydration — workers only ever solve
-    buckets, so cached entries stay objective-independent.
+    buckets, so cached entries stay objective-independent. Candidates
+    that resolve to the same solution objects are the same design: its
+    metrics record is built once per evaluator (one search) and
+    remembered under the solutions' identities; the objective scores
+    every candidate. Each memo entry keeps its solutions alive, so no
+    identity is reused while the memo lives.
 
     Accounting matches the per-candidate serial loop bit for bit: the
     first candidate to reference a new bucket is charged the evaluation,
@@ -535,6 +541,11 @@ class GenerationEvaluator:
         self.timings = EvalTimings()
         self.stage_hits = 0
         self.stage_lookups = 0
+        # Solution identities -> (metrics, solutions).
+        self._designs: dict[
+            tuple[int, ...],
+            tuple[BranchMetrics, tuple[BranchSolution, ...]],
+        ] = {}
 
     def _solve_inline(
         self, todo: Sequence[EvalKey]
@@ -585,16 +596,21 @@ class GenerationEvaluator:
             candidate_keys(self.spec, position) for position in positions
         ]
         # Each unique key is read from the cache once; the misses are the
-        # generation's solve list, in first-reference order.
+        # generation's solve list, in first-reference order, and each is
+        # charged to the candidate that references it first.
         found: dict[EvalKey, BranchSolution | None] = {}
         todo: list[EvalKey] = []
+        charged: list[int] = []
         for keys in keys_per_candidate:
+            misses = 0
             for key in keys:
                 if key not in found:
                     solution = self.cache.get(key)
                     found[key] = solution
                     if solution is None:
                         todo.append(key)
+                        misses += 1
+            charged.append(misses)
         self.timings.cache_seconds += time.perf_counter() - bucket_started
 
         if todo:
@@ -608,16 +624,18 @@ class GenerationEvaluator:
 
         rehydrate_started = time.perf_counter()
         priorities = self.spec.customization.priorities
-        unclaimed = set(todo)
+        designs = self._designs
         out: list[CandidateEval] = []
-        for keys in keys_per_candidate:
-            evaluations = 0
-            for key in keys:
-                if key in unclaimed:
-                    unclaimed.remove(key)
-                    evaluations += 1
+        for keys, evaluations in zip(keys_per_candidate, charged):
             solutions = tuple([found[key] for key in keys])
-            metrics = metrics_from_solutions(solutions)
+            identity = tuple(map(id, solutions))
+            design = designs.get(identity)
+            if design is None:
+                design = designs[identity] = (
+                    metrics_from_solutions(solutions),
+                    solutions,
+                )
+            metrics, solutions = design
             out.append(
                 CandidateEval(
                     score=penalized_score(self.objective, metrics, priorities),

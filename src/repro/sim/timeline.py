@@ -19,6 +19,9 @@ from repro.sim.stats import SimStats
 
 _GLYPHS = ((0.90, "#"), (0.50, ":"), (1e-9, "."))
 
+#: The narrowest timeline :func:`render_timeline` draws, in columns.
+MIN_WIDTH = 8
+
 
 def _bucket_glyph(busy_fraction: float) -> str:
     for threshold, glyph in _GLYPHS:
@@ -29,8 +32,8 @@ def _bucket_glyph(busy_fraction: float) -> str:
 
 def render_timeline(stats: SimStats, width: int = 72) -> str:
     """Render the whole run as one utilization row per stage."""
-    if width < 8:
-        raise ValueError(f"width must be >= 8: {width}")
+    if width < MIN_WIDTH:
+        raise ValueError(f"width must be >= {MIN_WIDTH}: {width}")
     total = stats.total_cycles
     if total <= 0:
         return "(empty simulation)"

@@ -75,6 +75,10 @@ def test_perfbench_smoke_job_checks_pinned_dse_runs():
     assert setup["with"]["python-version"] == "3.11"
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert any("pytest perfbench" in run for run in runs)
+    bench_runs = [run for run in runs if "perfbench/run.py" in run]
+    untraced = [run for run in bench_runs if "--trace 0" in run]
+    traced = [run for run in bench_runs if "--trace 1" in run]
+    assert sorted(untraced + traced) == sorted(bench_runs)
     # Every workload at seed 0; the DSE workloads also at pinned seed 19.
     expected = {
         "dse-paper": ["0", "19"],
@@ -83,16 +87,21 @@ def test_perfbench_smoke_job_checks_pinned_dse_runs():
         "serve-chaos": ["0"],
     }
     for workload, seeds in expected.items():
-        steps = [run for run in runs if f"--workload {workload}" in run]
+        steps = [run for run in untraced if f"--workload {workload}" in run]
         assert sorted(
             run.split("--seed ")[1].split()[0] for run in steps
         ) == seeds
-        for run in steps:
-            assert "--trace 0" in run
-            # Each check reads the JSON its own run wrote.
-            log = run.split("| tee ")[1].split()[0]
-            assert run.splitlines()[-1].startswith(f"tail -n 1 {log} |")
-            assert "['correct'] is True" in run.splitlines()[-1]
+    # Exactly one traced run: dse-paper at seed 0, whose outputs must equal
+    # the untraced repetitions' and whose probes must all be restored.
+    assert len(traced) == 1
+    assert "--workload dse-paper --seed 0 " in traced[0]
+    for run in bench_runs:
+        # Each check reads the JSON its own run wrote.
+        log = run.split("| tee ")[1].split()[0]
+        assert run.splitlines()[-1].startswith(f"tail -n 1 {log} |")
+        assert "['correct'] is True" in run.splitlines()[-1]
+    logs = [run.split("| tee ")[1].split()[0] for run in bench_runs]
+    assert len(set(logs)) == len(logs)
 
 
 def test_every_file_a_step_runs_exists():

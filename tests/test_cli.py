@@ -509,6 +509,54 @@ class TestSimulate:
         )
         assert "end-to-end" in out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--frames", "0", "positive integer"),
+            ("--frames", "-3", "positive integer"),
+            ("--timeline-width", "7", "at least 8 columns"),
+            ("--timeline-width", "-1", "at least 8 columns"),
+            ("--timeline-width", "wide", "at least 8 columns"),
+        ],
+    )
+    def test_simulate_rejects_bad_flags_before_exploring(
+        self, capsys, monkeypatch, flag, value, message
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("explored before refusing the flag")
+
+        monkeypatch.setattr("repro.cli.FCad", no_search)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "tiny_yolo", flag, value])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_simulate_accepts_the_narrowest_timeline(self, capsys):
+        out = run_cli(
+            capsys,
+            "simulate",
+            "tiny_yolo",
+            "--device", "Z7045",
+            "--frames", "1",
+            "--iterations", "1",
+            "--population", "4",
+            "--timeline",
+            "--timeline-width", "8",
+        )
+        assert "timeline:" in out
+
+
+class TestFleetCoordinator:
+    @pytest.mark.parametrize("value", ["-1", "-5", "two"])
+    def test_workers_must_be_non_negative(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "fleet", "coordinator", "--sweep", "Z7045",
+                "--token", "t", "--workers", value,
+            ])
+        assert excinfo.value.code == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
 
 class TestExperimentCommand:
     def test_table1(self, capsys):

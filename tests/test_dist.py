@@ -417,6 +417,12 @@ class TestFleetSweep:
         )
         assert other.stats["resumed"] == 0
 
+    def test_negative_worker_count_rejected(self):
+        """A negative count would spawn nobody and wait out the timeout."""
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            FleetSpec(workers=-1)
+        assert FleetSpec(workers=0).workers == 0  # workers join from outside
+
     def test_fleet_sweep_rejects_live_rng_seeds(self, engines):
         with pytest.raises(ValueError, match="integer"):
             run_fleet_sweep(

@@ -7,8 +7,10 @@ suites here hammer that over thousands of budgets per branch (including
 zero-resource and saturating edge budgets and the customization's
 ``max_h`` / ``max_pf`` constraints), a property suite drives one
 long-lived table through many calls and batch targets, the memo counts
-the kernel credits are checked against the scalar loop's, and the
-end-to-end tests pin the seeded search results of the kernel-routed
+the kernel credits are checked against the scalar loop's, the growth
+stop's edge cases (saturated and zero-traffic walks, budgets past every
+trial sum, calls spanning walks old and new) get cases of their own, and
+the end-to-end tests pin the seeded search results of the kernel-routed
 evaluation path.
 """
 
@@ -95,6 +97,39 @@ def assert_bit_identical(pipeline, budgets, batch_target, **table_kwargs):
         )
 
 
+def assert_calls_match_scalar(pipeline, calls, dram_bytes=None, **constraints):
+    """Drive one table through ``calls``; check it against the scalar loop.
+
+    Every solution must pickle like ``optimize_branch``'s for its bucket,
+    and the memo traffic the kernel credits must equal the lookups the
+    scalar loop makes on a fresh table. Returns the kernel's ladder.
+    """
+    table = BranchEvalTable(pipeline, INT8, **constraints)
+    reference = BranchEvalTable(pipeline, INT8, **constraints)
+    if dram_bytes is not None:
+        table.dram_bytes = reference.dram_bytes = dram_bytes
+    ladder = table.ladder()  # chain construction is not solve traffic
+    hits, lookups = table.stage_hits, table.stage_lookups
+    for batch_target, budgets in calls:
+        batched = solve_buckets(table, *budget_arrays(budgets), batch_target)
+        assert len(batched) == len(budgets)
+        for rd, batch_sol in zip(budgets, batched):
+            scalar_sol = optimize_branch(
+                pipeline, rd, batch_target, INT8, table=reference,
+                **constraints,
+            )
+            assert pickle.dumps(batch_sol) == pickle.dumps(scalar_sol), (
+                f"kernel diverged from scalar at rd={rd}, "
+                f"batch_target={batch_target}"
+            )
+    expected = reference.stage_lookups
+    assert (
+        table.stage_hits - hits,
+        table.stage_lookups - lookups,
+    ) == (expected, expected)
+    return ladder
+
+
 class TestRandomizedIdentity:
     @pytest.mark.parametrize("branch_idx", [0, 1, 2])
     def test_batched_matches_scalar(self, decoder_plan, branch_idx):
@@ -129,17 +164,10 @@ class TestRandomizedIdentity:
         """
         pipeline = decoder_plan.branches[0]
         budgets = random_budgets(seed=5, count=300)
-        table = BranchEvalTable(pipeline, INT8)
-        table.dram_bytes = 0.0
-        for batch_target in (1, 4):
-            batched = solve_buckets(
-                table, *budget_arrays(budgets), batch_target
-            )
-            for rd, batch_sol in zip(budgets, batched):
-                scalar_sol = optimize_branch(
-                    pipeline, rd, batch_target, INT8, table=table
-                )
-                assert pickle.dumps(batch_sol) == pickle.dumps(scalar_sol)
+        ladder = assert_calls_match_scalar(
+            pipeline, [(1, budgets), (4, budgets)], dram_bytes=0.0
+        )
+        assert len(ladder.path_steps) > 1
 
     def test_empty_and_single_bucket(self, decoder_plan):
         table = BranchEvalTable(decoder_plan.branches[0], INT8)
@@ -232,20 +260,71 @@ class TestMemoAccounting:
     ):
         pipeline = decoder_plan.branches[branch_idx]
         budgets = random_budgets(seed=20 + branch_idx, count=300)
-        table = BranchEvalTable(pipeline, INT8)
-        table.ladder()  # chain construction is not solve traffic
-        hits, lookups = table.stage_hits, table.stage_lookups
         # Two calls, so the second reuses the first call's rung tables.
-        solve_buckets(table, *budget_arrays(budgets[:100]), batch_target)
-        solve_buckets(table, *budget_arrays(budgets), batch_target)
-        scalar = BranchEvalTable(pipeline, INT8)
-        for rd in budgets[:100] + budgets:
-            optimize_branch(pipeline, rd, batch_target, INT8, table=scalar)
-        expected = scalar.stage_lookups
-        assert (
-            table.stage_hits - hits,
-            table.stage_lookups - lookups,
-        ) == (expected, expected)
+        assert_calls_match_scalar(
+            pipeline, [(batch_target, budgets[:100]), (batch_target, budgets)]
+        )
+
+
+class TestOnePassGrowth:
+    """Growth stops for all of a call's paths at once, edge cases first.
+
+    One call's growing buckets share one lookup into every traced path's
+    joined maxima; these cases are the ones random budgets rarely reach.
+    """
+
+    @pytest.mark.parametrize(
+        "branch_idx, constraints",
+        [(2, {}), (0, {"max_h": 1}), (0, {"max_pf": 1})],
+    )
+    def test_zero_step_paths(self, decoder_plan, branch_idx, constraints):
+        """Walks saturated at their start state apply no step, beside
+        longer walks (the first two cases) or alone (``max_pf = 1``)."""
+        pipeline = decoder_plan.branches[branch_idx]
+        budgets = [EDGE_BUDGETS[2]] + random_budgets(seed=31, count=200)
+        ladder = assert_calls_match_scalar(
+            pipeline, [(1, budgets), (2, budgets)], **constraints
+        )
+        assert 0 in ladder.path_steps
+        assert (ladder.path_steps.max() > 0) == ("max_pf" not in constraints)
+
+    @pytest.mark.parametrize("branch_idx", [0, 1, 2])
+    def test_budgets_above_every_trial_sum(self, decoder_plan, branch_idx):
+        """Queries past the stride are clipped into their own path."""
+        pipeline = decoder_plan.branches[branch_idx]
+        ladder = BranchEvalTable(pipeline, INT8).ladder()
+        bound = sum(
+            max(chain.dsp_list) + max(chain.bram_list)
+            for chain in ladder.chains
+        )
+        huge = 4 * (bound + 1)
+        budgets = [
+            ResourceBudget(
+                compute=compute, memory=memory, bandwidth_gbps=bandwidth
+            )
+            for compute, memory in ((huge, huge), (huge, 800), (800, huge))
+            for bandwidth in (0.0, 0.05, 2.0, 6.0, 12.0, 1000.0)
+        ]
+        assert_calls_match_scalar(pipeline, [(1, budgets), (2, budgets)])
+
+    @pytest.mark.parametrize("branch_idx", [0, 1])
+    def test_one_call_spans_old_and_new_paths(self, decoder_plan, branch_idx):
+        """Paths traced by earlier calls and during this one, together."""
+        pipeline = decoder_plan.branches[branch_idx]
+        first = random_budgets(seed=40 + branch_idx, count=60)
+        later = [
+            ResourceBudget(
+                compute=rd.compute,
+                memory=rd.memory,
+                bandwidth_gbps=rd.bandwidth_gbps + 0.4,
+            )
+            for rd in random_budgets(seed=50 + branch_idx, count=300)
+        ]
+        calls = [(1, first), (1, first + later)]
+        ladder = assert_calls_match_scalar(pipeline, calls[:1])
+        traced = len(ladder.path_steps)
+        ladder = assert_calls_match_scalar(pipeline, calls)
+        assert 1 < traced < len(ladder.path_steps)
 
 
 #: Bandwidths a long-lived table meets: zero, grid points, off-grid floats.
@@ -289,23 +368,9 @@ class TestLongLivedTable:
     def test_every_call_matches_scalar(
         self, decoder_plan, branch_idx, constraints, calls
     ):
-        pipeline = decoder_plan.branches[branch_idx]
-        table = BranchEvalTable(pipeline, INT8, **constraints)
-        reference = BranchEvalTable(pipeline, INT8, **constraints)
-        for batch_target, budgets in calls:
-            batched = solve_buckets(
-                table, *budget_arrays(budgets), batch_target
-            )
-            assert len(batched) == len(budgets)
-            for rd, batch_sol in zip(budgets, batched):
-                scalar_sol = optimize_branch(
-                    pipeline, rd, batch_target, INT8, table=reference,
-                    **constraints,
-                )
-                assert pickle.dumps(batch_sol) == pickle.dumps(scalar_sol), (
-                    f"kernel diverged from scalar at rd={rd}, "
-                    f"batch_target={batch_target}"
-                )
+        assert_calls_match_scalar(
+            decoder_plan.branches[branch_idx], calls, **constraints
+        )
 
 
 class TestEndToEndIdentity:

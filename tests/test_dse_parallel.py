@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,15 @@ from hypothesis import strategies as st
 
 from repro.devices.budget import ResourceBudget
 from repro.devices.fpga import get_device
-from repro.dse.cache import LocalEvalCache
+from repro.dse.cache import FileEvalCache, LocalEvalCache
 from repro.dse.engine import DseEngine
+from repro.dse.objective import (
+    CompositeObjective,
+    PaperObjective,
+    SloObjective,
+    metrics_from_solutions,
+    penalized_score,
+)
 from repro.dse.space import Customization
 from repro.dse.worker import (
     EvalSpec,
@@ -176,6 +186,145 @@ class TestGenerationEvaluator:
         assert evaluator.timings.overhead_seconds == 0  # serial: no pool
         assert evaluator.stage_lookups > 0
         assert 0 <= evaluator.stage_hits <= evaluator.stage_lookups
+
+
+FRACTIONS = st.sampled_from([0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95])
+#: One branch's (compute, memory, bandwidth) fractions.
+BRANCH_SHARE = st.tuples(FRACTIONS, FRACTIONS, FRACTIONS)
+
+
+@st.composite
+def generations(draw, branches=2):
+    """A search's generations over a few shares per branch.
+
+    Each candidate picks every branch's share from that branch's small
+    pool, so candidates share some branches' solutions while differing in
+    others, and whole designs repeat within and across generations.
+    """
+    pools = [
+        draw(st.lists(BRANCH_SHARE, min_size=1, max_size=3))
+        for _ in range(branches)
+    ]
+    position = st.tuples(*map(st.sampled_from, pools)).map(
+        lambda shares: [
+            shares[j][axis] for axis in range(3) for j in range(branches)
+        ]
+    )
+    return draw(
+        st.lists(
+            st.lists(position, min_size=1, max_size=10),
+            min_size=1,
+            max_size=4,
+        )
+    )
+
+
+MEMO_OBJECTIVES = {
+    "paper": PaperObjective(),
+    "slo": SloObjective(),
+    "composite": CompositeObjective(
+        ((PaperObjective(), 1.0), (SloObjective(miss_weight=10.0), 2.0))
+    ),
+}
+
+
+def open_cache(backend, path, spec, positions):
+    """A fresh local or file cache, or a file cache warmed and reopened
+    (whose entries are unpickled, not the kernel's interned solutions)."""
+    if backend == "local":
+        return LocalEvalCache()
+    if backend == "warm file":
+        with FileEvalCache(path) as cache:
+            GenerationEvaluator(spec, cache)(positions)
+    return FileEvalCache(path)
+
+
+class TestDesignMemo:
+    """Each distinct design's metrics are built once per search; every
+    candidate is still scored, exactly as before."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        objective=st.sampled_from(sorted(MEMO_OBJECTIVES)),
+        backend=st.sampled_from(["local", "file", "warm file"]),
+        search=generations(),
+    )
+    def test_memo_is_exact_and_builds_each_design_once(
+        self, spec, objective, backend, search
+    ):
+        objective = MEMO_OBJECTIVES[objective]
+        priorities = spec.customization.priorities
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = open_cache(
+                backend,
+                os.path.join(tmp, "cache.sqlite"),
+                spec,
+                [position for positions in search for position in positions],
+            )
+            evaluator = GenerationEvaluator(spec, cache, objective=objective)
+            results = []
+            try:
+                with mock.patch(
+                    "repro.dse.worker.metrics_from_solutions",
+                    side_effect=metrics_from_solutions,
+                ) as building, mock.patch(
+                    "repro.dse.worker.penalized_score",
+                    side_effect=penalized_score,
+                ) as scoring:
+                    for positions in search:
+                        keys = [candidate_keys(spec, p) for p in positions]
+                        missing = {
+                            key
+                            for candidate in keys
+                            for key in candidate
+                            if cache.get(key) is None
+                        }
+                        out = evaluator(positions)
+                        for candidate, result in zip(keys, out):
+                            # The solutions its own keys hold, not a
+                            # memo entry's.
+                            assert all(
+                                solution is cache.get(key)
+                                for solution, key in zip(
+                                    result.solutions, candidate
+                                )
+                            )
+                            # The first candidate to reference a miss pays.
+                            charged = missing.intersection(candidate)
+                            missing -= charged
+                            assert result.evaluations == len(charged)
+                            assert result.cache_hits == (
+                                len(candidate) - len(charged)
+                            )
+                            metrics = metrics_from_solutions(result.solutions)
+                            assert result.metrics == metrics
+                            assert result.score == penalized_score(
+                                objective, metrics, priorities
+                            )
+                        results += out
+            finally:
+                if backend != "local":
+                    cache.close()
+        # ``results`` keeps every solution alive, so no id is reused.
+        designs = {tuple(map(id, result.solutions)) for result in results}
+        assert building.call_count == len(designs)
+        assert scoring.call_count == len(results)
+
+    def test_memo_lives_for_one_search(self, spec):
+        cache = LocalEvalCache()
+        positions = [[0.5, 0.5] * 3, [0.7, 0.3] * 3, [0.5, 0.5] * 3]
+        with mock.patch(
+            "repro.dse.worker.metrics_from_solutions",
+            side_effect=metrics_from_solutions,
+        ) as building:
+            evaluator = GenerationEvaluator(spec, cache)
+            first = evaluator(positions)
+            assert first[0].metrics is first[2].metrics
+            again = evaluator(positions[::-1])
+            assert building.call_count == 2
+            assert [r.score for r in again] == [r.score for r in first[::-1]]
+            GenerationEvaluator(spec, cache)(positions)
+            assert building.call_count == 4
 
 
 class TestSolveChunk:
