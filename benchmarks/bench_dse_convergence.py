@@ -1,8 +1,7 @@
 """Benchmark: the Sec. VII search-speed study (10 searches, N=20, P=200).
 
-The 10 seeds run as one batch: a shared evaluation cache across searches
-plus parallel generation evaluation (``FCAD_BENCH_WORKERS`` processes) —
-the reported statistics are identical to 10 isolated serial runs.
+The 10 seeds run as one batch with a shared evaluation cache across
+searches — the reported statistics are identical to 10 isolated runs.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from functools import partial
 
 from repro.experiments.convergence import run_convergence
 
-from conftest import default_workers, emit
+from conftest import emit
 
 RUN = partial(
     run_convergence,
@@ -20,7 +19,6 @@ RUN = partial(
     searches=10,
     iterations=20,
     population=200,
-    workers=default_workers(),
 )
 
 
@@ -28,7 +26,7 @@ def test_dse_convergence(benchmark):
     result = benchmark.pedantic(RUN, rounds=1, iterations=1)
     emit("Sec. VII DSE convergence", result.render())
     print(
-        f"workers={result.workers}  evaluations={result.total_evaluations}  "
+        f"evaluations={result.total_evaluations}  "
         f"bucket hits={result.total_cache_hits}  "
         f"stage-memo hits={result.total_stage_hits}/"
         f"{result.total_stage_lookups}  "
@@ -36,8 +34,7 @@ def test_dse_convergence(benchmark):
     )
     print(
         f"phases: eval {result.eval_seconds:.2f}s  cache "
-        f"{result.cache_seconds:.2f}s  pool overhead "
-        f"{result.overhead_seconds:.2f}s"
+        f"{result.cache_seconds:.2f}s"
     )
 
     iters = result.convergence_iterations

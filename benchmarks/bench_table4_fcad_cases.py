@@ -1,8 +1,7 @@
 """Benchmark: regenerate Table IV (all five F-CAD cases, paper-size DSE).
 
-The five cases run as one batch sweep (shared evaluation cache, parallel
-generations via ``FCAD_BENCH_WORKERS``); per-case results are identical
-to isolated serial runs.
+The five cases run as one batch sweep with a shared evaluation cache;
+per-case results are identical to isolated runs.
 """
 
 from __future__ import annotations
@@ -14,14 +13,13 @@ import pytest
 from repro.devices.fpga import get_device
 from repro.experiments.table4 import run_table4
 
-from conftest import default_workers, emit
+from conftest import emit
 
 RUN = partial(
     run_table4,
     iterations=20,
     population=200,
     seed=0,
-    workers=default_workers(),
 )
 
 

@@ -7,26 +7,15 @@ prints the reproduced rows next to the published numbers. Run with::
     pytest benchmarks/ --benchmark-only -s
 
 Each emitted table is also written to ``benchmarks/out/`` so CI can upload
-the reproduced numbers as a build artifact. DSE-heavy benchmarks fan each
-search generation out over ``FCAD_BENCH_WORKERS`` processes (default: up
-to 4, capped by the machine's core count).
+the reproduced numbers as a build artifact.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from pathlib import Path
 
 OUT_DIR = Path(__file__).resolve().parent / "out"
-
-
-def default_workers() -> int:
-    """Worker processes for DSE benchmarks (``FCAD_BENCH_WORKERS`` wins)."""
-    env = os.environ.get("FCAD_BENCH_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 def _slug(title: str) -> str:

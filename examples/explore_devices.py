@@ -8,12 +8,11 @@ what device utilization.
 
 The six cases run as ONE batch (`run_sweep`): they share a single
 evaluation cache — overlapping in-branch subproblems are solved once for
-the whole grid — and `--workers N` evaluates every DSE generation on N
-processes. Per-case results are bit-identical to running each case alone
-serially, so parallelism and batching are purely wall-clock knobs.
+the whole grid. Per-case results are bit-identical to running each case
+alone, so batching is purely a wall-clock knob. To run the cases in
+parallel across processes, use `repro fleet coordinator`.
 
-Usage:  python examples/explore_devices.py [--workers N]
-                                           [--iterations N] [--population P]
+Usage:  python examples/explore_devices.py [--iterations N] [--population P]
 """
 
 from __future__ import annotations
@@ -33,12 +32,6 @@ def main() -> None:
     parser.add_argument("--iterations", type=int, default=10)
     parser.add_argument("--population", type=int, default=80)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="processes per DSE generation (results identical to serial)",
-    )
     args = parser.parse_args()
 
     decoder = build_codec_avatar_decoder()
@@ -58,7 +51,6 @@ def main() -> None:
         iterations=args.iterations,
         population=args.population,
         seed=args.seed,
-        workers=args.workers,
     )
 
     rows = []
@@ -98,7 +90,7 @@ def main() -> None:
     total_evals = sum(r.dse.evaluations for r in results)
     total_hits = sum(r.dse.cache_hits for r in results)
     print(
-        f"\n{len(results)} cases, {args.workers} worker(s): "
+        f"\n{len(results)} cases: "
         f"{total_evals} in-branch solves, {total_hits} shared-cache hits"
     )
 

@@ -23,9 +23,9 @@ Subcommands cover the framework's whole surface:
 ``<model>`` is a zoo name (``repro models``) or a path to a network JSON
 file produced by :func:`repro.ir.graph_to_json`.
 
-Search commands accept ``--workers N`` to evaluate each DSE generation on
-``N`` processes — results are bit-identical to the serial search at the
-same seed, so parallelism is purely a wall-clock knob.
+Each search runs in one process. ``repro fleet coordinator`` runs the
+cases of a device sweep in parallel across worker processes, with results
+bit-identical to ``repro explore --sweep``.
 """
 
 from __future__ import annotations
@@ -93,19 +93,37 @@ _timeline_width = _int_at_least(
 )
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a strictly positive number, with a friendly error."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {text!r}"
-        ) from None
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {value}"
-        )
-    return value
+def _float_in(
+    is_valid: Callable[[float], bool], expected: str
+) -> Callable[[str], float]:
+    """argparse type: a number that passes ``is_valid``, with a friendly
+    error that names the ``expected`` value."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}"
+            ) from None
+        if not is_valid(value):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_positive_float = _float_in(lambda value: 0 < value < math.inf, "a positive number")
+_non_negative_float = _float_in(
+    lambda value: 0 <= value < math.inf, "a finite non-negative number"
+)
+
+
+def _comma_list(item: Callable[[str], float]) -> Callable[[str], tuple]:
+    """argparse type: a comma-separated list, each part parsed by ``item``."""
+    return lambda text: tuple(map(item, text.split(",")))
 
 
 def _parse_sweep_devices(text: str) -> list[str] | None:
@@ -294,35 +312,41 @@ def _parse_cluster_spec(text: str) -> list[tuple[str, int, str | None]] | None:
     return entries
 
 
-def _customization(args: argparse.Namespace, num_branches: int) -> Customization:
-    batches = (
-        _parse_numbers(args.batch, int)
-        if args.batch
-        else tuple([1] * num_branches)
+def _customization(
+    args: argparse.Namespace, num_branches: int
+) -> Customization | None:
+    """The ``--batch``/``--priority`` customization; None (plus stderr)
+    when a list does not give one value per branch of the model."""
+    for flag, values in (("--batch", args.batch), ("--priority", args.priority)):
+        if values is not None and len(values) != num_branches:
+            print(
+                f"error: {flag} gives {len(values)} values, the model has "
+                f"{num_branches} branches",
+                file=sys.stderr,
+            )
+            return None
+    return Customization(
+        batch_sizes=args.batch or (1,) * num_branches,
+        priorities=args.priority or (1.0,) * num_branches,
     )
-    priorities = (
-        _parse_numbers(args.priority, float)
-        if args.priority
-        else tuple([1.0] * num_branches)
-    )
-    return Customization(batch_sizes=batches, priorities=priorities)
 
 
 def _add_target_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--device", default="ZU9CG", help="FPGA name (see `devices`)")
     parser.add_argument("--quant", default="int8", choices=["int8", "int16"])
-    parser.add_argument("--batch", help="per-branch batch sizes, e.g. 1,2,2")
-    parser.add_argument("--priority", help="per-branch priorities, e.g. 1,1,2")
+    parser.add_argument(
+        "--batch",
+        type=_comma_list(_positive_int),
+        help="per-branch batch sizes, e.g. 1,2,2",
+    )
+    parser.add_argument(
+        "--priority",
+        type=_comma_list(_non_negative_float),
+        help="per-branch priorities, e.g. 1,1,2",
+    )
     parser.add_argument("--iterations", type=_positive_int, default=10)
     parser.add_argument("--population", type=_positive_int, default=80)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="processes evaluating each DSE generation (1 = serial; "
-        "results are identical either way)",
-    )
     parser.add_argument(
         "--asic-macs",
         type=_positive_int,
@@ -408,7 +432,7 @@ def _search_profiler(enabled: bool, out: str | None = None):
 
     This is how perf work on the DSE should start: measure first. The
     table makes it obvious whether time goes to Algorithm-2 solves, cache
-    bookkeeping, or pool dispatch before anyone reaches for a fix.
+    bookkeeping, or objective scoring before anyone reaches for a fix.
     ``out`` additionally dumps the full raw :mod:`pstats` data to a file
     for offline digging (``python -m pstats <file>``, snakeviz, etc.).
     """
@@ -440,6 +464,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
     """Run the full F-CAD flow; optionally save config/report artifacts."""
     network = _load_network(args.model)
     customization = _customization(args, len(network.output_names()))
+    if customization is None:
+        return 2
     cache = None
     if args.cache_file:
         from repro.dse.cache import FileEvalCache
@@ -480,7 +506,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                     iterations=args.iterations,
                     population=args.population,
                     seed=args.seed,
-                    workers=args.workers,
                     cache=cache,
                     objective=args.objective,
                     rerank_oracle=args.rerank,
@@ -505,7 +530,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 iterations=args.iterations,
                 population=args.population,
                 seed=args.seed,
-                workers=args.workers,
                 cache=cache,
                 objective=args.objective,
                 rerank_oracle=args.rerank,
@@ -522,8 +546,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         )
         print(
             f"DSE phases: eval {dse.eval_seconds:.2f}s, cache "
-            f"{dse.cache_seconds:.2f}s, pool overhead "
-            f"{dse.overhead_seconds:.2f}s"
+            f"{dse.cache_seconds:.2f}s"
         )
         print(
             f"objective: {dse.objective}; oracle stages: "
@@ -572,16 +595,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.config:
         config = config_from_json(Path(args.config).read_text())
     else:
+        customization = _customization(args, plan.num_branches)
+        if customization is None:
+            return 2
         result = FCad(
             network=network,
             device=target,
             quant=quant,
-            customization=_customization(args, plan.num_branches),
+            customization=customization,
         ).run(
             iterations=args.iterations,
             population=args.population,
             seed=args.seed,
-            workers=args.workers,
         )
         config = result.dse.best_config
     report = simulate(
@@ -743,19 +768,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
 
     network = _load_network(args.model)
-    num_branches = len(network.output_names())
+    customization = _customization(args, len(network.output_names()))
+    if customization is None:
+        return 2
 
     if cluster_spec is None:
         result = FCad(
             network=network,
             device=_target(args),
             quant=args.quant,
-            customization=_customization(args, num_branches),
+            customization=customization,
         ).run(
             iterations=args.iterations,
             population=args.population,
             seed=args.seed,
-            workers=args.workers,
         )
         profile = result.frame_latency_profile(frames=args.sim_frames)
         print(
@@ -850,7 +876,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
     else:
         report = _serve_cluster_session(
-            args, network, num_branches, cluster_spec, tiers,
+            args, network, customization, cluster_spec, tiers,
             frames_per_avatar, chaos, recovery,
         )
     print()
@@ -923,7 +949,7 @@ def _heap_autoscale(args: argparse.Namespace):
 def _serve_cluster_session(
     args: argparse.Namespace,
     network: NetworkGraph,
-    num_branches: int,
+    customization: Customization,
     cluster_spec: list[tuple[str, int, str | None]],
     tiers: tuple[float, ...],
     frames_per_avatar: int,
@@ -933,15 +959,16 @@ def _serve_cluster_session(
     """Explore one design per cluster preset and serve the mixed cluster."""
     from repro.serving import AvatarWorkload, serve_cluster
 
+    num_branches = len(customization.batch_sizes)
     results = {}
     for design, _, _ in cluster_spec:
         if design in results:
             continue
         preset = CLUSTER_DESIGNS[design]
         if preset["batch"] is None:
-            customization = _customization(args, num_branches)
+            design_customization = customization
         else:
-            customization = Customization(
+            design_customization = Customization(
                 batch_sizes=(preset["batch"],) * num_branches,
                 priorities=(1.0,) * num_branches,
             )
@@ -949,12 +976,11 @@ def _serve_cluster_session(
             network=network,
             device=_target(args),
             quant=args.quant,
-            customization=customization,
+            customization=design_customization,
         ).run(
             iterations=args.iterations,
             population=args.population,
             seed=args.seed,
-            workers=args.workers,
         )
         print(
             f"design {design!r}: {results[design].fps:.1f} FPS steady "
@@ -1140,17 +1166,19 @@ def cmd_fleet_replicas(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     """Explore a design and emit the HLS project skeleton."""
     network = _load_network(args.model)
+    customization = _customization(args, len(network.output_names()))
+    if customization is None:
+        return 2
     flow = FCad(
         network=network,
         device=_target(args),
         quant=args.quant,
-        customization=_customization(args, len(network.output_names())),
+        customization=customization,
     )
     result = flow.run(
         iterations=args.iterations,
         population=args.population,
         seed=args.seed,
-        workers=args.workers,
     )
     from repro.codegen.hls import generate_project
 
@@ -1206,15 +1234,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the F-CAD flow (single case or batch sweep)",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
-            "parallel search and sweeps:\n"
-            "  repro explore codec_avatar_decoder --workers 4\n"
-            "      evaluate each DSE generation on 4 processes; the found\n"
-            "      design is bit-identical to --workers 1 at the same seed\n"
+            "sweeps:\n"
             "  repro explore codec_avatar_decoder --sweep Z7045,ZU17EG,ZU9CG \\\n"
-            "      --sweep-quants int8,int16 --workers 4\n"
+            "      --sweep-quants int8,int16\n"
             "      explore the whole device x precision grid in one batch;\n"
             "      all cases share one evaluation cache and duplicate cases\n"
-            "      are searched only once\n"
+            "      are searched only once (repro fleet coordinator runs the\n"
+            "      cases in parallel across worker processes)\n"
             "objectives and staged re-ranking:\n"
             "  repro explore codec_avatar_decoder --objective slo \\\n"
             "      --rerank serving --rerank-top-k 4\n"

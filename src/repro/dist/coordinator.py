@@ -63,9 +63,8 @@ class SweepCase:
 
     ``objective`` / ``rerank_oracle`` are *resolved* instances so the
     worker runs exactly the configuration the dedup key was computed
-    from. The search runs with ``workers=1`` on the worker — fleet
-    parallelism is across shards, not within them — which keeps each
-    shard on the serial code path whose determinism is already gated.
+    from. Fleet parallelism is across shards: each shard is one search,
+    run in one worker process.
     """
 
     engine: "DseEngine"
@@ -96,7 +95,6 @@ class SweepCase:
             population=self.population,
             seed=self.seed,
             heuristic_seed=self.heuristic_seed,
-            workers=1,
             cache=cache,
             objective=self.objective,
             rerank_oracle=(

@@ -40,7 +40,6 @@ from repro.dse.worker import (
     CandidateEval,
     EvalSpec,
     GenerationEvaluator,
-    SweepWorkerPool,
     evaluate_candidate,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "ServingOracle",
     "SimOracle",
     "SloObjective",
-    "SweepWorkerPool",
     "evaluate_candidate",
     "get_pf",
     "make_cache",

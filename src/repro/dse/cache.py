@@ -8,9 +8,9 @@ both built in :mod:`repro.dse.worker`:
 
 - **analytical solutions** under ``(spec digest, branch index, quantized
   budget bucket)`` — per-branch Algorithm-2 results. These are *metrics*,
-  not scores: the objective is applied parent-side after rehydration, so
-  the entries are valid under every objective and a warm cache keeps
-  hitting when the caller switches from the paper fitness to an SLO one.
+  not scores: the objective is applied after rehydration, so the entries
+  are valid under every objective and a warm cache keeps hitting when the
+  caller switches from the paper fitness to an SLO one.
   The spec digest (which deliberately excludes the objective) namespaces
   entries, so one cache can safely serve a whole sweep of different
   models, budgets, and precisions at once.
@@ -23,19 +23,15 @@ both built in :mod:`repro.dse.worker`:
 
 Backends, in the order a search should prefer them:
 
-- :class:`LocalEvalCache` — a plain dict. The default, and since the
-  parallel data path went zero-IPC (the parent deduplicates each
-  generation against this authoritative store and workers return their
-  solutions as deltas) it serves parallel searches too: worker processes
-  never touch the parent's cache directly.
+- :class:`LocalEvalCache` — a plain dict, and the default.
 - :class:`FileEvalCache` — a SQLite-backed append-log that persists across
   runs and processes. Warm-starting a search from a previous run's file is
   free, and the file is the seam for sharding one sweep across machines
   (each machine appends its deltas; a merge is a plain ``put`` loop).
 - :class:`DeltaEvalCache` — an overlay recording new entries on top of any
-  read-only base. Workers evaluate through one of these so a chunk's new
-  solutions come back as an explicit delta (``new_entries``) that the
-  parent folds into the authoritative store at the generation barrier.
+  read-only base. A fleet worker runs each shard through one of these so
+  the shard's new solutions come back as an explicit delta
+  (``new_entries``) that it ships to the coordinator.
 
 Because cached values are deterministic pure-function results, a cache hit
 is bit-identical to recomputation — sharing, persisting, or merging caches
@@ -50,7 +46,7 @@ from typing import Any, Hashable, Iterable, Iterator, Protocol
 
 
 class EvalCache(Protocol):
-    """What the evaluator and the pool plumbing need from a cache."""
+    """What the evaluator and the fleet need from a cache."""
 
     def get(self, key: Hashable) -> Any | None: ...
 
@@ -113,9 +109,9 @@ class DeltaEvalCache:
 
     Reads fall through to the base; writes land only in the overlay. The
     overlay is the *delta*: everything this cache learned that the base
-    did not already know. Workers evaluate a chunk through one of these
-    and ship ``new_entries()`` back, so the parent can fold exactly the
-    new solutions into the authoritative store without any shared state.
+    did not already know. Fleet workers run a shard through one of these
+    and ship ``new_entries()`` to the coordinator, so it can pool exactly
+    the new solutions without any shared state.
     """
 
     def __init__(self, base: EvalCache | None = None) -> None:
@@ -137,14 +133,6 @@ class DeltaEvalCache:
     def new_entries(self) -> list[tuple[Hashable, Any]]:
         """The delta: entries put here that the base never saw."""
         return list(self._delta.items())
-
-    def merge(self) -> int:
-        """Fold the delta into the base and reset; returns entries merged."""
-        merged = len(self._delta)
-        for key, value in self._delta.items():
-            self.base.put(key, value)
-        self._delta.clear()
-        return merged
 
     def items(self) -> Iterator[tuple[Hashable, Any]]:
         seen = set()
@@ -271,7 +259,7 @@ def make_cache(backend: str = "local", path: str | None = None) -> EvalCache:
     """Build an evaluation cache by backend name.
 
     - ``"local"`` — :class:`LocalEvalCache`; right for everything that
-      runs inside one engine process (serial *and* parallel searches).
+      runs inside one process.
     - ``"file"`` — :class:`FileEvalCache` at ``path``; persists across
       runs, required for warm starts and cross-machine sharding.
     """

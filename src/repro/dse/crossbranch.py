@@ -19,11 +19,9 @@ in one ``max`` would be meaningless), while the returned best design is
 the one the expensive oracle ranked highest. With no re-rank oracle the
 loop is exactly the historical Algorithm 1, bit for bit.
 
-Candidate evaluation is pure (see :mod:`repro.dse.worker`), so a
-generation's population can be scored serially or fanned out over a
-process pool (``workers > 1``) with bit-identical results: evaluation
-consumes no randomness and the parent applies best-updates in fixed
-particle order after the per-generation barrier.
+Candidate evaluation is pure (see :mod:`repro.dse.worker`): it consumes
+no randomness, and best-updates apply in fixed particle order after each
+generation is scored, so a search is a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -52,8 +50,7 @@ from repro.dse.space import Customization
 from repro.dse.worker import (
     EvalSpec,
     EvalTimings,
-    SweepWorkerPool,
-    candidate_runner,
+    GenerationEvaluator,
     evaluate_candidate,
     rerank_key,
 )
@@ -273,20 +270,12 @@ class CrossBranchOptimizer:
         seed: int | random.Random | None = 0,
         improvement_tolerance: float = 1e-9,
         heuristic_seed: bool = True,
-        workers: int = 1,
-        pool: "SweepWorkerPool | None" = None,
     ) -> tuple[float, AcceleratorConfig, list[float], int]:
         """Run the full Algorithm 1 loop.
 
         ``heuristic_seed`` plants one demand-proportional particle in the
         initial population (disable it to measure the convergence of the
         pure stochastic search, as the Sec.-VII study does).
-
-        ``workers > 1`` evaluates each generation's population on a process
-        pool (a barrier joins the generation before the PSO update); a
-        live ``pool`` (one long-lived set of workers serving a whole
-        sweep) is borrowed instead of forking a fresh one. The result is
-        bit-identical to ``workers = 1`` at the same seed either way.
 
         Returns (best fitness, best config, fitness history per iteration,
         iteration at which the global best last improved).
@@ -317,60 +306,59 @@ class CrossBranchOptimizer:
         rerank_best_metrics: BranchMetrics | None = None
         rerank_best_iteration = 0
 
-        with candidate_runner(
-            self.spec, self._cache, workers, pool=pool,
-            objective=self.objective,
-        ) as run_batch:
-            for iteration in range(iterations):
-                rows = positions.tolist()
-                results = run_batch(rows)
-                scores = np.array([result.score for result in results])
-                improved = scores > best_fitness
-                best_fitness[improved] = scores[improved]
-                best_positions[improved] = positions[improved]
-                # The global best stays a sequential scan: with the
-                # improvement tolerance, which particle wins depends on
-                # the order they are compared in.
-                for index, result in enumerate(results):
-                    self.evaluations += result.evaluations
-                    self.cache_hits += result.cache_hits
-                    if result.score > global_best_fitness + improvement_tolerance:
-                        global_best_fitness = result.score
-                        global_best_position = positions[index].copy()
-                        global_best_solutions = result.solutions
-                        self.best_metrics = result.metrics
-                        convergence_iteration = iteration + 1
-                if self.rerank_oracle is not None:
-                    # Stage 2: re-measure this generation's analytical
-                    # top-K with the expensive oracle. Sorting is stable,
-                    # so ties resolve in particle order — deterministic.
-                    ranked = sorted(
-                        range(len(rows)),
-                        key=lambda i: results[i].score,
-                        reverse=True,
-                    )[: self.rerank_top_k]
-                    for idx in ranked:
-                        metrics = self._oracle_metrics(
-                            rows[idx], results[idx].solutions
-                        )
-                        score = penalized_score(
-                            self.objective,
-                            metrics,
-                            self.customization.priorities,
-                        )
-                        if score > rerank_best_fitness + improvement_tolerance:
-                            rerank_best_fitness = score
-                            rerank_best_solutions = results[idx].solutions
-                            rerank_best_metrics = metrics
-                            rerank_best_iteration = iteration + 1
-                history.append(global_best_fitness)
-                assert global_best_position is not None
-                self.evolve(
-                    positions, velocities, best_positions, global_best_position, rng
-                )
-            self.stage_hits += run_batch.stage_hits
-            self.stage_lookups += run_batch.stage_lookups
-            self.eval_timings.add(run_batch.timings)
+        run_batch = GenerationEvaluator(
+            self.spec, self._cache, objective=self.objective
+        )
+        for iteration in range(iterations):
+            rows = positions.tolist()
+            results = run_batch(rows)
+            scores = np.array([result.score for result in results])
+            improved = scores > best_fitness
+            best_fitness[improved] = scores[improved]
+            best_positions[improved] = positions[improved]
+            # The global best stays a sequential scan: with the
+            # improvement tolerance, which particle wins depends on
+            # the order they are compared in.
+            for index, result in enumerate(results):
+                self.evaluations += result.evaluations
+                self.cache_hits += result.cache_hits
+                if result.score > global_best_fitness + improvement_tolerance:
+                    global_best_fitness = result.score
+                    global_best_position = positions[index].copy()
+                    global_best_solutions = result.solutions
+                    self.best_metrics = result.metrics
+                    convergence_iteration = iteration + 1
+            if self.rerank_oracle is not None:
+                # Stage 2: re-measure this generation's analytical
+                # top-K with the expensive oracle. Sorting is stable,
+                # so ties resolve in particle order — deterministic.
+                ranked = sorted(
+                    range(len(rows)),
+                    key=lambda i: results[i].score,
+                    reverse=True,
+                )[: self.rerank_top_k]
+                for idx in ranked:
+                    metrics = self._oracle_metrics(
+                        rows[idx], results[idx].solutions
+                    )
+                    score = penalized_score(
+                        self.objective,
+                        metrics,
+                        self.customization.priorities,
+                    )
+                    if score > rerank_best_fitness + improvement_tolerance:
+                        rerank_best_fitness = score
+                        rerank_best_solutions = results[idx].solutions
+                        rerank_best_metrics = metrics
+                        rerank_best_iteration = iteration + 1
+            history.append(global_best_fitness)
+            assert global_best_position is not None
+            self.evolve(
+                positions, velocities, best_positions, global_best_position, rng
+            )
+        self.stage_hits += run_batch.stage_hits
+        self.stage_lookups += run_batch.stage_lookups
+        self.eval_timings.add(run_batch.timings)
 
         if self.rerank_oracle is not None and rerank_best_solutions is not None:
             self.best_metrics = rerank_best_metrics

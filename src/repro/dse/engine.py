@@ -1,9 +1,9 @@
 """The DSE engine facade (paper Fig. 4, Optimization step).
 
-Single searches run Algorithm 1 serially or over a process pool
-(``workers``); :meth:`DseEngine.search_many` batches whole sweeps — a
-decoder family, a device grid, a seed study — through one shared
-evaluation cache with identical cases deduplicated outright.
+:meth:`DseEngine.search` runs Algorithm 1 once;
+:meth:`DseEngine.search_many` batches whole sweeps — a decoder family, a
+device grid, a seed study — through one shared evaluation cache with
+identical cases deduplicated outright.
 """
 
 from __future__ import annotations
@@ -25,10 +25,20 @@ from repro.dse.objective import (
 )
 from repro.dse.result import DseResult
 from repro.dse.space import Customization
-from repro.dse.worker import EvalSpec, SweepWorkerPool
+from repro.dse.worker import EvalSpec
 from repro.perf.estimator import evaluate
 from repro.quant.schemes import QuantScheme
 from repro.utils.rng import seed_fingerprint
+
+
+def require_one_worker(workers: int) -> None:
+    """Reject ``workers != 1``: every search runs in one process. The
+    parameter remains only so callers passing ``workers=1`` keep working."""
+    if workers != 1:
+        raise ValueError(
+            f"workers must be 1, got {workers}: every search runs in one "
+            f"process; run sweep cases in parallel with a fleet"
+        )
 
 
 class DseEngine:
@@ -97,9 +107,7 @@ class DseEngine:
         population: int = 200,
         seed: int | random.Random | None = 0,
         heuristic_seed: bool = True,
-        workers: int = 1,
         cache: EvalCache | None = None,
-        pool: SweepWorkerPool | None = None,
         objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int | None = None,
@@ -107,12 +115,9 @@ class DseEngine:
         """Run Algorithm 1 (which invokes Algorithm 2 per candidate).
 
         The paper's default search size is N = 20 iterations over a
-        population of P = 200 resource distributions. ``workers > 1``
-        evaluates each generation on a process pool — same best design,
-        bit for bit, as the serial search at the same seed. ``cache``
-        lets several searches share one evaluation cache and ``pool``
-        lets them share one long-lived set of worker processes (see
-        :meth:`search_many`, which wires up both).
+        population of P = 200 resource distributions. ``cache`` lets
+        several searches share one evaluation cache (see
+        :meth:`search_many`).
 
         ``objective`` / ``rerank_oracle`` / ``rerank_top_k`` override the
         engine-level objective configuration for this run. With the
@@ -142,8 +147,6 @@ class DseEngine:
             population=population,
             seed=seed,
             heuristic_seed=heuristic_seed,
-            workers=workers,
-            pool=pool,
         )
         runtime = time.perf_counter() - started
         perf = evaluate(self.plan, config, self.quant, self.frequency_mhz)
@@ -172,12 +175,10 @@ class DseEngine:
             runtime_seconds=runtime,
             evaluations=optimizer.evaluations,
             cache_hits=optimizer.cache_hits,
-            workers=max(1, workers),
             stage_hits=optimizer.stage_hits,
             stage_lookups=optimizer.stage_lookups,
             eval_seconds=timings.eval_seconds,
             cache_seconds=timings.cache_seconds,
-            overhead_seconds=timings.overhead_seconds,
             ladder_seconds=timings.ladder_seconds,
             growth_seconds=timings.growth_seconds,
             measure_seconds=timings.measure_seconds,
@@ -222,25 +223,20 @@ class DseEngine:
 
         ``cache`` may be any backend — the caller's warm
         :class:`~repro.dse.cache.LocalEvalCache`, a persistent
-        :class:`~repro.dse.cache.FileEvalCache` — and is used as-is: the
-        sweep's parent process is its only writer (workers ship deltas
-        home), so nothing needs to be promoted to a shared store or
-        drained back afterwards. File-backed caches are flushed when the
-        sweep finishes.
+        :class:`~repro.dse.cache.FileEvalCache` — and is used as-is: it
+        is the store every case reads and writes. File-backed caches are
+        flushed when the sweep finishes.
 
-        Parallel sweeps (``workers > 1``) evaluate every case on **one**
-        long-lived :class:`~repro.dse.worker.SweepWorkerPool`: workers are
-        forked once and reused across the whole sweep — no per-case pool
-        startup. Evaluation is the same pure function, so the results are
-        still bit-identical to serial runs.
-
-        ``fleet`` (a :class:`~repro.dist.coordinator.FleetSpec`) runs the
-        sweep across worker *processes* — spawned locally or joined over
-        the network — via :func:`~repro.dist.coordinator.run_fleet_sweep`:
-        same dedup, same per-case results bit for bit, with ``cache``
-        warmed from the fleet's pooled entries. ``workers`` is ignored in
-        fleet mode (each shard runs serially on its worker).
+        The cases run one after another in this process; ``workers``
+        must be 1. ``fleet`` (a
+        :class:`~repro.dist.coordinator.FleetSpec`) runs the cases in
+        parallel across worker *processes* — spawned locally or joined
+        over the network — via
+        :func:`~repro.dist.coordinator.run_fleet_sweep`: same dedup, same
+        per-case results bit for bit, with ``cache`` warmed from the
+        fleet's pooled entries.
         """
+        require_one_worker(workers)
         if fleet is not None:
             from repro.dist.coordinator import run_fleet_sweep
 
@@ -266,10 +262,7 @@ class DseEngine:
             )
         if cache is None:
             cache = LocalEvalCache()
-        pool: SweepWorkerPool | None = None
         try:
-            if workers > 1:
-                pool = SweepWorkerPool(workers)
             solved: dict[tuple, DseResult] = {}
             results: list[DseResult] = []
             for engine, case_seed in zip(engines, seeds):
@@ -305,9 +298,7 @@ class DseEngine:
                     population=population,
                     seed=case_seed,
                     heuristic_seed=heuristic_seed,
-                    workers=workers,
                     cache=cache,
-                    pool=pool,
                     objective=case_objective,
                     # A resolved "no oracle" must be passed explicitly:
                     # a bare None would read as "no override" and fall
@@ -321,8 +312,6 @@ class DseEngine:
                 results.append(result)
             return tuple(results)
         finally:
-            if pool is not None:
-                pool.close()
             flush = getattr(cache, "flush", None)
             if callable(flush):
                 flush()

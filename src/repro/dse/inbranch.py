@@ -52,7 +52,7 @@ BW_PLANNING_MARGIN = 0.90
 # lookups and hits), aggregated at snapshot time: the process-wide totals
 # are the sum over live tables plus the counts retired by tables that have
 # been garbage-collected. That keeps :func:`stage_memo_stats` monotone
-# non-decreasing — the property the workers' delta-shipping relies on —
+# non-decreasing — the property before/after snapshots rely on —
 # without any mutable module globals on the solve hot path.
 _LIVE_TABLES: "weakref.WeakSet[BranchEvalTable]" = weakref.WeakSet()
 _RETIRED_COUNTS = [0, 0]  # [hits, lookups] from collected tables
@@ -66,8 +66,8 @@ def _retire_counters(counters: list[int]) -> None:
 def stage_memo_stats() -> tuple[int, int]:
     """(hits, lookups) served by stage-level memo tables so far.
 
-    Snapshot before/after a batch of work to attribute the delta (workers
-    do exactly that and ship the delta home per chunk). The totals only
+    Snapshot before/after a batch of work to attribute the delta (the
+    generation evaluator does exactly that per solve). The totals only
     ever grow: live tables are summed directly, and a table's final counts
     are folded into the retired accumulator when it is collected.
     """
@@ -84,7 +84,7 @@ class BranchSolution:
 
     This is the objective-independent unit the evaluation cache stores:
     a pure function of the problem spec and the budget bucket, with no
-    fitness baked in. The parent derives a candidate's
+    fitness baked in. The evaluator derives a candidate's
     :class:`~repro.dse.objective.BranchMetrics` from its per-branch
     solutions (``fps``, ``meets_batch_target``) and scores those with
     whatever objective is configured — which is why cached solutions stay

@@ -12,7 +12,7 @@ Splitting the two is what makes the evaluation cache objective-independent:
 Algorithm-2 solutions (and the analytical metrics derived from them) are a
 pure function of the problem spec and the budget bucket, so a warm cache
 keeps hitting when the caller switches from the paper's Sec. VI-B1 fitness
-to an SLO objective — only the cheap parent-side scoring changes.
+to an SLO objective — only the cheap scoring changes.
 
 Oracles, from cheapest to most expensive:
 

@@ -6,7 +6,8 @@ checkpoints, regression fixtures — without pickle's coupling to class
 layout. It is forward-tolerant: fields added after a payload was
 written simply take their defaults on load, which the pinned fixture
 under ``tests/data/`` holds. Keys for fields that no longer exist (the
-``surrogate_stats`` block older searches wrote) are ignored on load.
+``surrogate_stats`` block older searches wrote, and the two keys of the
+removed process pool) are ignored on load.
 """
 
 from __future__ import annotations
@@ -37,20 +38,16 @@ class DseResult:
     runtime_seconds: float
     evaluations: int  # Algorithm-2 solves actually run (cache misses)
     cache_hits: int
-    workers: int = 1
     # Algorithm 2's inner memo tables (GetPF realizations and per-stage
     # latency/resource evaluations): how many inner steps were looked up,
     # and how many were served without recomputation.
     stage_hits: int = 0
     stage_lookups: int = 0
-    # Where the wall time went: aggregate Algorithm-2 solve time (CPU
-    # seconds across workers), parent-side cache bookkeeping, and pool
-    # dispatch overhead. Serial searches have zero overhead by definition.
-    # ``cache_seconds`` also holds objective scoring: the parent scores
-    # each candidate while it reassembles the candidate's solutions.
+    # Where the wall time went: Algorithm-2 solve time and cache
+    # bookkeeping. ``cache_seconds`` also holds objective scoring: each
+    # candidate is scored while its solutions are reassembled.
     eval_seconds: float = 0.0
     cache_seconds: float = 0.0
-    overhead_seconds: float = 0.0
     # The batched Algorithm-2 kernel's phase split of eval_seconds: rung
     # descent over the precomputed ladder, bottleneck-doubling growth, and
     # final branch measurement. Zero on payloads written before the kernel
@@ -132,7 +129,7 @@ class DseResult:
                 self.best_perf.total_bram,
                 f"{self.best_perf.fps:.1f}",
                 f"{100 * self.best_perf.overall_efficiency:.1f}",
-                f"DSE {self.runtime_seconds:.1f}s x{self.workers}w "
+                f"DSE {self.runtime_seconds:.1f}s "
                 f"(converged @ iter {self.convergence_iteration}, "
                 f"{100 * self.cache_hit_rate:.0f}% cache hits)",
             ]
@@ -248,7 +245,11 @@ def _metrics_from_dict(data: dict[str, Any]) -> BranchMetrics:
 
 
 def result_to_dict(result: DseResult) -> dict[str, Any]:
-    """Serialize a result to plain dicts/lists (stable JSON shape)."""
+    """Serialize a result to plain dicts/lists (stable JSON shape).
+
+    The removed process pool's two keys stay, as constants, until the
+    next format version: every search runs in one process.
+    """
     return {
         "version": RESULT_FORMAT_VERSION,
         "best_config": config_to_dict(result.best_config),
@@ -259,12 +260,12 @@ def result_to_dict(result: DseResult) -> dict[str, Any]:
         "runtime_seconds": result.runtime_seconds,
         "evaluations": result.evaluations,
         "cache_hits": result.cache_hits,
-        "workers": result.workers,
+        "workers": 1,
         "stage_hits": result.stage_hits,
         "stage_lookups": result.stage_lookups,
         "eval_seconds": result.eval_seconds,
         "cache_seconds": result.cache_seconds,
-        "overhead_seconds": result.overhead_seconds,
+        "overhead_seconds": 0.0,
         "ladder_seconds": result.ladder_seconds,
         "growth_seconds": result.growth_seconds,
         "measure_seconds": result.measure_seconds,
@@ -290,7 +291,8 @@ def result_from_dict(data: dict[str, Any]) -> DseResult:
 
     Payloads written before a field existed load fine: absent optional
     keys fall back to the dataclass defaults. Keys this codec no longer
-    reads (``surrogate_stats``) are ignored.
+    reads (``surrogate_stats`` and the removed process pool's two keys)
+    are ignored.
     """
     version = data.get("version", RESULT_FORMAT_VERSION)
     if version != RESULT_FORMAT_VERSION:
@@ -306,12 +308,10 @@ def result_from_dict(data: dict[str, Any]) -> DseResult:
             runtime_seconds=data["runtime_seconds"],
             evaluations=data["evaluations"],
             cache_hits=data["cache_hits"],
-            workers=data.get("workers", 1),
             stage_hits=data.get("stage_hits", 0),
             stage_lookups=data.get("stage_lookups", 0),
             eval_seconds=data.get("eval_seconds", 0.0),
             cache_seconds=data.get("cache_seconds", 0.0),
-            overhead_seconds=data.get("overhead_seconds", 0.0),
             ladder_seconds=data.get("ladder_seconds", 0.0),
             growth_seconds=data.get("growth_seconds", 0.0),
             measure_seconds=data.get("measure_seconds", 0.0),

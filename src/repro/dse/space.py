@@ -11,6 +11,7 @@ layers scale on this architecture but not on DNNBuilder's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.arch.config import StageConfig
@@ -42,8 +43,10 @@ class Customization:
             )
         if any(b < 1 for b in self.batch_sizes):
             raise ValueError(f"batch sizes must be >= 1: {self.batch_sizes}")
-        if any(p < 0 for p in self.priorities):
-            raise ValueError(f"priorities must be >= 0: {self.priorities}")
+        if not all(0 <= p < math.inf for p in self.priorities):
+            raise ValueError(
+                f"priorities must be finite and >= 0: {self.priorities}"
+            )
         if self.max_h is not None and self.max_h < 1:
             raise ValueError(f"max_h must be >= 1: {self.max_h}")
         if self.max_pf is not None and self.max_pf < 1:

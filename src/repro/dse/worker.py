@@ -6,60 +6,48 @@ function of an :class:`EvalSpec` (the frozen problem statement: plan,
 budget, customization, quantization, frequency) and a candidate position,
 memoized under keys of ``(spec digest, branch index, quantized budget
 bucket)``. Scoring is *not* part of the cached work: the cache stores
-objective-independent metrics (Algorithm-2 solutions), and the parent
+objective-independent metrics (Algorithm-2 solutions), and the evaluator
 applies the :class:`~repro.dse.objective.Objective` to the rehydrated
 metrics — so a warm cache keeps hitting after the caller switches
-objectives, and workers never need to know what "good" means.
+objectives, and the kernel never needs to know what "good" means.
 
-The data path is built to move as little as possible between processes:
+A generation's data path:
 
 1. **Generation-level dedup** — before a generation is evaluated, the
-   parent quantizes every candidate position to its cache buckets and
+   evaluator quantizes every candidate position to its cache buckets and
    keeps only the *unique, unseen* ``(branch, bucket)`` subproblems. PSO
    populations re-visit buckets constantly (frozen particles, converged
-   swarms, overlapping sweeps), and every revisit is settled in the
-   parent for the price of a dict lookup.
-2. **Zero-IPC parallelism** — the surviving subproblems are chunked over
-   a process pool; each worker solves its chunk through a per-process
-   :class:`~repro.dse.cache.DeltaEvalCache` and returns the delta (the
-   ``(key, solution)`` entries plus solve-time and memo statistics). The
-   parent folds deltas into the authoritative cache at the generation
-   barrier, so no cache lookup ever crosses a process boundary.
-3. **Rehydration** — the parent reassembles every candidate's solutions
-   in submission order from the generation's lookups (each unique key is
-   read from the cache once) and its solves, and scores them inline;
-   candidates that resolve to the same solution objects share one
+   swarms, overlapping sweeps), and every revisit is settled for the
+   price of a dict lookup.
+2. **Batched solve** — the surviving subproblems go to the batched
+   Algorithm-2 kernel in one pass per branch, and the solutions are
+   bulk-inserted into the cache.
+3. **Rehydration** — the evaluator reassembles every candidate's
+   solutions in submission order from the generation's lookups (each
+   unique key is read from the cache once) and its solves, and scores
+   them; candidates that resolve to the same solution objects share one
    metrics record per search.
 
-Both serial and parallel paths run the identical arithmetic on the
-identical inputs through :class:`GenerationEvaluator`, so a parallel
-search is bit-identical to a serial one at the same seed — the particle
-update order in the parent is fixed and candidate evaluation consumes no
-randomness.
+Candidate evaluation consumes no randomness, so a search is a pure
+function of its seed. Several searches run in parallel as separate
+processes, one sweep case each, through :mod:`repro.dist` (``repro
+fleet``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.construction.reorg import PipelinePlan
 from repro.devices.budget import ResourceBudget
-from repro.dse.cache import (
-    DeltaEvalCache,
-    EvalCache,
-    LocalEvalCache,
-    put_entries,
-)
+from repro.dse.cache import EvalCache, put_entries
 from repro.dse.kernel import KernelTimings, solve_buckets
 from repro.dse.objective import (
     INFEASIBILITY_PENALTY,
@@ -98,9 +86,8 @@ class EvalSpec:
     Deliberately objective-free: the spec (and therefore its digest, which
     namespaces every cache key) describes only what is being evaluated —
     plan, budget, customization, quantization, frequency. How candidates
-    are *scored* lives in the parent-side
-    :class:`~repro.dse.objective.Objective`, so switching objectives never
-    invalidates a warm cache.
+    are *scored* lives in the :class:`~repro.dse.objective.Objective`, so
+    switching objectives never invalidates a warm cache.
     """
 
     plan: PipelinePlan
@@ -129,7 +116,7 @@ class CandidateEval:
     """Metrics, score, and solutions for one candidate, with cache stats.
 
     ``metrics`` is the oracle-layer record (objective-independent);
-    ``score`` is the parent-applied objective over those metrics, kept
+    ``score`` is the objective applied to those metrics, kept
     alongside so the PSO loop does not re-score per comparison.
     """
 
@@ -208,37 +195,24 @@ def rerank_key(
 
 
 # ---------------------------------------------------------------------------
-# per-process state: Algorithm-2 tables and the worker-side L1
+# per-process state: Algorithm-2 tables
 # ---------------------------------------------------------------------------
 #: Branch tables are expensive to warm (their memo dicts are the hot-path
 #: optimization) but tiny, so they are kept per process keyed by
-#: (spec digest, branch). Forked workers inherit the parent's warm tables
-#: for free. The cap only guards pathological sweeps over thousands of
-#: distinct specs in one long-lived process.
+#: (spec digest, branch). The cap only guards pathological sweeps over
+#: thousands of distinct specs in one long-lived process.
 _TABLES: dict[tuple[str, int], BranchEvalTable] = {}
 _TABLES_CAP = 512
 
-#: Worker-side L1 of solved buckets. The parent's generation dedup means a
-#: well-behaved driver never sends the same key twice, so this is a cheap
-#: safety net for custom drivers — and the base the per-chunk delta cache
-#: overlays.
-_WORKER_L1 = LocalEvalCache()
-_WORKER_L1_CAP = 200_000
-
 
 def clear_process_caches() -> None:
-    """Drop this process's warm tables and solved-bucket L1.
+    """Drop this process's warm Algorithm-2 tables.
 
     Benchmark / test hygiene only: back-to-back measured runs in one
     process (e.g. perfbench's repetitions) would otherwise leak the
-    first run's warm Algorithm-2 tables into the second — via plain
-    module state in the parent and via fork inheritance in its workers —
-    and blur the comparison.
+    first run's warm tables into the second and blur the comparison.
     """
     _TABLES.clear()
-    _WORKER_L1.clear()
-    _SPEC_BLOBS.clear()
-    _POOL_SPECS.clear()
 
 
 def branch_table(spec: EvalSpec, branch: int) -> BranchEvalTable:
@@ -347,144 +321,26 @@ def evaluate_candidate(
 
 
 # ---------------------------------------------------------------------------
-# worker protocol: chunks of subproblems in, deltas out
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class ChunkResult:
-    """One worker's answer for a chunk: the cache delta plus statistics.
-
-    ``solve_seconds`` is CPU time (scheduling-robust); the kernel phase
-    split (``ladder`` / ``growth`` / ``measure``) is wall time from the
-    batched solver, attributing *where* inside Algorithm 2 the solve time
-    went rather than re-measuring its total.
-    """
-
-    entries: tuple[tuple[EvalKey, BranchSolution], ...]
-    solve_seconds: float
-    stage_hits: int
-    stage_lookups: int
-    ladder_seconds: float = 0.0
-    growth_seconds: float = 0.0
-    measure_seconds: float = 0.0
-
-
-def solve_chunk(spec: EvalSpec, keys: Sequence[EvalKey]) -> ChunkResult:
-    """Solve a chunk of ``(branch, bucket)`` subproblems, returning deltas.
-
-    Runs in the worker process. The chunk's unseen keys are solved in one
-    batched-kernel pass per branch through a :class:`DeltaEvalCache` over
-    the process-local L1, so repeated keys (possible only with custom
-    drivers — the engine dedups) cost nothing, and every requested key
-    comes back in ``entries`` either way.
-    """
-    hits_before, lookups_before = stage_memo_stats()
-    # CPU time, not wall: on an oversubscribed machine a worker's wall
-    # clock includes time it spent scheduled out, which would overstate
-    # the solve cost by the contention factor.
-    started = time.process_time()
-    kernel_timings = KernelTimings()
-    delta = DeltaEvalCache(_WORKER_L1)
-    todo = []
-    todo_set = set()
-    for key in keys:
-        if key not in todo_set and delta.get(key) is None:
-            todo_set.add(key)
-            todo.append(key)
-    if todo:
-        solved = solve_key_batch(spec, todo, kernel_timings)
-        put_entries(delta, [(key, solved[key]) for key in todo])
-    entries = [(key, delta.get(key)) for key in keys]
-    if len(_WORKER_L1) >= _WORKER_L1_CAP:
-        _WORKER_L1.clear()
-    delta.merge()
-    hits_after, lookups_after = stage_memo_stats()
-    return ChunkResult(
-        entries=tuple(entries),
-        solve_seconds=time.process_time() - started,
-        stage_hits=hits_after - hits_before,
-        stage_lookups=lookups_after - lookups_before,
-        ladder_seconds=kernel_timings.ladder_seconds,
-        growth_seconds=kernel_timings.growth_seconds,
-        measure_seconds=kernel_timings.measure_seconds,
-    )
-
-
-# Chunk transport is kept lean: the parent pickles each spec once (memo
-# below), workers unpickle each digest once (memo below), and keys travel
-# as bare (branch, bucket) pairs — the 40-char digest they share rides
-# along once per chunk instead of once per key.
-_SPEC_BLOBS: dict[str, bytes] = {}
-_POOL_SPECS: dict[str, EvalSpec] = {}
-
-#: (digest, pickled spec, per-key (branch, bucket) pairs)
-ChunkTask = tuple[str, bytes, tuple[tuple[int, tuple[int, int, int]], ...]]
-
-
-def _spec_blob(spec: EvalSpec) -> bytes:
-    blob = _SPEC_BLOBS.get(spec.digest)
-    if blob is None:
-        if len(_SPEC_BLOBS) >= _TABLES_CAP:
-            _SPEC_BLOBS.clear()
-        blob = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-        _SPEC_BLOBS[spec.digest] = blob
-    return blob
-
-
-def _run_chunk(task: ChunkTask) -> ChunkResult:
-    digest, blob, pairs = task
-    spec = _POOL_SPECS.get(digest)
-    if spec is None:
-        if len(_POOL_SPECS) >= _TABLES_CAP:
-            _POOL_SPECS.clear()
-        spec = pickle.loads(blob)
-        _POOL_SPECS[digest] = spec
-    keys = [(digest, branch, bucket) for branch, bucket in pairs]
-    return solve_chunk(spec, keys)
-
-
-def _chunk_tasks(
-    spec: EvalSpec, keys: Sequence[EvalKey], workers: int
-) -> list[ChunkTask]:
-    """Split the generation's unique subproblems into pool-sized tasks."""
-    pairs = [(key[1], key[2]) for key in keys]
-    chunks = max(1, min(len(pairs), workers * 2))
-    size = -(-len(pairs) // chunks)
-    blob = _spec_blob(spec)
-    return [
-        (spec.digest, blob, tuple(pairs[i : i + size]))
-        for i in range(0, len(pairs), size)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# the per-generation evaluator (serial and parallel share it)
+# the per-generation evaluator
 # ---------------------------------------------------------------------------
 @dataclass
 class EvalTimings:
     """Where one search's candidate-evaluation time went.
 
-    ``eval_seconds`` is aggregate Algorithm-2 solve CPU time, summed
-    across workers for parallel runs (serial runs measure the same loop
-    inline, where CPU and wall coincide). ``cache_seconds`` is the
-    parent-side bucketing / dedup / fold / rehydration cost, and it
-    includes objective scoring, which runs during rehydration.
-    ``overhead_seconds`` is everything else a dispatched generation
-    cost: pickling, scheduling, result transport, and core contention —
-    the dispatch wall minus the solve time's ideal share per worker,
-    clamped at zero.
+    ``eval_seconds`` is the wall time of the batched Algorithm-2 solves
+    and of inserting their solutions into the cache. ``cache_seconds``
+    is the bucketing / dedup / rehydration cost, and it includes
+    objective scoring, which runs during rehydration.
 
     The ``ladder`` / ``growth`` / ``measure`` fields split the batched
     kernel's share of ``eval_seconds`` by Algorithm-2 phase (building
     rung tables for new bandwidth values and looking up each bucket's
-    stop rung, bottleneck doubling, final branch measurement). They are
-    wall-clock inside the solving process, so under heavy core
-    contention their sum can drift from the CPU-time ``eval_seconds``;
-    they attribute where the solve went, they do not re-measure it.
+    stop rung, bottleneck doubling, final branch measurement). They
+    attribute where the solve went, they do not re-measure it.
     """
 
     eval_seconds: float = 0.0
     cache_seconds: float = 0.0
-    overhead_seconds: float = 0.0
     ladder_seconds: float = 0.0
     growth_seconds: float = 0.0
     measure_seconds: float = 0.0
@@ -492,15 +348,9 @@ class EvalTimings:
     def add(self, other: "EvalTimings") -> None:
         self.eval_seconds += other.eval_seconds
         self.cache_seconds += other.cache_seconds
-        self.overhead_seconds += other.overhead_seconds
         self.ladder_seconds += other.ladder_seconds
         self.growth_seconds += other.growth_seconds
         self.measure_seconds += other.measure_seconds
-
-
-#: A submit callback ships unique unseen keys to workers and returns their
-#: chunk results; ``None`` means solve inline (serial).
-SubmitFn = Callable[[Sequence[EvalKey]], "list[ChunkResult]"]
 
 
 class GenerationEvaluator:
@@ -508,12 +358,12 @@ class GenerationEvaluator:
 
     Calling the evaluator IS the per-generation barrier: it returns one
     :class:`CandidateEval` per position, in submission order, after every
-    unique unseen subproblem of the generation has been solved and folded
-    into the authoritative cache.
+    unique unseen subproblem of the generation has been solved and put
+    into the cache.
 
     The evaluator produces *metrics* from the cache and applies the
-    objective parent-side during rehydration — workers only ever solve
-    buckets, so cached entries stay objective-independent. Candidates
+    objective during rehydration — the kernel only ever solves buckets,
+    so cached entries stay objective-independent. Candidates
     that resolve to the same solution objects are the same design: its
     metrics record is built once per evaluator (one search) and
     remembered under the solutions' identities; the objective scores
@@ -529,15 +379,11 @@ class GenerationEvaluator:
         self,
         spec: EvalSpec,
         cache: EvalCache,
-        submit: SubmitFn | None = None,
-        workers: int = 1,
         objective: Objective | None = None,
     ) -> None:
         self.spec = spec
         self.cache = cache
-        self.workers = max(1, workers)
         self.objective = objective if objective is not None else PaperObjective()
-        self._submit = submit
         self.timings = EvalTimings()
         self.stage_hits = 0
         self.stage_lookups = 0
@@ -563,29 +409,6 @@ class GenerationEvaluator:
         self.stage_hits += hits_after - hits_before
         self.stage_lookups += lookups_after - lookups_before
         return solved
-
-    def _solve_pooled(
-        self, todo: Sequence[EvalKey]
-    ) -> dict[EvalKey, BranchSolution]:
-        dispatched = time.perf_counter()
-        results = self._submit(todo)
-        dispatch_wall = time.perf_counter() - dispatched
-        solve_seconds = 0.0
-        fold: list[tuple[EvalKey, BranchSolution]] = []
-        for result in results:
-            fold.extend(result.entries)
-            solve_seconds += result.solve_seconds
-            self.stage_hits += result.stage_hits
-            self.stage_lookups += result.stage_lookups
-            self.timings.ladder_seconds += result.ladder_seconds
-            self.timings.growth_seconds += result.growth_seconds
-            self.timings.measure_seconds += result.measure_seconds
-        put_entries(self.cache, fold)
-        self.timings.eval_seconds += solve_seconds
-        self.timings.overhead_seconds += max(
-            0.0, dispatch_wall - solve_seconds / self.workers
-        )
-        return dict(fold)
 
     def __call__(
         self, positions: Sequence[Sequence[float]]
@@ -614,13 +437,7 @@ class GenerationEvaluator:
         self.timings.cache_seconds += time.perf_counter() - bucket_started
 
         if todo:
-            # Tiny generations are not worth a round-trip to the pool.
-            if self._submit is None or len(todo) < self.workers:
-                found.update(self._solve_inline(todo))
-            else:
-                found.update(self._solve_pooled(todo))
-            unsolved = [key for key in todo if found[key] is None]
-            assert not unsolved, f"buckets never solved: {unsolved}"
+            found.update(self._solve_inline(todo))
 
         rehydrate_started = time.perf_counter()
         priorities = self.spec.customization.priorities
@@ -649,120 +466,19 @@ class GenerationEvaluator:
         return out
 
 
-# ---------------------------------------------------------------------------
-# pools
-# ---------------------------------------------------------------------------
-class SweepWorkerPool:
-    """A process pool that outlives one search and serves a whole sweep.
-
-    ``candidate_runner`` forks (and tears down) a fresh pool per search,
-    which is the right shape for a single exploration but wastes startup
-    on every case of a batch sweep. This pool is created once per sweep
-    and fed chunks of ``(branch, bucket)`` subproblems; workers memoize
-    each spec's Algorithm-2 tables by digest, so dispatching case #37
-    costs the same as case #1 — no shared cache, no spec registration,
-    no bookkeeping entries to clean up.
-
-    Evaluation stays the same pure function either way, so results are
-    bit-identical to per-search pools and to serial evaluation.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("need at least one worker")
-        self.workers = workers
-        self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context(),
-        )
-
-    def solve(
-        self, spec: EvalSpec, keys: Sequence[EvalKey]
-    ) -> list[ChunkResult]:
-        """Solve one generation's unique subproblems, chunked over workers."""
-        assert self._pool is not None, "pool is closed"
-        tasks = _chunk_tasks(spec, keys, self.workers)
-        return list(self._pool.map(_run_chunk, tasks))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "SweepWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-@contextmanager
-def candidate_runner(
-    spec: EvalSpec,
-    cache: EvalCache,
-    workers: int = 1,
-    pool: SweepWorkerPool | None = None,
-    objective: Objective | None = None,
-) -> Iterator[GenerationEvaluator]:
-    """Yield the generation evaluator for one search.
-
-    The yielded callable evaluates one generation's positions and returns
-    results in submission order — calling it IS the per-generation
-    barrier. ``cache`` is the authoritative store in every mode (local or
-    file-backed — the parent is its only writer during the search).
-    ``workers > 1`` forks a pool for the search's lifetime; a live
-    :class:`SweepWorkerPool` takes precedence, and its lifetime belongs
-    to the sweep that owns it.
-    """
-    if pool is not None:
-        yield GenerationEvaluator(
-            spec,
-            cache,
-            submit=lambda keys: pool.solve(spec, keys),
-            workers=pool.workers,
-            objective=objective,
-        )
-        return
-
-    if workers <= 1:
-        yield GenerationEvaluator(spec, cache, objective=objective)
-        return
-
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context(),
-    ) as executor:
-
-        def submit(keys: Sequence[EvalKey]) -> list[ChunkResult]:
-            tasks = _chunk_tasks(spec, keys, workers)
-            return list(executor.map(_run_chunk, tasks))
-
-        yield GenerationEvaluator(
-            spec,
-            cache,
-            submit=submit,
-            workers=workers,
-            objective=objective,
-        )
-
-
 __all__ = [
     "CandidateEval",
-    "ChunkResult",
     "EvalKey",
     "EvalSpec",
     "EvalTimings",
     "GenerationEvaluator",
     "INFEASIBILITY_PENALTY",
-    "SweepWorkerPool",
     "branch_table",
     "candidate_keys",
-    "candidate_runner",
     "canonical_rd",
     "evaluate_candidate",
     "quantize_rd",
     "rerank_key",
     "solve_bucket",
-    "solve_chunk",
     "solve_key_batch",
 ]

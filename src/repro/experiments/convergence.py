@@ -26,7 +26,6 @@ class ConvergenceResult:
     device: str
     quant_name: str
     searches: tuple[DseResult, ...]
-    workers: int = 1
 
     @property
     def convergence_iterations(self) -> list[int]:
@@ -76,10 +75,6 @@ class ConvergenceResult:
         return sum(s.cache_seconds for s in self.searches)
 
     @property
-    def overhead_seconds(self) -> float:
-        return sum(s.overhead_seconds for s in self.searches)
-
-    @property
     def fitness_spread_pct(self) -> float:
         """Relative spread of the best fitness across seeds."""
         best = [s.best_fitness for s in self.searches]
@@ -125,7 +120,6 @@ def run_convergence(
     iterations: int = paper.CONVERGENCE_ITERATIONS,
     population: int = paper.CONVERGENCE_POPULATION,
     heuristic_seed: bool = False,
-    workers: int = 1,
     objective: str = "paper",
 ) -> ConvergenceResult:
     """Run repeated independent searches and collect convergence stats.
@@ -136,8 +130,7 @@ def run_convergence(
 
     The searches run as one batch (:meth:`DseEngine.search_many`): they
     share an evaluation cache — seeds agree on many in-branch subproblems
-    even when their swarms differ — and ``workers > 1`` evaluates each
-    generation on a process pool. Neither changes any search's result.
+    even when their swarms differ — which changes no search's result.
     ``objective`` picks the fitness (``"paper"`` reproduces the study).
     """
     plan = build_pipeline_plan(build_codec_avatar_decoder())
@@ -162,12 +155,10 @@ def run_convergence(
         population=population,
         seeds=list(range(searches)),
         heuristic_seed=heuristic_seed,
-        workers=workers,
         objective=objective,
     )
     return ConvergenceResult(
         device=device_name,
         quant_name=quant_name,
         searches=tuple(results),
-        workers=max(1, workers),
     )

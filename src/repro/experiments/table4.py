@@ -86,13 +86,11 @@ def run_table4(
     population: int = 200,
     seed: int = 0,
     cases: tuple[int, ...] = (1, 2, 3, 4, 5),
-    workers: int = 1,
 ) -> Table4Result:
     """Run the F-CAD flow for the requested Table IV cases.
 
-    The five cases run as one batch sweep: a shared evaluation cache plus
-    (with ``workers > 1``) process-pool generations — results per case are
-    identical to running each flow on its own.
+    The five cases run as one batch sweep with a shared evaluation cache —
+    results per case are identical to running each flow on its own.
     """
     network = build_codec_avatar_decoder()
     customization = Customization(
@@ -114,7 +112,6 @@ def run_table4(
         iterations=iterations,
         population=population,
         seed=seed,
-        workers=workers,
     )
     return Table4Result(
         cases=tuple(

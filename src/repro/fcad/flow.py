@@ -17,7 +17,7 @@ Usage::
         quant=INT8,
         customization=Customization(batch_sizes=(1, 2, 2),
                                     priorities=(1.0, 1.0, 1.0)),
-    ).run(workers=4)
+    ).run()
     print(result.render())
 
 Whole families and device grids go through the batch entry point, which
@@ -30,8 +30,12 @@ ones::
             devices=["Z7045", "ZU17EG", "ZU9CG"],
             quants=["int8", "int16"],
         ),
-        workers=4,
     )
+
+Each search runs in one process; to run a sweep's cases in parallel
+across worker processes, pass a :class:`~repro.dist.coordinator.FleetSpec`
+to :meth:`~repro.dse.engine.DseEngine.search_many` or use ``repro fleet
+coordinator``.
 
 A found design can then be *deployed*: :mod:`repro.serving` batches live
 decode requests from many avatars onto simulated replicas of it::
@@ -70,7 +74,7 @@ from repro.devices.asic import AsicSpec
 from repro.devices.budget import ResourceBudget
 from repro.devices.fpga import FpgaDevice, get_device
 from repro.dse.cache import EvalCache
-from repro.dse.engine import DseEngine
+from repro.dse.engine import DseEngine, require_one_worker
 from repro.dse.result import DseResult
 from repro.dse.space import Customization
 from repro.ir.graph import NetworkGraph
@@ -267,8 +271,7 @@ class FCad:
     ) -> FcadResult:
         """Execute Analysis, Construction and Optimization.
 
-        ``workers > 1`` evaluates each DSE generation on a process pool;
-        the found design is bit-identical to the serial search. ``cache``
+        The search runs in this process; ``workers`` must be 1. ``cache``
         plugs in an evaluation-cache backend (e.g. a persistent
         :class:`~repro.dse.cache.FileEvalCache` for warm starts across
         runs); the default is a fresh in-process cache.
@@ -283,12 +286,12 @@ class FCad:
         variance-penalty weight. The defaults reproduce the paper's search
         bit for bit.
         """
+        require_one_worker(workers)
         analysis, plan, engine = self.prepare(alpha=alpha)
         dse = engine.search(
             iterations=iterations,
             population=population,
             seed=seed,
-            workers=workers,
             cache=cache,
             objective=objective,
             rerank_oracle=rerank_oracle,
@@ -351,7 +354,8 @@ def run_sweep(
     this one's solutions; because cache entries are objective-independent
     metrics, a sweep under a new objective still warm-starts from an old
     sweep's file. ``objective`` / ``rerank_oracle`` / ``rerank_top_k``
-    apply to every case.
+    apply to every case. The cases run one after another in this process;
+    ``workers`` must be 1.
     """
     prepared = [flow.prepare() for flow in flows]
     dse_results = DseEngine.search_many(

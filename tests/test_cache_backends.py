@@ -3,8 +3,8 @@
 Every backend implements the same tiny mapping protocol, so one shared
 test suite runs against all of them; backend-specific guarantees
 (persistence, delta tracking) get their own classes. The
-final class asserts the property everything rests on: serial, parallel,
-and file-backed warm-started searches return the same DseResult.
+final class asserts the property everything rests on: fresh-cache and
+file-backed cold and warm-started searches return the same DseResult.
 """
 
 from __future__ import annotations
@@ -130,16 +130,7 @@ class TestDeltaCache:
         delta = DeltaEvalCache(base)
         delta.put("new", 2)
         assert delta.new_entries() == [("new", 2)]
-        assert base.get("new") is None  # not merged yet
-
-    def test_merge_folds_into_base_and_resets(self):
-        base = LocalEvalCache()
-        delta = DeltaEvalCache(base)
-        delta.put("a", 1)
-        delta.put("b", 2)
-        assert delta.merge() == 2
-        assert base.get("a") == 1 and base.get("b") == 2
-        assert delta.new_entries() == []
+        assert base.get("new") is None  # writes stay in the overlay
 
     def test_items_unions_without_duplicates(self):
         base = LocalEvalCache()
@@ -152,12 +143,12 @@ class TestDeltaCache:
         assert len(delta) == 2
 
     def test_put_many_lands_in_the_delta(self):
-        """Bulk inserts must ship home with the chunk like put() does."""
+        """Bulk inserts must land in the delta like put() does."""
         base = LocalEvalCache()
         delta = DeltaEvalCache(base)
         put_entries(delta, [("a", 1), ("b", 2)])
         assert sorted(delta.new_entries()) == [("a", 1), ("b", 2)]
-        assert base.get("a") is None  # not merged yet
+        assert base.get("a") is None  # writes stay in the overlay
 
 
 class TestFileCache:
@@ -202,7 +193,7 @@ class TestFileCache:
 
 
 class TestBitIdentity:
-    """Serial, parallel, and warm-started searches agree bit for bit."""
+    """Fresh-cache, file-backed, and warm-started searches agree bit for bit."""
 
     @pytest.fixture(scope="class")
     def engine(self):
@@ -216,10 +207,9 @@ class TestBitIdentity:
             quant=INT8,
         )
 
-    def test_serial_parallel_and_file_warm_agree(self, engine, tmp_path):
+    def test_fresh_and_file_warm_agree(self, engine, tmp_path):
         size = dict(iterations=2, population=10, seed=13)
-        serial = engine.search(**size)
-        parallel = engine.search(**size, workers=2)
+        fresh = engine.search(**size)
 
         path = tmp_path / "warm.sqlite"
         with FileEvalCache(path) as cold_cache:
@@ -228,12 +218,12 @@ class TestBitIdentity:
             preloaded = len(warm_cache)
             warm = engine.search(**size, cache=warm_cache)
 
-        for result in (parallel, cold, warm):
-            assert result.best_fitness == serial.best_fitness
-            assert result.best_config == serial.best_config
-            assert result.history == serial.history
+        for result in (cold, warm):
+            assert result.best_fitness == fresh.best_fitness
+            assert result.best_config == fresh.best_config
+            assert result.history == fresh.history
             assert (
-                result.convergence_iteration == serial.convergence_iteration
+                result.convergence_iteration == fresh.convergence_iteration
             )
         # The warm start really was warm: every bucket came from the file.
         assert preloaded > 0

@@ -104,6 +104,15 @@ def test_perfbench_smoke_job_checks_pinned_dse_runs():
     assert len(set(logs)) == len(logs)
 
 
+def test_only_fleet_steps_pass_workers():
+    """``--workers`` counts fleet processes; no other command takes it."""
+    for job in load_workflow()["jobs"].values():
+        for step in job["steps"]:
+            run = step.get("run", "")
+            if "--workers" in run:
+                assert "repro fleet coordinator" in run, step["name"]
+
+
 def test_every_file_a_step_runs_exists():
     scripts = {
         path

@@ -77,18 +77,6 @@ class TestExplore:
         )
         assert "Br.2" in out
 
-    def test_explore_workers(self, capsys):
-        out = run_cli(
-            capsys,
-            "explore",
-            "tiny_yolo",
-            "--device", "Z7045",
-            "--iterations", "2",
-            "--population", "8",
-            "--workers", "2",
-        )
-        assert "F-CAD generated accelerator" in out
-
     def test_explore_sweep(self, capsys):
         out = run_cli(
             capsys,
@@ -176,13 +164,56 @@ class TestExplore:
         assert "Batch sweep results" in out
 
 
+#: Every command that explores a design takes --batch and --priority.
+SEARCH_COMMANDS = ["explore", "simulate", "serve", "generate"]
+
+
+def refuse_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("explored before refusing the flag")
+
+    monkeypatch.setattr("repro.cli.FCad", no_search)
+
+
 class TestValidation:
-    @pytest.mark.parametrize("value", ["0", "-2", "2.5", "four"])
-    def test_workers_rejects_bad_values(self, capsys, value):
+    @pytest.mark.parametrize("command", SEARCH_COMMANDS)
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--batch", "1,1,x"], "positive integer, got 'x'"),
+            (["--batch", "0,1,1"], "positive integer, got 0"),
+            (["--batch", "1,,2"], "positive integer, got ''"),
+            (["--priority=-1,1,1"], "finite non-negative number, got -1.0"),
+            (["--priority", "nan,1,1"], "finite non-negative number, got nan"),
+            (["--priority", "inf,1,1"], "finite non-negative number, got inf"),
+            (["--priority", "1,one,1"], "finite non-negative number, got 'one'"),
+        ],
+    )
+    def test_malformed_customization_lists_rejected(
+        self, capsys, monkeypatch, command, argv, message
+    ):
+        refuse_search(monkeypatch)
         with pytest.raises(SystemExit) as excinfo:
-            main(["explore", "tiny_yolo", "--workers", value])
+            main([command, "codec_avatar_decoder", *argv])
         assert excinfo.value.code == 2
-        assert "positive integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", SEARCH_COMMANDS)
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--batch", "1,2"], "--batch gives 2 values"),
+            (["--priority", "1,1,1,1"], "--priority gives 4 values"),
+            (["--batch", "1,2,2", "--priority", "1,1"], "--priority gives 2 values"),
+        ],
+    )
+    def test_customization_must_cover_every_branch(
+        self, capsys, monkeypatch, command, argv, message
+    ):
+        refuse_search(monkeypatch)
+        assert main([command, "codec_avatar_decoder", *argv]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "the model has 3 branches" in err
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_iterations_population_must_be_positive(self, capsys, value):
@@ -334,7 +365,7 @@ class TestServe:
         assert "frame interval" in capsys.readouterr().err
 
     def test_serve_rejects_bad_replicas_and_duration(self, capsys):
-        # Same friendly errors explore's --workers/--iterations have.
+        # Same friendly errors explore's --iterations/--population have.
         with pytest.raises(SystemExit):
             main(["serve", "--replicas", "0"])
         assert "positive integer" in capsys.readouterr().err
@@ -522,10 +553,7 @@ class TestSimulate:
     def test_simulate_rejects_bad_flags_before_exploring(
         self, capsys, monkeypatch, flag, value, message
     ):
-        def no_search(*args, **kwargs):
-            raise AssertionError("explored before refusing the flag")
-
-        monkeypatch.setattr("repro.cli.FCad", no_search)
+        refuse_search(monkeypatch)
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "tiny_yolo", flag, value])
         assert excinfo.value.code == 2

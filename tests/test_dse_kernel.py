@@ -380,9 +380,7 @@ class TestEndToEndIdentity:
         from repro.experiments.convergence import run_convergence
 
         clear_process_caches()
-        return run_convergence(
-            searches=2, iterations=3, population=12, workers=1
-        )
+        return run_convergence(searches=2, iterations=3, population=12)
 
     def test_generation_evaluator_matches_scalar_path(self):
         """The batched generation path ≡ the per-candidate scalar loop."""

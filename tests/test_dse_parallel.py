@@ -1,4 +1,4 @@
-"""Parallel DSE: worker purity, generation dedup, batch sweeps, determinism."""
+"""The DSE evaluation path: spec purity, generation dedup, batch sweeps."""
 
 from __future__ import annotations
 
@@ -23,16 +23,14 @@ from repro.dse.objective import (
     metrics_from_solutions,
     penalized_score,
 )
+from repro.dse.result import result_to_dict
 from repro.dse.space import Customization
 from repro.dse.worker import (
     EvalSpec,
     GenerationEvaluator,
-    SweepWorkerPool,
     candidate_keys,
     evaluate_candidate,
     quantize_rd,
-    solve_bucket,
-    solve_chunk,
 )
 from repro.fcad.flow import FCad, run_sweep, sweep_grid
 from repro.quant.schemes import INT8, INT16
@@ -140,7 +138,7 @@ class TestEvaluateCandidate:
 
 
 class TestGenerationEvaluator:
-    """The zero-IPC data path: dedup in the parent, deltas from workers."""
+    """Generation-level dedup, charging and timings."""
 
     def test_matches_per_candidate_evaluation(self, spec):
         positions = [[0.5, 0.5] * 3, [0.7, 0.3] * 3, [0.4, 0.6] * 3]
@@ -183,7 +181,6 @@ class TestGenerationEvaluator:
         evaluator([[0.5, 0.5] * 3, [0.7, 0.3] * 3])
         assert evaluator.timings.eval_seconds > 0
         assert evaluator.timings.cache_seconds > 0
-        assert evaluator.timings.overhead_seconds == 0  # serial: no pool
         assert evaluator.stage_lookups > 0
         assert 0 <= evaluator.stage_hits <= evaluator.stage_lookups
 
@@ -327,62 +324,6 @@ class TestDesignMemo:
             assert building.call_count == 4
 
 
-class TestSolveChunk:
-    def test_chunk_returns_all_requested_entries(self, spec):
-        keys = candidate_keys(spec, [0.5, 0.5] * 3)
-        result = solve_chunk(spec, keys)
-        assert [key for key, _ in result.entries] == keys
-        for key, solution in result.entries:
-            assert solution == solve_bucket(spec, key[1], key[2])
-        assert result.solve_seconds >= 0
-        assert result.stage_lookups > 0
-
-    def test_duplicate_keys_in_chunk_solved_once(self, spec):
-        keys = candidate_keys(spec, [0.5, 0.5] * 3)
-        doubled = list(keys) + list(keys)
-        result = solve_chunk(spec, doubled)
-        assert len(result.entries) == len(doubled)
-        # Every requested key still comes back, duplicates and all.
-        assert [key for key, _ in result.entries] == doubled
-
-
-class TestParallelDeterminism:
-    def test_workers4_matches_serial(self, tiny_plan_module):
-        """The acceptance bar: workers=4 is bit-identical to workers=1."""
-        engine = make_engine(tiny_plan_module)
-        serial = engine.search(iterations=2, population=8, seed=11)
-        parallel = engine.search(
-            iterations=2, population=8, seed=11, workers=4
-        )
-        assert parallel.best_fitness == serial.best_fitness
-        assert parallel.best_config == serial.best_config
-        assert parallel.history == serial.history
-        assert parallel.convergence_iteration == serial.convergence_iteration
-        assert serial.workers == 1 and parallel.workers == 4
-
-    def test_parallel_accounting_matches_serial(self, tiny_plan_module):
-        """Dedup accounting is the same arithmetic in both modes."""
-        engine = make_engine(tiny_plan_module)
-        serial = engine.search(iterations=2, population=8, seed=11)
-        parallel = engine.search(
-            iterations=2, population=8, seed=11, workers=2
-        )
-        assert parallel.evaluations == serial.evaluations
-        assert parallel.cache_hits == serial.cache_hits
-
-    def test_flow_workers_match(self, tiny_plan_module):
-        graph = make_tiny_decoder()
-
-        def run(workers):
-            return FCad(
-                network=graph, device=get_device("Z7045"), quant="int8"
-            ).run(iterations=2, population=8, seed=4, workers=workers)
-
-        assert (
-            run(2).dse.best_config == run(1).dse.best_config
-        )
-
-
 class TestSearchMany:
     def test_duplicate_cases_deduplicated(self, tiny_plan_module):
         a = make_engine(tiny_plan_module)
@@ -417,6 +358,33 @@ class TestSearchMany:
         assert swept[1].best_fitness == cold.best_fitness
         assert swept[1].best_config == cold.best_config
 
+    def test_callers_cache_is_used_directly(self, tiny_plan_module):
+        """The caller's cache is the store every case reads and writes:
+        it ends up holding exactly the sweep's solves."""
+        engines = [
+            make_engine(tiny_plan_module, device=device)
+            for device in ("Z7045", "ZU17EG")
+        ]
+        local = LocalEvalCache()
+        swept = DseEngine.search_many(
+            engines, iterations=2, population=8, seed=0, cache=local
+        )
+        assert len(local) == sum(r.evaluations for r in swept) > 0
+        again = DseEngine.search_many(
+            engines, iterations=2, population=8, seed=0, cache=local
+        )
+        assert all(r.evaluations == 0 for r in again)
+        assert [r.best_config for r in again] == [r.best_config for r in swept]
+
+    def test_rejects_workers(self, tiny_plan_module):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            DseEngine.search_many(
+                [make_engine(tiny_plan_module)],
+                iterations=2,
+                population=8,
+                workers=2,
+            )
+
     def test_seed_count_mismatch_rejected(self, tiny_plan_module):
         with pytest.raises(ValueError, match="seeds"):
             DseEngine.search_many(
@@ -429,6 +397,83 @@ class TestSearchMany:
         assert seed_fingerprint(None) is None
         assert seed_fingerprint(random.Random(7)) is None
         assert seed_fingerprint(True) is None
+
+
+#: result_to_dict keys that may differ between a sweep case and its solo
+#: search: host timings, and the accounting a shared cache changes
+#: (``oracle_stats`` repeats ``evaluations`` and ``cache_hits``).
+SWEEP_VARIANT_KEYS = {
+    "runtime_seconds",
+    "eval_seconds",
+    "cache_seconds",
+    "ladder_seconds",
+    "growth_seconds",
+    "measure_seconds",
+    "evaluations",
+    "cache_hits",
+    "stage_hits",
+    "stage_lookups",
+    "oracle_stats",
+}
+
+
+def sweep_invariant_fields(result) -> dict:
+    record = result_to_dict(result)
+    return {k: v for k, v in record.items() if k not in SWEEP_VARIANT_KEYS}
+
+
+SWEEP_CASE = st.tuples(
+    st.sampled_from(["Z7045", "ZU17EG", "ZU9CG"]),
+    st.sampled_from([INT8, INT16]),
+    st.sampled_from([0, 1]),
+)
+
+
+class TestSweepEqualsSolo:
+    """Sharing a cache and deduplicating cases never changes a result."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cases=st.lists(SWEEP_CASE, min_size=2, max_size=4),
+        backend=st.sampled_from(["none", "local", "file"]),
+    )
+    def test_each_case_equals_its_solo_search(
+        self, tiny_plan_module, cases, backend
+    ):
+        size = dict(iterations=2, population=8)
+        with tempfile.TemporaryDirectory() as tmp:
+            if backend == "file":
+                cache = FileEvalCache(os.path.join(tmp, "cache.sqlite"))
+            else:
+                cache = LocalEvalCache() if backend == "local" else None
+            try:
+                swept = DseEngine.search_many(
+                    [
+                        make_engine(tiny_plan_module, device, quant)
+                        for device, quant, _ in cases
+                    ],
+                    seeds=[seed for _, _, seed in cases],
+                    cache=cache,
+                    **size,
+                )
+                if cache is not None:
+                    assert len(cache) > 0
+            finally:
+                if backend == "file":
+                    cache.close()
+        for case, result in zip(cases, swept):
+            device, quant, seed = case
+            solo = make_engine(tiny_plan_module, device, quant).search(
+                seed=seed, cache=LocalEvalCache(), **size
+            )
+            assert sweep_invariant_fields(result) == sweep_invariant_fields(solo)
+            assert (
+                result.evaluations + result.cache_hits
+                == solo.evaluations + solo.cache_hits
+            )
+        for i, first in enumerate(cases):
+            for j, second in enumerate(cases):
+                assert (swept[i] is swept[j]) == (first == second)
 
 
 class TestSweepApi:
@@ -460,100 +505,19 @@ class TestSweepApi:
         swept = run_sweep(flows, iterations=2, population=8, seed=0)
         assert swept[0].dse is swept[1].dse
 
-    def test_parallel_sweep_matches_serial_sweep(self):
-        graph = make_tiny_decoder()
+    def test_run_sweep_rejects_workers(self):
         flows = sweep_grid(
-            networks=[graph], devices=["Z7045", "ZU17EG"], quants=["int8"]
+            networks=[make_tiny_decoder()], devices=["Z7045"], quants=["int8"]
         )
-        serial = run_sweep(flows, iterations=2, population=8, seed=1)
-        parallel = run_sweep(
-            flows, iterations=2, population=8, seed=1, workers=2
+        with pytest.raises(ValueError, match="workers must be 1"):
+            run_sweep(flows, iterations=2, population=8, workers=2)
+
+    def test_flow_run_rejects_workers(self):
+        flow = FCad(
+            network=make_tiny_decoder(), device=get_device("Z7045"), quant="int8"
         )
-        for s, p in zip(serial, parallel):
-            assert s.dse.best_fitness == p.dse.best_fitness
-            assert s.dse.best_config == p.dse.best_config
-
-
-class TestSweepWorkerPool:
-    def test_pool_matches_inline_solutions(self, tiny_plan_module):
-        """One long-lived pool returns exactly what inline eval computes."""
-        int8 = make_engine(tiny_plan_module, quant=INT8).spec
-        int16 = make_engine(tiny_plan_module, quant=INT16).spec
-        positions = [[0.5, 0.5] * 3, [0.7, 0.3] * 3]
-        with SweepWorkerPool(2) as pool:
-            for spec in (int8, int16):
-                keys = []
-                for pos in positions:
-                    keys.extend(candidate_keys(spec, pos))
-                unique = list(dict.fromkeys(keys))
-                chunks = pool.solve(spec, unique)
-                pooled = dict(
-                    entry for chunk in chunks for entry in chunk.entries
-                )
-                assert set(pooled) == set(unique)
-                for key, solution in pooled.items():
-                    assert solution == solve_bucket(spec, key[1], key[2])
-
-    def test_requires_at_least_one_worker(self):
-        with pytest.raises(ValueError, match="at least one"):
-            SweepWorkerPool(0)
-
-    def test_search_many_reuses_one_pool(self, tiny_plan_module, monkeypatch):
-        """A parallel sweep forks exactly one pool for all of its cases."""
-        created: list[SweepWorkerPool] = []
-        original_init = SweepWorkerPool.__init__
-
-        def counting_init(self, workers):
-            original_init(self, workers)
-            created.append(self)
-
-        monkeypatch.setattr(SweepWorkerPool, "__init__", counting_init)
-        engines = [
-            make_engine(tiny_plan_module, device=device)
-            for device in ("Z7045", "ZU17EG", "ZU9CG")
-        ]
-        results = DseEngine.search_many(
-            engines, iterations=2, population=8, seed=0, workers=2
-        )
-        assert len(results) == 3
-        assert len(created) == 1
-
-    def test_callers_cache_is_used_directly(self, tiny_plan_module):
-        """With workers>1 the caller's local cache IS the authoritative
-        store and ends up warm."""
-        engines = [
-            make_engine(tiny_plan_module, device=device)
-            for device in ("Z7045", "ZU17EG")
-        ]
-        local = LocalEvalCache()
-        pooled = DseEngine.search_many(
-            engines, iterations=2, population=8, seed=0,
-            workers=2, cache=local,
-        )
-        assert len(local) > 0, "caller's cache did not receive the deltas"
-        serial = DseEngine.search_many(
-            engines, iterations=2, population=8, seed=0
-        )
-        assert [r.best_config for r in pooled] == [
-            r.best_config for r in serial
-        ]
-
-    def test_pooled_sweep_matches_serial_sweep(self, tiny_plan_module):
-        engines = [
-            make_engine(tiny_plan_module, device=device)
-            for device in ("Z7045", "ZU17EG")
-        ]
-        serial = DseEngine.search_many(
-            engines, iterations=2, population=8, seed=2
-        )
-        pooled = DseEngine.search_many(
-            engines, iterations=2, population=8, seed=2, workers=2
-        )
-        for s, p in zip(serial, pooled):
-            assert s.best_fitness == p.best_fitness
-            assert s.best_config == p.best_config
-            assert s.history == p.history
-
+        with pytest.raises(ValueError, match="workers must be 1"):
+            flow.run(iterations=2, population=8, workers=2)
 
 class TestResultStats:
     def test_cache_hit_rate_surfaced(self, tiny_plan_module):
@@ -572,7 +536,6 @@ class TestResultStats:
         )
         assert result.eval_seconds > 0
         assert result.cache_seconds > 0
-        assert result.overhead_seconds == 0  # serial search: no pool
         assert result.eval_seconds + result.cache_seconds <= (
             result.runtime_seconds + 1e-6
         )

@@ -66,6 +66,13 @@ class TestResultCodec:
     def test_payload_omits_surrogate_key(self, searched):
         assert "surrogate_stats" not in result_to_dict(searched)
 
+    def test_payload_keeps_constant_pool_keys(self, searched):
+        """Format version 1 still writes the keys of the removed process
+        pool, as constants, and loads payloads with another worker count."""
+        payload = result_to_dict(searched)
+        assert (payload["workers"], payload["overhead_seconds"]) == (1, 0.0)
+        assert result_from_dict({**payload, "workers": 4}) == searched
+
     def test_pinned_pre_surrogate_payload_loads(self):
         """Old archived payloads (no surrogate_stats key) keep loading."""
         payload = pinned_payload()

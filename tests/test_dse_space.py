@@ -31,6 +31,11 @@ class TestCustomization:
         with pytest.raises(ValueError):
             Customization(batch_sizes=(1,), priorities=(-1.0,))
 
+    @pytest.mark.parametrize("priority", [float("nan"), float("inf")])
+    def test_non_finite_priority_rejected(self, priority):
+        with pytest.raises(ValueError, match="finite"):
+            Customization(batch_sizes=(1, 1), priorities=(1.0, priority))
+
     def test_validate_against_plan(self, decoder_plan):
         Customization.uniform(3).validate_for(decoder_plan)
         with pytest.raises(ValueError, match="branches"):

@@ -57,12 +57,6 @@ class TestPaperBitIdentity:
         assert result.best_fitness == self.PINNED_BEST_FITNESS
         assert result.objective == "paper(alpha=0.05)"
 
-    def test_pinned_parallel_result(self, tiny_plan):
-        result = make_engine(tiny_plan).search(
-            iterations=3, population=12, seed=7, workers=2
-        )
-        assert result.best_fitness == self.PINNED_BEST_FITNESS
-
     def test_explicit_paper_objective_matches_default(self, tiny_plan):
         default = make_engine(tiny_plan).search(
             iterations=2, population=8, seed=3
