@@ -10,17 +10,15 @@ The full production story in one script:
    per-frame latency model;
 3. **serve** — a group call's worth of avatars stream frames concurrently:
    the active speakers need tight decode deadlines (their faces are on
-   everyone's screen), the listeners tolerate more. The async scheduler
+   everyone's screen), the listeners tolerate more. The serving engine
    batches requests onto free replicas under three policies, and the SLO
-   tracker reports what each policy did to tail latency and deadline
-   misses;
-4. **scale** — the same call replayed through the event-heap engine
-   (identical counters, by construction), then a flash crowd thousands of
-   avatars strong served with autoscaling: the fleet grows through the
-   spike, pays the cold-fill warm-up, and drains back down.
+   report shows what each policy did to tail latency and deadline misses;
+4. **scale** — a flash crowd thousands of avatars strong served with
+   autoscaling: the fleet grows through the spike, pays the cold-fill
+   warm-up, and drains back down.
 
-Everything runs on a virtual clock, so the whole session is deterministic
-and finishes in seconds of wall time.
+Everything runs in simulated session time, so the whole session is
+deterministic and finishes in seconds of wall time.
 
 Usage:  python examples/serve_avatars.py [--avatars 12] [--replicas 2]
 """
@@ -37,7 +35,6 @@ from repro.serving import (
     ReplicaPool,
     make_trace,
     serve_trace,
-    serve_workload,
 )
 
 
@@ -58,7 +55,7 @@ def main() -> None:
         "--scale-avatars",
         type=int,
         default=3000,
-        help="flash-crowd size for the autoscaled event-heap session",
+        help="flash-crowd size for the autoscaled session",
     )
     args = parser.parse_args()
 
@@ -96,18 +93,9 @@ def main() -> None:
 
     for policy in ("fifo", "edf", "fair"):
         pool = ReplicaPool(profile, replicas=args.replicas, max_batch=8)
-        report = serve_workload(pool, workload, policy=policy)
+        report = serve_trace(pool, workload, policy=policy)
         print(report.render())
         print()
-
-    # --- the same call on the event-heap engine -----------------------
-    pool = ReplicaPool(profile, replicas=args.replicas, max_batch=8)
-    heap = serve_trace(pool, workload, policy="edf")
-    print(
-        f"event-heap engine replays the EDF call with identical counters: "
-        f"{heap.completed}/{heap.submitted} frames, "
-        f"{heap.deadline_misses} misses, {heap.batches} batches\n"
-    )
 
     # --- a flash crowd, autoscaled ------------------------------------
     # Thousands of avatars pile into the session over a few hundred

@@ -74,7 +74,6 @@ from repro.serving import (
     ServingReport,
     pool_from_result,
     serve_from_result,
-    serve_workload,
 )
 from repro.sim import (
     FrameLatencyProfile,
@@ -157,7 +156,6 @@ __all__ = [
     "run_graph",
     "run_sweep",
     "serve_from_result",
-    "serve_workload",
     "simulate",
     "sweep_grid",
 ]

@@ -10,13 +10,12 @@ Subcommands cover the framework's whole surface:
 - ``simulate <model>``          — cycle-accurate validation of a saved (or
   freshly explored) configuration, with an optional utilization timeline;
 - ``serve [model]``             — deploy simulated replicas of the
-  explored design(s) and serve a multi-avatar decode workload on the
-  coroutine scheduler or the event-heap engine (``--engine heap``, with
-  ``--shape`` traffic and ``--autoscale``) (FIFO /
-  deadline-EDF / fair batching) with latency/deadline SLO reporting;
-  with ``--cluster`` it serves a heterogeneous replica-group cluster
-  (deadline-aware routing, optional load shedding, in-process or
-  socket-served replicas);
+  explored design(s) and serve a multi-avatar decode workload (FIFO /
+  deadline-EDF / fair batching, optional ``--shape`` traffic and
+  ``--autoscale``) with latency/deadline SLO reporting; with
+  ``--cluster`` it serves a heterogeneous replica-group cluster
+  (deadline-aware routing, optional load shedding); replicas run
+  in-process, in a socket-served subprocess, or on a remote host;
 - ``experiment <name>``         — regenerate one of the paper's tables or
   figures (or the ablations).
 
@@ -630,7 +629,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Explore design(s), deploy replicas, serve a multi-avatar workload."""
-    from repro.serving import report_to_json, serve_from_result
+    from repro.serving import pool_from_result, report_to_json, serve_trace
 
     # Validate every workload knob before the (expensive) design search.
     cluster_spec = None
@@ -722,27 +721,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.engine == "heap":
-        if args.real_time:
-            print(
-                "error: --engine heap runs on simulated time only "
-                "(drop --real-time)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.transport != "inprocess":
-            print(
-                "error: --engine heap serves in-process replicas only "
-                "(drop --transport)",
-                file=sys.stderr,
-            )
-            return 2
-    elif args.shape or args.autoscale:
-        print(
-            "error: --shape and --autoscale need --engine heap",
-            file=sys.stderr,
-        )
-        return 2
     if args.shape and args.duration is None:
         print(
             "error: --shape sizes the session by time; add --duration",
@@ -789,93 +767,44 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"first frame {profile.first_frame_ms:.2f} ms, then one per "
             f"{profile.steady_interval_ms:.2f} ms"
         )
-        if args.engine == "heap":
-            from repro.serving import pool_from_result, serve_trace
-
-            trace = _heap_trace(args, tiers, frames_per_avatar)
-            autoscale = _heap_autoscale(args)
-            if args.shed or autoscale is not None:
-                report = serve_trace(
-                    result.serving_group(
-                        replicas=args.replicas,
-                        policy=args.policy,
-                        batch_window_ms=args.batch_window_ms,
-                        max_batch=args.max_batch,
-                        profile=profile,
-                    ),
-                    trace,
-                    admission=args.shed or None,
-                    autoscale=autoscale,
-                    chaos=chaos,
-                    recovery=recovery,
-                )
-            else:
-                report = serve_trace(
-                    pool_from_result(
-                        result,
-                        replicas=args.replicas,
-                        max_batch=args.max_batch,
-                        profile=profile,
-                    ),
-                    trace,
+        traffic = _serve_traffic(args, tiers, frames_per_avatar)
+        autoscale = _serve_autoscale(args)
+        if args.shed or autoscale is not None:
+            # Admission control and autoscaling act on replica groups; a
+            # single group of the explored design keeps the rest identical.
+            report = serve_trace(
+                result.serving_group(
+                    replicas=args.replicas,
                     policy=args.policy,
                     batch_window_ms=args.batch_window_ms,
                     max_batch=args.max_batch,
-                    chaos=chaos,
-                    recovery=recovery,
-                )
-        elif args.shed:
-            # Admission control needs the cluster front door; a single
-            # group of the explored design keeps the rest identical.
-            from repro.serving import AvatarWorkload, serve_cluster
-
-            report = serve_cluster(
-                [
-                    result.serving_group(
-                        replicas=args.replicas,
-                        policy=args.policy,
-                        batch_window_ms=args.batch_window_ms,
-                        max_batch=args.max_batch,
-                        transport=_serve_transport(args),
-                        profile=profile,
-                    )
-                ],
-                AvatarWorkload(
-                    avatars=args.avatars,
-                    frames_per_avatar=frames_per_avatar,
-                    frame_interval_ms=1000.0 / args.avatar_fps,
-                    deadline_ms=args.deadline_ms,
-                    deadline_tiers=tiers,
-                    jitter_ms=args.jitter_ms,
-                    seed=args.seed,
+                    transport=_serve_transport(args),
+                    profile=profile,
                 ),
-                admission=True,
-                real_time=args.real_time,
+                traffic,
+                admission=args.shed or None,
+                autoscale=autoscale,
                 chaos=chaos,
                 recovery=recovery,
             )
         else:
-            report = serve_from_result(
-                result,
-                avatars=args.avatars,
-                replicas=args.replicas,
+            report = serve_trace(
+                pool_from_result(
+                    result,
+                    replicas=args.replicas,
+                    max_batch=args.max_batch,
+                    profile=profile,
+                ),
+                traffic,
                 policy=args.policy,
-                frames_per_avatar=frames_per_avatar,
-                avatar_fps=args.avatar_fps,
-                deadline_ms=args.deadline_ms,
-                deadline_tiers=tiers,
-                jitter_ms=args.jitter_ms,
                 batch_window_ms=args.batch_window_ms,
                 max_batch=args.max_batch,
-                seed=args.seed,
-                real_time=args.real_time,
-                profile=profile,
                 transport=_serve_transport(args),
                 chaos=chaos,
                 recovery=recovery,
             )
     else:
-        report = _serve_cluster_session(
+        report = _cluster_session(
             args, network, customization, cluster_spec, tiers,
             frames_per_avatar, chaos, recovery,
         )
@@ -891,9 +820,9 @@ def _serve_transport(args: argparse.Namespace):
     """The transport ``repro serve`` dispatches through.
 
     With ``--transport-timeout`` set this builds a fresh instance per
-    call (each scheduler owns its wire — cluster groups must not share a
-    socket); otherwise the name passes through and each scheduler builds
-    its own default-timeout transport.
+    call (each group owns its wire — cluster groups must not share a
+    socket); otherwise the name passes through and each group builds its
+    own default-timeout transport.
     """
     if args.transport_timeout is None:
         return args.transport
@@ -902,8 +831,8 @@ def _serve_transport(args: argparse.Namespace):
     return get_transport(args.transport, timeout_s=args.transport_timeout)
 
 
-def _heap_trace(args: argparse.Namespace, tiers, frames_per_avatar: int):
-    """The request stream for a heap-engine session: shape or workload."""
+def _serve_traffic(args: argparse.Namespace, tiers, frames_per_avatar: int):
+    """The session's request stream: a traffic shape or steady avatars."""
     if args.shape:
         from repro.serving import make_trace
 
@@ -934,8 +863,8 @@ def _heap_trace(args: argparse.Namespace, tiers, frames_per_avatar: int):
     )
 
 
-def _heap_autoscale(args: argparse.Namespace):
-    """The heap engine's autoscaling policy, or ``None`` when off."""
+def _serve_autoscale(args: argparse.Namespace):
+    """The session's autoscaling policy, or ``None`` when off."""
     if not args.autoscale:
         return None
     from repro.serving import AutoscalePolicy
@@ -946,7 +875,7 @@ def _heap_autoscale(args: argparse.Namespace):
     )
 
 
-def _serve_cluster_session(
+def _cluster_session(
     args: argparse.Namespace,
     network: NetworkGraph,
     customization: Customization,
@@ -957,7 +886,7 @@ def _serve_cluster_session(
     recovery=None,
 ):
     """Explore one design per cluster preset and serve the mixed cluster."""
-    from repro.serving import AvatarWorkload, serve_cluster
+    from repro.serving import serve_trace
 
     num_branches = len(customization.batch_sizes)
     results = {}
@@ -1006,33 +935,12 @@ def _serve_cluster_session(
                 sim_frames=args.sim_frames,
             )
         )
-    if args.engine == "heap":
-        from repro.serving import serve_trace
-
-        return serve_trace(
-            groups,
-            _heap_trace(args, tiers, frames_per_avatar),
-            router=args.router,
-            admission=args.shed or None,
-            autoscale=_heap_autoscale(args),
-            chaos=chaos,
-            recovery=recovery,
-        )
-    workload = AvatarWorkload(
-        avatars=args.avatars,
-        frames_per_avatar=frames_per_avatar,
-        frame_interval_ms=1000.0 / args.avatar_fps,
-        deadline_ms=args.deadline_ms,
-        deadline_tiers=tiers,
-        jitter_ms=args.jitter_ms,
-        seed=args.seed,
-    )
-    return serve_cluster(
+    return serve_trace(
         groups,
-        workload,
+        _serve_traffic(args, tiers, frames_per_avatar),
         router=args.router,
         admission=args.shed or None,
-        real_time=args.real_time,
+        autoscale=_serve_autoscale(args),
         chaos=chaos,
         recovery=recovery,
     )
@@ -1327,7 +1235,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  repro serve --avatars 64 --replicas 4 --policy edf --seed 0\n"
             "      explore a design for the default decoder, deploy 4\n"
             "      simulated replicas, and serve 64 concurrent avatars under\n"
-            "      earliest-deadline-first batching; runs on a virtual clock,\n"
+            "      earliest-deadline-first batching; runs on simulated time,\n"
             "      so the report is bit-identical across runs at one seed\n"
             "  repro serve --avatars 32 --replicas 2 --policy fair \\\n"
             "      --deadline-tiers 25,100 --json serving.json\n"
@@ -1350,13 +1258,12 @@ def build_parser() -> argparse.ArgumentParser:
             "      within their deadline budget, cold replacements heal\n"
             "      capacity, and the report counts every fault — the same\n"
             "      seed reproduces the same faulty run bit for bit\n"
-            "the event-heap engine (large sessions):\n"
-            "  repro serve --engine heap --shape diurnal --avatars 100000 \\\n"
+            "large sessions:\n"
+            "  repro serve --shape diurnal --avatars 100000 \\\n"
             "      --duration 60 --avatar-fps 1 --autoscale --shed\n"
-            "      100k avatars joining and leaving over a diurnal cycle on\n"
-            "      the vectorized event-heap engine, autoscaling the replica\n"
-            "      fleet as concurrency rises and falls; same SLO report,\n"
-            "      orders of magnitude more requests per second of wall time"
+            "      100k avatars joining and leaving over a diurnal cycle,\n"
+            "      autoscaling the replica fleet as concurrency rises and\n"
+            "      falls; the event-heap engine serves it in seconds"
         ),
     )
     p.add_argument(
@@ -1479,20 +1386,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cycle-accurate frames sampled for the latency model",
     )
     p.add_argument(
-        "--real-time", action="store_true",
-        help="run on the wall clock instead of the virtual clock",
-    )
-    p.add_argument(
-        "--engine", default="async", choices=("async", "heap"),
-        help="serving engine: the per-avatar coroutine scheduler (async, "
-        "default) or the vectorized event-heap engine (heap) for large "
-        "sessions — same semantics, same report",
-    )
-    p.add_argument(
         "--shape", choices=list_shapes(),
         help="generate traffic from a named shape with session churn "
-        "instead of steady per-avatar streams (heap engine; needs "
-        "--duration)",
+        "instead of steady per-avatar streams (needs --duration)",
     )
     p.add_argument(
         "--churn", type=float, default=0.0,
@@ -1501,8 +1397,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--autoscale", action="store_true",
-        help="autoscale each replica group from its offered load (heap "
-        "engine); --replicas and group counts become initial fleets",
+        help="autoscale each replica group from its offered load; "
+        "--replicas and group counts become initial fleets",
     )
     p.add_argument(
         "--autoscale-max", type=_positive_int, default=64,

@@ -14,16 +14,13 @@ subprocess. Differences that matter:
   disconnect/reconnect yields a bit-identical serving report.
 - **Connect/retry with exponential backoff + jitter.** Transient network
   failures retry up to ``max_retries`` times; only then does ``decode``
-  raise :class:`RemoteReplicaError`, which the scheduler turns into
-  errored futures — the session fails loudly, it never hangs.
+  raise :class:`RemoteReplicaError`, which the serving engine turns into
+  a replica failure — the frames retry or count as failed, the session
+  never hangs.
 - **Health is observable.** ``transport.health`` walks
   ``idle -> connected -> reconnecting -> connected`` (or ``failed``) and
   ``transport.reconnects`` counts successful re-dials; both surface into
   :class:`~repro.serving.slo.GroupReport` / ``ServingReport``.
-
-``decode`` stays synchronous inside the coroutine (no awaits while the
-wire is in flight), the same rule ``SocketTransport`` follows, so
-virtual-clock sessions stay deterministic.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from repro.dist.protocol import (
 )
 from repro.dist.wire import LineSocket, WireClosed
 from repro.faults import FaultInjector, FaultPlan
-from repro.serving.replica import Replica, ReplicaPool
+from repro.serving.replica import Replica
 from repro.sim.runner import FrameLatencyProfile
 
 
@@ -103,12 +100,13 @@ class RemoteTransport:
         self._ids = MessageIds()
         self._conn: LineSocket | None = None
         self._session_id: str | None = None
-        self._pool: ReplicaPool | None = None
+        self._profile: FrameLatencyProfile | None = None
+        self._max_batch = 0
 
     # -- connection management ------------------------------------------
     def _dial(self) -> LineSocket:
         """Connect + authenticate + resume the session, with backoff."""
-        assert self._pool is not None and self._session_id is not None
+        assert self._profile is not None and self._session_id is not None
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
             if attempt:
@@ -131,8 +129,8 @@ class RemoteTransport:
                     role="replica-client",
                     extra={
                         "session": self._session_id,
-                        "profile": profile_to_wire(self._pool.profile),
-                        "max_batch": self._pool.max_batch,
+                        "profile": profile_to_wire(self._profile),
+                        "max_batch": self._max_batch,
                     },
                 )
                 return conn
@@ -147,8 +145,9 @@ class RemoteTransport:
             f"{self.max_retries} attempts: {last_error}"
         )
 
-    def open(self, pool: ReplicaPool) -> None:
-        self._pool = pool
+    def open(self, profile: FrameLatencyProfile, max_batch: int) -> None:
+        self._profile = profile
+        self._max_batch = max_batch
         self._session_id = secrets.token_hex(8)
         self._conn = self._dial()
         self.health = "connected"
@@ -177,11 +176,9 @@ class RemoteTransport:
             return False
 
     # -- the transport protocol -----------------------------------------
-    async def decode(
+    def decode(
         self, replica: Replica, start_ms: float, batch: int
     ) -> tuple[float, ...]:
-        # Synchronous round-trip (no awaits): the virtual clock cannot
-        # advance while the request is on the wire.
         assert self._conn is not None, "transport not opened"
         message = {
             "type": "decode",

@@ -427,8 +427,8 @@ class ServingOracle:
     Samples the candidate's :class:`~repro.sim.runner.FrameLatencyProfile`
     from a short cycle-accurate run, deploys ``replicas`` simulated copies,
     and replays the *same* fixed workload every candidate sees (fixed
-    avatar fleet, cadence, deadlines, seed — the virtual clock makes the
-    replay deterministic). Returns the analytical metrics augmented with
+    avatar fleet, cadence, deadlines, seed — and the replay is
+    deterministic). Returns the analytical metrics augmented with
     the replayed p99 latency, deadline-miss rate, and throughput, which is
     what :class:`SloObjective` scores.
 

@@ -49,9 +49,9 @@ Several found designs can serve *together* as a heterogeneous cluster —
 :meth:`FcadResult.serving_group` turns each into a replica group, and a
 deadline-aware router splits the traffic::
 
-    from repro.serving import serve_cluster
+    from repro.serving import serve_trace
 
-    report = serve_cluster(
+    report = serve_trace(
         [fast.serving_group("latency", replicas=1, batch_window_ms=0.0),
          big.serving_group("throughput", replicas=3, policy="fifo")],
         workload, router="deadline", admission=True,
@@ -156,7 +156,7 @@ class FcadResult:
         :class:`~repro.serving.cluster.GroupSpec` with the group's own
         batching policy/window/transport. Feed several of these — e.g. a
         low-latency design next to a big-batch one — to
-        :func:`~repro.serving.cluster.serve_cluster`.
+        :func:`~repro.serving.engine.serve_trace`.
         """
         from repro.serving.cluster import GroupSpec
         from repro.serving.replica import design_max_batch

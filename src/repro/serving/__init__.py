@@ -1,41 +1,32 @@
-"""Avatar decode serving: async batching onto simulated accelerator replicas.
+"""Avatar decode serving: batching onto simulated accelerator replicas.
 
 F-CAD's end product is an accelerator that decodes codec avatars for live
 telepresence. This package is the *workload* layer on top of the design
 flow: take DSE-selected designs, deploy replicas of them, and serve
 decode requests from many concurrent avatars under latency SLOs —
 
-- :mod:`~repro.serving.request`   — the request/response model;
-- :mod:`~repro.serving.clock`     — virtual-clock asyncio (deterministic
-  sessions) or real time;
 - :mod:`~repro.serving.replica`   — replicas driven by cycle-accurate
   fill/steady-state latency profiles;
 - :mod:`~repro.serving.transport` — how a batch reaches a replica:
-  in-process (default) or a socket-served subprocess;
+  in-process (default), a socket-served subprocess, or a remote host;
 - :mod:`~repro.serving.policies`  — FIFO / deadline-EDF / per-avatar
   fairness batch selection;
-- :mod:`~repro.serving.scheduler` — the async batching dispatcher;
 - :mod:`~repro.serving.cluster`   — heterogeneous replica groups behind
   one front door;
 - :mod:`~repro.serving.router`    — round-robin / least-loaded /
   deadline-tiered request routing across groups;
 - :mod:`~repro.serving.admission` — bounded queues and
   predicted-deadline-miss load shedding;
+- :mod:`~repro.serving.chaos`     — deterministic replica faults and the
+  recovery policy;
 - :mod:`~repro.serving.slo`       — p50/p95/p99 latency, deadline-miss
   rate, shed rate, throughput, utilization (aggregate and per group);
 - :mod:`~repro.serving.workload`  — multi-avatar frame streams;
 - :mod:`~repro.serving.traffic`   — vectorized request traces and named
   traffic shapes (steady / diurnal / flash) with session churn;
-- :mod:`~repro.serving.engine`    — the event-heap engine: the same
-  serving semantics as the coroutine path at millions of requests per
+- :mod:`~repro.serving.engine`    — the event-heap engine every session
+  runs on (:func:`serve_trace`), at up to millions of requests per
   session, plus replica autoscaling.
-
-Two engines serve the same reports: the *coroutine* path (one asyncio
-task per avatar on the virtual clock — the reference semantics, right
-for thousands of requests) and the *event-heap* path
-(:func:`serve_trace` — one explicit event loop over array-backed
-traces, right for millions). See ``docs/serving.md`` for when to use
-which.
 
 One design, one pool::
 
@@ -72,30 +63,15 @@ from repro.serving.chaos import (
     CircuitBreaker,
     RecoveryPolicy,
 )
-from repro.serving.clock import VirtualClockEventLoop, run_session
 from repro.serving.engine import AutoscalePolicy, serve_trace
-from repro.serving.cluster import (
-    Cluster,
-    GroupSpec,
-    ReplicaGroup,
-    run_cluster_session,
-    serve_cluster,
-)
-from repro.serving.policies import (
-    EdfPolicy,
-    FairPolicy,
-    FifoPolicy,
-    SchedulingPolicy,
-    get_policy,
-    list_policies,
-)
+from repro.serving.cluster import GroupSpec
+from repro.serving.policies import list_policies
 from repro.serving.replica import (
     Replica,
     ReplicaPool,
     health_summary,
     pool_from_result,
 )
-from repro.serving.request import DecodeRequest, DecodeResponse
 from repro.serving.router import (
     DeadlineTieredRouter,
     LeastLoadedRouter,
@@ -105,12 +81,10 @@ from repro.serving.router import (
     get_router,
     list_routers,
 )
-from repro.serving.scheduler import BatchScheduler
 from repro.serving.slo import (
     GroupReport,
     ServingReport,
-    SloTracker,
-    percentile,
+    nearest_rank,
     report_from_json,
     report_to_json,
 )
@@ -131,9 +105,7 @@ from repro.serving.workload import (
     AvatarWorkload,
     canned_workload,
     replay_workload,
-    run_serving_session,
     saturation_workload,
-    serve_workload,
 )
 
 
@@ -141,7 +113,7 @@ def serve_from_result(
     result: FcadResult,
     avatars: int = 16,
     replicas: int = 1,
-    policy: str | SchedulingPolicy = "fifo",
+    policy: str = "fifo",
     frames_per_avatar: int = 30,
     avatar_fps: float = 30.0,
     deadline_ms: float = 50.0,
@@ -151,7 +123,6 @@ def serve_from_result(
     max_batch: int | None = None,
     seed: int = 0,
     sim_frames: int = 8,
-    real_time: bool = False,
     profile: "FrameLatencyProfile | None" = None,
     transport: str | ReplicaTransport = "inprocess",
     chaos: ChaosPlan | None = None,
@@ -182,13 +153,12 @@ def serve_from_result(
         jitter_ms=jitter_ms,
         seed=seed,
     )
-    return serve_workload(
+    return serve_trace(
         pool,
         workload,
         policy=policy,
         batch_window_ms=batch_window_ms,
         max_batch=max_batch,
-        real_time=real_time,
         transport=transport,
         chaos=chaos,
         recovery=recovery,
@@ -207,22 +177,20 @@ def serve_from_results(
     jitter_ms: float = 0.0,
     seed: int = 0,
     sim_frames: int = 8,
-    real_time: bool = False,
     chaos: ChaosPlan | None = None,
     recovery: RecoveryPolicy | None = None,
 ) -> ServingReport:
     """Serve one workload on a heterogeneous cluster of explored designs.
 
     ``results`` is a sequence of ``(FcadResult, replicas)`` pairs (or
-    ready :class:`GroupSpec`/:class:`ReplicaGroup` objects, passed
-    through); each result becomes one replica group via
-    :meth:`FcadResult.serving_group`, named ``group<i>`` unless the spec
-    names it. The router assigns each frame to a group by its deadline
+    ready :class:`GroupSpec` objects, passed through); each result
+    becomes one replica group via :meth:`FcadResult.serving_group`,
+    named ``group<i>`` unless the spec names it. The router assigns each frame to a group by its deadline
     budget; ``admission=True`` enables load shedding.
     """
     groups = []
     for index, entry in enumerate(results):
-        if isinstance(entry, (GroupSpec, ReplicaGroup)):
+        if isinstance(entry, GroupSpec):
             groups.append(entry)
             continue
         result, replicas = entry
@@ -242,12 +210,11 @@ def serve_from_results(
         jitter_ms=jitter_ms,
         seed=seed,
     )
-    return serve_cluster(
+    return serve_trace(
         groups,
         workload,
         router=router,
         admission=admission,
-        real_time=real_time,
         chaos=chaos,
         recovery=recovery,
     )
@@ -257,37 +224,25 @@ __all__ = [
     "AdmissionControl",
     "AutoscalePolicy",
     "AvatarWorkload",
-    "BatchScheduler",
     "ChaosFault",
     "ChaosPlan",
     "CircuitBreaker",
-    "Cluster",
     "DeadlineTieredRouter",
-    "DecodeRequest",
-    "DecodeResponse",
-    "EdfPolicy",
-    "FairPolicy",
-    "FifoPolicy",
     "GroupReport",
     "GroupSpec",
     "InProcessTransport",
     "LeastLoadedRouter",
     "RecoveryPolicy",
     "Replica",
-    "ReplicaGroup",
     "ReplicaPool",
     "ReplicaTransport",
     "RequestTrace",
     "RoundRobinRouter",
     "RoutingPolicy",
-    "SchedulingPolicy",
     "ServingReport",
-    "SloTracker",
     "SocketTransport",
-    "VirtualClockEventLoop",
     "canned_workload",
     "failover_route",
-    "get_policy",
     "get_router",
     "get_transport",
     "health_summary",
@@ -296,20 +251,15 @@ __all__ = [
     "list_shapes",
     "list_transports",
     "make_trace",
-    "percentile",
+    "nearest_rank",
     "pool_from_result",
     "replay_workload",
     "report_from_json",
     "report_to_json",
     "resolve_admission",
-    "run_cluster_session",
-    "run_serving_session",
-    "run_session",
     "saturation_workload",
-    "serve_cluster",
     "serve_from_result",
     "serve_from_results",
     "serve_trace",
-    "serve_workload",
     "trace_from_workload",
 ]

@@ -22,9 +22,9 @@ group for a request:
    overload point where EDF's misses explode — rather than at any fixed
    queue length.
 
-A shed request resolves immediately with ``None`` (the avatar client
-sees a dropped frame, not a hang) and is tracked as a first-class
-``shed_rate`` SLO in the :class:`~repro.serving.slo.ServingReport`.
+A shed request is a dropped frame, never a hang: it is counted at once
+and tracked as a first-class ``shed_rate`` SLO in the
+:class:`~repro.serving.slo.ServingReport`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.serving.cluster import ReplicaGroup
+    from repro.serving.engine import _EngineGroup
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class AdmissionControl:
         if not 0 < self.slack < math.inf:
             raise ValueError("admission slack must be positive")
 
-    def admit(self, group: "ReplicaGroup", deadline_rel_ms: float) -> bool:
+    def admit(self, group: "_EngineGroup", deadline_rel_ms: float) -> bool:
         """True if the request may enter ``group``'s queue."""
         if self.max_queue_per_replica is not None:
             backlog = group.backlog_frames

@@ -3,11 +3,10 @@
 Chaos engineering for the serving simulator: a :class:`ChaosPlan`
 describes per-replica faults — crash on the Nth dispatched batch,
 permanent death past a session time, a one-shot transient stall, a
-degraded-latency multiplier — and both engines (the asyncio scheduler
-and the event heap) inject them at identical points. Every trigger is a
-dispatch counter or a virtual-clock time, never a wall clock or an RNG,
-so two runs of the same seeded session inject *identical* faults and the
-engines' equivalence guarantee extends to faulty runs.
+degraded-latency multiplier — and the serving engine injects them at
+dispatch time. Every trigger is a dispatch counter or a session time,
+never a wall clock or an RNG, so two runs of the same seeded session
+inject *identical* faults.
 
 Spec grammar (comma-separated clauses)::
 
@@ -116,6 +115,10 @@ class ChaosPlan:
                 raise ValueError(
                     f"chaos fault {clause!r}: numeric argument expected"
                 ) from exc
+            if not (math.isfinite(at) and math.isfinite(value)):
+                raise ValueError(
+                    f"chaos fault {clause!r}: numbers must be finite"
+                )
             if kind != "die-at" and (at < 1 or at != int(at)):
                 raise ValueError(
                     f"chaos fault {clause!r}: batch ordinal must be a "
@@ -268,11 +271,10 @@ class RecoveryPolicy:
 class CircuitBreaker:
     """Trip after K consecutive batch failures; close on any success.
 
-    While open, the cluster front door (and the heap engine's router)
-    divert new traffic away from the group — frames already queued there
-    stay, and the first batch a surviving or replacement replica
-    completes closes the breaker again. Purely event-driven, so both
-    engines flip it at identical session times.
+    While open, the cluster front door diverts new traffic away from
+    the group — frames already queued there stay, and the first batch a
+    surviving or replacement replica completes closes the breaker again.
+    Purely event-driven, so it flips at deterministic session times.
     """
 
     def __init__(self, threshold: int) -> None:

@@ -1,42 +1,39 @@
-"""Event-heap serving engine: millions of requests in seconds of wall time.
+"""The serving engine: one event heap serves every session.
 
-The coroutine path (:mod:`repro.serving.scheduler`) is the reference
-semantics: one asyncio task per avatar, a dispatcher task per group, the
-virtual clock jumping between timers. This module re-implements the same
-serving semantics as a single explicit event loop — a ``heapq`` of timed
-events plus a presorted arrival array — with no per-request objects on
-the hot path. Same inputs, same SLO report (exactly for the integer
-counters; to float round-off for latencies, since the asyncio clock
-round-trips milliseconds through seconds), at three to four orders of
-magnitude more requests per second of wall time.
+A session is a single explicit event loop — a ``heapq`` of timed events
+plus a presorted arrival array — in milliseconds of session time, with
+no per-request objects on the hot path, so it serves millions of
+requests in seconds of wall time. Each group holds a batching window,
+a FIFO free list of replicas and a policy-native queue (``fifo``,
+``edf`` or ``fair``); a batch reaches its replica through the group's
+:class:`~repro.serving.transport.ReplicaTransport`, which returns each
+frame's finish time.
 
-What is reused, not reimplemented:
+What it builds on:
 
 - :class:`~repro.serving.replica.Replica` — warm/cold service times and
   busy-time accounting (:meth:`Replica.service_times`);
-- :mod:`repro.serving.router` — the same router instances, fed
-  duck-typed group views;
-- :class:`~repro.serving.admission.AdmissionControl` — same bounded
-  queue + predicted-miss shedding;
-- :class:`~repro.serving.slo.ServingReport` — same output record, so
-  every report consumer (CLI, JSON, benchmarks) works unchanged.
+- :mod:`repro.serving.router` — the routers, fed the engine's groups;
+- :class:`~repro.serving.admission.AdmissionControl` — bounded queue +
+  predicted-miss shedding;
+- :class:`~repro.serving.slo.ServingReport` — the output record every
+  report consumer (CLI, JSON, benchmarks) reads.
 
-What is new here: :class:`AutoscalePolicy`, a reactive controller that
-adds replicas (after a provisioning delay, starting **cold** — the fill
-latency of the first batch on a fresh replica is charged against the
-SLOs like any other frame) and drains them when offered load falls.
+:class:`AutoscalePolicy` is a reactive controller that adds replicas
+(after a provisioning delay, starting **cold** — the fill latency of the
+first batch on a fresh replica is charged against the SLOs like any
+other frame) and drains them when offered load falls.
 
-Faults and recovery mirror the coroutine path event for event: a
-:class:`~repro.serving.chaos.ChaosPlan` injects the same deterministic
-replica faults at dispatch time, a crashed batch fails at its would-be
-finish (an ``_EV_FAIL`` event at the detection latency), frames
-re-enqueue within their retry budget keeping their original arrival and
-deadline, the per-group :class:`~repro.serving.chaos.CircuitBreaker`
-trips and diverts arrivals through the shared
-:func:`~repro.serving.router.failover_route`, and dead replicas
+Faults and recovery: a :class:`~repro.serving.chaos.ChaosPlan` injects
+deterministic replica faults at dispatch time, and a crashed batch fails
+at its would-be finish (an ``_EV_FAIL`` event at the detection latency);
+a transport that cannot answer fails its replica the same way, detected
+at once. Failed frames re-enqueue within their retry budget keeping
+their original arrival and deadline, the per-group
+:class:`~repro.serving.chaos.CircuitBreaker` trips and diverts arrivals
+through :func:`~repro.serving.router.failover_route`, and dead replicas
 provision cold replacements through the same ``_EV_PROVISION`` events
-autoscaling uses. The equivalence guarantee extends to faulty runs:
-same trace + same chaos plan → the same counters on both engines.
+autoscaling uses.
 
 Every session is a pure function of its inputs: same trace + same specs
 → the same report, bit for bit.
@@ -46,6 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
@@ -55,11 +53,16 @@ import numpy as np
 from repro.serving.admission import AdmissionControl, resolve_admission
 from repro.serving.chaos import ChaosPlan, CircuitBreaker, RecoveryPolicy
 from repro.serving.cluster import GroupSpec
-from repro.serving.policies import get_policy
 from repro.serving.replica import Replica, ReplicaPool, health_summary
 from repro.serving.router import RoutingPolicy, failover_route, get_router
-from repro.serving.slo import GroupReport, ServingReport
+from repro.serving.slo import GroupReport, ServingReport, nearest_rank
 from repro.serving.traffic import RequestTrace, trace_from_workload
+from repro.serving.transport import (
+    TRANSPORT_ERRORS,
+    InProcessTransport,
+    ReplicaTransport,
+    get_transport,
+)
 from repro.serving.workload import AvatarWorkload
 from repro.utils.sums import ordered_sum
 
@@ -71,7 +74,8 @@ PER_AVATAR_LIMIT = 4096
 _FIFO, _EDF, _FAIR = 0, 1, 2
 _POLICY_KIND = {"fifo": _FIFO, "edf": _EDF, "fair": _FAIR}
 
-# Dispatcher states (mirror the coroutine dispatcher's await points).
+# Dispatcher states: parked on an empty queue, holding the batching
+# window, waiting for a free replica, dispatching.
 _IDLE, _WINDOW, _WAIT, _RUNNING = 0, 1, 2, 3
 
 # Event kinds. Ordering at equal times is by ``seq`` (creation order),
@@ -128,13 +132,13 @@ class AutoscalePolicy:
 
 
 class _EngineGroup:
-    """One group's live state, duck-typing :class:`ReplicaGroup` for the
-    routers and admission control under the same names and units.
+    """One replica group's live state during a session: the view the
+    routers and admission control decide on.
 
     ``backlog_frames``, ``replicas`` and ``capacity_fps`` are plain
-    attributes here, not properties: the session's event handlers keep
-    them current (the backlog as frames are queued, finish or fail; the
-    fleet size through :meth:`refresh_fleet` whenever ``live`` or
+    attributes, not properties: the session's event handlers keep them
+    current (the backlog as frames are queued, finish or fail; the fleet
+    size through :meth:`refresh_fleet` whenever ``live`` or
     ``pending_drain`` moves), so every admission and routing decision
     reads them without recomputing.
     """
@@ -147,23 +151,13 @@ class _EngineGroup:
         recovery: RecoveryPolicy | None = None,
         chaos_states: "dict | None" = None,
     ) -> None:
-        policy_name = get_policy(spec.policy).name
-        if policy_name not in _POLICY_KIND:
-            raise ValueError(
-                "the event-heap engine supports the built-in policies "
-                f"(fifo, edf, fair), not {policy_name!r}"
-            )
-        if isinstance(spec.transport, str) and spec.transport != "inprocess":
-            raise ValueError(
-                "the event-heap engine serves in-process replicas only; "
-                f"group {spec.name!r} asked for transport {spec.transport!r}"
-            )
         self.spec = spec
         self.name = spec.name
         self.index = index
         self.profile = spec.profile
-        self.policy_name = policy_name
-        self.policy_kind = _POLICY_KIND[policy_name]
+        self.policy_name = spec.policy
+        self.policy_kind = _POLICY_KIND[spec.policy]
+        self.transport: ReplicaTransport = get_transport(spec.transport)
         self.batch_limit = batch_limit
         self.window_ms = spec.batch_window_ms
         self.all_replicas: list[Replica] = []
@@ -180,7 +174,7 @@ class _EngineGroup:
         self.edf_q: list[tuple[float, int]] = []
         self.fair_q: dict[int, deque[int]] = {}
         self.fair_last: dict[int, float] = {}
-        # SLO counters (same meaning as SloTracker's).
+        # SLO counters.
         self.submitted = 0
         self.shed = 0
         self.batch_sizes: list[int] = []
@@ -188,7 +182,7 @@ class _EngineGroup:
         self.arrivals_since_check = 0
         self.scale_ups = 0
         self.scale_downs = 0
-        # Faults and recovery (mirrors BatchScheduler's per-group state).
+        # Faults and recovery.
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
         self.breaker = CircuitBreaker(self.recovery.breaker_threshold)
         self.chaos_states = chaos_states or None
@@ -229,7 +223,7 @@ class _EngineGroup:
         self.replicas = max(1, self.live - self.pending_drain)
         self.capacity_fps = self.replicas * self.profile.steady_fps
 
-    # -- the ReplicaGroup interface routers and admission read ----------
+    # -- what routers and admission read ------------------------------
     def backlog_ms(self) -> float:
         """Estimated ms until a frame admitted now starts service."""
         return (
@@ -263,7 +257,7 @@ class _HeapSession:
         admission: AdmissionControl | None,
         autoscale: AutoscalePolicy | None,
         recovery: RecoveryPolicy | None = None,
-        chaos_active: bool = False,
+        may_fail: bool = False,
         cluster: bool = True,
     ) -> None:
         self.groups = groups
@@ -272,14 +266,15 @@ class _HeapSession:
         self.admission = admission
         self.autoscale = autoscale
         self._recovery = recovery if recovery is not None else RecoveryPolicy()
-        self._chaos_active = chaos_active
+        # The fault machinery (retries, breakers, failover) runs only when
+        # a replica can fail: under a chaos plan or behind a wire.
+        self._may_fail = may_fail
         self._cluster = cluster
         self._attempts: dict[int, int] = {}
-        if chaos_active:
+        if may_fail:
             # Retried frames keep their original arrival, so insertion
             # order no longer matches FIFO order: the fifo queue becomes
-            # a heap keyed (arrival_ms, index) — exactly the coroutine
-            # FifoPolicy's sort key.
+            # a heap keyed (arrival_ms, index).
             for group in groups:
                 group.fifo_q = []  # type: ignore[assignment]
         n = len(trace)
@@ -343,10 +338,9 @@ class _HeapSession:
         else:
             preferred = self.router.route(rel, t, groups)
         group = groups[preferred]
-        if self._chaos_active:
-            # Failure-aware front door, same decisions as the coroutine
-            # cluster: divert from tripped/exhausted groups via the
-            # shared failover_route; no group available → the frame
+        if self._may_fail:
+            # Failure-aware front door: divert from tripped/exhausted
+            # groups via failover_route; no group available → the frame
             # fails at the door, charged to the preferred group.
             if self._cluster:
                 index = failover_route(
@@ -382,7 +376,7 @@ class _HeapSession:
         self._pending += 1
         kind = group.policy_kind
         if kind == _FIFO:
-            if self._chaos_active:
+            if self._may_fail:
                 heappush(group.fifo_q, (t, i))
             else:
                 group.fifo_q.append(i)
@@ -402,10 +396,9 @@ class _HeapSession:
     def _drive(self, group: _EngineGroup, t: float) -> None:
         """The dispatcher loop top: park, hold the window, or dispatch.
 
-        Mirrors the coroutine dispatcher exactly: the batching window is
-        held once per loop iteration (only while the queue is non-empty
-        and below the batch limit), then a free replica is awaited, then
-        the policy picks the batch.
+        The batching window is held once per loop iteration (only while
+        the queue is non-empty and below the batch limit), then a free
+        replica is awaited, then the policy picks the batch.
         """
         while True:
             if group.queue_len == 0:
@@ -424,8 +417,8 @@ class _HeapSession:
             self._dispatch(group, t)
 
     def _on_window(self, t: float, group: _EngineGroup) -> None:
-        # Waking from the batching window goes straight to acquire — the
-        # coroutine loop does not re-check the window condition.
+        # Waking from the batching window goes straight to acquire,
+        # without re-checking the window condition.
         if group.exhausted or not group.queue_len:
             # Exhaustion drained the queue mid-window (every replica
             # dead, no replacement coming): the dispatcher retires.
@@ -449,7 +442,7 @@ class _HeapSession:
         if kind == _FIFO:
             queue = group.fifo_q
             size = min(limit, len(queue))
-            if self._chaos_active:
+            if self._may_fail:
                 batch = [heappop(queue)[1] for _ in range(size)]
             else:
                 batch = [queue.popleft() for _ in range(size)]
@@ -477,8 +470,10 @@ class _HeapSession:
                     return
                 if outcome.latency_factor != 1.0 and replica.health == "up":
                     replica.health = "degraded"
+        finishes = self._decode(group, replica, t, size, batch)
+        if finishes is None:
+            return
         group.batch_sizes.append(size)
-        finishes = replica.service_times(t, size)
         if outcome is not None and outcome.latency_factor != 1.0:
             group.degraded_time_ms += finishes[-1] - t
         stall_ms = outcome.stall_ms if outcome is not None else 0.0
@@ -522,8 +517,8 @@ class _HeapSession:
         # Completion decoupled from release: the breaker's success lands
         # when the batch's last frame resolves, then each replica returns
         # to rotation at its own time (stalled primary late, hedge at its
-        # own finish) — same order as the coroutine's sorted releases.
-        if self._chaos_active:
+        # own finish), earliest first.
+        if self._may_fail:
             self._push(eff[last], _EV_RELEASE, gi, 0, None)
         if stall_ms:
             group.degraded_time_ms += stall_ms
@@ -543,9 +538,9 @@ class _HeapSession:
     ) -> tuple[float, ...] | None:
         """Duplicate a batch onto ``hedge``; ``None`` if the hedge died.
 
-        Mirrors the coroutine's hedge: a crashed hedge costs only the
-        replica (detected at its would-be finish), no retry, no breaker
-        failure; a served hedge is charged its full occupancy.
+        A crashed hedge costs only the replica (detected at its would-be
+        finish), no retry, no breaker failure; a served hedge is charged
+        its full occupancy.
         """
         if group.chaos_states is not None:
             state = group.chaos_states.get(hedge.replica_id)
@@ -558,8 +553,34 @@ class _HeapSession:
                     return None
                 if outcome.latency_factor != 1.0 and hedge.health == "up":
                     hedge.health = "degraded"
-        group.hedges += 1
-        return hedge.service_times(t, size)
+        finishes = self._decode(group, hedge, t, size, None)
+        if finishes is not None:
+            group.hedges += 1
+        return finishes
+
+    def _decode(
+        self,
+        group: _EngineGroup,
+        replica: Replica,
+        t: float,
+        size: int,
+        batch: list[int] | None,
+    ) -> tuple[float, ...] | None:
+        """Serve ``size`` frames on ``replica`` from ``t`` through the
+        group's transport; ``None`` if the transport failed.
+
+        A transport that cannot answer fails the replica the way a chaos
+        crash does, detected at once: ``batch`` (the primary's frames)
+        retries within its budget, and a hedge (``batch`` is ``None``)
+        costs only the replica.
+        """
+        try:
+            return group.transport.decode(replica, t, size)
+        except TRANSPORT_ERRORS:
+            if not self._may_fail:
+                raise
+            self._push(t, _EV_FAIL, group.index, batch, replica)
+            return None
 
     def _select_fair(
         self, group: _EngineGroup, t: float, limit: int
@@ -593,7 +614,7 @@ class _HeapSession:
         self._finish[req] = t
         group.backlog_frames -= 1
         self._pending -= 1
-        if self._chaos_active:
+        if self._may_fail:
             self._attempts.pop(req, None)
         if t > self._duration:
             self._duration = t
@@ -601,7 +622,7 @@ class _HeapSession:
             return
         # Last frame of its batch: the batch succeeded (the breaker
         # closes), and the replica frees up (or retires).
-        if self._chaos_active:
+        if self._may_fail:
             group.breaker.record_success()
         if group.pending_drain > 0:
             group.pending_drain -= 1
@@ -619,8 +640,8 @@ class _HeapSession:
         group.add_replica()  # lands cold: first batch pays the fill
         if marker:
             # A chaos replacement, not an autoscale decision: same
-            # provisioning machinery, its own counter — and it extends
-            # the session like the coroutine's replacement task does.
+            # provisioning machinery, its own counter — and the session
+            # lasts until it lands.
             group.replacing -= 1
             group.replicas_replaced += 1
             if t > self._duration:
@@ -813,9 +834,10 @@ class _HeapSession:
             self._push(t + policy.check_interval_ms, _EV_SCALE, 0, 0, None)
 
     # ------------------------------------------------------------------
-    def finalize(
-        self, policy: str, router: str, groups_in_report: bool
-    ) -> ServingReport:
+    def finalize(self) -> ServingReport:
+        """The session's report: a bare pool reports no group slices and
+        no router; a cluster reports both, and ``cluster(<router>)`` as
+        its policy once it has more than one group."""
         trace = self.trace
         n = len(trace)
         arrival = trace.arrival_ms
@@ -859,7 +881,7 @@ class _HeapSession:
             utilization += tuple(
                 r.utilization(duration_ms) for r in group.all_replicas
             )
-        if groups_in_report:
+        if self._cluster:
             group_reports = tuple(
                 self._group_report(
                     g, finish, served, missed, group_of, duration_ms
@@ -869,6 +891,9 @@ class _HeapSession:
 
         all_batches = [s for g in self.groups for s in g.batch_sizes]
         completed = int(np.count_nonzero(served))
+        policy = self.groups[0].policy_name
+        if len(self.groups) > 1:
+            policy = f"cluster({self.router.name})"
         return ServingReport(
             policy=policy,
             avatars=trace.avatars,
@@ -878,9 +903,9 @@ class _HeapSession:
             submitted=sum(g.submitted for g in self.groups),
             completed=completed,
             duration_ms=duration_ms,
-            latency_p50_ms=_rank(ordered, 50),
-            latency_p95_ms=_rank(ordered, 95),
-            latency_p99_ms=_rank(ordered, 99),
+            latency_p50_ms=nearest_rank(ordered, 50),
+            latency_p95_ms=nearest_rank(ordered, 95),
+            latency_p99_ms=nearest_rank(ordered, 99),
             latency_mean_ms=float(latencies.mean()) if len(latencies) else 0.0,
             latency_max_ms=float(ordered[-1]) if len(ordered) else 0.0,
             queue_mean_ms=(
@@ -896,13 +921,16 @@ class _HeapSession:
             replica_utilization=utilization,
             per_avatar_p99_ms=per_avatar,
             shed=sum(g.shed for g in self.groups),
-            router=router,
+            router=self.router.name if self._cluster else "",
             groups=group_reports,
             engine="heap",
             shape=trace.shape,
             scale_ups=scale_ups,
             scale_downs=scale_downs,
             peak_replicas=self._peak,
+            reconnects=sum(
+                getattr(g.transport, "reconnects", 0) for g in self.groups
+            ),
             failed=sum(g.failed for g in self.groups),
             retries=sum(g.retries for g in self.groups),
             hedges=sum(g.hedges for g in self.groups),
@@ -933,10 +961,14 @@ class _HeapSession:
             r.utilization(duration_ms) for r in group.all_replicas
         ]
         completed = int(np.count_nonzero(mine_served))
+        health = (
+            getattr(group.transport, "health", ""),
+            health_summary(group.all_replicas),
+        )
         return GroupReport(
             name=group.name,
             policy=group.policy_name,
-            transport="inprocess",
+            transport=group.transport.name,
             replicas=len(group.all_replicas),
             max_batch=group.batch_limit,
             batch_window_ms=group.window_ms,
@@ -944,8 +976,8 @@ class _HeapSession:
             shed=group.shed,
             completed=completed,
             deadline_misses=int(np.count_nonzero(missed & mine)),
-            latency_p50_ms=_rank(latencies, 50),
-            latency_p99_ms=_rank(latencies, 99),
+            latency_p50_ms=nearest_rank(latencies, 50),
+            latency_p99_ms=nearest_rank(latencies, 99),
             mean_batch_size=(
                 sum(group.batch_sizes) / len(group.batch_sizes)
                 if group.batch_sizes
@@ -958,7 +990,8 @@ class _HeapSession:
             ),
             scale_ups=group.scale_ups,
             scale_downs=group.scale_downs,
-            health=health_summary(group.all_replicas),
+            reconnects=getattr(group.transport, "reconnects", 0),
+            health=", ".join(part for part in health if part),
             failed=group.failed,
             retries=group.retries,
             hedges=group.hedges,
@@ -968,15 +1001,6 @@ class _HeapSession:
             replicas_replaced=group.replicas_replaced,
             degraded_time_ms=group.degraded_time_ms,
         )
-
-
-def _rank(ordered: np.ndarray, q: float) -> float:
-    """Nearest-rank percentile of a presorted array (same definition as
-    :func:`repro.serving.slo.percentile`)."""
-    if not len(ordered):
-        return 0.0
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return float(ordered[rank - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -992,34 +1016,33 @@ def serve_trace(
     policy: str = "fifo",
     batch_window_ms: float = 2.0,
     max_batch: int | None = None,
+    transport: str | ReplicaTransport = "inprocess",
     chaos: ChaosPlan | None = None,
     recovery: RecoveryPolicy | None = None,
 ) -> ServingReport:
-    """Serve a request trace on the event-heap engine.
+    """Serve a request trace: the entry point of every serving session.
 
-    The heap-engine counterpart of
-    :func:`~repro.serving.workload.serve_workload` (pass a
-    :class:`~repro.serving.replica.ReplicaPool`; ``policy`` /
-    ``batch_window_ms`` / ``max_batch`` apply) and of
-    :func:`~repro.serving.cluster.serve_cluster` (pass
-    :class:`~repro.serving.cluster.GroupSpec` s; ``router`` /
-    ``admission`` / ``autoscale`` apply). ``trace`` is a
+    Pass a :class:`~repro.serving.replica.ReplicaPool` to serve it as
+    one pool (``policy`` / ``batch_window_ms`` / ``max_batch`` /
+    ``transport`` apply), or one or more
+    :class:`~repro.serving.cluster.GroupSpec` s to serve a cluster, each
+    group with its own policy, window, batch cap and transport
+    (``router`` / ``admission`` / ``autoscale`` apply). ``trace`` is a
     :class:`~repro.serving.traffic.RequestTrace` or an
     :class:`~repro.serving.workload.AvatarWorkload` (expanded via
-    :func:`~repro.serving.traffic.trace_from_workload`).
+    :func:`~repro.serving.traffic.trace_from_workload`). A ``chaos`` plan
+    injects deterministic replica faults; ``recovery`` sets how the
+    session answers them and transport failures.
 
-    Deterministic: same arguments, same report, bit for bit. Reports
-    carry ``engine="heap"`` plus the autoscale counters; all other
-    fields mean exactly what they mean on the coroutine path. A
-    ``chaos`` plan and ``recovery`` policy inject the same faults and
-    run the same recovery stack as the coroutine engines — counters
-    exactly equal, latencies to clock round-off.
+    Every group's transport opens before the first event and closes
+    after the last, before the report is built, so the report reads each
+    transport's final health. Deterministic: same arguments, same
+    report, bit for bit.
     """
     if isinstance(trace, AvatarWorkload):
         trace = trace_from_workload(trace)
     admission_ctl = resolve_admission(admission)
     routing = get_router(router)
-    chaos_active = bool(chaos)
 
     if isinstance(groups, ReplicaPool):
         if admission_ctl is not None or autoscale is not None:
@@ -1042,9 +1065,10 @@ def serve_trace(
             policy=policy,
             batch_window_ms=batch_window_ms,
             max_batch=pool.max_batch,
+            transport=transport,
         )
-        # The single-pool coroutine path runs its scheduler with the
-        # empty group name — chaos clauses resolve against "".
+        # A bare pool's chaos clauses name replicas by index alone: they
+        # resolve against the empty group name.
         group = _EngineGroup(
             spec,
             0,
@@ -1053,45 +1077,32 @@ def serve_trace(
             chaos_states=chaos.states("") if chaos else None,
         )
         group.adopt_pool(pool)
-        session = _HeapSession(
-            [group],
-            trace,
-            routing,
-            None,
-            None,
-            recovery=recovery,
-            chaos_active=chaos_active,
-            cluster=False,
-        )
-        session.run()
-        return session.finalize(
-            policy=group.policy_name, router="", groups_in_report=False
-        )
-
-    specs = [groups] if isinstance(groups, GroupSpec) else list(groups)
-    if not specs:
-        raise ValueError("a cluster needs at least one replica group")
-    names = [spec.name for spec in specs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"replica group names must be unique: {names}")
-    engine_groups = []
-    for index, spec in enumerate(specs):
-        group = _EngineGroup(
-            spec,
-            index,
-            batch_limit=spec.max_batch,
-            recovery=recovery,
-            chaos_states=chaos.states(spec.name) if chaos else None,
-        )
-        start_replicas = spec.replicas
-        if autoscale is not None:
-            start_replicas = min(
-                max(start_replicas, autoscale.min_replicas),
-                autoscale.max_replicas,
+        engine_groups = [group]
+    else:
+        specs = [groups] if isinstance(groups, GroupSpec) else list(groups)
+        if not specs:
+            raise ValueError("a cluster needs at least one replica group")
+        names = [spec.name for spec in specs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"replica group names must be unique: {names}")
+        engine_groups = []
+        for index, spec in enumerate(specs):
+            group = _EngineGroup(
+                spec,
+                index,
+                batch_limit=spec.max_batch,
+                recovery=recovery,
+                chaos_states=chaos.states(spec.name) if chaos else None,
             )
-        for _ in range(start_replicas):
-            group.add_replica()
-        engine_groups.append(group)
+            start_replicas = spec.replicas
+            if autoscale is not None:
+                start_replicas = min(
+                    max(start_replicas, autoscale.min_replicas),
+                    autoscale.max_replicas,
+                )
+            for _ in range(start_replicas):
+                group.add_replica()
+            engine_groups.append(group)
     session = _HeapSession(
         engine_groups,
         trace,
@@ -1099,17 +1110,19 @@ def serve_trace(
         admission_ctl,
         autoscale,
         recovery=recovery,
-        chaos_active=chaos_active,
+        may_fail=bool(chaos)
+        or any(
+            not isinstance(g.transport, InProcessTransport)
+            for g in engine_groups
+        ),
+        cluster=not isinstance(groups, ReplicaPool),
     )
-    session.run()
-    report_policy = (
-        engine_groups[0].policy_name
-        if len(engine_groups) == 1
-        else f"cluster({routing.name})"
-    )
-    return session.finalize(
-        policy=report_policy, router=routing.name, groups_in_report=True
-    )
+    with ExitStack() as stack:
+        for group in engine_groups:
+            group.transport.open(group.profile, group.spec.max_batch)
+            stack.callback(group.transport.close)
+        session.run()
+    return session.finalize()
 
 
 __all__ = ["AutoscalePolicy", "PER_AVATAR_LIMIT", "serve_trace"]

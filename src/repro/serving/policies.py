@@ -1,134 +1,27 @@
-"""Pluggable batch-selection policies for the decode scheduler.
+"""The batch-selection policies, by name.
 
-A policy answers one question: given the current queue, which (at most
-``limit``) requests ride the next batch onto a freed replica? All three
-policies are deterministic — ties always break on ``request_id``, which
-the scheduler assigns in submission order.
+A policy answers one question: given a group's queue, which (at most
+``limit``) frames ride the next batch onto a freed replica? The serving
+engine (:mod:`repro.serving.engine`) implements each one, and every
+choice is deterministic, ties included.
 
 - ``fifo``     — arrival order; the baseline every serving system starts at.
 - ``edf``      — earliest absolute deadline first; classic real-time
   scheduling, minimizes deadline misses when the system is saturated.
 - ``fair``     — per-avatar round-robin (least-recently-served avatar
-  first), so one chatty avatar cannot starve the rest of a session.
+  first, FIFO within an avatar), so one chatty avatar cannot starve the
+  rest of a session.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-from repro.serving.request import DecodeRequest
-
-
-class SchedulingPolicy:
-    """Base: pick the next batch out of the waiting queue.
-
-    ``select`` may return an empty batch to decline dispatching right now
-    (e.g. a custom policy holding out for a co-arriving frame); the
-    scheduler then parks until the queue changes instead of re-polling in
-    a busy loop. A policy must not decline *forever* while the queue is
-    non-empty — requests it never selects are never served.
-    """
-
-    name = "base"
-
-    def select(
-        self, queue: Sequence[DecodeRequest], now_ms: float, limit: int
-    ) -> list[DecodeRequest]:
-        raise NotImplementedError
-
-
-class FifoPolicy(SchedulingPolicy):
-    """Serve in arrival order."""
-
-    name = "fifo"
-
-    def select(
-        self, queue: Sequence[DecodeRequest], now_ms: float, limit: int
-    ) -> list[DecodeRequest]:
-        ordered = sorted(queue, key=lambda r: (r.arrival_ms, r.request_id))
-        return ordered[:limit]
-
-
-class EdfPolicy(SchedulingPolicy):
-    """Earliest (absolute) deadline first."""
-
-    name = "edf"
-
-    def select(
-        self, queue: Sequence[DecodeRequest], now_ms: float, limit: int
-    ) -> list[DecodeRequest]:
-        ordered = sorted(queue, key=lambda r: (r.deadline_ms, r.request_id))
-        return ordered[:limit]
-
-
-class FairPolicy(SchedulingPolicy):
-    """Per-avatar fairness: least-recently-served avatar goes first.
-
-    Requests are grouped by avatar (FIFO within an avatar) and avatars are
-    drained round-robin, ordered by when they last got a frame served.
-    """
-
-    name = "fair"
-
-    def __init__(self) -> None:
-        self._last_served: dict[int, float] = {}
-
-    def select(
-        self, queue: Sequence[DecodeRequest], now_ms: float, limit: int
-    ) -> list[DecodeRequest]:
-        per_avatar: dict[int, list[DecodeRequest]] = {}
-        for request in sorted(
-            queue, key=lambda r: (r.arrival_ms, r.request_id)
-        ):
-            per_avatar.setdefault(request.avatar_id, []).append(request)
-        order = sorted(
-            per_avatar,
-            key=lambda avatar: (
-                self._last_served.get(avatar, float("-inf")),
-                avatar,
-            ),
-        )
-        batch: list[DecodeRequest] = []
-        while len(batch) < limit and any(per_avatar.values()):
-            for avatar in order:
-                waiting = per_avatar[avatar]
-                if waiting and len(batch) < limit:
-                    batch.append(waiting.pop(0))
-        for request in batch:
-            self._last_served[request.avatar_id] = now_ms
-        return batch
-
-
-_POLICIES: dict[str, Callable[[], SchedulingPolicy]] = {
-    "fifo": FifoPolicy,
-    "edf": EdfPolicy,
-    "fair": FairPolicy,
-}
-
-
-def get_policy(name: str | SchedulingPolicy) -> SchedulingPolicy:
-    """Look a policy up by name (or pass an instance through)."""
-    if isinstance(name, SchedulingPolicy):
-        return name
-    try:
-        return _POLICIES[name]()
-    except KeyError:
-        known = ", ".join(sorted(_POLICIES))
-        raise KeyError(
-            f"unknown scheduling policy {name!r}; known policies: {known}"
-        ) from None
+#: The policy names a group may ask for.
+POLICIES = ("fifo", "edf", "fair")
 
 
 def list_policies() -> list[str]:
-    """Names of the built-in scheduling policies."""
-    return sorted(_POLICIES)
+    """Names of the scheduling policies."""
+    return sorted(POLICIES)
 
 
-__all__ = [
-    "EdfPolicy",
-    "FairPolicy",
-    "FifoPolicy",
-    "SchedulingPolicy",
-    "get_policy",
-    "list_policies",
-]
+__all__ = ["POLICIES", "list_policies"]

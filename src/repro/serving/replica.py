@@ -1,4 +1,4 @@
-"""Simulated accelerator replicas and the pool the scheduler draws from.
+"""Simulated accelerator replicas and the pools they serve in.
 
 A *replica* is one deployed instance of a DSE-selected accelerator design.
 It does not re-run the cycle-accurate simulator per request; instead it is
@@ -13,14 +13,13 @@ steady-state accounting:
   interval of the previous batch draining) streams every frame at the
   steady interval.
 
-:class:`ReplicaPool` owns N identical replicas and hands free ones to the
-scheduler; :func:`pool_from_result` builds a pool straight from an
+:class:`ReplicaPool` holds N identical replicas for one serving session;
+:func:`pool_from_result` builds a pool straight from an
 :class:`~repro.fcad.flow.FcadResult` (``FCad.run`` → serve).
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 
 from repro.fcad.flow import FcadResult
@@ -42,8 +41,8 @@ class Replica:
     #: failures move this; a dead replica never returns to the free list.
     health: str = "up"
     #: Chaos degradation: service times stretch by this factor (1.0 =
-    #: healthy). Set by the scheduler/engine from the session's chaos
-    #: state before each dispatch.
+    #: healthy). Set by the engine from the session's chaos state before
+    #: each dispatch.
     latency_factor: float = 1.0
 
     def preview_service(
@@ -101,7 +100,7 @@ class Replica:
 
 
 class ReplicaPool:
-    """N identical replicas plus the free-list the scheduler blocks on."""
+    """N identical replicas of one design, served as one group."""
 
     def __init__(
         self,
@@ -117,100 +116,13 @@ class ReplicaPool:
             for i in range(replicas)
         ]
         self.max_batch = max_batch
-        self._initial_replicas = replicas
-        self._free: asyncio.Queue[Replica | None] | None = None
-
-    @property
-    def capacity_fps(self) -> float:
-        """Steady-state decode rate of the live pool, all replicas warm.
-
-        Counts only replicas that are not dead (never below one so
-        routing/admission math stays finite), matching the heap engine's
-        live-fleet accounting; on a fault-free session this is simply
-        every replica.
-        """
-        return max(1, self.alive) * self.profile.steady_fps
-
-    @property
-    def alive(self) -> int:
-        """Replicas that can still serve (``up`` or ``degraded``)."""
-        return sum(1 for r in self.replicas if r.health != "dead")
 
     def __len__(self) -> int:
         return len(self.replicas)
 
-    def open(self) -> None:
-        """Start a fresh serving session on the running event loop.
-
-        Clears any previous session's accounting (busy time, warm
-        windows) so a pool can be reused for back-to-back policy
-        comparisons without state leaking between sessions.
-        """
-        self.reset()
-        self._free = asyncio.Queue()
-        # Deterministic order: replica 0 serves the first batch.
-        for replica in self.replicas:
-            self._free.put_nowait(replica)
-
-    async def acquire(self) -> Replica | None:
-        """Next free replica, or ``None`` once the pool is poisoned.
-
-        ``None`` only ever surfaces after :meth:`poison` — i.e. when
-        every replica is dead and no replacement is coming — so callers
-        on the happy path can treat the result as a replica.
-        """
-        assert self._free is not None, "pool not opened inside a session"
-        return await self._free.get()
-
-    def try_acquire(self) -> Replica | None:
-        """A free replica right now, or ``None`` — never blocks.
-
-        The hedging path uses this: a hedge is only worth dispatching if
-        spare capacity is sitting idle at this instant.
-        """
-        assert self._free is not None, "pool not opened inside a session"
-        try:
-            replica = self._free.get_nowait()
-        except asyncio.QueueEmpty:
-            return None
-        if replica is None:  # poison sentinel — leave it for acquire()
-            self._free.put_nowait(None)
-            return None
-        return replica
-
-    def release(self, replica: Replica) -> None:
-        assert self._free is not None
-        if replica.health == "dead":
-            return  # a dead replica never rejoins the rotation
-        self._free.put_nowait(replica)
-
-    def mark_dead(self, replica: Replica) -> None:
-        """Take a replica out of service permanently."""
-        replica.health = "dead"
-
-    def add_replica(self) -> Replica:
-        """Provision a cold replacement replica into the rotation."""
-        replica = Replica(
-            replica_id=len(self.replicas),
-            latency=self.profile,
-            max_batch=self.max_batch,
-        )
-        self.replicas.append(replica)
-        if self._free is not None:
-            self._free.put_nowait(replica)
-        return replica
-
-    def poison(self) -> None:
-        """Wake a blocked ``acquire`` with ``None`` (pool exhausted)."""
-        assert self._free is not None
-        self._free.put_nowait(None)
-
-    def utilizations(self, elapsed_ms: float) -> tuple[float, ...]:
-        return tuple(r.utilization(elapsed_ms) for r in self.replicas)
-
     def reset(self) -> None:
-        """Forget all serving state (``open`` calls this per session)."""
-        del self.replicas[self._initial_replicas :]
+        """Forget all serving state (busy time, warm windows, health), so
+        one pool serves back-to-back sessions without state leaking."""
         for replica in self.replicas:
             replica.busy_ms = 0.0
             replica.frames_served = 0
@@ -218,15 +130,10 @@ class ReplicaPool:
             replica.last_finish_ms = float("-inf")
             replica.health = "up"
             replica.latency_factor = 1.0
-        self._free = None
 
 
 def health_summary(replicas) -> str:
-    """Human-readable fleet health, or ``""`` while everything is up.
-
-    One shared formatter for both engines, so a group's ``health``
-    string in the report is identical whichever engine served it.
-    """
+    """Human-readable fleet health, or ``""`` while everything is up."""
     up = sum(1 for r in replicas if r.health == "up")
     degraded = sum(1 for r in replicas if r.health == "degraded")
     dead = sum(1 for r in replicas if r.health == "dead")
@@ -239,7 +146,7 @@ def design_max_batch(config) -> int:
     """Default replica batch capacity for a design configuration.
 
     The design was optimized for specific per-branch batch sizes; let a
-    replica absorb a few frames beyond that before the scheduler must
+    replica absorb a few frames beyond that before the dispatcher must
     spill to the next one. The single home of this heuristic — both
     :func:`pool_from_result` and
     :meth:`~repro.fcad.flow.FcadResult.serving_group` size from it, so a

@@ -1,11 +1,11 @@
 """Pluggable request routing across heterogeneous replica groups.
 
-A router answers one question per request: which
-:class:`~repro.serving.cluster.ReplicaGroup` should decode this frame?
-It sees the request's *relative* deadline budget and every group's live
-state (queue depth, in-flight frames, latency profile), and must be
-deterministic — same cluster state, same answer — so virtual-clock
-sessions stay bit-identical per seed.
+A router answers one question per request: which replica group (the
+engine's live view of a :class:`~repro.serving.cluster.GroupSpec`)
+should decode this frame? It sees the request's *relative* deadline
+budget and every group's live state (queue depth, in-flight frames,
+latency profile), and must be deterministic — same cluster state, same
+answer — so sessions stay bit-identical per seed.
 
 - ``round-robin``   — cycle the groups; the baseline, blind to both load
   and deadlines.
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 if TYPE_CHECKING:
-    from repro.serving.cluster import ReplicaGroup
+    from repro.serving.engine import _EngineGroup
 
 
 @runtime_checkable
@@ -37,7 +37,7 @@ class RoutingPolicy(Protocol):
         self,
         deadline_rel_ms: float,
         now_ms: float,
-        groups: Sequence["ReplicaGroup"],
+        groups: Sequence["_EngineGroup"],
     ) -> int:
         """Index into ``groups`` of the chosen replica group."""
         ...
@@ -55,7 +55,7 @@ class RoundRobinRouter:
         self,
         deadline_rel_ms: float,
         now_ms: float,
-        groups: Sequence["ReplicaGroup"],
+        groups: Sequence["_EngineGroup"],
     ) -> int:
         index = self._next % len(groups)
         self._next += 1
@@ -77,7 +77,7 @@ class LeastLoadedRouter:
         self,
         deadline_rel_ms: float,
         now_ms: float,
-        groups: Sequence["ReplicaGroup"],
+        groups: Sequence["_EngineGroup"],
     ) -> int:
         return min(
             range(len(groups)), key=lambda i: (groups[i].backlog_ms(), i)
@@ -112,7 +112,7 @@ class DeadlineTieredRouter:
         self,
         deadline_rel_ms: float,
         now_ms: float,
-        groups: Sequence["ReplicaGroup"],
+        groups: Sequence["_EngineGroup"],
     ) -> int:
         return _tiered_pick(range(len(groups)), deadline_rel_ms, groups)
 
@@ -120,7 +120,7 @@ class DeadlineTieredRouter:
 def _tiered_pick(
     candidates: Iterable[int],
     deadline_rel_ms: float,
-    groups: Sequence["ReplicaGroup"],
+    groups: Sequence["_EngineGroup"],
 ) -> int:
     """The deadline-tiered choice among ``candidates`` (ascending indices,
     at least one): the highest-capacity group whose unloaded latency fits
@@ -148,7 +148,7 @@ def _tiered_pick(
 def failover_route(
     preferred: int,
     deadline_rel_ms: float,
-    groups: Sequence["ReplicaGroup"],
+    groups: Sequence["_EngineGroup"],
     available: Sequence[bool],
 ) -> int | None:
     """Failure-aware rerouting on top of any router's choice.
@@ -161,9 +161,6 @@ def failover_route(
     fits the budget, else the quickest one. ``None`` means *no* group
     can serve — the front door fails the frame rather than queueing it
     nowhere.
-
-    Shared verbatim by the coroutine cluster front door and the heap
-    engine, so failover decisions are identical across engines.
     """
     if available[preferred]:
         return preferred

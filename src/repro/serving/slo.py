@@ -1,7 +1,6 @@
 """SLO accounting: latency percentiles, deadline misses, throughput.
 
-The tracker collects every :class:`~repro.serving.request.DecodeResponse`
-of a session and folds them into a :class:`ServingReport` — the serving
+A session's outcome is a :class:`ServingReport` — the serving
 counterpart of :class:`~repro.sim.runner.SimulationReport` and
 :class:`~repro.dse.result.DseResult`: a frozen record that renders as a
 table and round-trips through JSON (:func:`report_to_json` /
@@ -17,21 +16,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
-from repro.serving.request import DecodeResponse
 from repro.utils.sums import ordered_sum
 from repro.utils.tables import render_table
 
 
-def percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile of ``samples`` (q in 0..100)."""
-    if not samples:
-        return 0.0
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (q in 0..100) of the presorted ``ordered``;
+    0.0 when it is empty."""
     if not 0.0 < q <= 100.0:
         raise ValueError(f"percentile must be in (0, 100]: {q}")
-    ordered = sorted(samples)
+    if not len(ordered):
+        return 0.0
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+    return float(ordered[rank - 1])
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,7 @@ class GroupReport:
     latency_p99_ms: float
     mean_batch_size: float
     mean_utilization: float
-    #: Replicas added / drained by autoscaling during the session (0 on
-    #: the coroutine path, which serves fixed fleets).
+    #: Replicas added / drained by autoscaling during the session.
     scale_ups: int = 0
     scale_downs: int = 0
     #: Transport-level reconnections during the session (only a
@@ -103,10 +101,7 @@ class ServingReport:
     individual frame requests; ``batches`` counts replica dispatches;
     ``replica_utilization`` is busy-time fractions in ``[0, 1]``, one
     entry per replica (every replica that ever served, under
-    autoscaling); throughput properties are frames per second. Both
-    serving engines — the coroutine scheduler and the event-heap engine
-    — produce this same record, so ``render()``, the JSON round-trip,
-    and every report consumer work identically for either.
+    autoscaling); throughput properties are frames per second.
     """
 
     policy: str
@@ -136,22 +131,20 @@ class ServingReport:
     #: ``submitted`` counts them — they entered the front door — so
     #: ``completed + shed == submitted`` in a fully drained session.
     shed: int = 0
-    #: Routing policy of the cluster session ("" for a single pool served
-    #: directly by one :class:`~repro.serving.scheduler.BatchScheduler`).
+    #: Routing policy of the cluster session ("" for a bare pool).
     router: str = ""
     #: Per-group SLO slices of a cluster session (empty for a single pool).
     groups: tuple[GroupReport, ...] = field(default=())
-    #: Which serving engine produced the report: "" for the coroutine
-    #: scheduler (the historical default), "heap" for the event-heap
-    #: engine (:mod:`repro.serving.engine`).
+    #: The serving engine that produced the report: always "heap" (the
+    #: event heap of :mod:`repro.serving.engine`); "" in older payloads.
     engine: str = ""
     #: Traffic shape the session's trace was generated from ("" for
     #: workload-driven sessions).
     shape: str = ""
     #: Autoscaling activity: replicas added / drained across all groups
     #: (both 0 when autoscaling was off), and the peak number of
-    #: provisioned replicas alive at any instant (0 means "not tracked",
-    #: i.e. a coroutine-path report).
+    #: provisioned replicas alive at any instant (0 in payloads that did
+    #: not track it).
     scale_ups: int = 0
     scale_downs: int = 0
     peak_replicas: int = 0
@@ -317,161 +310,6 @@ class ServingReport:
         )
 
 
-class SloTracker:
-    """Accumulates responses while a session runs."""
-
-    def __init__(
-        self,
-        deadline_ms: float,
-        deadline_tiers_ms: tuple[float, ...] = (),
-    ) -> None:
-        self.deadline_ms = deadline_ms
-        self.deadline_tiers_ms = deadline_tiers_ms
-        self.responses: list[DecodeResponse] = []
-        self.submitted = 0
-        self.shed = 0
-        self.batch_sizes: list[int] = []
-        self.failed = 0
-        self.retries = 0
-        self.hedges = 0
-        self.hedge_wins = 0
-        self.failovers = 0
-        self.replicas_lost = 0
-        self.replicas_replaced = 0
-        self.degraded_time_ms = 0.0
-
-    def record_submit(self) -> None:
-        """One request entered the front door (admitted or later shed)."""
-        self.submitted += 1
-
-    def record_shed(self) -> None:
-        """One request rejected by admission control (still submitted)."""
-        self.submitted += 1
-        self.shed += 1
-
-    def record_batch(self, size: int) -> None:
-        """One batch of ``size`` frames dispatched to a replica."""
-        self.batch_sizes.append(size)
-
-    def record(self, response: DecodeResponse) -> None:
-        """One frame finished decoding (with its full timing record)."""
-        self.responses.append(response)
-
-    def record_failed(self) -> None:
-        """One admitted request permanently failed (retries exhausted)."""
-        self.failed += 1
-
-    def record_retry(self) -> None:
-        self.retries += 1
-
-    def record_hedge(self) -> None:
-        self.hedges += 1
-
-    def record_hedge_win(self) -> None:
-        self.hedge_wins += 1
-
-    def record_failover(self) -> None:
-        """One request diverted here from its preferred (broken) group."""
-        self.failovers += 1
-
-    def record_replica_lost(self) -> None:
-        self.replicas_lost += 1
-
-    def record_replica_replaced(self) -> None:
-        self.replicas_replaced += 1
-
-    def add_degraded_time(self, ms: float) -> None:
-        self.degraded_time_ms += ms
-
-    def merge(self, other: "SloTracker") -> None:
-        """Fold another tracker's session into this one.
-
-        The cluster session keeps one tracker per replica group and folds
-        them into an aggregate for the cluster-wide report; percentiles
-        and means are order-independent, so merging after the fact equals
-        having tracked centrally.
-        """
-        self.responses.extend(other.responses)
-        self.submitted += other.submitted
-        self.shed += other.shed
-        self.batch_sizes.extend(other.batch_sizes)
-        self.failed += other.failed
-        self.retries += other.retries
-        self.hedges += other.hedges
-        self.hedge_wins += other.hedge_wins
-        self.failovers += other.failovers
-        self.replicas_lost += other.replicas_lost
-        self.replicas_replaced += other.replicas_replaced
-        self.degraded_time_ms += other.degraded_time_ms
-
-    def report(
-        self,
-        policy: str,
-        avatars: int,
-        duration_ms: float,
-        replica_utilization: tuple[float, ...],
-        max_batch: int,
-        batch_window_ms: float,
-        router: str = "",
-        groups: tuple[GroupReport, ...] = (),
-        reconnects: int = 0,
-    ) -> ServingReport:
-        latencies = [r.latency_ms for r in self.responses]
-        queue_waits = [r.queue_ms for r in self.responses]
-        per_avatar: dict[int, list[float]] = {}
-        for response in self.responses:
-            per_avatar.setdefault(response.request.avatar_id, []).append(
-                response.latency_ms
-            )
-        return ServingReport(
-            policy=policy,
-            avatars=avatars,
-            replicas=len(replica_utilization),
-            max_batch=max_batch,
-            batch_window_ms=batch_window_ms,
-            submitted=self.submitted,
-            completed=len(self.responses),
-            duration_ms=duration_ms,
-            latency_p50_ms=percentile(latencies, 50),
-            latency_p95_ms=percentile(latencies, 95),
-            latency_p99_ms=percentile(latencies, 99),
-            latency_mean_ms=(
-                sum(latencies) / len(latencies) if latencies else 0.0
-            ),
-            latency_max_ms=max(latencies, default=0.0),
-            queue_mean_ms=(
-                sum(queue_waits) / len(queue_waits) if queue_waits else 0.0
-            ),
-            deadline_ms=self.deadline_ms,
-            deadline_tiers_ms=self.deadline_tiers_ms,
-            deadline_misses=sum(
-                1 for r in self.responses if r.deadline_missed
-            ),
-            batches=len(self.batch_sizes),
-            mean_batch_size=(
-                sum(self.batch_sizes) / len(self.batch_sizes)
-                if self.batch_sizes
-                else 0.0
-            ),
-            replica_utilization=replica_utilization,
-            per_avatar_p99_ms=tuple(
-                percentile(per_avatar[a], 99) for a in sorted(per_avatar)
-            ),
-            shed=self.shed,
-            router=router,
-            groups=groups,
-            reconnects=reconnects,
-            failed=self.failed,
-            retries=self.retries,
-            hedges=self.hedges,
-            hedge_wins=self.hedge_wins,
-            failovers=self.failovers,
-            replicas_lost=self.replicas_lost,
-            replicas_replaced=self.replicas_replaced,
-            degraded_time_ms=self.degraded_time_ms,
-        )
-
-
 def report_to_json(report: ServingReport, indent: int = 2) -> str:
     """Serialize a report (derived SLOs included, for easy dashboards)."""
     payload = asdict(report)
@@ -524,8 +362,7 @@ def report_from_json(text: str) -> ServingReport:
 __all__ = [
     "GroupReport",
     "ServingReport",
-    "SloTracker",
-    "percentile",
+    "nearest_rank",
     "report_from_json",
     "report_to_json",
 ]

@@ -1,20 +1,16 @@
 """Vectorized request traces and named traffic shapes.
 
-The coroutine serving path (:mod:`repro.serving.workload`) models each
-avatar as an asyncio task — faithful, but the simulator tops out around
-thousands of requests per session. This module is the array-shaped
-counterpart: a :class:`RequestTrace` holds a whole session's arrivals as
-presorted numpy arrays (one row per request: arrival time, avatar id,
-deadline budget), cheap to generate for millions of requests and cheap
-for the event-heap engine (:mod:`repro.serving.engine`) to consume.
+A :class:`RequestTrace` holds a whole session's arrivals as presorted
+numpy arrays (one row per request: arrival time, avatar id, deadline
+budget), cheap to generate for millions of requests and cheap for the
+event-heap engine (:mod:`repro.serving.engine`) to consume.
 
 Two ways to build a trace:
 
 - :func:`trace_from_workload` expands an
-  :class:`~repro.serving.workload.AvatarWorkload` into the exact arrival
-  stream its coroutine clients would submit — same per-avatar
-  ``random.Random`` streams, same jitter chain — which is what makes the
-  heap-vs-coroutine equivalence test possible.
+  :class:`~repro.serving.workload.AvatarWorkload` into its avatars'
+  arrival streams — one seeded ``random.Random`` stream per avatar, with
+  a chained jitter;
 - :func:`make_trace` generates large sessions from a named *traffic
   shape* with session churn (avatars joining and leaving mid-session):
 
@@ -89,12 +85,13 @@ class RequestTrace:
 
 
 def trace_from_workload(workload) -> RequestTrace:
-    """Expand an :class:`AvatarWorkload` into the trace its clients submit.
+    """Expand an :class:`AvatarWorkload` into the trace its avatars submit.
 
-    Reproduces :func:`repro.serving.workload._avatar_client` exactly —
-    per-avatar ``random.Random`` streams, the initial phase draw, and the
-    submit-then-jitter call order — so the event-heap engine sees the
-    same arrivals, in the same order, as the coroutine scheduler does.
+    Each avatar draws from its own ``random.Random`` stream
+    (:meth:`~repro.serving.workload.AvatarWorkload.avatar_rng`): a
+    uniform initial phase within one frame interval, then one frame per
+    interval, each step plus a uniform jitter drawn after the frame it
+    follows. Arrivals are sorted stably, so ties keep avatar order.
     """
     n = workload.avatars * workload.frames_per_avatar
     arrival = np.empty(n, dtype=np.float64)

@@ -1,22 +1,19 @@
 """Replica dispatch behind a protocol: in-process, subprocess, or remote.
 
-The scheduler never computes service times itself — it hands a batch to a
-:class:`ReplicaTransport` and gets back per-frame completion times. That
-seam is what makes *remote* replicas a deployment choice instead of a
-rewrite of the serving layer:
+The serving engine never computes service times itself — it hands a
+batch to a :class:`ReplicaTransport` and gets back per-frame completion
+times. That seam is what makes *remote* replicas a deployment choice
+instead of a rewrite of the serving layer:
 
 - :class:`InProcessTransport` (the default) calls
-  :meth:`~repro.serving.replica.Replica.service_times` directly — zero
-  overhead, bit-identical to the pre-transport scheduler on the virtual
-  clock;
+  :meth:`~repro.serving.replica.Replica.service_times` directly;
 - :class:`SocketTransport` serves the replicas from a subprocess over a
   local TCP socket (``python -m repro.serving.transport`` is the server).
   The server owns the authoritative replica state (warm windows); the
   client mirrors the accounting on its proxy replicas so utilization
   reporting still works locally. The round-trip is a synchronous,
-  newline-delimited JSON exchange, so virtual-clock sessions stay
-  deterministic: the event loop blocks (in wall time, not session time)
-  until the answer arrives.
+  newline-delimited JSON exchange: the session waits (in wall time, not
+  session time) until the answer arrives, so it stays deterministic.
 - :class:`~repro.dist.remote_transport.RemoteTransport` (name
   ``remote:HOST:PORT``) points the same protocol at a *persistent*
   replica server on another host, adding auth, reconnection, and request
@@ -38,8 +35,14 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.dist.wire import LineSocket, WireClosed
-from repro.serving.replica import Replica, ReplicaPool
+from repro.serving.replica import Replica
 from repro.sim.runner import FrameLatencyProfile
+
+#: What a transport's ``decode`` raises when its replica cannot answer
+#: (a dead subprocess, a torn or timed-out socket, a remote server past
+#: its reconnect budget, a malformed reply). The engine fails the replica
+#: on these; anything else is a bug and propagates.
+TRANSPORT_ERRORS = (OSError, RuntimeError, ValueError)
 
 
 @runtime_checkable
@@ -48,15 +51,16 @@ class ReplicaTransport(Protocol):
 
     name: str
 
-    def open(self, pool: ReplicaPool) -> None:
-        """Start a serving session against ``pool`` (spawn servers etc.)."""
+    def open(self, profile: FrameLatencyProfile, max_batch: int) -> None:
+        """Start a serving session for replicas of ``profile`` that take
+        at most ``max_batch`` frames per batch (spawn servers etc.)."""
         ...
 
     def close(self) -> None:
         """Tear the session down (kill servers, close sockets)."""
         ...
 
-    async def decode(
+    def decode(
         self, replica: Replica, start_ms: float, batch: int
     ) -> tuple[float, ...]:
         """Serve ``batch`` frames on ``replica`` from ``start_ms``."""
@@ -64,17 +68,19 @@ class ReplicaTransport(Protocol):
 
 
 class InProcessTransport:
-    """Today's behavior: the replica object itself computes service times."""
+    """The replica object itself computes service times."""
 
     name = "inprocess"
 
-    def open(self, pool: ReplicaPool) -> None:  # noqa: ARG002 - protocol
+    def open(  # noqa: ARG002 - protocol
+        self, profile: FrameLatencyProfile, max_batch: int
+    ) -> None:
         return None
 
     def close(self) -> None:
         return None
 
-    async def decode(
+    def decode(
         self, replica: Replica, start_ms: float, batch: int
     ) -> tuple[float, ...]:
         return replica.service_times(start_ms, batch)
@@ -84,8 +90,8 @@ class SocketTransport:
     """Replicas served by a subprocess over a localhost TCP socket.
 
     ``open`` spawns ``python -m repro.serving.transport``, reads the port
-    the server bound, connects, and sends a handshake carrying the pool's
-    latency profile and batch capacity. Every ``decode`` is one
+    the server bound, connects, and sends a handshake carrying the
+    replicas' latency profile and batch capacity. Every ``decode`` is one
     request/response line pair. The subprocess holds the authoritative
     per-replica warm-window state; the local proxy replica only mirrors
     accounting from the returned finish times.
@@ -98,7 +104,7 @@ class SocketTransport:
         self._proc: subprocess.Popen | None = None
         self._conn: LineSocket | None = None
 
-    def open(self, pool: ReplicaPool) -> None:
+    def open(self, profile: FrameLatencyProfile, max_batch: int) -> None:
         import repro
 
         env = dict(os.environ)
@@ -128,7 +134,6 @@ class SocketTransport:
         self._conn = LineSocket.connect(
             "127.0.0.1", int(port_line), timeout_s=self.timeout_s
         )
-        profile = pool.profile
         self._conn.send(
             {
                 "op": "handshake",
@@ -138,7 +143,7 @@ class SocketTransport:
                     "steady_interval_ms": profile.steady_interval_ms,
                     "frequency_mhz": profile.frequency_mhz,
                 },
-                "max_batch": pool.max_batch,
+                "max_batch": max_batch,
             }
         )
 
@@ -156,14 +161,13 @@ class SocketTransport:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+            if self._proc.stdout is not None:
+                self._proc.stdout.close()
             self._proc = None
 
-    async def decode(
+    def decode(
         self, replica: Replica, start_ms: float, batch: int
     ) -> tuple[float, ...]:
-        # Deliberately synchronous: the whole round-trip happens inside
-        # one event-loop step, so no virtual-clock timer can fire while
-        # the wire is in flight and session ordering stays deterministic.
         assert self._conn is not None, "transport not opened"
         try:
             reply = self._conn.request(
@@ -317,6 +321,7 @@ __all__ = [
     "ReplicaTransport",
     "SocketTransport",
     "TRANSPORTS",
+    "TRANSPORT_ERRORS",
     "get_transport",
     "list_transports",
     "parse_remote_spec",

@@ -1,20 +1,19 @@
-"""Multi-avatar decode workloads and the end-to-end serving session.
+"""Multi-avatar decode workloads and their replay on one design.
 
 A workload is N concurrent avatars, each streaming frames at a target
 cadence (e.g. 30 FPS per avatar) with seeded arrival jitter — the shape
 of a telepresence call: every participant's encoder emits latent codes on
 its own clock, and the receiver must decode all of them before their
-display deadlines.
+display deadlines. Like a live camera, an avatar issues frames on its
+own clock whether or not earlier frames finished, so backpressure shows
+up as queueing latency and deadline misses, not as a slower source.
 
-:func:`serve_workload` wires the whole layer together: replica pool →
-scheduler → avatar clients → :class:`~repro.serving.slo.ServingReport`.
-On the default virtual clock the run is deterministic: same seed, same
-report, bit for bit.
+:func:`replay_workload` serves a workload on replicas of one design
+profile; the run is deterministic: same seed, same report, bit for bit.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -22,16 +21,9 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:
     from repro.sim.runner import FrameLatencyProfile
 
-from repro.serving.clock import (
-    anchor_session_clock,
-    now_ms,
-    run_session,
-    sleep_until_ms,
-)
-from repro.serving.policies import SchedulingPolicy
+from repro.serving.cluster import GroupSpec
 from repro.serving.replica import ReplicaPool
-from repro.serving.scheduler import BatchScheduler
-from repro.serving.slo import ServingReport, SloTracker
+from repro.serving.slo import ServingReport
 
 
 @dataclass(frozen=True)
@@ -148,11 +140,10 @@ def replay_workload(
     profile: "FrameLatencyProfile",
     workload: AvatarWorkload | None = None,
     replicas: int = 2,
-    policy: str | SchedulingPolicy = "edf",
+    policy: str = "edf",
     batch_window_ms: float = 2.0,
     max_batch: int | None = None,
-    real_time: bool = False,
-    companions: "Sequence | None" = None,
+    companions: "Sequence[GroupSpec] | None" = None,
     router: str = "deadline",
     admission=None,
     group_name: str = "candidate",
@@ -165,9 +156,8 @@ def replay_workload(
     serving-driven DSE calls per candidate
     (:class:`~repro.dse.objective.ServingOracle`), and what ad-hoc "how
     would this design serve workload X" questions should use outside
-    ``repro serve``. Defaults to the :func:`canned_workload` on the
-    deterministic virtual clock: same profile + same workload → the same
-    report, bit for bit.
+    ``repro serve``. Defaults to the :func:`canned_workload`: same
+    profile + same workload → the same report, bit for bit.
 
     ``companions`` places the profile *inside a heterogeneous cluster*:
     each companion is a :class:`~repro.serving.cluster.GroupSpec` for a
@@ -178,11 +168,11 @@ def replay_workload(
     companions) also routes through the cluster path, so a single-group
     replay can exercise load shedding too.
     """
+    from repro.serving.engine import serve_trace
+
     if workload is None:
         workload = canned_workload()
     if companions or admission:
-        from repro.serving.cluster import GroupSpec, serve_cluster
-
         own_group = GroupSpec(
             name=group_name,
             profile=profile,
@@ -191,25 +181,23 @@ def replay_workload(
             batch_window_ms=batch_window_ms,
             max_batch=max_batch if max_batch is not None else 8,
         )
-        return serve_cluster(
+        return serve_trace(
             [own_group, *(companions or ())],
             workload,
             router=router,
             admission=admission,
-            real_time=real_time,
         )
     pool = ReplicaPool(
         profile,
         replicas=replicas,
         max_batch=max_batch if max_batch is not None else 8,
     )
-    return serve_workload(
+    return serve_trace(
         pool,
         workload,
         policy=policy,
         batch_window_ms=batch_window_ms,
         max_batch=max_batch,
-        real_time=real_time,
     )
 
 
@@ -246,124 +234,10 @@ def saturation_workload(
     )
 
 
-async def _avatar_client(
-    scheduler, workload: AvatarWorkload, avatar_id: int
-) -> None:
-    """Stream one avatar's frames at its cadence, without self-throttling.
-
-    Like a live camera, the client issues frames on its own clock whether
-    or not earlier frames finished — backpressure shows up as queueing
-    latency and deadline misses, not as a slower source. ``scheduler`` is
-    anything with ``submit_nowait`` — a
-    :class:`~repro.serving.scheduler.BatchScheduler` or a
-    :class:`~repro.serving.cluster.Cluster` front door (whose shed
-    requests resolve to ``None``: a dropped frame, never a hang).
-    """
-    rng = workload.avatar_rng(avatar_id)
-    deadline_ms = workload.deadline_for(avatar_id)
-    next_arrival = rng.uniform(0.0, workload.frame_interval_ms)
-    pending = []
-    for frame in range(workload.frames_per_avatar):
-        await sleep_until_ms(next_arrival)
-        pending.append(
-            scheduler.submit_nowait(avatar_id, frame, deadline_ms)
-        )
-        jitter = (
-            rng.uniform(-workload.jitter_ms, workload.jitter_ms)
-            if workload.jitter_ms
-            else 0.0
-        )
-        next_arrival += workload.frame_interval_ms + jitter
-    # return_exceptions + explicit re-raise: when a replica fails a whole
-    # batch, every frame's future holds the error. Retrieving all of them
-    # before raising keeps the failure loud *and* clean — no "exception
-    # was never retrieved" debris from the frames behind the first one.
-    outcomes = await asyncio.gather(*pending, return_exceptions=True)
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            raise outcome
-
-
-async def run_serving_session(
-    pool: ReplicaPool,
-    workload: AvatarWorkload,
-    policy: str | SchedulingPolicy = "fifo",
-    batch_window_ms: float = 2.0,
-    max_batch: int | None = None,
-    transport: str = "inprocess",
-    chaos=None,
-    recovery=None,
-) -> ServingReport:
-    """Serve one workload on an open event loop and report the SLOs."""
-    anchor_session_clock()
-    tracker = SloTracker(
-        deadline_ms=workload.deadline_ms,
-        deadline_tiers_ms=workload.deadline_tiers,
-    )
-    scheduler = BatchScheduler(
-        pool,
-        policy=policy,
-        batch_window_ms=batch_window_ms,
-        max_batch=max_batch,
-        tracker=tracker,
-        transport=transport,
-        chaos=chaos,
-        recovery=recovery,
-    )
-    scheduler.start()
-    clients = [
-        asyncio.get_running_loop().create_task(
-            _avatar_client(scheduler, workload, avatar_id)
-        )
-        for avatar_id in range(workload.avatars)
-    ]
-    await asyncio.gather(*clients)
-    await scheduler.close()
-    duration_ms = now_ms()
-    return tracker.report(
-        policy=scheduler.policy.name,
-        avatars=workload.avatars,
-        duration_ms=duration_ms,
-        replica_utilization=pool.utilizations(duration_ms),
-        max_batch=scheduler.max_batch,
-        batch_window_ms=scheduler.batch_window_ms,
-        reconnects=getattr(scheduler.transport, "reconnects", 0),
-    )
-
-
-def serve_workload(
-    pool: ReplicaPool,
-    workload: AvatarWorkload,
-    policy: str | SchedulingPolicy = "fifo",
-    batch_window_ms: float = 2.0,
-    max_batch: int | None = None,
-    real_time: bool = False,
-    transport: str = "inprocess",
-    chaos=None,
-    recovery=None,
-) -> ServingReport:
-    """Run a whole serving session; deterministic on the virtual clock."""
-    return run_session(
-        run_serving_session(
-            pool,
-            workload,
-            policy=policy,
-            batch_window_ms=batch_window_ms,
-            max_batch=max_batch,
-            transport=transport,
-            chaos=chaos,
-            recovery=recovery,
-        ),
-        real_time=real_time,
-    )
-
-
 __all__ = [
     "AvatarWorkload",
     "canned_workload",
     "frames_for_duration",
     "replay_workload",
-    "run_serving_session",
     "saturation_workload",
-    "serve_workload",
 ]

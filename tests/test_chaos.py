@@ -1,9 +1,6 @@
-"""Chaos layer: deterministic fault plans, the recovery stack, and the
-engine-equivalence guarantee extended to faulty runs.
+"""Chaos layer: deterministic fault plans and the recovery stack.
 
-The contract under test: a chaos plan injects *identical* faults into
-the coroutine scheduler and the event-heap engine (counters exactly
-equal, latencies to clock round-off), two runs at one seed are
+The contract under test: two runs of one faulty seeded session are
 bit-identical, every submitted frame resolves (served, shed, or counted
 failed — none hang), and with no plan and default recovery knobs nothing
 changes at all.
@@ -11,9 +8,9 @@ changes at all.
 
 from __future__ import annotations
 
-import json
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving import (
     ChaosPlan,
@@ -26,14 +23,12 @@ from repro.serving import (
     health_summary,
     report_from_json,
     report_to_json,
-    serve_cluster,
     serve_trace,
-    serve_workload,
-    trace_from_workload,
 )
 from repro.serving.chaos import ReplicaChaosState
 from repro.sim.runner import FrameLatencyProfile
 from tests.conftest import two_tier_groups, two_tier_workload
+from tests.test_engine_properties import chaos_plans
 
 FAST = FrameLatencyProfile(
     finish_ms=(6.0, 8.0),
@@ -48,58 +43,20 @@ BIG = FrameLatencyProfile(
     frequency_mhz=200.0,
 )
 
-#: Fields the two engines legitimately report differently.
-_ENGINE_ONLY = ("engine", "peak_replicas")
-
-
-def assert_payloads_match(coroutine, heap):
-    """Same report up to the asyncio clock's seconds<->ms round-off."""
-    a = json.loads(report_to_json(coroutine))
-    b = json.loads(report_to_json(heap))
-    for field in _ENGINE_ONLY:
-        a.pop(field), b.pop(field)
-    _match(a, b, path="report")
-
-
-def _match(a, b, path):
-    assert type(a) is type(b) or (
-        isinstance(a, (int, float)) and isinstance(b, (int, float))
-    ), path
-    if isinstance(a, dict):
-        assert a.keys() == b.keys(), path
-        for key in a:
-            _match(a[key], b[key], f"{path}.{key}")
-    elif isinstance(a, list):
-        assert len(a) == len(b), path
-        for i, (x, y) in enumerate(zip(a, b)):
-            _match(x, y, f"{path}[{i}]")
-    elif isinstance(a, float) or isinstance(b, float):
-        assert a == pytest.approx(b, rel=1e-6, abs=1e-6), path
-    else:
-        assert a == b, path
-
 
 def assert_lossless(report):
     assert report.completed + report.shed + report.failed == report.submitted
 
 
-def run_both(workload, *, replicas, policy, chaos, recovery):
-    """One faulty session through each engine, on fresh pools."""
-    coroutine = serve_workload(
+def serve_pool(workload, *, replicas, policy, chaos, recovery):
+    """One faulty session on a fresh pool of ``FAST`` replicas."""
+    return serve_trace(
         ReplicaPool(FAST, replicas=replicas, max_batch=4),
         workload,
         policy=policy,
         chaos=chaos,
         recovery=recovery,
     )
-    heap = serve_trace(
-        ReplicaPool(FAST, replicas=replicas, max_batch=4),
-        trace_from_workload(workload),
-        policy=policy,
-        chaos=chaos,
-        recovery=recovery,
-    )
-    return coroutine, heap
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +108,14 @@ class TestChaosSpec:
             ("stall:0:1:0", "stall duration must be positive"),
             ("degrade:0:1:1.0", "multiplier must be > 1"),
             ("crash-at:0:1,crash-at:0:2", "duplicate"),
+            ("crash-at:0:inf", "'crash-at:0:inf': numbers must be finite"),
+            ("crash-at:0:nan", "'crash-at:0:nan': numbers must be finite"),
+            ("die-at:0:nan", "'die-at:0:nan': numbers must be finite"),
+            ("die-at:0:inf", "'die-at:0:inf': numbers must be finite"),
+            ("stall:0:1:nan", "'stall:0:1:nan': numbers must be finite"),
+            ("stall:0:1:inf", "'stall:0:1:inf': numbers must be finite"),
+            ("degrade:0:1:nan", "'degrade:0:1:nan': numbers must be finite"),
+            ("degrade:0:1:inf", "'degrade:0:1:inf': numbers must be finite"),
         ],
     )
     def test_bad_specs_rejected(self, spec, message):
@@ -226,14 +191,14 @@ def test_health_summary_empty_while_all_up():
 
 
 # ---------------------------------------------------------------------------
-# engine equivalence under faults
+# faulty sessions
 # ---------------------------------------------------------------------------
-class TestEngineEquivalenceUnderChaos:
+class TestRecoveryUnderChaos:
     @pytest.mark.parametrize("policy", ["fifo", "edf", "fair"])
     def test_mixed_faults_single_pool(self, policy):
-        """Crash + degrade + stall with retries and replacement: both
-        engines agree under every scheduling policy."""
-        coroutine, heap = run_both(
+        """Crash + degrade + stall with retries and replacement, under
+        every scheduling policy."""
+        report = serve_pool(
             canned_workload(avatars=6, frames_per_avatar=10, seed=3),
             replicas=3,
             policy=policy,
@@ -242,12 +207,11 @@ class TestEngineEquivalenceUnderChaos:
             ),
             recovery=RecoveryPolicy(max_retries=2, replace_after_ms=200.0),
         )
-        assert_payloads_match(coroutine, heap)
-        assert_lossless(coroutine)
-        assert coroutine.replicas_lost == 1
-        assert coroutine.replicas_replaced == 1
-        assert coroutine.retries > 0
-        assert coroutine.degraded_time_ms > 0.0
+        assert_lossless(report)
+        assert report.replicas_lost == 1
+        assert report.replicas_replaced == 1
+        assert report.retries > 0
+        assert report.degraded_time_ms > 0.0
 
     def test_cluster_failover_and_breaker(self):
         """Killing a whole group trips its breaker; the failure-aware
@@ -256,50 +220,42 @@ class TestEngineEquivalenceUnderChaos:
             GroupSpec("latency", FAST, replicas=2, policy="edf"),
             GroupSpec("throughput", BIG, replicas=2, policy="fifo"),
         ]
-        workload = canned_workload(
-            avatars=8, frames_per_avatar=10, deadline_ms=60.0, seed=1
-        )
-        chaos = ChaosPlan.parse("die-at:latency/0:60,die-at:latency/1:90")
-        recovery = RecoveryPolicy(
-            max_retries=1, breaker_threshold=1, replace_after_ms=400.0
-        )
-        coroutine = serve_cluster(
-            groups, workload, router="deadline", chaos=chaos, recovery=recovery
-        )
-        heap = serve_trace(
+        report = serve_trace(
             groups,
-            trace_from_workload(workload),
+            canned_workload(
+                avatars=8, frames_per_avatar=10, deadline_ms=60.0, seed=1
+            ),
             router="deadline",
-            chaos=chaos,
-            recovery=recovery,
+            chaos=ChaosPlan.parse("die-at:latency/0:60,die-at:latency/1:90"),
+            recovery=RecoveryPolicy(
+                max_retries=1, breaker_threshold=1, replace_after_ms=400.0
+            ),
         )
-        assert_payloads_match(coroutine, heap)
-        assert_lossless(coroutine)
-        assert coroutine.replicas_lost == 2
-        assert coroutine.failovers > 0
+        assert_lossless(report)
+        assert report.replicas_lost == 2
+        assert report.failovers > 0
         # Failovers are charged to the group that *received* the traffic.
-        assert coroutine.groups[1].failovers == coroutine.failovers
+        assert report.groups[1].failovers == report.failovers
 
     def test_total_kill_is_lossless(self):
         """Every replica dead and no retries: the session still ends,
         with every unserved frame counted failed — none hang."""
-        coroutine, heap = run_both(
+        report = serve_pool(
             canned_workload(avatars=4, frames_per_avatar=8, seed=0),
             replicas=2,
             policy="fifo",
             chaos=ChaosPlan.parse("die-at:0:0,die-at:1:0"),
             recovery=RecoveryPolicy(max_retries=0),
         )
-        assert_payloads_match(coroutine, heap)
-        assert_lossless(coroutine)
-        assert coroutine.completed == 0
-        assert coroutine.failed == coroutine.submitted
-        assert coroutine.replicas_lost == 2
+        assert_lossless(report)
+        assert report.completed == 0
+        assert report.failed == report.submitted
+        assert report.replicas_lost == 2
 
     def test_hedging_wins_against_a_degraded_replica(self):
         """With one replica degraded 4x, hedged duplicates on a healthy
         replica win; the loser's occupancy is still charged."""
-        coroutine, heap = run_both(
+        report = serve_pool(
             canned_workload(
                 avatars=6,
                 frames_per_avatar=8,
@@ -312,14 +268,13 @@ class TestEngineEquivalenceUnderChaos:
             chaos=ChaosPlan.parse("degrade:0:1:4.0"),
             recovery=RecoveryPolicy(hedge=True),
         )
-        assert_payloads_match(coroutine, heap)
-        assert_lossless(coroutine)
-        assert coroutine.hedges > 0
-        assert coroutine.hedge_wins > 0
+        assert_lossless(report)
+        assert report.hedges > 0
+        assert report.hedge_wins > 0
 
     def test_faulty_runs_are_deterministic(self):
         """Two invocations of one faulty seeded session serialize to the
-        same bytes, per engine."""
+        same bytes."""
         kwargs = dict(
             replicas=3,
             policy="edf",
@@ -327,28 +282,109 @@ class TestEngineEquivalenceUnderChaos:
             recovery=RecoveryPolicy(max_retries=2, replace_after_ms=250.0),
         )
         workload = canned_workload(avatars=6, frames_per_avatar=10, seed=5)
-        first_coroutine, first_heap = run_both(workload, **kwargs)
-        second_coroutine, second_heap = run_both(workload, **kwargs)
-        assert report_to_json(first_coroutine) == report_to_json(
-            second_coroutine
-        )
-        assert report_to_json(first_heap) == report_to_json(second_heap)
+        first = serve_pool(workload, **kwargs)
+        second = serve_pool(workload, **kwargs)
+        assert report_to_json(first) == report_to_json(second)
 
     def test_no_chaos_and_default_knobs_change_nothing(self):
         """The recovery stack is invisible until a fault fires: default
         knobs reproduce the fault-free report bit for bit."""
         workload = canned_workload(avatars=6, frames_per_avatar=10, seed=4)
-        baseline = serve_workload(
+        baseline = serve_trace(
             ReplicaPool(FAST, replicas=2, max_batch=4), workload, policy="edf"
         )
-        guarded = serve_workload(
-            ReplicaPool(FAST, replicas=2, max_batch=4),
+        guarded = serve_pool(
             workload,
+            replicas=2,
             policy="edf",
             chaos=ChaosPlan(),
             recovery=RecoveryPolicy(),
         )
         assert report_to_json(guarded) == report_to_json(baseline)
+
+    def test_stall_ending_on_the_warm_edge_stays_warm(self):
+        """After a stall, the third batch starts exactly one steady
+        interval after the replica's last finish, and a gap equal to the
+        steady interval is warm: no cold fill is charged."""
+        report = serve_trace(
+            ReplicaPool(BIG, replicas=1, max_batch=4),
+            canned_workload(avatars=5, frames_per_avatar=5, seed=282),
+            policy="fifo",
+            chaos=ChaosPlan.parse("stall:0:2:4,die-at:0:41,degrade:0:6:3"),
+            recovery=RecoveryPolicy(max_retries=3),
+        )
+        assert (report.completed, report.failed) == (7, 18)
+        assert report.latency_p99_ms == 20.820148331499233
+
+
+@st.composite
+def sessions(draw):
+    """``(groups, workload, kwargs)`` for one small session: a bare pool
+    or one or two groups, with up to three chaos clauses."""
+    recovery = RecoveryPolicy(
+        max_retries=draw(st.integers(0, 3)),
+        hedge=draw(st.booleans()),
+        breaker_threshold=draw(st.integers(0, 3)),
+        replace_after_ms=draw(st.sampled_from([None, 50.0])),
+    )
+    workload = canned_workload(
+        avatars=draw(st.integers(1, 8)),
+        frames_per_avatar=draw(st.integers(1, 8)),
+        deadline_tiers=draw(st.sampled_from([(), (15.0, 60.0)])),
+        jitter_ms=draw(st.sampled_from([0.0, 5.0])),
+        seed=draw(st.integers(0, 1000)),
+    )
+
+    def spec(name):
+        return GroupSpec(
+            name,
+            draw(st.sampled_from([FAST, BIG])),
+            replicas=draw(st.integers(1, 3)),
+            policy=draw(st.sampled_from(["fifo", "edf", "fair"])),
+            batch_window_ms=draw(st.sampled_from([0.0, 2.0, 4.0])),
+            max_batch=draw(st.integers(1, 4)),
+        )
+
+    if draw(st.booleans()):
+        pool = spec("pool")
+        kwargs = dict(
+            policy=pool.policy,
+            batch_window_ms=pool.batch_window_ms,
+            chaos=draw(chaos_plans([])),
+            recovery=recovery,
+        )
+        replicas = ReplicaPool(
+            pool.profile, replicas=pool.replicas, max_batch=pool.max_batch
+        )
+        return replicas, workload, kwargs
+    specs = [spec(f"g{k}") for k in range(draw(st.integers(1, 2)))]
+    kwargs = dict(
+        router=draw(st.sampled_from(["round-robin", "least-loaded", "deadline"])),
+        admission=draw(st.booleans()) or None,
+        chaos=draw(chaos_plans([spec.name for spec in specs])),
+        recovery=recovery,
+    )
+    return specs, workload, kwargs
+
+
+class TestEveryFrameIsAccountedFor:
+    @settings(max_examples=150, deadline=None)
+    @given(sessions())
+    def test_sessions_are_lossless_and_deterministic(self, session):
+        groups, workload, kwargs = session
+        report = serve_trace(groups, workload, **kwargs)
+        assert (
+            report.completed + report.shed + report.failed
+            == report.submitted
+            == workload.total_frames
+        )
+        for group in report.groups:
+            assert group.completed + group.shed + group.failed == group.offered
+        assert report.replicas_replaced <= report.replicas_lost
+        again = serve_trace(groups, workload, **kwargs)
+        assert report_to_json(again) == report_to_json(report)
+        if not kwargs["chaos"]:
+            assert report.failed == report.retries == 0
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +422,7 @@ class TestRecoveryUnderReplicaLoss:
 
     @staticmethod
     def session(workload, chaos, recovery):
-        return serve_cluster(
+        return serve_trace(
             two_tier_groups(CHAOS_BUDGET),
             workload,
             router="deadline",
@@ -420,24 +456,10 @@ class TestRecoveryUnderReplicaLoss:
         for report in runs.values():
             assert_lossless(report)
 
-    def test_shielded_run_is_deterministic_on_both_engines(self, workload, runs):
+    def test_shielded_run_is_deterministic(self, workload, runs):
         kill = ChaosPlan.parse(CHAOS_KILL)
-        shielded = runs["shielded"]
         again = self.session(workload, kill, SHIELDED)
-        assert report_to_json(again) == report_to_json(shielded)
-        heap = serve_trace(
-            two_tier_groups(CHAOS_BUDGET),
-            trace_from_workload(workload),
-            router="deadline",
-            chaos=kill,
-            recovery=SHIELDED,
-        )
-        for field in (
-            "submitted", "completed", "failed", "shed", "deadline_misses",
-            "retries", "hedges", "failovers", "replicas_lost",
-            "replicas_replaced",
-        ):
-            assert getattr(heap, field) == getattr(shielded, field), field
+        assert report_to_json(again) == report_to_json(runs["shielded"])
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +472,7 @@ class TestChaosReporting:
             GroupSpec("latency", FAST, replicas=2, policy="edf"),
             GroupSpec("throughput", BIG, replicas=2, policy="fifo"),
         ]
-        return serve_cluster(
+        return serve_trace(
             groups,
             canned_workload(avatars=6, frames_per_avatar=8, seed=1),
             router="deadline",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,11 @@ WORKFLOW = REPO / ".github" / "workflows" / "ci.yml"
 SCRIPT = re.compile(
     r"(?<![\w/.-])((?:tools|benchmarks|examples|perfbench|tests)/[\w/.-]*\.py)\b"
 )
+
+
+#: A ``python -m repro`` command line; its arguments run to the end of the
+#: line or to the first ``|``, ``>``, ``;`` or ``&&``.
+REPRO_COMMAND = re.compile(r"\bpython3? -m repro(?=\s|$)([^|>;&\n]*)")
 
 
 class UniqueKeyLoader(yaml.SafeLoader):
@@ -123,3 +129,22 @@ def test_every_file_a_step_runs_exists():
     assert "perfbench/run.py" in scripts and "examples/quickstart.py" in scripts
     missing = sorted(path for path in scripts if not (REPO / path).is_file())
     assert not missing, f"CI steps run files that do not exist: {missing}"
+
+
+def test_every_repro_command_parses():
+    """Each ``python -m repro`` command a step runs parses with today's CLI."""
+    from repro.cli import build_parser
+
+    commands = [
+        (step["name"], shlex.split(args))
+        for job in load_workflow()["jobs"].values()
+        for step in job["steps"]
+        for args in REPRO_COMMAND.findall(step.get("run", "").replace("\\\n", " "))
+    ]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for name, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"step {name!r} runs `repro {shlex.join(argv)}`, which does not parse")

@@ -262,6 +262,12 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "unknown device(s)" in err and "ZU99" in err
 
+    def test_serve_rejects_non_finite_chaos_numbers(self, capsys, monkeypatch):
+        refuse_search(monkeypatch)
+        assert main(["serve", "--chaos", "crash-at:0:inf"]) == 2
+        err = capsys.readouterr().err
+        assert "bad --chaos spec" in err and "'crash-at:0:inf'" in err
+
     def test_explore_surfaces_cache_stats(self, capsys):
         out = run_cli(
             capsys,
@@ -491,6 +497,35 @@ class TestServe:
         )
         assert "shed" in out
         assert "router" in out
+
+    def test_serve_shaped_autoscaled_session_over_a_socket(self, capsys, tmp_path):
+        # --shape, --autoscale and --transport all reach the one engine;
+        # the lax deadline lets some frames past admission to the socket.
+        from repro.serving import report_from_json
+
+        path = tmp_path / "socket.json"
+        run_cli(
+            capsys,
+            "serve",
+            "--device", "Z7045",
+            "--iterations", "2",
+            "--population", "8",
+            "--sim-frames", "4",
+            "--transport", "socket",
+            "--shape", "flash",
+            "--duration", "2",
+            "--autoscale",
+            "--shed",
+            "--deadline-ms", "200",
+            "--json", str(path),
+        )
+        report = report_from_json(path.read_text())
+        assert [group.transport for group in report.groups] == ["socket"]
+        assert report.completed > 0 and report.scale_ups > 0
+        assert (
+            report.completed + report.shed + report.failed
+            == report.submitted
+        )
 
     def test_serve_duration_sets_frame_count(self, capsys):
         out = run_cli(

@@ -8,9 +8,7 @@ from repro.devices.fpga import get_device
 from repro.fcad.flow import FCad
 from repro.serving import (
     AdmissionControl,
-    Cluster,
     GroupSpec,
-    ReplicaGroup,
     ReplicaPool,
     canned_workload,
     get_router,
@@ -18,10 +16,10 @@ from repro.serving import (
     replay_workload,
     report_from_json,
     report_to_json,
-    serve_cluster,
     serve_from_results,
-    serve_workload,
+    serve_trace,
 )
+from repro.serving.engine import _EngineGroup
 from repro.sim.runner import FrameLatencyProfile
 from tests.conftest import (
     EXPLORED_BATCH1,
@@ -87,11 +85,13 @@ class TestSpecsAndValidation:
 
     def test_cluster_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="unique"):
-            Cluster([GroupSpec("g", FAST), GroupSpec("g", BIG)])
+            serve_trace(
+                [GroupSpec("g", FAST), GroupSpec("g", BIG)], tiered_workload()
+            )
 
     def test_cluster_needs_groups(self):
         with pytest.raises(ValueError, match="at least one"):
-            Cluster([])
+            serve_trace([], tiered_workload())
 
     def test_unknown_router_rejected(self):
         with pytest.raises(KeyError, match="known routers"):
@@ -108,15 +108,16 @@ class TestSpecsAndValidation:
             with pytest.raises(ValueError, match="slack"):
                 AdmissionControl(slack=slack)
 
-    def test_replica_budget(self):
-        cluster = Cluster(mixed_groups())
-        assert cluster.replicas == 3
-        assert len(cluster) == 2
-
 
 class TestRouters:
     def groups(self):
-        return [ReplicaGroup(spec) for spec in mixed_groups()]
+        groups = []
+        for index, spec in enumerate(mixed_groups()):
+            group = _EngineGroup(spec, index, batch_limit=spec.max_batch)
+            for _ in range(spec.replicas):
+                group.add_replica()
+            groups.append(group)
+        return groups
 
     def test_round_robin_cycles(self):
         router = get_router("round-robin")
@@ -127,7 +128,7 @@ class TestRouters:
     def test_least_loaded_prefers_lower_index_on_ties(self):
         router = get_router("least-loaded")
         groups = self.groups()
-        # No scheduler started: both backlogs are zero.
+        # Nothing queued yet: both backlogs are zero.
         assert router.route(50.0, 0.0, groups) == 0
 
     def test_deadline_router_is_static_tiering(self):
@@ -149,16 +150,15 @@ class TestRouters:
 
 
 class TestClusterSessions:
-    def test_single_group_cluster_matches_scheduler_path(self):
-        # The refactor's identity guarantee: one in-process group, no
-        # admission control == the plain BatchScheduler path, SLO for
-        # SLO, on the virtual clock.
+    def test_single_group_cluster_matches_pool_mode(self):
+        # One in-process group with no admission control serves exactly
+        # like the same replicas passed as a bare pool, SLO for SLO.
         workload = tiered_workload()
         pool = ReplicaPool(FAST, replicas=2, max_batch=8)
-        direct = serve_workload(
+        direct = serve_trace(
             pool, workload, policy="edf", batch_window_ms=2.0
         )
-        clustered = serve_cluster(
+        clustered = serve_trace(
             [
                 GroupSpec(
                     "only", FAST, replicas=2, policy="edf",
@@ -180,7 +180,7 @@ class TestClusterSessions:
         assert clustered.shed == 0
 
     def test_mixed_cluster_routes_by_deadline(self):
-        report = serve_cluster(
+        report = serve_trace(
             mixed_groups(), tiered_workload(), router="deadline"
         )
         assert report.completed == report.submitted
@@ -193,7 +193,7 @@ class TestClusterSessions:
 
     def test_cluster_deterministic_and_json_roundtrips(self):
         def run():
-            return serve_cluster(
+            return serve_trace(
                 mixed_groups(),
                 tiered_workload(),
                 router="deadline",
@@ -216,7 +216,7 @@ class TestClusterSessions:
         workload = tiered_workload(
             avatars=16, deadline_tiers=(), deadline_ms=40.0
         )
-        shielded = serve_cluster(
+        shielded = serve_trace(
             [GroupSpec("only", FAST, replicas=1, max_batch=8)],
             workload,
             admission=AdmissionControl(),
@@ -231,7 +231,7 @@ class TestClusterSessions:
 
     def test_bounded_queue_without_prediction(self):
         workload = tiered_workload(avatars=16, deadline_tiers=())
-        report = serve_cluster(
+        report = serve_trace(
             [GroupSpec("only", FAST, replicas=1, max_batch=8)],
             workload,
             admission=AdmissionControl(
@@ -244,9 +244,9 @@ class TestClusterSessions:
         assert report.latency_p99_ms < 60.0
 
     def test_shed_responses_resolve_to_none(self):
-        # Avatar clients must see a dropped frame, not a hang: every
-        # client gather() completes even when most frames are shed.
-        report = serve_cluster(
+        # A shed frame is dropped, never left hanging: the session ends
+        # with every frame counted even when most of them are shed.
+        report = serve_trace(
             [GroupSpec("only", FAST, replicas=1, max_batch=2)],
             tiered_workload(avatars=16),
             admission=AdmissionControl(max_queue_per_replica=1),
@@ -269,7 +269,7 @@ SHED_OVERLOAD = 1.5
 
 
 def tiered_cluster(workload, admission):
-    return serve_cluster(
+    return serve_trace(
         two_tier_groups(CLUSTER_BUDGET),
         workload,
         router="deadline",
@@ -283,7 +283,7 @@ class TestMixedClusterOnExploredDesigns:
     def test_mixed_cluster_beats_every_homogeneous_pool(self):
         workload = two_tier_workload(CLUSTER_SATURATION, CLUSTER_BUDGET)
         best = min(
-            serve_workload(
+            serve_trace(
                 ReplicaPool(profile, replicas=CLUSTER_BUDGET, max_batch=8),
                 workload,
                 policy=policy,
@@ -372,10 +372,10 @@ class TestReplayWorkloadClusters:
 class TestSocketTransport:
     def test_socket_pool_matches_inprocess(self):
         workload = tiered_workload(avatars=4, frames_per_avatar=6)
-        inproc = serve_workload(
+        inproc = serve_trace(
             ReplicaPool(FAST, replicas=2, max_batch=8), workload, policy="edf"
         )
-        socketed = serve_workload(
+        socketed = serve_trace(
             ReplicaPool(FAST, replicas=2, max_batch=8),
             workload,
             policy="edf",
@@ -393,7 +393,7 @@ class TestSocketTransport:
             ),
             GroupSpec("throughput", BIG, replicas=2, policy="fifo"),
         ]
-        report = serve_cluster(
+        report = serve_trace(
             groups, tiered_workload(avatars=6, frames_per_avatar=6),
             router="deadline",
         )

@@ -1,5 +1,5 @@
-"""Event-heap engine: equivalence with the coroutine scheduler, traffic
-shapes, autoscaling, determinism, and report compatibility."""
+"""Event-heap engine: saturation, traffic shapes, autoscaling,
+determinism, guard rails, and report compatibility."""
 
 from __future__ import annotations
 
@@ -20,12 +20,9 @@ from repro.serving import (
     report_from_json,
     report_to_json,
     saturation_workload,
-    serve_cluster,
     serve_trace,
-    serve_workload,
     trace_from_workload,
 )
-from repro.serving.policies import SchedulingPolicy
 from repro.sim.runner import FrameLatencyProfile
 
 FAST = FrameLatencyProfile(
@@ -41,151 +38,45 @@ BIG = FrameLatencyProfile(
     frequency_mhz=200.0,
 )
 
-EXACT_FIELDS = (
-    "policy",
-    "avatars",
-    "replicas",
-    "max_batch",
-    "batch_window_ms",
-    "submitted",
-    "completed",
-    "shed",
-    "deadline_ms",
-    "deadline_tiers_ms",
-    "deadline_misses",
-    "batches",
-    "router",
-    "failed",
-    "retries",
-    "hedges",
-    "hedge_wins",
-    "failovers",
-    "replicas_lost",
-    "replicas_replaced",
-)
-APPROX_FIELDS = (
-    "degraded_time_ms",
-    "duration_ms",
-    "latency_p50_ms",
-    "latency_p95_ms",
-    "latency_p99_ms",
-    "latency_mean_ms",
-    "latency_max_ms",
-    "queue_mean_ms",
-    "mean_batch_size",
-    "replica_utilization",
-    "per_avatar_p99_ms",
-)
-
-
-def assert_reports_match(coroutine, heap):
-    """Same SLO report up to the asyncio clock's seconds<->ms round-off.
-
-    Counters must agree exactly; latency statistics to ~1e-9 relative
-    (the coroutine path's timestamps round-trip through the event loop's
-    second-based clock, the heap engine computes in pure milliseconds).
-    """
-    for name in EXACT_FIELDS:
-        assert getattr(coroutine, name) == getattr(heap, name), name
-    for name in APPROX_FIELDS:
-        a, b = getattr(coroutine, name), getattr(heap, name)
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-9), name
-    assert len(coroutine.groups) == len(heap.groups)
-    for ga, gb in zip(coroutine.groups, heap.groups):
-        for name in (
-            "name",
-            "policy",
-            "transport",
-            "replicas",
-            "max_batch",
-            "batch_window_ms",
-            "submitted",
-            "shed",
-            "completed",
-            "deadline_misses",
-            "failed",
-            "retries",
-            "hedges",
-            "hedge_wins",
-            "failovers",
-            "replicas_lost",
-            "replicas_replaced",
-        ):
-            assert getattr(ga, name) == getattr(gb, name), f"group {name}"
-        for name in (
-            "latency_p50_ms",
-            "latency_p99_ms",
-            "mean_batch_size",
-            "mean_utilization",
-        ):
-            a, b = getattr(ga, name), getattr(gb, name)
-            assert a == pytest.approx(b, rel=1e-9, abs=1e-9), f"group {name}"
-
 
 # ---------------------------------------------------------------------------
-# equivalence with the coroutine scheduler
+# saturation
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("policy", ["fifo", "edf", "fair"])
-def test_single_pool_equivalence(policy):
-    workload = canned_workload(
-        avatars=12,
-        frames_per_avatar=20,
-        jitter_ms=6.0,
-        deadline_tiers=(20.0, 60.0),
-        seed=3,
-    )
-    coroutine = serve_workload(
-        ReplicaPool(BIG, replicas=2, max_batch=8), workload, policy=policy
-    )
-    heap = serve_trace(
-        ReplicaPool(BIG, replicas=2, max_batch=8), workload, policy=policy
-    )
-    assert heap.engine == "heap" and coroutine.engine == ""
-    assert_reports_match(coroutine, heap)
-
-
-@pytest.mark.parametrize("policy", ["fifo", "edf", "fair"])
-def test_saturated_pool_equivalence(policy):
+def test_saturated_pool_misses_deadlines(policy):
     # Past capacity the queue couples every decision to every earlier
-    # one — the regime where a semantics drift would show up instantly.
+    # one, and every policy misses deadlines.
     workload = saturation_workload(BIG, replicas=2, saturation=1.3, seed=7)
-    coroutine = serve_workload(
+    report = serve_trace(
         ReplicaPool(BIG, replicas=2, max_batch=8), workload, policy=policy
     )
-    heap = serve_trace(
-        ReplicaPool(BIG, replicas=2, max_batch=8), workload, policy=policy
-    )
-    assert coroutine.deadline_misses > 0
-    assert_reports_match(coroutine, heap)
+    assert report.deadline_misses > 0
+    assert report.completed == report.submitted == workload.total_frames
 
 
 @pytest.mark.parametrize("router", ["round-robin", "least-loaded", "deadline"])
-def test_cluster_equivalence_with_admission(router):
+def test_overloaded_cluster_sheds(router):
     workload = saturation_workload(BIG, replicas=4, saturation=1.5, seed=11)
-
-    def groups():
-        return [
-            GroupSpec(
-                "latency",
-                FAST,
-                replicas=1,
-                policy="edf",
-                batch_window_ms=0.0,
-                max_batch=4,
-            ),
-            GroupSpec(
-                "throughput",
-                BIG,
-                replicas=3,
-                policy="fifo",
-                batch_window_ms=4.0,
-            ),
-        ]
-
-    coroutine = serve_cluster(groups(), workload, router=router, admission=True)
-    heap = serve_trace(groups(), workload, router=router, admission=True)
-    assert coroutine.shed > 0
-    assert_reports_match(coroutine, heap)
+    groups = [
+        GroupSpec(
+            "latency",
+            FAST,
+            replicas=1,
+            policy="edf",
+            batch_window_ms=0.0,
+            max_batch=4,
+        ),
+        GroupSpec(
+            "throughput",
+            BIG,
+            replicas=3,
+            policy="fifo",
+            batch_window_ms=4.0,
+        ),
+    ]
+    report = serve_trace(groups, workload, router=router, admission=True)
+    assert report.shed > 0
+    assert report.completed + report.shed == report.submitted
 
 
 def test_trace_and_workload_inputs_agree():
@@ -400,19 +291,8 @@ def test_heap_sessions_are_bit_identical():
 
 def test_engine_rejects_unsupported_configurations():
     workload = canned_workload(avatars=2, frames_per_avatar=2)
-
-    class WeirdPolicy(SchedulingPolicy):
-        name = "weird"
-
-        def select(self, queue, now_ms, limit):  # pragma: no cover
-            return list(queue)[:limit]
-
-    with pytest.raises(ValueError, match="built-in policies"):
-        serve_trace(
-            GroupSpec("g", BIG, policy=WeirdPolicy()), workload
-        )
-    with pytest.raises(ValueError, match="in-process"):
-        serve_trace(GroupSpec("g", BIG, transport="socket"), workload)
+    with pytest.raises(KeyError, match="known policies"):
+        serve_trace(ReplicaPool(BIG), workload, policy="lifo")
     with pytest.raises(ValueError, match="GroupSpec"):
         serve_trace(ReplicaPool(BIG), workload, admission=True)
     with pytest.raises(ValueError, match="unique"):

@@ -29,7 +29,7 @@ from repro.serving import (
     ReplicaPool,
     canned_workload,
     get_transport,
-    serve_workload,
+    serve_trace,
 )
 from repro.serving.transport import REMOTE_TOKEN_ENV, parse_remote_spec
 from repro.sim.runner import FrameLatencyProfile
@@ -82,7 +82,7 @@ def remote_report(port: int, token: str = "t", **transport_kwargs):
         backoff_max_s=0.05,
         **transport_kwargs,
     )
-    report = serve_workload(
+    report = serve_trace(
         ReplicaPool(PROFILE, replicas=2, max_batch=8),
         canned_workload(avatars=4, frames_per_avatar=6),
         policy="edf",
@@ -93,7 +93,7 @@ def remote_report(port: int, token: str = "t", **transport_kwargs):
 
 @pytest.fixture(scope="module")
 def inprocess_report():
-    return serve_workload(
+    return serve_trace(
         ReplicaPool(PROFILE, replicas=2, max_batch=8),
         canned_workload(avatars=4, frames_per_avatar=6),
         policy="edf",

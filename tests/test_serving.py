@@ -1,28 +1,26 @@
-"""Serving layer: clock, replicas, policies, scheduler, SLOs, determinism."""
+"""Serving layer: replicas, policies, sessions, SLOs, determinism."""
 
 from __future__ import annotations
 
-import asyncio
-import time
+import math
 
+import numpy as np
 import pytest
 
 from repro.devices.fpga import get_device
 from repro.fcad.flow import FCad
 from repro.serving import (
     AvatarWorkload,
+    GroupSpec,
     ReplicaPool,
-    get_policy,
-    percentile,
+    RequestTrace,
+    nearest_rank,
     pool_from_result,
     report_from_json,
     report_to_json,
-    run_session,
     serve_from_result,
-    serve_workload,
+    serve_trace,
 )
-from repro.serving.clock import now_ms, sleep_ms
-from repro.serving.request import DecodeRequest
 from repro.sim.runner import FrameLatencyProfile
 from tests.conftest import make_tiny_decoder
 
@@ -47,32 +45,6 @@ def make_workload(**overrides) -> AvatarWorkload:
     )
     defaults.update(overrides)
     return AvatarWorkload(**defaults)
-
-
-class TestVirtualClock:
-    def test_sleeps_cost_no_wall_time(self):
-        async def long_nap():
-            await sleep_ms(3_600_000.0)  # one virtual hour
-            return now_ms()
-
-        started = time.perf_counter()
-        finished_at = run_session(long_nap())
-        assert finished_at == pytest.approx(3_600_000.0)
-        assert time.perf_counter() - started < 2.0
-
-    def test_concurrent_timers_interleave_deterministically(self):
-        async def ticks():
-            order: list[str] = []
-
-            async def tick(label, period_ms, count):
-                for _ in range(count):
-                    await sleep_ms(period_ms)
-                    order.append(label)
-
-            await asyncio.gather(tick("a", 10, 3), tick("b", 15, 2))
-            return order
-
-        assert run_session(ticks()) == run_session(ticks())
 
 
 class TestFrameLatencyProfile:
@@ -122,6 +94,16 @@ class TestReplica:
         assert third == (108.0,)
         assert replica.frames_served == 5
         assert replica.busy_ms == pytest.approx(12.0 + 8.0 + 8.0)
+        # The warm window is closed: a batch starting exactly one steady
+        # interval after the last finish is warm, one ulp later is cold.
+        edge = ReplicaPool(PROFILE, replicas=1, max_batch=4).replicas[0]
+        edge.last_finish_ms = 0.0
+        steady = PROFILE.steady_interval_ms
+        assert edge.preview_service(steady, 1) == PROFILE.batch_finish_ms(
+            steady, 1, warm=True
+        )
+        late = math.nextafter(steady, math.inf)
+        assert edge.preview_service(late, 1) == PROFILE.batch_finish_ms(late, 1)
 
     def test_batch_capacity_enforced(self):
         pool = ReplicaPool(PROFILE, replicas=1, max_batch=2)
@@ -129,73 +111,82 @@ class TestReplica:
             pool.replicas[0].service_times(0.0, 3)
 
     def test_pool_reuse_across_sessions_is_clean(self):
-        # open() starts every session from scratch: running the same
+        # Every session starts the pool from scratch: running the same
         # workload twice on one pool reports identical SLOs both times.
         pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
-        first = serve_workload(pool, make_workload(), policy="fifo")
-        second = serve_workload(pool, make_workload(), policy="fifo")
+        first = serve_trace(pool, make_workload(), policy="fifo")
+        second = serve_trace(pool, make_workload(), policy="fifo")
         assert report_to_json(first) == report_to_json(second)
 
 
 class TestPolicies:
-    @staticmethod
-    def requests(*specs) -> list[DecodeRequest]:
-        return [
-            DecodeRequest(
-                request_id=i,
-                avatar_id=avatar,
-                frame_index=0,
-                arrival_ms=arrival,
-                deadline_ms=deadline,
-            )
-            for i, (avatar, arrival, deadline) in enumerate(specs)
-        ]
+    """Each policy's batch order, read off one replica batching two frames.
+
+    Avatar 3's frame holds the replica from 0 to 8 ms while the other
+    three queue; the policy picks the two that ride the next batch
+    (finishing at 12 and 16 ms) and the one that waits (20 ms). Every
+    avatar sends one frame, so ``per_avatar_p99_ms`` is that frame's
+    latency.
+    """
+
+    #: (avatar, arrival ms, relative deadline ms), in arrival order.
+    FRAMES = ((3, 0.0, 100.0), (1, 1.0, 50.0), (2, 3.0, 10.0), (0, 5.0, 100.0))
+
+    def finish_order(self, policy: str) -> list[int]:
+        avatar, arrival, rel = zip(*self.FRAMES)
+        trace = RequestTrace(
+            arrival_ms=np.array(arrival),
+            avatar_id=np.array(avatar),
+            deadline_rel_ms=np.array(rel),
+            avatars=len(self.FRAMES),
+            deadline_ms=100.0,
+        )
+        report = serve_trace(
+            ReplicaPool(PROFILE, replicas=1, max_batch=2),
+            trace,
+            policy=policy,
+            batch_window_ms=0.0,
+        )
+        finish = {a: t + report.per_avatar_p99_ms[a] for a, t, _ in self.FRAMES}
+        return sorted(finish, key=finish.get)
 
     def test_fifo_orders_by_arrival(self):
-        queue = self.requests((0, 5.0, 100.0), (1, 1.0, 50.0), (2, 3.0, 10.0))
-        batch = get_policy("fifo").select(queue, now_ms=6.0, limit=2)
-        assert [r.request_id for r in batch] == [1, 2]
+        assert self.finish_order("fifo") == [3, 1, 2, 0]
 
     def test_edf_orders_by_deadline(self):
-        queue = self.requests((0, 5.0, 100.0), (1, 1.0, 50.0), (2, 3.0, 10.0))
-        batch = get_policy("edf").select(queue, now_ms=6.0, limit=2)
-        assert [r.request_id for r in batch] == [2, 1]
+        assert self.finish_order("edf") == [3, 2, 1, 0]
 
-    def test_fair_round_robins_avatars(self):
-        # Avatar 0 flooded the queue first; avatar 1 has one late frame.
-        queue = self.requests(
-            (0, 0.0, 50.0), (0, 1.0, 50.0), (0, 2.0, 50.0), (1, 3.0, 50.0)
-        )
-        batch = get_policy("fair").select(queue, now_ms=4.0, limit=2)
-        assert sorted(r.avatar_id for r in batch) == [0, 1]
+    def test_fair_serves_least_recently_served_avatars_first(self):
+        # None of the waiting avatars has been served: ties go by id.
+        assert self.finish_order("fair") == [3, 0, 1, 2]
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(KeyError, match="known policies"):
-            get_policy("lifo")
+            GroupSpec("g", PROFILE, policy="lifo")
 
 
 class TestPercentiles:
     def test_nearest_rank(self):
         samples = [float(v) for v in range(1, 101)]  # 1..100
-        assert percentile(samples, 50) == 50.0
-        assert percentile(samples, 95) == 95.0
-        assert percentile(samples, 99) == 99.0
-        assert percentile(samples, 100) == 100.0
+        assert nearest_rank(samples, 50) == 50.0
+        assert nearest_rank(samples, 95) == 95.0
+        assert nearest_rank(samples, 99) == 99.0
+        assert nearest_rank(samples, 100) == 100.0
 
     def test_small_sample(self):
-        assert percentile([7.0], 99) == 7.0
-        assert percentile([3.0, 9.0], 50) == 3.0
-        assert percentile([], 99) == 0.0
+        assert nearest_rank([7.0], 99) == 7.0
+        assert nearest_rank([3.0, 9.0], 50) == 3.0
+        assert nearest_rank([], 99) == 0.0
 
     def test_bad_quantile_rejected(self):
         with pytest.raises(ValueError):
-            percentile([1.0], 0.0)
+            nearest_rank([1.0], 0.0)
 
 
 class TestServingSession:
     def test_all_frames_served(self):
         pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
-        report = serve_workload(pool, make_workload(), policy="fifo")
+        report = serve_trace(pool, make_workload(), policy="fifo")
         assert report.completed == report.submitted == 80
         assert report.latency_p50_ms > 0
         assert report.latency_p99_ms >= report.latency_p95_ms
@@ -207,14 +198,14 @@ class TestServingSession:
     def test_deterministic_at_same_seed(self):
         def run():
             pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
-            return serve_workload(pool, make_workload(), policy="edf")
+            return serve_trace(pool, make_workload(), policy="edf")
 
         assert report_to_json(run()) == report_to_json(run())
 
     def test_seed_changes_workload(self):
         def run(seed):
             pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
-            return serve_workload(pool, make_workload(seed=seed))
+            return serve_trace(pool, make_workload(seed=seed))
 
         assert report_to_json(run(0)) != report_to_json(run(1))
 
@@ -223,7 +214,7 @@ class TestServingSession:
         # that tops out at 250 FPS: the queue grows without bound and the
         # deadline-miss SLO must light up.
         pool = ReplicaPool(PROFILE, replicas=1, max_batch=8)
-        report = serve_workload(
+        report = serve_trace(
             pool,
             make_workload(avatars=16, frames_per_avatar=20),
             policy="fifo",
@@ -247,7 +238,7 @@ class TestServingSession:
 
         def run(policy):
             pool = ReplicaPool(PROFILE, replicas=2, max_batch=8)
-            return serve_workload(pool, workload, policy=policy)
+            return serve_trace(pool, workload, policy=policy)
 
         fifo, edf = run("fifo"), run("edf")
         assert fifo.completed == edf.completed == 420
@@ -258,7 +249,7 @@ class TestServingSession:
 
         def run(window):
             pool = ReplicaPool(PROFILE, replicas=1, max_batch=8)
-            return serve_workload(
+            return serve_trace(
                 pool, workload, policy="fifo", batch_window_ms=window
             )
 
@@ -267,7 +258,7 @@ class TestServingSession:
 
     def test_report_json_roundtrip(self):
         pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
-        report = serve_workload(pool, make_workload(), policy="fair")
+        report = serve_trace(pool, make_workload(), policy="fair")
         clone = report_from_json(report_to_json(report))
         assert clone == report
         payload = report_to_json(report)
@@ -275,7 +266,7 @@ class TestServingSession:
 
     def test_render_mentions_slos(self):
         pool = ReplicaPool(PROFILE, replicas=1, max_batch=4)
-        report = serve_workload(pool, make_workload(avatars=2))
+        report = serve_trace(pool, make_workload(avatars=2))
         text = report.render()
         assert "p50/p95/p99" in text
         assert "deadline misses (@40 ms)" in text
@@ -283,30 +274,11 @@ class TestServingSession:
 
     def test_tiered_deadlines_labelled_as_tiers(self):
         pool = ReplicaPool(PROFILE, replicas=1, max_batch=4)
-        report = serve_workload(
+        report = serve_trace(
             pool, make_workload(avatars=2, deadline_tiers=(25.0, 100.0))
         )
         assert report.deadline_tiers_ms == (25.0, 100.0)
         assert "@tiers 25/100 ms" in report.render()
-
-    def test_real_time_mode_counts_session_time(self):
-        # A stock loop's time() is an arbitrary monotonic epoch; the
-        # session clock must still start at ~0 so durations, arrival
-        # pacing, and utilization are session-relative.
-        pool = ReplicaPool(PROFILE, replicas=1, max_batch=4)
-        workload = make_workload(
-            avatars=2,
-            frames_per_avatar=3,
-            frame_interval_ms=5.0,
-            jitter_ms=0.0,
-            deadline_ms=100.0,
-        )
-        report = serve_workload(pool, workload, real_time=True)
-        assert report.completed == 6
-        # Session spans the workload (>= one frame interval), not the
-        # machine's monotonic-clock epoch (minutes-to-days of millis).
-        assert 5.0 <= report.duration_ms < 10_000.0
-        assert max(report.replica_utilization) > 0.001
 
     def test_saturation_workload_sizes_from_capacity(self):
         from repro.serving import saturation_workload
@@ -344,41 +316,6 @@ class TestServingSession:
         assert first == second
 
 
-class TestSchedulerRegressions:
-    def test_empty_batch_selection_does_not_busy_spin(self):
-        # Regression: a policy declining to batch (empty selection) while
-        # the queue is non-empty used to make the dispatcher release and
-        # immediately re-acquire the replica in a tight loop that never
-        # advanced the virtual clock. The scheduler must park until the
-        # queue changes, so the session completes with a bounded number
-        # of policy polls.
-        from repro.serving.policies import FifoPolicy
-
-        class HesitantPolicy(FifoPolicy):
-            name = "hesitant"
-
-            def __init__(self):
-                self.calls = 0
-                self.declined = 0
-
-            def select(self, queue, now_ms, limit):
-                self.calls += 1
-                if self.calls % 3 == 1:
-                    self.declined += 1
-                    return []
-                return super().select(queue, now_ms, limit)
-
-        policy = HesitantPolicy()
-        pool = ReplicaPool(PROFILE, replicas=2, max_batch=8)
-        workload = make_workload(avatars=4, frames_per_avatar=6)
-        report = serve_workload(pool, workload, policy=policy)
-        assert report.completed == report.submitted == 24
-        assert policy.declined > 0
-        # Bounded polling: at most a few selects per submitted request,
-        # not the unbounded spin of the pre-fix dispatcher.
-        assert policy.calls < 10 * report.submitted
-
-
 class TestOverload:
     """Pinned overload behavior: EDF degradation and load shedding."""
 
@@ -393,7 +330,7 @@ class TestOverload:
         # the miss SLO must measure the cliff.
         def run(saturation):
             pool = ReplicaPool(PROFILE, replicas=1, max_batch=8)
-            return serve_workload(
+            return serve_trace(
                 pool, self.overload_workload(saturation), policy="edf"
             )
 
@@ -406,12 +343,10 @@ class TestOverload:
         # The same 1.5x-overload session with admission control: the
         # cluster refuses the excess (shed_rate lights up) and the
         # accepted requests keep a bounded p99 inside the deadline tiers.
-        from repro.serving import GroupSpec, serve_cluster
-
         workload = self.overload_workload(1.5)
 
         def run(admission):
-            return serve_cluster(
+            return serve_trace(
                 [GroupSpec("only", PROFILE, replicas=1, max_batch=8)],
                 workload,
                 admission=admission,
