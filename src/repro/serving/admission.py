@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -51,19 +52,37 @@ class AdmissionControl:
     slack: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.max_queue_per_replica is not None and self.max_queue_per_replica < 1:
-            raise ValueError("max queue per replica must be >= 1")
+        cap = self.max_queue_per_replica
+        if cap is not None and (
+            isinstance(cap, bool) or not isinstance(cap, Integral) or cap < 1
+        ):
+            # A NaN cap would pass ``cap < 1`` and turn the bound off.
+            raise ValueError(
+                f"max queue per replica must be an int >= 1, got {cap!r}"
+            )
         if not 0 < self.slack < math.inf:
             raise ValueError("admission slack must be positive")
 
     def admit(self, group: "_EngineGroup", deadline_rel_ms: float) -> bool:
-        """True if the request may enter ``group``'s queue."""
-        if self.max_queue_per_replica is not None:
-            backlog = group.backlog_frames
-            if backlog >= self.max_queue_per_replica * group.replicas:
-                return False
+        """True if the request may enter ``group``'s queue.
+
+        The predicted latency is the backlog's drain
+        (:meth:`~repro.serving.engine._EngineGroup.backlog_ms`, the load
+        :class:`~repro.serving.router.LeastLoadedRouter` reads), plus the
+        batching window, plus the request's own service: a cold fill on
+        an empty group, one steady interval behind a backlog.
+        """
+        backlog = group.backlog_frames
+        cap = self.max_queue_per_replica
+        if cap is not None and backlog >= cap * group.replicas:
+            return False
         if self.predict_miss:
-            if group.estimated_latency_ms() > self.slack * deadline_rel_ms:
+            profile = group.profile
+            service = (
+                profile.steady_interval_ms if backlog else profile.first_frame_ms
+            )
+            predicted = group.backlog_ms() + group.window_ms + service
+            if predicted > self.slack * deadline_rel_ms:
                 return False
         return True
 

@@ -4,8 +4,9 @@ A session is a single explicit event loop — a ``heapq`` of timed events
 plus a presorted arrival array — in milliseconds of session time, with
 no per-request objects on the hot path, so it serves millions of
 requests in seconds of wall time. Each group holds a batching window,
-a FIFO free list of replicas and a policy-native queue (``fifo``,
-``edf`` or ``fair``); a batch reaches its replica through the group's
+a FIFO free list of replicas and a policy-native queue of request
+indices (``fifo``, ``edf`` or ``fair``) kept in index order, which is
+arrival order; a batch reaches its replica through the group's
 :class:`~repro.serving.transport.ReplicaTransport`, which returns each
 frame's finish time.
 
@@ -42,10 +43,12 @@ Every session is a pure function of its inputs: same trace + same specs
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -125,6 +128,12 @@ class AutoscalePolicy:
             raise ValueError("autoscale intervals must be positive")
         if not 0 < self.target_utilization <= 1.0:
             raise ValueError("target utilization must be in (0, 1]")
+        for name in ("min_replicas", "max_replicas", "max_step"):
+            # A float bound would pass the range checks and crash the
+            # session at its first scale-up or while building the fleet.
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 1 <= self.min_replicas <= self.max_replicas:
             raise ValueError("need 1 <= min_replicas <= max_replicas")
         if self.max_step < 1:
@@ -136,11 +145,11 @@ class _EngineGroup:
     routers and admission control decide on.
 
     ``backlog_frames``, ``replicas`` and ``capacity_fps`` are plain
-    attributes, not properties: the session's event handlers keep them
-    current (the backlog as frames are queued, finish or fail; the fleet
-    size through :meth:`refresh_fleet` whenever ``live`` or
-    ``pending_drain`` moves), so every admission and routing decision
-    reads them without recomputing.
+    attributes, not properties: the session keeps them current (the
+    backlog as frames are queued, finish or fail; the fleet size through
+    :meth:`refresh_fleet` whenever ``live`` or ``pending_drain`` moves),
+    so every admission and routing decision reads them without
+    recomputing.
     """
 
     def __init__(
@@ -169,17 +178,17 @@ class _EngineGroup:
         self.queue_len = 0
         self.backlog_frames = 0  # frames queued plus in flight
         self.refresh_fleet()
-        # Policy-native queues (request indices, not request objects).
+        # Policy-native queues of request indices, each deque sorted by
+        # index: one for fifo, one per deadline budget for edf, one per
+        # avatar for fair.
         self.fifo_q: deque[int] = deque()
-        self.edf_q: list[tuple[float, int]] = []
+        self.edf_q: dict[float, deque[int]] = {}
         self.fair_q: dict[int, deque[int]] = {}
         self.fair_last: dict[int, float] = {}
         # SLO counters.
-        self.submitted = 0
         self.shed = 0
         self.batch_sizes: list[int] = []
         # Autoscale bookkeeping.
-        self.arrivals_since_check = 0
         self.scale_ups = 0
         self.scale_downs = 0
         # Faults and recovery.
@@ -236,15 +245,6 @@ class _EngineGroup:
         """Best-case response latency: batching window plus cold fill."""
         return self.window_ms + self.profile.first_frame_ms
 
-    def estimated_latency_ms(self) -> float:
-        """Predicted response latency of a request admitted right now."""
-        service = (
-            self.profile.first_frame_ms
-            if self.backlog_frames == 0
-            else self.profile.steady_interval_ms
-        )
-        return self.backlog_ms() + self.window_ms + service
-
 
 class _HeapSession:
     """One event-heap serving session over a :class:`RequestTrace`."""
@@ -263,7 +263,6 @@ class _HeapSession:
         self.groups = groups
         self.trace = trace
         self.router = router
-        self.admission = admission
         self.autoscale = autoscale
         self._recovery = recovery if recovery is not None else RecoveryPolicy()
         # The fault machinery (retries, breakers, failover) runs only when
@@ -271,12 +270,10 @@ class _HeapSession:
         self._may_fail = may_fail
         self._cluster = cluster
         self._attempts: dict[int, int] = {}
-        if may_fail:
-            # Retried frames keep their original arrival, so insertion
-            # order no longer matches FIFO order: the fifo queue becomes
-            # a heap keyed (arrival_ms, index).
-            for group in groups:
-                group.fifo_q = []  # type: ignore[assignment]
+        # With one group and nothing that can fail, every arrival goes to
+        # that group: no routing, no failover.
+        self._sole = groups[0] if len(groups) == 1 and not may_fail else None
+        self._admit = admission.admit if admission is not None else None
         n = len(trace)
         # Hot-path state lives in plain Python lists (faster item access
         # than numpy scalars); finalization vectorizes from them.
@@ -290,9 +287,15 @@ class _HeapSession:
         self._failed_flag = bytearray(n)
         self._events: list[tuple] = []
         self._seq = 0
+        # Arrivals handled so far; written before each event, read by
+        # ``_on_scale`` alone.
         self._cursor = 0
+        self._checked = 0  # ``_cursor`` at the last autoscale check
+        # The session lasts until the last arrival, the last finish, or
+        # the last fail, release or replacement, whichever is latest:
+        # finalize takes the first two from the arrays, the handlers of
+        # the rest keep this.
         self._duration = 0.0
-        self._pending = 0  # admitted but unfinished requests
         self._peak = sum(g.live for g in groups)
 
     # ------------------------------------------------------------------
@@ -300,30 +303,46 @@ class _HeapSession:
         events = self._events
         arrival = self._arrival
         n = len(arrival)
+        groups = self.groups
+        finish = self._finish
+        on_arrival = self._on_arrival
+        # Without faults, a non-last frame's completion only records its
+        # finish time and frees its backlog slot: no handler call.
+        inline_finish = not self._may_fail
         autoscale = self.autoscale
         if autoscale is not None:
             self._push(autoscale.check_interval_ms, _EV_SCALE, 0, 0, None)
+        i = 0
         while True:
-            i = self._cursor
-            if i < n and (not events or arrival[i] <= events[0][0]):
-                self._cursor = i + 1
-                self._on_arrival(i, arrival[i])
-                continue
+            # Drain the run of arrivals due at or before the heap's head.
+            # Arrivals win ties, and the head is re-read after each one: a
+            # dispatch may push an earlier event.
+            while i < n:
+                t = arrival[i]
+                if events and t > events[0][0]:
+                    break
+                on_arrival(i, t)
+                i += 1
             if not events:
                 break
+            self._cursor = i
             t, _, kind, gi, a, b = heappop(events)
             if kind == _EV_FINISH:
-                self._on_finish(t, self.groups[gi], a, b)
+                if b is None and inline_finish:
+                    finish[a] = t
+                    groups[gi].backlog_frames -= 1
+                else:
+                    self._on_finish(t, groups[gi], a, b)
             elif kind == _EV_WINDOW:
-                self._on_window(t, self.groups[gi])
+                self._on_window(t, groups[gi])
             elif kind == _EV_PROVISION:
-                self._on_provision(t, self.groups[gi], a)
+                self._on_provision(t, groups[gi], a)
             elif kind == _EV_SCALE:
                 self._on_scale(t)
             elif kind == _EV_FAIL:
-                self._on_fail(t, self.groups[gi], a, b)
+                self._on_fail(t, groups[gi], a, b)
             else:
-                self._on_release(t, self.groups[gi], a, b)
+                self._on_release(t, groups[gi], a, b)
 
     def _push(self, t: float, kind: int, gi: int, a, b) -> None:
         self._seq += 1
@@ -331,57 +350,56 @@ class _HeapSession:
 
     # ------------------------------------------------------------------
     def _on_arrival(self, i: int, t: float) -> None:
-        groups = self.groups
         rel = self._rel[i]
-        if len(groups) == 1:
-            preferred = 0
-        else:
-            preferred = self.router.route(rel, t, groups)
-        group = groups[preferred]
-        if self._may_fail:
-            # Failure-aware front door: divert from tripped/exhausted
-            # groups via failover_route; no group available → the frame
-            # fails at the door, charged to the preferred group.
-            if self._cluster:
-                index = failover_route(
-                    preferred,
-                    rel,
-                    groups,
-                    [
-                        not g.breaker.open and not g.exhausted
-                        for g in groups
-                    ],
-                )
-                if index is None:
-                    self._fail_at_door(i, t, group)
+        # The sole group is group 0, which ``_group_of`` starts as.
+        group = self._sole
+        if group is None:
+            groups = self.groups
+            if len(groups) == 1:
+                preferred = 0
+            else:
+                preferred = self.router.route(rel, t, groups)
+            group = groups[preferred]
+            if self._may_fail:
+                # Failure-aware front door: divert from tripped/exhausted
+                # groups via failover_route; no group available → the
+                # frame fails at the door, charged to the preferred group.
+                if self._cluster:
+                    index = failover_route(
+                        preferred,
+                        rel,
+                        groups,
+                        [
+                            not g.breaker.open and not g.exhausted
+                            for g in groups
+                        ],
+                    )
+                    if index is None:
+                        self._fail_at_door(i, group)
+                        return
+                    if index != preferred:
+                        groups[index].failovers += 1
+                    group = groups[index]
+                elif group.exhausted:
+                    self._fail_at_door(i, group)
                     return
-                if index != preferred:
-                    groups[index].failovers += 1
-                group = groups[index]
-            elif group.exhausted:
-                self._fail_at_door(i, t, group)
-                return
-        group.arrivals_since_check += 1
-        self._group_of[i] = group.index
-        if t > self._duration:
-            self._duration = t
-        if self.admission is not None and not self.admission.admit(
-            group, rel
-        ):
-            group.submitted += 1
+            self._group_of[i] = group.index
+        admit = self._admit
+        if admit is not None and not admit(group, rel):
             group.shed += 1
             self._shed_flag[i] = 1
             return
-        group.submitted += 1
-        self._pending += 1
+        # Arrivals come in index order, so appending keeps every queue
+        # sorted by index.
         kind = group.policy_kind
-        if kind == _FIFO:
-            if self._may_fail:
-                heappush(group.fifo_q, (t, i))
+        if kind == _EDF:
+            queue = group.edf_q.get(rel)
+            if queue is None:
+                group.edf_q[rel] = deque((i,))
             else:
-                group.fifo_q.append(i)
-        elif kind == _EDF:
-            heappush(group.edf_q, (t + rel, i))
+                queue.append(i)
+        elif kind == _FIFO:
+            group.fifo_q.append(i)
         else:
             queue = group.fair_q.get(self._avatar[i])
             if queue is None:
@@ -432,6 +450,18 @@ class _HeapSession:
         self._drive(group, t)
 
     def _dispatch(self, group: _EngineGroup, t: float) -> None:
+        """Serve the policy's next batch on the group's first free replica.
+
+        Every queue is sorted by request index. For one deadline budget,
+        the order by ``(arrival + budget, index)`` is the order by index,
+        because arrivals are sorted and handled in index order. So EDF
+        pops, from the heads of its per-budget deques, the least
+        ``(arrival + budget, index)``: the key a single heap of all
+        queued frames would pop. Each pop costs one comparison per budget
+        with frames queued; a :func:`~repro.serving.traffic.make_trace`
+        trace has at most ``len(deadline_tiers)`` budgets, or one without
+        tiers.
+        """
         replica = group.free.popleft()
         limit = (
             group.batch_limit
@@ -439,17 +469,12 @@ class _HeapSession:
             else replica.max_batch
         )
         kind = group.policy_kind
-        if kind == _FIFO:
+        if kind == _EDF:
+            batch = self._select_edf(group, limit)
+        elif kind == _FIFO:
             queue = group.fifo_q
             size = min(limit, len(queue))
-            if self._may_fail:
-                batch = [heappop(queue)[1] for _ in range(size)]
-            else:
-                batch = [queue.popleft() for _ in range(size)]
-        elif kind == _EDF:
-            queue = group.edf_q
-            size = min(limit, len(queue))
-            batch = [heappop(queue)[1] for _ in range(size)]
+            batch = [queue.popleft() for _ in range(size)]
         else:
             batch = self._select_fair(group, t, limit)
         size = len(batch)
@@ -499,19 +524,24 @@ class _HeapSession:
                 if hedge_finishes[j] < eff[j]:
                     eff[j] = hedge_finishes[j]
                     group.hedge_wins += 1
+        # One finish event per frame; the last carries the replica when
+        # its finish also frees the replica.
         start = self._start
+        events = self._events
+        seq = self._seq
         last = size - 1
         plain = hedge_replica is None and not stall_ms
-        for j in range(size):
+        for j in range(last):
             req = batch[j]
             start[req] = t
-            self._push(
-                eff[j],
-                _EV_FINISH,
-                gi,
-                req,
-                replica if plain and j == last else None,
-            )
+            seq += 1
+            heappush(events, (eff[j], seq, _EV_FINISH, gi, req, None))
+        req = batch[last]
+        start[req] = t
+        seq += 1
+        freed = replica if plain else None
+        heappush(events, (eff[last], seq, _EV_FINISH, gi, req, freed))
+        self._seq = seq
         if plain:
             return
         # Completion decoupled from release: the breaker's success lands
@@ -582,6 +612,43 @@ class _HeapSession:
             self._push(t, _EV_FAIL, group.index, batch, replica)
             return None
 
+    def _select_edf(self, group: _EngineGroup, limit: int) -> list[int]:
+        """Pop up to ``limit`` frames, least ``(deadline, index)`` first,
+        from the heads of the group's per-budget deques.
+
+        A deque that empties leaves ``edf_q``, so ``edf_q`` only ever
+        holds budgets with frames queued; an arrival or a retry of that
+        budget makes a new one.
+        """
+        edf_q = group.edf_q
+        rel = self._rel
+        if len(edf_q) == 1:
+            (queue,) = edf_q.values()
+            batch = [queue.popleft() for _ in range(min(limit, len(queue)))]
+            if not queue:
+                del edf_q[rel[batch[0]]]
+            return batch
+        arrival = self._arrival
+        heads = []
+        for queue in edf_q.values():
+            head = queue[0]
+            heads.append([arrival[head] + rel[head], head, queue])
+        batch: list[int] = []
+        while heads and len(batch) < limit:
+            # Indices are unique, so the comparison never reaches a deque.
+            best = min(heads)
+            queue = best[2]
+            req = queue.popleft()
+            batch.append(req)
+            if queue:
+                head = queue[0]
+                best[0] = arrival[head] + rel[head]
+                best[1] = head
+            else:
+                heads.remove(best)
+                del edf_q[rel[req]]
+        return batch
+
     def _select_fair(
         self, group: _EngineGroup, t: float, limit: int
     ) -> list[int]:
@@ -613,11 +680,8 @@ class _HeapSession:
     ) -> None:
         self._finish[req] = t
         group.backlog_frames -= 1
-        self._pending -= 1
         if self._may_fail:
             self._attempts.pop(req, None)
-        if t > self._duration:
-            self._duration = t
         if replica is None:
             return
         # Last frame of its batch: the batch succeeded (the breaker
@@ -725,42 +789,25 @@ class _HeapSession:
             self._dispatch(group, t)
             self._drive(group, t)
 
-    def _fail_at_door(self, i: int, t: float, group: _EngineGroup) -> None:
+    def _fail_at_door(self, i: int, group: _EngineGroup) -> None:
         """No group can take this arrival: it fails, charged to ``group``."""
-        group.arrivals_since_check += 1
         self._group_of[i] = group.index
-        if t > self._duration:
-            self._duration = t
-        group.submitted += 1
         group.failed += 1
         self._failed_flag[i] = 1
 
     def _requeue(self, group: _EngineGroup, req: int) -> None:
-        """Re-enqueue a failed frame with its original arrival/deadline."""
+        """Re-enqueue a failed frame with its original arrival/deadline:
+        at its index-sorted slot in its queue."""
         kind = group.policy_kind
         if kind == _FIFO:
-            heappush(group.fifo_q, (self._arrival[req], req))
-        elif kind == _EDF:
-            heappush(
-                group.edf_q, (self._arrival[req] + self._rel[req], req)
-            )
+            queue = group.fifo_q
         else:
-            avatar = self._avatar[req]
-            queue = group.fair_q.get(avatar)
+            key = self._rel[req] if kind == _EDF else self._avatar[req]
+            queues = group.edf_q if kind == _EDF else group.fair_q
+            queue = queues.get(key)
             if queue is None:
-                group.fair_q[avatar] = deque((req,))
-            else:
-                # FIFO-within-avatar order is (arrival, index); the
-                # retried frame is older than anything still queued, but
-                # insert at its exact sorted slot to be safe.
-                key = (self._arrival[req], req)
-                pos = 0
-                for existing in queue:
-                    if (self._arrival[existing], existing) < key:
-                        pos += 1
-                    else:
-                        break
-                queue.insert(pos, req)
+                queue = queues[key] = deque()
+        insort(queue, req)
         group.queue_len += 1
         group.backlog_frames += 1
 
@@ -768,7 +815,6 @@ class _HeapSession:
         self._attempts.pop(req, None)
         group.failed += 1
         self._failed_flag[req] = 1
-        self._pending -= 1
 
     def _check_exhausted(self, group: _EngineGroup) -> None:
         if group.exhausted or group.live > 0 or group.replacing > 0:
@@ -779,16 +825,12 @@ class _HeapSession:
         group.state = _IDLE
         kind = group.policy_kind
         if kind == _FIFO:
-            drained = [item[1] for item in group.fifo_q]
+            drained = list(group.fifo_q)
             group.fifo_q.clear()
-        elif kind == _EDF:
-            drained = [item[1] for item in group.edf_q]
-            group.edf_q.clear()
         else:
-            drained = [
-                req for queue in group.fair_q.values() for req in queue
-            ]
-            group.fair_q.clear()
+            queues = group.edf_q if kind == _EDF else group.fair_q
+            drained = [req for queue in queues.values() for req in queue]
+            queues.clear()
         for req in drained:
             self._fail_request(group, req)
         group.backlog_frames -= group.queue_len
@@ -798,9 +840,14 @@ class _HeapSession:
         policy = self.autoscale
         assert policy is not None
         window_s = policy.check_interval_ms / 1000.0
-        for group in self.groups:
-            offered_fps = group.arrivals_since_check / window_s
-            group.arrivals_since_check = 0
+        # Each group's arrivals since the last check: the frames routed
+        # there among those handled since.
+        cursor = self._cursor
+        routed = self._group_of[self._checked:cursor]
+        arrivals = [routed.count(g.index) for g in self.groups]
+        self._checked = cursor
+        for group, arrived in zip(self.groups, arrivals):
+            offered_fps = arrived / window_s
             steady_fps = group.profile.steady_fps
             if steady_fps <= 0:
                 continue
@@ -830,7 +877,9 @@ class _HeapSession:
                     step -= 1
                 group.pending_drain += step
                 group.refresh_fleet()
-        if self._cursor < len(self._arrival) or self._pending > 0:
+        # Admitted but unfinished frames are the groups' backlogs.
+        pending = sum(g.backlog_frames for g in self.groups)
+        if cursor < len(self._arrival) or pending > 0:
             self._push(t + policy.check_interval_ms, _EV_SCALE, 0, 0, None)
 
     # ------------------------------------------------------------------
@@ -855,7 +904,9 @@ class _HeapSession:
         else:
             group_of = np.asarray(self._group_of, dtype=np.int64)
         served = ~shed & ~failed
-        duration_ms = self._duration
+        duration_ms = max(
+            self._duration, float(arrival.max()), float(finish.max())
+        )
 
         latencies = finish[served] - arrival[served]
         queue_waits = start[served] - arrival[served]
@@ -900,7 +951,7 @@ class _HeapSession:
             replicas=len(utilization),
             max_batch=max(g.batch_limit for g in self.groups),
             batch_window_ms=self.groups[0].window_ms,
-            submitted=sum(g.submitted for g in self.groups),
+            submitted=n,
             completed=completed,
             duration_ms=duration_ms,
             latency_p50_ms=nearest_rank(ordered, 50),
@@ -972,7 +1023,8 @@ class _HeapSession:
             replicas=len(group.all_replicas),
             max_batch=group.batch_limit,
             batch_window_ms=group.window_ms,
-            submitted=group.submitted - group.shed,
+            # Every arrival routed here counts, shed or not.
+            submitted=int(np.count_nonzero(mine)) - group.shed,
             shed=group.shed,
             completed=completed,
             deadline_misses=int(np.count_nonzero(missed & mine)),

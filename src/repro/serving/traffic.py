@@ -42,7 +42,10 @@ class RequestTrace:
     ``arrival_ms`` is sorted ascending; row ``i`` is the session's
     ``i``-th submitted request. ``deadline_rel_ms`` holds each request's
     *relative* decode budget in milliseconds (absolute deadline =
-    arrival + budget).
+    arrival + budget). An ``edf`` group queues one deque per distinct
+    budget, and each frame it pops costs one comparison per budget with
+    frames queued: a trace with few distinct budgets (``make_trace`` has
+    at most ``len(deadline_tiers)``) serves fastest.
     """
 
     #: Arrival time of each request (ms of session time, sorted ascending).
@@ -69,6 +72,10 @@ class RequestTrace:
             raise ValueError("trace arrays must have equal length")
         if n == 0:
             raise ValueError("a trace needs at least one request")
+        # The engine's queues keep arrival order as index order.
+        arrival = self.arrival_ms
+        if not (arrival[1:] >= arrival[:-1]).all():
+            raise ValueError("trace arrivals must be sorted ascending")
 
     def __len__(self) -> int:
         return len(self.arrival_ms)

@@ -57,13 +57,9 @@ class FrameLatencyProfile:
         """
         if batch < 1:
             raise ValueError("need at least one frame in a batch")
-        first = (
-            self.steady_interval_ms if warm else self.first_frame_ms
-        )
-        return tuple(
-            start_ms + first + j * self.steady_interval_ms
-            for j in range(batch)
-        )
+        steady = self.steady_interval_ms
+        base = start_ms + (steady if warm else self.first_frame_ms)
+        return tuple([base + j * steady for j in range(batch)])
 
 
 @dataclass(frozen=True)

@@ -85,12 +85,12 @@ def test_perfbench_smoke_job_checks_pinned_dse_runs():
     untraced = [run for run in bench_runs if "--trace 0" in run]
     traced = [run for run in bench_runs if "--trace 1" in run]
     assert sorted(untraced + traced) == sorted(bench_runs)
-    # Every workload at seed 0; the DSE workloads also at pinned seed 19.
+    # Every workload at pinned seeds 0 and 19.
     expected = {
         "dse-paper": ["0", "19"],
         "dse-sweep": ["0", "19"],
-        "serve-diurnal": ["0"],
-        "serve-chaos": ["0"],
+        "serve-diurnal": ["0", "19"],
+        "serve-chaos": ["0", "19"],
     }
     for workload, seeds in expected.items():
         steps = [run for run in untraced if f"--workload {workload}" in run]

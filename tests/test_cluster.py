@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.devices.fpga import get_device
@@ -104,6 +105,13 @@ class TestSpecsAndValidation:
     def test_admission_validation(self):
         with pytest.raises(ValueError):
             AdmissionControl(max_queue_per_replica=0)
+        # A NaN cap passed ``cap < 1`` and silently turned the bound off.
+        for cap in (float("nan"), 2.5, float("inf")):
+            with pytest.raises(ValueError, match="must be an int"):
+                AdmissionControl(max_queue_per_replica=cap)
+        # numpy integers are integers too.
+        admission = AdmissionControl(max_queue_per_replica=np.int64(4))
+        assert admission.max_queue_per_replica == 4
         for slack in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="slack"):
                 AdmissionControl(slack=slack)

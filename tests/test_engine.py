@@ -14,6 +14,7 @@ from repro.serving import (
     GroupSpec,
     RecoveryPolicy,
     ReplicaPool,
+    RequestTrace,
     canned_workload,
     list_shapes,
     make_trace,
@@ -23,6 +24,7 @@ from repro.serving import (
     serve_trace,
     trace_from_workload,
 )
+from repro.serving import engine
 from repro.sim.runner import FrameLatencyProfile
 
 FAST = FrameLatencyProfile(
@@ -169,6 +171,49 @@ def test_make_trace_validation():
             make_trace(10, duration)
 
 
+def test_trace_arrivals_must_be_sorted():
+    # The engine's queues take index order for arrival order.
+    for arrival in ([0.0, 2.0, 1.0], [0.0, float("nan"), 1.0]):
+        with pytest.raises(ValueError, match="sorted"):
+            RequestTrace(
+                arrival_ms=np.array(arrival),
+                avatar_id=np.zeros(3, dtype=np.int64),
+                deadline_rel_ms=np.full(3, 50.0),
+                avatars=1,
+                deadline_ms=50.0,
+            )
+
+
+def test_edf_queue_holds_only_budgets_with_frames(monkeypatch):
+    # A recorded trace may give every request its own deadline budget. An
+    # EDF pop compares one deque head per budget, so a budget whose deque
+    # empties leaves the queue: the scan is bounded by the frames queued,
+    # not by every budget the session has seen.
+    n = 300
+    trace = RequestTrace(
+        arrival_ms=np.arange(n, dtype=float),
+        avatar_id=np.zeros(n, dtype=np.int64),
+        deadline_rel_ms=50.0 + 0.01 * np.arange(n),
+        avatars=1,
+        deadline_ms=50.0,
+    )
+    dispatch = engine._HeapSession._dispatch
+    scanned = []
+
+    def checked(self, group, t):
+        scanned.append(len(group.edf_q))
+        dispatch(self, group, t)
+        assert all(group.edf_q.values())
+        assert len(group.edf_q) == group.queue_len
+
+    monkeypatch.setattr(engine._HeapSession, "_dispatch", checked)
+    report = serve_trace(
+        GroupSpec("g", BIG, replicas=1, policy="edf", max_batch=4), trace
+    )
+    assert report.completed == n
+    assert max(scanned) > 1  # the multi-budget merge ran
+
+
 # ---------------------------------------------------------------------------
 # autoscaling
 # ---------------------------------------------------------------------------
@@ -263,6 +308,20 @@ def test_autoscale_validation():
         AutoscalePolicy(target_utilization=1.5)
     with pytest.raises(ValueError):
         AutoscalePolicy(min_replicas=5, max_replicas=2)
+    # Float bounds passed the range checks and crashed the session at its
+    # first scale-up or while building the fleet.
+    for bad in (
+        dict(max_step=float("nan")),
+        dict(max_step=2.5),
+        dict(min_replicas=1.5),
+        dict(max_replicas=float("inf")),
+    ):
+        with pytest.raises(ValueError, match="must be an int"):
+            AutoscalePolicy(**bad)
+    # numpy integers are integers too.
+    AutoscalePolicy(
+        min_replicas=np.int64(1), max_replicas=np.int64(4), max_step=np.int64(2)
+    )
 
 
 # ---------------------------------------------------------------------------

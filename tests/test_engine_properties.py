@@ -65,7 +65,7 @@ def queued(group) -> int:
     if group.policy_kind == engine._FAIR:
         return sum(len(queue) for queue in group.fair_q.values())
     if group.policy_kind == engine._EDF:
-        return len(group.edf_q)
+        return sum(len(queue) for queue in group.edf_q.values())
     return len(group.fifo_q)
 
 

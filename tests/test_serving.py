@@ -156,6 +156,13 @@ class TestPolicies:
     def test_edf_orders_by_deadline(self):
         assert self.finish_order("edf") == [3, 2, 1, 0]
 
+    def test_edf_breaks_equal_deadlines_by_arrival(self):
+        # Avatars 1 and 2 share the absolute deadline 7.0 through two
+        # budgets, and the later frame's budget (4.0) was queued first:
+        # the tie goes to the earlier arrival, not the first budget.
+        self.FRAMES = ((3, 0.0, 4.0), (1, 1.0, 6.0), (2, 3.0, 4.0), (0, 5.0, 100.0))
+        assert self.finish_order("edf") == [3, 1, 2, 0]
+
     def test_fair_serves_least_recently_served_avatars_first(self):
         # None of the waiting avatars has been served: ties go by id.
         assert self.finish_order("fair") == [3, 0, 1, 2]
