@@ -204,10 +204,13 @@ class DseEngine:
     ) -> tuple[DseResult, ...]:
         """Run a batch of searches with shared caching and deduplication.
 
-        All searches draw from one evaluation cache, so a sweep over
-        overlapping problems (same decoder on several devices, several
-        seeds on one device, repeated cases in a grid) never re-solves an
-        in-branch subproblem it has seen before. Cases whose problem spec,
+        All searches draw from one evaluation cache. Its keys carry the
+        spec digest, so only cases with the same spec (several seeds on
+        one device) reuse each other's in-branch solutions. Cases with the
+        same plan, quantization, frequency and parallelism caps (the same
+        decoder on several devices or batch sizes) share the process's
+        Algorithm-2 ladders instead, which leaves every result and its
+        accounting as in a solo search. Cases whose problem spec,
         *objective configuration*, search size, and (fingerprintable) seed
         coincide are solved once and share the same :class:`DseResult`
         object — the objective is part of the dedup key because the spec

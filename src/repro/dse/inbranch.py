@@ -26,7 +26,9 @@ for almost every distribution.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import pickle
 import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -135,6 +137,11 @@ class BranchEvalTable:
     Algorithm 2 through a table is bit-identical to recomputing — it only
     removes the redundant arithmetic, which dominates the search's wall
     time.
+
+    ``ladders`` is a registry of batched-kernel ladders shared by every
+    table of the same problem (the constructor's arguments): the table
+    adopts the registered ladder instead of building its own, or
+    registers the one it builds. A table without one never shares.
     """
 
     def __init__(
@@ -144,6 +151,7 @@ class BranchEvalTable:
         frequency_mhz: float = 200.0,
         max_h: int | None = None,
         max_pf: int | None = None,
+        ladders: "dict[str, BranchLadder] | None" = None,
     ) -> None:
         self.pipeline = pipeline
         self.quant = quant
@@ -177,6 +185,7 @@ class BranchEvalTable:
         # once.
         self._counters = [0, 0]
         self._ladder: "BranchLadder | None" = None
+        self._ladders = ladders
         _LIVE_TABLES.add(self)
         weakref.finalize(self, _retire_counters, self._counters)
 
@@ -195,13 +204,53 @@ class BranchEvalTable:
 
         The batched kernel (:mod:`repro.dse.kernel`) solves whole
         generations of budget buckets against this struct-of-arrays view
-        of the GetPF chains; the scalar path never needs it.
+        of the GetPF chains; the scalar path never needs it. Its memos
+        hold no budget and key solutions by batch target, so one ladder
+        serves every table of the same problem.
         """
         if self._ladder is None:
             from repro.dse.kernel import BranchLadder
 
-            self._ladder = BranchLadder(self)
+            registry = self._ladders
+            if registry is None:
+                self._ladder = BranchLadder(self)
+                return self._ladder
+            problem = (
+                self.pipeline,
+                self.quant,
+                self.frequency_mhz,
+                self.max_h,
+                self.max_pf,
+            )
+            key = hashlib.sha1(pickle.dumps(problem)).hexdigest()
+            shared = registry.get(key)
+            if shared is None:
+                self._ladder = registry[key] = BranchLadder(self)
+            else:
+                self._adopt(shared)
         return self._ladder
+
+    def _adopt(self, ladder: "BranchLadder") -> None:
+        """Use another table's ladder, as if this table had built it.
+
+        Building a ladder looks up every chain state once through
+        :meth:`stage_eval`. The same lookups are replayed here: a hit
+        where this table's memo holds the state, otherwise the chain's
+        exact ``(latency, DSP, BRAM)`` seeds the memo. So the table's
+        memo and counters end as a build would leave them.
+        """
+        counters = self._counters
+        for memo, chain in zip(self._stage_eval, ladder.chains):
+            counters[1] += len(chain.configs)
+            for cfg, entry in zip(
+                chain.configs,
+                zip(chain.lat_list, chain.dsp_list, chain.bram_list),
+            ):
+                if cfg in memo:
+                    counters[0] += 1
+                else:
+                    memo[cfg] = entry
+        self._ladder = ladder
 
     def credit_memo(self, hits: int, lookups: int) -> None:
         """Fold externally served memo traffic into this table's counters.

@@ -48,7 +48,7 @@ import numpy as np
 from repro.construction.reorg import PipelinePlan
 from repro.devices.budget import ResourceBudget
 from repro.dse.cache import EvalCache, put_entries
-from repro.dse.kernel import KernelTimings, solve_buckets
+from repro.dse.kernel import BranchLadder, KernelTimings, solve_buckets
 from repro.dse.objective import (
     INFEASIBILITY_PENALTY,
     BranchMetrics,
@@ -195,7 +195,7 @@ def rerank_key(
 
 
 # ---------------------------------------------------------------------------
-# per-process state: Algorithm-2 tables
+# per-process state: Algorithm-2 tables and ladders
 # ---------------------------------------------------------------------------
 #: Branch tables are expensive to warm (their memo dicts are the hot-path
 #: optimization) but tiny, so they are kept per process keyed by
@@ -203,16 +203,22 @@ def rerank_key(
 #: thousands of distinct specs in one long-lived process.
 _TABLES: dict[tuple[str, int], BranchEvalTable] = {}
 _TABLES_CAP = 512
+#: The batched kernel's ladders, one per distinct branch problem
+#: (pipeline, quantization, frequency, parallelism caps). The spec digest
+#: also folds in the budget and the batch sizes, which a ladder does not
+#: depend on, so the tables of a device or batch-size sweep share these.
+_LADDERS: dict[str, BranchLadder] = {}
 
 
 def clear_process_caches() -> None:
-    """Drop this process's warm Algorithm-2 tables.
+    """Drop this process's warm Algorithm-2 tables and ladders.
 
     Benchmark / test hygiene only: back-to-back measured runs in one
     process (e.g. perfbench's repetitions) would otherwise leak the
     first run's warm tables into the second and blur the comparison.
     """
     _TABLES.clear()
+    _LADDERS.clear()
 
 
 def branch_table(spec: EvalSpec, branch: int) -> BranchEvalTable:
@@ -221,13 +227,14 @@ def branch_table(spec: EvalSpec, branch: int) -> BranchEvalTable:
     table = _TABLES.get(key)
     if table is None:
         if len(_TABLES) >= _TABLES_CAP:
-            _TABLES.clear()
+            clear_process_caches()
         table = BranchEvalTable(
             spec.plan.branches[branch],
             spec.quant,
             spec.frequency_mhz,
             max_h=spec.customization.max_h,
             max_pf=spec.customization.max_pf,
+            ladders=_LADDERS,
         )
         _TABLES[key] = table
     return table

@@ -345,8 +345,9 @@ def run_sweep(
 ) -> tuple[FcadResult, ...]:
     """Explore a whole batch of flows in one call.
 
-    Every case draws from one shared evaluation cache (in-branch solutions
-    are reused wherever specs overlap) and duplicate cases — same network,
+    Every case draws from one shared evaluation cache, whose entries are
+    per spec; cases with the same network, quantization and frequency
+    share the Algorithm-2 ladders. Duplicate cases — same network,
     target, quantization, customization, objective, and seed — are
     searched exactly once. Results come back in input order, one per flow.
     ``cache`` overrides the backend, e.g. a

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.serving.policies import POLICIES, list_policies
 from repro.serving.transport import ReplicaTransport
@@ -68,8 +69,10 @@ class GroupSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a replica group needs a name")
-        if self.replicas < 1:
-            raise ValueError("a replica group needs at least one replica")
+        if not _is_count(self.replicas):
+            raise ValueError(
+                f"replicas must be an int >= 1, got {self.replicas!r}"
+            )
         if self.policy not in POLICIES:
             known = ", ".join(list_policies())
             raise KeyError(
@@ -81,8 +84,23 @@ class GroupSpec:
                 "batch_window_ms must be a finite number >= 0, "
                 f"got {self.batch_window_ms}"
             )
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
+        if not _is_count(self.max_batch):
+            raise ValueError(
+                f"max_batch must be an int >= 1, got {self.max_batch!r}"
+            )
+        # A numpy integer is a valid count; store it as a plain int so
+        # every report field built from it stays JSON-serializable.
+        object.__setattr__(self, "replicas", int(self.replicas))
+        object.__setattr__(self, "max_batch", int(self.max_batch))
+
+
+def _is_count(value: object) -> bool:
+    """An integer >= 1 (numpy integers too); a bool is not a count."""
+    return (
+        isinstance(value, Integral)
+        and not isinstance(value, bool)
+        and value >= 1
+    )
 
 
 __all__ = ["GroupSpec"]

@@ -76,6 +76,8 @@ PER_AVATAR_LIMIT = 4096
 
 _FIFO, _EDF, _FAIR = 0, 1, 2
 _POLICY_KIND = {"fifo": _FIFO, "edf": _EDF, "fair": _FAIR}
+# A fair avatar never served yet takes its turn before every served one.
+_NEG_INF = float("-inf")
 
 # Dispatcher states: parked on an empty queue, holding the batching
 # window, waiting for a free replica, dispatching.
@@ -134,6 +136,9 @@ class AutoscalePolicy:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an int, got {value!r}")
+            # A numpy integer is stored as a plain int, so the replica
+            # counts the report derives from it stay JSON-serializable.
+            object.__setattr__(self, name, int(value))
         if not 1 <= self.min_replicas <= self.max_replicas:
             raise ValueError("need 1 <= min_replicas <= max_replicas")
         if self.max_step < 1:
@@ -180,11 +185,14 @@ class _EngineGroup:
         self.refresh_fleet()
         # Policy-native queues of request indices, each deque sorted by
         # index: one for fifo, one per deadline budget for edf, one per
-        # avatar for fair.
+        # avatar for fair. A deque that empties leaves its dict.
         self.fifo_q: deque[int] = deque()
         self.edf_q: dict[float, deque[int]] = {}
         self.fair_q: dict[int, deque[int]] = {}
         self.fair_last: dict[int, float] = {}
+        # Fair's turn order: one (last served, avatar) entry per avatar
+        # with frames queued, least first.
+        self.fair_turns: list[tuple[float, int]] = []
         # SLO counters.
         self.shed = 0
         self.batch_sizes: list[int] = []
@@ -401,9 +409,14 @@ class _HeapSession:
         elif kind == _FIFO:
             group.fifo_q.append(i)
         else:
-            queue = group.fair_q.get(self._avatar[i])
+            avatar = self._avatar[i]
+            queue = group.fair_q.get(avatar)
             if queue is None:
-                group.fair_q[self._avatar[i]] = deque((i,))
+                group.fair_q[avatar] = deque((i,))
+                heappush(
+                    group.fair_turns,
+                    (group.fair_last.get(avatar, _NEG_INF), avatar),
+                )
             else:
                 queue.append(i)
         group.queue_len += 1
@@ -652,27 +665,34 @@ class _HeapSession:
     def _select_fair(
         self, group: _EngineGroup, t: float, limit: int
     ) -> list[int]:
-        # FairPolicy semantics: avatars ordered by (last served, id),
-        # drained round-robin one frame per turn, FIFO within an avatar.
+        """Pop up to ``limit`` frames round robin, one per avatar per
+        turn, avatars least ``(last served, id)`` first, FIFO within an
+        avatar.
+
+        Only the first ``limit`` avatars in that order can be reached, so
+        only they leave ``fair_turns``; the ones still backlogged re-enter
+        at ``(t, id)``. A dispatch costs O(batch · log backlogged).
+        """
+        turns = group.fair_turns
         fair_q = group.fair_q
-        last_served = group.fair_last
-        neg_inf = float("-inf")
-        order = sorted(
-            (a for a in fair_q if fair_q[a]),
-            key=lambda a: (last_served.get(a, neg_inf), a),
-        )
+        served = [heappop(turns)[1] for _ in range(min(limit, len(turns)))]
+        queues = [fair_q[avatar] for avatar in served]
         batch: list[int] = []
         while len(batch) < limit:
             took = False
-            for avatar in order:
-                queue = fair_q[avatar]
+            for queue in queues:
                 if queue and len(batch) < limit:
                     batch.append(queue.popleft())
                     took = True
             if not took:
                 break
-        for req in batch:
-            last_served[self._avatar[req]] = t
+        last_served = group.fair_last
+        for avatar, queue in zip(served, queues):
+            last_served[avatar] = t
+            if queue:
+                heappush(turns, (t, avatar))
+            else:
+                del fair_q[avatar]
         return batch
 
     def _on_finish(
@@ -807,6 +827,11 @@ class _HeapSession:
             queue = queues.get(key)
             if queue is None:
                 queue = queues[key] = deque()
+                if kind == _FAIR:
+                    heappush(
+                        group.fair_turns,
+                        (group.fair_last.get(key, _NEG_INF), key),
+                    )
         insort(queue, req)
         group.queue_len += 1
         group.backlog_frames += 1
@@ -831,6 +856,7 @@ class _HeapSession:
             queues = group.edf_q if kind == _EDF else group.fair_q
             drained = [req for queue in queues.values() for req in queue]
             queues.clear()
+            group.fair_turns.clear()
         for req in drained:
             self._fail_request(group, req)
         group.backlog_frames -= group.queue_len

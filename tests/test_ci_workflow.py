@@ -97,10 +97,13 @@ def test_perfbench_smoke_job_checks_pinned_dse_runs():
         assert sorted(
             run.split("--seed ")[1].split()[0] for run in steps
         ) == seeds
-    # Exactly one traced run: dse-paper at seed 0, whose outputs must equal
-    # the untraced repetitions' and whose probes must all be restored.
-    assert len(traced) == 1
-    assert "--workload dse-paper --seed 0 " in traced[0]
+    # Exactly two traced runs, dse-paper and dse-sweep at seed 0: their
+    # outputs must equal the untraced repetitions' and their probes must
+    # all be restored. In dse-sweep the cases share Algorithm-2 ladders,
+    # which are then built under the wrapped kernel.
+    assert sorted(
+        run.split("--workload ")[1].split("--trace")[0] for run in traced
+    ) == ["dse-paper --seed 0 --seconds 1 ", "dse-sweep --seed 0 --seconds 1 "]
     for run in bench_runs:
         # Each check reads the JSON its own run wrote.
         log = run.split("| tee ")[1].split()[0]

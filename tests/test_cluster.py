@@ -83,6 +83,19 @@ class TestSpecsAndValidation:
                 GroupSpec("g", FAST, batch_window_ms=window)
         with pytest.raises(ValueError, match="max_batch"):
             GroupSpec("g", FAST, max_batch=0)
+        # Non-integer counts passed ``< 1`` and the session then died
+        # mid-run with a TypeError; True was served as one replica.
+        for count in (2.5, float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="replicas must be an int"):
+                GroupSpec("g", FAST, replicas=count)
+            with pytest.raises(ValueError, match="max_batch must be an int"):
+                GroupSpec("g", FAST, max_batch=count)
+        # numpy integers are integers too, and a report built from them
+        # stays JSON-serializable.
+        spec = GroupSpec("g", FAST, replicas=np.int64(2), max_batch=np.int64(3))
+        assert (spec.replicas, spec.max_batch) == (2, 3)
+        assert type(spec.replicas) is int and type(spec.max_batch) is int
+        report_to_json(serve_trace(spec, tiered_workload()))
 
     def test_cluster_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="unique"):

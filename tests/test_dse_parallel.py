@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import random
@@ -16,6 +17,7 @@ from repro.devices.budget import ResourceBudget
 from repro.devices.fpga import get_device
 from repro.dse.cache import FileEvalCache, LocalEvalCache
 from repro.dse.engine import DseEngine
+from repro.dse.inbranch import BranchEvalTable, optimize_branch
 from repro.dse.objective import (
     CompositeObjective,
     PaperObjective,
@@ -28,7 +30,10 @@ from repro.dse.space import Customization
 from repro.dse.worker import (
     EvalSpec,
     GenerationEvaluator,
+    branch_table,
     candidate_keys,
+    canonical_rd,
+    clear_process_caches,
     evaluate_candidate,
     quantize_rd,
 )
@@ -399,16 +404,22 @@ class TestSearchMany:
         assert seed_fingerprint(True) is None
 
 
-#: result_to_dict keys that may differ between a sweep case and its solo
-#: search: host timings, and the accounting a shared cache changes
-#: (``oracle_stats`` repeats ``evaluations`` and ``cache_hits``).
-SWEEP_VARIANT_KEYS = {
+#: result_to_dict keys that hold host timings.
+HOST_TIME_KEYS = {
     "runtime_seconds",
     "eval_seconds",
     "cache_seconds",
+    "overhead_seconds",
     "ladder_seconds",
     "growth_seconds",
     "measure_seconds",
+}
+
+#: result_to_dict keys that may differ between a sweep case and its solo
+#: search in a warm process: host timings, and the accounting a shared
+#: cache and warm tables change (``oracle_stats`` repeats ``evaluations``
+#: and ``cache_hits``).
+SWEEP_VARIANT_KEYS = HOST_TIME_KEYS | {
     "evaluations",
     "cache_hits",
     "stage_hits",
@@ -474,6 +485,139 @@ class TestSweepEqualsSolo:
         for i, first in enumerate(cases):
             for j, second in enumerate(cases):
                 assert (swept[i] is swept[j]) == (first == second)
+
+
+class TestSharedLadders:
+    """Tables of one branch problem share one Algorithm-2 ladder."""
+
+    @staticmethod
+    def ladders(spec):
+        return [
+            branch_table(spec, branch).ladder()
+            for branch in range(spec.plan.num_branches)
+        ]
+
+    def test_budget_batch_and_priorities_share(self, tiny_plan_module):
+        from repro.construction.reorg import build_pipeline_plan
+
+        clear_process_caches()
+        base = make_engine(tiny_plan_module).spec
+        # An equal plan built anew, another device, batch sizes and
+        # priorities: another spec digest, the same branch problems.
+        other = EvalSpec(
+            plan=build_pipeline_plan(make_tiny_decoder()),
+            budget=get_device("ZU9CG").budget(),
+            customization=Customization(
+                batch_sizes=(2, 4), priorities=(0.5, 2.0)
+            ),
+            quant=INT8,
+        )
+        assert other.digest != base.digest
+        shared = self.ladders(base)
+        assert shared[0] is not shared[1]
+        assert all(a is b for a, b in zip(shared, self.ladders(other)))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(quant=INT16),
+            dict(frequency_mhz=150.0),
+            dict(customization=Customization.uniform(2, max_h=1)),
+            dict(customization=Customization.uniform(2, max_pf=8)),
+        ],
+    )
+    def test_problem_changes_do_not_share(self, spec, change):
+        clear_process_caches()
+        other = dataclasses.replace(spec, **change)
+        assert not {id(ladder) for ladder in self.ladders(spec)} & {
+            id(ladder) for ladder in self.ladders(other)
+        }
+
+    def test_direct_tables_never_share(self, spec):
+        clear_process_caches()
+        pipeline = spec.plan.branches[0]
+        direct = BranchEvalTable(pipeline, INT8).ladder()
+        assert BranchEvalTable(pipeline, INT8).ladder() is not direct
+        assert branch_table(spec, 0).ladder() is not direct
+
+    def test_cleared_process_builds_a_fresh_ladder(self, spec):
+        clear_process_caches()
+        first = branch_table(spec, 0).ladder()
+        clear_process_caches()
+        assert branch_table(spec, 0).ladder() is not first
+
+    def test_adoption_replays_the_build_on_the_table(self, tiny_plan_module):
+        # An adopting table's stage memo and counters end as if it had
+        # built the ladder itself, including memo hits for states its
+        # scalar solves already evaluated.
+        clear_process_caches()
+        first = make_engine(tiny_plan_module).spec
+        second = make_engine(tiny_plan_module, device="ZU17EG").spec
+        rd = canonical_rd((40, 40, 40))
+        for branch in range(first.plan.num_branches):
+            branch_table(first, branch).ladder()
+            adopting = branch_table(second, branch)
+            building = BranchEvalTable(first.plan.branches[branch], INT8)
+            for table in (adopting, building):
+                optimize_branch(
+                    table.pipeline, rd, 1, INT8, table=table
+                )
+                table.ladder()
+            assert adopting.ladder() is branch_table(first, branch).ladder()
+            assert adopting.stage_hits > 0
+            assert (adopting.stage_hits, adopting.stage_lookups) == (
+                building.stage_hits,
+                building.stage_lookups,
+            )
+            assert adopting._stage_eval == building._stage_eval
+
+
+class TestSweepCaseEqualsColdSolo:
+    """A sweep case sharing ladders with earlier cases reports exactly
+    what its search reports alone in a fresh process: the design, and the
+    accounting too (evaluations, cache hits, stage-memo hits and
+    lookups), because adopting a ladder replays its build's memo
+    traffic."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        cases=st.lists(
+            st.tuples(
+                st.sampled_from(["Z7045", "ZU17EG", "ZU9CG"]),
+                st.sampled_from([INT8, INT16]),
+                st.sampled_from([(1, 1), (2, 2), (1, 2)]),
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+    )
+    def test_each_case_equals_its_cold_solo_search(
+        self, tiny_plan_module, cases
+    ):
+        size = dict(iterations=2, population=8, seed=0)
+
+        def engine(device, quant, batches):
+            return DseEngine(
+                plan=tiny_plan_module,
+                budget=get_device(device).budget(),
+                customization=Customization(
+                    batch_sizes=batches, priorities=(1.0,) * len(batches)
+                ),
+                quant=quant,
+            )
+
+        def fields(result):
+            record = result_to_dict(result)
+            return {k: v for k, v in record.items() if k not in HOST_TIME_KEYS}
+
+        clear_process_caches()
+        swept = DseEngine.search_many(
+            [engine(*case) for case in cases], **size
+        )
+        for case, result in zip(cases, swept):
+            clear_process_caches()
+            solo = engine(*case).search(cache=LocalEvalCache(), **size)
+            assert fields(result) == fields(solo)
 
 
 class TestSweepApi:

@@ -4,6 +4,7 @@ determinism, guard rails, and report compatibility."""
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -214,6 +215,26 @@ def test_edf_queue_holds_only_budgets_with_frames(monkeypatch):
     assert max(scanned) > 1  # the multi-budget merge ran
 
 
+def test_fair_dispatch_cost_tracks_the_batch_not_the_avatars():
+    # 40,000 requests from 20,000 avatars on one overloaded group. A fair
+    # dispatch that scans every avatar ever queued makes the session
+    # quadratic (about 500x edf's time); one that reaches only the batch's
+    # avatars stays within a small factor of edf. A ratio on one host,
+    # each policy's best of three.
+    trace = make_trace(
+        20_000, 10.0, "steady", avatar_fps=0.2, deadline_ms=200, seed=1
+    )
+    best = {"edf": float("inf"), "fair": float("inf")}
+    for _ in range(3):
+        for policy in best:
+            spec = GroupSpec("g", BIG, replicas=8, policy=policy)
+            started = time.perf_counter()
+            report = serve_trace(spec, trace)
+            best[policy] = min(best[policy], time.perf_counter() - started)
+            assert report.completed == len(trace)
+    assert best["fair"] <= 5 * best["edf"], best
+
+
 # ---------------------------------------------------------------------------
 # autoscaling
 # ---------------------------------------------------------------------------
@@ -318,10 +339,25 @@ def test_autoscale_validation():
     ):
         with pytest.raises(ValueError, match="must be an int"):
             AutoscalePolicy(**bad)
-    # numpy integers are integers too.
-    AutoscalePolicy(
-        min_replicas=np.int64(1), max_replicas=np.int64(4), max_step=np.int64(2)
-    )
+    # numpy integers are integers too, and a report built from them
+    # stays JSON-serializable.
+    trace = make_trace(200, 2.0, "flash", avatar_fps=30.0, seed=1)
+    reports = [
+        report_to_json(
+            serve_trace(
+                GroupSpec("g", BIG),
+                trace,
+                autoscale=AutoscalePolicy(
+                    check_interval_ms=100.0,
+                    min_replicas=kind(1),
+                    max_replicas=kind(4),
+                    max_step=kind(2),
+                ),
+            )
+        )
+        for kind in (np.int64, int)
+    ]
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------

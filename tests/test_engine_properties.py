@@ -14,6 +14,8 @@ replaced, ties and infeasible budgets included.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,13 @@ def check_counters(session) -> None:
         )
         assert group.queue_len == queued(group)
         assert group.backlog_frames - group.queue_len == in_flight[group.index]
+        if group.policy_kind == engine._FAIR:
+            # One turn per avatar with frames queued, at its last service.
+            assert all(group.fair_q.values())
+            assert sorted(group.fair_turns) == sorted(
+                (group.fair_last.get(avatar, float("-inf")), avatar)
+                for avatar in group.fair_q
+            )
 
 
 @contextlib.contextmanager
@@ -222,6 +231,77 @@ class TestCounterInvariants:
         with checked_handlers(calls):
             SESSIONS[name]()
         assert calls[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# fair selection
+# ---------------------------------------------------------------------------
+def reference_fair(fair_q, last_served, limit) -> list[int]:
+    """The fair selection as a sorted scan: every avatar with frames,
+    ordered by ``(last served, id)``, drained round robin one frame per
+    turn. What ``_select_fair`` did before it kept only backlogged
+    avatars in a heap. Pops from ``fair_q``'s deques."""
+    order = sorted(
+        (avatar for avatar in fair_q if fair_q[avatar]),
+        key=lambda avatar: (last_served.get(avatar, float("-inf")), avatar),
+    )
+    batch: list[int] = []
+    while len(batch) < limit:
+        took = False
+        for avatar in order:
+            queue = fair_q[avatar]
+            if queue and len(batch) < limit:
+                batch.append(queue.popleft())
+                took = True
+        if not took:
+            break
+    return batch
+
+
+@contextlib.contextmanager
+def checked_fair_selection(dispatches: list[int]):
+    """Check every fair batch against the sorted scan over the same state."""
+    cls = engine._HeapSession
+    select = cls._select_fair
+
+    def checked(self, group, t, limit):
+        copy = {avatar: deque(queue) for avatar, queue in group.fair_q.items()}
+        expected = reference_fair(copy, group.fair_last, limit)
+        batch = select(self, group, t, limit)
+        assert batch == expected
+        dispatches[0] += 1
+        return batch
+
+    cls._select_fair = checked
+    try:
+        yield
+    finally:
+        cls._select_fair = select
+
+
+@st.composite
+def fair_sessions(draw):
+    """A :func:`sessions` draw with every group on the fair policy."""
+    groups, trace, kwargs = draw(sessions())
+    if isinstance(groups, ReplicaPool):
+        return groups, trace, dict(kwargs, policy="fair")
+    fair = [dataclasses.replace(spec, policy="fair") for spec in groups]
+    return fair, trace, kwargs
+
+
+class TestFairSelection:
+    @settings(max_examples=150, deadline=None)
+    @given(fair_sessions())
+    def test_matches_the_sorted_scan(self, session):
+        # Random arrivals, chaos retries and dispatch sizes: each batch
+        # equals the one the scan over every avatar would pick.
+        groups, trace, kwargs = session
+        dispatches = [0]
+        calls = [0]
+        with checked_fair_selection(dispatches), checked_handlers(calls):
+            report = serve_trace(groups, trace, **kwargs)
+        assert report.completed + report.shed + report.failed == report.submitted
+        assert dispatches[0] >= 1 or report.completed == 0
 
 
 # ---------------------------------------------------------------------------
