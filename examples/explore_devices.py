@@ -6,11 +6,13 @@ Explores accelerators for the decoder across three embedded FPGAs at 8- and
 summary row per case: who meets 90 FPS, at what hardware efficiency, with
 what device utilization.
 
-The six cases run as ONE batch (`run_sweep`): they share a single
-evaluation cache — overlapping in-branch subproblems are solved once for
-the whole grid. Per-case results are bit-identical to running each case
-alone, so batching is purely a wall-clock knob. To run the cases in
-parallel across processes, use `repro fleet coordinator`.
+The six cases run as ONE batch (`run_sweep`). Cache entries are per
+spec, so each case solves its own budget buckets; cases with the same
+network, quantization and frequency share the Algorithm-2 ladders (the
+three devices at one precision here). Per-case results are
+bit-identical to running each case alone, so batching is purely a
+wall-clock knob. To run the cases in parallel across processes, use
+`repro fleet coordinator`.
 
 Usage:  python examples/explore_devices.py [--iterations N] [--population P]
 """
@@ -91,7 +93,7 @@ def main() -> None:
     total_hits = sum(r.dse.cache_hits for r in results)
     print(
         f"\n{len(results)} cases: "
-        f"{total_evals} in-branch solves, {total_hits} shared-cache hits"
+        f"{total_evals} in-branch solves, {total_hits} cache hits"
     )
 
 

@@ -51,7 +51,6 @@ from repro.quant.schemes import get_scheme
 from repro.serving.policies import list_policies
 from repro.serving.router import list_routers
 from repro.serving.traffic import list_shapes
-from repro.serving.transport import list_transports
 from repro.sim.runner import simulate
 from repro.sim.timeline import MIN_WIDTH as TIMELINE_MIN_WIDTH
 from repro.sim.timeline import render_timeline
@@ -187,62 +186,22 @@ def _resolve_token(token: str, context: str) -> str | None:
     """Fleet connections are authenticated; resolve the shared token.
 
     ``--token`` wins; otherwise fall back to the ``REPRO_FLEET_TOKEN``
-    environment variable (the same one ``remote:`` transports read), so
-    one exported secret covers a whole fleet. Returns ``None`` (plus a
-    friendly stderr message) when neither is set — callers fail fast
-    instead of surfacing a raw auth error mid-connect.
+    environment variable, so one exported secret covers a whole fleet.
+    Returns ``None`` (plus a friendly stderr message) when neither is
+    set — callers fail fast instead of surfacing a raw auth error
+    mid-connect.
     """
     import os
 
-    from repro.serving.transport import REMOTE_TOKEN_ENV
+    from repro.dist.protocol import TOKEN_ENV
 
-    token = token or os.environ.get(REMOTE_TOKEN_ENV, "")
+    token = token or os.environ.get(TOKEN_ENV, "")
     if token:
         return token
     print(
         f"error: {context} needs a shared auth token; pass --token "
-        f"<secret> or set {REMOTE_TOKEN_ENV} (the same secret on every "
+        f"<secret> or set {TOKEN_ENV} (the same secret on every "
         f"fleet member)",
-        file=sys.stderr,
-    )
-    return None
-
-
-def _parse_transport(text: str, token: str | None) -> str | None:
-    """Validate ``--transport``; None (plus stderr) if malformed.
-
-    Accepts the built-in transport names plus ``remote:HOST:PORT``, which
-    additionally needs an auth token (``--transport-token`` or the
-    ``REPRO_FLEET_TOKEN`` environment variable).
-    """
-    import os
-
-    from repro.serving.transport import REMOTE_TOKEN_ENV, parse_remote_spec
-
-    if text in list_transports():
-        return text
-    if text.startswith("remote:"):
-        try:
-            parse_remote_spec(text)
-        except ValueError:
-            print(
-                f"error: --transport remote expects remote:HOST:PORT with "
-                f"a port in 1..65535, got {text!r} "
-                f"(try: --transport remote:127.0.0.1:7000)",
-                file=sys.stderr,
-            )
-            return None
-        if not token and not os.environ.get(REMOTE_TOKEN_ENV):
-            print(
-                f"error: --transport {text} needs an auth token; pass "
-                f"--transport-token <secret> or set {REMOTE_TOKEN_ENV}",
-                file=sys.stderr,
-            )
-            return None
-        return text
-    known = ", ".join([*list_transports(), "remote:HOST:PORT"])
-    print(
-        f"error: unknown transport {text!r}; known transports: {known}",
         file=sys.stderr,
     )
     return None
@@ -465,122 +424,101 @@ def cmd_explore(args: argparse.Namespace) -> int:
     customization = _customization(args, len(network.output_names()))
     if customization is None:
         return 2
-    cache = None
-    if args.cache_file:
-        from repro.dse.cache import FileEvalCache
+    if args.sweep is not None:
+        from repro.fcad.flow import run_sweep, sweep_grid
 
-        cache = FileEvalCache(args.cache_file)
-        print(
-            f"evaluation cache {args.cache_file}: "
-            f"{len(cache)} entries warm"
-        )
-    try:
-        if args.sweep is not None:
-            from repro.fcad.flow import run_sweep, sweep_grid
-
-            if args.asic_macs:
-                print(
-                    "error: --sweep takes FPGA device names and cannot be "
-                    "combined with --asic-macs",
-                    file=sys.stderr,
-                )
-                return 2
-            devices = _parse_sweep_devices(args.sweep)
-            if devices is None:
-                return 2
-            quants = (
-                [q.strip() for q in args.sweep_quants.split(",")]
-                if args.sweep_quants
-                else [args.quant]
+        if args.asic_macs:
+            print(
+                "error: --sweep takes FPGA device names and cannot be "
+                "combined with --asic-macs",
+                file=sys.stderr,
             )
-            with _search_profiler(args.profile, args.profile_out):
-                results = run_sweep(
-                    sweep_grid(
-                        networks=[network],
-                        devices=devices,
-                        quants=quants,
-                        customization=customization,
-                        alpha=args.alpha,
-                    ),
-                    iterations=args.iterations,
-                    population=args.population,
-                    seed=args.seed,
-                    cache=cache,
-                    objective=args.objective,
-                    rerank_oracle=args.rerank,
-                    rerank_top_k=args.rerank_top_k,
-                )
-            print(_sweep_summary(results))
-            if args.save_config or args.report:
-                print(
-                    "(--save-config/--report apply to single-case "
-                    "explore only)"
-                )
-            return 0
-        flow = FCad(
-            network=network,
-            device=_target(args),
-            quant=args.quant,
-            customization=customization,
-            alpha=args.alpha,
+            return 2
+        devices = _parse_sweep_devices(args.sweep)
+        if devices is None:
+            return 2
+        quants = (
+            [q.strip() for q in args.sweep_quants.split(",")]
+            if args.sweep_quants
+            else [args.quant]
         )
         with _search_profiler(args.profile, args.profile_out):
-            result = flow.run(
+            results = run_sweep(
+                sweep_grid(
+                    networks=[network],
+                    devices=devices,
+                    quants=quants,
+                    customization=customization,
+                    alpha=args.alpha,
+                ),
                 iterations=args.iterations,
                 population=args.population,
                 seed=args.seed,
-                cache=cache,
                 objective=args.objective,
                 rerank_oracle=args.rerank,
                 rerank_top_k=args.rerank_top_k,
             )
-        print(result.render())
-        dse = result.dse
-        print(
-            f"DSE cache: {dse.cache_hits}/{dse.cache_lookups} bucket hits "
-            f"({100 * dse.bucket_hit_rate:.0f}%), "
-            f"{dse.stage_hits}/{dse.stage_lookups} stage-memo hits "
-            f"({100 * dse.stage_hit_rate:.0f}%), "
-            f"{dse.evaluations} Algorithm-2 solves"
-        )
-        print(
-            f"DSE phases: eval {dse.eval_seconds:.2f}s, cache "
-            f"{dse.cache_seconds:.2f}s"
-        )
-        print(
-            f"objective: {dse.objective}; oracle stages: "
-            + "; ".join(
-                f"{s.name} {s.invocations} invocations "
-                f"({s.cache_hits} cache hits)"
-                for s in dse.oracle_stats
-            )
-        )
-        metrics = dse.best_metrics
-        if metrics is not None and metrics.p99_ms is not None:
+        print(_sweep_summary(results))
+        if args.save_config or args.report:
             print(
-                f"selected design under the canned serving workload: "
-                f"p99 {metrics.p99_ms:.2f} ms, deadline-miss "
-                f"{100 * (metrics.deadline_miss_rate or 0.0):.1f}%, "
-                f"throughput {metrics.throughput_fps:.1f} FPS"
+                "(--save-config/--report apply to single-case "
+                "explore only)"
             )
-        if args.save_config:
-            Path(args.save_config).write_text(
-                config_to_json(result.dse.best_config)
-            )
-            print(f"\nconfiguration written to {args.save_config}")
-        if args.report:
-            Path(args.report).write_text(render_markdown_report(result))
-            print(f"design report written to {args.report}")
         return 0
-    finally:
-        if cache is not None:
-            persisted = cache.pending_writes
-            cache.close()
-            if persisted:
-                print(
-                    f"evaluation cache {args.cache_file}: "
-                    f"{persisted} new entries persisted"
-                )
+    flow = FCad(
+        network=network,
+        device=_target(args),
+        quant=args.quant,
+        customization=customization,
+        alpha=args.alpha,
+    )
+    with _search_profiler(args.profile, args.profile_out):
+        result = flow.run(
+            iterations=args.iterations,
+            population=args.population,
+            seed=args.seed,
+            objective=args.objective,
+            rerank_oracle=args.rerank,
+            rerank_top_k=args.rerank_top_k,
+        )
+    print(result.render())
+    dse = result.dse
+    print(
+        f"DSE cache: {dse.cache_hits}/{dse.cache_lookups} bucket hits "
+        f"({100 * dse.bucket_hit_rate:.0f}%), "
+        f"{dse.stage_hits}/{dse.stage_lookups} stage-memo hits "
+        f"({100 * dse.stage_hit_rate:.0f}%), "
+        f"{dse.evaluations} Algorithm-2 solves"
+    )
+    print(
+        f"DSE phases: eval {dse.eval_seconds:.2f}s, cache "
+        f"{dse.cache_seconds:.2f}s"
+    )
+    print(
+        f"objective: {dse.objective}; oracle stages: "
+        + "; ".join(
+            f"{s.name} {s.invocations} invocations "
+            f"({s.cache_hits} cache hits)"
+            for s in dse.oracle_stats
+        )
+    )
+    metrics = dse.best_metrics
+    if metrics is not None and metrics.p99_ms is not None:
+        print(
+            f"selected design under the canned serving workload: "
+            f"p99 {metrics.p99_ms:.2f} ms, deadline-miss "
+            f"{100 * (metrics.deadline_miss_rate or 0.0):.1f}%, "
+            f"throughput {metrics.throughput_fps:.1f} FPS"
+        )
+    if args.save_config:
+        Path(args.save_config).write_text(
+            config_to_json(result.dse.best_config)
+        )
+        print(f"\nconfiguration written to {args.save_config}")
+    if args.report:
+        Path(args.report).write_text(render_markdown_report(result))
+        print(f"design report written to {args.report}")
+    return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -637,21 +575,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cluster_spec = _parse_cluster_spec(args.cluster)
         if cluster_spec is None:
             return 2
-    if _parse_transport(args.transport, args.transport_token) is None:
-        return 2
-    if args.transport_token:
-        import os
-
-        from repro.serving.transport import REMOTE_TOKEN_ENV
-
-        os.environ[REMOTE_TOKEN_ENV] = args.transport_token
-    if args.transport_timeout is not None and args.transport == "inprocess":
-        print(
-            "error: --transport-timeout bounds a wire; it needs "
-            "--transport socket or --transport remote:HOST:PORT",
-            file=sys.stderr,
-        )
-        return 2
     chaos = None
     if args.chaos is not None:
         from repro.serving import ChaosPlan
@@ -778,7 +701,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     policy=args.policy,
                     batch_window_ms=args.batch_window_ms,
                     max_batch=args.max_batch,
-                    transport=_serve_transport(args),
                     profile=profile,
                 ),
                 traffic,
@@ -799,7 +721,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 policy=args.policy,
                 batch_window_ms=args.batch_window_ms,
                 max_batch=args.max_batch,
-                transport=_serve_transport(args),
                 chaos=chaos,
                 recovery=recovery,
             )
@@ -814,21 +735,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         Path(args.json).write_text(report_to_json(report) + "\n")
         print(f"\nserving report written to {args.json}")
     return 0
-
-
-def _serve_transport(args: argparse.Namespace):
-    """The transport ``repro serve`` dispatches through.
-
-    With ``--transport-timeout`` set this builds a fresh instance per
-    call (each group owns its wire — cluster groups must not share a
-    socket); otherwise the name passes through and each group builds its
-    own default-timeout transport.
-    """
-    if args.transport_timeout is None:
-        return args.transport
-    from repro.serving import get_transport
-
-    return get_transport(args.transport, timeout_s=args.transport_timeout)
 
 
 def _serve_traffic(args: argparse.Namespace, tiers, frames_per_avatar: int):
@@ -931,7 +837,6 @@ def _cluster_session(
                     else args.batch_window_ms
                 ),
                 max_batch=args.max_batch,
-                transport=_serve_transport(args),
                 sim_frames=args.sim_frames,
             )
         )
@@ -1022,7 +927,6 @@ def cmd_fleet_coordinator(args: argparse.Namespace) -> int:
     print(
         f"fleet: {stats['shards']} shards, {stats['workers']} workers, "
         f"{stats['leases']} leases ({stats['releases']} re-leased), "
-        f"{stats['cache_entries']} cache entries shared, "
         f"{stats['resumed']} resumed from checkpoint"
     )
     if args.json:
@@ -1053,22 +957,6 @@ def cmd_fleet_worker(args: argparse.Namespace) -> int:
     if token is None:
         return 2
     return run_worker(target[0], target[1], token=token)
-
-
-def cmd_fleet_replicas(args: argparse.Namespace) -> int:
-    """Serve a persistent replica server for remote: transports."""
-    from repro.dist.remote_transport import serve_replicas
-
-    listen = _parse_host_port(args.listen, "--listen", allow_port_zero=True)
-    if listen is None:
-        return 2
-    token = _resolve_token(args.token, "repro fleet replicas")
-    if token is None:
-        return 2
-    try:
-        return serve_replicas(listen[0], listen[1], token=token)
-    except KeyboardInterrupt:
-        return 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -1146,8 +1034,9 @@ def build_parser() -> argparse.ArgumentParser:
             "  repro explore codec_avatar_decoder --sweep Z7045,ZU17EG,ZU9CG \\\n"
             "      --sweep-quants int8,int16\n"
             "      explore the whole device x precision grid in one batch;\n"
-            "      all cases share one evaluation cache and duplicate cases\n"
-            "      are searched only once (repro fleet coordinator runs the\n"
+            "      duplicate cases are searched only once, and cases with\n"
+            "      the same network, quantization and frequency share\n"
+            "      Algorithm-2 ladders (repro fleet coordinator runs the\n"
             "      cases in parallel across worker processes)\n"
             "objectives and staged re-ranking:\n"
             "  repro explore codec_avatar_decoder --objective slo \\\n"
@@ -1164,17 +1053,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sweep",
         help="comma-separated device list: explore every device in one "
-        "batch with a shared evaluation cache",
+        "batch in this process",
     )
     p.add_argument(
         "--sweep-quants",
         help="comma-separated quant schemes for --sweep (default: --quant)",
-    )
-    p.add_argument(
-        "--cache-file",
-        help="persist the evaluation cache to this SQLite file; a later "
-        "explore pointed at the same file warm-starts from it (entries "
-        "are objective-independent, so switching --objective keeps hits)",
     )
     p.add_argument(
         "--profile",
@@ -1248,9 +1131,6 @@ def build_parser() -> argparse.ArgumentParser:
             "      design (batch 4), deploy them as two replica groups,\n"
             "      route tight deadlines to the latency tier, and shed\n"
             "      requests that would miss their deadline anyway\n"
-            "  repro serve --transport socket --avatars 8 --duration 1\n"
-            "      serve ~1 second of traffic with the replicas hosted by\n"
-            "      a subprocess behind a local socket\n"
             "chaos engineering (deterministic fault injection):\n"
             "  repro serve --replicas 4 --chaos die-at:0:200,die-at:1:400 \\\n"
             "      --max-retries 2 --replace-after-ms 500 --seed 0\n"
@@ -1304,22 +1184,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable admission control: bounded queues plus "
         "predicted-deadline-miss load shedding (tracked as the shed_rate "
         "SLO); works with --cluster or on a single pool",
-    )
-    p.add_argument(
-        "--transport", default="inprocess",
-        help="replica transport: in-process replicas (default), a "
-        "socket-served subprocess (socket), or a persistent remote "
-        "replica server (remote:HOST:PORT — see `repro fleet replicas`)",
-    )
-    p.add_argument(
-        "--transport-token",
-        help="shared auth secret for remote: transports (or set "
-        "REPRO_FLEET_TOKEN)",
-    )
-    p.add_argument(
-        "--transport-timeout", type=_positive_float, metavar="SECONDS",
-        help="wire timeout for socket/remote transports: connection "
-        "setup and each decode round-trip (default 30)",
     )
     p.add_argument(
         "--chaos", metavar="SPEC",
@@ -1414,8 +1278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fleet",
-        help="distributed runtime: sweep coordinator, workers, replica "
-        "servers",
+        help="distributed runtime: sweep coordinator and workers",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "a sharded sweep on one machine (spawns 2 local workers):\n"
@@ -1425,12 +1288,8 @@ def build_parser() -> argparse.ArgumentParser:
             "  repro fleet coordinator ... --listen 0.0.0.0:7000 \\\n"
             "      --workers 0 --token secret        # on the coordinator\n"
             "  repro fleet worker --connect coord:7000 --token secret\n"
-            "serving against a persistent replica host:\n"
-            "  repro fleet replicas --listen 0.0.0.0:7100 --token secret\n"
-            "  repro serve --transport remote:replicahost:7100 \\\n"
-            "      --transport-token secret\n"
-            "results are bit-identical to the serial/in-process runs at "
-            "the same seed\n(see docs/distributed.md)"
+            "results are bit-identical to the serial runs at the same "
+            "seed\n(see docs/distributed.md)"
         ),
     )
     fleet_sub = p.add_subparsers(dest="fleet_command", required=True)
@@ -1504,21 +1363,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared auth secret (must match the coordinator's)",
     )
     w.set_defaults(func=cmd_fleet_worker)
-
-    r = fleet_sub.add_parser(
-        "replicas",
-        help="serve a persistent replica server for remote: transports",
-    )
-    r.add_argument(
-        "--listen", default="127.0.0.1:0",
-        help="bind address (default 127.0.0.1:0; the bound port is "
-        "printed on stdout)",
-    )
-    r.add_argument(
-        "--token", default="",
-        help="shared auth secret remote transports must present",
-    )
-    r.set_defaults(func=cmd_fleet_replicas)
 
     p = sub.add_parser("generate", help="explore, then emit an HLS project")
     p.add_argument("model")

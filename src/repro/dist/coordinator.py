@@ -10,17 +10,14 @@ and serves them to fleet workers over the line-JSON wire:
   dropped connection releases the shard back to the pending queue, where
   the next idle worker picks it up. Losing a worker loses time, never
   results.
-- **Live cache deltas.** Workers ship their
-  :class:`~repro.dse.cache.DeltaEvalCache` entries home with each
-  result; the coordinator appends them to a log and forwards unseen
-  entries with every lease, so all workers warm each other exactly the
-  way ``search_many`` warms successive cases in-process.
 - **Deterministic merge.** Results are keyed by *shard index* and
   reassembled in case order, never arrival order. Because each shard is
-  a pure function of its case, re-leased shards, duplicate submissions
-  (first writer wins — later copies are bit-identical by construction),
-  and cache warmth cannot change any result: a fleet sweep is
-  bit-identical to ``search_many`` serially at the same seed.
+  a pure function of its case, re-leased shards and duplicate
+  submissions (first writer wins — later copies are bit-identical by
+  construction) cannot change any result: a fleet sweep is bit-identical
+  to ``search_many`` serially at the same seed. Each worker solves its
+  shards against one process-local evaluation cache; nothing else
+  crosses the wire.
 - **Checkpoints.** Each completed shard is appended to an atomically
   replaced checkpoint file (temp + ``os.replace``); a restarted
   coordinator with the same sweep fingerprint resumes from it without
@@ -34,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pickle
 import socket
@@ -46,13 +44,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from repro.dist.protocol import ProtocolError, server_handshake
+from repro.dist.protocol import TOKEN_ENV, ProtocolError, server_handshake
 from repro.dist.wire import LineSocket, pack_blob, unpack_blob
 from repro.faults import FAULT_ENV
+from repro.utils.checks import is_count
 from repro.utils.rng import seed_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dse.cache import EvalCache
     from repro.dse.engine import DseEngine
     from repro.dse.result import DseResult
 
@@ -135,11 +133,24 @@ class FleetSpec:
     worker_faults: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
+        if not is_count(self.workers, minimum=0):
             raise ValueError(
-                f"workers must be >= 0 (0: workers join from outside), "
-                f"got {self.workers}"
+                f"workers must be >= 0 and an integer (0: workers join "
+                f"from outside), got {self.workers!r}"
             )
+        # A numpy integer is a valid count; store it as a plain int.
+        self.workers = int(self.workers)
+        for name in (
+            "lease_timeout_s",
+            "heartbeat_interval_s",
+            "monitor_interval_s",
+            "timeout_s",
+        ):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be a finite number > 0, got {value!r}"
+                )
 
 
 @dataclass
@@ -165,7 +176,6 @@ class SweepCoordinator:
             "workers": 0,
             "worker_deaths": 0,
             "duplicate_results": 0,
-            "cache_entries": 0,
             "resumed": 0,
         }
         self._lock = threading.Lock()
@@ -174,8 +184,6 @@ class SweepCoordinator:
         self._leases: dict[int, _Lease] = {}
         self._done: dict[int, str] = {}  # shard -> result blob
         self._last_beat: dict[int, float] = {}  # worker -> monotonic time
-        self._cache_log: list[str] = []  # packed (key, value) blobs
-        self._cache_keys: set = set()
         self._next_worker = 0
         self._live_workers = 0
         self._stop = threading.Event()
@@ -287,24 +295,15 @@ class SweepCoordinator:
                     worker=worker, deadline=now + self.spec.lease_timeout_s
                 )
                 self.stats["leases"] += 1
-                seen = int(message.get("cache_seq", 0))
                 return {
                     "type": "lease",
                     "shard": shard,
                     "case": pack_blob(self.cases[shard]),
-                    "cache": self._cache_log[seen:],
-                    "cache_seq": len(self._cache_log),
                     "deadline_s": self.spec.lease_timeout_s,
                 }
             if kind == "result":
                 shard = int(message["shard"])
                 self._leases.pop(shard, None)
-                for blob in message.get("cache", ()):
-                    key, _ = unpack_blob(blob)
-                    if key not in self._cache_keys:
-                        self._cache_keys.add(key)
-                        self._cache_log.append(blob)
-                        self.stats["cache_entries"] += 1
                 if shard in self._done:
                     # A re-leased shard finished twice. Both copies are
                     # bit-identical (pure function of the case); keep the
@@ -365,18 +364,21 @@ class SweepCoordinator:
         listener.close()
 
     # -- worker processes ------------------------------------------------
-    def _spawn_workers(self) -> list[subprocess.Popen]:
+    def _spawn_workers(self, procs: list[subprocess.Popen]) -> None:
+        """Start one worker per pending shard, up to ``spec.workers``,
+        appending each to ``procs`` as it starts (so the caller can reap
+        every one even if a later start fails). A fully resumed sweep
+        starts none."""
         import repro
 
-        procs: list[subprocess.Popen] = []
         src_root = str(Path(repro.__file__).resolve().parents[1])
-        for index in range(self.spec.workers):
+        for index in range(min(self.spec.workers, len(self._pending))):
             env = dict(os.environ)
             env["PYTHONPATH"] = os.pathsep.join(
                 p for p in (src_root, env.get("PYTHONPATH")) if p
             )
             env["REPRO_FLEET_CONNECT"] = f"{self.spec.host}:{self.port}"
-            env["REPRO_FLEET_TOKEN"] = self.spec.token
+            env[TOKEN_ENV] = self.spec.token
             env.pop(FAULT_ENV, None)
             if index < len(self.spec.worker_faults):
                 fault = self.spec.worker_faults[index]
@@ -393,7 +395,6 @@ class SweepCoordinator:
                     env=env,
                 )
             )
-        return procs
 
     # -- the run ----------------------------------------------------------
     def serve(self) -> list["DseResult"]:
@@ -409,9 +410,10 @@ class SweepCoordinator:
         ]
         for thread in threads:
             thread.start()
-        procs = self._spawn_workers() if self.spec.workers > 0 else []
+        procs: list[subprocess.Popen] = []
         deadline = time.monotonic() + self.spec.timeout_s
         try:
+            self._spawn_workers(procs)
             with self._cond:
                 while len(self._done) < len(self.cases):
                     self._cond.wait(timeout=0.2)
@@ -440,6 +442,10 @@ class SweepCoordinator:
         finally:
             self._stop.set()
             for proc in procs:
+                # Every shard is merged (or the run failed): a worker
+                # still running is idle or still dialing and owes nothing.
+                if proc.poll() is None:
+                    proc.terminate()
                 try:
                     proc.wait(timeout=10.0)
                 except subprocess.TimeoutExpired:
@@ -448,11 +454,6 @@ class SweepCoordinator:
             for thread in threads:
                 thread.join(timeout=5.0)
         return [unpack_blob(self._done[i]) for i in range(len(self.cases))]
-
-    def cache_entries(self) -> list[tuple]:
-        """All (key, value) eval-cache entries the fleet produced."""
-        with self._lock:
-            return [unpack_blob(blob) for blob in self._cache_log]
 
 
 def run_fleet_sweep(
@@ -463,7 +464,6 @@ def run_fleet_sweep(
     seed: int | None = 0,
     seeds: Sequence[int | None] | None = None,
     heuristic_seed: bool = True,
-    cache: "EvalCache | None" = None,
     objective=None,
     rerank_oracle=None,
     rerank_top_k: int | None = None,
@@ -472,11 +472,9 @@ def run_fleet_sweep(
     """``search_many`` across a worker fleet — same dedup, same results.
 
     Unique cases become shards; duplicates share one shard's result,
-    exactly mirroring the in-process dedup. The caller's ``cache`` is
-    warmed with every entry the fleet produced (and flushed if it is
-    file-backed), so a following local run starts hot. ``stats``, when
-    given, is filled with the coordinator's counters (leases, releases,
-    worker deaths, ...).
+    exactly mirroring the in-process dedup. ``stats``, when given, is
+    filled with the coordinator's counters (leases, releases, worker
+    deaths, ...).
     """
     import random as _random
 
@@ -526,13 +524,6 @@ def run_fleet_sweep(
     results = coordinator.serve()
     if stats is not None:
         stats.update(coordinator.stats)
-    if cache is not None:
-        for key, value in coordinator.cache_entries():
-            if cache.get(key) is None:
-                cache.put(key, value)
-        flush = getattr(cache, "flush", None)
-        if callable(flush):
-            flush()
     return tuple(results[shard] for shard in placement)
 
 

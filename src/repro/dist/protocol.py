@@ -14,17 +14,13 @@ a new connection. Version mismatches and bad MACs are rejected *before*
 any payload is exchanged (payloads contain pickles, which must never be
 unpickled from an unauthenticated peer).
 
-Requests carry a client-assigned ``id`` (monotonic per connection,
-:class:`MessageIds`); servers that support resumption cache replies by id
-so a resubmitted request after a reconnect is idempotent. Liveness uses
-``{"type": "ping"}`` / ``{"type": "pong"}`` heartbeats.
+Liveness uses ``{"type": "ping"}`` / ``{"type": "pong"}`` heartbeats.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-import itertools
 import secrets
 
 from repro.dist.wire import LineSocket
@@ -33,6 +29,9 @@ from repro.dist.wire import LineSocket
 #: match; the server refuses mismatched clients during the handshake.
 PROTOCOL_VERSION = 1
 
+#: Environment variable every fleet member reads the shared secret from.
+TOKEN_ENV = "REPRO_FLEET_TOKEN"
+
 
 class ProtocolError(RuntimeError):
     """The peer spoke the protocol wrong (or refused us)."""
@@ -40,16 +39,6 @@ class ProtocolError(RuntimeError):
 
 class AuthError(ProtocolError):
     """The shared-secret handshake failed."""
-
-
-class MessageIds:
-    """Monotonic message-id source, one per connection."""
-
-    def __init__(self) -> None:
-        self._counter = itertools.count(1)
-
-    def next(self) -> int:
-        return next(self._counter)
 
 
 def auth_mac(token: str, nonce: str) -> str:
@@ -129,8 +118,8 @@ def server_handshake(
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "TOKEN_ENV",
     "AuthError",
-    "MessageIds",
     "ProtocolError",
     "auth_mac",
     "client_handshake",

@@ -1,16 +1,12 @@
 """The repo's one wire format: newline-delimited JSON messages.
 
-Every socket in the codebase — the ``SocketTransport`` replica
-subprocess, the fleet coordinator/worker control plane, and the remote
-replica server — frames traffic the same way: one JSON object per line,
-UTF-8, ``\\n``-terminated. ``json`` emits shortest-repr floats, so every
-float round-trips *exactly*; that is what lets a socket-served session
-compute bit-identical finish times to the in-process path.
+The fleet's coordinator/worker control plane frames every message the
+same way: one JSON object per line, UTF-8, ``\\n``-terminated. ``json``
+emits shortest-repr floats, so every float round-trips *exactly*.
 
-Payloads that are not JSON-shaped (eval specs, :class:`DseResult`\\ s,
-cache entries) ride inside messages as base64-encoded pickles via
-:func:`pack_blob` / :func:`unpack_blob` — opaque to the framing, exact by
-construction.
+Payloads that are not JSON-shaped (sweep cases, :class:`DseResult`\\ s)
+ride inside messages as base64-encoded pickles via :func:`pack_blob` /
+:func:`unpack_blob` — opaque to the framing, exact by construction.
 """
 
 from __future__ import annotations
@@ -19,10 +15,7 @@ import base64
 import json
 import pickle
 import socket
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults import FaultInjector
+from typing import Any
 
 
 class WireClosed(ConnectionError):
@@ -56,35 +49,21 @@ class LineSocket:
     """A connected socket speaking newline-delimited JSON messages.
 
     Wraps the raw socket with buffered text files and exposes
-    ``send(dict)`` / ``recv() -> dict | None`` (``None`` on EOF). An
-    optional :class:`~repro.faults.FaultInjector` can drop or delay
-    outbound messages — the seam the fault-injection tests use.
+    ``send(dict)`` / ``recv() -> dict | None`` (``None`` on EOF).
     """
 
-    def __init__(
-        self, sock: socket.socket, fault: "FaultInjector | None" = None
-    ) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._rfile = sock.makefile("r", encoding="utf-8")
         self._wfile = sock.makefile("w", encoding="utf-8")
-        self.fault = fault
 
     @classmethod
     def connect(
-        cls,
-        host: str,
-        port: int,
-        timeout_s: float = 30.0,
-        fault: "FaultInjector | None" = None,
+        cls, host: str, port: int, timeout_s: float = 30.0
     ) -> "LineSocket":
-        return cls(
-            socket.create_connection((host, port), timeout=timeout_s),
-            fault=fault,
-        )
+        return cls(socket.create_connection((host, port), timeout=timeout_s))
 
     def send(self, message: dict) -> None:
-        if self.fault is not None and not self.fault.before_send(message):
-            return  # injected drop: the line never hits the wire
         self._wfile.write(encode_message(message) + "\n")
         self._wfile.flush()
 

@@ -3,9 +3,8 @@
 A :class:`FleetWorker` keeps two connections to the coordinator:
 
 - the **main** connection runs the lease loop — request a lease, solve
-  the case with a :class:`~repro.dse.cache.DeltaEvalCache` over a local
-  base warmed by the coordinator's cache log, submit the result plus the
-  delta entries;
+  the case against the worker's one
+  :class:`~repro.dse.cache.LocalEvalCache`, submit the result;
 - the **heartbeat** connection pings on a fixed interval from its own
   thread, so a minutes-long Algorithm-2 solve cannot be mistaken for a
   dead worker.
@@ -14,8 +13,9 @@ Both connections reconnect with exponential backoff + jitter. If the
 main connection drops after a shard was solved but before the submission
 was acknowledged, the worker resubmits after reconnecting — the
 coordinator's first-writer-wins merge makes that idempotent. A worker
-that cannot reach the coordinator past its retry budget gives up with an
-error; it never hangs.
+that cannot reach the coordinator within one dial budget
+(``connect_retries`` attempts with backoff) gives up with an error; it
+never hangs.
 
 ``spawned_main`` is the entry point coordinator-spawned subprocesses run
 (connection target, token, and fault plan arrive via environment
@@ -28,9 +28,9 @@ import os
 import random
 import time
 
-from repro.dist.protocol import ProtocolError, client_handshake
+from repro.dist.protocol import TOKEN_ENV, ProtocolError, client_handshake
 from repro.dist.wire import LineSocket, WireClosed, pack_blob, unpack_blob
-from repro.dse.cache import DeltaEvalCache, LocalEvalCache
+from repro.dse.cache import LocalEvalCache
 from repro.faults import FaultInjector, FaultPlan
 
 
@@ -58,6 +58,8 @@ class FleetWorker:
         self._rng = rng or random.Random(0)
         self._conn: LineSocket | None = None
         self._heartbeat: "_HeartbeatThread | None" = None
+        #: Whether a dial has ever reached the coordinator.
+        self._reached = False
         self.worker_id: int | None = None
         #: Shards this worker solved (observability + test assertions).
         self.solved: list[int] = []
@@ -93,6 +95,7 @@ class FleetWorker:
         """(Re)establish the main connection, register, start heartbeats."""
         self._disconnect()
         self._conn = self._dial("worker")
+        self._reached = True
         registered = self._conn.request({"type": "register"})
         if registered.get("type") != "registered":
             raise RuntimeError(f"registration refused: {registered!r}")
@@ -112,34 +115,31 @@ class FleetWorker:
     # -- the lease loop ---------------------------------------------------
     def run(self) -> int:
         """Serve until the coordinator reports the sweep drained."""
-        base = LocalEvalCache()
-        cache_seq = 0
+        cache = LocalEvalCache()
         pending_submission: dict | None = None
         failures = 0
-        ever_connected = False
         try:
             while True:
                 try:
                     if self._conn is None:
                         self._connect()
-                        ever_connected = True
                     assert self._conn is not None
                     if pending_submission is not None:
                         pending_submission["worker"] = self.worker_id
                         self._conn.request(pending_submission)
                         pending_submission = None
                     reply = self._conn.request(
-                        {
-                            "type": "lease_request",
-                            "worker": self.worker_id,
-                            "cache_seq": cache_seq,
-                        }
+                        {"type": "lease_request", "worker": self.worker_id}
                     )
                     failures = 0
                 except (OSError, WireClosed, ValueError, RuntimeError):
                     self._disconnect()
+                    if not self._reached:
+                        # ``_dial`` spent its whole budget on a
+                        # coordinator it never reached.
+                        raise
                     failures += 1
-                    if failures >= 2 and ever_connected and pending_submission is None:
+                    if failures >= 2 and pending_submission is None:
                         # The coordinator we once served is gone and we
                         # owe it nothing: the sweep drained (or the run
                         # was abandoned). Either way, done here.
@@ -155,11 +155,6 @@ class FleetWorker:
                     continue
                 if kind != "lease":
                     raise RuntimeError(f"unexpected coordinator reply: {reply!r}")
-                for blob in reply.get("cache", ()):
-                    key, value = unpack_blob(blob)
-                    if base.get(key) is None:
-                        base.put(key, value)
-                cache_seq = int(reply.get("cache_seq", cache_seq))
                 if self.fault.should_die_on_lease():
                     # Simulated crash: vanish without submitting. The
                     # coordinator sees EOF and re-leases the shard.
@@ -167,19 +162,13 @@ class FleetWorker:
                     return 1
                 shard = int(reply["shard"])
                 case = unpack_blob(reply["case"])
-                delta = DeltaEvalCache(base)
-                result = case.run(delta)
-                entries = delta.new_entries()
-                for key, value in entries:
-                    if base.get(key) is None:
-                        base.put(key, value)
+                result = case.run(cache)
                 self.solved.append(shard)
                 pending_submission = {
                     "type": "result",
                     "worker": self.worker_id,
                     "shard": shard,
                     "result": pack_blob(result),
-                    "cache": [pack_blob(entry) for entry in entries],
                 }
         finally:
             if self._conn is not None:
@@ -244,7 +233,7 @@ def spawned_main() -> int:
     host, _, port_text = target.partition(":")
     if not host or not port_text.isdigit():
         raise SystemExit(f"bad REPRO_FLEET_CONNECT: {target!r}")
-    token = os.environ.get("REPRO_FLEET_TOKEN", "")
+    token = os.environ.get(TOKEN_ENV, "")
     return run_worker(host, int(port_text), token=token)
 
 

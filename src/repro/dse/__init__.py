@@ -1,13 +1,6 @@
 """Multi-branch design space exploration (paper Sec. VI)."""
 
-from repro.dse.cache import (
-    CACHE_BACKENDS,
-    DeltaEvalCache,
-    EvalCache,
-    FileEvalCache,
-    LocalEvalCache,
-    make_cache,
-)
+from repro.dse.cache import LocalEvalCache
 from repro.dse.crossbranch import CrossBranchOptimizer, Particle
 from repro.dse.engine import DseEngine
 from repro.dse.inbranch import BranchEvalTable, BranchSolution, optimize_branch
@@ -48,18 +41,14 @@ __all__ = [
     "BranchEvalTable",
     "BranchMetrics",
     "BranchSolution",
-    "CACHE_BACKENDS",
     "CandidateEval",
     "CompositeObjective",
     "CrossBranchOptimizer",
     "Customization",
-    "DeltaEvalCache",
     "DesignSpace",
     "DseEngine",
     "DseResult",
-    "EvalCache",
     "EvalSpec",
-    "FileEvalCache",
     "GenerationEvaluator",
     "LocalEvalCache",
     "MetricsOracle",
@@ -74,7 +63,6 @@ __all__ = [
     "SloObjective",
     "evaluate_candidate",
     "get_pf",
-    "make_cache",
     "make_objective",
     "make_oracle",
     "metrics_from_solutions",

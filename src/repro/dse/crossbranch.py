@@ -36,7 +36,7 @@ import numpy as np
 from repro.arch.config import AcceleratorConfig
 from repro.construction.reorg import PipelinePlan
 from repro.devices.budget import ResourceBudget
-from repro.dse.cache import EvalCache, LocalEvalCache
+from repro.dse.cache import LocalEvalCache
 from repro.dse.inbranch import BranchSolution
 from repro.dse.objective import (
     BranchMetrics,
@@ -99,7 +99,7 @@ class CrossBranchOptimizer:
         inertia: float = 0.5,
         c_local: float = 1.2,
         c_global: float = 1.2,
-        cache: EvalCache | None = None,
+        cache: LocalEvalCache | None = None,
         objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int = 4,
@@ -127,7 +127,7 @@ class CrossBranchOptimizer:
         self.objective = resolve_objective(objective, alpha=alpha)
         self.rerank_oracle = resolve_oracle(rerank_oracle)
         self.rerank_top_k = rerank_top_k
-        self._cache: EvalCache = cache if cache is not None else LocalEvalCache()
+        self._cache = cache if cache is not None else LocalEvalCache()
         self.evaluations = 0
         self.cache_hits = 0
         self.stage_hits = 0

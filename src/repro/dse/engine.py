@@ -2,8 +2,9 @@
 
 :meth:`DseEngine.search` runs Algorithm 1 once;
 :meth:`DseEngine.search_many` batches whole sweeps — a decoder family, a
-device grid, a seed study — through one shared evaluation cache with
-identical cases deduplicated outright.
+device grid, a seed study — in one process, with identical cases
+deduplicated outright. Cache entries are per spec; cases with the same
+network, quantization and frequency share Algorithm-2 ladders.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 from repro.construction.reorg import PipelinePlan
 from repro.devices.budget import ResourceBudget
-from repro.dse.cache import EvalCache, LocalEvalCache
+from repro.dse.cache import LocalEvalCache
 from repro.dse.crossbranch import CrossBranchOptimizer
 from repro.dse.objective import (
     MetricsOracle,
@@ -107,7 +108,7 @@ class DseEngine:
         population: int = 200,
         seed: int | random.Random | None = 0,
         heuristic_seed: bool = True,
-        cache: EvalCache | None = None,
+        cache: LocalEvalCache | None = None,
         objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int | None = None,
@@ -196,7 +197,7 @@ class DseEngine:
         seeds: Sequence[int | random.Random | None] | None = None,
         heuristic_seed: bool = True,
         workers: int = 1,
-        cache: EvalCache | None = None,
+        cache: LocalEvalCache | None = None,
         objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int | None = None,
@@ -224,11 +225,9 @@ class DseEngine:
         by default every case uses ``seed``, which is what makes duplicate
         grid cases dedupable. Results are returned in input order.
 
-        ``cache`` may be any backend — the caller's warm
-        :class:`~repro.dse.cache.LocalEvalCache`, a persistent
-        :class:`~repro.dse.cache.FileEvalCache` — and is used as-is: it
-        is the store every case reads and writes. File-backed caches are
-        flushed when the sweep finishes.
+        ``cache``, the caller's (possibly warm)
+        :class:`~repro.dse.cache.LocalEvalCache`, is used as-is: it is
+        the store every case reads and writes.
 
         The cases run one after another in this process; ``workers``
         must be 1. ``fleet`` (a
@@ -236,11 +235,16 @@ class DseEngine:
         parallel across worker *processes* — spawned locally or joined
         over the network — via
         :func:`~repro.dist.coordinator.run_fleet_sweep`: same dedup, same
-        per-case results bit for bit, with ``cache`` warmed from the
-        fleet's pooled entries.
+        per-case results bit for bit. Each worker solves against its own
+        cache, so a fleet takes no ``cache``.
         """
         require_one_worker(workers)
         if fleet is not None:
+            if cache is not None:
+                raise ValueError(
+                    "a fleet sweep takes no cache: each worker solves "
+                    "against its own, so the caller's would stay empty"
+                )
             from repro.dist.coordinator import run_fleet_sweep
 
             return run_fleet_sweep(
@@ -251,7 +255,6 @@ class DseEngine:
                 seed=seed,
                 seeds=seeds,
                 heuristic_seed=heuristic_seed,
-                cache=cache,
                 objective=objective,
                 rerank_oracle=rerank_oracle,
                 rerank_top_k=rerank_top_k,
@@ -265,56 +268,51 @@ class DseEngine:
             )
         if cache is None:
             cache = LocalEvalCache()
-        try:
-            solved: dict[tuple, DseResult] = {}
-            results: list[DseResult] = []
-            for engine, case_seed in zip(engines, seeds):
-                fingerprint = seed_fingerprint(case_seed)
-                case_objective = engine.resolved_objective(objective)
-                case_oracle = resolve_oracle(
-                    rerank_oracle
-                    if rerank_oracle is not None
-                    else engine.rerank_oracle
+        solved: dict[tuple, DseResult] = {}
+        results: list[DseResult] = []
+        for engine, case_seed in zip(engines, seeds):
+            fingerprint = seed_fingerprint(case_seed)
+            case_objective = engine.resolved_objective(objective)
+            case_oracle = resolve_oracle(
+                rerank_oracle
+                if rerank_oracle is not None
+                else engine.rerank_oracle
+            )
+            case_top_k = (
+                rerank_top_k
+                if rerank_top_k is not None
+                else engine.rerank_top_k
+            )
+            key = None
+            if fingerprint is not None:
+                key = (
+                    engine.spec.digest,
+                    iterations,
+                    population,
+                    fingerprint,
+                    heuristic_seed,
+                    case_objective.key,
+                    case_oracle.key if case_oracle is not None else None,
+                    case_top_k if case_oracle is not None else None,
                 )
-                case_top_k = (
-                    rerank_top_k
-                    if rerank_top_k is not None
-                    else engine.rerank_top_k
-                )
-                key = None
-                if fingerprint is not None:
-                    key = (
-                        engine.spec.digest,
-                        iterations,
-                        population,
-                        fingerprint,
-                        heuristic_seed,
-                        case_objective.key,
-                        case_oracle.key if case_oracle is not None else None,
-                        case_top_k if case_oracle is not None else None,
-                    )
-                    if key in solved:
-                        results.append(solved[key])
-                        continue
-                result = engine.search(
-                    iterations=iterations,
-                    population=population,
-                    seed=case_seed,
-                    heuristic_seed=heuristic_seed,
-                    cache=cache,
-                    objective=case_objective,
-                    # A resolved "no oracle" must be passed explicitly:
-                    # a bare None would read as "no override" and fall
-                    # back to the engine's own oracle, desynchronizing
-                    # the search from the dedup key above.
-                    rerank_oracle=case_oracle if case_oracle is not None else "none",
-                    rerank_top_k=case_top_k,
-                )
-                if key is not None:
-                    solved[key] = result
-                results.append(result)
-            return tuple(results)
-        finally:
-            flush = getattr(cache, "flush", None)
-            if callable(flush):
-                flush()
+                if key in solved:
+                    results.append(solved[key])
+                    continue
+            result = engine.search(
+                iterations=iterations,
+                population=population,
+                seed=case_seed,
+                heuristic_seed=heuristic_seed,
+                cache=cache,
+                objective=case_objective,
+                # A resolved "no oracle" must be passed explicitly:
+                # a bare None would read as "no override" and fall
+                # back to the engine's own oracle, desynchronizing
+                # the search from the dedup key above.
+                rerank_oracle=case_oracle if case_oracle is not None else "none",
+                rerank_top_k=case_top_k,
+            )
+            if key is not None:
+                solved[key] = result
+            results.append(result)
+        return tuple(results)

@@ -58,7 +58,7 @@ from repro.dse.inbranch import (
     BranchEvalTable,
     BranchSolution,
 )
-from repro.perf.estimator import evaluate_branch
+from repro.perf.estimator import BranchPerf, evaluate_branch
 
 #: Clip for the bandwidth quotient before int64 conversion, and the
 #: quotient of a replica that moves no external bytes. Any true quotient
@@ -292,6 +292,14 @@ class BranchLadder:
             (0, num_stages), dtype=self._state_dtype
         )
         self._path_bw = np.empty((0, 0), dtype=np.float64)
+        # Each measured design, by (batch, state): the batch target only
+        # sets ``meets_batch_target``, so a ladder shared across a
+        # batch-size sweep measures each design once. The solutions are
+        # kept per target too, so a repeated solve returns the same
+        # object (the evaluator's design memo keys on solution ids).
+        self._measured: dict[
+            tuple[int, tuple[int, ...]], tuple[BranchConfig, BranchPerf]
+        ] = {}
         self._solutions: dict[
             tuple[int, int, tuple[int, ...]], BranchSolution
         ] = {}
@@ -557,17 +565,24 @@ class BranchLadder:
         key = (batch, batch_target, state)
         sol = self._solutions.get(key)
         if sol is None:
-            table = self.table
-            config = BranchConfig(
-                batch_size=batch,
-                stages=tuple(
-                    chain.configs[j]
-                    for chain, j in zip(self.chains, state)
-                ),
-            )
-            perf = evaluate_branch(
-                table.pipeline, config, table.quant, table.frequency_mhz
-            )
+            measured = self._measured.get((batch, state))
+            if measured is None:
+                table = self.table
+                config = BranchConfig(
+                    batch_size=batch,
+                    stages=tuple(
+                        chain.configs[j]
+                        for chain, j in zip(self.chains, state)
+                    ),
+                )
+                measured = self._measured[batch, state] = (
+                    config,
+                    evaluate_branch(
+                        table.pipeline, config, table.quant,
+                        table.frequency_mhz,
+                    ),
+                )
+            config, perf = measured
             sol = BranchSolution(
                 config=config,
                 perf=perf,

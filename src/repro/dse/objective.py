@@ -76,8 +76,7 @@ class BranchMetrics:
 
     ``fps`` / ``meets_batch`` are always present (every oracle can report
     them); the serving SLOs are ``None`` unless the producing oracle
-    actually replayed a workload. Instances are picklable, so expensive
-    metrics persist through :class:`~repro.dse.cache.FileEvalCache`.
+    actually replayed a workload.
     """
 
     fps: tuple[float, ...]
@@ -469,11 +468,12 @@ class ServingOracle:
     @staticmethod
     def _companion_key(spec: "GroupSpec") -> str:
         policy = getattr(spec.policy, "name", spec.policy)
-        transport = getattr(spec.transport, "name", spec.transport)
+        # Every group serves in process; the constant keeps the key text
+        # (and every cached re-rank entry keyed by it) as it was.
         return (
             f"{spec.name}:{spec.profile.first_frame_ms!r}/"
             f"{spec.profile.steady_interval_ms!r}x{spec.replicas}"
-            f"@{policy}/{transport}/w{spec.batch_window_ms!r}"
+            f"@{policy}/inprocess/w{spec.batch_window_ms!r}"
             f"/b{spec.max_batch}"
         )
 

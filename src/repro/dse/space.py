@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from repro.arch.config import StageConfig
 from repro.construction.fusion import FusedStage
 from repro.construction.reorg import PipelinePlan
+from repro.utils.checks import is_count
 
 
 @dataclass(frozen=True)
@@ -41,16 +42,26 @@ class Customization:
             raise ValueError(
                 "batch_sizes and priorities must have the same length"
             )
-        if any(b < 1 for b in self.batch_sizes):
-            raise ValueError(f"batch sizes must be >= 1: {self.batch_sizes}")
+        if not all(is_count(b) for b in self.batch_sizes):
+            raise ValueError(
+                f"batch sizes must be integers >= 1: {self.batch_sizes}"
+            )
         if not all(0 <= p < math.inf for p in self.priorities):
             raise ValueError(
                 f"priorities must be finite and >= 0: {self.priorities}"
             )
-        if self.max_h is not None and self.max_h < 1:
-            raise ValueError(f"max_h must be >= 1: {self.max_h}")
-        if self.max_pf is not None and self.max_pf < 1:
-            raise ValueError(f"max_pf must be >= 1: {self.max_pf}")
+        for name in ("max_h", "max_pf"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not is_count(value):
+                raise ValueError(f"{name} must be an integer >= 1: {value!r}")
+            object.__setattr__(self, name, int(value))
+        # Numpy integers are valid counts; store plain ints so the spec
+        # digest and every report built from it see one type.
+        object.__setattr__(
+            self, "batch_sizes", tuple(int(b) for b in self.batch_sizes)
+        )
 
     @classmethod
     def uniform(

@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.construction.reorg import PipelinePlan
 from repro.devices.budget import ResourceBudget
-from repro.dse.cache import EvalCache, put_entries
+from repro.dse.cache import LocalEvalCache, put_entries
 from repro.dse.kernel import BranchLadder, KernelTimings, solve_buckets
 from repro.dse.objective import (
     INFEASIBILITY_PENALTY,
@@ -291,7 +291,7 @@ def solve_key_batch(
 def evaluate_candidate(
     spec: EvalSpec,
     position: Sequence[float],
-    cache: EvalCache,
+    cache: LocalEvalCache,
     objective: Objective | None = None,
 ) -> CandidateEval:
     """Complete a distribution into configs, derive metrics, and score them.
@@ -385,7 +385,7 @@ class GenerationEvaluator:
     def __init__(
         self,
         spec: EvalSpec,
-        cache: EvalCache,
+        cache: LocalEvalCache,
         objective: Objective | None = None,
     ) -> None:
         self.spec = spec

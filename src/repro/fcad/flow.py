@@ -21,8 +21,8 @@ Usage::
     print(result.render())
 
 Whole families and device grids go through the batch entry point, which
-shares one evaluation cache across every case and deduplicates identical
-ones::
+deduplicates identical cases. Cache entries are per spec; cases with the
+same network, quantization and frequency share Algorithm-2 ladders::
 
     results = run_sweep(
         sweep_grid(
@@ -73,7 +73,7 @@ from repro.construction.reorg import PipelinePlan, build_pipeline_plan
 from repro.devices.asic import AsicSpec
 from repro.devices.budget import ResourceBudget
 from repro.devices.fpga import FpgaDevice, get_device
-from repro.dse.cache import EvalCache
+from repro.dse.cache import LocalEvalCache
 from repro.dse.engine import DseEngine, require_one_worker
 from repro.dse.result import DseResult
 from repro.dse.space import Customization
@@ -144,7 +144,6 @@ class FcadResult:
         policy: str = "edf",
         batch_window_ms: float = 2.0,
         max_batch: int | None = None,
-        transport: str = "inprocess",
         sim_frames: int = 8,
         profile=None,
     ):
@@ -154,7 +153,7 @@ class FcadResult:
         (:mod:`repro.serving.cluster`): sample the design's frame-latency
         profile once and wrap it in a
         :class:`~repro.serving.cluster.GroupSpec` with the group's own
-        batching policy/window/transport. Feed several of these — e.g. a
+        batching policy and window. Feed several of these — e.g. a
         low-latency design next to a big-batch one — to
         :func:`~repro.serving.engine.serve_trace`.
         """
@@ -172,7 +171,6 @@ class FcadResult:
             policy=policy,
             batch_window_ms=batch_window_ms,
             max_batch=max_batch,
-            transport=transport,
         )
 
     def render(self) -> str:
@@ -263,7 +261,7 @@ class FCad:
         population: int = 200,
         seed: int | random.Random | None = 0,
         workers: int = 1,
-        cache: "EvalCache | None" = None,
+        cache: "LocalEvalCache | None" = None,
         objective: "Objective | str | None" = None,
         rerank_oracle: "MetricsOracle | str | None" = None,
         rerank_top_k: int = 4,
@@ -272,9 +270,9 @@ class FCad:
         """Execute Analysis, Construction and Optimization.
 
         The search runs in this process; ``workers`` must be 1. ``cache``
-        plugs in an evaluation-cache backend (e.g. a persistent
-        :class:`~repro.dse.cache.FileEvalCache` for warm starts across
-        runs); the default is a fresh in-process cache.
+        passes in a (possibly warm)
+        :class:`~repro.dse.cache.LocalEvalCache`; the default is a fresh
+        one.
 
         ``objective`` picks the fitness the search maximizes (``"paper"``,
         ``"slo"``, ``"composite"``, or any
@@ -338,25 +336,24 @@ def run_sweep(
     population: int = 200,
     seed: int | random.Random | None = 0,
     workers: int = 1,
-    cache: "EvalCache | None" = None,
+    cache: "LocalEvalCache | None" = None,
     objective: "Objective | str | None" = None,
     rerank_oracle: "MetricsOracle | str | None" = None,
     rerank_top_k: int | None = None,
 ) -> tuple[FcadResult, ...]:
     """Explore a whole batch of flows in one call.
 
-    Every case draws from one shared evaluation cache, whose entries are
-    per spec; cases with the same network, quantization and frequency
-    share the Algorithm-2 ladders. Duplicate cases — same network,
-    target, quantization, customization, objective, and seed — are
-    searched exactly once. Results come back in input order, one per flow.
-    ``cache`` overrides the backend, e.g. a
-    :class:`~repro.dse.cache.FileEvalCache` so the next sweep starts from
-    this one's solutions; because cache entries are objective-independent
-    metrics, a sweep under a new objective still warm-starts from an old
-    sweep's file. ``objective`` / ``rerank_oracle`` / ``rerank_top_k``
-    apply to every case. The cases run one after another in this process;
-    ``workers`` must be 1.
+    Every case draws from one evaluation cache, whose entries are per
+    spec; cases with the same network, quantization and frequency share
+    the Algorithm-2 ladders. Duplicate cases — same network, target,
+    quantization, customization, objective, and seed — are searched
+    exactly once. Results come back in input order, one per flow.
+    ``cache`` passes in a :class:`~repro.dse.cache.LocalEvalCache`, e.g.
+    one a previous sweep in this process filled; because cache entries
+    are objective-independent metrics, a sweep under a new objective
+    still hits an old sweep's entries. ``objective`` / ``rerank_oracle``
+    / ``rerank_top_k`` apply to every case. The cases run one after
+    another in this process; ``workers`` must be 1.
     """
     prepared = [flow.prepare() for flow in flows]
     dse_results = DseEngine.search_many(

@@ -7,8 +7,6 @@ decode requests from many concurrent avatars under latency SLOs —
 
 - :mod:`~repro.serving.replica`   — replicas driven by cycle-accurate
   fill/steady-state latency profiles;
-- :mod:`~repro.serving.transport` — how a batch reaches a replica:
-  in-process (default), a socket-served subprocess, or a remote host;
 - :mod:`~repro.serving.policies`  — FIFO / deadline-EDF / per-avatar
   fairness batch selection;
 - :mod:`~repro.serving.cluster`   — heterogeneous replica groups behind
@@ -94,13 +92,6 @@ from repro.serving.traffic import (
     make_trace,
     trace_from_workload,
 )
-from repro.serving.transport import (
-    InProcessTransport,
-    ReplicaTransport,
-    SocketTransport,
-    get_transport,
-    list_transports,
-)
 from repro.serving.workload import (
     AvatarWorkload,
     canned_workload,
@@ -124,7 +115,6 @@ def serve_from_result(
     seed: int = 0,
     sim_frames: int = 8,
     profile: "FrameLatencyProfile | None" = None,
-    transport: str | ReplicaTransport = "inprocess",
     chaos: ChaosPlan | None = None,
     recovery: RecoveryPolicy | None = None,
 ) -> ServingReport:
@@ -159,7 +149,6 @@ def serve_from_result(
         policy=policy,
         batch_window_ms=batch_window_ms,
         max_batch=max_batch,
-        transport=transport,
         chaos=chaos,
         recovery=recovery,
     )
@@ -230,26 +219,21 @@ __all__ = [
     "DeadlineTieredRouter",
     "GroupReport",
     "GroupSpec",
-    "InProcessTransport",
     "LeastLoadedRouter",
     "RecoveryPolicy",
     "Replica",
     "ReplicaPool",
-    "ReplicaTransport",
     "RequestTrace",
     "RoundRobinRouter",
     "RoutingPolicy",
     "ServingReport",
-    "SocketTransport",
     "canned_workload",
     "failover_route",
     "get_router",
-    "get_transport",
     "health_summary",
     "list_policies",
     "list_routers",
     "list_shapes",
-    "list_transports",
     "make_trace",
     "nearest_rank",
     "pool_from_result",

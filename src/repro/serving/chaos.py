@@ -238,8 +238,7 @@ class RecoveryPolicy:
 
     The defaults change nothing on a fault-free run: retries, hedging,
     breakers, and replacement only ever act *after* a failure or a
-    predicted miss, and without a chaos plan (or a dying transport)
-    neither occurs.
+    predicted miss, and without a chaos plan neither occurs.
     """
 
     #: Times a frame whose batch failed is re-enqueued before it is

@@ -1,7 +1,7 @@
 """Heterogeneous serving clusters: the replica-group spec.
 
 One :class:`GroupSpec` is N replicas of *one* design with its own
-batching policy, window, capacity, and transport — e.g. a
+batching policy, window and capacity — e.g. a
 latency-optimized design batching eagerly under EDF next to a big-batch
 throughput design coalescing frames under FIFO. Several groups serve
 together behind a :mod:`routing policy <repro.serving.router>` that
@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 from repro.serving.policies import POLICIES, list_policies
-from repro.serving.transport import ReplicaTransport
 from repro.sim.runner import FrameLatencyProfile
+from repro.utils.checks import is_count
 
 
 @dataclass(frozen=True)
@@ -62,14 +61,11 @@ class GroupSpec:
     batch_window_ms: float = 2.0
     #: Most frames one batch may carry (frames, per replica dispatch).
     max_batch: int = 8
-    #: How batches reach replicas: "inprocess", "socket",
-    #: "remote:HOST:PORT", or a transport instance.
-    transport: "str | ReplicaTransport" = "inprocess"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a replica group needs a name")
-        if not _is_count(self.replicas):
+        if not is_count(self.replicas):
             raise ValueError(
                 f"replicas must be an int >= 1, got {self.replicas!r}"
             )
@@ -84,7 +80,7 @@ class GroupSpec:
                 "batch_window_ms must be a finite number >= 0, "
                 f"got {self.batch_window_ms}"
             )
-        if not _is_count(self.max_batch):
+        if not is_count(self.max_batch):
             raise ValueError(
                 f"max_batch must be an int >= 1, got {self.max_batch!r}"
             )
@@ -92,15 +88,6 @@ class GroupSpec:
         # every report field built from it stays JSON-serializable.
         object.__setattr__(self, "replicas", int(self.replicas))
         object.__setattr__(self, "max_batch", int(self.max_batch))
-
-
-def _is_count(value: object) -> bool:
-    """An integer >= 1 (numpy integers too); a bool is not a count."""
-    return (
-        isinstance(value, Integral)
-        and not isinstance(value, bool)
-        and value >= 1
-    )
 
 
 __all__ = ["GroupSpec"]

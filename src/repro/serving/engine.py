@@ -6,9 +6,8 @@ no per-request objects on the hot path, so it serves millions of
 requests in seconds of wall time. Each group holds a batching window,
 a FIFO free list of replicas and a policy-native queue of request
 indices (``fifo``, ``edf`` or ``fair``) kept in index order, which is
-arrival order; a batch reaches its replica through the group's
-:class:`~repro.serving.transport.ReplicaTransport`, which returns each
-frame's finish time.
+arrival order; a dispatched batch's replica returns each frame's finish
+time.
 
 What it builds on:
 
@@ -27,9 +26,8 @@ other frame) and drains them when offered load falls.
 
 Faults and recovery: a :class:`~repro.serving.chaos.ChaosPlan` injects
 deterministic replica faults at dispatch time, and a crashed batch fails
-at its would-be finish (an ``_EV_FAIL`` event at the detection latency);
-a transport that cannot answer fails its replica the same way, detected
-at once. Failed frames re-enqueue within their retry budget keeping
+at its would-be finish (an ``_EV_FAIL`` event at the detection latency).
+Failed frames re-enqueue within their retry budget keeping
 their original arrival and deadline, the per-group
 :class:`~repro.serving.chaos.CircuitBreaker` trips and diverts arrivals
 through :func:`~repro.serving.router.failover_route`, and dead replicas
@@ -45,7 +43,6 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import deque
-from contextlib import ExitStack
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from numbers import Integral
@@ -60,12 +57,6 @@ from repro.serving.replica import Replica, ReplicaPool, health_summary
 from repro.serving.router import RoutingPolicy, failover_route, get_router
 from repro.serving.slo import GroupReport, ServingReport, nearest_rank
 from repro.serving.traffic import RequestTrace, trace_from_workload
-from repro.serving.transport import (
-    TRANSPORT_ERRORS,
-    InProcessTransport,
-    ReplicaTransport,
-    get_transport,
-)
 from repro.serving.workload import AvatarWorkload
 from repro.utils.sums import ordered_sum
 
@@ -171,7 +162,6 @@ class _EngineGroup:
         self.profile = spec.profile
         self.policy_name = spec.policy
         self.policy_kind = _POLICY_KIND[spec.policy]
-        self.transport: ReplicaTransport = get_transport(spec.transport)
         self.batch_limit = batch_limit
         self.window_ms = spec.batch_window_ms
         self.all_replicas: list[Replica] = []
@@ -508,9 +498,7 @@ class _HeapSession:
                     return
                 if outcome.latency_factor != 1.0 and replica.health == "up":
                     replica.health = "degraded"
-        finishes = self._decode(group, replica, t, size, batch)
-        if finishes is None:
-            return
+        finishes = replica.service_times(t, size)
         group.batch_sizes.append(size)
         if outcome is not None and outcome.latency_factor != 1.0:
             group.degraded_time_ms += finishes[-1] - t
@@ -596,34 +584,8 @@ class _HeapSession:
                     return None
                 if outcome.latency_factor != 1.0 and hedge.health == "up":
                     hedge.health = "degraded"
-        finishes = self._decode(group, hedge, t, size, None)
-        if finishes is not None:
-            group.hedges += 1
-        return finishes
-
-    def _decode(
-        self,
-        group: _EngineGroup,
-        replica: Replica,
-        t: float,
-        size: int,
-        batch: list[int] | None,
-    ) -> tuple[float, ...] | None:
-        """Serve ``size`` frames on ``replica`` from ``t`` through the
-        group's transport; ``None`` if the transport failed.
-
-        A transport that cannot answer fails the replica the way a chaos
-        crash does, detected at once: ``batch`` (the primary's frames)
-        retries within its budget, and a hedge (``batch`` is ``None``)
-        costs only the replica.
-        """
-        try:
-            return group.transport.decode(replica, t, size)
-        except TRANSPORT_ERRORS:
-            if not self._may_fail:
-                raise
-            self._push(t, _EV_FAIL, group.index, batch, replica)
-            return None
+        group.hedges += 1
+        return hedge.service_times(t, size)
 
     def _select_edf(self, group: _EngineGroup, limit: int) -> list[int]:
         """Pop up to ``limit`` frames, least ``(deadline, index)`` first,
@@ -1005,9 +967,7 @@ class _HeapSession:
             scale_ups=scale_ups,
             scale_downs=scale_downs,
             peak_replicas=self._peak,
-            reconnects=sum(
-                getattr(g.transport, "reconnects", 0) for g in self.groups
-            ),
+            reconnects=0,
             failed=sum(g.failed for g in self.groups),
             retries=sum(g.retries for g in self.groups),
             hedges=sum(g.hedges for g in self.groups),
@@ -1038,14 +998,10 @@ class _HeapSession:
             r.utilization(duration_ms) for r in group.all_replicas
         ]
         completed = int(np.count_nonzero(mine_served))
-        health = (
-            getattr(group.transport, "health", ""),
-            health_summary(group.all_replicas),
-        )
         return GroupReport(
             name=group.name,
             policy=group.policy_name,
-            transport=group.transport.name,
+            transport="inprocess",
             replicas=len(group.all_replicas),
             max_batch=group.batch_limit,
             batch_window_ms=group.window_ms,
@@ -1068,8 +1024,8 @@ class _HeapSession:
             ),
             scale_ups=group.scale_ups,
             scale_downs=group.scale_downs,
-            reconnects=getattr(group.transport, "reconnects", 0),
-            health=", ".join(part for part in health if part),
+            reconnects=0,
+            health=health_summary(group.all_replicas),
             failed=group.failed,
             retries=group.retries,
             hedges=group.hedges,
@@ -1094,28 +1050,22 @@ def serve_trace(
     policy: str = "fifo",
     batch_window_ms: float = 2.0,
     max_batch: int | None = None,
-    transport: str | ReplicaTransport = "inprocess",
     chaos: ChaosPlan | None = None,
     recovery: RecoveryPolicy | None = None,
 ) -> ServingReport:
     """Serve a request trace: the entry point of every serving session.
 
     Pass a :class:`~repro.serving.replica.ReplicaPool` to serve it as
-    one pool (``policy`` / ``batch_window_ms`` / ``max_batch`` /
-    ``transport`` apply), or one or more
-    :class:`~repro.serving.cluster.GroupSpec` s to serve a cluster, each
-    group with its own policy, window, batch cap and transport
+    one pool (``policy`` / ``batch_window_ms`` / ``max_batch`` apply),
+    or one or more :class:`~repro.serving.cluster.GroupSpec` s to serve
+    a cluster, each group with its own policy, window and batch cap
     (``router`` / ``admission`` / ``autoscale`` apply). ``trace`` is a
     :class:`~repro.serving.traffic.RequestTrace` or an
     :class:`~repro.serving.workload.AvatarWorkload` (expanded via
     :func:`~repro.serving.traffic.trace_from_workload`). A ``chaos`` plan
     injects deterministic replica faults; ``recovery`` sets how the
-    session answers them and transport failures.
-
-    Every group's transport opens before the first event and closes
-    after the last, before the report is built, so the report reads each
-    transport's final health. Deterministic: same arguments, same
-    report, bit for bit.
+    session answers them. Deterministic: same arguments, same report,
+    bit for bit.
     """
     if isinstance(trace, AvatarWorkload):
         trace = trace_from_workload(trace)
@@ -1143,7 +1093,6 @@ def serve_trace(
             policy=policy,
             batch_window_ms=batch_window_ms,
             max_batch=pool.max_batch,
-            transport=transport,
         )
         # A bare pool's chaos clauses name replicas by index alone: they
         # resolve against the empty group name.
@@ -1188,18 +1137,10 @@ def serve_trace(
         admission_ctl,
         autoscale,
         recovery=recovery,
-        may_fail=bool(chaos)
-        or any(
-            not isinstance(g.transport, InProcessTransport)
-            for g in engine_groups
-        ),
+        may_fail=bool(chaos),
         cluster=not isinstance(groups, ReplicaPool),
     )
-    with ExitStack() as stack:
-        for group in engine_groups:
-            group.transport.open(group.profile, group.spec.max_batch)
-            stack.callback(group.transport.close)
-        session.run()
+    session.run()
     return session.finalize()
 
 

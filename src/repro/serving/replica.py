@@ -37,8 +37,8 @@ class Replica:
     frames_served: int = 0
     batches_served: int = 0
     last_finish_ms: float = field(default=float("-inf"))
-    #: ``up`` / ``degraded`` / ``dead`` — chaos faults and transport
-    #: failures move this; a dead replica never returns to the free list.
+    #: ``up`` / ``degraded`` / ``dead`` — chaos faults move this; a
+    #: dead replica never returns to the free list.
     health: str = "up"
     #: Chaos degradation: service times stretch by this factor (1.0 =
     #: healthy). Set by the engine from the session's chaos state before
@@ -76,23 +76,11 @@ class Replica:
         Also advances the replica's accounting (busy time, warm window).
         """
         finishes = self.preview_service(start_ms, batch)
-        self.record_service(start_ms, finishes)
-        return finishes
-
-    def record_service(
-        self, start_ms: float, finishes: tuple[float, ...]
-    ) -> None:
-        """Fold one served batch into the accounting.
-
-        Split out of :meth:`service_times` so a remote transport — where
-        the authoritative service-time computation happens in another
-        process (see :mod:`repro.serving.transport`) — can mirror the
-        busy-time/warm-window bookkeeping on the local proxy replica.
-        """
         self.busy_ms += finishes[-1] - start_ms
         self.frames_served += len(finishes)
         self.batches_served += 1
         self.last_finish_ms = finishes[-1]
+        return finishes
 
     def utilization(self, elapsed_ms: float) -> float:
         """Busy-time fraction (0..1) of ``elapsed_ms`` of session time."""

@@ -39,6 +39,8 @@ class GroupReport:
 
     name: str
     policy: str
+    #: Always ``"inprocess"``: every replica serves in this process. Kept
+    #: so report payloads and their digests stay as they were.
     transport: str
     replicas: int
     max_batch: int
@@ -54,12 +56,11 @@ class GroupReport:
     #: Replicas added / drained by autoscaling during the session.
     scale_ups: int = 0
     scale_downs: int = 0
-    #: Transport-level reconnections during the session (only a
-    #: :class:`~repro.dist.remote_transport.RemoteTransport` can
-    #: reconnect; 0 for in-process and subprocess transports).
+    #: Always 0 (no replica is reached over a wire); kept so report
+    #: payloads and their digests stay as they were.
     reconnects: int = 0
-    #: Final transport health ("" for transports that do not track it;
-    #: remote transports report ``connected`` / ``closed`` / ``failed``).
+    #: Replica health summary at session end ("" while every replica
+    #: is up; see :func:`~repro.serving.replica.health_summary`).
     health: str = ""
     #: Chaos/recovery accounting (all zero on a fault-free session —
     #: older JSON payloads without these fields keep loading).
@@ -148,8 +149,7 @@ class ServingReport:
     scale_ups: int = 0
     scale_downs: int = 0
     peak_replicas: int = 0
-    #: Transport-level reconnections across every group in the session
-    #: (0 unless a remote transport had to re-dial its replica server).
+    #: Always 0, like :attr:`GroupReport.reconnects`.
     reconnects: int = 0
     #: Chaos/recovery accounting, summed across groups (all zero on a
     #: fault-free session; see :class:`GroupReport` for the per-field

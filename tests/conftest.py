@@ -72,6 +72,20 @@ def make_tiny_decoder(
     return graph
 
 
+#: ``result_to_dict`` keys that hold host timings.
+HOST_TIME_KEYS = frozenset(
+    {
+        "runtime_seconds",
+        "eval_seconds",
+        "cache_seconds",
+        "overhead_seconds",
+        "ladder_seconds",
+        "growth_seconds",
+        "measure_seconds",
+    }
+)
+
+
 def compensated_sum(values, start=0):
     """``sum()`` that adds floats compensated, as Python 3.12's does.
 

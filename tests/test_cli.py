@@ -295,22 +295,28 @@ class TestValidation:
         assert "search profile (top 20 by cumulative time)" in out
         assert "cumtime" in out  # pstats table actually rendered
 
-    def test_explore_cache_file_warm_start(self, capsys, tmp_path):
-        cache_file = str(tmp_path / "dse.sqlite")
-        case = [
-            "explore", "tiny_yolo",
-            "--device", "Z7045",
-            "--iterations", "2",
-            "--population", "8",
-            "--cache-file", cache_file,
-        ]
-        cold = run_cli(capsys, *case)
-        assert ": 0 entries warm" in cold
-        assert "new entries persisted" in cold
-        warm = run_cli(capsys, *case)
-        assert ": 0 entries warm" not in warm
-        # Every bucket came from the file: nothing was re-solved.
-        assert ", 0 Algorithm-2 solves" in warm
+    @pytest.mark.parametrize(
+        "argv, removed",
+        [
+            (["explore", "tiny_yolo", "--cache-file", "dse.sqlite"],
+             "--cache-file"),
+            (["serve", "--transport", "socket"], "--transport"),
+            (["serve", "--transport-token", "t"], "--transport-token"),
+            (["serve", "--transport-timeout", "5"], "--transport-timeout"),
+            (["fleet", "replicas", "--listen", "127.0.0.1:0"], "replicas"),
+        ],
+    )
+    def test_removed_flags_fail_loudly(
+        self, capsys, monkeypatch, argv, removed
+    ):
+        # Every search and every replica runs in this process: a script
+        # still naming a cache file or a wire transport is refused before
+        # any design search, not quietly served in process.
+        refuse_search(monkeypatch)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert removed in capsys.readouterr().err
 
 
 class TestServe:
@@ -420,35 +426,18 @@ class TestServe:
             (["--chaos", "explode:0:1"], "bad --chaos spec"),
             (["--chaos", "crash-at:0:0"], "positive integer"),
             (["--max-retries", "-1"], "--max-retries"),
-            (["--transport-timeout", "5"], "--transport-timeout"),
         ],
     )
     def test_serve_rejects_bad_chaos_flags(self, capsys, argv, message):
-        # Validated before any design search runs; --transport-timeout
-        # without a wire transport is meaningless.
+        # Validated before any design search runs.
         assert main(["serve", *argv]) == 2
         assert message in capsys.readouterr().err
-
-    def test_serve_rejects_nonpositive_transport_timeout(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["serve", "--transport", "socket", "--transport-timeout", "0"])
-        assert "positive number" in capsys.readouterr().err
 
     def test_worker_without_token_fails_fast(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_FLEET_TOKEN", raising=False)
         assert main(["fleet", "worker", "--connect", "127.0.0.1:7000"]) == 2
         err = capsys.readouterr().err
         assert "REPRO_FLEET_TOKEN" in err and "--token" in err
-
-    def test_replicas_without_token_fails_fast(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_FLEET_TOKEN", raising=False)
-        assert main(["fleet", "replicas", "--listen", "127.0.0.1:0"]) == 2
-        assert "REPRO_FLEET_TOKEN" in capsys.readouterr().err
-
-    def test_serve_remote_without_token_fails_fast(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_FLEET_TOKEN", raising=False)
-        assert main(["serve", "--transport", "remote:127.0.0.1:7000"]) == 2
-        assert "REPRO_FLEET_TOKEN" in capsys.readouterr().err
 
     def test_serve_mixed_cluster_with_shedding(self, capsys, tmp_path):
         from repro.serving import report_from_json
@@ -498,12 +487,12 @@ class TestServe:
         assert "shed" in out
         assert "router" in out
 
-    def test_serve_shaped_autoscaled_session_over_a_socket(self, capsys, tmp_path):
-        # --shape, --autoscale and --transport all reach the one engine;
-        # the lax deadline lets some frames past admission to the socket.
+    def test_serve_shaped_autoscaled_session(self, capsys, tmp_path):
+        # --shape, --autoscale and --shed all reach the one engine; the
+        # lax deadline lets some frames past admission.
         from repro.serving import report_from_json
 
-        path = tmp_path / "socket.json"
+        path = tmp_path / "shaped.json"
         run_cli(
             capsys,
             "serve",
@@ -511,7 +500,6 @@ class TestServe:
             "--iterations", "2",
             "--population", "8",
             "--sim-frames", "4",
-            "--transport", "socket",
             "--shape", "flash",
             "--duration", "2",
             "--autoscale",
@@ -520,7 +508,7 @@ class TestServe:
             "--json", str(path),
         )
         report = report_from_json(path.read_text())
-        assert [group.transport for group in report.groups] == ["socket"]
+        assert [group.transport for group in report.groups] == ["inprocess"]
         assert report.completed > 0 and report.scale_ups > 0
         assert (
             report.completed + report.shed + report.failed

@@ -1,6 +1,8 @@
-"""Cluster serving: groups, routers, admission control, transports."""
+"""Cluster serving: groups, routers, admission control."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from repro.serving import (
     ReplicaPool,
     canned_workload,
     get_router,
-    get_transport,
     replay_workload,
     report_from_json,
     report_to_json,
@@ -47,15 +48,15 @@ BIG = FrameLatencyProfile(
 )
 
 
-def mixed_groups(transport: str = "inprocess") -> list[GroupSpec]:
+def mixed_groups() -> list[GroupSpec]:
     return [
         GroupSpec(
             "latency", FAST, replicas=1, policy="edf",
-            batch_window_ms=0.0, max_batch=4, transport=transport,
+            batch_window_ms=0.0, max_batch=4,
         ),
         GroupSpec(
             "throughput", BIG, replicas=2, policy="fifo",
-            batch_window_ms=4.0, max_batch=8, transport=transport,
+            batch_window_ms=4.0, max_batch=8,
         ),
     ]
 
@@ -97,6 +98,25 @@ class TestSpecsAndValidation:
         assert type(spec.replicas) is int and type(spec.max_batch) is int
         report_to_json(serve_trace(spec, tiered_workload()))
 
+    def test_group_spec_takes_no_transport(self):
+        # Every replica serves in process; a caller still asking for a
+        # wire transport is refused, not quietly served in process.
+        with pytest.raises(TypeError, match="transport"):
+            GroupSpec("g", FAST, transport="socket")
+
+    def test_reports_keep_the_in_process_constants(self):
+        """Archived reports carry ``transport`` and ``reconnects``; a
+        report written today still holds them, as constants."""
+        report = serve_trace(mixed_groups(), tiered_workload())
+        text = report_to_json(report)
+        payload = json.loads(text)
+        assert payload["reconnects"] == 0
+        assert [
+            (group["transport"], group["reconnects"])
+            for group in payload["groups"]
+        ] == [("inprocess", 0), ("inprocess", 0)]
+        assert report_from_json(text) == report
+
     def test_cluster_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="unique"):
             serve_trace(
@@ -110,10 +130,6 @@ class TestSpecsAndValidation:
     def test_unknown_router_rejected(self):
         with pytest.raises(KeyError, match="known routers"):
             get_router("random")
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(KeyError, match="known transports"):
-            get_transport("carrier-pigeon")
 
     def test_admission_validation(self):
         with pytest.raises(ValueError):
@@ -388,40 +404,6 @@ class TestReplayWorkloadClusters:
         assert objective.score(shedding, (1.0,)) == pytest.approx(
             objective.score(served, (1.0,))
         )
-
-
-class TestSocketTransport:
-    def test_socket_pool_matches_inprocess(self):
-        workload = tiered_workload(avatars=4, frames_per_avatar=6)
-        inproc = serve_trace(
-            ReplicaPool(FAST, replicas=2, max_batch=8), workload, policy="edf"
-        )
-        socketed = serve_trace(
-            ReplicaPool(FAST, replicas=2, max_batch=8),
-            workload,
-            policy="edf",
-            transport="socket",
-        )
-        # The server computes the same arithmetic on exactly round-
-        # tripped floats, so the whole report matches bit for bit.
-        assert report_to_json(socketed) == report_to_json(inproc)
-
-    def test_socket_group_in_cluster(self):
-        groups = [
-            GroupSpec(
-                "latency", FAST, replicas=1, policy="edf",
-                batch_window_ms=0.0, max_batch=4, transport="socket",
-            ),
-            GroupSpec("throughput", BIG, replicas=2, policy="fifo"),
-        ]
-        report = serve_trace(
-            groups, tiered_workload(avatars=6, frames_per_avatar=6),
-            router="deadline",
-        )
-        assert report.completed == report.submitted == 36
-        by_name = {group.name: group for group in report.groups}
-        assert by_name["latency"].transport == "socket"
-        assert by_name["throughput"].transport == "inprocess"
 
 
 class TestServeFromResults:

@@ -5,18 +5,17 @@ workers — including workers that die mid-sweep, workers that never
 heartbeat, and coordinators restarted from a checkpoint — returns results
 bit-identical to solving every case serially. Everything above it tests
 the pieces that property rests on (exact float framing, authenticated
-handshakes, deterministic fault injection, crash-consistent cache files).
+handshakes, deterministic fault injection).
 """
 
 from __future__ import annotations
 
-import os
 import random
 import socket
 import subprocess
-import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -42,14 +41,16 @@ from repro.dist.wire import (
     pack_blob,
     unpack_blob,
 )
-from repro.dist.worker import run_worker
-from repro.dse.cache import FileEvalCache, LocalEvalCache
+from repro.dist.worker import FleetWorker, run_worker
+from repro.dse.cache import LocalEvalCache
 from repro.dse.engine import DseEngine
 from repro.dse.objective import resolve_oracle
+from repro.dse.result import result_to_dict
 from repro.dse.space import Customization
-from repro.faults import FaultInjector, FaultPlan
+from repro.dse.worker import clear_process_caches
+from repro.faults import FAULT_ENV, FaultInjector, FaultPlan
 from repro.quant.schemes import INT8
-from tests.conftest import make_tiny_decoder
+from tests.conftest import HOST_TIME_KEYS, make_tiny_decoder
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +58,7 @@ from tests.conftest import make_tiny_decoder
 # ---------------------------------------------------------------------------
 class TestWire:
     def test_floats_round_trip_exactly(self):
-        # json's shortest-repr floats are lossless — the reason a remote
-        # solve can be bit-identical to a local one.
+        # json's shortest-repr floats are lossless.
         values = [0.1 + 0.2, 1e-300, 7.3 / 3.0, -0.0, 123456.789012345]
         message = decode_message(encode_message({"v": values}))
         assert message["v"] == values
@@ -82,9 +82,8 @@ class TestWire:
 # ---------------------------------------------------------------------------
 class TestFaultPlan:
     def test_parse_and_round_trip(self):
-        plan = FaultPlan.parse("die-after-leases:1,drop-every:3")
+        plan = FaultPlan.parse("die-after-leases:1")
         assert plan.die_after_leases == 1
-        assert plan.drop_every == 3
         assert FaultPlan.parse(plan.to_spec()) == plan
 
     def test_empty_spec_is_no_faults(self):
@@ -96,16 +95,34 @@ class TestFaultPlan:
 
     def test_non_numeric_value_rejected(self):
         with pytest.raises(ValueError, match="numeric"):
-            FaultPlan.parse("drop-every:lots")
+            FaultPlan.parse("die-after-leases:lots")
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "drop-every:2",
+            "delay-ms:5",
+            "drop-conn-after-decodes:1",
+            "kill-server-after-decodes:1",
+        ],
+    )
+    def test_removed_faults_rejected(self, spec):
+        # These armed the wire and the replica server, both gone: a plan
+        # still naming one fails instead of running unfaulted.
+        with pytest.raises(ValueError, match="known faults: die-after-leases$"):
+            FaultPlan.parse(spec)
+
+    def test_plan_from_env(self, monkeypatch):
+        # How a spawned worker learns its plan.
+        monkeypatch.setenv(FAULT_ENV, "die-after-leases:2")
+        assert FaultPlan.from_env() == FaultPlan(die_after_leases=2)
+        monkeypatch.delenv(FAULT_ENV)
+        assert FaultPlan.from_env() == FaultPlan()
 
     def test_injector_is_counter_based(self):
         injector = FaultInjector(FaultPlan(die_after_leases=2))
         assert not injector.should_die_on_lease()
         assert injector.should_die_on_lease()
-        server = FaultInjector(FaultPlan(drop_conn_after_decodes=2))
-        assert [server.after_decode() for _ in range(3)] == [
-            "ok", "drop-conn", "ok",
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -172,59 +189,6 @@ class TestHandshake:
 
 
 # ---------------------------------------------------------------------------
-# FileEvalCache crash consistency
-# ---------------------------------------------------------------------------
-class TestFileCacheCrashConsistency:
-    def test_kill_mid_flush_is_all_or_nothing(self, tmp_path):
-        """A process hard-killed mid-flush never tears the cache file.
-
-        The child commits a baseline batch, then arms a SQLite progress
-        handler that ``os._exit``s the process partway through the next
-        flush's transaction. On reopen the journal rolls the partial
-        transaction back: every baseline entry survives and the doomed
-        batch is absent *in its entirety* — never a partial batch.
-        """
-        path = tmp_path / "crash.sqlite"
-        script = (
-            "import os\n"
-            "from repro.dse.cache import FileEvalCache\n"
-            f"cache = FileEvalCache({str(path)!r})\n"
-            "for i in range(5):\n"
-            "    cache.put(('baseline', i), list(range(50)))\n"
-            "cache.flush()\n"
-            "for i in range(200):\n"
-            "    cache.put(('doomed', i), list(range(200)))\n"
-            "cache._conn.set_progress_handler(lambda: os._exit(17), 20)\n"
-            "cache.flush()\n"
-            "os._exit(0)\n"
-        )
-        import repro
-
-        from pathlib import Path as _Path
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p
-            for p in (
-                str(_Path(repro.__file__).resolve().parents[1]),
-                env.get("PYTHONPATH"),
-            )
-            if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, timeout=60
-        )
-        assert proc.returncode == 17, "the child must die mid-flush"
-        with FileEvalCache(path) as survivor:
-            entries = dict(survivor.items())
-        baseline = [k for k in entries if k[0] == "baseline"]
-        doomed = [k for k in entries if k[0] == "doomed"]
-        assert len(baseline) == 5  # earlier flushes fully intact
-        assert len(doomed) in (0, 200)  # atomic: all or nothing
-        assert len(doomed) == 0  # ...and the kill really preempted commit
-
-
-# ---------------------------------------------------------------------------
 # the sweep control plane
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -256,14 +220,37 @@ def make_case(engine, iterations=2, population=10, seed=13):
     )
 
 
+#: Serializes the thread workers' solves: they share this process's
+#: Algorithm-2 tables and ladders, which are not thread-safe (a real
+#: fleet worker is a process of its own).
+_SOLVE_LOCK = threading.Lock()
+_RUN_CASE = SweepCase.run
+
+
+def _run_case_alone(case, cache):
+    with _SOLVE_LOCK:
+        return _RUN_CASE(case, cache)
+
+
 def drive_fleet(cases, spec, workers=2, faults=()):
     """Serve ``cases`` with in-process worker threads; return (results, coord).
 
     Thread workers exercise the full wire protocol over loopback without
     the interpreter-startup cost of subprocess workers (the spawned-worker
-    path is covered once, in ``test_search_many_fleet_end_to_end``).
+    path is covered once, in ``test_search_many_fleet_end_to_end``). They
+    start from cold Algorithm-2 tables, as a spawned worker does, and
+    take turns solving. A faulted worker runs until its fault fires
+    before the next worker starts: a tiny case solves in milliseconds, so
+    a healthy worker started beside it could take every shard first and
+    the fault would never fire.
     """
     assert spec.workers == 0, "drive_fleet supplies its own workers"
+    with mock.patch.object(SweepCase, "run", _run_case_alone):
+        return _drive_fleet(cases, spec, workers, faults)
+
+
+def _drive_fleet(cases, spec, workers, faults):
+    clear_process_caches()
     coordinator = SweepCoordinator(cases, spec)
     box: dict[str, object] = {}
     server = threading.Thread(
@@ -288,6 +275,8 @@ def drive_fleet(cases, spec, workers=2, faults=()):
         )
         thread.start()
         threads.append(thread)
+        if fault is not None:
+            thread.join(timeout=10)
     server.join(timeout=120)
     assert not server.is_alive(), f"sweep never drained: {coordinator.stats}"
     for thread in threads:
@@ -296,16 +285,28 @@ def drive_fleet(cases, spec, workers=2, faults=()):
 
 
 def assert_same_result(actual, expected):
-    assert actual.best_fitness == expected.best_fitness
-    assert actual.best_config == expected.best_config
-    assert actual.history == expected.history
+    """The whole record, accounting included; only host timings may differ."""
+
+    def record(result):
+        return {
+            key: value
+            for key, value in result_to_dict(result).items()
+            if key not in HOST_TIME_KEYS
+        }
+
+    assert record(actual) == record(expected)
 
 
 class TestFleetSweep:
     @pytest.fixture(scope="class")
     def serial(self, engines):
-        """The ground truth: every case solved in-process."""
-        return [make_case(engine).run(LocalEvalCache()) for engine in engines]
+        """The ground truth: every case solved in-process from cold
+        Algorithm-2 tables, as in a fresh process."""
+        results = []
+        for engine in engines:
+            clear_process_caches()
+            results.append(make_case(engine).run(LocalEvalCache()))
+        return results
 
     def test_two_workers_bit_identical_to_serial(self, engines, serial):
         cases = [make_case(engine) for engine in engines]
@@ -315,7 +316,28 @@ class TestFleetSweep:
             assert_same_result(fleet_result, serial_result)
         assert coordinator.stats["shards"] == 2
         assert coordinator.stats["workers"] >= 2
-        assert coordinator.stats["cache_entries"] > 0
+
+    def test_a_worker_solves_every_lease_against_one_cache(
+        self, engines, serial
+    ):
+        """Only cases and results cross the wire: a lone worker keeps one
+        process-local cache across its leases, and the results stay the
+        serial ones."""
+        caches = []
+
+        def recording_run(case, cache):
+            caches.append(cache)
+            return _run_case_alone(case, cache)
+
+        cases = [make_case(engine) for engine in engines]
+        spec = FleetSpec(workers=0, token="t", timeout_s=60.0)
+        with mock.patch.object(SweepCase, "run", recording_run):
+            results, _ = _drive_fleet(cases, spec, workers=1, faults=())
+        assert len(caches) == len(cases)
+        assert all(cache is caches[0] for cache in caches)
+        assert isinstance(caches[0], LocalEvalCache) and len(caches[0]) > 0
+        for fleet_result, serial_result in zip(results, serial):
+            assert_same_result(fleet_result, serial_result)
 
     def test_killed_worker_shard_is_releases_and_lossless(
         self, engines, serial
@@ -344,6 +366,7 @@ class TestFleetSweep:
         spec = FleetSpec(
             workers=0, token="t", lease_timeout_s=0.5, timeout_s=60.0
         )
+        clear_process_caches()
         coordinator = SweepCoordinator(cases, spec)
         box: dict[str, object] = {}
         server = threading.Thread(
@@ -360,7 +383,7 @@ class TestFleetSweep:
             client_handshake(staller, "t", role="worker")
             worker_id = staller.request({"type": "register"})["worker"]
             lease = staller.request(
-                {"type": "lease_request", "worker": worker_id, "cache_seq": 0}
+                {"type": "lease_request", "worker": worker_id}
             )
             assert lease["type"] == "lease"
             # ...and then silence: no heartbeats, no result.
@@ -423,6 +446,165 @@ class TestFleetSweep:
             FleetSpec(workers=-1)
         assert FleetSpec(workers=0).workers == 0  # workers join from outside
 
+    @pytest.mark.parametrize("workers", [2.5, True, float("nan"), "2"])
+    def test_non_integer_worker_count_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            FleetSpec(workers=workers)
+
+    def test_numpy_worker_count_stored_as_int(self):
+        import numpy as np
+
+        spec = FleetSpec(workers=np.int64(3))
+        assert spec.workers == 3 and type(spec.workers) is int
+
+    @pytest.mark.parametrize(
+        "field",
+        ["lease_timeout_s", "heartbeat_interval_s", "monitor_interval_s",
+         "timeout_s"],
+    )
+    @pytest.mark.parametrize(
+        "value", [0.0, -1.0, float("nan"), float("inf")]
+    )
+    def test_durations_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FleetSpec(workers=0, **{field: value})
+
+    def test_resumed_sweep_spawns_no_worker(
+        self, engines, tmp_path, monkeypatch
+    ):
+        """A coordinator whose checkpoint holds every shard starts no
+        process, instead of waiting out idle workers."""
+        checkpoint = tmp_path / "sweep.ckpt"
+        cases = [make_case(engine) for engine in engines]
+        drive_fleet(
+            cases,
+            FleetSpec(
+                workers=0, token="t", checkpoint=checkpoint, timeout_s=60.0
+            ),
+            workers=2,
+        )
+        spawned = []
+        real_popen = subprocess.Popen
+
+        def counting_popen(*args, **kwargs):
+            spawned.append(args)
+            return real_popen(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", counting_popen)
+        stats: dict = {}
+        results = run_fleet_sweep(
+            engines,
+            FleetSpec(
+                workers=2, token="t", checkpoint=checkpoint, timeout_s=60.0
+            ),
+            iterations=2,
+            population=10,
+            seed=13,
+            stats=stats,
+        )
+        assert spawned == []
+        assert stats["resumed"] == len(cases)
+        assert len(results) == len(cases)
+
+    def test_spawns_at_most_one_worker_per_pending_shard(
+        self, engines, monkeypatch
+    ):
+        """Workers beyond the pending shards would only idle until the
+        run ends."""
+        spawned = []
+
+        class Exited:
+            def poll(self):
+                return 0
+
+            def wait(self, timeout=None):
+                return 0
+
+        def fake_popen(*args, **kwargs):
+            spawned.append(args)
+            return Exited()
+
+        monkeypatch.setattr(subprocess, "Popen", fake_popen)
+        coordinator = SweepCoordinator(
+            [make_case(engine) for engine in engines],
+            FleetSpec(workers=5, token="t", timeout_s=60.0),
+        )
+        with pytest.raises(RuntimeError, match="workers exited"):
+            coordinator.serve()
+        assert len(spawned) == len(engines)
+
+    def test_failed_spawn_stops_started_workers_and_serving(
+        self, engines, monkeypatch
+    ):
+        """A worker that cannot start fails the run at once, and takes the
+        workers already started, the listener and the coordinator's
+        threads down with it."""
+        started = []
+
+        class Running:
+            terminated = False
+
+            def poll(self):
+                return 0 if self.terminated else None
+
+            def terminate(self):
+                self.terminated = True
+
+            def wait(self, timeout=None):
+                return 0
+
+        def failing_popen(*args, **kwargs):
+            if started:
+                raise OSError("cannot start a worker")
+            started.append(Running())
+            return started[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", failing_popen)
+        before = set(threading.enumerate())
+        coordinator = SweepCoordinator(
+            [make_case(engine) for engine in engines],
+            FleetSpec(workers=2, token="t", timeout_s=60.0),
+        )
+        with pytest.raises(OSError, match="cannot start a worker"):
+            coordinator.serve()
+        assert started[0].terminated
+        assert [
+            thread for thread in threading.enumerate()
+            if thread not in before
+            and thread.name.endswith(("(_accept_loop)", "(_monitor)"))
+        ] == []
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(
+                ("127.0.0.1", coordinator.port), timeout=1.0
+            ).close()
+
+    def test_unreachable_coordinator_costs_one_dial_budget(
+        self, monkeypatch
+    ):
+        """A worker that never connects gives up after ``connect_retries``
+        attempts, not that many squared."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # Nothing listens on ``port`` now: every attempt is refused.
+        attempts = []
+        real_connect = LineSocket.connect
+
+        def counting_connect(host, port, *args, **kwargs):
+            attempts.append(port)
+            return real_connect(host, port, *args, **kwargs)
+
+        monkeypatch.setattr(
+            LineSocket, "connect", staticmethod(counting_connect)
+        )
+        worker = FleetWorker(
+            "127.0.0.1", port, token="t", connect_retries=3,
+            backoff_s=0.001, backoff_max_s=0.001,
+        )
+        with pytest.raises(RuntimeError, match="after 3 attempts"):
+            worker.run()
+        assert attempts == [port] * 3
+
     def test_fleet_sweep_rejects_live_rng_seeds(self, engines):
         with pytest.raises(ValueError, match="integer"):
             run_fleet_sweep(
@@ -433,16 +615,14 @@ class TestFleetSweep:
         """``search_many(fleet=...)`` with spawned subprocess workers.
 
         The one test on the full production path: coordinator-spawned
-        worker subprocesses, dedup (the repeated engine shares a shard),
-        and warming the caller's cache.
+        worker subprocesses and dedup (the repeated engine shares a
+        shard).
         """
-        cache = LocalEvalCache()
         results = DseEngine.search_many(
             [engines[0], engines[1], engines[0]],
             iterations=2,
             population=10,
             seed=13,
-            cache=cache,
             fleet=FleetSpec(workers=2, token="t", timeout_s=120.0),
         )
         assert len(results) == 3
@@ -452,4 +632,15 @@ class TestFleetSweep:
         )
         for fleet_result, serial_result in zip(results[:2], serial):
             assert_same_result(fleet_result, serial_result)
-        assert len(cache) > 0  # the fleet warmed the caller's cache
+
+    def test_search_many_fleet_rejects_a_cache(self, engines):
+        """A fleet's workers cannot fill the caller's cache: fail loudly
+        instead of handing it back empty."""
+        with pytest.raises(ValueError, match="takes no cache"):
+            DseEngine.search_many(
+                engines,
+                iterations=2,
+                population=10,
+                cache=LocalEvalCache(),
+                fleet=FleetSpec(workers=0),
+            )

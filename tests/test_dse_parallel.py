@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-import os
 import pickle
 import random
-import tempfile
 from unittest import mock
 
 import pytest
@@ -15,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.devices.budget import ResourceBudget
 from repro.devices.fpga import get_device
-from repro.dse.cache import FileEvalCache, LocalEvalCache
+from repro.dse.cache import LocalEvalCache
 from repro.dse.engine import DseEngine
 from repro.dse.inbranch import BranchEvalTable, optimize_branch
 from repro.dse.objective import (
@@ -40,7 +38,7 @@ from repro.dse.worker import (
 from repro.fcad.flow import FCad, run_sweep, sweep_grid
 from repro.quant.schemes import INT8, INT16
 from repro.utils.rng import seed_fingerprint
-from tests.conftest import make_tiny_decoder
+from tests.conftest import HOST_TIME_KEYS, make_tiny_decoder
 
 
 def make_engine(plan, device="Z7045", quant=INT8):
@@ -230,15 +228,12 @@ MEMO_OBJECTIVES = {
 }
 
 
-def open_cache(backend, path, spec, positions):
-    """A fresh local or file cache, or a file cache warmed and reopened
-    (whose entries are unpickled, not the kernel's interned solutions)."""
-    if backend == "local":
-        return LocalEvalCache()
-    if backend == "warm file":
-        with FileEvalCache(path) as cache:
-            GenerationEvaluator(spec, cache)(positions)
-    return FileEvalCache(path)
+def open_cache(backend, spec, positions):
+    """A fresh cache, or one a previous evaluator already filled."""
+    cache = LocalEvalCache()
+    if backend == "warm local":
+        GenerationEvaluator(spec, cache)(positions)
+    return cache
 
 
 class TestDesignMemo:
@@ -248,7 +243,7 @@ class TestDesignMemo:
     @settings(max_examples=40, deadline=None)
     @given(
         objective=st.sampled_from(sorted(MEMO_OBJECTIVES)),
-        backend=st.sampled_from(["local", "file", "warm file"]),
+        backend=st.sampled_from(["local", "warm local"]),
         search=generations(),
     )
     def test_memo_is_exact_and_builds_each_design_once(
@@ -256,57 +251,46 @@ class TestDesignMemo:
     ):
         objective = MEMO_OBJECTIVES[objective]
         priorities = spec.customization.priorities
-        with tempfile.TemporaryDirectory() as tmp:
-            cache = open_cache(
-                backend,
-                os.path.join(tmp, "cache.sqlite"),
-                spec,
-                [position for positions in search for position in positions],
-            )
-            evaluator = GenerationEvaluator(spec, cache, objective=objective)
-            results = []
-            try:
-                with mock.patch(
-                    "repro.dse.worker.metrics_from_solutions",
-                    side_effect=metrics_from_solutions,
-                ) as building, mock.patch(
-                    "repro.dse.worker.penalized_score",
-                    side_effect=penalized_score,
-                ) as scoring:
-                    for positions in search:
-                        keys = [candidate_keys(spec, p) for p in positions]
-                        missing = {
-                            key
-                            for candidate in keys
-                            for key in candidate
-                            if cache.get(key) is None
-                        }
-                        out = evaluator(positions)
-                        for candidate, result in zip(keys, out):
-                            # The solutions its own keys hold, not a
-                            # memo entry's.
-                            assert all(
-                                solution is cache.get(key)
-                                for solution, key in zip(
-                                    result.solutions, candidate
-                                )
-                            )
-                            # The first candidate to reference a miss pays.
-                            charged = missing.intersection(candidate)
-                            missing -= charged
-                            assert result.evaluations == len(charged)
-                            assert result.cache_hits == (
-                                len(candidate) - len(charged)
-                            )
-                            metrics = metrics_from_solutions(result.solutions)
-                            assert result.metrics == metrics
-                            assert result.score == penalized_score(
-                                objective, metrics, priorities
-                            )
-                        results += out
-            finally:
-                if backend != "local":
-                    cache.close()
+        cache = open_cache(
+            backend,
+            spec,
+            [position for positions in search for position in positions],
+        )
+        evaluator = GenerationEvaluator(spec, cache, objective=objective)
+        results = []
+        with mock.patch(
+            "repro.dse.worker.metrics_from_solutions",
+            side_effect=metrics_from_solutions,
+        ) as building, mock.patch(
+            "repro.dse.worker.penalized_score",
+            side_effect=penalized_score,
+        ) as scoring:
+            for positions in search:
+                keys = [candidate_keys(spec, p) for p in positions]
+                missing = {
+                    key
+                    for candidate in keys
+                    for key in candidate
+                    if cache.get(key) is None
+                }
+                out = evaluator(positions)
+                for candidate, result in zip(keys, out):
+                    # The solutions its own keys hold, not a memo entry's.
+                    assert all(
+                        solution is cache.get(key)
+                        for solution, key in zip(result.solutions, candidate)
+                    )
+                    # The first candidate to reference a miss pays.
+                    charged = missing.intersection(candidate)
+                    missing -= charged
+                    assert result.evaluations == len(charged)
+                    assert result.cache_hits == len(candidate) - len(charged)
+                    metrics = metrics_from_solutions(result.solutions)
+                    assert result.metrics == metrics
+                    assert result.score == penalized_score(
+                        objective, metrics, priorities
+                    )
+                results += out
         # ``results`` keeps every solution alive, so no id is reused.
         designs = {tuple(map(id, result.solutions)) for result in results}
         assert building.call_count == len(designs)
@@ -404,17 +388,6 @@ class TestSearchMany:
         assert seed_fingerprint(True) is None
 
 
-#: result_to_dict keys that hold host timings.
-HOST_TIME_KEYS = {
-    "runtime_seconds",
-    "eval_seconds",
-    "cache_seconds",
-    "overhead_seconds",
-    "ladder_seconds",
-    "growth_seconds",
-    "measure_seconds",
-}
-
 #: result_to_dict keys that may differ between a sweep case and its solo
 #: search in a warm process: host timings, and the accounting a shared
 #: cache and warm tables change (``oracle_stats`` repeats ``evaluations``
@@ -446,32 +419,24 @@ class TestSweepEqualsSolo:
     @settings(max_examples=40, deadline=None)
     @given(
         cases=st.lists(SWEEP_CASE, min_size=2, max_size=4),
-        backend=st.sampled_from(["none", "local", "file"]),
+        backend=st.sampled_from(["none", "local"]),
     )
     def test_each_case_equals_its_solo_search(
         self, tiny_plan_module, cases, backend
     ):
         size = dict(iterations=2, population=8)
-        with tempfile.TemporaryDirectory() as tmp:
-            if backend == "file":
-                cache = FileEvalCache(os.path.join(tmp, "cache.sqlite"))
-            else:
-                cache = LocalEvalCache() if backend == "local" else None
-            try:
-                swept = DseEngine.search_many(
-                    [
-                        make_engine(tiny_plan_module, device, quant)
-                        for device, quant, _ in cases
-                    ],
-                    seeds=[seed for _, _, seed in cases],
-                    cache=cache,
-                    **size,
-                )
-                if cache is not None:
-                    assert len(cache) > 0
-            finally:
-                if backend == "file":
-                    cache.close()
+        cache = LocalEvalCache() if backend == "local" else None
+        swept = DseEngine.search_many(
+            [
+                make_engine(tiny_plan_module, device, quant)
+                for device, quant, _ in cases
+            ],
+            seeds=[seed for _, _, seed in cases],
+            cache=cache,
+            **size,
+        )
+        if cache is not None:
+            assert len(cache) > 0
         for case, result in zip(cases, swept):
             device, quant, seed = case
             solo = make_engine(tiny_plan_module, device, quant).search(
@@ -570,6 +535,60 @@ class TestSharedLadders:
                 building.stage_lookups,
             )
             assert adopting._stage_eval == building._stage_eval
+
+    def test_shared_ladder_measures_each_design_once(self):
+        """A ladder shared across a batch-size sweep measures each
+        ``(batch, state)`` once, whatever the batch target: on the
+        benchmark's 24-case grid (N=5, P=40, seed 1) 556 measurements
+        serve 664 solutions."""
+        from repro.dse import kernel, worker
+        from repro.models.codec_avatar import build_codec_avatar_decoder
+
+        network = build_codec_avatar_decoder()
+        flows = []
+        for batches in ((1, 1, 1), (2, 2, 2), (1, 2, 4)):
+            flows += sweep_grid(
+                networks=[network],
+                devices=("Z7045", "ZU17EG", "ZU9CG", "KU115"),
+                quants=("int8", "int16"),
+                customization=Customization(
+                    batch_sizes=batches, priorities=(1.0, 1.0, 1.0)
+                ),
+            )
+        clear_process_caches()
+        with mock.patch(
+            "repro.dse.kernel.evaluate_branch",
+            side_effect=kernel.evaluate_branch,
+        ) as measuring:
+            run_sweep(flows, iterations=5, population=40, seed=1)
+        ladders = list(worker._LADDERS.values())
+        solutions = sum(len(ladder._solutions) for ladder in ladders)
+        designs = {
+            (id(ladder), batch, state)
+            for ladder in ladders
+            for batch, _, state in ladder._solutions
+        }
+        assert measuring.call_count == len(designs) < solutions
+
+    def test_solution_judges_the_batch_target_per_call(self, spec):
+        """One measurement serves every batch target; only
+        ``meets_batch_target`` reads the target."""
+        from repro.dse import kernel
+
+        clear_process_caches()
+        ladder = branch_table(spec, 0).ladder()
+        state = (0,) * len(ladder.chains)
+        with mock.patch(
+            "repro.dse.kernel.evaluate_branch",
+            side_effect=kernel.evaluate_branch,
+        ) as measuring:
+            met = ladder.solution(2, state, batch_target=1)
+            missed = ladder.solution(2, state, batch_target=4)
+        assert measuring.call_count == 1
+        assert met.meets_batch_target and not missed.meets_batch_target
+        assert missed.config is met.config and missed.perf is met.perf
+        assert met.config.batch_size == 2
+        assert ladder.solution(2, state, batch_target=1) is met
 
 
 class TestSweepCaseEqualsColdSolo:

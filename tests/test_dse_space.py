@@ -31,6 +31,37 @@ class TestCustomization:
         with pytest.raises(ValueError):
             Customization(batch_sizes=(1,), priorities=(-1.0,))
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(batch_sizes=(1.5, 2)),
+            dict(batch_sizes=(True, 2)),
+            dict(max_h=1.5),
+            dict(max_h=True),
+            dict(max_pf=float("nan")),
+            dict(max_pf=2.0),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, knobs):
+        fields = {"batch_sizes": (1, 2), "priorities": (1.0, 1.0), **knobs}
+        with pytest.raises(ValueError, match="integer"):
+            Customization(**fields)
+
+    def test_numpy_counts_stored_as_int(self):
+        import numpy as np
+
+        custom = Customization(
+            batch_sizes=(np.int64(1), np.int64(2)),
+            priorities=(1.0, 1.0),
+            max_h=np.int64(4),
+            max_pf=np.int32(64),
+        )
+        assert custom == Customization(
+            batch_sizes=(1, 2), priorities=(1.0, 1.0), max_h=4, max_pf=64
+        )
+        counts = (*custom.batch_sizes, custom.max_h, custom.max_pf)
+        assert all(type(count) is int for count in counts)
+
     @pytest.mark.parametrize("priority", [float("nan"), float("inf")])
     def test_non_finite_priority_rejected(self, priority):
         with pytest.raises(ValueError, match="finite"):

@@ -7,13 +7,12 @@ import pytest
 
 from repro.construction.reorg import build_pipeline_plan
 from repro.devices.fpga import get_device
-from repro.dse.cache import FileEvalCache, LocalEvalCache
+from repro.dse.cache import LocalEvalCache
 from repro.dse.engine import DseEngine
 from repro.dse.objective import (
     PaperObjective,
     ServingOracle,
     SimOracle,
-    SloObjective,
 )
 from repro.dse.space import Customization
 from repro.quant.schemes import INT8
@@ -89,25 +88,20 @@ class TestPaperBitIdentity:
 class TestObjectiveIndependentCache:
     """Cache entries are metrics, not scores: switching objectives keeps hits."""
 
-    def test_warm_file_cache_zero_solves_after_objective_switch(
-        self, tiny_plan, tmp_path
-    ):
-        path = str(tmp_path / "eval.sqlite")
-        with FileEvalCache(path) as cache:
-            first = make_engine(tiny_plan).search(
-                iterations=2, population=10, seed=0, cache=cache
-            )
-            assert first.evaluations > 0
-        with FileEvalCache(path) as warm:
-            assert len(warm) > 0
-            slo = make_engine(tiny_plan).search(
-                iterations=2, population=10, seed=0, cache=warm,
-                objective="slo",
-            )
-            composite = make_engine(tiny_plan).search(
-                iterations=2, population=10, seed=0, cache=warm,
-                objective="composite",
-            )
+    def test_warm_cache_zero_solves_after_objective_switch(self, tiny_plan):
+        cache = LocalEvalCache()
+        first = make_engine(tiny_plan).search(
+            iterations=2, population=10, seed=0, cache=cache
+        )
+        assert first.evaluations > 0
+        slo = make_engine(tiny_plan).search(
+            iterations=2, population=10, seed=0, cache=cache,
+            objective="slo",
+        )
+        composite = make_engine(tiny_plan).search(
+            iterations=2, population=10, seed=0, cache=cache,
+            objective="composite",
+        )
         assert slo.evaluations == 0, "warm cache must absorb every solve"
         assert composite.evaluations == 0
         assert slo.cache_hits == first.evaluations + first.cache_hits

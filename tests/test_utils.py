@@ -1,4 +1,4 @@
-"""Tests for repro.utils: units, tables, rng."""
+"""Tests for repro.utils: units, tables, rng, checks."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.utils.checks import is_count
 from repro.utils.rng import make_rng
 from repro.utils.tables import render_table
 from repro.utils.units import (
@@ -88,3 +89,14 @@ class TestRng:
 
     def test_none_seed_builds_rng(self):
         assert isinstance(make_rng(None), random.Random)
+
+
+class TestChecks:
+    def test_is_count_takes_only_integers(self):
+        import numpy as np
+
+        assert is_count(1) and is_count(np.int64(3))
+        assert is_count(0, minimum=0) and not is_count(0)
+        # A bool is not a count, nor is a float, even a whole one.
+        for value in (-1, True, 2.0, 1.5, float("nan"), float("inf"), "2"):
+            assert not is_count(value), value
