@@ -48,6 +48,7 @@ from repro.dse.objective import (
 )
 from repro.dse.space import Customization
 from repro.dse.worker import (
+    PROCESS_LOCK,
     EvalSpec,
     EvalTimings,
     GenerationEvaluator,
@@ -279,86 +280,91 @@ class CrossBranchOptimizer:
 
         Returns (best fitness, best config, fitness history per iteration,
         iteration at which the global best last improved).
+
+        One search runs at a time per process: its Algorithm-2 tables,
+        the ladders they share and the stage-memo counters it reads
+        deltas of are process-wide (see :data:`repro.dse.worker.PROCESS_LOCK`).
         """
         if iterations < 1:
             raise ValueError(f"iterations must be at least 1, got {iterations}")
         if population < 1:
             raise ValueError(f"population must be at least 1, got {population}")
-        rng = make_rng(seed)
-        particles = self.init_population(
-            population, rng, heuristic_seed=heuristic_seed
-        )
-        # The swarm as (P, 3B) arrays, one row per particle.
-        positions = np.array([p.position for p in particles], dtype=np.float64)
-        velocities = np.array([p.velocity for p in particles], dtype=np.float64)
-        best_positions = positions.copy()
-        best_fitness = np.full(len(particles), float("-inf"))
-        global_best_fitness = float("-inf")
-        global_best_position: np.ndarray | None = None
-        global_best_solutions: tuple[BranchSolution, ...] | None = None
-        history: list[float] = []
-        convergence_iteration = 0
-        # The expensive track: best candidate by re-ranked (oracle) score.
-        # Kept apart from the swarm's cheap-score track — the two scales
-        # are incommensurable (e.g. weighted FPS vs negative p99 ms).
-        rerank_best_fitness = float("-inf")
-        rerank_best_solutions: tuple[BranchSolution, ...] | None = None
-        rerank_best_metrics: BranchMetrics | None = None
-        rerank_best_iteration = 0
-
-        run_batch = GenerationEvaluator(
-            self.spec, self._cache, objective=self.objective
-        )
-        for iteration in range(iterations):
-            rows = positions.tolist()
-            results = run_batch(rows)
-            scores = np.array([result.score for result in results])
-            improved = scores > best_fitness
-            best_fitness[improved] = scores[improved]
-            best_positions[improved] = positions[improved]
-            # The global best stays a sequential scan: with the
-            # improvement tolerance, which particle wins depends on
-            # the order they are compared in.
-            for index, result in enumerate(results):
-                self.evaluations += result.evaluations
-                self.cache_hits += result.cache_hits
-                if result.score > global_best_fitness + improvement_tolerance:
-                    global_best_fitness = result.score
-                    global_best_position = positions[index].copy()
-                    global_best_solutions = result.solutions
-                    self.best_metrics = result.metrics
-                    convergence_iteration = iteration + 1
-            if self.rerank_oracle is not None:
-                # Stage 2: re-measure this generation's analytical
-                # top-K with the expensive oracle. Sorting is stable,
-                # so ties resolve in particle order — deterministic.
-                ranked = sorted(
-                    range(len(rows)),
-                    key=lambda i: results[i].score,
-                    reverse=True,
-                )[: self.rerank_top_k]
-                for idx in ranked:
-                    metrics = self._oracle_metrics(
-                        rows[idx], results[idx].solutions
-                    )
-                    score = penalized_score(
-                        self.objective,
-                        metrics,
-                        self.customization.priorities,
-                    )
-                    if score > rerank_best_fitness + improvement_tolerance:
-                        rerank_best_fitness = score
-                        rerank_best_solutions = results[idx].solutions
-                        rerank_best_metrics = metrics
-                        rerank_best_iteration = iteration + 1
-            history.append(global_best_fitness)
-            assert global_best_position is not None
-            self.evolve(
-                positions, velocities, best_positions, global_best_position, rng
+        with PROCESS_LOCK:
+            rng = make_rng(seed)
+            particles = self.init_population(
+                population, rng, heuristic_seed=heuristic_seed
             )
-        self.stage_hits += run_batch.stage_hits
-        self.stage_lookups += run_batch.stage_lookups
-        self.eval_timings.add(run_batch.timings)
+            # The swarm as (P, 3B) arrays, one row per particle.
+            positions = np.array([p.position for p in particles], dtype=np.float64)
+            velocities = np.array([p.velocity for p in particles], dtype=np.float64)
+            best_positions = positions.copy()
+            best_fitness = np.full(len(particles), float("-inf"))
+            global_best_fitness = float("-inf")
+            global_best_position: np.ndarray | None = None
+            global_best_solutions: tuple[BranchSolution, ...] | None = None
+            history: list[float] = []
+            convergence_iteration = 0
+            # The expensive track: best candidate by re-ranked (oracle) score.
+            # Kept apart from the swarm's cheap-score track — the two scales
+            # are incommensurable (e.g. weighted FPS vs negative p99 ms).
+            rerank_best_fitness = float("-inf")
+            rerank_best_solutions: tuple[BranchSolution, ...] | None = None
+            rerank_best_metrics: BranchMetrics | None = None
+            rerank_best_iteration = 0
+
+            run_batch = GenerationEvaluator(
+                self.spec, self._cache, objective=self.objective
+            )
+            for iteration in range(iterations):
+                rows = positions.tolist()
+                results = run_batch(rows)
+                scores = np.array([result.score for result in results])
+                improved = scores > best_fitness
+                best_fitness[improved] = scores[improved]
+                best_positions[improved] = positions[improved]
+                # The global best stays a sequential scan: with the
+                # improvement tolerance, which particle wins depends on
+                # the order they are compared in.
+                for index, result in enumerate(results):
+                    self.evaluations += result.evaluations
+                    self.cache_hits += result.cache_hits
+                    if result.score > global_best_fitness + improvement_tolerance:
+                        global_best_fitness = result.score
+                        global_best_position = positions[index].copy()
+                        global_best_solutions = result.solutions
+                        self.best_metrics = result.metrics
+                        convergence_iteration = iteration + 1
+                if self.rerank_oracle is not None:
+                    # Stage 2: re-measure this generation's analytical
+                    # top-K with the expensive oracle. Sorting is stable,
+                    # so ties resolve in particle order — deterministic.
+                    ranked = sorted(
+                        range(len(rows)),
+                        key=lambda i: results[i].score,
+                        reverse=True,
+                    )[: self.rerank_top_k]
+                    for idx in ranked:
+                        metrics = self._oracle_metrics(
+                            rows[idx], results[idx].solutions
+                        )
+                        score = penalized_score(
+                            self.objective,
+                            metrics,
+                            self.customization.priorities,
+                        )
+                        if score > rerank_best_fitness + improvement_tolerance:
+                            rerank_best_fitness = score
+                            rerank_best_solutions = results[idx].solutions
+                            rerank_best_metrics = metrics
+                            rerank_best_iteration = iteration + 1
+                history.append(global_best_fitness)
+                assert global_best_position is not None
+                self.evolve(
+                    positions, velocities, best_positions, global_best_position, rng
+                )
+            self.stage_hits += run_batch.stage_hits
+            self.stage_lookups += run_batch.stage_lookups
+            self.eval_timings.add(run_batch.timings)
 
         if self.rerank_oracle is not None and rerank_best_solutions is not None:
             self.best_metrics = rerank_best_metrics

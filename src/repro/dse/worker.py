@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
+import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -208,6 +209,11 @@ _TABLES_CAP = 512
 #: also folds in the budget and the batch sizes, which a ladder does not
 #: depend on, so the tables of a device or batch-size sweep share these.
 _LADDERS: dict[str, BranchLadder] = {}
+#: Held for a whole search and while the tables are cleared. The tables,
+#: the ladders (which grow their rung tables in place) and the stage-memo
+#: counters a search reads deltas of are shared by every thread of the
+#: process, so two searches on two threads take turns.
+PROCESS_LOCK = threading.RLock()
 
 
 def clear_process_caches() -> None:
@@ -217,8 +223,9 @@ def clear_process_caches() -> None:
     process (e.g. perfbench's repetitions) would otherwise leak the
     first run's warm tables into the second and blur the comparison.
     """
-    _TABLES.clear()
-    _LADDERS.clear()
+    with PROCESS_LOCK:
+        _TABLES.clear()
+        _LADDERS.clear()
 
 
 def branch_table(spec: EvalSpec, branch: int) -> BranchEvalTable:
@@ -480,6 +487,7 @@ __all__ = [
     "EvalTimings",
     "GenerationEvaluator",
     "INFEASIBILITY_PENALTY",
+    "PROCESS_LOCK",
     "branch_table",
     "candidate_keys",
     "canonical_rd",

@@ -14,6 +14,7 @@ slightly conservative (idle shares are not redistributed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 #: Fraction of peak DDR bandwidth sustainable with realistic access
 #: patterns (row activations, refresh, read/write turnaround).
@@ -49,7 +50,7 @@ class DramChannel:
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"efficiency must be in (0, 1]: {self.efficiency}")
 
-    @property
+    @cached_property
     def bytes_per_cycle(self) -> float:
         """Effective bytes the whole channel moves per accelerator cycle."""
         return (

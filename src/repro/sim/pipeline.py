@@ -11,6 +11,7 @@ from repro.quant.schemes import QuantScheme
 from repro.sim.dram import DramChannel
 from repro.sim.stage import StageSim
 from repro.sim.stats import SimStats, StageStats
+from repro.utils.checks import is_count
 
 
 class PipelineSimulator:
@@ -83,80 +84,88 @@ class PipelineSimulator:
                 producer.out_links.append(
                     LinkState(consumer=sim, capacity_rows=capacity)
                 )
+        stages = list(self.stages.values())
+        for sim in stages:
+            sim.tabulate()
+            near = {sim, *sim.producers, *(link.consumer for link in sim.out_links)}
+            sim.unblocks = tuple(other for other in stages if other in near)
 
     # ------------------------------------------------------------------
     def run(self, frames: int = 8) -> SimStats:
-        """Simulate ``frames`` frames through every pipeline."""
-        if frames < 1:
-            raise ValueError("need at least one frame")
+        """Simulate ``frames`` frames through every pipeline.
+
+        Event-driven: a stage's predicates read only its own progress,
+        its producers' emitted rows and its out-links' consumed rows, and
+        starting a step changes none of them for another stage. So after
+        a step finishes, only that stage, its consumers and its producers
+        (its :attr:`~StageSim.unblocks`) can start, plus any stage still
+        waiting for its start-up data; they are checked once each, in
+        stage order, which is the order a sweep over every stage would
+        start them in.
+        """
+        if not is_count(frames):
+            raise ValueError(f"frames must be an int >= 1, got {frames!r}")
+        frames = int(frames)
         stats = SimStats(frames_requested=frames)
-        for name, sim in self.stages.items():
+        stages = list(self.stages.values())
+        stage_stats: dict[StageSim, StageStats] = {}
+        for sim in stages:
             sim.frames_target = frames
             sim.frame = 0
             sim.step = 0
             sim.emitted_rows = 0
             sim.busy = False
-            stats.stages[name] = StageStats(name=name)
+            stage_stats[sim] = stats.stages[sim.name] = StageStats(name=sim.name)
 
         # Startup: resident weights load once through DRAM, then the first
         # step's streamed data is prefetched on the stage's own flow.
-        ready_at: dict[str, float] = {}
-        dram_ready: dict[str, float] = {}
-        for name, sim in self.stages.items():
-            loaded = self.dram.request("", sim.resident_weight_bytes, 0.0)
-            ready_at[name] = loaded
-            dram_ready[name] = self.dram.request(
-                name, sim.dram_bytes_per_step, loaded
-            )
+        request = self.dram.request
+        ready_at: dict[StageSim, float] = {}
+        dram_ready: dict[StageSim, float] = {}
+        for sim in stages:
+            loaded = request("", sim.resident_weight_bytes, 0.0)
+            ready_at[sim] = loaded
+            dram_ready[sim] = request(sim.name, sim.dram_bytes_per_step, loaded)
             sim.idle_since = loaded
 
         counter = itertools.count()
-        events: list[tuple[float, int, str]] = []
-        now = 0.0
+        events: list[tuple[float, int, StageSim]] = []
 
-        def try_start(sim: StageSim) -> bool:
-            if sim.busy or sim.done():
-                return False
-            if ready_at[sim.name] > now:
-                return False
-            if not sim.inputs_available():
-                return False
-            if not sim.credits_available():
-                return False
-            st = stats.stages[sim.name]
+        def start(sim: StageSim, now: float) -> None:
+            st = stage_stats[sim]
             st.input_stall_cycles += now - sim.idle_since
             # This step waits for the data prefetched one step earlier;
             # the next step's transfer starts now (double buffering).
-            dram_done = dram_ready[sim.name]
-            dram_ready[sim.name] = self.dram.request(
-                sim.name, sim.dram_bytes_per_step, now
-            )
+            dram_done = dram_ready[sim]
+            dram_ready[sim] = request(sim.name, sim.dram_bytes_per_step, now)
             compute_done = now + sim.compute_cycles_per_step
             finish = max(compute_done, dram_done)
             st.busy_cycles += sim.compute_cycles_per_step
             st.dram_stall_cycles += finish - compute_done
             st.record_interval(now, finish)
             sim.busy = True
-            heapq.heappush(events, (finish, next(counter), sim.name))
-            return True
+            heapq.heappush(events, (finish, next(counter), sim))
 
-        def try_start_all() -> None:
-            started = True
-            while started:
-                started = False
-                for sim in self.stages.values():
-                    if try_start(sim):
-                        started = True
+        # Kick off anything that can start at the ready times. The last
+        # sweep checks every stage past its ready time.
+        now = 0.0
+        for now in sorted(set(ready_at.values())):
+            for sim in stages:
+                if (
+                    not (sim.busy or sim.done())
+                    and ready_at[sim] <= now
+                    and sim.inputs_available()
+                    and sim.credits_available()
+                ):
+                    start(sim, now)
 
-        # Kick off anything that can start at the ready times.
-        for t in sorted(set(ready_at.values())):
-            now = t
-            try_start_all()
-
+        # Events can precede the last ready time, so a stage may still be
+        # loading when a neighbour frees it: it is re-checked after every
+        # event until it passes its ready time.
+        loading: list[StageSim] = []
         while events:
-            now, _, name = heapq.heappop(events)
-            sim = self.stages[name]
-            st = stats.stages[name]
+            now, _, sim = heapq.heappop(events)
+            st = stage_stats[sim]
             was_last_step = sim.step >= sim.steps_per_frame - 1
             sim.complete_step()
             sim.busy = False
@@ -165,7 +174,18 @@ class PipelineSimulator:
             if was_last_step:
                 st.frames_done += 1
                 st.frame_finish_times.append(now)
-            try_start_all()
+            recheck = sim.unblocks
+            if loading:
+                near = {*recheck, *loading}
+                recheck = [other for other in stages if other in near]
+                loading = []
+            for other in recheck:
+                if other.busy or other.done():
+                    continue
+                if ready_at[other] > now:
+                    loading.append(other)
+                elif other.inputs_available() and other.credits_available():
+                    start(other, now)
 
         stats.total_cycles = now
         stats.dram_busy_cycles = self.dram.busy_cycles

@@ -11,6 +11,7 @@ from repro.perf.estimator import evaluate
 from repro.quant.schemes import QuantScheme
 from repro.sim.pipeline import PipelineSimulator
 from repro.sim.stats import SimStats
+from repro.utils.checks import is_count
 from repro.utils.units import GIGA
 
 
@@ -86,6 +87,17 @@ class SimulationReport:
         return min(self.branch_fps) if self.branch_fps else 0.0
 
 
+def _checked_counts(
+    frames: object, warmup: object, min_frames: int
+) -> tuple[int, int]:
+    """``frames`` and ``warmup`` as plain ints, or ``ValueError``."""
+    if not is_count(frames, minimum=min_frames):
+        raise ValueError(f"frames must be an int >= {min_frames}, got {frames!r}")
+    if not is_count(warmup, minimum=0):
+        raise ValueError(f"warmup must be an int >= 0, got {warmup!r}")
+    return int(frames), int(warmup)
+
+
 def _steady_state_fps(
     finish_times: list[float], frequency_mhz: float, warmup: int
 ) -> float:
@@ -116,6 +128,7 @@ def simulate(
     whole run *including* pipeline fill — the same accounting a board
     measurement with a host-side timer would produce.
     """
+    frames, warmup = _checked_counts(frames, warmup, min_frames=1)
     simulator = PipelineSimulator(
         plan=plan,
         config=config,
@@ -191,8 +204,7 @@ def frame_latency_profile(
     steady interval averages the inter-frame spacing after ``warmup``
     frames; the frames before that carry the fill-phase accounting.
     """
-    if frames < 2:
-        raise ValueError("need at least two frames to split fill from steady state")
+    frames, warmup = _checked_counts(frames, warmup, min_frames=2)
     simulator = PipelineSimulator(
         plan=plan,
         config=config,

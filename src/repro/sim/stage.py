@@ -83,9 +83,13 @@ class StageSim:
             else 0.0
         )
 
-        # Wiring (filled by the pipeline builder).
+        # Wiring (set by ``PipelineSimulator._wire``, which then calls
+        # :meth:`tabulate`).
         self.producers: list[StageSim] = []
         self.out_links: list[LinkState] = []
+        #: The stages one finished step of this one can unblock: itself,
+        #: its consumers and its producers, in pipeline order.
+        self.unblocks: tuple[StageSim, ...] = ()
 
         # Progress.
         self.frame = 0
@@ -150,6 +154,33 @@ class StageSim:
         """Producer rows a consumer must retain across adjacent steps."""
         return _ceil_div(self.stage.kernel, self.stage.upsample_in)
 
+    def tabulate(self) -> None:
+        """Precompute the per-step geometry the predicates read.
+
+        Called once the stage is wired: the window depends on the first
+        producer, and each producer's in-link is the first of its
+        out-links that feeds this stage.
+        """
+        steps = range(self.steps_per_frame)
+        self._rows_needed = [self.producer_rows_needed(s) for s in steps]
+        self._rows_after = [self.rows_after_step(s) for s in steps]
+        kept = self.window_overlap_rows()
+        # Producer rows of the current frame a step releases; the last
+        # step releases the whole frame, which depends on the producer.
+        self._rows_freed = [max(0, need - kept) for need in self._rows_needed]
+        self._in_links = [
+            (
+                producer,
+                producer.stage.out_height,
+                next(
+                    link
+                    for link in producer.out_links
+                    if link.consumer is self
+                ),
+            )
+            for producer in self.producers
+        ]
+
     # ------------------------------------------------------------------
     # scheduling predicates
     # ------------------------------------------------------------------
@@ -158,19 +189,16 @@ class StageSim:
 
     def inputs_available(self) -> bool:
         """All producers have emitted the rows this step's window needs."""
-        for producer in self.producers:
-            required = (
-                self.frame * producer.stage.out_height
-                + self.producer_rows_needed(self.step)
-            )
-            if producer.emitted_rows < required:
+        needed = self._rows_needed[self.step]
+        for producer, out_height, _ in self._in_links:
+            if producer.emitted_rows < self.frame * out_height + needed:
                 return False
         return True
 
     def credits_available(self) -> bool:
         """All consumers can absorb the rows this step will emit."""
         emitted_after = (
-            self.frame * self.stage.out_height + self.rows_after_step(self.step)
+            self.frame * self.stage.out_height + self._rows_after[self.step]
         )
         for link in self.out_links:
             if emitted_after - link.consumed_rows > link.capacity_rows:
@@ -182,25 +210,19 @@ class StageSim:
     # ------------------------------------------------------------------
     def complete_step(self) -> None:
         """Advance emission/consumption bookkeeping after one step."""
-        self.emitted_rows = (
-            self.frame * self.stage.out_height + self.rows_after_step(self.step)
-        )
+        frame, step = self.frame, self.step
+        last = step >= self.steps_per_frame - 1
+        self.emitted_rows = frame * self.stage.out_height + self._rows_after[step]
         # Release producer rows this window no longer needs.
-        for producer in self.producers:
-            link = next(
-                link for link in producer.out_links if link.consumer is self
-            )
-            if self.step >= self.steps_per_frame - 1:
-                freed = (self.frame + 1) * producer.stage.out_height
+        freed_in_frame = self._rows_freed[step]
+        for _, out_height, link in self._in_links:
+            if last:
+                freed = (frame + 1) * out_height
             else:
-                kept = self.window_overlap_rows()
-                freed = (
-                    self.frame * producer.stage.out_height
-                    + max(0, self.producer_rows_needed(self.step) - kept)
-                )
+                freed = frame * out_height + freed_in_frame
             link.consumed_rows = max(link.consumed_rows, freed)
-        if self.step >= self.steps_per_frame - 1:
-            self.frame += 1
+        if last:
+            self.frame = frame + 1
             self.step = 0
         else:
-            self.step += 1
+            self.step = step + 1

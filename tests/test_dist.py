@@ -220,18 +220,6 @@ def make_case(engine, iterations=2, population=10, seed=13):
     )
 
 
-#: Serializes the thread workers' solves: they share this process's
-#: Algorithm-2 tables and ladders, which are not thread-safe (a real
-#: fleet worker is a process of its own).
-_SOLVE_LOCK = threading.Lock()
-_RUN_CASE = SweepCase.run
-
-
-def _run_case_alone(case, cache):
-    with _SOLVE_LOCK:
-        return _RUN_CASE(case, cache)
-
-
 def drive_fleet(cases, spec, workers=2, faults=()):
     """Serve ``cases`` with in-process worker threads; return (results, coord).
 
@@ -239,17 +227,13 @@ def drive_fleet(cases, spec, workers=2, faults=()):
     the interpreter-startup cost of subprocess workers (the spawned-worker
     path is covered once, in ``test_search_many_fleet_end_to_end``). They
     start from cold Algorithm-2 tables, as a spawned worker does, and
-    take turns solving. A faulted worker runs until its fault fires
-    before the next worker starts: a tiny case solves in milliseconds, so
-    a healthy worker started beside it could take every shard first and
-    the fault would never fire.
+    take turns solving (a search holds the process's table lock). A
+    faulted worker runs until its fault fires before the next worker
+    starts: a tiny case solves in milliseconds, so a healthy worker
+    started beside it could take every shard first and the fault would
+    never fire.
     """
     assert spec.workers == 0, "drive_fleet supplies its own workers"
-    with mock.patch.object(SweepCase, "run", _run_case_alone):
-        return _drive_fleet(cases, spec, workers, faults)
-
-
-def _drive_fleet(cases, spec, workers, faults):
     clear_process_caches()
     coordinator = SweepCoordinator(cases, spec)
     box: dict[str, object] = {}
@@ -324,15 +308,16 @@ class TestFleetSweep:
         process-local cache across its leases, and the results stay the
         serial ones."""
         caches = []
+        run_case = SweepCase.run
 
         def recording_run(case, cache):
             caches.append(cache)
-            return _run_case_alone(case, cache)
+            return run_case(case, cache)
 
         cases = [make_case(engine) for engine in engines]
         spec = FleetSpec(workers=0, token="t", timeout_s=60.0)
         with mock.patch.object(SweepCase, "run", recording_run):
-            results, _ = _drive_fleet(cases, spec, workers=1, faults=())
+            results, _ = drive_fleet(cases, spec, workers=1)
         assert len(caches) == len(cases)
         assert all(cache is caches[0] for cache in caches)
         assert isinstance(caches[0], LocalEvalCache) and len(caches[0]) > 0

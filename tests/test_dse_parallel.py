@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -26,6 +28,7 @@ from repro.dse.objective import (
 from repro.dse.result import result_to_dict
 from repro.dse.space import Customization
 from repro.dse.worker import (
+    PROCESS_LOCK,
     EvalSpec,
     GenerationEvaluator,
     branch_table,
@@ -637,6 +640,72 @@ class TestSweepCaseEqualsColdSolo:
             clear_process_caches()
             solo = engine(*case).search(cache=LocalEvalCache(), **size)
             assert fields(result) == fields(solo)
+
+
+class TestConcurrentSearches:
+    """Searches on two threads of one process share its Algorithm-2
+    tables, ladders and stage-memo counters; each still reports exactly
+    what it reports alone from cold tables."""
+
+    SIZE = dict(iterations=3, population=20, seed=0)
+
+    @staticmethod
+    def fields(result):
+        record = result_to_dict(result)
+        return {k: v for k, v in record.items() if k not in HOST_TIME_KEYS}
+
+    def test_threads_each_equal_a_cold_solo_search(self, tiny_plan_module):
+        # More searching threads than CI cores, and frequent thread
+        # switches, so unguarded table growth would interleave.
+        engines = [
+            make_engine(tiny_plan_module, device)
+            for device in ("Z7045", "ZU17EG", "ZU9CG", "KU115")
+        ]
+        solo = []
+        for engine in engines:
+            clear_process_caches()
+            solo.append(self.fields(engine.search(**self.SIZE)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(10):
+                clear_process_caches()
+                barrier = threading.Barrier(len(engines))
+                results: list = [None] * len(engines)
+
+                def search(index):
+                    barrier.wait()
+                    try:
+                        results[index] = engines[index].search(**self.SIZE)
+                    except Exception as error:  # surfaced by the assert below
+                        results[index] = error
+
+                threads = [
+                    threading.Thread(target=search, args=(index,))
+                    for index in range(len(engines))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert [self.fields(result) for result in results] == solo
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_clearing_waits_for_a_running_search(self, tiny_plan_module):
+        engine = make_engine(tiny_plan_module)
+        cleared = threading.Event()
+        with PROCESS_LOCK:
+            thread = threading.Thread(
+                target=lambda: (clear_process_caches(), cleared.set())
+            )
+            thread.start()
+            assert not cleared.wait(0.05)
+            # The lock is re-entrant: a search on the holding thread runs.
+            engine.search(iterations=1, population=4, seed=0)
+        thread.join(timeout=10)
+        assert not thread.is_alive() and cleared.is_set()
 
 
 class TestSweepApi:
