@@ -66,23 +66,23 @@ class AdmissionControl:
     def admit(self, group: "_EngineGroup", deadline_rel_ms: float) -> bool:
         """True if the request may enter ``group``'s queue.
 
-        The predicted latency is the backlog's drain
-        (:meth:`~repro.serving.engine._EngineGroup.backlog_ms`, the load
+        The predicted latency is the backlog's drain (the load
         :class:`~repro.serving.router.LeastLoadedRouter` reads), plus the
         batching window, plus the request's own service: a cold fill on
-        an empty group, one steady interval behind a backlog.
+        an empty group, one steady interval behind a backlog. It depends
+        only on the backlog and the fleet size, so the group keeps it as
+        a table by backlog (:attr:`~repro.serving.engine._EngineGroup.predicted`),
+        grown on demand and cleared when the fleet size changes.
         """
         backlog = group.backlog_frames
         cap = self.max_queue_per_replica
         if cap is not None and backlog >= cap * group.replicas:
             return False
         if self.predict_miss:
-            profile = group.profile
-            service = (
-                profile.steady_interval_ms if backlog else profile.first_frame_ms
-            )
-            predicted = group.backlog_ms() + group.window_ms + service
-            if predicted > self.slack * deadline_rel_ms:
+            predicted = group.predicted
+            if backlog >= len(predicted):
+                group.extend_predicted(backlog)
+            if predicted[backlog] > self.slack * deadline_rel_ms:
                 return False
         return True
 

@@ -42,6 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.utils.checks import is_count
+
 #: Fault kinds and the number of ``:``-separated fields each clause takes
 #: (including the kind itself).
 _KINDS = {"crash-at": 3, "die-at": 3, "stall": 4, "degrade": 4}
@@ -257,10 +259,14 @@ class RecoveryPolicy:
     replace_after_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.breaker_threshold < 0:
-            raise ValueError("breaker_threshold must be >= 0")
+        for name in ("max_retries", "breaker_threshold"):
+            # A NaN count would pass a ``< 0`` test and turn retries or
+            # the breaker off.
+            value = getattr(self, name)
+            if not is_count(value, minimum=0):
+                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+            # A numpy integer is stored as a plain int, like GroupSpec's.
+            object.__setattr__(self, name, int(value))
         if self.replace_after_ms is not None and not (
             0 <= self.replace_after_ms < math.inf
         ):

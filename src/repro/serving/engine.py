@@ -145,7 +145,8 @@ class _EngineGroup:
     backlog as frames are queued, finish or fail; the fleet size through
     :meth:`refresh_fleet` whenever ``live`` or ``pending_drain`` moves),
     so every admission and routing decision reads them without
-    recomputing.
+    recomputing. Admission reads its predicted latency from
+    :attr:`predicted`, a table by backlog for the current fleet size.
     """
 
     def __init__(
@@ -172,6 +173,11 @@ class _EngineGroup:
         self.state = _IDLE
         self.queue_len = 0
         self.backlog_frames = 0  # frames queued plus in flight
+        #: ``predicted[b]``: the latency admission predicts for a frame
+        #: admitted behind ``b`` frames on the current fleet (see
+        #: :meth:`extend_predicted`); :meth:`refresh_fleet` clears it.
+        self.predicted: list[float] = []
+        self.replicas = 0
         self.refresh_fleet()
         # Policy-native queues of request indices, each deque sorted by
         # index: one for fifo, one per deadline budget for edf, one per
@@ -226,18 +232,37 @@ class _EngineGroup:
 
     def refresh_fleet(self) -> None:
         """Recompute ``replicas`` (live minus draining, at least one) and
-        ``capacity_fps`` (their warm steady-state frames/second)."""
-        self.replicas = max(1, self.live - self.pending_drain)
-        self.capacity_fps = self.replicas * self.profile.steady_fps
+        ``capacity_fps`` (their warm steady-state frames/second); a new
+        fleet size clears :attr:`predicted`."""
+        replicas = max(1, self.live - self.pending_drain)
+        if replicas != self.replicas:
+            self.replicas = replicas
+            self.capacity_fps = replicas * self.profile.steady_fps
+            self.predicted.clear()
 
     # -- what routers and admission read ------------------------------
+    def _drain_ms(self, frames: int) -> float:
+        """Estimated ms for the fleet to work off ``frames`` frames."""
+        return frames * self.profile.steady_interval_ms / self.replicas
+
     def backlog_ms(self) -> float:
         """Estimated ms until a frame admitted now starts service."""
-        return (
-            self.backlog_frames
-            * self.profile.steady_interval_ms
-            / self.replicas
-        )
+        return self._drain_ms(self.backlog_frames)
+
+    def extend_predicted(self, backlog: int) -> None:
+        """Grow :attr:`predicted` through index ``backlog``.
+
+        Entry ``b`` is the drain of ``b`` frames, plus the batching
+        window, plus the frame's own service: a cold fill behind an
+        empty group, one steady interval behind a backlog.
+        """
+        predicted = self.predicted
+        profile = self.profile
+        for frames in range(len(predicted), backlog + 1):
+            service = (
+                profile.steady_interval_ms if frames else profile.first_frame_ms
+            )
+            predicted.append(self._drain_ms(frames) + self.window_ms + service)
 
     def unloaded_latency_ms(self) -> float:
         """Best-case response latency: batching window plus cold fill."""
@@ -273,13 +298,25 @@ class _HeapSession:
         self._sole = groups[0] if len(groups) == 1 and not may_fail else None
         self._admit = admission.admit if admission is not None else None
         n = len(trace)
-        # Hot-path state lives in plain Python lists (faster item access
-        # than numpy scalars); finalization vectorizes from them.
-        self._arrival: list[float] = trace.arrival_ms.tolist()
-        self._avatar: list[int] = trace.avatar_id.tolist()
-        self._rel: list[float] = trace.deadline_rel_ms.tolist()
-        self._start: list[float] = [0.0] * n
-        self._finish: list[float] = [0.0] * n
+        # Per-request columns stay numpy arrays. The hot path reads and
+        # writes them through memoryviews, which hand out plain Python
+        # floats and ints, so the session holds no object per request;
+        # finalization reads the arrays.
+        arrival = np.ascontiguousarray(trace.arrival_ms, dtype=np.float64)
+        rel = np.ascontiguousarray(trace.deadline_rel_ms, dtype=np.float64)
+        # Absolute deadlines: what EDF, hedging and the miss count compare
+        # finishes with.
+        self._due_ms = arrival + rel
+        self._arrival = memoryview(arrival)
+        self._avatar = memoryview(
+            np.ascontiguousarray(trace.avatar_id, dtype=np.int64)
+        )
+        self._rel = memoryview(rel)
+        self._due = memoryview(self._due_ms)
+        self._start_ms = np.zeros(n)
+        self._finish_ms = np.zeros(n)
+        self._start = memoryview(self._start_ms)
+        self._finish = memoryview(self._finish_ms)
         self._group_of = bytearray(n) if len(groups) < 256 else [0] * n
         self._shed_flag = bytearray(n)
         self._failed_flag = bytearray(n)
@@ -506,11 +543,9 @@ class _HeapSession:
         hedge_replica = None
         hedge_finishes = None
         if self._recovery.hedge:
-            arrival = self._arrival
-            rel = self._rel
+            due = self._due
             if any(
-                finishes[j] > arrival[batch[j]] + rel[batch[j]]
-                for j in range(size)
+                finishes[j] > due[batch[j]] for j in range(size)
             ) and group.free:
                 hedge_replica = group.free.popleft()
                 hedge_finishes = self._dispatch_hedge(
@@ -603,11 +638,11 @@ class _HeapSession:
             if not queue:
                 del edf_q[rel[batch[0]]]
             return batch
-        arrival = self._arrival
+        due = self._due
         heads = []
         for queue in edf_q.values():
             head = queue[0]
-            heads.append([arrival[head] + rel[head], head, queue])
+            heads.append([due[head], head, queue])
         batch: list[int] = []
         while heads and len(batch) < limit:
             # Indices are unique, so the comparison never reaches a deque.
@@ -617,7 +652,7 @@ class _HeapSession:
             batch.append(req)
             if queue:
                 head = queue[0]
-                best[0] = arrival[head] + rel[head]
+                best[0] = due[head]
                 best[1] = head
             else:
                 heads.remove(best)
@@ -878,17 +913,13 @@ class _HeapSession:
         trace = self.trace
         n = len(trace)
         arrival = trace.arrival_ms
-        rel = trace.deadline_rel_ms
-        finish = np.asarray(self._finish)
-        start = np.asarray(self._start)
-        shed = np.frombuffer(bytes(self._shed_flag), dtype=np.uint8).astype(bool)
-        failed = np.frombuffer(
-            bytes(self._failed_flag), dtype=np.uint8
-        ).astype(bool)
+        finish = self._finish_ms
+        start = self._start_ms
+        # The flags hold 0 or 1, so their bytes read as booleans in place.
+        shed = np.frombuffer(self._shed_flag, dtype=np.bool_)
+        failed = np.frombuffer(self._failed_flag, dtype=np.bool_)
         if isinstance(self._group_of, bytearray):
-            group_of = np.frombuffer(
-                bytes(self._group_of), dtype=np.uint8
-            ).astype(np.int64)
+            group_of = np.frombuffer(self._group_of, dtype=np.uint8)
         else:
             group_of = np.asarray(self._group_of, dtype=np.int64)
         served = ~shed & ~failed
@@ -898,7 +929,7 @@ class _HeapSession:
 
         latencies = finish[served] - arrival[served]
         queue_waits = start[served] - arrival[served]
-        missed = (finish > arrival + rel) & served
+        missed = (finish > self._due_ms) & served
 
         ordered = np.sort(latencies)
         per_avatar: tuple[float, ...] = ()

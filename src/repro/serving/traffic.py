@@ -76,6 +76,12 @@ class RequestTrace:
         arrival = self.arrival_ms
         if not (arrival[1:] >= arrival[:-1]).all():
             raise ValueError("trace arrivals must be sorted ascending")
+        # A NaN or infinite budget would never trip admission's
+        # predicted-miss test nor count as a miss, and a NaN one could not
+        # find its EDF deque again (NaN equals no key).
+        rel = self.deadline_rel_ms
+        if not (rel.min() > 0 and rel.max() < math.inf):
+            raise ValueError("deadline budgets must be finite and positive")
 
     def __len__(self) -> int:
         return len(self.arrival_ms)
@@ -280,11 +286,16 @@ def make_trace(
     join, leave = windows(avatars, duration_ms, interval_ms, rng, **shape_params)
 
     # One frame per interval inside [join, leave): counts, then arrivals
-    # via a flat repeat + per-avatar frame index, all vectorized.
-    spans = leave - join
-    counts = np.where(
-        spans > 0, np.ceil(spans / interval_ms), 0.0
-    ).astype(np.int64)
+    # via a flat repeat + per-avatar frame index, all vectorized. Each
+    # full-length column is built in place and every intermediate is
+    # dropped once used, so a million-request trace peaks at a few
+    # columns.
+    counts = leave - join
+    del leave
+    counts /= interval_ms
+    np.ceil(counts, out=counts)
+    counts[~(counts > 0)] = 0.0  # an empty window streams no frame
+    counts = counts.astype(np.int64)
     total = int(counts.sum())
     if total == 0:
         raise ValueError(
@@ -293,22 +304,36 @@ def make_trace(
         )
     avatar = np.repeat(np.arange(avatars, dtype=np.int64), counts)
     starts = np.repeat(join, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    frame_index = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    arrival = starts + frame_index * interval_ms
+    del join
+    # Each frame's index within its avatar's stream: its flat index less
+    # its avatar's first (the exclusive prefix sum of the counts).
+    first = np.cumsum(counts)
+    first -= counts
+    frame_index = np.repeat(first, counts)
+    del first, counts
+    np.subtract(np.arange(total, dtype=np.int64), frame_index, out=frame_index)
+    arrival = frame_index.astype(np.float64)
+    del frame_index
+    arrival *= interval_ms
+    arrival += starts
     if jitter_ms:
-        arrival = arrival + rng.uniform(-jitter_ms, jitter_ms, total)
-        arrival = np.maximum(arrival, starts)  # never before the join
+        arrival += rng.uniform(-jitter_ms, jitter_ms, total)
+        np.maximum(arrival, starts, out=arrival)  # never before the join
+    del starts
+    order = np.argsort(arrival, kind="stable")
+    arrival = arrival[order]
+    avatar = avatar[order]
+    del order
+    # A budget follows its avatar, so the sorted avatars give it.
     if deadline_tiers:
         tiers = np.asarray(deadline_tiers, dtype=np.float64)
         rel = tiers[avatar % len(deadline_tiers)]
     else:
         rel = np.full(total, deadline_ms)
-    order = np.argsort(arrival, kind="stable")
     return RequestTrace(
-        arrival_ms=arrival[order],
-        avatar_id=avatar[order],
-        deadline_rel_ms=rel[order],
+        arrival_ms=arrival,
+        avatar_id=avatar,
+        deadline_rel_ms=rel,
         avatars=avatars,
         deadline_ms=deadline_ms,
         deadline_tiers=deadline_tiers,

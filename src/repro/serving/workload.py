@@ -14,6 +14,7 @@ profile; the run is deterministic: same seed, same report, bit for bit.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -46,11 +47,12 @@ class AvatarWorkload:
     def __post_init__(self) -> None:
         if self.avatars < 1 or self.frames_per_avatar < 1:
             raise ValueError("need at least one avatar and one frame")
-        if self.frame_interval_ms <= 0 or self.deadline_ms <= 0:
+        # Budgets are checked as ranges, so NaN fails them too.
+        if self.frame_interval_ms <= 0 or not 0 < self.deadline_ms < math.inf:
             raise ValueError("frame interval and deadline must be positive")
         if not 0 <= self.jitter_ms < self.frame_interval_ms:
             raise ValueError("jitter must be in [0, frame interval)")
-        if any(tier <= 0 for tier in self.deadline_tiers):
+        if not all(0 < tier < math.inf for tier in self.deadline_tiers):
             raise ValueError("deadline tiers must be positive")
 
     @property

@@ -67,6 +67,14 @@ class DramChannel:
                 bytes_per_cycle=self.bytes_per_cycle * share,
             )
 
+    def reset(self) -> None:
+        """Idle every flow and zero the counters, keeping the shares."""
+        for flow in self._flows.values():
+            flow.free_at = 0.0
+        self.busy_cycles = 0.0
+        self.bytes_moved = 0.0
+        self.requests = 0
+
     def request(self, flow_name: str, num_bytes: float, now: float) -> float:
         """Enqueue a transfer on a flow; returns its completion time."""
         if num_bytes <= 0:

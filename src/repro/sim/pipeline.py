@@ -74,12 +74,13 @@ class PipelineSimulator:
                 # plus slack — enough to never deadlock, small enough to
                 # exert real backpressure. A highly H-partitioned producer
                 # emits a whole row burst atomically, so the buffer must
-                # also absorb one full producer step.
+                # also absorb its largest step: when the steps do not
+                # divide its rows, later steps emit one row more than the
+                # first.
                 need = sim.producer_rows_needed(0)
-                burst = producer.rows_after_step(0)
                 capacity = max(
                     2 * (need + sim.window_overlap_rows() + 1),
-                    burst + need + 1,
+                    producer.largest_burst() + need + 1,
                 )
                 producer.out_links.append(
                     LinkState(consumer=sim, capacity_rows=capacity)
@@ -109,12 +110,17 @@ class PipelineSimulator:
         stats = SimStats(frames_requested=frames)
         stages = list(self.stages.values())
         stage_stats: dict[StageSim, StageStats] = {}
+        # Every run starts from empty line buffers and an idle channel,
+        # so repeated runs on one simulator report the same run.
+        self.dram.reset()
         for sim in stages:
             sim.frames_target = frames
             sim.frame = 0
             sim.step = 0
             sim.emitted_rows = 0
             sim.busy = False
+            for link in sim.out_links:
+                link.consumed_rows = 0
             stage_stats[sim] = stats.stages[sim.name] = StageStats(name=sim.name)
 
         # Startup: resident weights load once through DRAM, then the first

@@ -150,6 +150,11 @@ class StageSim:
             return self.stage.out_height
         return self.stage.out_height * (step + 1) // self.steps_per_frame
 
+    def largest_burst(self) -> int:
+        """Most own output rows one step emits at once."""
+        emitted = [0] + [self.rows_after_step(s) for s in range(self.steps_per_frame)]
+        return max(after - before for before, after in zip(emitted, emitted[1:]))
+
     def window_overlap_rows(self) -> int:
         """Producer rows a consumer must retain across adjacent steps."""
         return _ceil_div(self.stage.kernel, self.stage.upsample_in)

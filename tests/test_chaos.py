@@ -8,6 +8,7 @@ changes at all.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +158,15 @@ class TestRecoveryPolicy:
         [
             {"max_retries": -1},
             {"breaker_threshold": -1},
+            # NaN turned retries or the breaker off; a fractional or bool
+            # count passed too.
+            {"max_retries": float("nan")},
+            {"max_retries": 1.5},
+            {"max_retries": True},
+            {"max_retries": 2.0},
+            {"breaker_threshold": float("nan")},
+            {"breaker_threshold": 1.5},
+            {"breaker_threshold": True},
             {"replace_after_ms": -0.5},
             {"replace_after_ms": float("nan")},
             {"replace_after_ms": float("inf")},
@@ -165,6 +175,14 @@ class TestRecoveryPolicy:
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RecoveryPolicy(**kwargs)
+
+    def test_numpy_counts_stored_as_ints(self):
+        policy = RecoveryPolicy(
+            max_retries=np.int64(2), breaker_threshold=np.int32(0)
+        )
+        assert type(policy.max_retries) is int and policy.max_retries == 2
+        assert type(policy.breaker_threshold) is int
+        assert policy == RecoveryPolicy(max_retries=2, breaker_threshold=0)
 
     def test_breaker_trips_and_closes(self):
         breaker = CircuitBreaker(threshold=2)

@@ -3,14 +3,17 @@ determinism, guard rails, and report compatibility."""
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.serving import (
     AutoscalePolicy,
+    AvatarWorkload,
     ChaosPlan,
     GroupSpec,
     RecoveryPolicy,
@@ -170,6 +173,25 @@ def test_make_trace_validation():
     for duration in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="duration must be positive"):
             make_trace(10, duration)
+    # A NaN or infinite budget never tripped admission nor counted as a
+    # miss; every way into a trace rejects it.
+    for budget in (float("nan"), float("inf"), 0.0, -5.0):
+        with pytest.raises(ValueError, match="deadline must be positive"):
+            make_trace(10, 1.0, deadline_ms=budget)
+        with pytest.raises(ValueError, match="tiers must be positive"):
+            make_trace(10, 1.0, deadline_tiers=(20.0, budget))
+        with pytest.raises(ValueError, match="finite and positive"):
+            RequestTrace(
+                arrival_ms=np.arange(3.0),
+                avatar_id=np.zeros(3, dtype=np.int64),
+                deadline_rel_ms=np.array([50.0, budget, 50.0]),
+                avatars=1,
+                deadline_ms=50.0,
+            )
+        with pytest.raises(ValueError, match="deadline must be positive"):
+            AvatarWorkload(2, 3, 33.3, deadline_ms=budget)
+        with pytest.raises(ValueError, match="tiers must be positive"):
+            AvatarWorkload(2, 3, 33.3, 50.0, deadline_tiers=(budget,))
 
 
 def test_trace_arrivals_must_be_sorted():
@@ -233,6 +255,46 @@ def test_fair_dispatch_cost_tracks_the_batch_not_the_avatars():
             best[policy] = min(best[policy], time.perf_counter() - started)
             assert report.completed == len(trace)
     assert best["fair"] <= 5 * best["edf"], best
+
+
+def test_session_memory_per_request():
+    # A session holds no Python object per request: the trace's columns
+    # and the start/finish times stay numpy arrays, and make_trace builds
+    # its columns in place. Peaks traced by tracemalloc, in bytes per
+    # request, on a 66k-request diurnal session with admission and
+    # autoscaling: make_trace 74 -> 32, serve_trace 215 -> 79 (numpy 2.4).
+    # Each bound is below half the old peak.
+    args = (2_000, 30.0, "diurnal")
+    kwargs = dict(avatar_fps=2.0, jitter_ms=100.0)
+    make_trace(*args, **kwargs)  # lazy imports (numpy.random) off the books
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        trace = make_trace(*args, **kwargs)
+        current, peak = tracemalloc.get_traced_memory()
+        trace_peak = peak - held
+        tracemalloc.reset_peak()
+        held = current
+        report = serve_trace(
+            GroupSpec("fleet", BIG, replicas=2, policy="edf"),
+            trace,
+            admission=True,
+            autoscale=AutoscalePolicy(
+                check_interval_ms=1000.0,
+                warmup_ms=5000.0,
+                min_replicas=2,
+                max_replicas=64,
+            ),
+        )
+        _, serve_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(trace)
+    assert n == 66_044 and report.shed and report.scale_ups
+    assert trace_peak / n < 36, trace_peak / n
+    assert (serve_peak - held) / n < 105, (serve_peak - held) / n
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,138 @@ class TestFairSelection:
 
 
 # ---------------------------------------------------------------------------
+# admission's latency table
+# ---------------------------------------------------------------------------
+def predicted_for(group, backlog: int) -> float:
+    """Admission's predicted latency behind ``backlog`` frames, from the
+    group's live fields: what ``group.predicted[backlog]`` must hold."""
+    profile = group.profile
+    service = profile.steady_interval_ms if backlog else profile.first_frame_ms
+    return (
+        backlog * profile.steady_interval_ms / group.replicas
+        + group.window_ms
+        + service
+    )
+
+
+def reference_admit(control, group, budget) -> bool:
+    """Admission as a formula over the group's live fields: what
+    ``AdmissionControl.admit`` computed on every arrival before the group
+    kept its predictions in a table."""
+    backlog = group.backlog_frames
+    cap = control.max_queue_per_replica
+    if cap is not None and backlog >= cap * group.replicas:
+        return False
+    if control.predict_miss and (
+        predicted_for(group, backlog) > control.slack * budget
+    ):
+        return False
+    return True
+
+
+@contextlib.contextmanager
+def checked_admission(seen: set[str]):
+    """Check every admission decision against :func:`reference_admit`,
+    and every table entry against the current fleet, after each call."""
+    admit = AdmissionControl.admit
+    first_fleet: dict[int, int] = {}
+
+    def checked(self, group, budget):
+        expected = reference_admit(self, group, budget)
+        admitted = admit(self, group, budget)
+        assert admitted == expected
+        assert group.replicas == max(1, group.live - group.pending_drain)
+        assert all(
+            value == predicted_for(group, backlog)
+            for backlog, value in enumerate(group.predicted)
+        )
+        seen.add("admitted" if admitted else "shed")
+        if first_fleet.setdefault(id(group), group.replicas) != group.replicas:
+            seen.add("resized fleet")
+        if group.replicas_lost:
+            seen.add("killed replica")
+        if not self.predict_miss:
+            seen.add("no prediction")
+        if self.max_queue_per_replica is None:
+            seen.add("no queue cap")
+        return admitted
+
+    AdmissionControl.admit = checked
+    try:
+        yield
+    finally:
+        AdmissionControl.admit = admit
+
+
+@st.composite
+def admitted_sessions(draw):
+    """A :func:`sessions` draw on replica groups, always with admission."""
+    groups, trace, kwargs = draw(sessions())
+    if isinstance(groups, ReplicaPool):
+        groups = [
+            GroupSpec(
+                "g0",
+                groups.profile,
+                replicas=len(groups),
+                policy=kwargs.pop("policy"),
+                batch_window_ms=kwargs.pop("batch_window_ms"),
+                max_batch=groups.max_batch,
+            )
+        ]
+    kwargs["admission"] = AdmissionControl(
+        max_queue_per_replica=draw(st.sampled_from([None, 1, 2, 4, 16])),
+        predict_miss=draw(st.booleans()),
+        slack=draw(st.sampled_from([0.5, 1.0, 1.5])),
+    )
+    return groups, trace, kwargs
+
+
+class TestAdmissionTable:
+    def test_decisions_match_the_formula(self):
+        # Every decision over generated clusters (autoscaled, chaos-killed,
+        # tiered budgets, either test off) equals the formula, and every
+        # table entry holds for the fleet the group has at that moment.
+        seen: set[str] = set()
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(admitted_sessions())
+        def run(session):
+            groups, trace, kwargs = session
+            with checked_admission(seen):
+                report = serve_trace(groups, trace, **kwargs)
+            assert report.completed + report.shed + report.failed == (
+                report.submitted
+            )
+            if len(set(trace.deadline_rel_ms.tolist())) > 1:
+                seen.add("tiered budgets")
+
+        run()
+        assert seen == {
+            "admitted",
+            "shed",
+            "resized fleet",
+            "killed replica",
+            "no prediction",
+            "no queue cap",
+            "tiered budgets",
+        }
+
+    def test_a_fleet_change_clears_the_table(self):
+        group = engine._EngineGroup(GroupSpec("g", PROFILES[1], replicas=2), 0, 8)
+        group.add_replica()
+        group.add_replica()
+        group.extend_predicted(5)
+        assert group.predicted == [predicted_for(group, b) for b in range(6)]
+        group.refresh_fleet()  # same fleet size: the table stays
+        assert len(group.predicted) == 6
+        group.pending_drain = 1  # one replica draining: one serves
+        group.refresh_fleet()
+        assert group.replicas == 1 and group.predicted == []
+        group.extend_predicted(2)
+        assert group.predicted == [predicted_for(group, b) for b in range(3)]
+
+
+# ---------------------------------------------------------------------------
 # the one-pass deadline router
 # ---------------------------------------------------------------------------
 class View:
