@@ -14,8 +14,8 @@ Subcommands cover the framework's whole surface:
   deadline-EDF / fair batching, optional ``--shape`` traffic and
   ``--autoscale``) with latency/deadline SLO reporting; with
   ``--cluster`` it serves a heterogeneous replica-group cluster
-  (deadline-aware routing, optional load shedding); replicas run
-  in-process, in a socket-served subprocess, or on a remote host;
+  (deadline-aware routing, optional load shedding); every replica
+  serves in process;
 - ``experiment <name>``         — regenerate one of the paper's tables or
   figures (or the ablations).
 
@@ -857,6 +857,7 @@ def cmd_fleet_coordinator(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.dist.coordinator import FleetSpec, run_fleet_sweep
+    from repro.dse.engine import plan_sweep
     from repro.faults import FaultPlan
     from repro.fcad.flow import sweep_grid
 
@@ -896,15 +897,15 @@ def cmd_fleet_coordinator(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
         worker_faults=worker_faults,
     )
-    stats: dict[str, int] = {}
-    results = run_fleet_sweep(
+    shards, placement = plan_sweep(
         engines,
-        fleet,
         iterations=args.iterations,
         population=args.population,
         seed=args.seed,
-        stats=stats,
     )
+    stats: dict[str, int] = {}
+    solved = run_fleet_sweep(shards, fleet, stats=stats)
+    results = [solved[shard] for shard in placement]
     cases = []
     for (device, quant), result in zip(labels, results):
         config_json = config_to_json(result.best_config)

@@ -1,8 +1,10 @@
 """The sweep control plane: lease shards to workers, merge deterministically.
 
-A :class:`SweepCoordinator` owns a sweep — a list of :class:`SweepCase`
-shards, each a full DSE search that is a *pure function* of its fields —
-and serves them to fleet workers over the line-JSON wire:
+A :class:`SweepCoordinator` owns a sweep — the distinct
+:class:`~repro.dse.engine.SweepCase` searches that
+:func:`~repro.dse.engine.plan_sweep` planned, each a *pure function* of
+its fields — and serves them as shards to fleet workers over the
+line-JSON wire:
 
 - **Leases with deadlines.** A worker asks for work, gets one shard and
   a lease. Heartbeats (on a separate connection, so a long Algorithm-2
@@ -24,7 +26,7 @@ and serves them to fleet workers over the line-JSON wire:
   re-solving.
 
 :func:`run_fleet_sweep` is the high-level entry —
-``DseEngine.search_many(fleet=...)`` delegates here.
+``DseEngine.search_many(fleet=...)`` hands its planned cases to it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import json
 import math
 import os
 import pickle
+import random
 import socket
 import subprocess
 import sys
@@ -48,58 +51,10 @@ from repro.dist.protocol import TOKEN_ENV, ProtocolError, server_handshake
 from repro.dist.wire import LineSocket, pack_blob, unpack_blob
 from repro.faults import FAULT_ENV
 from repro.utils.checks import is_count
-from repro.utils.rng import seed_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dse.engine import DseEngine
+    from repro.dse.engine import SweepCase
     from repro.dse.result import DseResult
-
-
-@dataclass(frozen=True)
-class SweepCase:
-    """One shard: everything a worker needs to solve it, picklable.
-
-    ``objective`` / ``rerank_oracle`` are *resolved* instances so the
-    worker runs exactly the configuration the dedup key was computed
-    from. Fleet parallelism is across shards: each shard is one search,
-    run in one worker process.
-    """
-
-    engine: "DseEngine"
-    iterations: int
-    population: int
-    seed: int | None
-    heuristic_seed: bool
-    objective: object
-    rerank_oracle: object | None
-    rerank_top_k: int | None
-
-    def key(self) -> tuple:
-        """Mirror of the ``search_many`` dedup key."""
-        return (
-            self.engine.spec.digest,
-            self.iterations,
-            self.population,
-            seed_fingerprint(self.seed),
-            self.heuristic_seed,
-            self.objective.key,
-            self.rerank_oracle.key if self.rerank_oracle is not None else None,
-            self.rerank_top_k if self.rerank_oracle is not None else None,
-        )
-
-    def run(self, cache) -> "DseResult":
-        return self.engine.search(
-            iterations=self.iterations,
-            population=self.population,
-            seed=self.seed,
-            heuristic_seed=self.heuristic_seed,
-            cache=cache,
-            objective=self.objective,
-            rerank_oracle=(
-                self.rerank_oracle if self.rerank_oracle is not None else "none"
-            ),
-            rerank_top_k=self.rerank_top_k,
-        )
 
 
 @dataclass
@@ -162,8 +117,14 @@ class _Lease:
 class SweepCoordinator:
     """Serves one sweep to a fleet of workers; see the module docstring."""
 
-    def __init__(self, cases: Sequence[SweepCase], spec: FleetSpec) -> None:
+    def __init__(self, cases: Sequence["SweepCase"], spec: FleetSpec) -> None:
         self.cases = list(cases)
+        if any(isinstance(case.seed, random.Random) for case in self.cases):
+            raise ValueError(
+                "fleet sweeps need integer (or None) seeds: a live "
+                "random.Random carries hidden state that cannot be "
+                "shipped to a worker deterministically"
+            )
         self.spec = spec
         self.fingerprint = hashlib.sha1(
             pickle.dumps([case.key() for case in self.cases])
@@ -457,74 +418,20 @@ class SweepCoordinator:
 
 
 def run_fleet_sweep(
-    engines: Sequence["DseEngine"],
+    cases: Sequence["SweepCase"],
     fleet: FleetSpec,
-    iterations: int = 20,
-    population: int = 200,
-    seed: int | None = 0,
-    seeds: Sequence[int | None] | None = None,
-    heuristic_seed: bool = True,
-    objective=None,
-    rerank_oracle=None,
-    rerank_top_k: int | None = None,
     stats: dict | None = None,
-) -> tuple["DseResult", ...]:
-    """``search_many`` across a worker fleet — same dedup, same results.
+) -> list["DseResult"]:
+    """Solve a sweep's planned cases on a worker fleet, in case order.
 
-    Unique cases become shards; duplicates share one shard's result,
-    exactly mirroring the in-process dedup. ``stats``, when given, is
-    filled with the coordinator's counters (leases, releases, worker
-    deaths, ...).
+    ``stats``, when given, is filled with the coordinator's counters
+    (leases, releases, worker deaths, ...).
     """
-    import random as _random
-
-    from repro.dse.objective import resolve_oracle
-
-    engines = list(engines)
-    if seeds is None:
-        seeds = [seed] * len(engines)
-    elif len(seeds) != len(engines):
-        raise ValueError(f"got {len(seeds)} seeds for {len(engines)} engines")
-    for case_seed in seeds:
-        if isinstance(case_seed, _random.Random):
-            raise ValueError(
-                "fleet sweeps need integer (or None) seeds: a live "
-                "random.Random carries hidden state that cannot be "
-                "shipped to a worker deterministically"
-            )
-
-    cases: list[SweepCase] = []
-    case_index: dict[tuple, int] = {}
-    placement: list[int] = []  # input index -> shard index
-    for engine, case_seed in zip(engines, seeds):
-        case = SweepCase(
-            engine=engine,
-            iterations=iterations,
-            population=population,
-            seed=case_seed,
-            heuristic_seed=heuristic_seed,
-            objective=engine.resolved_objective(objective),
-            rerank_oracle=resolve_oracle(
-                rerank_oracle if rerank_oracle is not None else engine.rerank_oracle
-            ),
-            rerank_top_k=(
-                rerank_top_k if rerank_top_k is not None else engine.rerank_top_k
-            ),
-        )
-        key = case.key() if seed_fingerprint(case_seed) is not None else None
-        if key is not None and key in case_index:
-            placement.append(case_index[key])
-            continue
-        if key is not None:
-            case_index[key] = len(cases)
-        placement.append(len(cases))
-        cases.append(case)
-
     coordinator = SweepCoordinator(cases, fleet)
     results = coordinator.serve()
     if stats is not None:
         stats.update(coordinator.stats)
-    return tuple(results[shard] for shard in placement)
+    return results
 
 
-__all__ = ["FleetSpec", "SweepCase", "SweepCoordinator", "run_fleet_sweep"]
+__all__ = ["FleetSpec", "SweepCoordinator", "run_fleet_sweep"]

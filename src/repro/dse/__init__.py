@@ -7,7 +7,6 @@ from repro.dse.inbranch import BranchEvalTable, BranchSolution, optimize_branch
 from repro.dse.objective import (
     OBJECTIVES,
     RERANK_ORACLES,
-    AnalyticalOracle,
     BranchMetrics,
     CompositeObjective,
     MetricsOracle,
@@ -37,7 +36,6 @@ from repro.dse.worker import (
 )
 
 __all__ = [
-    "AnalyticalOracle",
     "BranchEvalTable",
     "BranchMetrics",
     "BranchSolution",

@@ -96,7 +96,6 @@ class CrossBranchOptimizer:
         customization: Customization,
         quant: QuantScheme,
         frequency_mhz: float = 200.0,
-        alpha: float = 0.05,
         inertia: float = 0.5,
         c_local: float = 1.2,
         c_global: float = 1.2,
@@ -113,7 +112,6 @@ class CrossBranchOptimizer:
         self.customization = customization
         self.quant = quant
         self.frequency_mhz = frequency_mhz
-        self.alpha = alpha
         self.inertia = inertia
         self.c_local = c_local
         self.c_global = c_global
@@ -125,7 +123,7 @@ class CrossBranchOptimizer:
             quant=quant,
             frequency_mhz=frequency_mhz,
         )
-        self.objective = resolve_objective(objective, alpha=alpha)
+        self.objective = resolve_objective(objective)
         self.rerank_oracle = resolve_oracle(rerank_oracle)
         self.rerank_top_k = rerank_top_k
         self._cache = cache if cache is not None else LocalEvalCache()

@@ -2,16 +2,19 @@
 
 :meth:`DseEngine.search` runs Algorithm 1 once;
 :meth:`DseEngine.search_many` batches whole sweeps — a decoder family, a
-device grid, a seed study — in one process, with identical cases
-deduplicated outright. Cache entries are per spec; cases with the same
-network, quantization and frequency share Algorithm-2 ladders.
+device grid, a seed study — in one process or across a fleet. Both run
+the plan :func:`plan_sweep` makes: identical cases deduplicated
+outright, the distinct ones as :class:`SweepCase` searches. Cache
+entries are per spec; cases with the same network, quantization and
+frequency share Algorithm-2 ladders.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 from repro.construction.reorg import PipelinePlan
 from repro.devices.budget import ResourceBudget
@@ -31,6 +34,9 @@ from repro.perf.estimator import evaluate
 from repro.quant.schemes import QuantScheme
 from repro.utils.rng import seed_fingerprint
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dist.coordinator import FleetSpec
+
 
 def require_one_worker(workers: int) -> None:
     """Reject ``workers != 1``: every search runs in one process. The
@@ -45,11 +51,11 @@ def require_one_worker(workers: int) -> None:
 class DseEngine:
     """Two-step DSE: cross-branch stochastic + in-branch greedy search.
 
-    ``objective`` / ``rerank_oracle`` / ``rerank_top_k`` configure the
-    metrics → objective pipeline (see :mod:`repro.dse.objective`): what
-    fitness the search maximizes, and whether an expensive oracle re-ranks
-    the analytical top-K per generation. Both accept instances or CLI
-    names; :meth:`search` can override them per run.
+    ``alpha`` is the variance-penalty weight an objective given by name
+    (or left to the paper default) is built with; what fitness a search
+    maximizes, and whether an expensive oracle re-ranks the analytical
+    top-K per generation, is chosen per search (see
+    :mod:`repro.dse.objective`).
     """
 
     def __init__(
@@ -60,9 +66,6 @@ class DseEngine:
         quant: QuantScheme | None = None,
         frequency_mhz: float = 200.0,
         alpha: float = 0.05,
-        objective: Objective | str | None = None,
-        rerank_oracle: MetricsOracle | str | None = None,
-        rerank_top_k: int = 4,
     ) -> None:
         if quant is None:
             raise ValueError("a quantization scheme is required")
@@ -74,9 +77,6 @@ class DseEngine:
         self.quant = quant
         self.frequency_mhz = frequency_mhz
         self.alpha = alpha
-        self.objective = objective
-        self.rerank_oracle = rerank_oracle
-        self.rerank_top_k = rerank_top_k
 
     @property
     def spec(self) -> EvalSpec:
@@ -93,15 +93,6 @@ class DseEngine:
             frequency_mhz=self.frequency_mhz,
         )
 
-    def resolved_objective(
-        self, objective: Objective | str | None = None
-    ) -> Objective:
-        """The objective a search would use (run override > engine > paper)."""
-        return resolve_objective(
-            objective if objective is not None else self.objective,
-            alpha=self.alpha,
-        )
-
     def search(
         self,
         iterations: int = 20,
@@ -111,7 +102,7 @@ class DseEngine:
         cache: LocalEvalCache | None = None,
         objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
-        rerank_top_k: int | None = None,
+        rerank_top_k: int = 4,
     ) -> DseResult:
         """Run Algorithm 1 (which invokes Algorithm 2 per candidate).
 
@@ -120,27 +111,24 @@ class DseEngine:
         several searches share one evaluation cache (see
         :meth:`search_many`).
 
-        ``objective`` / ``rerank_oracle`` / ``rerank_top_k`` override the
-        engine-level objective configuration for this run. With the
-        default paper objective and no re-rank oracle the result is
-        bit-identical to the historical search at the same seed.
+        ``objective`` (an instance or a name built with this engine's
+        ``alpha``) is the fitness the search maximizes; ``rerank_oracle``
+        re-measures each generation's analytical top-``rerank_top_k``.
+        With the default paper objective and no re-rank oracle the result
+        is bit-identical to the historical search at the same seed.
         """
-        resolved = self.resolved_objective(objective)
-        oracle = resolve_oracle(
-            rerank_oracle if rerank_oracle is not None else self.rerank_oracle
-        )
-        top_k = rerank_top_k if rerank_top_k is not None else self.rerank_top_k
+        resolved = resolve_objective(objective, alpha=self.alpha)
+        oracle = resolve_oracle(rerank_oracle)
         optimizer = CrossBranchOptimizer(
             plan=self.plan,
             budget=self.budget,
             customization=self.customization,
             quant=self.quant,
             frequency_mhz=self.frequency_mhz,
-            alpha=self.alpha,
             cache=cache,
             objective=resolved,
             rerank_oracle=oracle,
-            rerank_top_k=top_k,
+            rerank_top_k=rerank_top_k,
         )
         started = time.perf_counter()
         fitness, config, history, convergence = optimizer.search(
@@ -200,8 +188,8 @@ class DseEngine:
         cache: LocalEvalCache | None = None,
         objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
-        rerank_top_k: int | None = None,
-        fleet: "object | None" = None,
+        rerank_top_k: int = 4,
+        fleet: "FleetSpec | None" = None,
     ) -> tuple[DseResult, ...]:
         """Run a batch of searches with shared caching and deduplication.
 
@@ -211,15 +199,13 @@ class DseEngine:
         same plan, quantization, frequency and parallelism caps (the same
         decoder on several devices or batch sizes) share the process's
         Algorithm-2 ladders instead, which leaves every result and its
-        accounting as in a solo search. Cases whose problem spec,
-        *objective configuration*, search size, and (fingerprintable) seed
-        coincide are solved once and share the same :class:`DseResult`
-        object — the objective is part of the dedup key because the spec
-        digest deliberately excludes it.
+        accounting as in a solo search. Cases that :func:`plan_sweep`
+        finds identical are solved once and share the same
+        :class:`DseResult` object; the distinct ones run in order of first
+        appearance.
 
         ``objective`` / ``rerank_oracle`` / ``rerank_top_k`` apply to every
-        case (each engine's own configuration is used where they are left
-        ``None``).
+        case; a named objective is built with each engine's ``alpha``.
 
         ``seeds`` gives each case its own seed (e.g. a convergence study);
         by default every case uses ``seed``, which is what makes duplicate
@@ -231,88 +217,133 @@ class DseEngine:
 
         The cases run one after another in this process; ``workers``
         must be 1. ``fleet`` (a
-        :class:`~repro.dist.coordinator.FleetSpec`) runs the cases in
-        parallel across worker *processes* — spawned locally or joined
-        over the network — via
-        :func:`~repro.dist.coordinator.run_fleet_sweep`: same dedup, same
+        :class:`~repro.dist.coordinator.FleetSpec`) runs the distinct
+        cases in parallel across worker *processes* — spawned locally or
+        joined over the network — via
+        :func:`~repro.dist.coordinator.run_fleet_sweep`: same plan, same
         per-case results bit for bit. Each worker solves against its own
         cache, so a fleet takes no ``cache``.
         """
         require_one_worker(workers)
+        if fleet is not None and cache is not None:
+            raise ValueError(
+                "a fleet sweep takes no cache: each worker solves "
+                "against its own, so the caller's would stay empty"
+            )
+        cases, placement = plan_sweep(
+            engines,
+            iterations=iterations,
+            population=population,
+            seed=seed,
+            seeds=seeds,
+            heuristic_seed=heuristic_seed,
+            objective=objective,
+            rerank_oracle=rerank_oracle,
+            rerank_top_k=rerank_top_k,
+        )
         if fleet is not None:
-            if cache is not None:
-                raise ValueError(
-                    "a fleet sweep takes no cache: each worker solves "
-                    "against its own, so the caller's would stay empty"
-                )
             from repro.dist.coordinator import run_fleet_sweep
 
-            return run_fleet_sweep(
-                engines,
-                fleet,
-                iterations=iterations,
-                population=population,
-                seed=seed,
-                seeds=seeds,
-                heuristic_seed=heuristic_seed,
-                objective=objective,
-                rerank_oracle=rerank_oracle,
-                rerank_top_k=rerank_top_k,
-            )
-        engines = list(engines)
-        if seeds is None:
-            seeds = [seed] * len(engines)
-        elif len(seeds) != len(engines):
-            raise ValueError(
-                f"got {len(seeds)} seeds for {len(engines)} engines"
-            )
-        if cache is None:
-            cache = LocalEvalCache()
-        solved: dict[tuple, DseResult] = {}
-        results: list[DseResult] = []
-        for engine, case_seed in zip(engines, seeds):
-            fingerprint = seed_fingerprint(case_seed)
-            case_objective = engine.resolved_objective(objective)
-            case_oracle = resolve_oracle(
-                rerank_oracle
-                if rerank_oracle is not None
-                else engine.rerank_oracle
-            )
-            case_top_k = (
-                rerank_top_k
-                if rerank_top_k is not None
-                else engine.rerank_top_k
-            )
-            key = None
-            if fingerprint is not None:
-                key = (
-                    engine.spec.digest,
-                    iterations,
-                    population,
-                    fingerprint,
-                    heuristic_seed,
-                    case_objective.key,
-                    case_oracle.key if case_oracle is not None else None,
-                    case_top_k if case_oracle is not None else None,
-                )
-                if key in solved:
-                    results.append(solved[key])
-                    continue
-            result = engine.search(
-                iterations=iterations,
-                population=population,
-                seed=case_seed,
-                heuristic_seed=heuristic_seed,
-                cache=cache,
-                objective=case_objective,
-                # A resolved "no oracle" must be passed explicitly:
-                # a bare None would read as "no override" and fall
-                # back to the engine's own oracle, desynchronizing
-                # the search from the dedup key above.
-                rerank_oracle=case_oracle if case_oracle is not None else "none",
-                rerank_top_k=case_top_k,
-            )
-            if key is not None:
-                solved[key] = result
-            results.append(result)
-        return tuple(results)
+            solved = run_fleet_sweep(cases, fleet)
+        else:
+            if cache is None:
+                cache = LocalEvalCache()
+            solved = [case.run(cache) for case in cases]
+        return tuple(solved[index] for index in placement)
+
+
+@dataclass(frozen=True)
+class SweepCase:
+    """One search of a sweep: a pure function of its fields, picklable.
+
+    ``objective`` / ``rerank_oracle`` are *resolved* instances, so the
+    case runs exactly the configuration its :meth:`key` names. A fleet
+    ships each case to a worker process, one search per case.
+    """
+
+    engine: DseEngine
+    iterations: int
+    population: int
+    seed: int | random.Random | None
+    heuristic_seed: bool
+    objective: Objective
+    rerank_oracle: MetricsOracle | None
+    rerank_top_k: int
+
+    def key(self) -> tuple:
+        """What the case's result depends on, given an integer seed.
+
+        The objective is part of it because the spec digest deliberately
+        excludes it. A fleet's checkpoint is fingerprinted from these
+        tuples: change one and no earlier checkpoint resumes.
+        """
+        return (
+            self.engine.spec.digest,
+            self.iterations,
+            self.population,
+            seed_fingerprint(self.seed),
+            self.heuristic_seed,
+            self.objective.key,
+            self.rerank_oracle.key if self.rerank_oracle is not None else None,
+            self.rerank_top_k if self.rerank_oracle is not None else None,
+        )
+
+    def run(self, cache: LocalEvalCache) -> DseResult:
+        return self.engine.search(
+            iterations=self.iterations,
+            population=self.population,
+            seed=self.seed,
+            heuristic_seed=self.heuristic_seed,
+            cache=cache,
+            objective=self.objective,
+            rerank_oracle=self.rerank_oracle,
+            rerank_top_k=self.rerank_top_k,
+        )
+
+
+def plan_sweep(
+    engines: Sequence[DseEngine],
+    iterations: int = 20,
+    population: int = 200,
+    seed: int | random.Random | None = 0,
+    seeds: Sequence[int | random.Random | None] | None = None,
+    heuristic_seed: bool = True,
+    objective: Objective | str | None = None,
+    rerank_oracle: MetricsOracle | str | None = None,
+    rerank_top_k: int = 4,
+) -> tuple[list[SweepCase], list[int]]:
+    """The distinct searches of a sweep, and which one answers each engine.
+
+    Returns the distinct cases in order of first appearance and, per
+    engine, the index of its case. Each engine's case resolves
+    ``objective`` with that engine's ``alpha``. Cases with an integer
+    seed and equal :meth:`SweepCase.key` are one case; a ``None`` seed
+    (fresh entropy) or a live ``random.Random`` never shares one.
+    """
+    engines = list(engines)
+    if seeds is None:
+        seeds = [seed] * len(engines)
+    elif len(seeds) != len(engines):
+        raise ValueError(f"got {len(seeds)} seeds for {len(engines)} engines")
+    oracle = resolve_oracle(rerank_oracle)
+    cases: list[SweepCase] = []
+    index: dict[object, int] = {}
+    placement: list[int] = []
+    for engine, case_seed in zip(engines, seeds):
+        case = SweepCase(
+            engine=engine,
+            iterations=iterations,
+            population=population,
+            seed=case_seed,
+            heuristic_seed=heuristic_seed,
+            objective=resolve_objective(objective, alpha=engine.alpha),
+            rerank_oracle=oracle,
+            rerank_top_k=rerank_top_k,
+        )
+        # Without an integer seed the key is an object equal to no other.
+        key = case.key() if seed_fingerprint(case_seed) is not None else object()
+        shard = index.setdefault(key, len(cases))
+        if shard == len(cases):
+            cases.append(case)
+        placement.append(shard)
+    return cases, placement

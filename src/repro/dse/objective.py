@@ -14,11 +14,11 @@ pure function of the problem spec and the budget bucket, so a warm cache
 keeps hitting when the caller switches from the paper's Sec. VI-B1 fitness
 to an SLO objective — only the cheap scoring changes.
 
-Oracles, from cheapest to most expensive:
+Stage 1 scores every PSO position on :func:`metrics_from_solutions`:
+metrics straight from the Algorithm-2 solutions (per-branch
+steady-state FPS, batch feasibility). The re-rank oracles, both more
+expensive:
 
-- :class:`AnalyticalOracle` — metrics straight from the Algorithm-2
-  solutions (per-branch steady-state FPS, batch feasibility). This is the
-  stage-1 oracle that scores every PSO position.
 - :class:`SimOracle` — re-measures the candidate with the cycle-accurate
   simulator (:func:`repro.sim.runner.simulate`): branch FPS including
   pipeline-fill and DRAM-contention effects the analytical model idealizes.
@@ -246,10 +246,8 @@ class SloObjective:
                 metrics, priorities
             )
         miss_rate = metrics.deadline_miss_rate or 0.0
-        # getattr: metrics unpickled from a cache file written before a
-        # field existed may lack it entirely.
-        shed_rate = getattr(metrics, "shed_rate", None) or 0.0
-        failed_rate = getattr(metrics, "failed_rate", None) or 0.0
+        shed_rate = metrics.shed_rate or 0.0
+        failed_rate = metrics.failed_rate or 0.0
         return -(
             metrics.p99_ms
             + self.miss_weight * (miss_rate + shed_rate + failed_rate)
@@ -351,25 +349,6 @@ class MetricsOracle(Protocol):
     ) -> BranchMetrics: ...
 
 
-@dataclass(frozen=True)
-class AnalyticalOracle:
-    """Today's Algorithm-2 path: metrics straight from the solutions."""
-
-    name: ClassVar[str] = "analytical"
-
-    @property
-    def key(self) -> str:
-        return "analytical"
-
-    def measure(
-        self,
-        spec: "EvalSpec",
-        position: Sequence[float],
-        solutions: Sequence["BranchSolution"],
-    ) -> BranchMetrics:
-        return metrics_from_solutions(solutions)
-
-
 def _candidate_config(solutions: Sequence["BranchSolution"]):
     from repro.arch.config import AcceleratorConfig
 
@@ -468,13 +447,10 @@ class ServingOracle:
     @staticmethod
     def _companion_key(spec: "GroupSpec") -> str:
         policy = getattr(spec.policy, "name", spec.policy)
-        # Every group serves in process; the constant keeps the key text
-        # (and every cached re-rank entry keyed by it) as it was.
         return (
             f"{spec.name}:{spec.profile.first_frame_ms!r}/"
             f"{spec.profile.steady_interval_ms!r}x{spec.replicas}"
-            f"@{policy}/inprocess/w{spec.batch_window_ms!r}"
-            f"/b{spec.max_batch}"
+            f"@{policy}/w{spec.batch_window_ms!r}/b{spec.max_batch}"
         )
 
     @property
@@ -611,8 +587,6 @@ def make_oracle(name: str) -> MetricsOracle | None:
     """Build a re-rank oracle by name (``"none"`` means no re-rank stage)."""
     if name == "none":
         return None
-    if name == "analytical":
-        return AnalyticalOracle()
     if name == "sim":
         return SimOracle()
     if name == "serving":
@@ -645,7 +619,6 @@ def resolve_oracle(
 
 
 __all__ = [
-    "AnalyticalOracle",
     "BranchMetrics",
     "CompositeObjective",
     "INFEASIBILITY_PENALTY",

@@ -216,15 +216,8 @@ class FCad:
         self.customization = customization
         self.alpha = alpha
 
-    def prepare(
-        self, alpha: float | None = None
-    ) -> tuple[NetworkAnalysis, PipelinePlan, DseEngine]:
-        """Run Analysis and Construction; return the ready-to-search engine.
-
-        ``alpha`` overrides the constructor's variance-penalty weight for
-        this engine (it feeds :class:`~repro.dse.objective.PaperObjective`
-        and the SLO objective's analytical-stage proxy).
-        """
+    def prepare(self) -> tuple[NetworkAnalysis, PipelinePlan, DseEngine]:
+        """Run Analysis and Construction; return the ready-to-search engine."""
         analysis = analyze_network(self.network)
         plan = build_pipeline_plan(self.network)
         customization = (
@@ -238,7 +231,7 @@ class FCad:
             customization=customization,
             quant=self.quant,
             frequency_mhz=self.frequency_mhz,
-            alpha=self.alpha if alpha is None else alpha,
+            alpha=self.alpha,
         )
         return analysis, plan, engine
 
@@ -265,7 +258,6 @@ class FCad:
         objective: "Objective | str | None" = None,
         rerank_oracle: "MetricsOracle | str | None" = None,
         rerank_top_k: int = 4,
-        alpha: float | None = None,
     ) -> FcadResult:
         """Execute Analysis, Construction and Optimization.
 
@@ -280,12 +272,11 @@ class FCad:
         ``rerank_oracle`` (``"sim"`` / ``"serving"`` / an oracle instance)
         re-measures the analytical top-``rerank_top_k`` candidates per
         generation with an expensive oracle and selects the final design
-        by *its* scores. ``alpha`` overrides the constructor's
-        variance-penalty weight. The defaults reproduce the paper's search
-        bit for bit.
+        by *its* scores. A named objective is built with the constructor's
+        ``alpha``. The defaults reproduce the paper's search bit for bit.
         """
         require_one_worker(workers)
-        analysis, plan, engine = self.prepare(alpha=alpha)
+        analysis, plan, engine = self.prepare()
         dse = engine.search(
             iterations=iterations,
             population=population,
@@ -339,7 +330,7 @@ def run_sweep(
     cache: "LocalEvalCache | None" = None,
     objective: "Objective | str | None" = None,
     rerank_oracle: "MetricsOracle | str | None" = None,
-    rerank_top_k: int | None = None,
+    rerank_top_k: int = 4,
 ) -> tuple[FcadResult, ...]:
     """Explore a whole batch of flows in one call.
 

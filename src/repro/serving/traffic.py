@@ -34,6 +34,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.utils.checks import is_count
+
 
 @dataclass(frozen=True, eq=False)
 class RequestTrace:
@@ -261,8 +263,9 @@ def make_trace(
 
     Deterministic in ``seed``: same arguments, same trace, bit for bit.
     """
-    if avatars < 1:
-        raise ValueError("need at least one avatar")
+    if not is_count(avatars):
+        raise ValueError(f"avatars must be an integer >= 1, got {avatars!r}")
+    avatars = int(avatars)
     if not 0 < duration_s < math.inf:
         raise ValueError("duration must be positive")
     if not 0 < avatar_fps < math.inf:

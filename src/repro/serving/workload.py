@@ -25,6 +25,7 @@ if TYPE_CHECKING:
 from repro.serving.cluster import GroupSpec
 from repro.serving.replica import ReplicaPool
 from repro.serving.slo import ServingReport
+from repro.utils.checks import is_count
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,14 @@ class AvatarWorkload:
     deadline_tiers: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.avatars < 1 or self.frames_per_avatar < 1:
-            raise ValueError("need at least one avatar and one frame")
+        for name in ("avatars", "frames_per_avatar"):
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
+            # A numpy integer is a valid count; store it as a plain int.
+            object.__setattr__(self, name, int(value))
         # Budgets are checked as ranges, so NaN fails them too.
         if self.frame_interval_ms <= 0 or not 0 < self.deadline_ms < math.inf:
             raise ValueError("frame interval and deadline must be positive")

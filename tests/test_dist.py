@@ -22,7 +22,6 @@ import pytest
 from repro.devices.fpga import get_device
 from repro.dist.coordinator import (
     FleetSpec,
-    SweepCase,
     SweepCoordinator,
     run_fleet_sweep,
 )
@@ -43,8 +42,7 @@ from repro.dist.wire import (
 )
 from repro.dist.worker import FleetWorker, run_worker
 from repro.dse.cache import LocalEvalCache
-from repro.dse.engine import DseEngine
-from repro.dse.objective import resolve_oracle
+from repro.dse.engine import DseEngine, SweepCase, plan_sweep
 from repro.dse.result import result_to_dict
 from repro.dse.space import Customization
 from repro.dse.worker import clear_process_caches
@@ -208,16 +206,10 @@ def engines():
 
 
 def make_case(engine, iterations=2, population=10, seed=13):
-    return SweepCase(
-        engine=engine,
-        iterations=iterations,
-        population=population,
-        seed=seed,
-        heuristic_seed=True,
-        objective=engine.resolved_objective(None),
-        rerank_oracle=resolve_oracle(engine.rerank_oracle),
-        rerank_top_k=engine.rerank_top_k,
+    (case,), _ = plan_sweep(
+        [engine], iterations=iterations, population=population, seed=seed
     )
+    return case
 
 
 def drive_fleet(cases, spec, workers=2, faults=()):
@@ -282,6 +274,20 @@ def assert_same_result(actual, expected):
 
 
 class TestFleetSweep:
+    def test_case_key_is_pinned(self, engines):
+        """A checkpoint is fingerprinted from the cases' keys: if a key
+        changes, no checkpoint an earlier coordinator wrote resumes."""
+        assert make_case(engines[0]).key() == (
+            "605dbca7a54114fc0b03f2d50ea17ae5cd5fa713",
+            2,
+            10,
+            ("int", 13),
+            True,
+            "paper(alpha=0.05)",
+            None,
+            None,
+        )
+
     @pytest.fixture(scope="class")
     def serial(self, engines):
         """The ground truth: every case solved in-process from cold
@@ -478,13 +484,10 @@ class TestFleetSweep:
         monkeypatch.setattr(subprocess, "Popen", counting_popen)
         stats: dict = {}
         results = run_fleet_sweep(
-            engines,
+            cases,
             FleetSpec(
                 workers=2, token="t", checkpoint=checkpoint, timeout_s=60.0
             ),
-            iterations=2,
-            population=10,
-            seed=13,
             stats=stats,
         )
         assert spawned == []
@@ -592,8 +595,8 @@ class TestFleetSweep:
 
     def test_fleet_sweep_rejects_live_rng_seeds(self, engines):
         with pytest.raises(ValueError, match="integer"):
-            run_fleet_sweep(
-                engines, FleetSpec(workers=0), seed=random.Random(3)
+            DseEngine.search_many(
+                engines, seed=random.Random(3), fleet=FleetSpec(workers=0)
             )
 
     def test_search_many_fleet_end_to_end(self, engines, serial):

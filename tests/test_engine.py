@@ -166,8 +166,20 @@ def test_flash_crowd_spikes_after_ramp():
 def test_make_trace_validation():
     with pytest.raises(KeyError):
         make_trace(10, 1.0, shape="tsunami")
-    with pytest.raises(ValueError):
-        make_trace(0, 1.0)
+    # Avatar and frame counts are integers >= 1; anything else, whole
+    # floats and bools included, is refused with the argument's name.
+    for count in (0, -1, 2.5, 2.0, float("nan"), True, "2"):
+        with pytest.raises(ValueError, match="avatars must be an integer"):
+            make_trace(count, 1.0)
+        with pytest.raises(ValueError, match="avatars must be an integer"):
+            AvatarWorkload(count, 2, 33.3, 50.0)
+        with pytest.raises(
+            ValueError, match="frames_per_avatar must be an integer"
+        ):
+            AvatarWorkload(2, count, 33.3, 50.0)
+    workload = AvatarWorkload(np.int64(2), np.int32(3), 33.3, 50.0)
+    assert type(workload.avatars) is int and type(workload.frames_per_avatar) is int
+    assert type(make_trace(np.int64(3), 1.0).avatars) is int
     with pytest.raises(ValueError):
         make_trace(10, 1.0, jitter_ms=1000.0, avatar_fps=30.0)
     for duration in (float("nan"), float("inf")):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.dse import objective
 from repro.dse.objective import (
     INFEASIBILITY_PENALTY,
-    AnalyticalOracle,
     BranchMetrics,
     CompositeObjective,
     PaperObjective,
@@ -293,11 +292,12 @@ class TestFactories:
 
     def test_make_oracle_names(self):
         assert make_oracle("none") is None
-        assert isinstance(make_oracle("analytical"), AnalyticalOracle)
         assert isinstance(make_oracle("sim"), SimOracle)
         assert isinstance(make_oracle("serving"), ServingOracle)
-        with pytest.raises(ValueError):
-            make_oracle("quantum")
+        # Stage 1 is no re-rank oracle, so "analytical" is no oracle name.
+        for name in ("quantum", "analytical"):
+            with pytest.raises(ValueError):
+                make_oracle(name)
 
     def test_resolvers_pass_instances_through(self):
         paper = PaperObjective(alpha=0.2)

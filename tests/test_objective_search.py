@@ -8,7 +8,7 @@ import pytest
 from repro.construction.reorg import build_pipeline_plan
 from repro.devices.fpga import get_device
 from repro.dse.cache import LocalEvalCache
-from repro.dse.engine import DseEngine
+from repro.dse.engine import DseEngine, plan_sweep
 from repro.dse.objective import (
     PaperObjective,
     ServingOracle,
@@ -63,8 +63,8 @@ class TestPaperBitIdentity:
         explicit = make_engine(tiny_plan).search(
             iterations=2, population=8, seed=3, objective=PaperObjective()
         )
-        by_name = make_engine(tiny_plan, objective="paper").search(
-            iterations=2, population=8, seed=3
+        by_name = make_engine(tiny_plan).search(
+            iterations=2, population=8, seed=3, objective="paper"
         )
         assert default.best_fitness == explicit.best_fitness
         assert default.best_fitness == by_name.best_fitness
@@ -117,36 +117,27 @@ class TestObjectiveIndependentCache:
         )
         assert second.evaluations == 0
 
-    def test_search_many_none_override_disables_engine_oracle(self, tiny_plan):
-        # An explicit "none" override must beat an engine-level oracle —
-        # and the result must match a plain engine's, since the dedup key
-        # records no oracle for either case.
-        staged = make_engine(
-            tiny_plan, objective="slo", rerank_oracle=TINY_ORACLE
-        )
-        plain = make_engine(tiny_plan, objective="slo")
-        results = DseEngine.search_many(
-            [staged, plain],
-            iterations=2,
-            population=8,
-            seed=0,
-            rerank_oracle="none",
-        )
-        assert results[0] is results[1]
-        assert [s.name for s in results[0].oracle_stats] == ["analytical"]
-
     def test_objective_affects_search_many_dedup(self, tiny_plan):
-        paper = make_engine(tiny_plan)
-        paper_too = make_engine(tiny_plan)
-        slo = make_engine(tiny_plan, objective="slo")
-        results = DseEngine.search_many(
-            [paper, paper_too, slo], iterations=2, population=8, seed=0
-        )
-        assert results[0] is results[1], "identical cases share one result"
-        assert results[2] is not results[0], (
+        # The spec digest excludes the objective, so the planned key must
+        # carry it, built with each engine's alpha.
+        keys = []
+        for objective, alpha in (
+            ("paper", 0.05),
+            ("paper", 5.0),
+            ("slo", 0.05),
+            (PaperObjective(alpha=0.5), 0.05),
+        ):
+            cases, placement = plan_sweep(
+                [make_engine(tiny_plan, alpha=alpha) for _ in range(2)],
+                iterations=2,
+                population=8,
+                objective=objective,
+            )
+            assert placement == [0, 0], "identical cases share one search"
+            keys.append(cases[0].key())
+        assert len(set(keys)) == len(keys), (
             "a different objective is a different case"
         )
-        assert results[2].objective.startswith("slo")
 
 
 class TestStagedRerank:
