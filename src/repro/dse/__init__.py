@@ -28,18 +28,12 @@ from repro.dse.result import (
     result_to_json,
 )
 from repro.dse.space import Customization, DesignSpace, get_pf
-from repro.dse.worker import (
-    CandidateEval,
-    EvalSpec,
-    GenerationEvaluator,
-    evaluate_candidate,
-)
+from repro.dse.worker import EvalSpec, GenerationEvaluator
 
 __all__ = [
     "BranchEvalTable",
     "BranchMetrics",
     "BranchSolution",
-    "CandidateEval",
     "CompositeObjective",
     "CrossBranchOptimizer",
     "Customization",
@@ -59,7 +53,6 @@ __all__ = [
     "ServingOracle",
     "SimOracle",
     "SloObjective",
-    "evaluate_candidate",
     "get_pf",
     "make_objective",
     "make_oracle",

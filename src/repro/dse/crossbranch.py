@@ -52,10 +52,10 @@ from repro.dse.worker import (
     EvalSpec,
     EvalTimings,
     GenerationEvaluator,
-    evaluate_candidate,
     rerank_key,
 )
 from repro.quant.schemes import QuantScheme
+from repro.utils.checks import check_finite
 from repro.utils.rng import make_rng
 
 #: Fraction floor so no branch is starved to exactly zero.
@@ -84,6 +84,32 @@ def _normalize_block(values: list[float]) -> list[float]:
     for v in clipped:
         total += v
     return [v / total for v in clipped]
+
+
+def scan_global_best(
+    scores: Sequence[float], best: float, tolerance: float
+) -> tuple[float, int]:
+    """One generation's sequential global-best scan, in particle order.
+
+    A particle takes the global best when its score beats the best so far
+    by more than ``tolerance``; with a tolerance, which particle wins
+    depends on the order of comparison. Returns the new best and the
+    index of the last particle that took it (-1 if none did).
+
+    Only particles that beat the generation's *starting* threshold can
+    win: with ``tolerance >= 0`` the best, and so the threshold, only
+    rises during the scan (float addition rounds monotonically). So the
+    sequential comparisons run over those particles alone, in particle
+    order, and pick the winner the full scan would.
+    """
+    threshold = best + tolerance
+    winner = -1
+    for index in [i for i, score in enumerate(scores) if score > threshold]:
+        score = scores[index]
+        if score > best + tolerance:
+            best = score
+            winner = index
+    return best, winner
 
 
 class CrossBranchOptimizer:
@@ -135,18 +161,6 @@ class CrossBranchOptimizer:
         self.oracle_cache_hits = 0
         self.best_metrics: BranchMetrics | None = None
         self.eval_timings = EvalTimings()
-
-    # ------------------------------------------------------------------
-    def evaluate(
-        self, position: list[float]
-    ) -> tuple[float, list[BranchSolution]]:
-        """Complete a distribution into configs and compute its fitness."""
-        result = evaluate_candidate(
-            self.spec, position, self._cache, objective=self.objective
-        )
-        self.evaluations += result.evaluations
-        self.cache_hits += result.cache_hits
-        return result.score, list(result.solutions)
 
     # ------------------------------------------------------------------
     def _oracle_metrics(
@@ -287,6 +301,8 @@ class CrossBranchOptimizer:
             raise ValueError(f"iterations must be at least 1, got {iterations}")
         if population < 1:
             raise ValueError(f"population must be at least 1, got {population}")
+        # scan_global_best relies on it: the best only rises.
+        check_finite("improvement_tolerance", improvement_tolerance, minimum=0.0)
         with PROCESS_LOCK:
             rng = make_rng(seed)
             particles = self.init_population(
@@ -315,36 +331,40 @@ class CrossBranchOptimizer:
             )
             for iteration in range(iterations):
                 rows = positions.tolist()
-                results = run_batch(rows)
-                scores = np.array([result.score for result in results])
-                improved = scores > best_fitness
-                best_fitness[improved] = scores[improved]
+                generation = run_batch(rows)
+                self.evaluations += generation.evaluations
+                self.cache_hits += generation.cache_hits
+                scores = generation.scores
+                designs = generation.designs
+                fitness = np.array(scores)
+                improved = fitness > best_fitness
+                best_fitness[improved] = fitness[improved]
                 best_positions[improved] = positions[improved]
-                # The global best stays a sequential scan: with the
-                # improvement tolerance, which particle wins depends on
-                # the order they are compared in.
-                for index, result in enumerate(results):
-                    self.evaluations += result.evaluations
-                    self.cache_hits += result.cache_hits
-                    if result.score > global_best_fitness + improvement_tolerance:
-                        global_best_fitness = result.score
-                        global_best_position = positions[index].copy()
-                        global_best_solutions = result.solutions
-                        self.best_metrics = result.metrics
-                        convergence_iteration = iteration + 1
+                global_best_fitness, winner = scan_global_best(
+                    scores, global_best_fitness, improvement_tolerance
+                )
+                if winner >= 0:
+                    global_best_position = positions[winner].copy()
+                    self.best_metrics, global_best_solutions = designs[winner]
+                    convergence_iteration = iteration + 1
+                if global_best_position is None:
+                    raise ValueError(
+                        "no candidate scored above -inf: the objective "
+                        "returned NaN or -inf for every candidate of the "
+                        "first generation"
+                    )
                 if self.rerank_oracle is not None:
                     # Stage 2: re-measure this generation's analytical
                     # top-K with the expensive oracle. Sorting is stable,
                     # so ties resolve in particle order — deterministic.
                     ranked = sorted(
                         range(len(rows)),
-                        key=lambda i: results[i].score,
+                        key=scores.__getitem__,
                         reverse=True,
                     )[: self.rerank_top_k]
                     for idx in ranked:
-                        metrics = self._oracle_metrics(
-                            rows[idx], results[idx].solutions
-                        )
+                        solutions = designs[idx][1]
+                        metrics = self._oracle_metrics(rows[idx], solutions)
                         score = penalized_score(
                             self.objective,
                             metrics,
@@ -352,11 +372,10 @@ class CrossBranchOptimizer:
                         )
                         if score > rerank_best_fitness + improvement_tolerance:
                             rerank_best_fitness = score
-                            rerank_best_solutions = results[idx].solutions
+                            rerank_best_solutions = solutions
                             rerank_best_metrics = metrics
                             rerank_best_iteration = iteration + 1
                 history.append(global_best_fitness)
-                assert global_best_position is not None
                 self.evolve(
                     positions, velocities, best_positions, global_best_position, rng
                 )
@@ -376,7 +395,6 @@ class CrossBranchOptimizer:
                 rerank_best_iteration,
             )
 
-        assert global_best_solutions is not None
         config = AcceleratorConfig(
             branches=tuple(s.config for s in global_best_solutions)
         )

@@ -32,6 +32,7 @@ from repro.dse.space import Customization
 from repro.dse.worker import EvalSpec
 from repro.perf.estimator import evaluate
 from repro.quant.schemes import QuantScheme
+from repro.utils.checks import check_finite
 from repro.utils.rng import seed_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,7 +53,8 @@ class DseEngine:
     """Two-step DSE: cross-branch stochastic + in-branch greedy search.
 
     ``alpha`` is the variance-penalty weight an objective given by name
-    (or left to the paper default) is built with; what fitness a search
+    (or left to the paper default) is built with, a finite number >= 0
+    checked here; what fitness a search
     maximizes, and whether an expensive oracle re-ranks the analytical
     top-K per generation, is chosen per search (see
     :mod:`repro.dse.objective`).
@@ -69,6 +71,7 @@ class DseEngine:
     ) -> None:
         if quant is None:
             raise ValueError("a quantization scheme is required")
+        check_finite("alpha", alpha, minimum=0.0)
         if customization is None:
             customization = Customization.uniform(plan.num_branches)
         self.plan = plan

@@ -51,9 +51,11 @@ from __future__ import annotations
 import math
 import statistics
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar, Protocol, Sequence, runtime_checkable
 
+from repro.utils.checks import check_finite
 from repro.utils.sums import ordered_sum
 
 if TYPE_CHECKING:
@@ -77,6 +79,12 @@ class BranchMetrics:
     ``fps`` / ``meets_batch`` are always present (every oracle can report
     them); the serving SLOs are ``None`` unless the producing oracle
     actually replayed a workload.
+
+    :attr:`shortfall` and :attr:`fps_variance` are computed once per
+    record and cached on it, outside the fields: equality, hashing,
+    pickles and ``result_to_dict`` see only the measurements. A search
+    scores every candidate but builds one record per distinct design, so
+    each candidate's score reads the two instead of recomputing them.
     """
 
     fps: tuple[float, ...]
@@ -95,10 +103,21 @@ class BranchMetrics:
     #: game the score by abandoning the frames it cannot recover.
     failed_rate: float | None = None
 
-    @property
+    @cached_property
     def shortfall(self) -> int:
         """Branches that cannot honour their requested batch size."""
         return sum(1 for ok in self.meets_batch if not ok)
+
+    @cached_property
+    def fps_variance(self) -> float:
+        """Population variance of the branch FPS (0.0 for one branch),
+        exactly ``statistics.pvariance`` (see :func:`_pvariance`)."""
+        fps = self.fps
+        return _pvariance(fps) if len(fps) > 1 else 0.0
+
+    def __getstate__(self) -> dict:
+        # Pickle the measurements only, never a value cached above.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def metrics_from_solutions(
@@ -147,12 +166,18 @@ class PaperObjective:
     starving one branch to fatten another (an avatar whose geometry
     updates at 120 FPS but whose texture crawls at 10 FPS is useless).
     Bit-identical to the historical fitness formula, whose weighted sum
-    adds left to right on every Python (:func:`ordered_sum`).
+    adds left to right on every Python, as :func:`ordered_sum` does; the
+    variance is the record's cached :attr:`BranchMetrics.fps_variance`.
+    ``alpha`` is a finite number >= 0: a negative weight would reward
+    the imbalance the penalty exists to prevent.
     """
 
     alpha: float = 0.05
 
     name: ClassVar[str] = "paper"
+
+    def __post_init__(self) -> None:
+        check_finite("alpha", self.alpha, minimum=0.0)
 
     @property
     def key(self) -> str:
@@ -164,9 +189,10 @@ class PaperObjective:
         fps = metrics.fps
         if len(fps) != len(priorities):
             raise ValueError("fps and priorities must have the same length")
-        weighted = ordered_sum(f * p for f, p in zip(fps, priorities))
-        variance = _pvariance(fps) if len(fps) > 1 else 0.0
-        return weighted - self.alpha * variance
+        weighted = 0.0
+        for f, p in zip(fps, priorities):
+            weighted += f * p
+        return weighted - self.alpha * metrics.fps_variance
 
 
 #: From Python 3.11 on, ``statistics.pvariance`` rounds the exact rational
@@ -231,6 +257,14 @@ class SloObjective:
 
     name: ClassVar[str] = "slo"
 
+    def __post_init__(self) -> None:
+        check_finite("fallback_alpha", self.fallback_alpha, minimum=0.0)
+        # The analytical-stage proxy, built once (not a field: equality
+        # and the key already carry ``fallback_alpha``).
+        object.__setattr__(
+            self, "_fallback", PaperObjective(alpha=self.fallback_alpha)
+        )
+
     @property
     def key(self) -> str:
         return (
@@ -242,9 +276,7 @@ class SloObjective:
         self, metrics: BranchMetrics, priorities: tuple[float, ...]
     ) -> float:
         if metrics.p99_ms is None:
-            return PaperObjective(alpha=self.fallback_alpha).score(
-                metrics, priorities
-            )
+            return self._fallback.score(metrics, priorities)
         miss_rate = metrics.deadline_miss_rate or 0.0
         shed_rate = metrics.shed_rate or 0.0
         failed_rate = metrics.failed_rate or 0.0

@@ -13,20 +13,28 @@ objectives, and the kernel never needs to know what "good" means.
 
 A generation's data path:
 
-1. **Generation-level dedup** — before a generation is evaluated, the
-   evaluator quantizes every candidate position to its cache buckets and
-   keeps only the *unique, unseen* ``(branch, bucket)`` subproblems. PSO
-   populations re-visit buckets constantly (frozen particles, converged
-   swarms, overlapping sweeps), and every revisit is settled for the
-   price of a dict lookup.
+1. **Keys and generation-level dedup** — the evaluator quantizes every
+   candidate position to its cache keys (one :func:`candidate_keys` call
+   per candidate) and keeps only the *unique, unseen* ``(branch,
+   bucket)`` subproblems, reading each distinct key from the cache once.
+   PSO populations re-visit buckets constantly (frozen particles,
+   converged swarms, overlapping sweeps), and every revisit is settled
+   for the price of a dict lookup.
 2. **Batched solve** — the surviving subproblems go to the batched
    Algorithm-2 kernel in one pass per branch, and the solutions are
    bulk-inserted into the cache.
-3. **Rehydration** — the evaluator reassembles every candidate's
-   solutions in submission order from the generation's lookups (each
-   unique key is read from the cache once) and its solves, and scores
-   them; candidates that resolve to the same solution objects share one
-   metrics record per search.
+3. **Rehydration and scoring** — the evaluator reassembles every
+   candidate's solutions in submission order; candidates that resolve to
+   the same solution objects share one ``(metrics, solutions)`` design
+   per search, whose record caches its shortfall and FPS variance. The
+   objective still scores every candidate (one ``penalized_score`` call
+   each), so a per-candidate score is a few multiplies.
+
+The generation comes back as columns (:class:`Generation`): a score and
+a design per candidate, plus the generation's evaluation and cache-hit
+totals, which the search adds once per generation. Keys and scores stay
+one call per candidate, rather than one per distinct design, because
+the benchmark's layer probes count them per candidate.
 
 Candidate evaluation consumes no randomness, so a search is a pure
 function of its seed. Several searches run in parallel as separate
@@ -42,7 +50,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,33 +120,13 @@ class EvalSpec:
         return hashlib.sha1(blob).hexdigest()
 
 
-@dataclass(frozen=True)
-class CandidateEval:
-    """Metrics, score, and solutions for one candidate, with cache stats.
-
-    ``metrics`` is the oracle-layer record (objective-independent);
-    ``score`` is the objective applied to those metrics, kept
-    alongside so the PSO loop does not re-score per comparison.
-    """
-
-    score: float
-    metrics: BranchMetrics
-    solutions: tuple[BranchSolution, ...]
-    evaluations: int
-    cache_hits: int
-
-
-def _bucket(compute: int, memory: int, bandwidth_gbps: float) -> tuple[int, int, int]:
+def quantize_rd(rd: ResourceBudget) -> tuple[int, int, int]:
     """The quantization bucket of one branch budget: each axis snaps down."""
     return (
-        compute // _COMPUTE_GRID,
-        memory // _MEMORY_GRID,
-        int(bandwidth_gbps / _BANDWIDTH_GRID),
+        rd.compute // _COMPUTE_GRID,
+        rd.memory // _MEMORY_GRID,
+        int(rd.bandwidth_gbps / _BANDWIDTH_GRID),
     )
-
-
-def quantize_rd(rd: ResourceBudget) -> tuple[int, int, int]:
-    return _bucket(rd.compute, rd.memory, rd.bandwidth_gbps)
 
 
 def canonical_rd(bucket: tuple[int, int, int]) -> ResourceBudget:
@@ -159,25 +147,30 @@ def candidate_keys(spec: EvalSpec, position: Sequence[float]) -> list[EvalKey]:
     """The per-branch cache keys one candidate position resolves to.
 
     A position is ``3 x B`` fractions: ``[C..., M..., BW...]``. Each
-    branch's absolute budget goes straight to :func:`_bucket`, without a
-    :class:`ResourceBudget` in between: DSPs and BRAMs truncate to whole
-    units, bandwidth stays in GB/s.
+    branch's bucket is :func:`quantize_rd` of its absolute budget, computed
+    in place without a :class:`ResourceBudget` in between: DSPs and BRAMs
+    truncate to whole units, bandwidth stays in GB/s.
     """
     digest = spec.digest
     budget = spec.budget
+    compute = budget.compute
+    memory = budget.memory
+    bandwidth = budget.bandwidth_gbps
     B = spec.plan.num_branches
-    return [
-        (
-            digest,
-            j,
-            _bucket(
-                int(budget.compute * position[j]),
-                int(budget.memory * position[B + j]),
-                budget.bandwidth_gbps * position[2 * B + j],
-            ),
+    keys = []
+    for j in range(B):
+        keys.append(
+            (
+                digest,
+                j,
+                (
+                    int(compute * position[j]) // _COMPUTE_GRID,
+                    int(memory * position[B + j]) // _MEMORY_GRID,
+                    int(bandwidth * position[2 * B + j] / _BANDWIDTH_GRID),
+                ),
+            )
         )
-        for j in range(B)
-    ]
+    return keys
 
 
 def rerank_key(
@@ -295,45 +288,6 @@ def solve_key_batch(
     return solved
 
 
-def evaluate_candidate(
-    spec: EvalSpec,
-    position: Sequence[float],
-    cache: LocalEvalCache,
-    objective: Objective | None = None,
-) -> CandidateEval:
-    """Complete a distribution into configs, derive metrics, and score them.
-
-    The single-candidate entry point (kept for direct callers and tests);
-    searches go through :class:`GenerationEvaluator`, which batches the
-    same arithmetic with generation-level dedup. ``objective`` defaults to
-    the paper's Sec. VI-B1 fitness.
-    """
-    if objective is None:
-        objective = PaperObjective()
-    solutions: list[BranchSolution] = []
-    evaluations = 0
-    cache_hits = 0
-    for key in candidate_keys(spec, position):
-        solution = cache.get(key)
-        if solution is None:
-            solution = solve_bucket(spec, key[1], key[2])
-            cache.put(key, solution)
-            evaluations += 1
-        else:
-            cache_hits += 1
-        solutions.append(solution)
-    metrics = metrics_from_solutions(solutions)
-    return CandidateEval(
-        score=penalized_score(
-            objective, metrics, spec.customization.priorities
-        ),
-        metrics=metrics,
-        solutions=tuple(solutions),
-        evaluations=evaluations,
-        cache_hits=cache_hits,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the per-generation evaluator
 # ---------------------------------------------------------------------------
@@ -367,13 +321,33 @@ class EvalTimings:
         self.measure_seconds += other.measure_seconds
 
 
+#: One distinct design: its metrics record and its per-branch solutions.
+Design = tuple[BranchMetrics, tuple[BranchSolution, ...]]
+
+
+class Generation(NamedTuple):
+    """One evaluated generation, as columns in submission order.
+
+    ``scores[i]`` and ``designs[i]`` belong to the ``i``-th position;
+    candidates that resolve to the same solutions share one design tuple.
+    ``evaluations`` counts the generation's Algorithm-2 solves (its
+    distinct keys the cache lacked) and ``cache_hits`` every other key
+    reference: the sums of charging each solve to the first candidate
+    that references its key, and every later reference to the cache.
+    """
+
+    scores: list[float]
+    designs: list[Design]
+    evaluations: int
+    cache_hits: int
+
+
 class GenerationEvaluator:
     """Evaluate one generation of candidates with generation-level dedup.
 
-    Calling the evaluator IS the per-generation barrier: it returns one
-    :class:`CandidateEval` per position, in submission order, after every
-    unique unseen subproblem of the generation has been solved and put
-    into the cache.
+    Calling the evaluator IS the per-generation barrier: it returns the
+    generation's :class:`Generation` columns after every unique unseen
+    subproblem of the generation has been solved and put into the cache.
 
     The evaluator produces *metrics* from the cache and applies the
     objective during rehydration — the kernel only ever solves buckets,
@@ -383,10 +357,6 @@ class GenerationEvaluator:
     remembered under the solutions' identities; the objective scores
     every candidate. Each memo entry keeps its solutions alive, so no
     identity is reused while the memo lives.
-
-    Accounting matches the per-candidate serial loop bit for bit: the
-    first candidate to reference a new bucket is charged the evaluation,
-    every later reference in the generation counts as a cache hit.
     """
 
     def __init__(
@@ -402,10 +372,7 @@ class GenerationEvaluator:
         self.stage_hits = 0
         self.stage_lookups = 0
         # Solution identities -> (metrics, solutions).
-        self._designs: dict[
-            tuple[int, ...],
-            tuple[BranchMetrics, tuple[BranchSolution, ...]],
-        ] = {}
+        self._designs: dict[tuple[int, ...], Design] = {}
 
     def _solve_inline(
         self, todo: Sequence[EvalKey]
@@ -424,74 +391,64 @@ class GenerationEvaluator:
         self.stage_lookups += lookups_after - lookups_before
         return solved
 
-    def __call__(
-        self, positions: Sequence[Sequence[float]]
-    ) -> list[CandidateEval]:
+    def __call__(self, positions: Sequence[Sequence[float]]) -> Generation:
         """Evaluate one generation: keys, dedup, batched solve, score."""
         bucket_started = time.perf_counter()
+        spec = self.spec
         keys_per_candidate = [
-            candidate_keys(self.spec, position) for position in positions
+            candidate_keys(spec, position) for position in positions
         ]
         # Each unique key is read from the cache once; the misses are the
-        # generation's solve list, in first-reference order, and each is
-        # charged to the candidate that references it first.
+        # generation's solve list, in first-reference order.
+        get = self.cache.get
         found: dict[EvalKey, BranchSolution | None] = {}
         todo: list[EvalKey] = []
-        charged: list[int] = []
         for keys in keys_per_candidate:
-            misses = 0
             for key in keys:
                 if key not in found:
-                    solution = self.cache.get(key)
-                    found[key] = solution
+                    solution = found[key] = get(key)
                     if solution is None:
                         todo.append(key)
-                        misses += 1
-            charged.append(misses)
         self.timings.cache_seconds += time.perf_counter() - bucket_started
 
         if todo:
             found.update(self._solve_inline(todo))
 
         rehydrate_started = time.perf_counter()
-        priorities = self.spec.customization.priorities
-        designs = self._designs
-        out: list[CandidateEval] = []
-        for keys, evaluations in zip(keys_per_candidate, charged):
-            solutions = tuple([found[key] for key in keys])
+        objective = self.objective
+        priorities = spec.customization.priorities
+        memo = self._designs
+        lookup = found.__getitem__
+        scores: list[float] = []
+        designs: list[Design] = []
+        for keys in keys_per_candidate:
+            solutions = tuple(map(lookup, keys))
             identity = tuple(map(id, solutions))
-            design = designs.get(identity)
+            design = memo.get(identity)
             if design is None:
-                design = designs[identity] = (
+                design = memo[identity] = (
                     metrics_from_solutions(solutions),
                     solutions,
                 )
-            metrics, solutions = design
-            out.append(
-                CandidateEval(
-                    score=penalized_score(self.objective, metrics, priorities),
-                    metrics=metrics,
-                    solutions=solutions,
-                    evaluations=evaluations,
-                    cache_hits=len(keys) - evaluations,
-                )
-            )
+            designs.append(design)
+            scores.append(penalized_score(objective, design[0], priorities))
         self.timings.cache_seconds += time.perf_counter() - rehydrate_started
-        return out
+        references = len(keys_per_candidate) * spec.plan.num_branches
+        return Generation(scores, designs, len(todo), references - len(todo))
 
 
 __all__ = [
-    "CandidateEval",
+    "Design",
     "EvalKey",
     "EvalSpec",
     "EvalTimings",
+    "Generation",
     "GenerationEvaluator",
     "INFEASIBILITY_PENALTY",
     "PROCESS_LOCK",
     "branch_table",
     "candidate_keys",
     "canonical_rd",
-    "evaluate_candidate",
     "quantize_rd",
     "rerank_key",
     "solve_bucket",

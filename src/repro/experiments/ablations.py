@@ -19,11 +19,14 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
+from repro.arch.config import AcceleratorConfig
 from repro.construction.reorg import build_pipeline_plan
 from repro.devices.fpga import get_device
+from repro.dse.cache import LocalEvalCache
 from repro.dse.crossbranch import CrossBranchOptimizer
 from repro.dse.engine import DseEngine
 from repro.dse.space import Customization
+from repro.dse.worker import PROCESS_LOCK, GenerationEvaluator
 from repro.models.codec_avatar import build_codec_avatar_decoder
 from repro.perf.estimator import AcceleratorPerf, evaluate
 from repro.quant.schemes import get_scheme
@@ -150,66 +153,62 @@ def run_ablation_search(
     plan = build_pipeline_plan(build_codec_avatar_decoder())
     device = get_device(device_name)
     quant = get_scheme(quant_name)
-    customization = Customization(**_VR_CUSTOM)
-
-    def make_optimizer() -> CrossBranchOptimizer:
-        return CrossBranchOptimizer(
-            plan=plan,
-            budget=device.budget(),
-            customization=customization,
-            quant=quant,
-            frequency_mhz=device.default_frequency_mhz,
-        )
-
-    strategies: dict[str, AcceleratorPerf] = {}
+    optimizer = CrossBranchOptimizer(
+        plan=plan,
+        budget=device.budget(),
+        customization=Customization(**_VR_CUSTOM),
+        quant=quant,
+        frequency_mhz=device.default_frequency_mhz,
+    )
     fitness: dict[str, float] = {}
+    configs: dict[str, AcceleratorConfig] = {}
 
     # PSO (without the heuristic seed, to isolate the evolution mechanism).
-    optimizer = make_optimizer()
-    score, config, _, _ = optimizer.search(
+    pso = "PSO (Algorithm 1)"
+    fitness[pso], configs[pso], _, _ = optimizer.search(
         iterations=iterations,
         population=population,
         seed=seed,
         heuristic_seed=False,
     )
-    strategies["PSO (Algorithm 1)"] = evaluate(
-        plan, config, quant, device.default_frequency_mhz
-    )
-    fitness["PSO (Algorithm 1)"] = score
 
-    # Pure random sampling at the same evaluation budget.
-    optimizer = make_optimizer()
+    # Pure random sampling at the same evaluation budget, each drawn
+    # population evaluated as one generation and the best updated in
+    # particle order; then the heuristic demand-proportional split alone,
+    # as a one-row generation.
+    run_generation = GenerationEvaluator(
+        optimizer.spec, LocalEvalCache(), objective=optimizer.objective
+    )
     rng = make_rng(seed)
     best_score, best_solutions = float("-inf"), None
-    for _ in range(iterations):
-        for particle in optimizer.init_population(
-            population, rng, heuristic_seed=False
-        ):
-            candidate_score, solutions = optimizer.evaluate(particle.position)
-            if candidate_score > best_score:
-                best_score, best_solutions = candidate_score, solutions
+    with PROCESS_LOCK:
+        for _ in range(iterations):
+            particles = optimizer.init_population(
+                population, rng, heuristic_seed=False
+            )
+            generation = run_generation(
+                [particle.position for particle in particles]
+            )
+            for score, (_, solutions) in zip(
+                generation.scores, generation.designs
+            ):
+                if score > best_score:
+                    best_score, best_solutions = score, solutions
+        heuristic = run_generation([optimizer._heuristic_position()])
     assert best_solutions is not None
-    from repro.arch.config import AcceleratorConfig
-
-    random_config = AcceleratorConfig(
+    fitness["random sampling"] = best_score
+    configs["random sampling"] = AcceleratorConfig(
         branches=tuple(s.config for s in best_solutions)
     )
-    strategies["random sampling"] = evaluate(
-        plan, random_config, quant, device.default_frequency_mhz
+    fitness["heuristic split only"] = heuristic.scores[0]
+    configs["heuristic split only"] = AcceleratorConfig(
+        branches=tuple(s.config for s in heuristic.designs[0][1])
     )
-    fitness["random sampling"] = best_score
 
-    # The heuristic demand-proportional split alone (one evaluation).
-    optimizer = make_optimizer()
-    score, solutions = optimizer.evaluate(optimizer._heuristic_position())
-    heuristic_config = AcceleratorConfig(
-        branches=tuple(s.config for s in solutions)
-    )
-    strategies["heuristic split only"] = evaluate(
-        plan, heuristic_config, quant, device.default_frequency_mhz
-    )
-    fitness["heuristic split only"] = score
-
+    strategies = {
+        name: evaluate(plan, config, quant, device.default_frequency_mhz)
+        for name, config in configs.items()
+    }
     return SearchAblation(
         strategies=strategies,
         fitness=fitness,

@@ -81,6 +81,7 @@ from repro.ir.graph import NetworkGraph
 from repro.profiler.network import NetworkProfile
 from repro.profiler.report import render_branch_table
 from repro.quant.schemes import QuantScheme, get_scheme
+from repro.utils.checks import check_finite
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,7 @@ class FCad:
     ) -> None:
         if (device is None) == (budget is None):
             raise ValueError("provide exactly one of device or budget")
+        check_finite("alpha", alpha, minimum=0.0)
         if isinstance(quant, str):
             quant = get_scheme(quant)
         self.network = network

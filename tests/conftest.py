@@ -9,6 +9,9 @@ import math
 import pytest
 
 from repro.construction.reorg import build_pipeline_plan
+from repro.devices.budget import ResourceBudget
+from repro.dse.objective import PaperObjective, metrics_from_solutions, penalized_score
+from repro.dse.worker import quantize_rd, solve_bucket
 from repro.ir.builder import GraphBuilder
 from repro.ir.layer import BiasMode, TensorShape
 from repro.models.benchmarks import build_alexnet, build_tiny_yolo, build_vgg16
@@ -97,6 +100,44 @@ def compensated_sum(values, start=0):
     if any(type(v) is float for v in values):
         return math.fsum([start, *values])
     return builtins.sum(values, start)
+
+
+def scalar_generation(spec, positions, cache, objective=None):
+    """The per-candidate reference for one generation of positions.
+
+    Each candidate's keys come from :func:`quantize_rd` of its absolute
+    branch budgets, each key the cache lacks is solved by the scalar
+    Algorithm 2 (:func:`solve_bucket`) and charged to this candidate, and
+    the candidate is scored by ``penalized_score`` on
+    ``metrics_from_solutions``. Returns one ``(score, metrics, solutions,
+    evaluations, cache_hits)`` row per position.
+    """
+    objective = objective if objective is not None else PaperObjective()
+    budget = spec.budget
+    B = spec.plan.num_branches
+    rows = []
+    for position in positions:
+        solutions = []
+        evaluations = 0
+        for j in range(B):
+            bucket = quantize_rd(
+                ResourceBudget(
+                    compute=int(budget.compute * position[j]),
+                    memory=int(budget.memory * position[B + j]),
+                    bandwidth_gbps=budget.bandwidth_gbps * position[2 * B + j],
+                )
+            )
+            key = (spec.digest, j, bucket)
+            solution = cache.get(key)
+            if solution is None:
+                solution = solve_bucket(spec, j, bucket)
+                cache.put(key, solution)
+                evaluations += 1
+            solutions.append(solution)
+        metrics = metrics_from_solutions(solutions)
+        score = penalized_score(objective, metrics, spec.customization.priorities)
+        rows.append((score, metrics, tuple(solutions), evaluations, B - evaluations))
+    return rows
 
 
 def make_chain(depth: int = 3, channels: int = 8, size: int = 16):

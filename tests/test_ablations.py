@@ -63,6 +63,16 @@ class TestAblationDrivers:
     def test_parallelism_render(self, parallelism):
         assert "H-partition" in parallelism.render()
 
+    def test_search_fitnesses_pinned_at_the_defaults(self):
+        # Every strategy evaluates its candidates through one generation
+        # evaluator; these are the per-candidate loop's results, bit for bit.
+        result = run_ablation_search()
+        assert result.fitness == {
+            "PSO (Algorithm 1)": 342.9298077790149,
+            "random sampling": 334.42019760554194,
+            "heuristic split only": 185.4344865811813,
+        }
+
     def test_search_strategies_ordered(self):
         result = run_ablation_search(iterations=3, population=20)
         assert (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -12,15 +13,22 @@ from hypothesis import strategies as st
 from repro.construction.reorg import build_pipeline_plan
 from repro.devices.fpga import get_device
 from repro.dse import crossbranch, objective
-from repro.dse.crossbranch import CrossBranchOptimizer, Particle, _normalize_block
+from repro.dse.crossbranch import (
+    CrossBranchOptimizer,
+    Particle,
+    _normalize_block,
+    scan_global_best,
+)
+from repro.dse.cache import LocalEvalCache
 from repro.dse.engine import DseEngine
 from repro.dse.objective import BranchMetrics, PaperObjective
 from repro.dse.space import Customization
+from repro.dse.worker import GenerationEvaluator
 from repro.models.codec_avatar import build_codec_avatar_decoder
 from repro.models.variants import build_gan_decoder, build_modular_decoder
 from repro.perf.estimator import evaluate
 from repro.quant.schemes import INT8
-from tests.conftest import compensated_sum
+from tests.conftest import compensated_sum, make_tiny_decoder
 
 
 def paper_fitness(fps, priorities, alpha=0.05):
@@ -102,9 +110,12 @@ class TestSwarm:
         assert compute[1] == max(compute)
 
     def test_evaluate_returns_branch_solutions(self, optimizer):
-        score, solutions = optimizer.evaluate(optimizer._heuristic_position())
+        generation = GenerationEvaluator(optimizer.spec, LocalEvalCache())(
+            [optimizer._heuristic_position()]
+        )
+        ((_, solutions),) = generation.designs
         assert len(solutions) == 3
-        assert score > 0  # heuristic split is feasible on ZU9CG
+        assert generation.scores[0] > 0  # heuristic split is feasible on ZU9CG
 
     def test_search_history_is_monotone(self, optimizer):
         _, _, history, _ = optimizer.search(
@@ -211,6 +222,90 @@ class TestArrayEvolve:
         assert array_rng.getstate() == scalar_rng.getstate()
 
 
+def full_scan(generations, best, tolerance):
+    """The global-best scan over every particle of every generation."""
+    winner, convergence = None, 0
+    for iteration, scores in enumerate(generations):
+        for index, score in enumerate(scores):
+            if score > best + tolerance:
+                best, winner, convergence = score, (iteration, index), iteration + 1
+    return best, winner, convergence
+
+
+def filtered_scan(generations, best, tolerance):
+    """The same scan through :func:`scan_global_best`, as the search runs it."""
+    winner, convergence = None, 0
+    for iteration, scores in enumerate(generations):
+        best, index = scan_global_best(scores, best, tolerance)
+        if index >= 0:
+            winner, convergence = (iteration, index), iteration + 1
+    return best, winner, convergence
+
+
+@st.composite
+def scan_cases(draw):
+    """Score vectors around one level: ties inside and outside the
+    tolerance, repeats, -inf, inf and NaN, from a random starting best."""
+    tolerance = draw(st.sampled_from([0.0, 1e-9, 0.25, 1.0]))
+    level = draw(st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+    step = tolerance / 4 if tolerance else 1e-3
+    near = st.integers(-8, 8).map(lambda k: level + k * step)
+    special = st.sampled_from([-math.inf, math.inf, math.nan])
+    score = st.one_of(near, near, special, st.floats(-1e6, 1e6))
+    generations = draw(
+        st.lists(st.lists(score, max_size=12), min_size=1, max_size=4)
+    )
+    best = draw(st.one_of(st.just(-math.inf), near, special))
+    return generations, best, tolerance
+
+
+class TestGlobalBestScan:
+    @settings(max_examples=500, deadline=None)
+    @given(scan_cases())
+    def test_filtered_scan_picks_the_full_scans_winner(self, case):
+        generations, best, tolerance = case
+        got = filtered_scan(generations, best, tolerance)
+        want = full_scan(generations, best, tolerance)
+        assert repr(got[0]) == repr(want[0])
+        assert got[1:] == want[1:]
+
+    def test_ties_inside_the_tolerance_keep_the_first(self):
+        # 2.5 beats the start by more than the tolerance, but not 2.0.
+        assert scan_global_best([1.0, 1.0 + 1e-12, 2.0, 2.5], 0.0, 0.6) == (2.0, 2)
+        assert scan_global_best([1.0, 1.0 + 1e-12], 0.0, 1e-9) == (1.0, 0)
+        assert scan_global_best([math.nan, -math.inf], -math.inf, 0.0) == (-math.inf, -1)
+
+
+class ConstantObjective:
+    """Scores every candidate the same value (a broken custom objective)."""
+
+    name = "constant"
+
+    def __init__(self, value):
+        self.value = value
+
+    @property
+    def key(self):
+        return f"constant({self.value!r})"
+
+    def score(self, metrics, priorities):
+        return self.value
+
+
+class TestNoScoringCandidate:
+    @pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_search_fails_loudly(self, value):
+        engine = DseEngine(
+            plan=build_pipeline_plan(make_tiny_decoder()),
+            budget=get_device("Z7045").budget(),
+            quant=INT8,
+        )
+        with pytest.raises(ValueError, match="no candidate scored above -inf"):
+            engine.search(
+                iterations=2, population=4, objective=ConstantObjective(value)
+            )
+
+
 class TestSearchSizes:
     @pytest.mark.parametrize(
         "kwargs, name",
@@ -219,6 +314,9 @@ class TestSearchSizes:
             (dict(iterations=-3), "iterations"),
             (dict(population=0, heuristic_seed=False), "population"),
             (dict(population=0), "population"),
+            # The global-best scan needs a best that only rises.
+            (dict(improvement_tolerance=-1e-9), "improvement_tolerance"),
+            (dict(improvement_tolerance=math.nan), "improvement_tolerance"),
         ],
     )
     def test_degenerate_sizes_raise_value_error(self, optimizer, kwargs, name):

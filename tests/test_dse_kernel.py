@@ -385,16 +385,13 @@ class TestEndToEndIdentity:
     def test_generation_evaluator_matches_scalar_path(self):
         """The batched generation path ≡ the per-candidate scalar loop."""
         from repro.dse.cache import LocalEvalCache
-        from repro.dse.worker import (
-            EvalSpec,
-            GenerationEvaluator,
-            evaluate_candidate,
-        )
+        from repro.dse.worker import EvalSpec, GenerationEvaluator
         from repro.construction.reorg import build_pipeline_plan
         from repro.devices.fpga import get_device
         from repro.dse.space import Customization
         from repro.models.codec_avatar import build_codec_avatar_decoder
         from repro.quant.schemes import get_scheme
+        from tests.conftest import scalar_generation
 
         plan = build_pipeline_plan(build_codec_avatar_decoder())
         device = get_device("ZU9CG")
@@ -413,15 +410,15 @@ class TestEndToEndIdentity:
             [rng.random() for _ in range(3 * B)] for _ in range(40)
         ]
         batched = GenerationEvaluator(spec, LocalEvalCache())(positions)
-        scalar_cache = LocalEvalCache()
-        scalar = [
-            evaluate_candidate(spec, position, scalar_cache)
-            for position in positions
-        ]
-        for b, s in zip(batched, scalar):
-            assert b.score == s.score
-            assert b.metrics == s.metrics
-            assert pickle.dumps(b.solutions) == pickle.dumps(s.solutions)
+        scalar = scalar_generation(spec, positions, LocalEvalCache())
+        for score, (metrics, solutions), row in zip(
+            batched.scores, batched.designs, scalar
+        ):
+            assert score == row[0]
+            assert metrics == row[1]
+            assert pickle.dumps(solutions) == pickle.dumps(row[2])
+        assert batched.evaluations == sum(row[3] for row in scalar)
+        assert batched.cache_hits == sum(row[4] for row in scalar)
 
     def test_off_run_repeats_bit_identically(self):
         first, again = self._run(), self._run()

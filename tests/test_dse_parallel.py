@@ -35,13 +35,12 @@ from repro.dse.worker import (
     candidate_keys,
     canonical_rd,
     clear_process_caches,
-    evaluate_candidate,
     quantize_rd,
 )
 from repro.fcad.flow import FCad, run_sweep, sweep_grid
 from repro.quant.schemes import INT8, INT16
 from repro.utils.rng import seed_fingerprint
-from tests.conftest import HOST_TIME_KEYS, make_tiny_decoder
+from tests.conftest import HOST_TIME_KEYS, make_tiny_decoder, scalar_generation
 
 
 def make_engine(plan, device="Z7045", quant=INT8):
@@ -107,15 +106,18 @@ class TestCandidateKeys:
 
 
 class TestEvaluateCandidate:
+    """One candidate, as a one-row generation."""
+
     def test_pure_and_cached(self, spec):
         cache = LocalEvalCache()
         position = [0.5, 0.5] * 3
-        first = evaluate_candidate(spec, position, cache)
-        second = evaluate_candidate(spec, position, cache)
-        assert first.score == second.score
-        assert first.solutions == second.solutions
+        first = GenerationEvaluator(spec, cache)([position])
+        second = GenerationEvaluator(spec, cache)([position])
+        assert first.scores == second.scores
+        assert first.designs[0][1] == second.designs[0][1]
         # First call misses per branch, second is served entirely from cache.
         assert first.evaluations == spec.plan.num_branches
+        assert first.cache_hits == 0
         assert second.evaluations == 0
         assert second.cache_hits == spec.plan.num_branches
 
@@ -131,47 +133,41 @@ class TestEvaluateCandidate:
             quant=INT8,
         )
         starved = [0.99, 0.01] * 3  # branch 2 starved of everything
-        result = evaluate_candidate(spec, starved, LocalEvalCache())
-        shortfall = sum(
-            1 for s in result.solutions if not s.meets_batch_target
-        )
+        generation = GenerationEvaluator(spec, LocalEvalCache())([starved])
+        ((metrics, solutions),) = generation.designs
+        shortfall = sum(1 for s in solutions if not s.meets_batch_target)
         assert shortfall >= 1
-        assert result.metrics.shortfall == shortfall
-        raw = PaperObjective().score(
-            result.metrics, spec.customization.priorities
-        )
-        assert result.score == raw - INFEASIBILITY_PENALTY * shortfall
+        assert metrics.shortfall == shortfall
+        raw = PaperObjective().score(metrics, spec.customization.priorities)
+        assert generation.scores == [raw - INFEASIBILITY_PENALTY * shortfall]
 
 
 class TestGenerationEvaluator:
     """Generation-level dedup, charging and timings."""
 
     def test_matches_per_candidate_evaluation(self, spec):
-        positions = [[0.5, 0.5] * 3, [0.7, 0.3] * 3, [0.4, 0.6] * 3]
+        positions = [[0.5, 0.5] * 3, [0.7, 0.3] * 3, [0.4, 0.6] * 3, [0.5, 0.5] * 3]
         batched = GenerationEvaluator(spec, LocalEvalCache())(positions)
-        inline_cache = LocalEvalCache()
-        inline = [
-            evaluate_candidate(spec, pos, inline_cache) for pos in positions
-        ]
-        assert [r.score for r in batched] == [r.score for r in inline]
-        assert [r.solutions for r in batched] == [r.solutions for r in inline]
-        assert [r.evaluations for r in batched] == [
-            r.evaluations for r in inline
-        ]
-        assert [r.cache_hits for r in batched] == [r.cache_hits for r in inline]
+        scalar = scalar_generation(spec, positions, LocalEvalCache())
+        assert batched.scores == [row[0] for row in scalar]
+        assert [design[0] for design in batched.designs] == [row[1] for row in scalar]
+        assert [design[1] for design in batched.designs] == [row[2] for row in scalar]
+        # The totals are the per-candidate charges summed.
+        assert batched.evaluations == sum(row[3] for row in scalar)
+        assert batched.cache_hits == sum(row[4] for row in scalar)
 
     def test_generation_dedup_charges_first_candidate(self, spec):
         position = [0.5, 0.5] * 3
-        results = GenerationEvaluator(spec, LocalEvalCache())(
+        generation = GenerationEvaluator(spec, LocalEvalCache())(
             [position, list(position), list(position)]
         )
         B = spec.plan.num_branches
         # One candidate pays for the unique buckets; clones ride the cache.
-        assert results[0].evaluations == B
-        assert results[1].evaluations == 0
-        assert results[1].cache_hits == B
-        assert results[2].cache_hits == B
-        assert results[0].score == results[1].score == results[2].score
+        assert generation.evaluations == B
+        assert generation.cache_hits == 2 * B
+        assert generation.scores[0] == generation.scores[1] == generation.scores[2]
+        first, *clones = generation.designs
+        assert all(clone is first for clone in clones)
 
     def test_warm_cache_means_zero_evaluations(self, spec):
         cache = LocalEvalCache()
@@ -179,8 +175,8 @@ class TestGenerationEvaluator:
         positions = [[0.5, 0.5] * 3, [0.7, 0.3] * 3]
         evaluator(positions)
         rerun = evaluator(positions)
-        assert all(r.evaluations == 0 for r in rerun)
-        assert all(r.cache_hits == spec.plan.num_branches for r in rerun)
+        assert rerun.evaluations == 0
+        assert rerun.cache_hits == len(positions) * spec.plan.num_branches
 
     def test_timings_and_stage_stats_accumulate(self, spec):
         evaluator = GenerationEvaluator(spec, LocalEvalCache())
@@ -241,7 +237,7 @@ def open_cache(backend, spec, positions):
 
 class TestDesignMemo:
     """Each distinct design's metrics are built once per search; every
-    candidate is still scored, exactly as before."""
+    candidate is still keyed and scored once, exactly as before."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -260,14 +256,17 @@ class TestDesignMemo:
             [position for positions in search for position in positions],
         )
         evaluator = GenerationEvaluator(spec, cache, objective=objective)
-        results = []
+        designs = []
         with mock.patch(
             "repro.dse.worker.metrics_from_solutions",
             side_effect=metrics_from_solutions,
         ) as building, mock.patch(
             "repro.dse.worker.penalized_score",
             side_effect=penalized_score,
-        ) as scoring:
+        ) as scoring, mock.patch(
+            "repro.dse.worker.candidate_keys",
+            side_effect=candidate_keys,
+        ) as keying:
             for positions in search:
                 keys = [candidate_keys(spec, p) for p in positions]
                 missing = {
@@ -276,28 +275,30 @@ class TestDesignMemo:
                     for key in candidate
                     if cache.get(key) is None
                 }
-                out = evaluator(positions)
-                for candidate, result in zip(keys, out):
+                generation = evaluator(positions)
+                charged = 0
+                for candidate, score, (metrics, solutions) in zip(
+                    keys, generation.scores, generation.designs
+                ):
                     # The solutions its own keys hold, not a memo entry's.
                     assert all(
                         solution is cache.get(key)
-                        for solution, key in zip(result.solutions, candidate)
+                        for solution, key in zip(solutions, candidate)
                     )
                     # The first candidate to reference a miss pays.
-                    charged = missing.intersection(candidate)
-                    missing -= charged
-                    assert result.evaluations == len(charged)
-                    assert result.cache_hits == len(candidate) - len(charged)
-                    metrics = metrics_from_solutions(result.solutions)
-                    assert result.metrics == metrics
-                    assert result.score == penalized_score(
-                        objective, metrics, priorities
-                    )
-                results += out
-        # ``results`` keeps every solution alive, so no id is reused.
-        designs = {tuple(map(id, result.solutions)) for result in results}
-        assert building.call_count == len(designs)
-        assert scoring.call_count == len(results)
+                    paid = missing.intersection(candidate)
+                    missing -= paid
+                    charged += len(paid)
+                    assert metrics == metrics_from_solutions(solutions)
+                    assert score == penalized_score(objective, metrics, priorities)
+                references = sum(map(len, keys))
+                assert generation.evaluations == charged
+                assert generation.cache_hits == references - charged
+                designs += generation.designs
+        # ``designs`` keeps every solution alive, so no id is reused.
+        distinct = {tuple(map(id, solutions)) for _, solutions in designs}
+        assert building.call_count == len(distinct)
+        assert scoring.call_count == keying.call_count == len(designs)
 
     def test_memo_lives_for_one_search(self, spec):
         cache = LocalEvalCache()
@@ -308,10 +309,10 @@ class TestDesignMemo:
         ) as building:
             evaluator = GenerationEvaluator(spec, cache)
             first = evaluator(positions)
-            assert first[0].metrics is first[2].metrics
+            assert first.designs[0][0] is first.designs[2][0]
             again = evaluator(positions[::-1])
             assert building.call_count == 2
-            assert [r.score for r in again] == [r.score for r in first[::-1]]
+            assert again.scores == first.scores[::-1]
             GenerationEvaluator(spec, cache)(positions)
             assert building.call_count == 4
 

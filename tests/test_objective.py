@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import math
+import pickle
 import random
 import statistics
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.construction.reorg import build_pipeline_plan
+from repro.devices.fpga import get_device
 from repro.dse import objective
+from repro.dse.engine import DseEngine
 from repro.dse.objective import (
     INFEASIBILITY_PENALTY,
     BranchMetrics,
@@ -27,7 +33,10 @@ from repro.dse.objective import (
     resolve_objective,
     resolve_oracle,
 )
-from tests.conftest import compensated_sum
+from repro.dse.result import _metrics_to_dict
+from repro.fcad.flow import FCad, sweep_grid
+from repro.quant.schemes import INT8
+from tests.conftest import compensated_sum, make_tiny_decoder
 
 
 def analytical(fps, meets=None):
@@ -179,6 +188,108 @@ class TestIntegerVariance:
             return PaperObjective(alpha=alpha).score(analytical(fps), tuple(priorities))
 
         assert outcome(score) == outcome(historical)
+
+
+@st.composite
+def measured(draw):
+    """Branch FPS (finite or not) and as many batch verdicts."""
+    fps = draw(st.lists(st.one_of(FINITE, NON_FINITE), min_size=1, max_size=6))
+    meets = draw(st.lists(st.booleans(), min_size=len(fps), max_size=len(fps)))
+    return fps, meets
+
+
+def views(metrics):
+    """Everything a record shows outside its cached measures."""
+    return _metrics_to_dict(metrics), hash(metrics), pickle.dumps(metrics)
+
+
+class TestCachedMeasures:
+    """``shortfall`` and ``fps_variance`` are computed once per record and
+    cached on it, outside the dataclass fields."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(measured())
+    def test_cached_values_equal_a_fresh_computation(self, case):
+        fps, meets = case
+        metrics = analytical(fps, meets)
+
+        def fresh():
+            return statistics.pvariance(fps) if len(fps) > 1 else 0.0
+
+        expected = outcome(fresh)
+        assert outcome(lambda: metrics.fps_variance) == expected
+        assert outcome(lambda: metrics.fps_variance) == expected  # cached
+        assert metrics.shortfall == metrics.shortfall == meets.count(False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(measured())
+    def test_reading_them_changes_no_view_of_the_record(self, case):
+        fps, meets = case
+        metrics = analytical(fps, meets)
+        unread = analytical(fps, meets)
+        before = views(metrics)
+        outcome(lambda: metrics.fps_variance)
+        metrics.shortfall
+        assert views(metrics) == before == views(unread)
+        assert metrics == unread and unread == metrics
+        # A pickle round-trip carries the measurements and nothing cached.
+        clone = pickle.loads(pickle.dumps(metrics))
+        assert pickle.dumps(clone) == pickle.dumps(metrics)
+        assert not {"shortfall", "fps_variance"} & set(vars(clone))
+
+    def test_paper_score_reads_the_cached_variance(self):
+        metrics = analytical([10.0, 30.0])
+        metrics.__dict__["fps_variance"] = 1.0  # stands in for a cached value
+        assert PaperObjective(alpha=2.0).score(metrics, (1.0, 1.0)) == 38.0
+
+
+def alpha_entry_points():
+    """Every public way to set the paper objective's variance weight."""
+    network = make_tiny_decoder()
+    plan = build_pipeline_plan(network)
+    device = get_device("Z7045")
+    return {
+        "PaperObjective": lambda a: PaperObjective(alpha=a),
+        "SloObjective": lambda a: SloObjective(fallback_alpha=a),
+        "make_objective-paper": lambda a: make_objective("paper", alpha=a),
+        "make_objective-slo": lambda a: make_objective("slo", alpha=a),
+        "make_objective-composite": lambda a: make_objective("composite", alpha=a),
+        "resolve_objective": lambda a: resolve_objective(None, alpha=a),
+        "DseEngine": lambda a: DseEngine(
+            plan=plan, budget=device.budget(), quant=INT8, alpha=a
+        ),
+        "FCad": lambda a: FCad(network=network, device=device, alpha=a),
+        "sweep_grid": lambda a: sweep_grid([network], [device], alpha=a),
+    }
+
+
+ALPHA_ENTRY_POINTS = alpha_entry_points()
+
+
+class TestAlphaIsChecked:
+    """``alpha`` is a finite real number >= 0 wherever it enters."""
+
+    @pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "alpha, error",
+        [
+            (math.nan, ValueError),
+            (math.inf, ValueError),
+            (-math.inf, ValueError),
+            (-1.0, ValueError),
+            (True, TypeError),
+            ("x", TypeError),
+        ],
+        ids=["nan", "inf", "-inf", "-1.0", "True", "str"],
+    )
+    def test_rejected_naming_alpha(self, entry, alpha, error):
+        with pytest.raises(error, match="alpha"):
+            ALPHA_ENTRY_POINTS[entry](alpha)
+
+    @pytest.mark.parametrize("entry", sorted(ALPHA_ENTRY_POINTS))
+    def test_finite_non_negative_values_accepted(self, entry):
+        for alpha in (0, 0.0, 0.05, np.float64(0.5), 5):
+            ALPHA_ENTRY_POINTS[entry](alpha)
 
 
 class TestSloObjective:
