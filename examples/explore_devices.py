@@ -11,8 +11,8 @@ spec, so each case solves its own budget buckets; cases with the same
 network, quantization and frequency share the Algorithm-2 ladders (the
 three devices at one precision here). Per-case results are
 bit-identical to running each case alone, so batching is purely a
-wall-clock knob. To run the cases in parallel across processes, use
-`repro fleet coordinator`.
+wall-clock knob. `run_sweep(..., workers=2)` runs the cases on two
+forked processes, with the same results.
 
 Usage:  python examples/explore_devices.py [--iterations N] [--population P]
 """

@@ -22,9 +22,9 @@ Subcommands cover the framework's whole surface:
 ``<model>`` is a zoo name (``repro models``) or a path to a network JSON
 file produced by :func:`repro.ir.graph_to_json`.
 
-Each search runs in one process. ``repro fleet coordinator`` runs the
-cases of a device sweep in parallel across worker processes, with results
-bit-identical to ``repro explore --sweep``.
+Each search runs in one process. ``repro explore --sweep ... --workers
+N`` runs a sweep's distinct cases on N forked processes, with the serial
+sweep's results.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ def _int_at_least(minimum: int, expected: str) -> Callable[[str], int]:
 
 
 _positive_int = _int_at_least(1, "a positive integer")
-_non_negative_int = _int_at_least(0, "a non-negative integer")
 _timeline_width = _int_at_least(
     TIMELINE_MIN_WIDTH, f"a width of at least {TIMELINE_MIN_WIDTH} columns"
 )
@@ -153,58 +152,6 @@ def _parse_sweep_devices(text: str) -> list[str] | None:
 
 def _parse_numbers(text: str, cast) -> tuple:
     return tuple(cast(part) for part in text.split(","))
-
-
-def _parse_host_port(
-    text: str, flag: str, allow_port_zero: bool = False
-) -> tuple[str, int] | None:
-    """Validate a ``HOST:PORT`` flag value; None (plus stderr) if malformed."""
-    host, sep, port_text = text.rpartition(":")
-    example = "127.0.0.1:7000" if not allow_port_zero else "127.0.0.1:0"
-    if (
-        not sep
-        or not host
-        or not port_text.isdigit()
-        or int(port_text) > 65535
-        or (int(port_text) == 0 and not allow_port_zero)
-    ):
-        port_rule = (
-            "a port in 0..65535 (0 picks a free port)"
-            if allow_port_zero
-            else "a port in 1..65535"
-        )
-        print(
-            f"error: {flag} expects HOST:PORT with {port_rule}, got "
-            f"{text!r} (try: {flag} {example})",
-            file=sys.stderr,
-        )
-        return None
-    return host, int(port_text)
-
-
-def _resolve_token(token: str, context: str) -> str | None:
-    """Fleet connections are authenticated; resolve the shared token.
-
-    ``--token`` wins; otherwise fall back to the ``REPRO_FLEET_TOKEN``
-    environment variable, so one exported secret covers a whole fleet.
-    Returns ``None`` (plus a friendly stderr message) when neither is
-    set — callers fail fast instead of surfacing a raw auth error
-    mid-connect.
-    """
-    import os
-
-    from repro.dist.protocol import TOKEN_ENV
-
-    token = token or os.environ.get(TOKEN_ENV, "")
-    if token:
-        return token
-    print(
-        f"error: {context} needs a shared auth token; pass --token "
-        f"<secret> or set {TOKEN_ENV} (the same secret on every "
-        f"fleet member)",
-        file=sys.stderr,
-    )
-    return None
 
 
 #: Design presets for ``repro serve --cluster``. Each preset explores its
@@ -424,6 +371,21 @@ def cmd_explore(args: argparse.Namespace) -> int:
     customization = _customization(args, len(network.output_names()))
     if customization is None:
         return 2
+    if args.workers > 1 and args.sweep is None:
+        print(
+            "error: --workers runs the cases of a --sweep in parallel; a "
+            "single search runs in one process (try: --sweep Z7045,ZU9CG "
+            f"--workers {args.workers})",
+            file=sys.stderr,
+        )
+        return 2
+    if args.workers > 1 and (args.profile or args.profile_out):
+        print(
+            "error: --profile profiles this process, and with --workers "
+            "the searches run in others; profile the sweep with --workers 1",
+            file=sys.stderr,
+        )
+        return 2
     if args.sweep is not None:
         from repro.fcad.flow import run_sweep, sweep_grid
 
@@ -454,6 +416,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 iterations=args.iterations,
                 population=args.population,
                 seed=args.seed,
+                workers=args.workers,
                 objective=args.objective,
                 rerank_oracle=args.rerank,
                 rerank_top_k=args.rerank_top_k,
@@ -851,115 +814,6 @@ def _cluster_session(
     )
 
 
-def cmd_fleet_coordinator(args: argparse.Namespace) -> int:
-    """Shard a device sweep across a worker fleet; merge deterministically."""
-    import hashlib
-    import json as json_module
-
-    from repro.dist.coordinator import FleetSpec, run_fleet_sweep
-    from repro.dse.engine import plan_sweep
-    from repro.faults import FaultPlan
-    from repro.fcad.flow import sweep_grid
-
-    token = _resolve_token(args.token, "repro fleet coordinator")
-    if token is None:
-        return 2
-    listen = _parse_host_port(args.listen, "--listen", allow_port_zero=True)
-    if listen is None:
-        return 2
-    devices = _parse_sweep_devices(args.sweep)
-    if devices is None:
-        return 2
-    worker_faults = tuple(args.worker_fault or ())
-    for fault in worker_faults:
-        try:
-            FaultPlan.parse(fault)
-        except ValueError as exc:
-            print(f"error: bad --worker-fault spec: {exc}", file=sys.stderr)
-            return 2
-    quants = (
-        [q.strip() for q in args.sweep_quants.split(",")]
-        if args.sweep_quants
-        else [args.quant]
-    )
-    network = _load_network(args.model)
-    flows = sweep_grid(networks=[network], devices=devices, quants=quants)
-    # sweep_grid iterates devices × quants in order; keep matching labels.
-    labels = [(device, quant) for device in devices for quant in quants]
-    engines = [flow.prepare()[2] for flow in flows]
-    fleet = FleetSpec(
-        workers=args.workers,
-        host=listen[0],
-        port=listen[1],
-        token=token,
-        lease_timeout_s=args.lease_timeout,
-        checkpoint=args.checkpoint,
-        timeout_s=args.timeout,
-        worker_faults=worker_faults,
-    )
-    shards, placement = plan_sweep(
-        engines,
-        iterations=args.iterations,
-        population=args.population,
-        seed=args.seed,
-    )
-    stats: dict[str, int] = {}
-    solved = run_fleet_sweep(shards, fleet, stats=stats)
-    results = [solved[shard] for shard in placement]
-    cases = []
-    for (device, quant), result in zip(labels, results):
-        config_json = config_to_json(result.best_config)
-        cases.append(
-            {
-                "device": device,
-                "quant": quant,
-                "best_fitness": result.best_fitness,
-                "fps": result.best_perf.fps,
-                "config_sha1": hashlib.sha1(
-                    config_json.encode()
-                ).hexdigest(),
-                "history": list(result.history),
-            }
-        )
-        print(
-            f"{device:>10} {quant:>6}: fitness "
-            f"{result.best_fitness:.4f}, {result.best_perf.fps:.1f} fps"
-        )
-    print(
-        f"fleet: {stats['shards']} shards, {stats['workers']} workers, "
-        f"{stats['leases']} leases ({stats['releases']} re-leased), "
-        f"{stats['resumed']} resumed from checkpoint"
-    )
-    if args.json:
-        # Deliberately excludes every timing field: two runs of the same
-        # sweep must produce byte-identical files (the CI gate cmp's them).
-        Path(args.json).write_text(
-            json_module.dumps({"cases": cases}, indent=2) + "\n"
-        )
-        print(f"sweep results written to {args.json}")
-    return 0
-
-
-def cmd_fleet_worker(args: argparse.Namespace) -> int:
-    """Join a coordinator and solve sweep shards until drained."""
-    from repro.dist.worker import run_worker
-
-    if not args.connect:
-        print(
-            "error: a worker needs its coordinator's address; pass "
-            "--connect HOST:PORT (try: --connect 127.0.0.1:7000)",
-            file=sys.stderr,
-        )
-        return 2
-    target = _parse_host_port(args.connect, "--connect")
-    if target is None:
-        return 2
-    token = _resolve_token(args.token, "repro fleet worker")
-    if token is None:
-        return 2
-    return run_worker(target[0], target[1], token=token)
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     """Explore a design and emit the HLS project skeleton."""
     network = _load_network(args.model)
@@ -1037,8 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
             "      explore the whole device x precision grid in one batch;\n"
             "      duplicate cases are searched only once, and cases with\n"
             "      the same network, quantization and frequency share\n"
-            "      Algorithm-2 ladders (repro fleet coordinator runs the\n"
-            "      cases in parallel across worker processes)\n"
+            "      Algorithm-2 ladders; --workers 2 runs the distinct\n"
+            "      cases on 2 processes, with the same results\n"
             "objectives and staged re-ranking:\n"
             "  repro explore codec_avatar_decoder --objective slo \\\n"
             "      --rerank serving --rerank-top-k 4\n"
@@ -1054,11 +908,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sweep",
         help="comma-separated device list: explore every device in one "
-        "batch in this process",
+        "batch",
     )
     p.add_argument(
         "--sweep-quants",
         help="comma-separated quant schemes for --sweep (default: --quant)",
+    )
+    p.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="processes that run the distinct cases of a --sweep "
+        "(default 1: one after another in this process)",
     )
     p.add_argument(
         "--profile",
@@ -1276,94 +1137,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", help="write the serving report JSON here")
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "fleet",
-        help="distributed runtime: sweep coordinator and workers",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=(
-            "a sharded sweep on one machine (spawns 2 local workers):\n"
-            "  repro fleet coordinator codec_avatar_decoder \\\n"
-            "      --sweep Z7045,ZU9CG --workers 2 --token secret\n"
-            "the same sweep across machines:\n"
-            "  repro fleet coordinator ... --listen 0.0.0.0:7000 \\\n"
-            "      --workers 0 --token secret        # on the coordinator\n"
-            "  repro fleet worker --connect coord:7000 --token secret\n"
-            "results are bit-identical to the serial runs at the same "
-            "seed\n(see docs/distributed.md)"
-        ),
-    )
-    fleet_sub = p.add_subparsers(dest="fleet_command", required=True)
-
-    c = fleet_sub.add_parser(
-        "coordinator",
-        help="shard a device sweep across workers and merge the results",
-    )
-    c.add_argument(
-        "model",
-        nargs="?",
-        default="codec_avatar_decoder",
-        help="zoo model or network JSON (default: codec_avatar_decoder)",
-    )
-    c.add_argument(
-        "--sweep", required=True,
-        help="comma-separated device list, e.g. Z7045,ZU9CG",
-    )
-    c.add_argument(
-        "--sweep-quants",
-        help="comma-separated precisions to cross with --sweep",
-    )
-    c.add_argument("--quant", default="int8", choices=["int8", "int16"])
-    c.add_argument("--iterations", type=_positive_int, default=10)
-    c.add_argument("--population", type=_positive_int, default=80)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument(
-        "--listen", default="127.0.0.1:0",
-        help="coordinator bind address (default 127.0.0.1:0 = loopback, "
-        "free port)",
-    )
-    c.add_argument(
-        "--token", default="",
-        help="shared auth secret workers must present",
-    )
-    c.add_argument(
-        "--workers", type=_non_negative_int, default=2,
-        help="local worker processes to spawn (0 = workers join from "
-        "elsewhere; default 2)",
-    )
-    c.add_argument(
-        "--lease-timeout", type=_positive_float, default=15.0,
-        help="seconds without a heartbeat before a shard is re-leased "
-        "(default 15)",
-    )
-    c.add_argument(
-        "--checkpoint",
-        help="progress file: a restarted coordinator resumes from it "
-        "without re-solving finished shards",
-    )
-    c.add_argument(
-        "--timeout", type=_positive_float, default=600.0,
-        help="wall-time ceiling for the whole sweep (default 600 s)",
-    )
-    c.add_argument(
-        "--worker-fault", action="append", metavar="SPEC",
-        help="(test hook) fault plan for the Nth spawned worker, e.g. "
-        "die-after-leases:1; repeat per worker",
-    )
-    c.add_argument("--json", help="write deterministic sweep results here")
-    c.set_defaults(func=cmd_fleet_coordinator)
-
-    w = fleet_sub.add_parser(
-        "worker", help="join a coordinator and solve sweep shards"
-    )
-    w.add_argument(
-        "--connect", help="coordinator address, HOST:PORT",
-    )
-    w.add_argument(
-        "--token", default="",
-        help="shared auth secret (must match the coordinator's)",
-    )
-    w.set_defaults(func=cmd_fleet_worker)
 
     p = sub.add_parser("generate", help="explore, then emit an HLS project")
     p.add_argument("model")

@@ -2,11 +2,11 @@
 
 :meth:`DseEngine.search` runs Algorithm 1 once;
 :meth:`DseEngine.search_many` batches whole sweeps — a decoder family, a
-device grid, a seed study — in one process or across a fleet. Both run
-the plan :func:`plan_sweep` makes: identical cases deduplicated
-outright, the distinct ones as :class:`SweepCase` searches. Cache
-entries are per spec; cases with the same network, quantization and
-frequency share Algorithm-2 ladders.
+device grid, a seed study — in this process or on a pool of forked
+worker processes. Both run the plan :func:`plan_sweep` makes: identical
+cases deduplicated outright, the distinct ones as :class:`SweepCase`
+searches. Cache entries are per spec; cases with the same network,
+quantization and frequency share Algorithm-2 ladders.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.construction.reorg import PipelinePlan
 from repro.devices.budget import ResourceBudget
@@ -32,21 +32,8 @@ from repro.dse.space import Customization
 from repro.dse.worker import EvalSpec
 from repro.perf.estimator import evaluate
 from repro.quant.schemes import QuantScheme
-from repro.utils.checks import check_finite
+from repro.utils.checks import check_finite, is_count
 from repro.utils.rng import seed_fingerprint
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dist.coordinator import FleetSpec
-
-
-def require_one_worker(workers: int) -> None:
-    """Reject ``workers != 1``: every search runs in one process. The
-    parameter remains only so callers passing ``workers=1`` keep working."""
-    if workers != 1:
-        raise ValueError(
-            f"workers must be 1, got {workers}: every search runs in one "
-            f"process; run sweep cases in parallel with a fleet"
-        )
 
 
 class DseEngine:
@@ -192,7 +179,6 @@ class DseEngine:
         objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int = 4,
-        fleet: "FleetSpec | None" = None,
     ) -> tuple[DseResult, ...]:
         """Run a batch of searches with shared caching and deduplication.
 
@@ -214,25 +200,35 @@ class DseEngine:
         by default every case uses ``seed``, which is what makes duplicate
         grid cases dedupable. Results are returned in input order.
 
-        ``cache``, the caller's (possibly warm)
-        :class:`~repro.dse.cache.LocalEvalCache`, is used as-is: it is
-        the store every case reads and writes.
-
-        The cases run one after another in this process; ``workers``
-        must be 1. ``fleet`` (a
-        :class:`~repro.dist.coordinator.FleetSpec`) runs the distinct
-        cases in parallel across worker *processes* — spawned locally or
-        joined over the network — via
-        :func:`~repro.dist.coordinator.run_fleet_sweep`: same plan, same
-        per-case results bit for bit. Each worker solves against its own
-        cache, so a fleet takes no ``cache``.
+        ``workers`` (an integer >= 1) is how many processes run the
+        distinct cases. With 1, the default, they run one after another
+        in this process against ``cache``, the caller's (possibly warm)
+        :class:`~repro.dse.cache.LocalEvalCache`, used as-is; the default
+        is a fresh one. With more, they run on a pool of forked
+        processes, one task per spec, and every record equals the serial
+        sweep's but for host timings, accounting included. A pooled sweep
+        takes no ``cache``, since each task solves against its own, and
+        no ``random.Random`` seed, whose state the cases of a serial sweep
+        advance in turn.
         """
-        require_one_worker(workers)
-        if fleet is not None and cache is not None:
-            raise ValueError(
-                "a fleet sweep takes no cache: each worker solves "
-                "against its own, so the caller's would stay empty"
-            )
+        if not is_count(workers):
+            raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+        workers = int(workers)
+        if workers > 1:
+            if cache is not None:
+                raise ValueError(
+                    "a pooled sweep (workers > 1) takes no cache: each task "
+                    "solves against its own, so the caller's would stay empty"
+                )
+            if any(
+                isinstance(case_seed, random.Random)
+                for case_seed in (seeds if seeds is not None else [seed])
+            ):
+                raise ValueError(
+                    "a pooled sweep (workers > 1) needs integer (or None) "
+                    "seeds: a live random.Random carries state that the "
+                    "cases of a serial sweep advance in turn"
+                )
         cases, placement = plan_sweep(
             engines,
             iterations=iterations,
@@ -244,14 +240,10 @@ class DseEngine:
             rerank_oracle=rerank_oracle,
             rerank_top_k=rerank_top_k,
         )
-        if fleet is not None:
-            from repro.dist.coordinator import run_fleet_sweep
-
-            solved = run_fleet_sweep(cases, fleet)
+        if workers > 1:
+            solved = _run_pooled(cases, workers)
         else:
-            if cache is None:
-                cache = LocalEvalCache()
-            solved = [case.run(cache) for case in cases]
+            solved = _run_cases(cases, cache)
         return tuple(solved[index] for index in placement)
 
 
@@ -260,8 +252,8 @@ class SweepCase:
     """One search of a sweep: a pure function of its fields, picklable.
 
     ``objective`` / ``rerank_oracle`` are *resolved* instances, so the
-    case runs exactly the configuration its :meth:`key` names. A fleet
-    ships each case to a worker process, one search per case.
+    case runs exactly the configuration its :meth:`key` names. A pooled
+    sweep pickles each case to a worker process.
     """
 
     engine: DseEngine
@@ -277,8 +269,7 @@ class SweepCase:
         """What the case's result depends on, given an integer seed.
 
         The objective is part of it because the spec digest deliberately
-        excludes it. A fleet's checkpoint is fingerprinted from these
-        tuples: change one and no earlier checkpoint resumes.
+        excludes it. :func:`plan_sweep` deduplicates cases by it.
         """
         return (
             self.engine.spec.digest,
@@ -350,3 +341,52 @@ def plan_sweep(
             cases.append(case)
         placement.append(shard)
     return cases, placement
+
+
+def _run_cases(
+    cases: Sequence[SweepCase], cache: LocalEvalCache | None = None
+) -> list[DseResult]:
+    """Run cases in plan order against one cache (a fresh one by default)."""
+    if cache is None:
+        cache = LocalEvalCache()
+    return [case.run(cache) for case in cases]
+
+
+def _run_pooled(cases: Sequence[SweepCase], workers: int) -> list[DseResult]:
+    """Run a sweep's distinct cases on up to ``workers`` forked processes.
+
+    The cases are grouped by spec digest in order of first appearance,
+    and each group is one task that runs its cases in plan order against
+    one fresh cache. Cache entries and Algorithm-2 tables are per spec,
+    and a forked process starts with this process's tables, so each case
+    sees the state it sees in a serial sweep and reports the same record,
+    accounting included. Results come back in case order.
+
+    The pool is created and used under
+    :data:`~repro.dse.worker.PROCESS_LOCK`: a process forked while
+    another thread held the lock would inherit it held, and its searches
+    would never start. A worker that dies fails the sweep with
+    :class:`~concurrent.futures.process.BrokenProcessPool`.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.dse.worker import PROCESS_LOCK
+
+    if not cases:
+        return []
+    groups: dict[str, list[int]] = {}
+    for index, case in enumerate(cases):
+        groups.setdefault(case.engine.spec.digest, []).append(index)
+    solved: dict[int, DseResult] = {}
+    with PROCESS_LOCK, ProcessPoolExecutor(
+        max_workers=min(workers, len(groups)),
+        mp_context=multiprocessing.get_context("fork"),
+    ) as pool:
+        tasks = [
+            (members, pool.submit(_run_cases, [cases[i] for i in members]))
+            for members in groups.values()
+        ]
+        for members, task in tasks:
+            solved.update(zip(members, task.result()))
+    return [solved[index] for index in range(len(cases))]

@@ -73,8 +73,12 @@ def stage_memo_stats() -> tuple[int, int]:
     ever grow: live tables are summed directly, and a table's final counts
     are folded into the retired accumulator when it is collected.
     """
+    # List the live tables before reading the retired counts: the list
+    # keeps them alive, and a table the collector frees while they are
+    # listed has retired its counts by the time they are read.
+    tables = list(_LIVE_TABLES)
     hits, lookups = _RETIRED_COUNTS
-    for table in list(_LIVE_TABLES):
+    for table in tables:
         hits += table._counters[0]
         lookups += table._counters[1]
     return hits, lookups

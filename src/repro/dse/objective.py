@@ -249,7 +249,9 @@ class SloObjective:
     happened) it falls back to the paper objective as a cheap proxy:
     higher weighted steady-state FPS correlates with lower latency under
     load, which is exactly what makes the analytical stage a useful
-    pre-filter for the expensive re-rank.
+    pre-filter for the expensive re-rank. ``miss_weight`` is a finite
+    number >= 0: a NaN would make every re-ranked score NaN, so no
+    re-ranked design could ever be kept.
     """
 
     miss_weight: float = 1000.0
@@ -258,6 +260,7 @@ class SloObjective:
     name: ClassVar[str] = "slo"
 
     def __post_init__(self) -> None:
+        check_finite("miss_weight", self.miss_weight, minimum=0.0)
         check_finite("fallback_alpha", self.fallback_alpha, minimum=0.0)
         # The analytical-stage proxy, built once (not a field: equality
         # and the key already carry ``fallback_alpha``).
@@ -299,7 +302,8 @@ class CompositeObjective:
     weights the larger-scale part dominates the ranking. Choose weights
     that absorb the scale gap for the problem at hand — e.g.
     ``(PaperObjective(), 0.001), (SloObjective(), 1.0)`` values one FPS
-    of weighted throughput at one microsecond of p99.
+    of weighted throughput at one microsecond of p99. Each weight is a
+    finite number > 0.
     """
 
     parts: tuple[tuple[Objective, float], ...]
@@ -310,8 +314,11 @@ class CompositeObjective:
         if not self.parts:
             raise ValueError("a composite objective needs at least one part")
         weights = [weight for _, weight in self.parts]
-        if any(weight <= 0 for weight in weights):
-            raise ValueError("composite weights must all be positive")
+        for position, weight in enumerate(weights):
+            name = f"composite weight {position}"
+            check_finite(name, weight, minimum=0.0)
+            if weight == 0:
+                raise ValueError(f"{name} must be > 0, got {weight!r}")
         total = ordered_sum(weights)
         object.__setattr__(
             self,

@@ -1,13 +1,13 @@
 """DSE result container, rendering, and a stable JSON codec.
 
 The codec (:func:`result_to_dict` / :func:`result_from_dict`) exists so
-results survive as plain-JSON artifacts — bench archives, fleet
-checkpoints, regression fixtures — without pickle's coupling to class
-layout. It is forward-tolerant: fields added after a payload was
-written simply take their defaults on load, which the pinned fixture
-under ``tests/data/`` holds. Keys for fields that no longer exist (the
+results survive as plain-JSON artifacts — bench archives and
+regression fixtures — without pickle's coupling to class layout. It is
+forward-tolerant: fields added after a payload was written simply take
+their defaults on load, which the pinned fixture under ``tests/data/``
+holds. Keys for fields that no longer exist (the
 ``surrogate_stats`` block older searches wrote, and the two keys of the
-removed process pool) are ignored on load.
+removed in-search process pool) are ignored on load.
 """
 
 from __future__ import annotations
@@ -247,8 +247,8 @@ def _metrics_from_dict(data: dict[str, Any]) -> BranchMetrics:
 def result_to_dict(result: DseResult) -> dict[str, Any]:
     """Serialize a result to plain dicts/lists (stable JSON shape).
 
-    The removed process pool's two keys stay, as constants, until the
-    next format version: every search runs in one process.
+    The removed in-search process pool's two keys stay, as constants,
+    until the next format version: every search runs in one process.
     """
     return {
         "version": RESULT_FORMAT_VERSION,
@@ -291,8 +291,8 @@ def result_from_dict(data: dict[str, Any]) -> DseResult:
 
     Payloads written before a field existed load fine: absent optional
     keys fall back to the dataclass defaults. Keys this codec no longer
-    reads (``surrogate_stats`` and the removed process pool's two keys)
-    are ignored.
+    reads (``surrogate_stats`` and the removed in-search process pool's
+    two keys) are ignored.
     """
     version = data.get("version", RESULT_FORMAT_VERSION)
     if version != RESULT_FORMAT_VERSION:

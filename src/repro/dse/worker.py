@@ -38,8 +38,8 @@ the benchmark's layer probes count them per candidate.
 
 Candidate evaluation consumes no randomness, so a search is a pure
 function of its seed. Several searches run in parallel as separate
-processes, one sweep case each, through :mod:`repro.dist` (``repro
-fleet``).
+processes: a pooled sweep (``DseEngine.search_many(..., workers=N)``)
+forks workers that each run whole cases.
 """
 
 from __future__ import annotations

@@ -32,10 +32,9 @@ same network, quantization and frequency share Algorithm-2 ladders::
         ),
     )
 
-Each search runs in one process; to run a sweep's cases in parallel
-across worker processes, pass a :class:`~repro.dist.coordinator.FleetSpec`
-to :meth:`~repro.dse.engine.DseEngine.search_many` or use ``repro fleet
-coordinator``.
+Each search runs in one process; ``run_sweep(..., workers=N)`` (or
+``repro explore --sweep ... --workers N``) runs a sweep's distinct cases
+on N forked processes, with the serial sweep's results.
 
 A found design can then be *deployed*: :mod:`repro.serving` batches live
 decode requests from many avatars onto simulated replicas of it::
@@ -74,7 +73,7 @@ from repro.devices.asic import AsicSpec
 from repro.devices.budget import ResourceBudget
 from repro.devices.fpga import FpgaDevice, get_device
 from repro.dse.cache import LocalEvalCache
-from repro.dse.engine import DseEngine, require_one_worker
+from repro.dse.engine import DseEngine
 from repro.dse.result import DseResult
 from repro.dse.space import Customization
 from repro.ir.graph import NetworkGraph
@@ -263,7 +262,8 @@ class FCad:
     ) -> FcadResult:
         """Execute Analysis, Construction and Optimization.
 
-        The search runs in this process; ``workers`` must be 1. ``cache``
+        The search runs in this process; ``workers`` must be 1 (a sweep
+        runs its cases in parallel with :func:`run_sweep`). ``cache``
         passes in a (possibly warm)
         :class:`~repro.dse.cache.LocalEvalCache`; the default is a fresh
         one.
@@ -277,7 +277,12 @@ class FCad:
         by *its* scores. A named objective is built with the constructor's
         ``alpha``. The defaults reproduce the paper's search bit for bit.
         """
-        require_one_worker(workers)
+        if workers != 1:
+            raise ValueError(
+                f"workers must be 1, got {workers!r}: one search runs in one "
+                f"process; run_sweep(..., workers=N) runs a sweep's cases in "
+                f"parallel"
+            )
         analysis, plan, engine = self.prepare()
         dse = engine.search(
             iterations=iterations,
@@ -345,8 +350,10 @@ def run_sweep(
     one a previous sweep in this process filled; because cache entries
     are objective-independent metrics, a sweep under a new objective
     still hits an old sweep's entries. ``objective`` / ``rerank_oracle``
-    / ``rerank_top_k`` apply to every case. The cases run one after
-    another in this process; ``workers`` must be 1.
+    / ``rerank_top_k`` apply to every case. ``workers`` > 1 runs the
+    distinct cases on that many forked processes, with the serial
+    sweep's results but for host timings, and then takes no ``cache``
+    (see :meth:`~repro.dse.engine.DseEngine.search_many`).
     """
     prepared = [flow.prepare() for flow in flows]
     dse_results = DseEngine.search_many(

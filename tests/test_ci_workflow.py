@@ -118,13 +118,27 @@ def test_perfbench_smoke_job_checks_pinned_dse_runs():
     assert len(set(logs)) == len(logs)
 
 
-def test_only_fleet_steps_pass_workers():
-    """``--workers`` counts fleet processes; no other command takes it."""
+def repro_commands() -> list[tuple[str, list[str]]]:
+    """(step name, argv) of every ``python -m repro`` command a step runs."""
+    return [
+        (step["name"], shlex.split(args))
+        for job in load_workflow()["jobs"].values()
+        for step in job["steps"]
+        for args in REPRO_COMMAND.findall(step.get("run", "").replace("\\\n", " "))
+    ]
+
+
+def test_only_sweep_explore_steps_pass_workers():
+    """``--workers`` counts the processes of a pooled ``repro explore
+    --sweep``; no other command takes it."""
+    pooled = [(name, argv) for name, argv in repro_commands() if "--workers" in argv]
+    assert pooled
+    for name, argv in pooled:
+        assert argv[0] == "explore" and "--sweep" in argv, name
     for job in load_workflow()["jobs"].values():
         for step in job["steps"]:
-            run = step.get("run", "")
-            if "--workers" in run:
-                assert "repro fleet coordinator" in run, step["name"]
+            if "--workers" in step.get("run", ""):
+                assert "python -m repro explore" in step["run"], step["name"]
 
 
 def test_every_file_a_step_runs_exists():
@@ -143,13 +157,13 @@ def test_every_repro_command_parses():
     """Each ``python -m repro`` command a step runs parses with today's CLI."""
     from repro.cli import build_parser
 
-    commands = [
-        (step["name"], shlex.split(args))
-        for job in load_workflow()["jobs"].values()
-        for step in job["steps"]
-        for args in REPRO_COMMAND.findall(step.get("run", "").replace("\\\n", " "))
-    ]
-    assert len(commands) >= 10
+    commands = repro_commands()
+    # The regex finds every job's commands: the search, validation,
+    # serving and experiment subcommands all appear.
+    assert len(commands) >= 9
+    assert {argv[0] for _, argv in commands} >= {
+        "explore", "simulate", "serve", "experiment"
+    }
     parser = build_parser()
     for name, argv in commands:
         try:

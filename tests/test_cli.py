@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.dse.worker import clear_process_caches
 from repro.ir.serialize import graph_to_json
 from tests.conftest import make_tiny_decoder
 
@@ -303,15 +304,17 @@ class TestValidation:
             (["serve", "--transport", "socket"], "--transport"),
             (["serve", "--transport-token", "t"], "--transport-token"),
             (["serve", "--transport-timeout", "5"], "--transport-timeout"),
-            (["fleet", "replicas", "--listen", "127.0.0.1:0"], "replicas"),
+            (["fleet", "replicas", "--listen", "127.0.0.1:0"], "'fleet'"),
+            (["fleet", "coordinator", "--sweep", "Z7045"], "'fleet'"),
         ],
     )
     def test_removed_flags_fail_loudly(
         self, capsys, monkeypatch, argv, removed
     ):
-        # Every search and every replica runs in this process: a script
-        # still naming a cache file or a wire transport is refused before
-        # any design search, not quietly served in process.
+        # Every replica runs in this process, and a sweep's cases run on
+        # explore's --workers pool: a script still naming a cache file, a
+        # wire transport or the fleet is refused before any design search,
+        # not quietly served in process.
         refuse_search(monkeypatch)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -432,12 +435,6 @@ class TestServe:
         # Validated before any design search runs.
         assert main(["serve", *argv]) == 2
         assert message in capsys.readouterr().err
-
-    def test_worker_without_token_fails_fast(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_FLEET_TOKEN", raising=False)
-        assert main(["fleet", "worker", "--connect", "127.0.0.1:7000"]) == 2
-        err = capsys.readouterr().err
-        assert "REPRO_FLEET_TOKEN" in err and "--token" in err
 
     def test_serve_mixed_cluster_with_shedding(self, capsys, tmp_path):
         from repro.serving import report_from_json
@@ -597,16 +594,61 @@ class TestSimulate:
         assert "timeline:" in out
 
 
-class TestFleetCoordinator:
-    @pytest.mark.parametrize("value", ["-1", "-5", "two"])
-    def test_workers_must_be_non_negative(self, capsys, value):
+class TestExploreWorkers:
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_workers_must_be_positive(self, capsys, value):
         with pytest.raises(SystemExit) as excinfo:
-            main([
-                "fleet", "coordinator", "--sweep", "Z7045",
-                "--token", "t", "--workers", value,
-            ])
+            main(["explore", "tiny_yolo", "--sweep", "Z7045", "--workers", value])
         assert excinfo.value.code == 2
-        assert "non-negative integer" in capsys.readouterr().err
+        assert "positive integer" in capsys.readouterr().err
+
+    def test_workers_need_a_sweep(self, capsys, monkeypatch):
+        refuse_search(monkeypatch)
+        assert main(["explore", "tiny_yolo", "--workers", "2"]) == 2
+        assert "--sweep" in capsys.readouterr().err
+
+    def test_one_worker_needs_no_sweep(self, capsys):
+        out = run_cli(
+            capsys, "explore", "tiny_yolo", "--device", "Z7045", "--workers", "1",
+            "--iterations", "2", "--population", "8",
+        )
+        assert "F-CAD generated accelerator" in out
+
+    @pytest.mark.parametrize(
+        "flags", [["--profile"], ["--profile-out", "sweep.pstats"]]
+    )
+    def test_pooled_sweep_refuses_to_profile(self, capsys, monkeypatch, flags):
+        # The profile would show this process waiting on its workers.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before refusing the flags")
+
+        monkeypatch.setattr("repro.fcad.flow.run_sweep", no_sweep)
+        argv = ["explore", "tiny_yolo", "--sweep", "Z7045", "--workers", "2"]
+        assert main([*argv, *flags]) == 2
+        assert "--workers 1" in capsys.readouterr().err
+
+    def test_pooled_sweep_prints_the_serial_table(self, capsys):
+        argv = [
+            "explore", "tiny_yolo", "--sweep", "Z7045,ZU17EG,Z7045",
+            "--iterations", "2", "--population", "8",
+        ]
+
+        def rows(out):
+            # Every column but the host-timed "DSE s", the next to last.
+            cells = [
+                [cell.strip() for cell in line.split("|")]
+                for line in out.splitlines()
+                if line.startswith("tiny_yolo")
+            ]
+            return [row[:-2] + row[-1:] for row in cells]
+
+        # Both sweeps start from cold Algorithm-2 tables, so "cache %",
+        # which counts stage-memo hits, compares too.
+        clear_process_caches()
+        serial = rows(run_cli(capsys, *argv))
+        assert len(serial) == 3
+        clear_process_caches()
+        assert rows(run_cli(capsys, *argv, "--workers", "2")) == serial
 
 
 class TestExperimentCommand:

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 from repro.devices.budget import ResourceBudget
+from repro.dse import inbranch
 from repro.dse.inbranch import BranchEvalTable, optimize_branch
 from repro.perf.analytical import stage_latency_cycles
 from repro.quant.schemes import INT8, INT16
@@ -142,3 +146,34 @@ class TestZeroSumFallback:
         sol = optimize_branch(pipeline, starved, 2, INT8, table=table)
         assert not sol.meets_batch_target
         assert sol.config.batch_size == 0
+
+
+class TestStageMemoStats:
+    def test_a_table_collected_while_listed_is_counted_once(
+        self, decoder_plan, monkeypatch
+    ):
+        """A search reads the totals before and after each solve. A table
+        the cyclic collector frees while :func:`stage_memo_stats` lists
+        the live tables must stay in the total, or the next delta counts
+        its lookups again."""
+
+        class CollectingSet(weakref.WeakSet):
+            def __iter__(self):
+                gc.collect()
+                return super().__iter__()
+
+        monkeypatch.setattr(inbranch, "_LIVE_TABLES", CollectingSet())
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            pipeline = decoder_plan.branches[0]
+            table = BranchEvalTable(pipeline, INT8)
+            optimize_branch(pipeline, GENEROUS, 1, INT8, table=table)
+            table.cycle = table  # only the cyclic collector frees it
+            before = inbranch.stage_memo_stats()
+            assert table.stage_lookups > 0
+            del table
+            assert inbranch.stage_memo_stats() == before
+        finally:
+            if enabled:
+                gc.enable()

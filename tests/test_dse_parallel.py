@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
+import multiprocessing
+import os
 import pickle
 import random
 import sys
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.devices.budget import ResourceBudget
 from repro.devices.fpga import get_device
 from repro.dse.cache import LocalEvalCache
-from repro.dse.engine import DseEngine
+from repro.dse.engine import DseEngine, SweepCase
 from repro.dse.inbranch import BranchEvalTable, optimize_branch
 from repro.dse.objective import (
     CompositeObjective,
@@ -369,15 +374,6 @@ class TestSearchMany:
         assert all(r.evaluations == 0 for r in again)
         assert [r.best_config for r in again] == [r.best_config for r in swept]
 
-    def test_rejects_workers(self, tiny_plan_module):
-        with pytest.raises(ValueError, match="workers must be 1"):
-            DseEngine.search_many(
-                [make_engine(tiny_plan_module)],
-                iterations=2,
-                population=8,
-                workers=2,
-            )
-
     def test_seed_count_mismatch_rejected(self, tiny_plan_module):
         with pytest.raises(ValueError, match="seeds"):
             DseEngine.search_many(
@@ -726,6 +722,256 @@ class TestConcurrentSearches:
         assert not thread.is_alive() and cleared.is_set()
 
 
+def record(result) -> dict:
+    """A search's whole record but its host timings."""
+    return {
+        k: v for k, v in result_to_dict(result).items() if k not in HOST_TIME_KEYS
+    }
+
+
+def sweep_entry_points():
+    """Both sweep entry points, each over a Z7045 and a ZU9CG case."""
+    from repro.construction.reorg import build_pipeline_plan
+
+    graph = make_tiny_decoder()
+    flows = sweep_grid(networks=[graph], devices=["Z7045", "ZU9CG"])
+    engines = [
+        make_engine(build_pipeline_plan(graph), device)
+        for device in ("Z7045", "ZU9CG")
+    ]
+    size = dict(iterations=2, population=8)
+    return {
+        "search_many": lambda **kw: DseEngine.search_many(engines, **size, **kw),
+        "run_sweep": lambda **kw: tuple(
+            result.dse for result in run_sweep(flows, **size, **kw)
+        ),
+    }
+
+
+SWEEP_ENTRY_POINTS = sweep_entry_points()
+
+
+def lock_free_elsewhere() -> bool:
+    """Whether a thread other than this one could take PROCESS_LOCK now."""
+    taken = []
+
+    def probe():
+        if PROCESS_LOCK.acquire(blocking=False):
+            PROCESS_LOCK.release()
+            taken.append(True)
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join()
+    return bool(taken)
+
+
+def record_pools(monkeypatch) -> list[dict]:
+    """Log each process pool a sweep builds: its size, its start method,
+    and whether another thread could take PROCESS_LOCK as it was built
+    and as each task was submitted."""
+    pools: list[dict] = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(
+                {
+                    "max_workers": max_workers,
+                    "start_method": kwargs["mp_context"].get_start_method(),
+                    "lock_free": [lock_free_elsewhere()],
+                }
+            )
+            super().__init__(max_workers, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            pools[-1]["lock_free"].append(lock_free_elsewhere())
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return pools
+
+
+@pytest.mark.parametrize("entry", sorted(SWEEP_ENTRY_POINTS))
+class TestSweepWorkers:
+    """``workers`` is a count >= 1 at both sweep entry points, and a pooled
+    sweep refuses what only a serial one can honour. One worker never
+    builds a pool; more fork one, no larger than the sweep's spec count,
+    under the process lock, and leave no process behind. A failing or
+    dying worker fails the sweep."""
+
+    @pytest.mark.parametrize(
+        "workers", [0, -1, 2.5, float("nan"), True, "2"],
+        ids=["0", "-1", "2.5", "nan", "True", "str"],
+    )
+    def test_rejects_a_non_count(self, entry, workers):
+        with pytest.raises(ValueError, match="workers"):
+            SWEEP_ENTRY_POINTS[entry](workers=workers)
+
+    def test_numpy_count_runs_the_pool(self, entry):
+        clear_process_caches()
+        serial = SWEEP_ENTRY_POINTS[entry]()
+        clear_process_caches()
+        pooled = SWEEP_ENTRY_POINTS[entry](workers=np.int64(2))
+        assert [record(r) for r in pooled] == [record(r) for r in serial]
+
+    def test_pooled_sweep_rejects_a_cache(self, entry):
+        with pytest.raises(ValueError, match="takes no cache"):
+            SWEEP_ENTRY_POINTS[entry](workers=2, cache=LocalEvalCache())
+
+    def test_pooled_sweep_rejects_live_rng_seeds(self, entry):
+        with pytest.raises(ValueError, match="random.Random"):
+            SWEEP_ENTRY_POINTS[entry](workers=2, seed=random.Random(0))
+
+    @pytest.mark.parametrize("workers", [1, np.int64(1)], ids=["int", "numpy"])
+    def test_one_worker_runs_in_this_process(self, entry, workers, monkeypatch):
+        # The serial loop, the benchmark's timed path, builds no pool.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker sweep built a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert len(SWEEP_ENTRY_POINTS[entry](workers=workers)) == 2
+
+    @pytest.mark.parametrize(
+        "workers", [2, np.int64(3), 8], ids=["2", "numpy-3", "8"]
+    )
+    def test_pool_size_is_the_smaller_of_workers_and_specs(
+        self, entry, workers, monkeypatch
+    ):
+        pools = record_pools(monkeypatch)
+        SWEEP_ENTRY_POINTS[entry](workers=workers)
+        assert [pool["max_workers"] for pool in pools] == [2]
+        assert type(pools[0]["max_workers"]) is int
+
+    def test_forks_its_pool_under_the_process_lock(self, entry, monkeypatch):
+        pools = record_pools(monkeypatch)
+        SWEEP_ENTRY_POINTS[entry](workers=2)
+        assert [pool["start_method"] for pool in pools] == ["fork"]
+        # Built, then one task per spec submitted, each under the lock.
+        assert pools[0]["lock_free"] == [False, False, False]
+        assert lock_free_elsewhere()
+
+    def test_leaves_no_process_behind(self, entry):
+        SWEEP_ENTRY_POINTS[entry](workers=2)
+        assert not multiprocessing.active_children()
+
+    def test_a_failing_case_raises_in_the_caller(self, entry, monkeypatch):
+        def fail(case, cache):
+            raise RuntimeError(f"no design for {case.engine.spec.digest[:8]}")
+
+        monkeypatch.setattr(SweepCase, "run", fail)
+        with pytest.raises(RuntimeError, match="no design for"):
+            SWEEP_ENTRY_POINTS[entry](workers=2)
+        assert not multiprocessing.active_children()
+
+    def test_a_dead_worker_fails_the_sweep(self, entry, monkeypatch):
+        monkeypatch.setattr(SweepCase, "run", lambda case, cache: os._exit(1))
+        with pytest.raises(BrokenProcessPool):
+            SWEEP_ENTRY_POINTS[entry](workers=2)
+        assert not multiprocessing.active_children()
+
+
+class TestPoolEqualsSerial:
+    """A pooled sweep returns the serial sweep's records, accounting
+    included, also for cases that share a spec and for every objective
+    and re-rank oracle; equal cases share one result, and only equal
+    ones do."""
+
+    @staticmethod
+    def sweep(plan, cases, workers, **options):
+        return DseEngine.search_many(
+            [make_engine(plan, device, quant) for device, quant, _ in cases],
+            seeds=[seed for _, _, seed in cases],
+            iterations=2,
+            population=8,
+            workers=workers,
+            **options,
+        )
+
+    @settings(max_examples=15, deadline=None)
+    @given(cases=st.lists(SWEEP_CASE, min_size=2, max_size=5))
+    @example(
+        # One spec at two seeds, another spec's case between them, and a
+        # repeat: each worker's cache must hold its spec's cases only.
+        cases=[
+            ("ZU9CG", INT8, 0),
+            ("Z7045", INT8, 0),
+            ("ZU9CG", INT8, 1),
+            ("ZU9CG", INT8, 0),
+        ]
+    )
+    def test_records_equal_the_serial_sweep(self, tiny_plan_module, cases):
+        clear_process_caches()
+        serial = self.sweep(tiny_plan_module, cases, workers=1)
+        clear_process_caches()
+        pooled = self.sweep(tiny_plan_module, cases, workers=2)
+        assert [record(r) for r in pooled] == [record(r) for r in serial]
+        for i, first in enumerate(cases):
+            for j, second in enumerate(cases):
+                assert (pooled[i] is pooled[j]) == (first == second)
+
+    def test_waits_for_a_thread_holding_the_process_lock(self, tiny_plan_module):
+        # A process forked while another thread holds the lock would
+        # inherit it held, and its search would never start.
+        cases = [("Z7045", INT8, 0), ("ZU9CG", INT8, 0), ("Z7045", INT8, 1)]
+        clear_process_caches()
+        serial = self.sweep(tiny_plan_module, cases, workers=1)
+        clear_process_caches()
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with PROCESS_LOCK:
+                held.set()
+                release.wait(30)
+
+        threading.Thread(target=hold, daemon=True).start()
+        assert held.wait(10)
+        pooled: list = []
+        sweeper = threading.Thread(
+            target=lambda: pooled.extend(
+                self.sweep(tiny_plan_module, cases, workers=2)
+            ),
+            daemon=True,
+        )
+        sweeper.start()
+        sweeper.join(0.2)
+        assert sweeper.is_alive()
+        release.set()
+        sweeper.join(timeout=30)
+        if sweeper.is_alive():
+            for child in multiprocessing.active_children():
+                child.terminate()
+            pytest.fail("the pooled sweep did not return")
+        assert [record(r) for r in pooled] == [record(r) for r in serial]
+
+    def test_forks_at_most_one_process_per_spec(self, tiny_plan_module, monkeypatch):
+        pools = record_pools(monkeypatch)
+        cases = [("Z7045", INT8, 0), ("Z7045", INT8, 1), ("Z7045", INT8, 0)]
+        pooled = self.sweep(tiny_plan_module, cases, workers=4)
+        assert [pool["max_workers"] for pool in pools] == [1]
+        assert pooled[0] is pooled[2]
+
+    @pytest.mark.parametrize(
+        "objective, oracle",
+        [("slo", None), ("composite", "sim"), ("slo", "serving")],
+        ids=["slo", "composite-sim", "slo-serving"],
+    )
+    def test_objective_and_oracle_reach_the_workers(
+        self, tiny_plan_module, objective, oracle
+    ):
+        # Each case carries its resolved objective and oracle, pickled to
+        # the worker that runs it.
+        cases = [("Z7045", INT8, 0), ("ZU9CG", INT8, 0), ("Z7045", INT8, 0)]
+        options = dict(objective=objective, rerank_oracle=oracle, rerank_top_k=2)
+        clear_process_caches()
+        serial = self.sweep(tiny_plan_module, cases, workers=1, **options)
+        clear_process_caches()
+        pooled = self.sweep(tiny_plan_module, cases, workers=2, **options)
+        assert [record(r) for r in pooled] == [record(r) for r in serial]
+        assert pooled[0] is pooled[2]
+        if oracle is not None:
+            assert all(r.rerank_invocations > 0 for r in pooled)
+
+
 class TestSweepApi:
     def test_grid_times_out_cases(self):
         flows = sweep_grid(
@@ -755,12 +1001,21 @@ class TestSweepApi:
         swept = run_sweep(flows, iterations=2, population=8, seed=0)
         assert swept[0].dse is swept[1].dse
 
-    def test_run_sweep_rejects_workers(self):
+    def test_pooled_run_sweep_equals_serial_and_dedups(self):
         flows = sweep_grid(
-            networks=[make_tiny_decoder()], devices=["Z7045"], quants=["int8"]
+            networks=[make_tiny_decoder()],
+            devices=["Z7045", "ZU9CG", "Z7045"],
+            quants=["int8"],
         )
-        with pytest.raises(ValueError, match="workers must be 1"):
-            run_sweep(flows, iterations=2, population=8, workers=2)
+        clear_process_caches()
+        serial = run_sweep(flows, iterations=2, population=8, seed=0)
+        clear_process_caches()
+        pooled = run_sweep(flows, iterations=2, population=8, seed=0, workers=2)
+        assert [record(r.dse) for r in pooled] == [record(r.dse) for r in serial]
+        assert [(r.budget, r.quant.name) for r in pooled] == [
+            (r.budget, r.quant.name) for r in serial
+        ]
+        assert pooled[0].dse is pooled[2].dse
 
     def test_flow_run_rejects_workers(self):
         flow = FCad(
@@ -768,6 +1023,7 @@ class TestSweepApi:
         )
         with pytest.raises(ValueError, match="workers must be 1"):
             flow.run(iterations=2, population=8, workers=2)
+
 
 class TestResultStats:
     def test_cache_hit_rate_surfaced(self, tiny_plan_module):

@@ -314,6 +314,26 @@ class TestSloObjective:
         slo = SloObjective()
         assert slo.score(fast, (1.0,)) > slo.score(slow, (1.0,))
 
+    @pytest.mark.parametrize(
+        "miss_weight, error",
+        [
+            (math.nan, ValueError),
+            (math.inf, ValueError),
+            (-math.inf, ValueError),
+            (-5.0, ValueError),
+            (True, TypeError),
+            ("1000", TypeError),
+        ],
+        ids=["nan", "inf", "-inf", "-5", "True", "str"],
+    )
+    def test_rejects_a_bad_miss_weight(self, miss_weight, error):
+        with pytest.raises(error, match="miss_weight"):
+            SloObjective(miss_weight=miss_weight)
+
+    def test_accepts_finite_non_negative_miss_weights(self):
+        for miss_weight in (0, 0.0, 1000, np.float64(2.5)):
+            assert SloObjective(miss_weight=miss_weight).miss_weight == miss_weight
+
     def test_falls_back_to_paper_proxy_on_analytical_metrics(self):
         metrics = analytical([10.0, 30.0])
         priorities = (1.0, 2.0)
@@ -369,12 +389,29 @@ class TestCompositeObjective:
                 expected += weight * part.score(metrics, priorities)
             assert composite.score(metrics, priorities) == expected
 
+    @pytest.mark.parametrize(
+        "weight, error",
+        [
+            (math.nan, ValueError),
+            (math.inf, ValueError),
+            (-math.inf, ValueError),
+            (True, TypeError),
+            ("1.0", TypeError),
+        ],
+        ids=["nan", "inf", "-inf", "True", "str"],
+    )
+    def test_rejects_a_non_finite_weight_naming_its_position(self, weight, error):
+        with pytest.raises(error, match="composite weight 1"):
+            CompositeObjective(
+                parts=((PaperObjective(), 1.0), (SloObjective(), weight))
+            )
+
     def test_empty_and_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError):
             CompositeObjective(parts=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="composite weight 0 must be > 0"):
             CompositeObjective(parts=((PaperObjective(), 0.0),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="composite weight 1"):
             CompositeObjective(
                 parts=((PaperObjective(), 1.0), (SloObjective(), -2.0))
             )
