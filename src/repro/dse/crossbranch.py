@@ -55,7 +55,7 @@ from repro.dse.worker import (
     rerank_key,
 )
 from repro.quant.schemes import QuantScheme
-from repro.utils.checks import check_finite
+from repro.utils.checks import check_count, check_finite
 from repro.utils.rng import make_rng
 
 #: Fraction floor so no branch is starved to exactly zero.
@@ -131,8 +131,7 @@ class CrossBranchOptimizer:
         rerank_top_k: int = 4,
     ) -> None:
         customization.validate_for(plan)
-        if rerank_top_k < 1:
-            raise ValueError("rerank_top_k must be at least 1")
+        rerank_top_k = check_count("rerank_top_k", rerank_top_k)
         self.plan = plan
         self.budget = budget
         self.customization = customization
@@ -297,10 +296,8 @@ class CrossBranchOptimizer:
         the ladders they share and the stage-memo counters it reads
         deltas of are process-wide (see :data:`repro.dse.worker.PROCESS_LOCK`).
         """
-        if iterations < 1:
-            raise ValueError(f"iterations must be at least 1, got {iterations}")
-        if population < 1:
-            raise ValueError(f"population must be at least 1, got {population}")
+        iterations = check_count("iterations", iterations)
+        population = check_count("population", population)
         # scan_global_best relies on it: the best only rises.
         check_finite("improvement_tolerance", improvement_tolerance, minimum=0.0)
         with PROCESS_LOCK:

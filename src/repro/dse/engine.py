@@ -32,7 +32,7 @@ from repro.dse.space import Customization
 from repro.dse.worker import EvalSpec
 from repro.perf.estimator import evaluate
 from repro.quant.schemes import QuantScheme
-from repro.utils.checks import check_finite, is_count
+from repro.utils.checks import check_count, check_finite, check_positive
 from repro.utils.rng import seed_fingerprint
 
 
@@ -41,9 +41,9 @@ class DseEngine:
 
     ``alpha`` is the variance-penalty weight an objective given by name
     (or left to the paper default) is built with, a finite number >= 0
-    checked here; what fitness a search
-    maximizes, and whether an expensive oracle re-ranks the analytical
-    top-K per generation, is chosen per search (see
+    checked here; ``frequency_mhz`` must be a finite number > 0. What
+    fitness a search maximizes, and whether an expensive oracle re-ranks
+    the analytical top-K per generation, is chosen per search (see
     :mod:`repro.dse.objective`).
     """
 
@@ -59,6 +59,7 @@ class DseEngine:
         if quant is None:
             raise ValueError("a quantization scheme is required")
         check_finite("alpha", alpha, minimum=0.0)
+        check_positive("frequency_mhz", frequency_mhz)
         if customization is None:
             customization = Customization.uniform(plan.num_branches)
         self.plan = plan
@@ -211,9 +212,7 @@ class DseEngine:
         no ``random.Random`` seed, whose state the cases of a serial sweep
         advance in turn.
         """
-        if not is_count(workers):
-            raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-        workers = int(workers)
+        workers = check_count("workers", workers)
         if workers > 1:
             if cache is not None:
                 raise ValueError(
@@ -312,8 +311,12 @@ def plan_sweep(
     engine, the index of its case. Each engine's case resolves
     ``objective`` with that engine's ``alpha``. Cases with an integer
     seed and equal :meth:`SweepCase.key` are one case; a ``None`` seed
-    (fresh entropy) or a live ``random.Random`` never shares one.
+    (fresh entropy) or a live ``random.Random`` never shares one. The
+    search sizes are checked here, before any case runs.
     """
+    iterations = check_count("iterations", iterations)
+    population = check_count("population", population)
+    rerank_top_k = check_count("rerank_top_k", rerank_top_k)
     engines = list(engines)
     if seeds is None:
         seeds = [seed] * len(engines)

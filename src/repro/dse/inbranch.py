@@ -37,9 +37,8 @@ from repro.arch.config import BranchConfig, StageConfig
 from repro.construction.reorg import BranchPipeline
 from repro.devices.budget import ResourceBudget
 from repro.dse.space import get_pf
-from repro.perf.analytical import stage_latency_cycles
-from repro.perf.estimator import BranchPerf, evaluate_branch
-from repro.perf.resources import stage_resources, stage_stream_bytes
+from repro.perf.estimator import BranchPerf, evaluate_branch, stage_perf
+from repro.perf.resources import stage_stream_bytes
 from repro.quant.schemes import QuantScheme
 
 if TYPE_CHECKING:
@@ -217,31 +216,36 @@ class BranchEvalTable:
 
             registry = self._ladders
             if registry is None:
-                self._ladder = BranchLadder(self)
-                return self._ladder
-            problem = (
-                self.pipeline,
-                self.quant,
-                self.frequency_mhz,
-                self.max_h,
-                self.max_pf,
-            )
-            key = hashlib.sha1(pickle.dumps(problem)).hexdigest()
-            shared = registry.get(key)
-            if shared is None:
-                self._ladder = registry[key] = BranchLadder(self)
+                ladder = BranchLadder(self)
             else:
-                self._adopt(shared)
+                problem = (
+                    self.pipeline,
+                    self.quant,
+                    self.frequency_mhz,
+                    self.max_h,
+                    self.max_pf,
+                )
+                key = hashlib.sha1(pickle.dumps(problem)).hexdigest()
+                ladder = registry.get(key)
+                if ladder is None:
+                    ladder = registry[key] = BranchLadder(self)
+            self._adopt(ladder)
         return self._ladder
 
-    def _adopt(self, ladder: "BranchLadder") -> None:
-        """Use another table's ladder, as if this table had built it.
+    @property
+    def has_ladder(self) -> bool:
+        """Whether :meth:`ladder` has built or adopted one yet."""
+        return self._ladder is not None
 
-        Building a ladder looks up every chain state once through
-        :meth:`stage_eval`. The same lookups are replayed here: a hit
-        where this table's memo holds the state, otherwise the chain's
-        exact ``(latency, DSP, BRAM)`` seeds the memo. So the table's
-        memo and counters end as a build would leave them.
+    def _adopt(self, ladder: "BranchLadder") -> None:
+        """Take a ladder, built for this table or shared by its problem.
+
+        A ladder evaluates each chain state once; the table looks every
+        state up once through its stage memo, as :meth:`stage_eval`
+        would: a hit where the memo holds the state, otherwise the
+        chain's exact ``(latency, DSP, BRAM)`` seeds the memo. So a table
+        that adopts a shared ladder ends with the memo and counters of
+        one that built it.
         """
         counters = self._counters
         for memo, chain in zip(self._stage_eval, ladder.chains):
@@ -290,13 +294,12 @@ class BranchEvalTable:
         memo = self._stage_eval[idx]
         entry = memo.get(cfg)
         if entry is None:
-            resources = stage_resources(self.stages[idx], cfg, self.quant)
-            entry = (
-                stage_latency_cycles(self.stages[idx], cfg),
-                resources.dsp,
-                resources.bram,
+            perf = stage_perf(self.stages[idx], cfg, self.quant)
+            entry = memo[cfg] = (
+                perf.latency_cycles,
+                perf.resources.dsp,
+                perf.resources.bram,
             )
-            memo[cfg] = entry
         else:
             counters[0] += 1
         return entry

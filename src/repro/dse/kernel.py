@@ -13,18 +13,19 @@ a ``searchsorted`` over the chain's (strictly increasing) pf products.
 That observation turns the per-bucket Python loops into array passes over
 all N unique buckets of a PSO generation at once:
 
-- **ladder** — per-stage chains are enumerated once per branch
-  (:class:`StageChain`, struct-of-arrays: configs, pf products, latency,
-  DSP, BRAM). The halving loop's starting targets depend only on the
-  bucket's bandwidth (lines 8-12), and rung ``r`` asks for
-  ``max(1, t0 >> r)``. So everything a rung measures — the realized chain
-  states, their DSP and BRAM sums, the bandwidth-limited replica quotient,
-  whether the targets have bottomed out — is a function of the bandwidth
-  value alone. Each bandwidth value a branch meets is descended once, in
-  one vectorized pass over all of a call's new values, into a *rung
-  table* kept for the table's lifetime. A bucket's stop rung is then the
-  first rung of its row whose replicas its budget pays for (or the row's
-  bottom).
+- **ladder** — per-stage chains are enumerated once per branch, each
+  state evaluated once (:class:`StageChain`, struct-of-arrays: configs,
+  pf products, latency, DSP, BRAM). The halving loop's starting targets
+  depend only on the bucket's bandwidth (lines 8-12), and rung ``r``
+  asks for ``max(1, t0 >> r)``. So everything a rung measures — the
+  realized chain states, their DSP and BRAM sums, the bandwidth-limited
+  replica quotient, whether the targets have bottomed out — is a
+  function of the bandwidth value alone. Each bandwidth value a branch
+  meets is descended once, in one vectorized pass over all of a call's
+  new values (the DSE's batched path first descends every value its
+  spec can reach, in one pass), into a *rung table* kept for the
+  table's lifetime. A bucket's stop rung is then the first rung of its
+  row whose replicas its budget pays for (or the row's bottom).
 - **growth** — the bottleneck-doubling walk is independent of the budget
   except for *where it stops*, so the walk from each distinct halving
   end-state is traced once (:class:`GrowthPath`) and kept as running
@@ -35,8 +36,10 @@ all N unique buckets of a PSO generation at once:
   call's growing buckets are two ``searchsorted`` calls; the bandwidth
   term is one ``(buckets × steps)`` comparison.
 - **measure** — final ``(batch, chain-state)`` pairs repeat heavily across
-  buckets, and :func:`~repro.perf.estimator.evaluate_branch` is a pure
-  function of them, so solutions are memoized per pair.
+  buckets, so solutions are memoized per pair. Each is aggregated by
+  :func:`~repro.perf.estimator.branch_perf` from the per-state
+  :class:`~repro.perf.estimator.StagePerf` records the chains hold, so
+  no stage state is evaluated twice.
 
 Every arithmetic step reproduces the scalar solver's exact float64
 operation order (same products, same divisions, same truncations), so the
@@ -58,7 +61,7 @@ from repro.dse.inbranch import (
     BranchEvalTable,
     BranchSolution,
 )
-from repro.perf.estimator import BranchPerf, evaluate_branch
+from repro.perf.estimator import BranchPerf, StagePerf, branch_perf, stage_perf
 
 #: Clip for the bandwidth quotient before int64 conversion, and the
 #: quotient of a replica that moves no external bytes. Any true quotient
@@ -74,8 +77,10 @@ class KernelTimings:
     """Where the batched solve spent its time, by phase.
 
     ``ladder`` covers building the rung tables for new bandwidth values
-    and looking up each bucket's stop rung; ``growth`` the bottleneck
-    doubling; ``measure`` the final branch evaluation.
+    and looking up each bucket's stop rung (the DSE's batched path adds
+    taking a table's ladder and descending its spec's reach);
+    ``growth`` the bottleneck doubling; ``measure`` the final branch
+    evaluation.
     """
 
     ladder_seconds: float = 0.0
@@ -93,14 +98,16 @@ class StageChain:
 
     ``configs[i]`` is the i-th state of the deterministic doubling walk
     from ``(1, 1, 1)``; ``prods`` its (strictly increasing) pf products;
-    ``lat`` / ``dsp`` / ``bram`` its memoized per-stage evaluation. A
-    scalar target ``t`` realizes as the first state with ``prods >= t``
-    (after the ``max_pf`` clamp ``GetPF`` applies), or the last state when
-    the chain saturates below ``t`` — exactly ``GetPF``'s return value.
+    ``perfs`` its one evaluation per state, and ``lat`` / ``dsp`` /
+    ``bram`` their columns. A scalar target ``t`` realizes as the first
+    state with ``prods >= t`` (after the ``max_pf`` clamp ``GetPF``
+    applies), or the last state when the chain saturates below ``t`` —
+    exactly ``GetPF``'s return value.
     """
 
     __slots__ = (
         "configs",
+        "perfs",
         "prods",
         "lat",
         "dsp",
@@ -136,13 +143,15 @@ class StageChain:
                 h = min(h * 2, h_cap)
             else:
                 break
-        # Route per-state evaluations through the table's shared memo so
-        # scalar and batched solves feed the same tables and counters.
-        evals = [table.stage_eval(idx, cfg) for cfg in configs]
         self.configs = tuple(configs)
-        self.lat_list = [e[0] for e in evals]
-        self.dsp_list = [e[1] for e in evals]
-        self.bram_list = [e[2] for e in evals]
+        # The table's stage memo is seeded from these when it takes the
+        # ladder (BranchEvalTable._adopt).
+        self.perfs: tuple[StagePerf, ...] = tuple(
+            stage_perf(stage, cfg, table.quant) for cfg in configs
+        )
+        self.lat_list = [perf.latency_cycles for perf in self.perfs]
+        self.dsp_list = [perf.resources.dsp for perf in self.perfs]
+        self.bram_list = [perf.resources.bram for perf in self.perfs]
         self.prods = np.array(
             [cfg.cpf * cfg.kpf * cfg.h for cfg in configs], dtype=np.int64
         )
@@ -342,18 +351,21 @@ class BranchLadder:
             np.int64
         )
         # Rung r asks for max(1, t0 >> r); the descent stops once every
-        # target is 1, and later rungs repeat that one.
+        # target is 1, and later rungs repeat that one. The targets are
+        # made one stage at a time, so a pass over a spec's whole reach
+        # holds (values x rungs) arrays, not one more axis of stages.
         depth = max(1, int(start.max()).bit_length())
-        targets = np.maximum(
-            start[:, None, :] >> np.arange(depth)[:, None], 1
-        )
-        shape = targets.shape[:2]
-        states = np.empty(targets.shape, dtype=self._state_dtype)
+        shifts = np.arange(depth)
+        shape = (len(bandwidth), depth)
+        states = np.empty(shape + (len(self.chains),), dtype=self._state_dtype)
         c_sum = np.zeros(shape, dtype=self._sum_dtype)
         m_sum = np.zeros(shape, dtype=self._sum_dtype)
         maxlat = np.zeros(shape, dtype=np.int64)
+        bottomed = np.ones(shape, dtype=bool)
         for k, chain in enumerate(self.chains):
-            jk = chain.indices_for(targets[:, :, k])
+            targets = np.maximum(start[:, k, None] >> shifts, 1)
+            bottomed &= targets <= 1
+            jk = chain.indices_for(targets)
             states[:, :, k] = jk
             c_sum += chain.dsp[jk]
             m_sum += chain.bram[jk]
@@ -361,7 +373,7 @@ class BranchLadder:
         quotient = _bandwidth_quotient(
             bw_margin[:, None], self._bw_replica(maxlat)
         )
-        floor = (targets <= 1).all(axis=2).argmax(axis=1)
+        floor = bottomed.argmax(axis=1)
         cols = np.minimum(np.arange(self.rungs), depth - 1)
         first_row = len(self._rung_floor)
         self._rung_dsp = np.concatenate((self._rung_dsp, c_sum[:, cols]))
@@ -561,24 +573,31 @@ class BranchLadder:
     def solution(
         self, batch: int, state: tuple[int, ...], batch_target: int
     ) -> BranchSolution:
-        """Measure (or recall) the solution for one final kernel state."""
+        """Measure (or recall) the solution for one final kernel state.
+
+        A design is measured from its stages' chain records, so it
+        evaluates no stage state again.
+        """
         key = (batch, batch_target, state)
         sol = self._solutions.get(key)
         if sol is None:
             measured = self._measured.get((batch, state))
             if measured is None:
                 table = self.table
+                chains = self.chains
                 config = BranchConfig(
                     batch_size=batch,
                     stages=tuple(
-                        chain.configs[j]
-                        for chain, j in zip(self.chains, state)
+                        chain.configs[j] for chain, j in zip(chains, state)
                     ),
                 )
                 measured = self._measured[batch, state] = (
                     config,
-                    evaluate_branch(
-                        table.pipeline, config, table.quant,
+                    branch_perf(
+                        table.pipeline,
+                        batch,
+                        [chain.perfs[j] for chain, j in zip(chains, state)],
+                        table.quant,
                         table.frequency_mhz,
                     ),
                 )

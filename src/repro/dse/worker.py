@@ -83,6 +83,11 @@ from repro.quant.schemes import QuantScheme
 _COMPUTE_GRID = 4
 _MEMORY_GRID = 4
 _BANDWIDTH_GRID = 0.05
+#: The most bandwidth buckets a spec's reach may span for the batched
+#: path to descend it in one pass (a budget up to 204.75 GB/s). A wider
+#: reach stays lazy: a search meets a few hundred values per branch, and
+#: the pass's memory grows with the reach.
+_REACH_ROWS_CAP = 4096
 
 #: A cache key: (spec digest, branch index, quantized budget bucket).
 EvalKey = tuple[str, int, tuple[int, int, int]]
@@ -254,6 +259,30 @@ def solve_bucket(spec: EvalSpec, branch: int, bucket: tuple[int, int, int]) -> B
     )
 
 
+def _descend_reach(
+    spec: EvalSpec, table: BranchEvalTable, timings: KernelTimings | None
+) -> None:
+    """Take the table's ladder and descend the spec's whole bandwidth reach.
+
+    A candidate's branch gets a fraction of the budget's bandwidth, so
+    its bucket lies in ``0..int(bandwidth_gbps / _BANDWIDTH_GRID)``. The
+    ladder gets a rung-table row for every bucket in that range in one
+    pass, instead of one pass per kernel call that meets new values. Rows
+    are a function of the bandwidth value alone, so the solutions are
+    those of a lazily filled ladder. A reach of more than
+    :data:`_REACH_ROWS_CAP` buckets stays lazy. The time, adoption
+    included, is booked to the kernel's ladder phase.
+    """
+    started = time.perf_counter()
+    ladder = table.ladder()
+    reach = int(spec.budget.bandwidth_gbps / _BANDWIDTH_GRID)
+    if reach + 1 <= _REACH_ROWS_CAP:
+        # The values solve_key_batch passes: bucket x grid, in float64.
+        ladder.rung_rows(np.arange(reach + 1, dtype=np.int64) * _BANDWIDTH_GRID)
+    if timings is not None:
+        timings.ladder_seconds += time.perf_counter() - started
+
+
 def solve_key_batch(
     spec: EvalSpec,
     keys: Sequence[EvalKey],
@@ -266,7 +295,8 @@ def solve_key_batch(
     hot path of every generation. Bit-identical to calling
     :func:`solve_bucket` per key (the kernel's core guarantee), just
     without the per-bucket Python loops. Duplicate keys are tolerated and
-    resolve to one mapping entry.
+    resolve to one mapping entry. A table's first batched solve first
+    descends the spec's whole bandwidth reach (:func:`_descend_reach`).
     """
     by_branch: dict[int, list[EvalKey]] = {}
     for key in keys:
@@ -274,10 +304,13 @@ def solve_key_batch(
     solved: dict[EvalKey, BranchSolution] = {}
     for branch in sorted(by_branch):
         branch_keys = by_branch[branch]
+        table = branch_table(spec, branch)
+        if not table.has_ladder:
+            _descend_reach(spec, table, timings)
         # canonical_rd's arithmetic (bucket x grid), one column at a time.
         buckets = np.array([key[2] for key in branch_keys], dtype=np.int64)
         solutions = solve_buckets(
-            branch_table(spec, branch),
+            table,
             buckets[:, 0] * _COMPUTE_GRID,
             buckets[:, 1] * _MEMORY_GRID,
             buckets[:, 2] * _BANDWIDTH_GRID,

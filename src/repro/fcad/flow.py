@@ -21,8 +21,9 @@ Usage::
     print(result.render())
 
 Whole families and device grids go through the batch entry point, which
-deduplicates identical cases. Cache entries are per spec; cases with the
-same network, quantization and frequency share Algorithm-2 ladders::
+analyzes and constructs each network once and deduplicates identical
+cases. Cache entries are per spec; cases with the same network,
+quantization and frequency share Algorithm-2 ladders::
 
     results = run_sweep(
         sweep_grid(
@@ -80,7 +81,7 @@ from repro.ir.graph import NetworkGraph
 from repro.profiler.network import NetworkProfile
 from repro.profiler.report import render_branch_table
 from repro.quant.schemes import QuantScheme, get_scheme
-from repro.utils.checks import check_finite
+from repro.utils.checks import check_finite, check_positive, is_count
 
 
 @dataclass(frozen=True)
@@ -213,20 +214,28 @@ class FCad:
             frequency_mhz = (
                 device.default_frequency_mhz if device is not None else 200.0
             )
+        check_positive("frequency_mhz", frequency_mhz)
         self.frequency_mhz = frequency_mhz
         self.customization = customization
         self.alpha = alpha
 
     def prepare(self) -> tuple[NetworkAnalysis, PipelinePlan, DseEngine]:
         """Run Analysis and Construction; return the ready-to-search engine."""
-        analysis = analyze_network(self.network)
-        plan = build_pipeline_plan(self.network)
+        analysis, plan = self._construct()
+        return analysis, plan, self._engine(plan)
+
+    def _construct(self) -> tuple[NetworkAnalysis, PipelinePlan]:
+        """Analysis and Construction, which depend on the network alone."""
+        return analyze_network(self.network), build_pipeline_plan(self.network)
+
+    def _engine(self, plan: PipelinePlan) -> DseEngine:
+        """The engine that searches this flow's target over ``plan``."""
         customization = (
             self.customization
             if self.customization is not None
             else Customization.uniform(plan.num_branches)
         )
-        engine = DseEngine(
+        return DseEngine(
             plan=plan,
             budget=self.budget,
             customization=customization,
@@ -234,7 +243,6 @@ class FCad:
             frequency_mhz=self.frequency_mhz,
             alpha=self.alpha,
         )
-        return analysis, plan, engine
 
     def _result(
         self, analysis: NetworkAnalysis, plan: PipelinePlan, dse: DseResult
@@ -277,7 +285,7 @@ class FCad:
         by *its* scores. A named objective is built with the constructor's
         ``alpha``. The defaults reproduce the paper's search bit for bit.
         """
-        if workers != 1:
+        if not is_count(workers) or workers != 1:
             raise ValueError(
                 f"workers must be 1, got {workers!r}: one search runs in one "
                 f"process; run_sweep(..., workers=N) runs a sweep's cases in "
@@ -307,18 +315,22 @@ def sweep_grid(
     """Build the cross product of a sweep as a list of flows.
 
     Device names are looked up in the FPGA database; pass
-    :class:`AsicSpec` objects for ASIC targets. Feed the result to
-    :func:`run_sweep`.
+    :class:`AsicSpec` objects for ASIC targets. Each argument is read
+    once, so any iterable works. Feed the result to :func:`run_sweep`.
     """
+    devices = [
+        get_device(device) if isinstance(device, str) else device
+        for device in devices
+    ]
+    quants = list(quants)
     flows = []
     for network in networks:
         for device in devices:
-            resolved = get_device(device) if isinstance(device, str) else device
             for quant in quants:
                 flows.append(
                     FCad(
                         network=network,
-                        device=resolved,
+                        device=device,
                         quant=quant,
                         customization=customization,
                         frequency_mhz=frequency_mhz,
@@ -341,11 +353,15 @@ def run_sweep(
 ) -> tuple[FcadResult, ...]:
     """Explore a whole batch of flows in one call.
 
-    Every case draws from one evaluation cache, whose entries are per
-    spec; cases with the same network, quantization and frequency share
-    the Algorithm-2 ladders. Duplicate cases — same network, target,
-    quantization, customization, objective, and seed — are searched
-    exactly once. Results come back in input order, one per flow.
+    Analysis and Construction run once per distinct network object, and
+    every flow of that network shares their frozen products (its
+    result's ``analysis`` and ``plan``); each flow still searches with
+    its own engine. Every case draws from one evaluation cache, whose
+    entries are per spec; cases with the same network, quantization and
+    frequency share the Algorithm-2 ladders. Duplicate cases — same
+    network, target, quantization, customization, objective, and seed —
+    are searched exactly once. Results come back in input order, one per
+    flow.
     ``cache`` passes in a :class:`~repro.dse.cache.LocalEvalCache`, e.g.
     one a previous sweep in this process filled; because cache entries
     are objective-independent metrics, a sweep under a new objective
@@ -355,9 +371,15 @@ def run_sweep(
     sweep's results but for host timings, and then takes no ``cache``
     (see :meth:`~repro.dse.engine.DseEngine.search_many`).
     """
-    prepared = [flow.prepare() for flow in flows]
+    flows = list(flows)
+    # Keyed by identity: the flows keep every network alive meanwhile.
+    constructed: dict[int, tuple[NetworkAnalysis, PipelinePlan]] = {}
+    for flow in flows:
+        if id(flow.network) not in constructed:
+            constructed[id(flow.network)] = flow._construct()
+    prepared = [constructed[id(flow.network)] for flow in flows]
     dse_results = DseEngine.search_many(
-        [engine for _, _, engine in prepared],
+        [flow._engine(plan) for flow, (_, plan) in zip(flows, prepared)],
         iterations=iterations,
         population=population,
         seed=seed,
@@ -369,5 +391,5 @@ def run_sweep(
     )
     return tuple(
         flow._result(analysis, plan, dse)
-        for flow, (analysis, plan, _), dse in zip(flows, prepared, dse_results)
+        for flow, (analysis, plan), dse in zip(flows, prepared, dse_results)
     )

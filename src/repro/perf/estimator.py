@@ -5,13 +5,21 @@ resource models into one report the DSE engine (and the experiment
 harnesses) consume. Branch resources include the ``batch_size`` pipeline
 replicas; branch FPS is the aggregate over replicas, matching how Table IV
 reports per-branch DSP/BRAM/FPS.
+
+A branch is evaluated in two parts: :func:`stage_perf` per configured
+stage, and :func:`branch_perf` over those records. The batched DSE kernel
+evaluates each stage state once and aggregates the records of every
+design that uses it, with the float arithmetic of
+:func:`evaluate_branch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.arch.config import AcceleratorConfig, BranchConfig
+from repro.arch.config import AcceleratorConfig, BranchConfig, StageConfig
+from repro.construction.fusion import FusedStage
 from repro.construction.reorg import BranchPipeline, PipelinePlan
 from repro.devices.budget import ResourceBudget
 from repro.perf.analytical import branch_fps, efficiency, stage_latency_cycles
@@ -97,34 +105,42 @@ class AcceleratorPerf:
         )
 
 
-def evaluate_branch(
+def stage_perf(
+    stage: FusedStage, cfg: StageConfig, quant: QuantScheme
+) -> StagePerf:
+    """Eq. 4 latency and the resources of one configured stage (one replica)."""
+    return StagePerf(
+        name=stage.name,
+        latency_cycles=stage_latency_cycles(stage, cfg),
+        resources=stage_resources(stage, cfg, quant),
+    )
+
+
+def branch_perf(
     pipeline: BranchPipeline,
-    branch_cfg: BranchConfig,
+    batch_size: int,
+    stage_perfs: Sequence[StagePerf],
     quant: QuantScheme,
     frequency_mhz: float,
 ) -> BranchPerf:
-    """Evaluate one branch pipeline under one configuration."""
-    stage_perfs: list[StagePerf] = []
+    """Aggregate one branch's stage perfs, in stage order, over its replicas.
+
+    ``stage_perfs[k]`` is :func:`stage_perf` of the pipeline's ``k``-th
+    stage; ``batch_size`` replicas run side by side.
+    """
     stream_bytes = 0.0
     io_bytes = 0.0
-    for planned, cfg in zip(pipeline.stages, branch_cfg.stages):
-        stage = planned.stage
-        perf = StagePerf(
-            name=stage.name,
-            latency_cycles=stage_latency_cycles(stage, cfg),
-            resources=stage_resources(stage, cfg, quant),
-        )
-        stage_perfs.append(perf)
+    for planned, perf in zip(pipeline.stages, stage_perfs):
         stream_bytes += perf.resources.stream_bytes_per_frame
-        io_bytes += quant.activation_bytes(stage.external_input_elements)
+        io_bytes += quant.activation_bytes(planned.stage.external_input_elements)
     io_bytes += quant.activation_bytes(pipeline.stages[-1].stage.output_elements)
 
     latencies = [p.latency_cycles for p in stage_perfs]
-    fps = branch_fps(latencies, branch_cfg.batch_size, frequency_mhz)
+    fps = branch_fps(latencies, batch_size, frequency_mhz)
     gops_per_frame = pipeline.ops / GIGA
     gops_per_second = gops_per_frame * fps
-    dsp = sum(p.resources.dsp for p in stage_perfs) * branch_cfg.batch_size
-    bram = sum(p.resources.bram for p in stage_perfs) * branch_cfg.batch_size
+    dsp = sum(p.resources.dsp for p in stage_perfs) * batch_size
+    bram = sum(p.resources.bram for p in stage_perfs) * batch_size
     bandwidth_gbps = (stream_bytes + io_bytes) * fps / 1e9
     bottleneck = (
         stage_perfs[latencies.index(max(latencies))].name if latencies else ""
@@ -132,7 +148,7 @@ def evaluate_branch(
     return BranchPerf(
         index=pipeline.index,
         output_name=pipeline.output_name,
-        batch_size=branch_cfg.batch_size,
+        batch_size=batch_size,
         fps=fps,
         efficiency=efficiency(gops_per_second, quant.beta, dsp, frequency_mhz),
         dsp=dsp,
@@ -141,6 +157,25 @@ def evaluate_branch(
         gops=gops_per_second,
         bottleneck_stage=bottleneck,
         stages=tuple(stage_perfs),
+    )
+
+
+def evaluate_branch(
+    pipeline: BranchPipeline,
+    branch_cfg: BranchConfig,
+    quant: QuantScheme,
+    frequency_mhz: float,
+) -> BranchPerf:
+    """Evaluate one branch pipeline under one configuration."""
+    return branch_perf(
+        pipeline,
+        branch_cfg.batch_size,
+        [
+            stage_perf(planned.stage, cfg, quant)
+            for planned, cfg in zip(pipeline.stages, branch_cfg.stages)
+        ],
+        quant,
+        frequency_mhz,
     )
 
 

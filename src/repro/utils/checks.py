@@ -16,6 +16,19 @@ def is_count(value: object, minimum: int = 1) -> bool:
     )
 
 
+def check_count(name: str, value: object, minimum: int = 1) -> int:
+    """``value`` as an ``int``, if it :func:`is_count`; otherwise raise
+    ``ValueError`` naming the parameter."""
+    if not is_count(value, minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _check_real(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
 def check_finite(name: str, value: object, minimum: float = -math.inf) -> None:
     """Raise unless ``value`` is a finite real number >= ``minimum``.
 
@@ -23,9 +36,20 @@ def check_finite(name: str, value: object, minimum: float = -math.inf) -> None:
     infinity or a number below ``minimum`` is out of range
     (``ValueError``). Both messages name the parameter.
     """
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
+    _check_real(name, value)
     if not (math.isfinite(value) and value >= minimum):
         raise ValueError(
             f"{name} must be a finite number >= {minimum:g}, got {value!r}"
         )
+
+
+def check_positive(name: str, value: object) -> None:
+    """Raise unless ``value`` is a finite real number > 0.
+
+    Raises as :func:`check_finite` does: ``TypeError`` for a ``bool`` or
+    a non-number, ``ValueError`` for NaN, an infinity, zero or a
+    negative number.
+    """
+    _check_real(name, value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")

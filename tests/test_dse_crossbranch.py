@@ -20,10 +20,11 @@ from repro.dse.crossbranch import (
     scan_global_best,
 )
 from repro.dse.cache import LocalEvalCache
-from repro.dse.engine import DseEngine
+from repro.dse.engine import DseEngine, SweepCase, plan_sweep
 from repro.dse.objective import BranchMetrics, PaperObjective
 from repro.dse.space import Customization
 from repro.dse.worker import GenerationEvaluator
+from repro.fcad.flow import FCad, run_sweep
 from repro.models.codec_avatar import build_codec_avatar_decoder
 from repro.models.variants import build_gan_decoder, build_modular_decoder
 from repro.perf.estimator import evaluate
@@ -331,6 +332,86 @@ class TestSearchSizes:
         )
         with pytest.raises(ValueError, match="iterations"):
             engine.search(iterations=0, population=4)
+
+
+def search_size_entry_points():
+    """Every public way to size a search, over the tiny decoder on Z7045."""
+    network = make_tiny_decoder()
+    plan = build_pipeline_plan(network)
+    device = get_device("Z7045")
+
+    def engine():
+        return DseEngine(plan=plan, budget=device.budget(), quant=INT8)
+
+    def optimize(rerank_top_k=4, **sizes):
+        return CrossBranchOptimizer(
+            plan=plan,
+            budget=device.budget(),
+            customization=Customization.uniform(plan.num_branches),
+            quant=INT8,
+            rerank_top_k=rerank_top_k,
+        ).search(**sizes)
+
+    def flow():
+        return FCad(network=network, device=device)
+
+    return {
+        "CrossBranchOptimizer": optimize,
+        "DseEngine.search": lambda **kw: engine().search(**kw),
+        "FCad.run": lambda **kw: flow().run(**kw),
+        "plan_sweep": lambda **kw: plan_sweep([engine()], **kw),
+        "search_many": lambda **kw: DseEngine.search_many([engine()], **kw),
+        "run_sweep": lambda **kw: run_sweep([flow()], **kw),
+    }
+
+
+SEARCH_SIZE_ENTRY_POINTS = search_size_entry_points()
+
+
+class TestSearchSizesAreCounts:
+    """``iterations``, ``population`` and ``rerank_top_k`` are integers
+    >= 1 at every entry point: a float, a ``bool``, NaN or a string
+    raises a ``ValueError`` naming the parameter instead of running a
+    rounded search or failing deep inside, and numpy integers are
+    stored as ``int``."""
+
+    @pytest.mark.parametrize("entry", sorted(SEARCH_SIZE_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "name", ["iterations", "population", "rerank_top_k"]
+    )
+    @pytest.mark.parametrize(
+        "value",
+        [0, -1, 2.5, 3.5, math.nan, True, "2"],
+        ids=["0", "-1", "2.5", "3.5", "nan", "True", "str"],
+    )
+    def test_rejected_naming_the_parameter(self, entry, name, value):
+        sizes = {"iterations": 2, "population": 4, name: value}
+        with pytest.raises(ValueError, match=name):
+            SEARCH_SIZE_ENTRY_POINTS[entry](**sizes)
+
+    def test_a_sweep_fails_before_its_first_case(self, monkeypatch):
+        def run(case, cache):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(SweepCase, "run", run)
+        for entry in ("search_many", "run_sweep"):
+            with pytest.raises(ValueError, match="population"):
+                SEARCH_SIZE_ENTRY_POINTS[entry](iterations=2, population=2.5)
+
+    def test_numpy_counts_are_stored_as_int(self):
+        sizes = dict(
+            iterations=np.int64(2), population=np.int32(4), rerank_top_k=np.int8(3)
+        )
+        cases, _ = SEARCH_SIZE_ENTRY_POINTS["plan_sweep"](**sizes)
+        assert [type(getattr(cases[0], name)) for name in sizes] == [int] * 3
+        optimizer = CrossBranchOptimizer(
+            plan=build_pipeline_plan(make_tiny_decoder()),
+            budget=get_device("Z7045").budget(),
+            customization=Customization.uniform(2),
+            quant=INT8,
+            rerank_top_k=np.int64(3),
+        )
+        assert type(optimizer.rerank_top_k) is int
 
 
 #: (best_fitness, history, evaluations, cache_hits) per seed, captured

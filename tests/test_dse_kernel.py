@@ -373,6 +373,134 @@ class TestLongLivedTable:
         )
 
 
+def reach_table(plan, branch_idx, bandwidth_gbps):
+    """A fresh table of one branch whose ladder descended the whole
+    bandwidth reach of a spec with that budget."""
+    from repro.dse.space import Customization
+    from repro.dse.worker import EvalSpec, _descend_reach
+
+    spec = EvalSpec(
+        plan=plan,
+        budget=ResourceBudget(
+            compute=4096, memory=4096, bandwidth_gbps=bandwidth_gbps
+        ),
+        customization=Customization.uniform(plan.num_branches),
+        quant=INT8,
+    )
+    table = BranchEvalTable(plan.branches[branch_idx], INT8)
+    _descend_reach(spec, table, None)
+    return table
+
+
+class TestReachDescend:
+    """The batched path descends a spec's whole bandwidth reach in one
+    pass; rows do not depend on when they were built, so a ladder
+    prefilled that way solves exactly as one filled lazily."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        branch_idx=st.integers(0, 2),
+        bandwidth=st.one_of(
+            st.integers(0, 400).map(lambda bucket: bucket * 0.05),
+            st.floats(0.0, 20.0, allow_nan=False, allow_infinity=False),
+        ),
+        calls=st.lists(
+            st.tuples(
+                st.integers(1, 4),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 750),
+                        st.integers(0, 750),
+                        st.integers(0, 400),
+                    ),
+                    max_size=12,
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_prefilled_rows_solve_as_lazy_rows(
+        self, decoder_plan, branch_idx, bandwidth, calls
+    ):
+        prefilled = reach_table(decoder_plan, branch_idx, bandwidth)
+        lazy = BranchEvalTable(decoder_plan.branches[branch_idx], INT8)
+        lazy.ladder()
+        reach = int(bandwidth / 0.05)
+        assert len(prefilled.ladder()._known_bw) == reach + 1
+        for batch_target, buckets in calls:
+            # Grid budgets inside the spec's reach, as the search makes.
+            budgets = [
+                canonical_rd((compute, memory, min(bucket_bw, reach)))
+                for compute, memory, bucket_bw in buckets
+            ]
+            solved = [
+                solve_buckets(table, *budget_arrays(budgets), batch_target)
+                for table in (prefilled, lazy)
+            ]
+            assert pickle.dumps(solved[0]) == pickle.dumps(solved[1])
+            assert (prefilled.stage_hits, prefilled.stage_lookups) == (
+                lazy.stage_hits,
+                lazy.stage_lookups,
+            )
+
+    def test_one_pass_per_ladder(self, decoder_plan):
+        """A search's first generation descends each branch's reach in
+        one pass; later generations descend nothing."""
+        from unittest import mock
+
+        from repro.devices.fpga import get_device
+        from repro.dse.cache import LocalEvalCache
+        from repro.dse.kernel import BranchLadder
+        from repro.dse.space import Customization
+        from repro.dse.worker import EvalSpec, GenerationEvaluator, branch_table
+
+        spec = EvalSpec(
+            plan=decoder_plan,
+            budget=get_device("ZU9CG").budget(),
+            customization=Customization.uniform(decoder_plan.num_branches),
+            quant=INT8,
+        )
+        rng = random.Random(3)
+        clear_process_caches()
+        evaluate = GenerationEvaluator(spec, LocalEvalCache())
+        with mock.patch.object(
+            BranchLadder, "_descend", autospec=True,
+            side_effect=BranchLadder._descend,
+        ) as descending:
+            for _ in range(3):
+                evaluate([[rng.random() for _ in range(9)] for _ in range(20)])
+        assert descending.call_count == decoder_plan.num_branches
+        reach = int(spec.budget.bandwidth_gbps / 0.05)
+        for branch in range(decoder_plan.num_branches):
+            ladder = branch_table(spec, branch).ladder()
+            assert len(ladder._known_bw) == reach + 1
+        assert evaluate.timings.ladder_seconds > 0
+
+    def test_a_wide_reach_stays_lazy(self, decoder_plan):
+        from repro.dse.worker import _REACH_ROWS_CAP
+
+        within = reach_table(decoder_plan, 0, (_REACH_ROWS_CAP - 1) * 0.05)
+        assert len(within.ladder()._known_bw) == _REACH_ROWS_CAP
+        wide = reach_table(decoder_plan, 0, _REACH_ROWS_CAP * 0.05)
+        assert len(wide.ladder()._known_bw) == 0
+
+    def test_the_scalar_path_builds_no_ladder(self, decoder_plan):
+        from repro.devices.fpga import get_device
+        from repro.dse.space import Customization
+        from repro.dse.worker import EvalSpec, branch_table, solve_bucket
+
+        spec = EvalSpec(
+            plan=decoder_plan,
+            budget=get_device("Z7045").budget(),
+            customization=Customization.uniform(decoder_plan.num_branches),
+            quant=INT8,
+        )
+        clear_process_caches()
+        solve_bucket(spec, 0, (100, 100, 100))
+        assert not branch_table(spec, 0).has_ladder
+
+
 class TestEndToEndIdentity:
     """Seeded search identity across the kernel-routed evaluation path."""
 

@@ -557,8 +557,7 @@ class TestSharedLadders:
             )
         clear_process_caches()
         with mock.patch(
-            "repro.dse.kernel.evaluate_branch",
-            side_effect=kernel.evaluate_branch,
+            "repro.dse.kernel.branch_perf", side_effect=kernel.branch_perf
         ) as measuring:
             run_sweep(flows, iterations=5, population=40, seed=1)
         ladders = list(worker._LADDERS.values())
@@ -570,6 +569,61 @@ class TestSharedLadders:
         }
         assert measuring.call_count == len(designs) < solutions
 
+    def test_each_chain_state_is_evaluated_once_per_ladder(self):
+        """Across a sweep, every stage state a ladder's chains hold is
+        evaluated exactly once, and no design re-evaluates one: a
+        design's perf aggregates its stages' chain records. Only the
+        search's final estimate of its best design evaluates afresh."""
+        from collections import Counter
+
+        from repro.dse import engine, worker
+        from repro.models.codec_avatar import build_codec_avatar_decoder
+        from repro.perf import estimator
+
+        flows = []
+        for batches in ((1, 1, 1), (1, 2, 4)):
+            flows += sweep_grid(
+                networks=[build_codec_avatar_decoder()],
+                devices=("Z7045", "ZU9CG"),
+                quants=("int8", "int16"),
+                customization=Customization(
+                    batch_sizes=batches, priorities=(1.0, 1.0, 1.0)
+                ),
+            )
+        evaluated: Counter = Counter()
+        final = []
+        stage_resources = estimator.stage_resources
+
+        def counting(stage, cfg, quant):
+            if not final:
+                evaluated[id(stage), cfg, quant.name] += 1
+            return stage_resources(stage, cfg, quant)
+
+        def final_estimate(*args, **kwargs):
+            final.append(True)
+            try:
+                return estimator.evaluate(*args, **kwargs)
+            finally:
+                final.pop()
+
+        clear_process_caches()
+        with mock.patch.object(
+            estimator, "stage_resources", counting
+        ), mock.patch.object(engine, "evaluate", final_estimate):
+            run_sweep(flows, iterations=3, population=16, seed=0)
+        ladders = list(worker._LADDERS.values())
+        # One ladder per branch and quantization: devices and batch
+        # sizes share them.
+        assert len(ladders) == 6
+        states = Counter(
+            (id(stage), cfg, ladder.table.quant.name)
+            for ladder in ladders
+            for stage, chain in zip(ladder.table.stages, ladder.chains)
+            for cfg in chain.configs
+        )
+        assert max(states.values()) == 1
+        assert evaluated == states
+
     def test_solution_judges_the_batch_target_per_call(self, spec):
         """One measurement serves every batch target; only
         ``meets_batch_target`` reads the target."""
@@ -579,8 +633,7 @@ class TestSharedLadders:
         ladder = branch_table(spec, 0).ladder()
         state = (0,) * len(ladder.chains)
         with mock.patch(
-            "repro.dse.kernel.evaluate_branch",
-            side_effect=kernel.evaluate_branch,
+            "repro.dse.kernel.branch_perf", side_effect=kernel.branch_perf
         ) as measuring:
             met = ladder.solution(2, state, batch_target=1)
             missed = ladder.solution(2, state, batch_target=4)
@@ -589,6 +642,51 @@ class TestSharedLadders:
         assert missed.config is met.config and missed.perf is met.perf
         assert met.config.batch_size == 2
         assert ladder.solution(2, state, batch_target=1) is met
+
+
+class TestSweepConstructsEachNetworkOnce:
+    """``run_sweep`` analyzes and constructs each distinct network object
+    once: every flow of a network shares its analysis and plan, flows of
+    different networks do not, and each case still reports exactly what
+    its cold solo run does, whether the cases run here or on a pool."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interleaved_networks(self, workers):
+        from repro.fcad import flow as flow_module
+        from repro.models.zoo import get_model
+
+        networks = [get_model("tiny_yolo"), make_tiny_decoder()]
+        flows = [
+            FCad(network=network, device=get_device(device), quant=quant)
+            for device in ("Z7045", "ZU9CG")
+            for quant in ("int8", "int16")
+            for network in networks
+        ]
+        size = dict(iterations=2, population=8, seed=0)
+        clear_process_caches()
+        with mock.patch.object(
+            flow_module,
+            "analyze_network",
+            side_effect=flow_module.analyze_network,
+        ) as analyzing, mock.patch.object(
+            flow_module,
+            "build_pipeline_plan",
+            side_effect=flow_module.build_pipeline_plan,
+        ) as constructing:
+            swept = run_sweep(flows, workers=workers, **size)
+        for calls in (analyzing.call_args_list, constructing.call_args_list):
+            assert [id(call.args[0]) for call in calls] == list(map(id, networks))
+        for one, flow_one in zip(swept, flows):
+            for other, flow_other in zip(swept, flows):
+                same = flow_one.network is flow_other.network
+                assert (one.plan is other.plan) == same
+                assert (one.analysis is other.analysis) == same
+        for flow, result in zip(flows, swept):
+            clear_process_caches()
+            solo = flow.run(**size)
+            assert record(result.dse) == record(solo.dse)
+            assert result.plan == solo.plan
+            assert result.analysis == solo.analysis
 
 
 class TestSweepCaseEqualsColdSolo:
@@ -982,6 +1080,20 @@ class TestSweepApi:
         assert len(flows) == 4
         assert {f.quant.name for f in flows} == {"int8", "int16"}
 
+    def test_grid_reads_one_shot_iterables_once(self):
+        from repro.models.zoo import get_model
+
+        networks = [get_model("tiny_yolo"), make_tiny_decoder()]
+        devices, quants = ["Z7045", "ZU9CG"], ["int8", "int16"]
+
+        def grid(flows):
+            return [(id(f.network), f.budget, f.quant.name) for f in flows]
+
+        from_lists = sweep_grid(networks, devices, quants)
+        from_iterators = sweep_grid(iter(networks), iter(devices), iter(quants))
+        assert len(from_lists) == 8
+        assert grid(from_iterators) == grid(from_lists)
+
     def test_run_sweep_matches_individual_runs(self):
         graph = make_tiny_decoder()
         flows = sweep_grid(
@@ -992,6 +1104,17 @@ class TestSweepApi:
         solo = flows[0].run(iterations=2, population=8, seed=0)
         assert swept[0].dse.best_fitness == solo.dse.best_fitness
         assert swept[0].dse.best_config == solo.dse.best_config
+
+    def test_run_sweep_reads_a_one_shot_iterable_once(self):
+        flows = sweep_grid(
+            networks=[make_tiny_decoder()], devices=["Z7045", "ZU9CG"]
+        )
+        size = dict(iterations=2, population=8, seed=0)
+        clear_process_caches()
+        listed = run_sweep(flows, **size)
+        clear_process_caches()
+        streamed = run_sweep(iter(flows), **size)
+        assert [record(r.dse) for r in streamed] == [record(r.dse) for r in listed]
 
     def test_run_sweep_dedups_duplicate_flows(self):
         graph = make_tiny_decoder()
@@ -1017,12 +1140,21 @@ class TestSweepApi:
         ]
         assert pooled[0].dse is pooled[2].dse
 
-    def test_flow_run_rejects_workers(self):
+    @pytest.mark.parametrize(
+        "workers", [2, 0, True, 1.0, "1"], ids=["2", "0", "True", "1.0", "str"]
+    )
+    def test_flow_run_rejects_workers(self, workers):
         flow = FCad(
             network=make_tiny_decoder(), device=get_device("Z7045"), quant="int8"
         )
         with pytest.raises(ValueError, match="workers must be 1"):
-            flow.run(iterations=2, population=8, workers=2)
+            flow.run(iterations=2, population=8, workers=workers)
+
+    def test_flow_run_takes_a_numpy_one(self):
+        flow = FCad(
+            network=make_tiny_decoder(), device=get_device("Z7045"), quant="int8"
+        )
+        flow.run(iterations=2, population=8, workers=np.int64(1))
 
 
 class TestResultStats:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
+from repro.construction.reorg import build_pipeline_plan
 from repro.devices.asic import AsicSpec
 from repro.devices.budget import ResourceBudget
 from repro.devices.fpga import get_device
+from repro.dse.engine import DseEngine
 from repro.dse.space import Customization
-from repro.fcad.flow import FCad
+from repro.fcad.flow import FCad, sweep_grid
 from repro.quant.schemes import INT8
 from tests.conftest import make_tiny_decoder
 
@@ -102,3 +107,51 @@ class TestFlow:
             ).run(iterations=2, population=10, seed=seed)
 
         assert run(5).dse.best_config == run(5).dse.best_config
+
+
+def frequency_entry_points():
+    """Every public way to set a search's clock."""
+    network = make_tiny_decoder()
+    plan = build_pipeline_plan(network)
+    device = get_device("Z7045")
+    return {
+        "FCad": lambda f: FCad(network=network, device=device, frequency_mhz=f),
+        "DseEngine": lambda f: DseEngine(
+            plan=plan, budget=device.budget(), quant=INT8, frequency_mhz=f
+        ),
+        "sweep_grid": lambda f: sweep_grid([network], [device], frequency_mhz=f),
+    }
+
+
+FREQUENCY_ENTRY_POINTS = frequency_entry_points()
+
+
+class TestFrequencyIsChecked:
+    """``frequency_mhz`` is a finite real number > 0 wherever it enters:
+    a negative clock no longer reports negative FPS, an infinite one no
+    longer scores every design 0 FPS, ``True`` no longer runs at 1 MHz,
+    and 0, NaN or a string no longer fail deep inside a search."""
+
+    @pytest.mark.parametrize("entry", sorted(FREQUENCY_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "frequency, error",
+        [
+            (-200.0, ValueError),
+            (0, ValueError),
+            (0.0, ValueError),
+            (math.inf, ValueError),
+            (-math.inf, ValueError),
+            (math.nan, ValueError),
+            (True, TypeError),
+            ("200", TypeError),
+        ],
+        ids=["-200", "0", "0.0", "inf", "-inf", "nan", "True", "str"],
+    )
+    def test_rejected_naming_frequency(self, entry, frequency, error):
+        with pytest.raises(error, match="frequency_mhz"):
+            FREQUENCY_ENTRY_POINTS[entry](frequency)
+
+    @pytest.mark.parametrize("entry", sorted(FREQUENCY_ENTRY_POINTS))
+    def test_finite_positive_values_accepted(self, entry):
+        for frequency in (200, 150.0, np.float64(300.0), 1e-3):
+            FREQUENCY_ENTRY_POINTS[entry](frequency)
