@@ -29,10 +29,11 @@ and tracked as a first-class ``shed_rate`` SLO in the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import TYPE_CHECKING
+
+from repro.utils.checks import check_flag, check_positive
 
 if TYPE_CHECKING:
     from repro.serving.engine import _EngineGroup
@@ -60,8 +61,8 @@ class AdmissionControl:
             raise ValueError(
                 f"max queue per replica must be an int >= 1, got {cap!r}"
             )
-        if not 0 < self.slack < math.inf:
-            raise ValueError("admission slack must be positive")
+        check_flag("predict_miss", self.predict_miss)
+        check_positive("slack", self.slack)
 
     def admit(self, group: "_EngineGroup", deadline_rel_ms: float) -> bool:
         """True if the request may enter ``group``'s queue.

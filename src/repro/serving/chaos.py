@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.utils.checks import is_count
+from repro.utils.checks import check_finite, check_flag, is_count
 
 #: Fault kinds and the number of ``:``-separated fields each clause takes
 #: (including the kind itself).
@@ -267,10 +267,9 @@ class RecoveryPolicy:
                 raise ValueError(f"{name} must be an int >= 0, got {value!r}")
             # A numpy integer is stored as a plain int, like GroupSpec's.
             object.__setattr__(self, name, int(value))
-        if self.replace_after_ms is not None and not (
-            0 <= self.replace_after_ms < math.inf
-        ):
-            raise ValueError("replace_after_ms must be >= 0")
+        check_flag("hedge", self.hedge)
+        if self.replace_after_ms is not None:
+            check_finite("replace_after_ms", self.replace_after_ms, minimum=0.0)
 
 
 class CircuitBreaker:

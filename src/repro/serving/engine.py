@@ -58,6 +58,7 @@ from repro.serving.router import RoutingPolicy, failover_route, get_router
 from repro.serving.slo import GroupReport, ServingReport, nearest_rank
 from repro.serving.traffic import RequestTrace, trace_from_workload
 from repro.serving.workload import AvatarWorkload
+from repro.utils.checks import check_count, check_finite, check_positive
 from repro.utils.sums import ordered_sum
 
 #: Per-avatar p99 latencies are only folded into the report up to this
@@ -114,13 +115,14 @@ class AutoscalePolicy:
     max_step: int = 8
 
     def __post_init__(self) -> None:
-        if not (
-            0 < self.check_interval_ms < math.inf
-            and 0 <= self.warmup_ms < math.inf
-        ):
-            raise ValueError("autoscale intervals must be positive")
-        if not 0 < self.target_utilization <= 1.0:
-            raise ValueError("target utilization must be in (0, 1]")
+        check_positive("check_interval_ms", self.check_interval_ms)
+        check_finite("warmup_ms", self.warmup_ms, minimum=0.0)
+        check_positive("target_utilization", self.target_utilization)
+        if self.target_utilization > 1.0:
+            raise ValueError(
+                "target_utilization must be in (0, 1], "
+                f"got {self.target_utilization!r}"
+            )
         for name in ("min_replicas", "max_replicas", "max_step"):
             # A float bound would pass the range checks and crash the
             # session at its first scale-up or while building the fleet.
@@ -145,7 +147,8 @@ class _EngineGroup:
     backlog as frames are queued, finish or fail; the fleet size through
     :meth:`refresh_fleet` whenever ``live`` or ``pending_drain`` moves),
     so every admission and routing decision reads them without
-    recomputing. Admission reads its predicted latency from
+    recomputing. ``unloaded_ms`` is fixed by the design and the window,
+    and is set once. Admission reads its predicted latency from
     :attr:`predicted`, a table by backlog for the current fleet size.
     """
 
@@ -165,6 +168,9 @@ class _EngineGroup:
         self.policy_kind = _POLICY_KIND[spec.policy]
         self.batch_limit = batch_limit
         self.window_ms = spec.batch_window_ms
+        #: Best-case response latency, batching window plus cold fill:
+        #: what the deadline-tiered choice compares budgets with.
+        self.unloaded_ms = self.window_ms + self.profile.first_frame_ms
         self.all_replicas: list[Replica] = []
         self.free: deque[Replica] = deque()
         self.live = 0  # replicas not yet retired (free + busy)
@@ -264,10 +270,6 @@ class _EngineGroup:
             )
             predicted.append(self._drain_ms(frames) + self.window_ms + service)
 
-    def unloaded_latency_ms(self) -> float:
-        """Best-case response latency: batching window plus cold fill."""
-        return self.window_ms + self.profile.first_frame_ms
-
 
 class _HeapSession:
     """One event-heap serving session over a :class:`RequestTrace`."""
@@ -341,9 +343,7 @@ class _HeapSession:
         groups = self.groups
         finish = self._finish
         on_arrival = self._on_arrival
-        # Without faults, a non-last frame's completion only records its
-        # finish time and frees its backlog slot: no handler call.
-        inline_finish = not self._may_fail
+        attempts = self._attempts
         autoscale = self.autoscale
         if autoscale is not None:
             self._push(autoscale.check_interval_ms, _EV_SCALE, 0, 0, None)
@@ -363,9 +363,14 @@ class _HeapSession:
             self._cursor = i
             t, _, kind, gi, a, b = heappop(events)
             if kind == _EV_FINISH:
-                if b is None and inline_finish:
+                if b is None:
+                    # A completion that frees no replica only records its
+                    # finish time, frees its backlog slot and drops the
+                    # frame's retry count, if it has one.
                     finish[a] = t
                     groups[gi].backlog_frames -= 1
+                    if attempts:
+                        attempts.pop(a, None)
                 else:
                     self._on_finish(t, groups[gi], a, b)
             elif kind == _EV_WINDOW:
@@ -395,26 +400,24 @@ class _HeapSession:
             else:
                 preferred = self.router.route(rel, t, groups)
             group = groups[preferred]
-            if self._may_fail:
-                # Failure-aware front door: divert from tripped/exhausted
-                # groups via failover_route; no group available → the
-                # frame fails at the door, charged to the preferred group.
+            if self._may_fail and (group.breaker.open or group.exhausted):
+                # Failure-aware front door: a cluster diverts an arrival
+                # from a tripped or exhausted group via failover_route; no
+                # group available → the frame fails at the door, charged
+                # to the preferred group. A bare pool has nowhere to
+                # divert, so only exhaustion fails its arrivals.
                 if self._cluster:
                     index = failover_route(
                         preferred,
                         rel,
                         groups,
-                        [
-                            not g.breaker.open and not g.exhausted
-                            for g in groups
-                        ],
+                        [not g.breaker.open and not g.exhausted for g in groups],
                     )
                     if index is None:
                         self._fail_at_door(i, group)
                         return
-                    if index != preferred:
-                        groups[index].failovers += 1
                     group = groups[index]
+                    group.failovers += 1
                 elif group.exhausted:
                     self._fail_at_door(i, group)
                     return
@@ -544,9 +547,9 @@ class _HeapSession:
         hedge_finishes = None
         if self._recovery.hedge:
             due = self._due
-            if any(
+            if group.free and any(
                 finishes[j] > due[batch[j]] for j in range(size)
-            ) and group.free:
+            ):
                 hedge_replica = group.free.popleft()
                 hedge_finishes = self._dispatch_hedge(
                     group, hedge_replica, t, size
@@ -695,15 +698,13 @@ class _HeapSession:
     def _on_finish(
         self, t: float, group: _EngineGroup, req: int, replica
     ) -> None:
+        # The last frame of a batch that frees its replica: the batch
+        # succeeded (the breaker closes), and the replica frees up (or
+        # retires).
         self._finish[req] = t
         group.backlog_frames -= 1
         if self._may_fail:
             self._attempts.pop(req, None)
-        if replica is None:
-            return
-        # Last frame of its batch: the batch succeeded (the breaker
-        # closes), and the replica frees up (or retires).
-        if self._may_fail:
             group.breaker.record_success()
         if group.pending_drain > 0:
             group.pending_drain -= 1
@@ -871,11 +872,9 @@ class _HeapSession:
         self._checked = cursor
         for group, arrived in zip(self.groups, arrivals):
             offered_fps = arrived / window_s
-            steady_fps = group.profile.steady_fps
-            if steady_fps <= 0:
-                continue
             desired = math.ceil(
-                offered_fps / (steady_fps * policy.target_utilization)
+                offered_fps
+                / (group.profile.steady_fps * policy.target_utilization)
             )
             desired = min(policy.max_replicas, max(policy.min_replicas, desired))
             serving = group.live - group.pending_drain
@@ -1110,13 +1109,9 @@ def serve_trace(
                 "pass GroupSpec(s) instead of a bare ReplicaPool"
             )
         pool = groups
-        limit = (
-            min(max_batch, pool.max_batch)
-            if max_batch is not None
-            else pool.max_batch
-        )
-        if limit < 1:
-            raise ValueError("max batch must be >= 1")
+        limit = pool.max_batch
+        if max_batch is not None:
+            limit = min(check_count("max_batch", max_batch), limit)
         spec = GroupSpec(
             name="pool",
             profile=pool.profile,

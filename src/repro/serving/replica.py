@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.fcad.flow import FcadResult
 from repro.sim.runner import FrameLatencyProfile
+from repro.utils.checks import check_count
 
 
 @dataclass
@@ -96,8 +97,10 @@ class ReplicaPool:
         replicas: int = 1,
         max_batch: int = 8,
     ) -> None:
-        if replicas < 1:
-            raise ValueError("need at least one replica")
+        # A float count would fail only inside ``range`` or at a
+        # dispatch; a numpy integer is stored as a plain int.
+        replicas = check_count("replicas", replicas)
+        max_batch = check_count("max_batch", max_batch)
         self.profile = latency
         self.replicas = [
             Replica(replica_id=i, latency=latency, max_batch=max_batch)

@@ -135,7 +135,7 @@ def _tiered_pick(
     quickest_ms = 0.0
     for i in candidates:
         group = groups[i]
-        unloaded = group.unloaded_latency_ms()
+        unloaded = group.unloaded_ms
         if unloaded <= deadline_rel_ms:
             fps = group.capacity_fps
             if home < 0 or fps > home_fps:

@@ -11,7 +11,7 @@ from repro.perf.estimator import evaluate
 from repro.quant.schemes import QuantScheme
 from repro.sim.pipeline import PipelineSimulator
 from repro.sim.stats import SimStats
-from repro.utils.checks import is_count
+from repro.utils.checks import check_positive, is_count
 from repro.utils.units import GIGA
 
 
@@ -34,6 +34,13 @@ class FrameLatencyProfile:
     steady_interval_ms: float
     frequency_mhz: float
 
+    def __post_init__(self) -> None:
+        # A NaN or infinite latency serves a session of NaN latencies and
+        # no misses; a zero or negative one serves frames before they
+        # start.
+        for name in ("first_frame_ms", "steady_interval_ms", "frequency_mhz"):
+            check_positive(name, getattr(self, name))
+
     @property
     def fill_overhead_ms(self) -> float:
         """Extra latency the first frame pays over a steady-state frame."""
@@ -41,11 +48,7 @@ class FrameLatencyProfile:
 
     @property
     def steady_fps(self) -> float:
-        return (
-            1000.0 / self.steady_interval_ms
-            if self.steady_interval_ms > 0
-            else 0.0
-        )
+        return 1000.0 / self.steady_interval_ms
 
     def batch_finish_ms(
         self, start_ms: float, batch: int, warm: bool = False

@@ -53,3 +53,11 @@ def check_positive(name: str, value: object) -> None:
     _check_real(name, value)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def check_flag(name: str, value: object) -> None:
+    """Raise ``TypeError`` naming the parameter unless ``value`` is a
+    ``bool``: a string such as ``"no"`` is truthy, and a number is not a
+    switch."""
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be a bool, got {value!r}")

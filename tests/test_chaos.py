@@ -176,6 +176,21 @@ class TestRecoveryPolicy:
         with pytest.raises(ValueError):
             RecoveryPolicy(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # "no" is truthy and turned hedging on.
+            {"hedge": "no"},
+            {"hedge": 1},
+            # True read as a 1 ms replacement delay.
+            {"replace_after_ms": True},
+        ],
+    )
+    def test_mistyped_knobs_rejected(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(TypeError, match=name):
+            RecoveryPolicy(**kwargs)
+
     def test_numpy_counts_stored_as_ints(self):
         policy = RecoveryPolicy(
             max_retries=np.int64(2), breaker_threshold=np.int32(0)

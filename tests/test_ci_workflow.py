@@ -97,18 +97,25 @@ def test_perfbench_smoke_job_checks_pinned_dse_runs():
         assert sorted(
             run.split("--seed ")[1].split()[0] for run in steps
         ) == seeds
-    # Exactly three traced runs at seed 0: their outputs must equal the
+    # Exactly four traced runs at seed 0: their outputs must equal the
     # untraced repetitions' and their probes must all be restored. In
     # dse-sweep the cases share Algorithm-2 ladders, which are then built
     # under the wrapped kernel; in serve-diurnal admission reads a table,
-    # and the wrapped admit must still be called once per arrival.
+    # and the wrapped admit must still be called once per arrival; in
+    # serve-chaos the wrapped router must be called once per arrival,
+    # and failover only for the arrivals it diverts.
     assert sorted(
         run.split("--workload ")[1].split("--trace")[0] for run in traced
     ) == [
         "dse-paper --seed 0 --seconds 1 ",
         "dse-sweep --seed 0 --seconds 1 ",
+        "serve-chaos --seed 0 --seconds 1 ",
         "serve-diurnal --seed 0 --seconds 1 ",
     ]
+    chaos = next(run for run in traced if "--workload serve-chaos" in run)
+    check = chaos.splitlines()[-1]
+    assert "m['router.calls']['value'] == n" in check
+    assert "m['failover.calls']['value'] < n" in check
     for run in bench_runs:
         # Each check reads the JSON its own run wrote.
         log = run.split("| tee ")[1].split()[0]

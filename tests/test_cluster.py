@@ -145,6 +145,21 @@ class TestSpecsAndValidation:
             with pytest.raises(ValueError, match="slack"):
                 AdmissionControl(slack=slack)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # "no" is truthy and left prediction on; 0 turned it off.
+            {"predict_miss": "no"},
+            {"predict_miss": 0},
+            # True read as a slack of 1.
+            {"slack": True},
+        ],
+    )
+    def test_admission_rejects_mistyped_knobs(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(TypeError, match=name):
+            AdmissionControl(**kwargs)
+
 
 class TestRouters:
     def groups(self):
@@ -182,8 +197,8 @@ class TestRouters:
 
     def test_unloaded_latency_is_window_plus_fill(self):
         latency, throughput = self.groups()
-        assert latency.unloaded_latency_ms() == pytest.approx(8.0)
-        assert throughput.unloaded_latency_ms() == pytest.approx(28.0)
+        assert latency.unloaded_ms == pytest.approx(8.0)
+        assert throughput.unloaded_ms == pytest.approx(28.0)
 
 
 class TestClusterSessions:

@@ -392,12 +392,21 @@ def test_exhausted_group_ignores_a_late_autoscaled_replica():
     assert report.failed == report.submitted
 
 
+@pytest.mark.parametrize(
+    "name", ["check_interval_ms", "warmup_ms", "target_utilization"]
+)
+def test_autoscale_rejects_a_bool(name):
+    # True passed every range check as the number 1.
+    with pytest.raises(TypeError, match=name):
+        AutoscalePolicy(**{name: True})
+
+
 def test_autoscale_validation():
     for interval in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="intervals"):
+        with pytest.raises(ValueError, match="check_interval_ms"):
             AutoscalePolicy(check_interval_ms=interval)
     for warmup in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="intervals"):
+        with pytest.raises(ValueError, match="warmup_ms"):
             AutoscalePolicy(warmup_ms=warmup)
     with pytest.raises(ValueError):
         AutoscalePolicy(target_utilization=1.5)

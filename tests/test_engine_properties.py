@@ -8,7 +8,9 @@ an update is caught at the event where it happens, not hidden by totals
 that happen to balance at the end. Two more properties pin the one-pass
 deadline-tiered choice, in ``DeadlineTieredRouter.route`` and in
 ``failover_route``, to the list-and-``max``/``min`` formulation it
-replaced, ties and infeasible budgets included.
+replaced, ties and infeasible budgets included, and one checks that the
+front door consults ``failover_route`` only for an arrival it must
+divert.
 """
 
 from __future__ import annotations
@@ -234,6 +236,68 @@ class TestCounterInvariants:
 
 
 # ---------------------------------------------------------------------------
+# the front door and the completion path
+# ---------------------------------------------------------------------------
+@contextlib.contextmanager
+def checked_front_door(diverted: list[int]):
+    """Check that the engine calls ``failover_route`` only for an arrival
+    whose preferred group is unavailable, and that no frame still holds a
+    retry count when the session's ``run`` returns."""
+    route = engine.failover_route
+    run = engine._HeapSession.run
+
+    def checked_route(preferred, deadline_rel_ms, groups, available):
+        assert not available[preferred]
+        diverted[0] += 1
+        return route(preferred, deadline_rel_ms, groups, available)
+
+    def checked_run(self):
+        run(self)
+        assert not self._attempts
+
+    engine.failover_route = checked_route
+    engine._HeapSession.run = checked_run
+    try:
+        yield
+    finally:
+        engine.failover_route = route
+        engine._HeapSession.run = run
+
+
+class TestFrontDoor:
+    def test_failover_route_only_for_unavailable_groups(self):
+        # Generated pools and clusters under every router, with chaos
+        # plans that trip breakers and exhaust groups.
+        seen: set[str] = set()
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(sessions())
+        def run(session):
+            groups, trace, kwargs = session
+            diverted = [0]
+            with checked_front_door(diverted):
+                report = serve_trace(groups, trace, **kwargs)
+            assert report.completed + report.shed + report.failed == (
+                report.submitted
+            )
+            if diverted[0]:
+                seen.add("diverted")
+            if report.retries:
+                seen.add("retried")
+
+        run()
+        assert seen == {"diverted", "retried"}
+
+    def test_pinned_failover_session_diverts(self):
+        # The pinned session that fails over: the wrapper is reached.
+        diverted = [0]
+        with checked_front_door(diverted):
+            report, _ = SESSIONS["chaos_cluster"]()
+        assert report.failovers >= 1
+        assert diverted[0] >= report.failovers
+
+
+# ---------------------------------------------------------------------------
 # fair selection
 # ---------------------------------------------------------------------------
 def reference_fair(fair_q, last_served, limit) -> list[int]:
@@ -443,18 +507,15 @@ class View:
     """The two things the deadline router reads from a group."""
 
     def __init__(self, unloaded_ms: float, capacity_fps: float) -> None:
-        self._unloaded_ms = unloaded_ms
+        self.unloaded_ms = unloaded_ms
         self.capacity_fps = capacity_fps
-
-    def unloaded_latency_ms(self) -> float:
-        return self._unloaded_ms
 
 
 def reference_pick(candidates, deadline_rel_ms, groups) -> int:
     """The deadline-tiered choice as lists plus ``max``/``min``: what
     ``DeadlineTieredRouter.route`` did over every group, and what
     ``failover_route`` still does over the available ones."""
-    unloaded = {i: groups[i].unloaded_latency_ms() for i in candidates}
+    unloaded = {i: groups[i].unloaded_ms for i in candidates}
     feasible = [i for i in candidates if unloaded[i] <= deadline_rel_ms]
     if feasible:
         return max(feasible, key=lambda i: (groups[i].capacity_fps, -i))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -79,6 +80,26 @@ class TestFrameLatencyProfile:
         with pytest.raises(ValueError):
             PROFILE.batch_finish_ms(0.0, 0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"steady_interval_ms": math.nan},
+            {"first_frame_ms": math.nan},
+            {"steady_interval_ms": math.inf},
+            {"steady_interval_ms": 0.0},
+            {"steady_interval_ms": -4.0},
+            {"first_frame_ms": -8.0},
+            {"frequency_mhz": 0.0},
+        ],
+    )
+    def test_invalid_latencies_rejected(self, bad):
+        # Each one served a session without complaint: a NaN or infinite
+        # latency reported a NaN p99, a zero steady interval served
+        # everything at once, and negative ones ran as if they were real.
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(PROFILE, **bad)
+
 
 class TestReplica:
     def test_warm_window_accounting(self):
@@ -109,6 +130,22 @@ class TestReplica:
         pool = ReplicaPool(PROFILE, replicas=1, max_batch=2)
         with pytest.raises(ValueError, match="capacity"):
             pool.replicas[0].service_times(0.0, 3)
+
+    @pytest.mark.parametrize(
+        "bad", [{"replicas": 2.5}, {"replicas": True}, {"max_batch": 2.5}]
+    )
+    def test_pool_counts_must_be_counts(self, bad):
+        # A float count failed inside ``range`` or only once served, and
+        # ``True`` built one replica.
+        (name,) = bad
+        with pytest.raises(ValueError, match=name):
+            ReplicaPool(PROFILE, **bad)
+
+    def test_numpy_counts_stored_as_ints(self):
+        pool = ReplicaPool(PROFILE, replicas=np.int64(2), max_batch=np.int32(4))
+        assert len(pool) == 2
+        assert type(pool.max_batch) is int and pool.max_batch == 4
+        assert all(type(replica.max_batch) is int for replica in pool.replicas)
 
     def test_pool_reuse_across_sessions_is_clean(self):
         # Every session starts the pool from scratch: running the same
@@ -201,6 +238,27 @@ class TestServingSession:
         assert report.throughput_fps > 0
         assert len(report.replica_utilization) == 2
         assert all(0 <= u <= 1 for u in report.replica_utilization)
+
+    @pytest.mark.parametrize("max_batch", [math.nan, 2.5, True])
+    def test_session_max_batch_must_be_a_count(self, max_batch):
+        # NaN served with no batching window, 2.5 failed inside the
+        # dispatcher, and ``True`` served one-frame batches.
+        pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
+        with pytest.raises(ValueError, match="max_batch"):
+            serve_trace(pool, make_workload(), max_batch=max_batch)
+
+    def test_session_max_batch_caps_the_pool(self):
+        pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
+        default = report_to_json(serve_trace(pool, make_workload()))
+        for cap in (None, 4, 100):
+            # None, or any cap at or above the pool's, serves at its cap.
+            report = serve_trace(pool, make_workload(), max_batch=cap)
+            assert report.max_batch == 4
+            assert report_to_json(report) == default
+        capped = serve_trace(pool, make_workload(), max_batch=np.int64(2))
+        assert type(capped.max_batch) is int and capped.max_batch == 2
+        assert capped.mean_batch_size <= 2
+        report_to_json(capped)
 
     def test_deterministic_at_same_seed(self):
         def run():
