@@ -1,7 +1,7 @@
 """Multi-branch design space exploration (paper Sec. VI)."""
 
 from repro.dse.cache import LocalEvalCache
-from repro.dse.crossbranch import CrossBranchOptimizer, Particle
+from repro.dse.crossbranch import CrossBranchOptimizer
 from repro.dse.engine import DseEngine
 from repro.dse.inbranch import BranchEvalTable, BranchSolution, optimize_branch
 from repro.dse.objective import (
@@ -48,7 +48,6 @@ __all__ = [
     "Objective",
     "OracleStats",
     "PaperObjective",
-    "Particle",
     "RERANK_ORACLES",
     "ServingOracle",
     "SimOracle",

@@ -27,49 +27,39 @@ generation is scored, so a search is a pure function of its seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+import time
 from itertools import repeat, starmap
 from typing import Sequence
 
 import numpy as np
 
 from repro.arch.config import AcceleratorConfig
-from repro.construction.reorg import PipelinePlan
-from repro.devices.budget import ResourceBudget
 from repro.dse.cache import LocalEvalCache
-from repro.dse.inbranch import BranchSolution
 from repro.dse.objective import (
-    BranchMetrics,
     MetricsOracle,
     Objective,
+    OracleStats,
     penalized_score,
     resolve_objective,
     resolve_oracle,
 )
-from repro.dse.space import Customization
+from repro.dse.result import DseResult
 from repro.dse.worker import (
     PROCESS_LOCK,
+    Design,
     EvalSpec,
-    EvalTimings,
     GenerationEvaluator,
     rerank_key,
 )
-from repro.quant.schemes import QuantScheme
-from repro.utils.checks import check_count, check_finite
+from repro.perf.estimator import AcceleratorPerf
+from repro.utils.checks import check_count
 from repro.utils.rng import make_rng
 
 #: Fraction floor so no branch is starved to exactly zero.
 _FRACTION_FLOOR = 0.01
-
-
-@dataclass
-class Particle:
-    """One resource-distribution candidate with PSO state."""
-
-    position: list[float]  # 3 x B fractions: [C..., M..., BW...]
-    velocity: list[float]
-    best_position: list[float] = field(default_factory=list)
-    best_fitness: float = float("-inf")
+#: How much a score must beat the best so far by to replace it. Must be
+#: >= 0: :func:`scan_global_best` relies on a best that only rises.
+_IMPROVEMENT_TOLERANCE = 1e-9
 
 
 def _normalize_block(values: list[float]) -> list[float]:
@@ -113,15 +103,16 @@ def scan_global_best(
 
 
 class CrossBranchOptimizer:
-    """Algorithm 1: stochastic search over cross-branch distributions."""
+    """Algorithm 1: stochastic search over cross-branch distributions.
+
+    ``spec`` is the problem (plan, budget, customization, quantization,
+    frequency); the rest configures the swarm, the cache it evaluates
+    against, and how candidates are scored and re-ranked.
+    """
 
     def __init__(
         self,
-        plan: PipelinePlan,
-        budget: ResourceBudget,
-        customization: Customization,
-        quant: QuantScheme,
-        frequency_mhz: float = 200.0,
+        spec: EvalSpec,
         inertia: float = 0.5,
         c_local: float = 1.2,
         c_global: float = 1.2,
@@ -130,62 +121,15 @@ class CrossBranchOptimizer:
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int = 4,
     ) -> None:
-        customization.validate_for(plan)
-        rerank_top_k = check_count("rerank_top_k", rerank_top_k)
-        self.plan = plan
-        self.budget = budget
-        self.customization = customization
-        self.quant = quant
-        self.frequency_mhz = frequency_mhz
+        self.rerank_top_k = check_count("rerank_top_k", rerank_top_k)
+        self.spec = spec
         self.inertia = inertia
         self.c_local = c_local
         self.c_global = c_global
-        self.num_branches = plan.num_branches
-        self.spec = EvalSpec(
-            plan=plan,
-            budget=budget,
-            customization=customization,
-            quant=quant,
-            frequency_mhz=frequency_mhz,
-        )
+        self.num_branches = spec.plan.num_branches
         self.objective = resolve_objective(objective)
         self.rerank_oracle = resolve_oracle(rerank_oracle)
-        self.rerank_top_k = rerank_top_k
         self._cache = cache if cache is not None else LocalEvalCache()
-        self.evaluations = 0
-        self.cache_hits = 0
-        self.stage_hits = 0
-        self.stage_lookups = 0
-        self.oracle_invocations = 0
-        self.oracle_cache_hits = 0
-        self.best_metrics: BranchMetrics | None = None
-        self.eval_timings = EvalTimings()
-
-    # ------------------------------------------------------------------
-    def _oracle_metrics(
-        self,
-        position: Sequence[float],
-        solutions: tuple[BranchSolution, ...],
-    ) -> BranchMetrics:
-        """Expensive-oracle metrics for one candidate, cached by bucket.
-
-        The oracle identity is folded into the cache key (see
-        :func:`~repro.dse.worker.rerank_key`), so one cache can hold
-        analytical solutions plus re-rank metrics from several oracles —
-        and a persistent cache warm-starts the expensive stage too.
-        """
-        assert self.rerank_oracle is not None
-        key = rerank_key(self.spec, self.rerank_oracle.key, position)
-        metrics = self._cache.get(key)
-        if metrics is None:
-            metrics = self.rerank_oracle.measure(
-                self.spec, position, solutions
-            )
-            self._cache.put(key, metrics)
-            self.oracle_invocations += 1
-        else:
-            self.oracle_cache_hits += 1
-        return metrics
 
     # ------------------------------------------------------------------
     def _heuristic_position(self) -> list[float]:
@@ -198,7 +142,7 @@ class CrossBranchOptimizer:
         demands = [
             max(1.0, pipeline.ops * batch)
             for pipeline, batch in zip(
-                self.plan.branches, self.customization.batch_sizes
+                self.spec.plan.branches, self.spec.customization.batch_sizes
             )
         ]
         fractions = _normalize_block([d / sum(demands) for d in demands])
@@ -209,30 +153,19 @@ class CrossBranchOptimizer:
         population: int,
         rng: random.Random,
         heuristic_seed: bool = True,
-    ) -> list[Particle]:
+    ) -> list[list[float]]:
+        """The initial positions: ``3 x B`` fractions each, ``[C..., M..., BW...]``."""
         B = self.num_branches
-        particles = []
-        if heuristic_seed:
-            particles.append(
-                Particle(
-                    position=self._heuristic_position(),
-                    velocity=[0.0] * (3 * B),
-                )
-            )
-        while len(particles) < population:
+        positions = [self._heuristic_position()] if heuristic_seed else []
+        while len(positions) < population:
             position: list[float] = []
             for _block in range(3):
                 # Exponent < 1 spreads mass toward the corners, so extreme
                 # splits (one branch taking ~80% of a resource) are explored.
                 weights = [rng.random() ** 2.5 + 1e-3 for _ in range(B)]
                 position.extend(_normalize_block(weights))
-            particles.append(
-                Particle(
-                    position=position,
-                    velocity=[0.0] * (3 * B),
-                )
-            )
-        return particles
+            positions.append(position)
+        return positions
 
     def evolve(
         self,
@@ -280,57 +213,59 @@ class CrossBranchOptimizer:
         iterations: int = 20,
         population: int = 200,
         seed: int | random.Random | None = 0,
-        improvement_tolerance: float = 1e-9,
         heuristic_seed: bool = True,
-    ) -> tuple[float, AcceleratorConfig, list[float], int]:
-        """Run the full Algorithm 1 loop.
+    ) -> DseResult:
+        """Run the full Algorithm 1 loop and return its result.
 
         ``heuristic_seed`` plants one demand-proportional particle in the
         initial population (disable it to measure the convergence of the
         pure stochastic search, as the Sec.-VII study does).
 
-        Returns (best fitness, best config, fitness history per iteration,
-        iteration at which the global best last improved).
+        The best design's perf is assembled from its Algorithm-2
+        solutions, which hold each branch's measured
+        :class:`~repro.perf.estimator.BranchPerf`: nothing is estimated
+        twice.
 
         One search runs at a time per process: its Algorithm-2 tables,
         the ladders they share and the stage-memo counters it reads
         deltas of are process-wide (see :data:`repro.dse.worker.PROCESS_LOCK`).
         """
+        started = time.perf_counter()
         iterations = check_count("iterations", iterations)
         population = check_count("population", population)
-        # scan_global_best relies on it: the best only rises.
-        check_finite("improvement_tolerance", improvement_tolerance, minimum=0.0)
+        spec = self.spec
+        oracle = self.rerank_oracle
+        priorities = spec.customization.priorities
         with PROCESS_LOCK:
             rng = make_rng(seed)
-            particles = self.init_population(
-                population, rng, heuristic_seed=heuristic_seed
-            )
             # The swarm as (P, 3B) arrays, one row per particle.
-            positions = np.array([p.position for p in particles], dtype=np.float64)
-            velocities = np.array([p.velocity for p in particles], dtype=np.float64)
+            positions = np.array(
+                self.init_population(population, rng, heuristic_seed=heuristic_seed),
+                dtype=np.float64,
+            )
+            velocities = np.zeros_like(positions)
             best_positions = positions.copy()
-            best_fitness = np.full(len(particles), float("-inf"))
+            best_fitness = np.full(len(positions), float("-inf"))
             global_best_fitness = float("-inf")
             global_best_position: np.ndarray | None = None
-            global_best_solutions: tuple[BranchSolution, ...] | None = None
+            global_best: Design | None = None
             history: list[float] = []
             convergence_iteration = 0
+            evaluations = cache_hits = 0
             # The expensive track: best candidate by re-ranked (oracle) score.
             # Kept apart from the swarm's cheap-score track — the two scales
             # are incommensurable (e.g. weighted FPS vs negative p99 ms).
             rerank_best_fitness = float("-inf")
-            rerank_best_solutions: tuple[BranchSolution, ...] | None = None
-            rerank_best_metrics: BranchMetrics | None = None
+            rerank_best: Design | None = None
             rerank_best_iteration = 0
+            oracle_invocations = oracle_cache_hits = 0
 
-            run_batch = GenerationEvaluator(
-                self.spec, self._cache, objective=self.objective
-            )
+            run_batch = GenerationEvaluator(spec, self._cache, objective=self.objective)
             for iteration in range(iterations):
                 rows = positions.tolist()
                 generation = run_batch(rows)
-                self.evaluations += generation.evaluations
-                self.cache_hits += generation.cache_hits
+                evaluations += generation.evaluations
+                cache_hits += generation.cache_hits
                 scores = generation.scores
                 designs = generation.designs
                 fitness = np.array(scores)
@@ -338,11 +273,11 @@ class CrossBranchOptimizer:
                 best_fitness[improved] = fitness[improved]
                 best_positions[improved] = positions[improved]
                 global_best_fitness, winner = scan_global_best(
-                    scores, global_best_fitness, improvement_tolerance
+                    scores, global_best_fitness, _IMPROVEMENT_TOLERANCE
                 )
                 if winner >= 0:
                     global_best_position = positions[winner].copy()
-                    self.best_metrics, global_best_solutions = designs[winner]
+                    global_best = designs[winner]
                     convergence_iteration = iteration + 1
                 if global_best_position is None:
                     raise ValueError(
@@ -350,10 +285,13 @@ class CrossBranchOptimizer:
                         "returned NaN or -inf for every candidate of the "
                         "first generation"
                     )
-                if self.rerank_oracle is not None:
+                if oracle is not None:
                     # Stage 2: re-measure this generation's analytical
                     # top-K with the expensive oracle. Sorting is stable,
                     # so ties resolve in particle order — deterministic.
+                    # The oracle identity is folded into the cache key (see
+                    # rerank_key), so one cache holds analytical solutions
+                    # plus re-rank metrics from several oracles.
                     ranked = sorted(
                         range(len(rows)),
                         key=scores.__getitem__,
@@ -361,38 +299,56 @@ class CrossBranchOptimizer:
                     )[: self.rerank_top_k]
                     for idx in ranked:
                         solutions = designs[idx][1]
-                        metrics = self._oracle_metrics(rows[idx], solutions)
-                        score = penalized_score(
-                            self.objective,
-                            metrics,
-                            self.customization.priorities,
-                        )
-                        if score > rerank_best_fitness + improvement_tolerance:
+                        key = rerank_key(spec, oracle.key, rows[idx])
+                        metrics = self._cache.get(key)
+                        if metrics is None:
+                            metrics = oracle.measure(spec, rows[idx], solutions)
+                            self._cache.put(key, metrics)
+                            oracle_invocations += 1
+                        else:
+                            oracle_cache_hits += 1
+                        score = penalized_score(self.objective, metrics, priorities)
+                        if score > rerank_best_fitness + _IMPROVEMENT_TOLERANCE:
                             rerank_best_fitness = score
-                            rerank_best_solutions = solutions
-                            rerank_best_metrics = metrics
+                            rerank_best = (metrics, solutions)
                             rerank_best_iteration = iteration + 1
                 history.append(global_best_fitness)
                 self.evolve(
                     positions, velocities, best_positions, global_best_position, rng
                 )
-            self.stage_hits += run_batch.stage_hits
-            self.stage_lookups += run_batch.stage_lookups
-            self.eval_timings.add(run_batch.timings)
 
-        if self.rerank_oracle is not None and rerank_best_solutions is not None:
-            self.best_metrics = rerank_best_metrics
-            config = AcceleratorConfig(
-                branches=tuple(s.config for s in rerank_best_solutions)
+        oracle_stats = [OracleStats("analytical", evaluations, cache_hits)]
+        if oracle is not None:
+            oracle_stats.append(
+                OracleStats(oracle.name, oracle_invocations, oracle_cache_hits)
             )
-            return (
-                rerank_best_fitness,
-                config,
-                history,
-                rerank_best_iteration,
-            )
-
-        config = AcceleratorConfig(
-            branches=tuple(s.config for s in global_best_solutions)
+        if rerank_best is not None:
+            fitness_of_best, (metrics, solutions) = rerank_best_fitness, rerank_best
+            convergence_iteration = rerank_best_iteration
+        else:
+            fitness_of_best, (metrics, solutions) = global_best_fitness, global_best
+        timings = run_batch.timings
+        return DseResult(
+            best_config=AcceleratorConfig(branches=tuple(s.config for s in solutions)),
+            best_perf=AcceleratorPerf(
+                branches=tuple(s.perf for s in solutions),
+                frequency_mhz=spec.frequency_mhz,
+                quant_name=spec.quant.name,
+            ),
+            best_fitness=fitness_of_best,
+            history=tuple(history),
+            convergence_iteration=convergence_iteration,
+            runtime_seconds=time.perf_counter() - started,
+            evaluations=evaluations,
+            cache_hits=cache_hits,
+            stage_hits=run_batch.stage_hits,
+            stage_lookups=run_batch.stage_lookups,
+            eval_seconds=timings.eval_seconds,
+            cache_seconds=timings.cache_seconds,
+            ladder_seconds=timings.ladder_seconds,
+            growth_seconds=timings.growth_seconds,
+            measure_seconds=timings.measure_seconds,
+            objective=self.objective.key,
+            oracle_stats=tuple(oracle_stats),
+            best_metrics=metrics,
         )
-        return global_best_fitness, config, history, convergence_iteration

@@ -12,8 +12,8 @@ quantization and frequency share Algorithm-2 ladders.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from repro.construction.reorg import PipelinePlan
@@ -23,29 +23,37 @@ from repro.dse.crossbranch import CrossBranchOptimizer
 from repro.dse.objective import (
     MetricsOracle,
     Objective,
-    OracleStats,
     resolve_objective,
     resolve_oracle,
 )
 from repro.dse.result import DseResult
 from repro.dse.space import Customization
 from repro.dse.worker import EvalSpec
-from repro.perf.estimator import evaluate
 from repro.quant.schemes import QuantScheme
-from repro.utils.checks import check_count, check_finite, check_positive
+from repro.utils.checks import check_count, check_finite
 from repro.utils.rng import seed_fingerprint
 
 
 class DseEngine:
     """Two-step DSE: cross-branch stochastic + in-branch greedy search.
 
-    ``alpha`` is the variance-penalty weight an objective given by name
-    (or left to the paper default) is built with, a finite number >= 0
-    checked here; ``frequency_mhz`` must be a finite number > 0. What
-    fitness a search maximizes, and whether an expensive oracle re-ranks
-    the analytical top-K per generation, is chosen per search (see
-    :mod:`repro.dse.objective`).
+    The problem is built once, as :attr:`spec` (an
+    :class:`~repro.dse.worker.EvalSpec`, which checks that
+    ``frequency_mhz`` is a finite number > 0 and that the customization
+    covers the plan); ``plan``, ``budget``, ``customization``, ``quant``
+    and ``frequency_mhz`` are read-only views of it. ``alpha`` is the
+    variance-penalty weight an objective given by name (or left to the
+    paper default) is built with, a finite number >= 0 checked here.
+    What fitness a search maximizes, and whether an expensive oracle
+    re-ranks the analytical top-K per generation, is chosen per search
+    (see :mod:`repro.dse.objective`).
     """
+
+    plan = property(attrgetter("spec.plan"))
+    budget = property(attrgetter("spec.budget"))
+    customization = property(attrgetter("spec.customization"))
+    quant = property(attrgetter("spec.quant"))
+    frequency_mhz = property(attrgetter("spec.frequency_mhz"))
 
     def __init__(
         self,
@@ -59,30 +67,19 @@ class DseEngine:
         if quant is None:
             raise ValueError("a quantization scheme is required")
         check_finite("alpha", alpha, minimum=0.0)
-        check_positive("frequency_mhz", frequency_mhz)
         if customization is None:
             customization = Customization.uniform(plan.num_branches)
-        self.plan = plan
-        self.budget = budget
-        self.customization = customization
-        self.quant = quant
-        self.frequency_mhz = frequency_mhz
-        self.alpha = alpha
-
-    @property
-    def spec(self) -> EvalSpec:
-        """The frozen evaluation problem this engine searches.
-
-        Objective-free by design: the digest namespaces cache entries,
-        and cached Algorithm-2 solutions are valid under every objective.
-        """
-        return EvalSpec(
-            plan=self.plan,
-            budget=self.budget,
-            customization=self.customization,
-            quant=self.quant,
-            frequency_mhz=self.frequency_mhz,
+        #: The frozen evaluation problem this engine searches. Objective-free
+        #: by design: its digest namespaces cache entries, and cached
+        #: Algorithm-2 solutions are valid under every objective.
+        self.spec = EvalSpec(
+            plan=plan,
+            budget=budget,
+            customization=customization,
+            quant=quant,
+            frequency_mhz=frequency_mhz,
         )
+        self.alpha = alpha
 
     def search(
         self,
@@ -108,63 +105,17 @@ class DseEngine:
         With the default paper objective and no re-rank oracle the result
         is bit-identical to the historical search at the same seed.
         """
-        resolved = resolve_objective(objective, alpha=self.alpha)
-        oracle = resolve_oracle(rerank_oracle)
-        optimizer = CrossBranchOptimizer(
-            plan=self.plan,
-            budget=self.budget,
-            customization=self.customization,
-            quant=self.quant,
-            frequency_mhz=self.frequency_mhz,
+        return CrossBranchOptimizer(
+            self.spec,
             cache=cache,
-            objective=resolved,
-            rerank_oracle=oracle,
+            objective=resolve_objective(objective, alpha=self.alpha),
+            rerank_oracle=rerank_oracle,
             rerank_top_k=rerank_top_k,
-        )
-        started = time.perf_counter()
-        fitness, config, history, convergence = optimizer.search(
+        ).search(
             iterations=iterations,
             population=population,
             seed=seed,
             heuristic_seed=heuristic_seed,
-        )
-        runtime = time.perf_counter() - started
-        perf = evaluate(self.plan, config, self.quant, self.frequency_mhz)
-        timings = optimizer.eval_timings
-        oracle_stats = [
-            OracleStats(
-                name="analytical",
-                invocations=optimizer.evaluations,
-                cache_hits=optimizer.cache_hits,
-            )
-        ]
-        if oracle is not None:
-            oracle_stats.append(
-                OracleStats(
-                    name=oracle.name,
-                    invocations=optimizer.oracle_invocations,
-                    cache_hits=optimizer.oracle_cache_hits,
-                )
-            )
-        return DseResult(
-            best_config=config,
-            best_perf=perf,
-            best_fitness=fitness,
-            history=tuple(history),
-            convergence_iteration=convergence,
-            runtime_seconds=runtime,
-            evaluations=optimizer.evaluations,
-            cache_hits=optimizer.cache_hits,
-            stage_hits=optimizer.stage_hits,
-            stage_lookups=optimizer.stage_lookups,
-            eval_seconds=timings.eval_seconds,
-            cache_seconds=timings.cache_seconds,
-            ladder_seconds=timings.ladder_seconds,
-            growth_seconds=timings.growth_seconds,
-            measure_seconds=timings.measure_seconds,
-            objective=resolved.key,
-            oracle_stats=tuple(oracle_stats),
-            best_metrics=optimizer.best_metrics,
         )
 
     @staticmethod

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,6 +64,9 @@ from repro.dse.inbranch import (
 )
 from repro.perf.estimator import BranchPerf, StagePerf, branch_perf, stage_perf
 
+if TYPE_CHECKING:
+    from repro.dse.worker import EvalTimings
+
 #: Clip for the bandwidth quotient before int64 conversion, and the
 #: quotient of a replica that moves no external bytes. Any true quotient
 #: above this is irrelevant: the final replica count is the min over
@@ -70,27 +74,6 @@ from repro.perf.estimator import BranchPerf, StagePerf, branch_perf, stage_perf
 #: smaller, so clipping here — or treating the clip as unlimited — can
 #: never change a solution.
 _INT_CLIP = 2**62
-
-
-@dataclass
-class KernelTimings:
-    """Where the batched solve spent its time, by phase.
-
-    ``ladder`` covers building the rung tables for new bandwidth values
-    and looking up each bucket's stop rung (the DSE's batched path adds
-    taking a table's ladder and descending its spec's reach);
-    ``growth`` the bottleneck doubling; ``measure`` the final branch
-    evaluation.
-    """
-
-    ladder_seconds: float = 0.0
-    growth_seconds: float = 0.0
-    measure_seconds: float = 0.0
-
-    def add(self, other: "KernelTimings") -> None:
-        self.ladder_seconds += other.ladder_seconds
-        self.growth_seconds += other.growth_seconds
-        self.measure_seconds += other.measure_seconds
 
 
 class StageChain:
@@ -617,7 +600,7 @@ def solve_buckets(
     memory: np.ndarray,
     bandwidth: np.ndarray,
     batch_target: int,
-    timings: KernelTimings | None = None,
+    timings: EvalTimings | None = None,
 ) -> list[BranchSolution]:
     """Solve Algorithm 2 for N budget buckets of one branch, batched.
 
@@ -625,8 +608,9 @@ def solve_buckets(
     ``bandwidth[i]`` GB/s (non-negative and finite). Returns one
     :class:`BranchSolution` per bucket, in input order, bit-identical to
     ``optimize_branch(pipeline, rd, batch_target, ...)`` per bucket.
-    ``timings`` (optional) accumulates the per-phase wall time split the
-    benchmarks record.
+    ``timings`` (optional) is the search's
+    :class:`~repro.dse.worker.EvalTimings`; the kernel adds each phase's
+    wall time to its ``ladder`` / ``growth`` / ``measure`` fields.
     """
     compute = np.asarray(compute, dtype=np.int64)
     memory = np.asarray(memory, dtype=np.int64)
@@ -698,7 +682,6 @@ def solve_buckets(
 __all__ = [
     "BranchLadder",
     "GrowthPath",
-    "KernelTimings",
     "StageChain",
     "solve_buckets",
 ]

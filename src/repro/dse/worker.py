@@ -57,7 +57,7 @@ import numpy as np
 from repro.construction.reorg import PipelinePlan
 from repro.devices.budget import ResourceBudget
 from repro.dse.cache import LocalEvalCache, put_entries
-from repro.dse.kernel import BranchLadder, KernelTimings, solve_buckets
+from repro.dse.kernel import BranchLadder, solve_buckets
 from repro.dse.objective import (
     INFEASIBILITY_PENALTY,
     BranchMetrics,
@@ -74,6 +74,7 @@ from repro.dse.inbranch import (
 )
 from repro.dse.space import Customization
 from repro.quant.schemes import QuantScheme
+from repro.utils.checks import check_positive
 
 #: Quantization grid for candidate evaluation: per-branch budgets are
 #: snapped DOWN to this grid before Algorithm 2 runs, so every budget in a
@@ -101,7 +102,9 @@ class EvalSpec:
     namespaces every cache key) describes only what is being evaluated —
     plan, budget, customization, quantization, frequency. How candidates
     are *scored* lives in the :class:`~repro.dse.objective.Objective`, so
-    switching objectives never invalidates a warm cache.
+    switching objectives never invalidates a warm cache. Building one
+    checks that ``frequency_mhz`` is a finite number > 0 and that the
+    customization covers the plan's branches.
     """
 
     plan: PipelinePlan
@@ -109,6 +112,10 @@ class EvalSpec:
     customization: Customization
     quant: QuantScheme
     frequency_mhz: float = 200.0
+
+    def __post_init__(self) -> None:
+        check_positive("frequency_mhz", self.frequency_mhz)
+        self.customization.validate_for(self.plan)
 
     @cached_property
     def digest(self) -> str:
@@ -260,7 +267,7 @@ def solve_bucket(spec: EvalSpec, branch: int, bucket: tuple[int, int, int]) -> B
 
 
 def _descend_reach(
-    spec: EvalSpec, table: BranchEvalTable, timings: KernelTimings | None
+    spec: EvalSpec, table: BranchEvalTable, timings: EvalTimings | None
 ) -> None:
     """Take the table's ladder and descend the spec's whole bandwidth reach.
 
@@ -286,7 +293,7 @@ def _descend_reach(
 def solve_key_batch(
     spec: EvalSpec,
     keys: Sequence[EvalKey],
-    timings: KernelTimings | None = None,
+    timings: EvalTimings | None = None,
 ) -> dict[EvalKey, BranchSolution]:
     """Solve a batch of cache keys through the batched Algorithm-2 kernel.
 
@@ -326,7 +333,7 @@ def solve_key_batch(
 # ---------------------------------------------------------------------------
 @dataclass
 class EvalTimings:
-    """Where one search's candidate-evaluation time went.
+    """Where one search's candidate-evaluation time went: its one record.
 
     ``eval_seconds`` is the wall time of the batched Algorithm-2 solves
     and of inserting their solutions into the cache. ``cache_seconds``
@@ -334,10 +341,12 @@ class EvalTimings:
     objective scoring, which runs during rehydration.
 
     The ``ladder`` / ``growth`` / ``measure`` fields split the batched
-    kernel's share of ``eval_seconds`` by Algorithm-2 phase (building
-    rung tables for new bandwidth values and looking up each bucket's
-    stop rung, bottleneck doubling, final branch measurement). They
-    attribute where the solve went, they do not re-measure it.
+    kernel's share of ``eval_seconds`` by Algorithm-2 phase (taking a
+    table's ladder and descending its spec's reach, building rung tables
+    for new bandwidth values and looking up each bucket's stop rung;
+    bottleneck doubling; final branch measurement). The kernel books
+    them here itself. They attribute where the solve went, they do not
+    re-measure it.
     """
 
     eval_seconds: float = 0.0
@@ -345,13 +354,6 @@ class EvalTimings:
     ladder_seconds: float = 0.0
     growth_seconds: float = 0.0
     measure_seconds: float = 0.0
-
-    def add(self, other: "EvalTimings") -> None:
-        self.eval_seconds += other.eval_seconds
-        self.cache_seconds += other.cache_seconds
-        self.ladder_seconds += other.ladder_seconds
-        self.growth_seconds += other.growth_seconds
-        self.measure_seconds += other.measure_seconds
 
 
 #: One distinct design: its metrics record and its per-branch solutions.
@@ -412,13 +414,9 @@ class GenerationEvaluator:
     ) -> dict[EvalKey, BranchSolution]:
         hits_before, lookups_before = stage_memo_stats()
         started = time.perf_counter()
-        kernel_timings = KernelTimings()
-        solved = solve_key_batch(self.spec, todo, kernel_timings)
+        solved = solve_key_batch(self.spec, todo, self.timings)
         put_entries(self.cache, [(key, solved[key]) for key in todo])
         self.timings.eval_seconds += time.perf_counter() - started
-        self.timings.ladder_seconds += kernel_timings.ladder_seconds
-        self.timings.growth_seconds += kernel_timings.growth_seconds
-        self.timings.measure_seconds += kernel_timings.measure_seconds
         hits_after, lookups_after = stage_memo_stats()
         self.stage_hits += hits_after - hits_before
         self.stage_lookups += lookups_after - lookups_before

@@ -26,7 +26,7 @@ from repro.dse.cache import LocalEvalCache
 from repro.dse.crossbranch import CrossBranchOptimizer
 from repro.dse.engine import DseEngine
 from repro.dse.space import Customization
-from repro.dse.worker import PROCESS_LOCK, GenerationEvaluator
+from repro.dse.worker import PROCESS_LOCK, EvalSpec, GenerationEvaluator
 from repro.models.codec_avatar import build_codec_avatar_decoder
 from repro.perf.estimator import AcceleratorPerf, evaluate
 from repro.quant.schemes import get_scheme
@@ -154,23 +154,23 @@ def run_ablation_search(
     device = get_device(device_name)
     quant = get_scheme(quant_name)
     optimizer = CrossBranchOptimizer(
-        plan=plan,
-        budget=device.budget(),
-        customization=Customization(**_VR_CUSTOM),
-        quant=quant,
-        frequency_mhz=device.default_frequency_mhz,
+        EvalSpec(
+            plan=plan,
+            budget=device.budget(),
+            customization=Customization(**_VR_CUSTOM),
+            quant=quant,
+            frequency_mhz=device.default_frequency_mhz,
+        )
     )
-    fitness: dict[str, float] = {}
-    configs: dict[str, AcceleratorConfig] = {}
-
     # PSO (without the heuristic seed, to isolate the evolution mechanism).
-    pso = "PSO (Algorithm 1)"
-    fitness[pso], configs[pso], _, _ = optimizer.search(
+    pso = optimizer.search(
         iterations=iterations,
         population=population,
         seed=seed,
         heuristic_seed=False,
     )
+    fitness = {"PSO (Algorithm 1)": pso.best_fitness}
+    configs = {"PSO (Algorithm 1)": pso.best_config}
 
     # Pure random sampling at the same evaluation budget, each drawn
     # population evaluated as one generation and the best updated in
@@ -183,11 +183,8 @@ def run_ablation_search(
     best_score, best_solutions = float("-inf"), None
     with PROCESS_LOCK:
         for _ in range(iterations):
-            particles = optimizer.init_population(
-                population, rng, heuristic_seed=False
-            )
             generation = run_generation(
-                [particle.position for particle in particles]
+                optimizer.init_population(population, rng, heuristic_seed=False)
             )
             for score, (_, solutions) in zip(
                 generation.scores, generation.designs

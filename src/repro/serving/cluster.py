@@ -31,12 +31,11 @@ End to end::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.serving.policies import POLICIES, list_policies
 from repro.sim.runner import FrameLatencyProfile
-from repro.utils.checks import is_count
+from repro.utils.checks import check_finite, is_count
 
 
 @dataclass(frozen=True)
@@ -75,11 +74,7 @@ class GroupSpec:
                 f"unknown scheduling policy {self.policy!r}; "
                 f"known policies: {known}"
             )
-        if not 0 <= self.batch_window_ms < math.inf:
-            raise ValueError(
-                "batch_window_ms must be a finite number >= 0, "
-                f"got {self.batch_window_ms}"
-            )
+        check_finite("batch_window_ms", self.batch_window_ms, minimum=0.0)
         if not is_count(self.max_batch):
             raise ValueError(
                 f"max_batch must be an int >= 1, got {self.max_batch!r}"

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.utils.checks import is_count
+from repro.utils.checks import check_real, is_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,6 +266,15 @@ def make_trace(
     if not is_count(avatars):
         raise ValueError(f"avatars must be an integer >= 1, got {avatars!r}")
     avatars = int(avatars)
+    for name, value in (
+        ("duration_s", duration_s),
+        ("avatar_fps", avatar_fps),
+        ("deadline_ms", deadline_ms),
+        ("jitter_ms", jitter_ms),
+    ):
+        check_real(name, value)
+    for tier in deadline_tiers:
+        check_real("deadline_tiers", tier)
     if not 0 < duration_s < math.inf:
         raise ValueError("duration must be positive")
     if not 0 < avatar_fps < math.inf:

@@ -25,7 +25,7 @@ if TYPE_CHECKING:
 from repro.serving.cluster import GroupSpec
 from repro.serving.replica import ReplicaPool
 from repro.serving.slo import ServingReport
-from repro.utils.checks import is_count
+from repro.utils.checks import check_real, is_count
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,14 @@ class AvatarWorkload:
                 )
             # A numpy integer is a valid count; store it as a plain int.
             object.__setattr__(self, name, int(value))
+        for name in ("frame_interval_ms", "deadline_ms", "jitter_ms"):
+            check_real(name, getattr(self, name))
+        for tier in self.deadline_tiers:
+            check_real("deadline_tiers", tier)
         # Budgets are checked as ranges, so NaN fails them too.
-        if self.frame_interval_ms <= 0 or not 0 < self.deadline_ms < math.inf:
+        if not (
+            0 < self.frame_interval_ms < math.inf and 0 < self.deadline_ms < math.inf
+        ):
             raise ValueError("frame interval and deadline must be positive")
         if not 0 <= self.jitter_ms < self.frame_interval_ms:
             raise ValueError("jitter must be in [0, frame interval)")

@@ -24,7 +24,10 @@ def check_count(name: str, value: object, minimum: int = 1) -> int:
     return int(value)
 
 
-def _check_real(name: str, value: object) -> None:
+def check_real(name: str, value: object) -> None:
+    """Raise ``TypeError`` naming the parameter unless ``value`` is a real
+    number: a ``bool`` is a switch, not the number 0 or 1, and a string
+    is not a number. Range checks are the caller's."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise TypeError(f"{name} must be a real number, got {value!r}")
 
@@ -36,7 +39,7 @@ def check_finite(name: str, value: object, minimum: float = -math.inf) -> None:
     infinity or a number below ``minimum`` is out of range
     (``ValueError``). Both messages name the parameter.
     """
-    _check_real(name, value)
+    check_real(name, value)
     if not (math.isfinite(value) and value >= minimum):
         raise ValueError(
             f"{name} must be a finite number >= {minimum:g}, got {value!r}"
@@ -50,7 +53,7 @@ def check_positive(name: str, value: object) -> None:
     a non-number, ``ValueError`` for NaN, an infinity, zero or a
     negative number.
     """
-    _check_real(name, value)
+    check_real(name, value)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 

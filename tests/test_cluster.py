@@ -82,6 +82,15 @@ class TestSpecsAndValidation:
         for window in (-5.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="batch_window_ms"):
                 GroupSpec("g", FAST, batch_window_ms=window)
+        # True was served as a 1 ms window, by a group and by a bare pool.
+        for window in (True, False):
+            with pytest.raises(TypeError, match="batch_window_ms"):
+                GroupSpec("g", FAST, batch_window_ms=window)
+            with pytest.raises(TypeError, match="batch_window_ms"):
+                serve_trace(
+                    ReplicaPool(FAST, 2, 8), tiered_workload(), batch_window_ms=window
+                )
+        assert GroupSpec("g", FAST, batch_window_ms=1).batch_window_ms == 1
         with pytest.raises(ValueError, match="max_batch"):
             GroupSpec("g", FAST, max_batch=0)
         # Non-integer counts passed ``< 1`` and the session then died

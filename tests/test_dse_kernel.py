@@ -27,12 +27,16 @@ from hypothesis import strategies as st
 from repro.devices.budget import ResourceBudget
 from repro.dse.inbranch import BranchEvalTable, optimize_branch
 from repro.dse.kernel import (
-    KernelTimings,
     _bandwidth_quotient,
     _replicas_supported,
     solve_buckets,
 )
-from repro.dse.worker import canonical_rd, clear_process_caches, quantize_rd
+from repro.dse.worker import (
+    EvalTimings,
+    canonical_rd,
+    clear_process_caches,
+    quantize_rd,
+)
 from repro.quant.schemes import INT8
 
 #: Edge budgets every randomized stream includes: fully starved, the
@@ -184,13 +188,15 @@ class TestRandomizedIdentity:
 
     def test_timings_accumulate(self, decoder_plan):
         table = BranchEvalTable(decoder_plan.branches[0], INT8)
-        timings = KernelTimings()
+        timings = EvalTimings()
         solve_buckets(
             table, *budget_arrays(random_budgets(3, 64)), 1, timings
         )
         assert timings.ladder_seconds > 0.0
         assert timings.growth_seconds >= 0.0
         assert timings.measure_seconds > 0.0
+        # The kernel books only its phases; the evaluator books the rest.
+        assert timings.eval_seconds == timings.cache_seconds == 0.0
 
 
 class TestReplicasSupportedFallback:

@@ -87,6 +87,71 @@ class TestEvalSpec:
         other_device = make_engine(tiny_plan_module, device="ZU17EG").spec
         assert len({int8.digest, int16.digest, other_device.digest}) == 3
 
+    def test_an_engine_states_its_problem_once(self, tiny_plan_module):
+        engine = make_engine(tiny_plan_module)
+        assert engine.spec is engine.spec
+        assert (
+            engine.plan,
+            engine.budget,
+            engine.customization,
+            engine.quant,
+            engine.frequency_mhz,
+        ) == (
+            engine.spec.plan,
+            engine.spec.budget,
+            engine.spec.customization,
+            engine.spec.quant,
+            engine.spec.frequency_mhz,
+        )
+        with pytest.raises(AttributeError):
+            engine.quant = INT16
+
+    def test_a_sweep_digests_each_spec_once(self):
+        """24 distinct specs (4 devices x 2 quantizations x 3 batch
+        customizations) pickle 24 digests: the sweep plan and the
+        search read one spec per engine."""
+        from repro.dse import worker
+        from repro.models.codec_avatar import build_codec_avatar_decoder
+
+        network = build_codec_avatar_decoder()
+        flows = []
+        for batches in ((1, 1, 1), (2, 2, 2), (1, 2, 4)):
+            flows += sweep_grid(
+                networks=[network],
+                devices=("Z7045", "ZU17EG", "ZU9CG", "KU115"),
+                quants=("int8", "int16"),
+                customization=Customization(
+                    batch_sizes=batches, priorities=(1.0, 1.0, 1.0)
+                ),
+            )
+        dumps = mock.Mock(side_effect=pickle.dumps)
+        with mock.patch.object(worker, "pickle", mock.Mock(dumps=dumps)):
+            results = run_sweep(flows, iterations=2, population=8, seed=0)
+        assert len({result.dse.best_fitness for result in results}) > 1
+        assert dumps.call_count == len(flows) == 24
+
+    def test_a_sweep_checks_every_customization_before_searching(
+        self, monkeypatch
+    ):
+        from repro.models.zoo import get_model
+
+        searched = []
+        search = DseEngine.search
+
+        def counting(engine, *args, **kwargs):
+            searched.append(engine)
+            return search(engine, *args, **kwargs)
+
+        monkeypatch.setattr(DseEngine, "search", counting)
+        flows = sweep_grid(
+            [get_model("codec_avatar_decoder"), get_model("tiny_yolo")],
+            ["Z7045", "ZU9CG"],
+            customization=Customization.uniform(3),
+        )
+        with pytest.raises(ValueError, match="customization covers 3 branches"):
+            run_sweep(flows, iterations=2, population=4)
+        assert searched == []
+
 
 class TestCandidateKeys:
     @settings(max_examples=200, deadline=None)
@@ -572,11 +637,11 @@ class TestSharedLadders:
     def test_each_chain_state_is_evaluated_once_per_ladder(self):
         """Across a sweep, every stage state a ladder's chains hold is
         evaluated exactly once, and no design re-evaluates one: a
-        design's perf aggregates its stages' chain records. Only the
-        search's final estimate of its best design evaluates afresh."""
+        design's perf aggregates its stages' chain records, and each
+        search's best design is assembled from its solutions' perfs."""
         from collections import Counter
 
-        from repro.dse import engine, worker
+        from repro.dse import worker
         from repro.models.codec_avatar import build_codec_avatar_decoder
         from repro.perf import estimator
 
@@ -591,25 +656,14 @@ class TestSharedLadders:
                 ),
             )
         evaluated: Counter = Counter()
-        final = []
         stage_resources = estimator.stage_resources
 
         def counting(stage, cfg, quant):
-            if not final:
-                evaluated[id(stage), cfg, quant.name] += 1
+            evaluated[id(stage), cfg, quant.name] += 1
             return stage_resources(stage, cfg, quant)
 
-        def final_estimate(*args, **kwargs):
-            final.append(True)
-            try:
-                return estimator.evaluate(*args, **kwargs)
-            finally:
-                final.pop()
-
         clear_process_caches()
-        with mock.patch.object(
-            estimator, "stage_resources", counting
-        ), mock.patch.object(engine, "evaluate", final_estimate):
+        with mock.patch.object(estimator, "stage_resources", counting):
             run_sweep(flows, iterations=3, population=16, seed=0)
         ladders = list(worker._LADDERS.values())
         # One ladder per branch and quantization: devices and batch

@@ -204,6 +204,33 @@ def test_make_trace_validation():
             AvatarWorkload(2, 3, 33.3, deadline_ms=budget)
         with pytest.raises(ValueError, match="tiers must be positive"):
             AvatarWorkload(2, 3, 33.3, 50.0, deadline_tiers=(budget,))
+        # An infinite interval built a trace of infinite arrivals, served
+        # with NaN latencies.
+        with pytest.raises(ValueError, match="frame interval and deadline"):
+            AvatarWorkload(2, 3, budget, 50.0)
+    # A bool is a switch, not the number 1: avatar_fps=True would build a
+    # trace at one frame per second per avatar.
+    for name, value in (
+        ("duration_s", True),
+        ("avatar_fps", True),
+        ("deadline_ms", True),
+        ("jitter_ms", False),
+        ("deadline_tiers", (20.0, True)),
+    ):
+        with pytest.raises(TypeError, match=name):
+            make_trace(4, **{"duration_s": 2.0, name: value})
+    for name, value in (
+        ("frame_interval_ms", True),
+        ("deadline_ms", True),
+        ("jitter_ms", False),
+        ("deadline_tiers", (20.0, True)),
+    ):
+        fields = {"frame_interval_ms": 33.3, "deadline_ms": 50.0, name: value}
+        with pytest.raises(TypeError, match=name):
+            AvatarWorkload(2, 3, **fields)
+    # Whole numbers are numbers: ints keep working beside floats.
+    assert make_trace(4, 2, avatar_fps=2, deadline_ms=50, jitter_ms=0).requests == 16
+    assert AvatarWorkload(2, 3, 33, 50, jitter_ms=1, deadline_tiers=(20, 60))
 
 
 def test_trace_arrivals_must_be_sorted():

@@ -13,6 +13,7 @@ from repro.devices.budget import ResourceBudget
 from repro.devices.fpga import get_device
 from repro.dse.engine import DseEngine
 from repro.dse.space import Customization
+from repro.dse.worker import EvalSpec
 from repro.fcad.flow import FCad, sweep_grid
 from repro.quant.schemes import INT8
 from tests.conftest import make_tiny_decoder
@@ -120,6 +121,13 @@ def frequency_entry_points():
             plan=plan, budget=device.budget(), quant=INT8, frequency_mhz=f
         ),
         "sweep_grid": lambda f: sweep_grid([network], [device], frequency_mhz=f),
+        "EvalSpec": lambda f: EvalSpec(
+            plan=plan,
+            budget=device.budget(),
+            customization=Customization.uniform(plan.num_branches),
+            quant=INT8,
+            frequency_mhz=f,
+        ),
     }
 
 
