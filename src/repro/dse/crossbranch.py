@@ -52,7 +52,7 @@ from repro.dse.worker import (
     rerank_key,
 )
 from repro.perf.estimator import AcceleratorPerf
-from repro.utils.checks import check_count
+from repro.utils.checks import check_count, check_finite
 from repro.utils.rng import make_rng
 
 #: Fraction floor so no branch is starved to exactly zero.
@@ -122,6 +122,12 @@ class CrossBranchOptimizer:
         rerank_top_k: int = 4,
     ) -> None:
         self.rerank_top_k = check_count("rerank_top_k", rerank_top_k)
+        # Each weighs a pull on the velocities: a NaN or an infinity would
+        # make them NaN, a negative one would push particles away.
+        for name, value in (
+            ("inertia", inertia), ("c_local", c_local), ("c_global", c_global)
+        ):
+            check_finite(name, value, minimum=0.0)
         self.spec = spec
         self.inertia = inertia
         self.c_local = c_local

@@ -187,13 +187,18 @@ class ChaosPlan:
         return states
 
 
-@dataclass
+@dataclass(frozen=True)
 class DispatchOutcome:
     """What the chaos layer decided for one dispatched batch."""
 
     crashed: bool  # the replica dies; this batch fails
     latency_factor: float  # stretch this batch's service times
     stall_ms: float  # hold the replica out this long after finishing
+
+
+#: The outcome of every dispatch that is neither crashed, degraded nor
+#: stalled, shared rather than built per batch.
+_NO_FAULT = DispatchOutcome(crashed=False, latency_factor=1.0, stall_ms=0.0)
 
 
 class ReplicaChaosState:
@@ -225,6 +230,8 @@ class ReplicaChaosState:
             if self.stall_at and self.dispatches == self.stall_at
             else 0.0
         )
+        if not crashed and factor == 1.0 and not stall:
+            return _NO_FAULT
         return DispatchOutcome(
             crashed=crashed, latency_factor=factor, stall_ms=stall
         )

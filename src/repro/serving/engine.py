@@ -149,7 +149,9 @@ class _EngineGroup:
     so every admission and routing decision reads them without
     recomputing. ``unloaded_ms`` is fixed by the design and the window,
     and is set once. Admission reads its predicted latency from
-    :attr:`predicted`, a table by backlog for the current fleet size.
+    :attr:`predicted`, a table by backlog for the current fleet size; the
+    deadline router reads its answers from :attr:`tier_picks`, a table by
+    budget that a session's groups share.
     """
 
     def __init__(
@@ -183,6 +185,10 @@ class _EngineGroup:
         #: admitted behind ``b`` frames on the current fleet (see
         #: :meth:`extend_predicted`); :meth:`refresh_fleet` clears it.
         self.predicted: list[float] = []
+        #: ``tier_picks[budget]``: the deadline router's answer for that
+        #: budget on the current fleets. A session gives all its groups
+        #: one table, and :meth:`refresh_fleet` clears it.
+        self.tier_picks: dict[float, int] = {}
         self.replicas = 0
         self.refresh_fleet()
         # Policy-native queues of request indices, each deque sorted by
@@ -239,12 +245,13 @@ class _EngineGroup:
     def refresh_fleet(self) -> None:
         """Recompute ``replicas`` (live minus draining, at least one) and
         ``capacity_fps`` (their warm steady-state frames/second); a new
-        fleet size clears :attr:`predicted`."""
+        fleet size clears :attr:`predicted` and :attr:`tier_picks`."""
         replicas = max(1, self.live - self.pending_drain)
         if replicas != self.replicas:
             self.replicas = replicas
             self.capacity_fps = replicas * self.profile.steady_fps
             self.predicted.clear()
+            self.tier_picks.clear()
 
     # -- what routers and admission read ------------------------------
     def _drain_ms(self, frames: int) -> float:
@@ -286,10 +293,16 @@ class _HeapSession:
         cluster: bool = True,
     ) -> None:
         self.groups = groups
+        # One table of deadline-router answers for the whole cluster: a
+        # change to any group's fleet can move them.
+        tier_picks: dict[float, int] = {}
+        for group in groups:
+            group.tier_picks = tier_picks
         self.trace = trace
         self.router = router
         self.autoscale = autoscale
-        self._recovery = recovery if recovery is not None else RecoveryPolicy()
+        # Duplicate a batch predicted to miss onto a second free replica.
+        self._hedge = recovery is not None and recovery.hedge
         # The fault machinery (retries, breakers, failover) runs only when
         # a replica can fail: under a chaos plan or behind a wire.
         self._may_fail = may_fail
@@ -545,17 +558,17 @@ class _HeapSession:
         stall_ms = outcome.stall_ms if outcome is not None else 0.0
         hedge_replica = None
         hedge_finishes = None
-        if self._recovery.hedge:
+        if self._hedge and group.free:
             due = self._due
-            if group.free and any(
-                finishes[j] > due[batch[j]] for j in range(size)
-            ):
-                hedge_replica = group.free.popleft()
-                hedge_finishes = self._dispatch_hedge(
-                    group, hedge_replica, t, size
-                )
-                if hedge_finishes is None:
-                    hedge_replica = None  # the hedge itself crashed
+            for finish, req in zip(finishes, batch):
+                if finish > due[req]:
+                    hedge_replica = group.free.popleft()
+                    hedge_finishes = self._dispatch_hedge(
+                        group, hedge_replica, t, size
+                    )
+                    if hedge_finishes is None:
+                        hedge_replica = None  # the hedge itself crashed
+                    break
         eff = finishes
         if hedge_finishes is not None:
             eff = list(finishes)

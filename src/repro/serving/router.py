@@ -104,6 +104,13 @@ class DeadlineTieredRouter:
     protect drowns in spillover. Strict tiering keeps the fast tier's
     queue short at any load; overload surfaces as shedding (or misses) in
     the tier that is actually over capacity.
+
+    The answer for a budget moves only when a group's ``capacity_fps``
+    does (``unloaded_ms`` is fixed), so it is kept per budget in the
+    ``tier_picks`` table that a session's groups share and that any
+    group's fleet change clears (see ``_EngineGroup.refresh_fleet``).
+    The router itself holds no state; a group view without the table is
+    answered afresh.
     """
 
     name = "deadline"
@@ -114,7 +121,14 @@ class DeadlineTieredRouter:
         now_ms: float,
         groups: Sequence["_EngineGroup"],
     ) -> int:
-        return _tiered_pick(range(len(groups)), deadline_rel_ms, groups)
+        try:
+            return groups[0].tier_picks[deadline_rel_ms]
+        except KeyError:
+            pick = _tiered_pick(range(len(groups)), deadline_rel_ms, groups)
+            groups[0].tier_picks[deadline_rel_ms] = pick
+            return pick
+        except AttributeError:
+            return _tiered_pick(range(len(groups)), deadline_rel_ms, groups)
 
 
 def _tiered_pick(

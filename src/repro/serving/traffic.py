@@ -34,7 +34,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.utils.checks import check_real, is_count
+from repro.utils.checks import (
+    check_finite,
+    check_positive,
+    check_real,
+    is_count,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +104,30 @@ class RequestTrace:
         return float(self.arrival_ms[-1] - self.arrival_ms[0])
 
 
+def _stable_argsort(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` for NaN-free ``values``, by
+    numpy's faster default sort.
+
+    The default sort orders the values but may shuffle the indices of
+    equal ones (``0.0`` equals ``-0.0``), so each run of equal values is
+    put back in index order afterwards: exactly the stable order.
+    Arrival times rarely tie, so the repair costs little more than one
+    gather and one comparison.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    tied = ordered[1:] == ordered[:-1]
+    if tied.any():
+        # Every position in a run of ties, ordered by (value, index).
+        in_run = np.zeros(len(order), dtype=np.bool_)
+        in_run[1:] = tied
+        in_run[:-1] |= tied
+        runs = np.flatnonzero(in_run)
+        indices = order[runs]
+        order[runs] = indices[np.lexsort((indices, ordered[runs]))]
+    return order
+
+
 def trace_from_workload(workload) -> RequestTrace:
     """Expand an :class:`AvatarWorkload` into the trace its avatars submit.
 
@@ -106,7 +135,8 @@ def trace_from_workload(workload) -> RequestTrace:
     (:meth:`~repro.serving.workload.AvatarWorkload.avatar_rng`): a
     uniform initial phase within one frame interval, then one frame per
     interval, each step plus a uniform jitter drawn after the frame it
-    follows. Arrivals are sorted stably, so ties keep avatar order.
+    follows. Arrivals are sorted stably (:func:`_stable_argsort`), so
+    ties keep avatar order.
     """
     n = workload.avatars * workload.frames_per_avatar
     arrival = np.empty(n, dtype=np.float64)
@@ -126,7 +156,7 @@ def trace_from_workload(workload) -> RequestTrace:
             pos += 1
             step = rng.uniform(-jitter, jitter) if jitter else 0.0
             next_arrival += interval + step
-    order = np.argsort(arrival, kind="stable")
+    order = _stable_argsort(arrival)
     return RequestTrace(
         arrival_ms=arrival[order],
         avatar_id=avatar[order],
@@ -150,8 +180,9 @@ def _steady_windows(
     churn: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-session presence; ``churn`` fraction get random sub-windows."""
+    check_real("churn", churn)
     if not 0.0 <= churn <= 1.0:
-        raise ValueError("churn must be in [0, 1]")
+        raise ValueError(f"churn must be in [0, 1], got {churn!r}")
     join = rng.uniform(0.0, min(interval_ms, duration_ms), avatars)
     leave = np.full(avatars, duration_ms)
     churners = int(round(churn * avatars))
@@ -180,8 +211,9 @@ def _diurnal_windows(
     avatar is present exactly while the envelope sits above its rank —
     low ranks stream all session, high ranks only around the peak.
     """
+    check_real("floor", floor)
     if not 0.0 <= floor < 1.0:
-        raise ValueError("diurnal floor must be in [0, 1)")
+        raise ValueError(f"diurnal floor must be in [0, 1), got {floor!r}")
     rank = np.arange(avatars, dtype=np.float64) / avatars
     q = np.clip((rank - floor) / (1.0 - floor), 0.0, 1.0)
     theta = np.arccos(1.0 - 2.0 * q)  # 0 (always on) .. pi (never on)
@@ -209,8 +241,14 @@ def _flash_windows(
     inside a ``ramp``-long window starting at ``spike_at`` and leaves
     after ``hold`` (all three as fractions of the session).
     """
+    check_real("base", base)
     if not 0.0 < base <= 1.0:
-        raise ValueError("flash base fraction must be in (0, 1]")
+        raise ValueError(f"flash base fraction must be in (0, 1], got {base!r}")
+    check_real("spike_at", spike_at)
+    if not 0.0 <= spike_at < 1.0:
+        raise ValueError(f"flash spike_at must be in [0, 1), got {spike_at!r}")
+    check_finite("ramp", ramp, minimum=0.0)
+    check_positive("hold", hold)
     baseline = max(1, int(round(base * avatars)))
     join = np.empty(avatars, dtype=np.float64)
     leave = np.full(avatars, duration_ms)
@@ -332,7 +370,7 @@ def make_trace(
         arrival += rng.uniform(-jitter_ms, jitter_ms, total)
         np.maximum(arrival, starts, out=arrival)  # never before the join
     del starts
-    order = np.argsort(arrival, kind="stable")
+    order = _stable_argsort(arrival)
     arrival = arrival[order]
     avatar = avatar[order]
     del order

@@ -8,6 +8,8 @@ changes at all.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,17 @@ class TestChaosState:
         # The stall is one-shot; degradation persists.
         third = state.on_dispatch(20.0)
         assert third.latency_factor == 3.0 and third.stall_ms == 0.0
+
+    def test_fault_free_dispatches_share_one_frozen_outcome(self):
+        state = ChaosPlan.parse("crash-at:0:3").states("")[0]
+        first, second = state.on_dispatch(0.0), state.on_dispatch(10.0)
+        assert first is second
+        assert (first.crashed, first.latency_factor, first.stall_ms) == (
+            False, 1.0, 0.0
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.latency_factor = 2.0
+        assert state.on_dispatch(20.0).crashed
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,41 @@ class TestSearchSizes:
             engine.search(iterations=0, population=4)
 
 
+class TestSwarmCoefficients:
+    """``inertia``, ``c_local`` and ``c_global`` are finite numbers >= 0:
+    NaN, an infinity or a negative number raises a ``ValueError`` and a
+    ``bool`` or a string a ``TypeError``, each naming the parameter,
+    instead of a search whose velocities turn NaN."""
+
+    @pytest.mark.parametrize("name", ["inertia", "c_local", "c_global"])
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (math.nan, ValueError),
+            (math.inf, ValueError),
+            (-math.inf, ValueError),
+            (-5.0, ValueError),
+            (True, TypeError),
+            ("0.5", TypeError),
+        ],
+        ids=["nan", "inf", "-inf", "-5.0", "True", "str"],
+    )
+    def test_rejected_naming_the_parameter(self, optimizer, name, value, error):
+        with pytest.raises(error, match=name):
+            CrossBranchOptimizer(optimizer.spec, **{name: value})
+
+    def test_ints_and_numpy_floats_keep_working(self, optimizer):
+        def best(**coefficients):
+            result = CrossBranchOptimizer(optimizer.spec, **coefficients).search(
+                iterations=2, population=6, seed=3
+            )
+            return result.best_fitness, result.best_config
+
+        assert best(inertia=1, c_local=np.float64(1.2), c_global=0) == best(
+            inertia=1.0, c_local=1.2, c_global=0.0
+        )
+
+
 def search_size_entry_points():
     """Every public way to size a search, over the tiny decoder on Z7045."""
     network = make_tiny_decoder()

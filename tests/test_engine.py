@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serving import (
     AutoscalePolicy,
@@ -29,6 +31,7 @@ from repro.serving import (
     trace_from_workload,
 )
 from repro.serving import engine
+from repro.serving.traffic import _stable_argsort
 from repro.sim.runner import FrameLatencyProfile
 
 FAST = FrameLatencyProfile(
@@ -231,6 +234,61 @@ def test_make_trace_validation():
     # Whole numbers are numbers: ints keep working beside floats.
     assert make_trace(4, 2, avatar_fps=2, deadline_ms=50, jitter_ms=0).requests == 16
     assert AvatarWorkload(2, 3, 33, 50, jitter_ms=1, deadline_tiers=(20, 60))
+    # The shapes' parameters: churn=True served as churn=1.0, floor=False
+    # as 0, base=True and hold=True as 1.0; spike_at=-1.0 put arrivals
+    # before the session; a NaN spike or hold, or a negative hold, dropped
+    # the flash crowd; a NaN ramp raised numpy's OverflowError.
+    for shape, name, value, error in (
+        ("steady", "churn", True, TypeError),
+        ("steady", "churn", "0.5", TypeError),
+        ("diurnal", "floor", False, TypeError),
+        ("diurnal", "floor", "0.1", TypeError),
+        ("flash", "base", True, TypeError),
+        ("flash", "spike_at", "0.3", TypeError),
+        ("flash", "spike_at", -1.0, ValueError),
+        ("flash", "spike_at", 1.0, ValueError),
+        ("flash", "spike_at", float("nan"), ValueError),
+        ("flash", "ramp", True, TypeError),
+        ("flash", "ramp", float("nan"), ValueError),
+        ("flash", "ramp", float("inf"), ValueError),
+        ("flash", "ramp", -0.5, ValueError),
+        ("flash", "hold", True, TypeError),
+        ("flash", "hold", float("nan"), ValueError),
+        ("flash", "hold", float("inf"), ValueError),
+        ("flash", "hold", -1.0, ValueError),
+        ("flash", "hold", 0.0, ValueError),
+    ):
+        with pytest.raises(error, match=name):
+            make_trace(50, 4.0, shape=shape, avatar_fps=10.0, **{name: value})
+
+    def requests(shape, **params):
+        return make_trace(50, 4.0, shape=shape, avatar_fps=10.0, **params).requests
+
+    assert requests("steady", churn=1) == requests("steady", churn=1.0) == 787
+    assert requests("diurnal", floor=0) == requests("diurnal", floor=0.0)
+    assert requests("flash", base=1, spike_at=0, ramp=0, hold=1) == requests(
+        "flash", base=1.0, spike_at=0.0, ramp=0.0, hold=1.0
+    )
+
+
+# A handful of values, so runs of ties are common; 0.0 and -0.0 compare
+# equal but differ in their bits.
+SORT_VALUES = st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.0, 1e300, float("inf")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 3000),
+    st.lists(SORT_VALUES, min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_fast_sort_is_the_stable_sort(length, handful, seed):
+    # make_trace and trace_from_workload order arrivals with the default
+    # sort plus a repair of each run of ties: exactly the stable order.
+    values = np.random.default_rng(seed).choice(np.array(handful), size=length)
+    assert np.array_equal(
+        _stable_argsort(values), np.argsort(values, kind="stable")
+    )
 
 
 def test_trace_arrivals_must_be_sorted():

@@ -8,9 +8,10 @@ an update is caught at the event where it happens, not hidden by totals
 that happen to balance at the end. Two more properties pin the one-pass
 deadline-tiered choice, in ``DeadlineTieredRouter.route`` and in
 ``failover_route``, to the list-and-``max``/``min`` formulation it
-replaced, ties and infeasible budgets included, and one checks that the
-front door consults ``failover_route`` only for an arrival it must
-divert.
+replaced, ties and infeasible budgets included; one checks every answer
+the router keeps per budget against a fresh choice over the groups as
+they are at that moment; and one checks that the front door consults
+``failover_route`` only for an arrival it must divert.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import dataclasses
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.serving import (
@@ -35,7 +36,7 @@ from repro.serving import (
 )
 from repro.serving import engine
 from repro.serving.chaos import ChaosFault
-from repro.serving.router import DeadlineTieredRouter, failover_route
+from repro.serving.router import DeadlineTieredRouter, _tiered_pick, failover_route
 from repro.sim.runner import FrameLatencyProfile
 from tests.test_engine_pins import SESSIONS
 
@@ -561,3 +562,97 @@ class TestDeadlineRouter:
         else:
             expected = reference_pick(candidates, budget, groups)
         assert failover_route(preferred, budget, groups, available) == expected
+
+
+# ---------------------------------------------------------------------------
+# the deadline router's kept answers
+# ---------------------------------------------------------------------------
+@contextlib.contextmanager
+def checked_router(seen: set[str]):
+    """Check every answer of the deadline router against a fresh
+    ``_tiered_pick`` over the groups as they are at that moment, and
+    note a budget whose answer moves within the session."""
+    route = DeadlineTieredRouter.route
+    answers: dict[float, int] = {}
+
+    def checked(self, deadline_rel_ms, now_ms, groups):
+        pick = route(self, deadline_rel_ms, now_ms, groups)
+        assert pick == _tiered_pick(range(len(groups)), deadline_rel_ms, groups)
+        # One table for the session, holding the answer just given.
+        table = groups[0].tier_picks
+        assert all(group.tier_picks is table for group in groups)
+        assert table[deadline_rel_ms] == pick
+        if answers.setdefault(deadline_rel_ms, pick) != pick:
+            seen.add("answer moved")
+        return pick
+
+    DeadlineTieredRouter.route = checked
+    try:
+        yield
+    finally:
+        DeadlineTieredRouter.route = route
+
+
+@st.composite
+def routed_sessions(draw):
+    """A :func:`sessions` draw on two or more groups, deadline-routed."""
+    groups, trace, kwargs = draw(sessions())
+    assume(not isinstance(groups, ReplicaPool) and len(groups) >= 2)
+    return groups, trace, dict(kwargs, router="deadline")
+
+
+class TestKeptRoutes:
+    def test_every_answer_is_a_fresh_pick(self):
+        # Autoscaled and chaos-killed fleets move the answers; a table
+        # that a fleet change did not clear would answer from the old
+        # fleets.
+        seen: set[str] = set()
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(routed_sessions())
+        def run(session):
+            groups, trace, kwargs = session
+            with checked_router(seen):
+                report = serve_trace(groups, trace, **kwargs)
+            assert report.completed + report.shed + report.failed == (
+                report.submitted
+            )
+            if kwargs["autoscale"] is not None:
+                seen.add("autoscaled")
+            if report.replicas_lost:
+                seen.add("killed replica")
+
+        run()
+        assert seen == {"answer moved", "autoscaled", "killed replica"}
+
+    def test_a_fleet_change_clears_the_answers(self):
+        group = engine._EngineGroup(GroupSpec("g", PROFILES[1], replicas=2), 0, 8)
+        group.add_replica()
+        group.add_replica()
+        group.tier_picks[30.0] = 1
+        group.refresh_fleet()  # same fleet size: the answers stay
+        assert group.tier_picks == {30.0: 1}
+        group.pending_drain = 1  # one replica draining: one serves
+        group.refresh_fleet()
+        assert group.capacity_fps == PROFILES[1].steady_fps
+        assert group.tier_picks == {}
+
+    def test_a_reused_router_starts_with_no_answers(self):
+        # A 50 ms budget fits both groups, so it rides the one with more
+        # capacity: "b" in the first session, "a" in the second.
+        router = DeadlineTieredRouter()
+        trace = make_trace(6, 0.5, avatar_fps=30.0, deadline_ms=50.0, seed=1)
+
+        def cluster(a, b):
+            return [
+                GroupSpec("a", PROFILES[0], replicas=a),
+                GroupSpec("b", PROFILES[1], replicas=b),
+            ]
+
+        first = serve_trace(cluster(1, 4), trace, router=router)
+        assert [g.submitted for g in first.groups] == [0, trace.requests]
+        reused = serve_trace(cluster(4, 1), trace, router=router)
+        assert [g.submitted for g in reused.groups] == [trace.requests, 0]
+        assert reused == serve_trace(
+            cluster(4, 1), trace, router=DeadlineTieredRouter()
+        )
