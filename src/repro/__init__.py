@@ -31,7 +31,6 @@ from repro.construction import PipelinePlan, build_pipeline_plan, fuse_graph
 from repro.devices import AsicSpec, FpgaDevice, ResourceBudget, get_device, list_devices
 from repro.dse import (
     BranchMetrics,
-    CompositeObjective,
     Customization,
     DseEngine,
     DseResult,
@@ -39,7 +38,6 @@ from repro.dse import (
     ServingOracle,
     SimOracle,
     SloObjective,
-    make_objective,
     make_oracle,
 )
 from repro.dse.pareto import ParetoFrontier, explore_budget_frontier
@@ -92,7 +90,6 @@ __all__ = [
     "BiasMode",
     "BranchConfig",
     "BranchMetrics",
-    "CompositeObjective",
     "ConfigError",
     "Conv2d",
     "Customization",
@@ -148,7 +145,6 @@ __all__ = [
     "get_scheme",
     "list_devices",
     "list_models",
-    "make_objective",
     "make_oracle",
     "profile_network",
     "render_markdown_report",

@@ -40,7 +40,7 @@ from repro.analysis.analyzer import analyze_network
 from repro.arch.serialize import config_from_json, config_to_json
 from repro.devices.asic import AsicSpec
 from repro.devices.fpga import get_device, list_devices
-from repro.dse.objective import OBJECTIVES, RERANK_ORACLES
+from repro.dse.objective import RERANK_ORACLES
 from repro.dse.space import Customization
 from repro.fcad.flow import FCad
 from repro.fcad.report import render_markdown_report
@@ -417,7 +417,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 population=args.population,
                 seed=args.seed,
                 workers=args.workers,
-                objective=args.objective,
                 rerank_oracle=args.rerank,
                 rerank_top_k=args.rerank_top_k,
             )
@@ -440,7 +439,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             population=args.population,
             seed=args.seed,
-            objective=args.objective,
             rerank_oracle=args.rerank,
             rerank_top_k=args.rerank_top_k,
         )
@@ -893,12 +891,15 @@ def build_parser() -> argparse.ArgumentParser:
             "      the same network, quantization and frequency share\n"
             "      Algorithm-2 ladders; --workers 2 runs the distinct\n"
             "      cases on 2 processes, with the same results\n"
-            "objectives and staged re-ranking:\n"
-            "  repro explore codec_avatar_decoder --objective slo \\\n"
-            "      --rerank serving --rerank-top-k 4\n"
-            "      score every candidate analytically, replay each\n"
-            "      generation's top 4 through the serving layer, and pick\n"
-            "      the design with the best p99/deadline-miss under load"
+            "staged re-ranking (the oracle chooses the score):\n"
+            "  repro explore codec_avatar_decoder --rerank sim\n"
+            "      score every candidate with the paper fitness, simulate\n"
+            "      each generation's top 4, and pick the design with the\n"
+            "      best paper fitness of its simulated FPS\n"
+            "  repro explore codec_avatar_decoder --rerank serving\n"
+            "      replay each generation's top 4 through the serving\n"
+            "      layer instead, and pick the design with the best\n"
+            "      p99/deadline-miss under load"
         ),
     )
     p.add_argument("model")
@@ -933,13 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(works with or without --profile)",
     )
     p.add_argument(
-        "--objective",
-        default="paper",
-        choices=list(OBJECTIVES),
-        help="fitness the search maximizes: the paper's Sec. VI-B1 "
-        "weighted-FPS score, p99-under-load SLOs, or an equal blend",
-    )
-    p.add_argument(
         "--rerank",
         default="none",
         choices=list(RERANK_ORACLES),
@@ -957,8 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha",
         type=_positive_float,
         default=0.05,
-        help="variance-penalty weight of the paper objective (and the "
-        "SLO objective's analytical-stage proxy)",
+        help="variance-penalty weight of the paper fitness, which scores "
+        "every candidate and a sim re-rank",
     )
     p.set_defaults(func=cmd_explore)
 

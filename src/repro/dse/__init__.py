@@ -5,10 +5,8 @@ from repro.dse.crossbranch import CrossBranchOptimizer
 from repro.dse.engine import DseEngine
 from repro.dse.inbranch import BranchEvalTable, BranchSolution, optimize_branch
 from repro.dse.objective import (
-    OBJECTIVES,
     RERANK_ORACLES,
     BranchMetrics,
-    CompositeObjective,
     MetricsOracle,
     Objective,
     OracleStats,
@@ -16,9 +14,9 @@ from repro.dse.objective import (
     ServingOracle,
     SimOracle,
     SloObjective,
-    make_objective,
     make_oracle,
     metrics_from_solutions,
+    objective_for,
 )
 from repro.dse.result import (
     DseResult,
@@ -34,7 +32,6 @@ __all__ = [
     "BranchEvalTable",
     "BranchMetrics",
     "BranchSolution",
-    "CompositeObjective",
     "CrossBranchOptimizer",
     "Customization",
     "DesignSpace",
@@ -44,7 +41,6 @@ __all__ = [
     "GenerationEvaluator",
     "LocalEvalCache",
     "MetricsOracle",
-    "OBJECTIVES",
     "Objective",
     "OracleStats",
     "PaperObjective",
@@ -53,9 +49,9 @@ __all__ = [
     "SimOracle",
     "SloObjective",
     "get_pf",
-    "make_objective",
     "make_oracle",
     "metrics_from_solutions",
+    "objective_for",
     "optimize_branch",
     "result_from_dict",
     "result_from_json",

@@ -8,16 +8,17 @@ two kinds of entries, both built in :mod:`repro.dse.worker`:
 - **analytical solutions** under ``(spec digest, branch index, quantized
   budget bucket)`` — per-branch Algorithm-2 results. These are *metrics*,
   not scores: the objective is applied after rehydration, so the entries
-  are valid under every objective and a warm cache keeps hitting when the
-  caller switches from the paper fitness to an SLO one.
+  are valid under every ``alpha`` and a warm cache keeps hitting when the
+  caller changes it or adds a re-rank.
   The spec digest (which deliberately excludes the objective) namespaces
   entries, so one cache can safely serve a whole sweep of different
   models, budgets, and precisions at once; only cases with the same spec
   hit each other's entries.
 - **re-rank metrics** under ``(spec digest, "rerank", oracle key,
-  bucket vector)`` — whole-candidate
+  design)`` — whole-design
   :class:`~repro.dse.objective.BranchMetrics` from an expensive oracle
-  (cycle-accurate sim, serving replay). Only these keys fold in the
+  (cycle-accurate sim, serving replay), the design being its branch
+  configurations. Only these keys fold in the
   oracle identity: expensive measurements depend on which oracle took
   them, while the analytical entries are the same for every oracle stack.
 

@@ -4,19 +4,21 @@ A particle-swarm search over *resource distributions*: each candidate
 ``rd`` splits the compute / memory / bandwidth budgets across branches
 (fractions per resource summing to one). Every candidate is completed into
 a full hardware configuration by the in-branch greedy search (Algorithm 2),
-scored by the configured :class:`~repro.dse.objective.Objective` over its
-metrics, and evolved toward its local best and the global best by a random
-distance — exactly the ``Evolve(rd, rd_best_i, rd_best_global, budget)``
-update of the paper.
+scored by the paper's Sec. VI-B1 fitness over its metrics, and evolved
+toward its local best and the global best by a random distance — exactly
+the ``Evolve(rd, rd_best_i, rd_best_global, budget)`` update of the paper.
 
 The search can be *staged*: the cheap analytical oracle scores every PSO
 position as before, and an optional expensive ``rerank_oracle`` (the
 cycle-accurate simulator or a serving-workload replay) re-measures the
-top-K candidates of each generation. The expensive track runs beside the
-swarm, never inside it — analytical scores keep guiding the particle
-updates (the two oracles' scores live on different scales, so mixing them
-in one ``max`` would be meaningless), while the returned best design is
-the one the expensive oracle ranked highest. With no re-rank oracle the
+top-K candidates of each generation, each distinct design once. The
+oracle chooses the score (:func:`~repro.dse.objective.objective_for`):
+simulated metrics get the paper fitness, served ones the SLO fitness.
+The expensive track runs beside the swarm, never inside it — analytical
+scores keep guiding the particle updates (the two oracles' scores live
+on different scales, so mixing them in one ``max`` would be
+meaningless), while the returned best design is the one the expensive
+oracle ranked highest. With no re-rank oracle the
 loop is exactly the historical Algorithm 1, bit for bit.
 
 Candidate evaluation is pure (see :mod:`repro.dse.worker`): it consumes
@@ -37,10 +39,9 @@ from repro.arch.config import AcceleratorConfig
 from repro.dse.cache import LocalEvalCache
 from repro.dse.objective import (
     MetricsOracle,
-    Objective,
     OracleStats,
+    objective_for,
     penalized_score,
-    resolve_objective,
     resolve_oracle,
 )
 from repro.dse.result import DseResult
@@ -107,7 +108,8 @@ class CrossBranchOptimizer:
 
     ``spec`` is the problem (plan, budget, customization, quantization,
     frequency); the rest configures the swarm, the cache it evaluates
-    against, and how candidates are scored and re-ranked.
+    against, the paper fitness's variance weight ``alpha`` (a finite
+    number >= 0), and the re-rank.
     """
 
     def __init__(
@@ -117,7 +119,7 @@ class CrossBranchOptimizer:
         c_local: float = 1.2,
         c_global: float = 1.2,
         cache: LocalEvalCache | None = None,
-        objective: Objective | str | None = None,
+        alpha: float = 0.05,
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int = 4,
     ) -> None:
@@ -128,12 +130,13 @@ class CrossBranchOptimizer:
             ("inertia", inertia), ("c_local", c_local), ("c_global", c_global)
         ):
             check_finite(name, value, minimum=0.0)
+        check_finite("alpha", alpha, minimum=0.0)
         self.spec = spec
         self.inertia = inertia
         self.c_local = c_local
         self.c_global = c_global
         self.num_branches = spec.plan.num_branches
-        self.objective = resolve_objective(objective)
+        self.alpha = alpha
         self.rerank_oracle = resolve_oracle(rerank_oracle)
         self._cache = cache if cache is not None else LocalEvalCache()
 
@@ -266,7 +269,8 @@ class CrossBranchOptimizer:
             rerank_best_iteration = 0
             oracle_invocations = oracle_cache_hits = 0
 
-            run_batch = GenerationEvaluator(spec, self._cache, objective=self.objective)
+            run_batch = GenerationEvaluator(spec, self._cache, alpha=self.alpha)
+            paper = run_batch.objective
             for iteration in range(iterations):
                 rows = positions.tolist()
                 generation = run_batch(rows)
@@ -295,9 +299,10 @@ class CrossBranchOptimizer:
                     # Stage 2: re-measure this generation's analytical
                     # top-K with the expensive oracle. Sorting is stable,
                     # so ties resolve in particle order — deterministic.
-                    # The oracle identity is folded into the cache key (see
-                    # rerank_key), so one cache holds analytical solutions
-                    # plus re-rank metrics from several oracles.
+                    # The oracle identity and the design are the cache key
+                    # (see rerank_key), so one cache holds analytical
+                    # solutions plus each design's metrics from several
+                    # oracles.
                     ranked = sorted(
                         range(len(rows)),
                         key=scores.__getitem__,
@@ -305,15 +310,17 @@ class CrossBranchOptimizer:
                     )[: self.rerank_top_k]
                     for idx in ranked:
                         solutions = designs[idx][1]
-                        key = rerank_key(spec, oracle.key, rows[idx])
+                        key = rerank_key(spec, oracle.key, solutions)
                         metrics = self._cache.get(key)
                         if metrics is None:
-                            metrics = oracle.measure(spec, rows[idx], solutions)
+                            metrics = oracle.measure(spec, solutions)
                             self._cache.put(key, metrics)
                             oracle_invocations += 1
                         else:
                             oracle_cache_hits += 1
-                        score = penalized_score(self.objective, metrics, priorities)
+                        score = penalized_score(
+                            objective_for(metrics, paper), metrics, priorities
+                        )
                         if score > rerank_best_fitness + _IMPROVEMENT_TOLERANCE:
                             rerank_best_fitness = score
                             rerank_best = (metrics, solutions)
@@ -354,7 +361,7 @@ class CrossBranchOptimizer:
             ladder_seconds=timings.ladder_seconds,
             growth_seconds=timings.growth_seconds,
             measure_seconds=timings.measure_seconds,
-            objective=self.objective.key,
+            objective=objective_for(metrics, paper).key,
             oracle_stats=tuple(oracle_stats),
             best_metrics=metrics,
         )

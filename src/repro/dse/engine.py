@@ -20,12 +20,7 @@ from repro.construction.reorg import PipelinePlan
 from repro.devices.budget import ResourceBudget
 from repro.dse.cache import LocalEvalCache
 from repro.dse.crossbranch import CrossBranchOptimizer
-from repro.dse.objective import (
-    MetricsOracle,
-    Objective,
-    resolve_objective,
-    resolve_oracle,
-)
+from repro.dse.objective import MetricsOracle, resolve_oracle
 from repro.dse.result import DseResult
 from repro.dse.space import Customization
 from repro.dse.worker import EvalSpec
@@ -42,11 +37,11 @@ class DseEngine:
     ``frequency_mhz`` is a finite number > 0 and that the customization
     covers the plan); ``plan``, ``budget``, ``customization``, ``quant``
     and ``frequency_mhz`` are read-only views of it. ``alpha`` is the
-    variance-penalty weight an objective given by name (or left to the
-    paper default) is built with, a finite number >= 0 checked here.
-    What fitness a search maximizes, and whether an expensive oracle
-    re-ranks the analytical top-K per generation, is chosen per search
-    (see :mod:`repro.dse.objective`).
+    variance-penalty weight of the paper fitness every search scores with,
+    a finite number >= 0 checked here. Whether an expensive oracle
+    re-ranks the analytical top-K per generation is chosen per search;
+    the oracle chooses the score of what it measures (see
+    :func:`repro.dse.objective.objective_for`).
     """
 
     plan = property(attrgetter("spec.plan"))
@@ -71,7 +66,7 @@ class DseEngine:
             customization = Customization.uniform(plan.num_branches)
         #: The frozen evaluation problem this engine searches. Objective-free
         #: by design: its digest namespaces cache entries, and cached
-        #: Algorithm-2 solutions are valid under every objective.
+        #: Algorithm-2 solutions are valid under every ``alpha``.
         self.spec = EvalSpec(
             plan=plan,
             budget=budget,
@@ -88,7 +83,6 @@ class DseEngine:
         seed: int | random.Random | None = 0,
         heuristic_seed: bool = True,
         cache: LocalEvalCache | None = None,
-        objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int = 4,
     ) -> DseResult:
@@ -99,16 +93,14 @@ class DseEngine:
         several searches share one evaluation cache (see
         :meth:`search_many`).
 
-        ``objective`` (an instance or a name built with this engine's
-        ``alpha``) is the fitness the search maximizes; ``rerank_oracle``
-        re-measures each generation's analytical top-``rerank_top_k``.
-        With the default paper objective and no re-rank oracle the result
-        is bit-identical to the historical search at the same seed.
+        ``rerank_oracle`` re-measures each generation's analytical
+        top-``rerank_top_k``. With no re-rank oracle the result is
+        bit-identical to the historical search at the same seed.
         """
         return CrossBranchOptimizer(
             self.spec,
             cache=cache,
-            objective=resolve_objective(objective, alpha=self.alpha),
+            alpha=self.alpha,
             rerank_oracle=rerank_oracle,
             rerank_top_k=rerank_top_k,
         ).search(
@@ -128,7 +120,6 @@ class DseEngine:
         heuristic_seed: bool = True,
         workers: int = 1,
         cache: LocalEvalCache | None = None,
-        objective: Objective | str | None = None,
         rerank_oracle: MetricsOracle | str | None = None,
         rerank_top_k: int = 4,
     ) -> tuple[DseResult, ...]:
@@ -145,8 +136,8 @@ class DseEngine:
         :class:`DseResult` object; the distinct ones run in order of first
         appearance.
 
-        ``objective`` / ``rerank_oracle`` / ``rerank_top_k`` apply to every
-        case; a named objective is built with each engine's ``alpha``.
+        ``rerank_oracle`` / ``rerank_top_k`` apply to every case; each
+        case scores with its engine's ``alpha``.
 
         ``seeds`` gives each case its own seed (e.g. a convergence study);
         by default every case uses ``seed``, which is what makes duplicate
@@ -186,7 +177,6 @@ class DseEngine:
             seed=seed,
             seeds=seeds,
             heuristic_seed=heuristic_seed,
-            objective=objective,
             rerank_oracle=rerank_oracle,
             rerank_top_k=rerank_top_k,
         )
@@ -201,9 +191,9 @@ class DseEngine:
 class SweepCase:
     """One search of a sweep: a pure function of its fields, picklable.
 
-    ``objective`` / ``rerank_oracle`` are *resolved* instances, so the
-    case runs exactly the configuration its :meth:`key` names. A pooled
-    sweep pickles each case to a worker process.
+    ``rerank_oracle`` is a *resolved* instance, so the case runs exactly
+    the configuration its :meth:`key` names. A pooled sweep pickles each
+    case to a worker process.
     """
 
     engine: DseEngine
@@ -211,15 +201,15 @@ class SweepCase:
     population: int
     seed: int | random.Random | None
     heuristic_seed: bool
-    objective: Objective
     rerank_oracle: MetricsOracle | None
     rerank_top_k: int
 
     def key(self) -> tuple:
         """What the case's result depends on, given an integer seed.
 
-        The objective is part of it because the spec digest deliberately
-        excludes it. :func:`plan_sweep` deduplicates cases by it.
+        ``alpha`` is part of it, by its repr as the result's objective
+        names it, because the spec digest deliberately excludes it.
+        :func:`plan_sweep` deduplicates cases by it.
         """
         return (
             self.engine.spec.digest,
@@ -227,7 +217,7 @@ class SweepCase:
             self.population,
             seed_fingerprint(self.seed),
             self.heuristic_seed,
-            self.objective.key,
+            repr(self.engine.alpha),
             self.rerank_oracle.key if self.rerank_oracle is not None else None,
             self.rerank_top_k if self.rerank_oracle is not None else None,
         )
@@ -239,7 +229,6 @@ class SweepCase:
             seed=self.seed,
             heuristic_seed=self.heuristic_seed,
             cache=cache,
-            objective=self.objective,
             rerank_oracle=self.rerank_oracle,
             rerank_top_k=self.rerank_top_k,
         )
@@ -252,18 +241,16 @@ def plan_sweep(
     seed: int | random.Random | None = 0,
     seeds: Sequence[int | random.Random | None] | None = None,
     heuristic_seed: bool = True,
-    objective: Objective | str | None = None,
     rerank_oracle: MetricsOracle | str | None = None,
     rerank_top_k: int = 4,
 ) -> tuple[list[SweepCase], list[int]]:
     """The distinct searches of a sweep, and which one answers each engine.
 
     Returns the distinct cases in order of first appearance and, per
-    engine, the index of its case. Each engine's case resolves
-    ``objective`` with that engine's ``alpha``. Cases with an integer
-    seed and equal :meth:`SweepCase.key` are one case; a ``None`` seed
-    (fresh entropy) or a live ``random.Random`` never shares one. The
-    search sizes are checked here, before any case runs.
+    engine, the index of its case. Cases with an integer seed and equal
+    :meth:`SweepCase.key` are one case; a ``None`` seed (fresh entropy)
+    or a live ``random.Random`` never shares one. The search sizes are
+    checked here, before any case runs.
     """
     iterations = check_count("iterations", iterations)
     population = check_count("population", population)
@@ -284,7 +271,6 @@ def plan_sweep(
             population=population,
             seed=case_seed,
             heuristic_seed=heuristic_seed,
-            objective=resolve_objective(objective, alpha=engine.alpha),
             rerank_oracle=oracle,
             rerank_top_k=rerank_top_k,
         )

@@ -1,4 +1,4 @@
-"""The pluggable objective layer: candidate → metrics → scalar fitness.
+"""The objective layer: candidate → metrics → scalar fitness.
 
 Candidate evaluation is a two-stage pipeline:
 
@@ -11,8 +11,8 @@ Candidate evaluation is a two-stage pipeline:
 Splitting the two is what makes the evaluation cache objective-independent:
 Algorithm-2 solutions (and the analytical metrics derived from them) are a
 pure function of the problem spec and the budget bucket, so a warm cache
-keeps hitting when the caller switches from the paper's Sec. VI-B1 fitness
-to an SLO objective — only the cheap scoring changes.
+keeps hitting when the caller changes ``alpha`` — only the cheap scoring
+changes.
 
 Stage 1 scores every PSO position on :func:`metrics_from_solutions`:
 metrics straight from the Algorithm-2 solutions (per-branch
@@ -27,16 +27,15 @@ expensive:
   replays a canned multi-avatar workload through :mod:`repro.serving`,
   returning p99 latency and deadline-miss SLOs under load.
 
-Objectives:
+The oracle chooses the score (:func:`objective_for`):
 
 - :class:`PaperObjective` — Sec. VI-B1, bit-identical to the historical
   fitness formula: priority-weighted FPS minus ``alpha`` times the
-  branch-FPS population variance.
-- :class:`SloObjective` — maximize ``-(p99 + miss_weight x (miss_rate +
-  shed_rate + failed_rate))`` when serving metrics are present; falls
-  back to the paper objective as a cheap proxy on analytical metrics
-  (stage 1 of a staged search).
-- :class:`CompositeObjective` — a weight-normalized blend of objectives.
+  branch-FPS population variance. It scores analytical and simulated
+  metrics.
+- :class:`SloObjective` — maximize ``-(p99 + 1000 x (miss_rate +
+  shed_rate + failed_rate))``. It scores served metrics, the records
+  that carry ``p99_ms``.
 
 The expensive oracles are not run on every candidate: the search scores
 every position with the analytical oracle and re-ranks only the top-K
@@ -55,8 +54,12 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar, Protocol, Sequence, runtime_checkable
 
-from repro.utils.checks import check_finite
-from repro.utils.sums import ordered_sum
+from repro.utils.checks import (
+    check_count,
+    check_finite,
+    check_flag,
+    check_positive,
+)
 
 if TYPE_CHECKING:
     from repro.dse.inbranch import BranchSolution
@@ -149,7 +152,8 @@ class Objective(Protocol):
 
     @property
     def key(self) -> str:
-        """Stable identity string (parameters included) for dedup keys."""
+        """Stable identity string (parameters included); a search reports
+        it as ``DseResult.objective``."""
         ...
 
     def score(
@@ -238,111 +242,52 @@ def _pvariance(values: Sequence[float]) -> float:
 class SloObjective:
     """Serving-driven fitness: minimize p99-under-load and deadline misses.
 
-    On metrics that carry serving SLOs the fitness is
-    ``-(p99_ms + miss_weight x (miss_rate + shed_rate + failed_rate))``
-    — a deadline-miss rate of 10 % costs as much as ``0.1 x miss_weight``
-    milliseconds of p99, and a *shed* or *failed* (unrecovered after a
-    replica fault) frame costs exactly as much as a late one (otherwise
-    a shedding or chaos replay could game the score by dropping the
-    traffic it cannot serve). On purely analytical
-    metrics (stage 1 of a staged search, before any replay has
-    happened) it falls back to the paper objective as a cheap proxy:
-    higher weighted steady-state FPS correlates with lower latency under
-    load, which is exactly what makes the analytical stage a useful
-    pre-filter for the expensive re-rank. ``miss_weight`` is a finite
-    number >= 0: a NaN would make every re-ranked score NaN, so no
-    re-ranked design could ever be kept.
+    Scores records that carry served SLOs (``p99_ms`` set):
+    ``-(p99_ms + MISS_WEIGHT x (miss_rate + shed_rate + failed_rate))``.
+    A deadline-miss rate of 10 % costs as much as 100 ms of p99, and a
+    *shed* or *failed* (unrecovered after a replica fault) frame costs
+    exactly as much as a late one (otherwise a shedding or chaos replay
+    could game the score by dropping the traffic it cannot serve).
     """
 
-    miss_weight: float = 1000.0
-    fallback_alpha: float = 0.05
+    #: Milliseconds of p99 one whole missed, shed or failed workload costs.
+    MISS_WEIGHT: ClassVar[float] = 1000.0
 
     name: ClassVar[str] = "slo"
 
-    def __post_init__(self) -> None:
-        check_finite("miss_weight", self.miss_weight, minimum=0.0)
-        check_finite("fallback_alpha", self.fallback_alpha, minimum=0.0)
-        # The analytical-stage proxy, built once (not a field: equality
-        # and the key already carry ``fallback_alpha``).
-        object.__setattr__(
-            self, "_fallback", PaperObjective(alpha=self.fallback_alpha)
-        )
-
     @property
     def key(self) -> str:
-        return (
-            f"slo(miss_weight={self.miss_weight!r},"
-            f"fallback_alpha={self.fallback_alpha!r})"
-        )
+        return f"slo(miss_weight={self.MISS_WEIGHT!r})"
 
     def score(
         self, metrics: BranchMetrics, priorities: tuple[float, ...]
     ) -> float:
         if metrics.p99_ms is None:
-            return self._fallback.score(metrics, priorities)
+            raise ValueError(
+                f"the SLO objective scores served metrics only; a "
+                f"{metrics.oracle!r} record carries no p99_ms"
+            )
         miss_rate = metrics.deadline_miss_rate or 0.0
         shed_rate = metrics.shed_rate or 0.0
         failed_rate = metrics.failed_rate or 0.0
         return -(
             metrics.p99_ms
-            + self.miss_weight * (miss_rate + shed_rate + failed_rate)
+            + self.MISS_WEIGHT * (miss_rate + shed_rate + failed_rate)
         )
 
 
-@dataclass(frozen=True)
-class CompositeObjective:
-    """A weighted blend of objectives; weights are normalized to sum 1.
+_SLO = SloObjective()
 
-    Normalization makes weight *vectors* comparable — ``(paper, 2),
-    (slo, 2)`` and ``(paper, 0.5), (slo, 0.5)`` are the same objective,
-    and a single-part composite scores exactly like the part alone. It
-    does **not** normalize the parts' score scales: the paper objective
-    returns weighted FPS (can be 1e2..1e6) while the SLO objective
-    returns negative milliseconds (-1e1..-1e3), so with naive equal
-    weights the larger-scale part dominates the ranking. Choose weights
-    that absorb the scale gap for the problem at hand — e.g.
-    ``(PaperObjective(), 0.001), (SloObjective(), 1.0)`` values one FPS
-    of weighted throughput at one microsecond of p99. Each weight is a
-    finite number > 0.
+
+def objective_for(metrics: BranchMetrics, paper: PaperObjective) -> Objective:
+    """The objective that scores ``metrics``: the oracle chooses the score.
+
+    A record that carries served SLOs (``p99_ms`` set, as
+    :class:`ServingOracle` returns) is scored by :class:`SloObjective`;
+    every other record, analytical or simulated, by ``paper``, the
+    engine's Sec. VI-B1 fitness.
     """
-
-    parts: tuple[tuple[Objective, float], ...]
-
-    name: ClassVar[str] = "composite"
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValueError("a composite objective needs at least one part")
-        weights = [weight for _, weight in self.parts]
-        for position, weight in enumerate(weights):
-            name = f"composite weight {position}"
-            check_finite(name, weight, minimum=0.0)
-            if weight == 0:
-                raise ValueError(f"{name} must be > 0, got {weight!r}")
-        total = ordered_sum(weights)
-        object.__setattr__(
-            self,
-            "parts",
-            tuple(
-                (objective, weight / total)
-                for objective, weight in self.parts
-            ),
-        )
-
-    @property
-    def key(self) -> str:
-        inner = "+".join(
-            f"{weight:g}*{objective.key}" for objective, weight in self.parts
-        )
-        return f"composite({inner})"
-
-    def score(
-        self, metrics: BranchMetrics, priorities: tuple[float, ...]
-    ) -> float:
-        return ordered_sum(
-            weight * objective.score(metrics, priorities)
-            for objective, weight in self.parts
-        )
+    return _SLO if metrics.p99_ms is not None else paper
 
 
 def penalized_score(
@@ -368,9 +313,12 @@ def penalized_score(
 class MetricsOracle(Protocol):
     """Candidate → :class:`BranchMetrics`.
 
-    ``measure`` receives the frozen problem spec, the raw position, and the
-    candidate's Algorithm-2 solutions (every oracle builds on the completed
-    configuration; none re-runs the in-branch search).
+    ``measure`` receives the frozen problem spec and the candidate's
+    Algorithm-2 solutions (every oracle builds on the completed
+    configuration; none re-runs the in-branch search). Its metrics must
+    be a function of the spec and the solutions' configurations alone:
+    the search measures each distinct design once per cache (see
+    :func:`~repro.dse.worker.rerank_key`).
     """
 
     name: ClassVar[str]
@@ -381,10 +329,7 @@ class MetricsOracle(Protocol):
         ...
 
     def measure(
-        self,
-        spec: "EvalSpec",
-        position: Sequence[float],
-        solutions: Sequence["BranchSolution"],
+        self, spec: "EvalSpec", solutions: Sequence["BranchSolution"]
     ) -> BranchMetrics: ...
 
 
@@ -409,15 +354,17 @@ class SimOracle:
 
     name: ClassVar[str] = "sim"
 
+    def __post_init__(self) -> None:
+        # A steady-state frame rate needs two simulated frames.
+        check_count("frames", self.frames, minimum=2)
+        check_count("warmup", self.warmup, minimum=0)
+
     @property
     def key(self) -> str:
         return f"sim(frames={self.frames},warmup={self.warmup})"
 
     def measure(
-        self,
-        spec: "EvalSpec",
-        position: Sequence[float],
-        solutions: Sequence["BranchSolution"],
+        self, spec: "EvalSpec", solutions: Sequence["BranchSolution"]
     ) -> BranchMetrics:
         from repro.sim.runner import simulate
 
@@ -449,12 +396,11 @@ class ServingOracle:
     the replayed p99 latency, deadline-miss rate, and throughput, which is
     what :class:`SloObjective` scores.
 
-    The default fleet (8 avatars x 30 FPS = 240 offered FPS on 2 replicas)
-    sits near the saturation point of paper-size codec-avatar designs —
-    the regime where tail latency actually differentiates candidates; a
-    fleet the pool absorbs trivially scores every candidate the same, and
-    a hopeless overload drowns the ranking in queueing delay. Tune the
-    fleet to the designs being searched for other model families.
+    The default fleet offers 8 avatars x 30 FPS = 240 FPS to 2 replicas.
+    That overloads every Table IV design: the analytical, sim and serving
+    re-ranked designs of its five cases (N=20, P=200, seeds 0 and 1)
+    serve it at 45-177 FPS, with a p99 of 147-1,748 ms against the 50 ms
+    deadline. Tune the fleet to the designs being searched.
 
     ``companions`` scores the candidate *as a member of a heterogeneous
     cluster* instead of as a lone pool: each companion is a fixed
@@ -482,6 +428,36 @@ class ServingOracle:
     shed: bool = False
 
     name: ClassVar[str] = "serving"
+
+    def __post_init__(self) -> None:
+        from repro.serving.policies import POLICIES
+        from repro.serving.router import list_routers
+
+        for name in ("avatars", "frames_per_avatar", "replicas"):
+            check_count(name, getattr(self, name))
+        # A frame latency profile's steady interval needs two frames.
+        check_count("sim_frames", self.sim_frames, minimum=2)
+        check_positive("avatar_fps", self.avatar_fps)
+        check_positive("deadline_ms", self.deadline_ms)
+        for tier in self.deadline_tiers:
+            check_positive("deadline_tiers", tier)
+        check_finite("batch_window_ms", self.batch_window_ms, minimum=0.0)
+        check_finite("jitter_ms", self.jitter_ms, minimum=0.0)
+        if not self.jitter_ms < 1000.0 / self.avatar_fps:
+            raise ValueError(
+                f"jitter_ms must be below the frame interval "
+                f"{1000.0 / self.avatar_fps!r} ms, got {self.jitter_ms!r}"
+            )
+        if self.policy not in POLICIES:
+            raise ValueError(
+                f"policy must be one of {POLICIES}, got {self.policy!r}"
+            )
+        routers = tuple(list_routers())
+        if self.router not in routers:
+            raise ValueError(
+                f"router must be one of {routers}, got {self.router!r}"
+            )
+        check_flag("shed", self.shed)
 
     @staticmethod
     def _companion_key(spec: "GroupSpec") -> str:
@@ -533,10 +509,7 @@ class ServingOracle:
         )
 
     def measure(
-        self,
-        spec: "EvalSpec",
-        position: Sequence[float],
-        solutions: Sequence["BranchSolution"],
+        self, spec: "EvalSpec", solutions: Sequence["BranchSolution"]
     ) -> BranchMetrics:
         from repro.serving.workload import replay_workload
         from repro.sim.runner import frame_latency_profile
@@ -587,39 +560,8 @@ class OracleStats:
 # ---------------------------------------------------------------------------
 # factories / resolvers (CLI names → instances)
 # ---------------------------------------------------------------------------
-#: Objective names accepted by :func:`make_objective` (and ``--objective``).
-OBJECTIVES = ("paper", "slo", "composite")
-
 #: Re-rank oracle names accepted by :func:`make_oracle` (and ``--rerank``).
 RERANK_ORACLES = ("none", "sim", "serving")
-
-
-def make_objective(name: str, alpha: float = 0.05) -> Objective:
-    """Build an objective by name.
-
-    ``alpha`` feeds the paper objective's variance penalty — and, through
-    the fallback proxy, the SLO objective's analytical stage. The default
-    ``composite`` weights the paper part at 1e-3 so one weighted FPS
-    trades against one microsecond of p99 — roughly balancing the two
-    parts' natural scales for paper-size decoders (see
-    :class:`CompositeObjective` on why raw equal weights would let the
-    FPS term drown the SLO term); build a custom composite to tune the
-    trade.
-    """
-    if name == "paper":
-        return PaperObjective(alpha=alpha)
-    if name == "slo":
-        return SloObjective(fallback_alpha=alpha)
-    if name == "composite":
-        return CompositeObjective(
-            parts=(
-                (PaperObjective(alpha=alpha), 0.001),
-                (SloObjective(fallback_alpha=alpha), 1.0),
-            )
-        )
-    raise ValueError(
-        f"unknown objective {name!r}; pick one of {OBJECTIVES}"
-    )
 
 
 def make_oracle(name: str) -> MetricsOracle | None:
@@ -635,17 +577,6 @@ def make_oracle(name: str) -> MetricsOracle | None:
     )
 
 
-def resolve_objective(
-    objective: Objective | str | None, alpha: float = 0.05
-) -> Objective:
-    """An instance from an instance, a name, or None (paper default)."""
-    if objective is None:
-        return PaperObjective(alpha=alpha)
-    if isinstance(objective, str):
-        return make_objective(objective, alpha=alpha)
-    return objective
-
-
 def resolve_oracle(
     oracle: MetricsOracle | str | None,
 ) -> MetricsOracle | None:
@@ -659,10 +590,8 @@ def resolve_oracle(
 
 __all__ = [
     "BranchMetrics",
-    "CompositeObjective",
     "INFEASIBILITY_PENALTY",
     "MetricsOracle",
-    "OBJECTIVES",
     "Objective",
     "OracleStats",
     "PaperObjective",
@@ -670,10 +599,9 @@ __all__ = [
     "ServingOracle",
     "SimOracle",
     "SloObjective",
-    "make_objective",
     "make_oracle",
     "metrics_from_solutions",
+    "objective_for",
     "penalized_score",
-    "resolve_objective",
     "resolve_oracle",
 ]

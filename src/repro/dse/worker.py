@@ -7,9 +7,9 @@ budget, customization, quantization, frequency) and a candidate position,
 memoized under keys of ``(spec digest, branch index, quantized budget
 bucket)``. Scoring is *not* part of the cached work: the cache stores
 objective-independent metrics (Algorithm-2 solutions), and the evaluator
-applies the :class:`~repro.dse.objective.Objective` to the rehydrated
-metrics — so a warm cache keeps hitting after the caller switches
-objectives, and the kernel never needs to know what "good" means.
+applies the paper objective to the rehydrated metrics — so a warm cache
+keeps hitting after the caller changes ``alpha``, and the kernel never
+needs to know what "good" means.
 
 A generation's data path:
 
@@ -27,8 +27,8 @@ A generation's data path:
    candidate's solutions in submission order; candidates that resolve to
    the same solution objects share one ``(metrics, solutions)`` design
    per search, whose record caches its shortfall and FPS variance. The
-   objective still scores every candidate (one ``penalized_score`` call
-   each), so a per-candidate score is a few multiplies.
+   paper objective still scores every candidate (one ``penalized_score``
+   call each), so a per-candidate score is a few multiplies.
 
 The generation comes back as columns (:class:`Generation`): a score and
 a design per candidate, plus the generation's evaluation and cache-hit
@@ -61,7 +61,6 @@ from repro.dse.kernel import BranchLadder, solve_buckets
 from repro.dse.objective import (
     INFEASIBILITY_PENALTY,
     BranchMetrics,
-    Objective,
     PaperObjective,
     metrics_from_solutions,
     penalized_score,
@@ -101,8 +100,8 @@ class EvalSpec:
     Deliberately objective-free: the spec (and therefore its digest, which
     namespaces every cache key) describes only what is being evaluated —
     plan, budget, customization, quantization, frequency. How candidates
-    are *scored* lives in the :class:`~repro.dse.objective.Objective`, so
-    switching objectives never invalidates a warm cache. Building one
+    are *scored* lives in :mod:`repro.dse.objective`, so changing
+    ``alpha`` never invalidates a warm cache. Building one
     checks that ``frequency_mhz`` is a finite number > 0 and that the
     customization covers the plan's branches.
     """
@@ -186,18 +185,19 @@ def candidate_keys(spec: EvalSpec, position: Sequence[float]) -> list[EvalKey]:
 
 
 def rerank_key(
-    spec: EvalSpec, oracle_key: str, position: Sequence[float]
+    spec: EvalSpec, oracle_key: str, solutions: Sequence[BranchSolution]
 ) -> tuple:
-    """Cache key for one candidate's expensive (re-rank) oracle metrics.
+    """Cache key for one design's expensive (re-rank) oracle metrics.
 
     Unlike the per-branch analytical entries, expensive metrics depend on
     which oracle produced them, so the oracle identity is folded into the
-    key. The candidate is identified by its quantized bucket vector — every
-    position in the same buckets completes to the same configuration, so
-    its replay/simulation is the same measurement.
+    key. The design is identified by its branch configurations: an oracle
+    measures a function of the spec and the configuration (batch
+    feasibility too is ``batch >= batch_target``), and many budget
+    buckets complete to one configuration, so each distinct design is
+    simulated or replayed once per cache.
     """
-    buckets = tuple(key[2] for key in candidate_keys(spec, position))
-    return (spec.digest, "rerank", oracle_key, buckets)
+    return (spec.digest, "rerank", oracle_key, tuple(s.config for s in solutions))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,7 @@ class EvalTimings:
     ``eval_seconds`` is the wall time of the batched Algorithm-2 solves
     and of inserting their solutions into the cache. ``cache_seconds``
     is the bucketing / dedup / rehydration cost, and it includes
-    objective scoring, which runs during rehydration.
+    scoring, which runs during rehydration.
 
     The ``ladder`` / ``growth`` / ``measure`` fields split the batched
     kernel's share of ``eval_seconds`` by Algorithm-2 phase (taking a
@@ -384,9 +384,10 @@ class GenerationEvaluator:
     generation's :class:`Generation` columns after every unique unseen
     subproblem of the generation has been solved and put into the cache.
 
-    The evaluator produces *metrics* from the cache and applies the
-    objective during rehydration — the kernel only ever solves buckets,
-    so cached entries stay objective-independent. Candidates
+    The evaluator produces *metrics* from the cache and scores them with
+    :attr:`objective`, the paper objective at ``alpha``, during
+    rehydration — the kernel only ever solves buckets, so cached entries
+    stay objective-independent. Candidates
     that resolve to the same solution objects are the same design: its
     metrics record is built once per evaluator (one search) and
     remembered under the solutions' identities; the objective scores
@@ -395,14 +396,11 @@ class GenerationEvaluator:
     """
 
     def __init__(
-        self,
-        spec: EvalSpec,
-        cache: LocalEvalCache,
-        objective: Objective | None = None,
+        self, spec: EvalSpec, cache: LocalEvalCache, alpha: float = 0.05
     ) -> None:
         self.spec = spec
         self.cache = cache
-        self.objective = objective if objective is not None else PaperObjective()
+        self.objective = PaperObjective(alpha=alpha)
         self.timings = EvalTimings()
         self.stage_hits = 0
         self.stage_lookups = 0

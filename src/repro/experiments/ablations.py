@@ -177,7 +177,7 @@ def run_ablation_search(
     # particle order; then the heuristic demand-proportional split alone,
     # as a one-row generation.
     run_generation = GenerationEvaluator(
-        optimizer.spec, LocalEvalCache(), objective=optimizer.objective
+        optimizer.spec, LocalEvalCache(), alpha=optimizer.alpha
     )
     rng = make_rng(seed)
     best_score, best_solutions = float("-inf"), None

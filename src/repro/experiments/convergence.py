@@ -120,7 +120,6 @@ def run_convergence(
     iterations: int = paper.CONVERGENCE_ITERATIONS,
     population: int = paper.CONVERGENCE_POPULATION,
     heuristic_seed: bool = False,
-    objective: str = "paper",
 ) -> ConvergenceResult:
     """Run repeated independent searches and collect convergence stats.
 
@@ -131,7 +130,6 @@ def run_convergence(
     The searches run as one batch (:meth:`DseEngine.search_many`): they
     share an evaluation cache — seeds agree on many in-branch subproblems
     even when their swarms differ — which changes no search's result.
-    ``objective`` picks the fitness (``"paper"`` reproduces the study).
     """
     plan = build_pipeline_plan(build_codec_avatar_decoder())
     device = get_device(device_name)
@@ -155,7 +153,6 @@ def run_convergence(
         population=population,
         seeds=list(range(searches)),
         heuristic_seed=heuristic_seed,
-        objective=objective,
     )
     return ConvergenceResult(
         device=device_name,

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
-    from repro.dse.objective import MetricsOracle, Objective
+    from repro.dse.objective import MetricsOracle
 
 from repro.analysis.analyzer import NetworkAnalysis, analyze_network
 from repro.arch.elastic import ElasticAccelerator
@@ -264,7 +264,6 @@ class FCad:
         seed: int | random.Random | None = 0,
         workers: int = 1,
         cache: "LocalEvalCache | None" = None,
-        objective: "Objective | str | None" = None,
         rerank_oracle: "MetricsOracle | str | None" = None,
         rerank_top_k: int = 4,
     ) -> FcadResult:
@@ -276,14 +275,13 @@ class FCad:
         :class:`~repro.dse.cache.LocalEvalCache`; the default is a fresh
         one.
 
-        ``objective`` picks the fitness the search maximizes (``"paper"``,
-        ``"slo"``, ``"composite"``, or any
-        :class:`~repro.dse.objective.Objective` instance);
-        ``rerank_oracle`` (``"sim"`` / ``"serving"`` / an oracle instance)
-        re-measures the analytical top-``rerank_top_k`` candidates per
-        generation with an expensive oracle and selects the final design
-        by *its* scores. A named objective is built with the constructor's
-        ``alpha``. The defaults reproduce the paper's search bit for bit.
+        The search maximizes the paper's Sec. VI-B1 fitness with the
+        constructor's ``alpha``. ``rerank_oracle`` (``"sim"`` /
+        ``"serving"`` / an oracle instance) re-measures the analytical
+        top-``rerank_top_k`` candidates per generation with an expensive
+        oracle and selects the final design by *its* scores: the paper
+        fitness of simulated metrics, the SLO fitness of served ones. The
+        defaults reproduce the paper's search bit for bit.
         """
         if not is_count(workers) or workers != 1:
             raise ValueError(
@@ -297,7 +295,6 @@ class FCad:
             population=population,
             seed=seed,
             cache=cache,
-            objective=objective,
             rerank_oracle=rerank_oracle,
             rerank_top_k=rerank_top_k,
         )
@@ -347,7 +344,6 @@ def run_sweep(
     seed: int | random.Random | None = 0,
     workers: int = 1,
     cache: "LocalEvalCache | None" = None,
-    objective: "Objective | str | None" = None,
     rerank_oracle: "MetricsOracle | str | None" = None,
     rerank_top_k: int = 4,
 ) -> tuple[FcadResult, ...]:
@@ -359,14 +355,14 @@ def run_sweep(
     its own engine. Every case draws from one evaluation cache, whose
     entries are per spec; cases with the same network, quantization and
     frequency share the Algorithm-2 ladders. Duplicate cases — same
-    network, target, quantization, customization, objective, and seed —
+    network, target, quantization, customization, ``alpha``, and seed —
     are searched exactly once. Results come back in input order, one per
     flow.
     ``cache`` passes in a :class:`~repro.dse.cache.LocalEvalCache`, e.g.
     one a previous sweep in this process filled; because cache entries
-    are objective-independent metrics, a sweep under a new objective
-    still hits an old sweep's entries. ``objective`` / ``rerank_oracle``
-    / ``rerank_top_k`` apply to every case. ``workers`` > 1 runs the
+    are objective-independent metrics, a sweep under a new ``alpha``
+    still hits an old sweep's entries. ``rerank_oracle`` /
+    ``rerank_top_k`` apply to every case. ``workers`` > 1 runs the
     distinct cases on that many forked processes, with the serial
     sweep's results but for host timings, and then takes no ``cache``
     (see :meth:`~repro.dse.engine.DseEngine.search_many`).
@@ -385,7 +381,6 @@ def run_sweep(
         seed=seed,
         workers=workers,
         cache=cache,
-        objective=objective,
         rerank_oracle=rerank_oracle,
         rerank_top_k=rerank_top_k,
     )

@@ -102,17 +102,17 @@ def compensated_sum(values, start=0):
     return builtins.sum(values, start)
 
 
-def scalar_generation(spec, positions, cache, objective=None):
+def scalar_generation(spec, positions, cache):
     """The per-candidate reference for one generation of positions.
 
     Each candidate's keys come from :func:`quantize_rd` of its absolute
     branch budgets, each key the cache lacks is solved by the scalar
     Algorithm 2 (:func:`solve_bucket`) and charged to this candidate, and
-    the candidate is scored by ``penalized_score`` on
-    ``metrics_from_solutions``. Returns one ``(score, metrics, solutions,
-    evaluations, cache_hits)`` row per position.
+    the candidate is scored by ``penalized_score`` of the default paper
+    objective on ``metrics_from_solutions``. Returns one ``(score,
+    metrics, solutions, evaluations, cache_hits)`` row per position.
     """
-    objective = objective if objective is not None else PaperObjective()
+    objective = PaperObjective()
     budget = spec.budget
     B = spec.plan.num_branches
     rows = []

@@ -131,7 +131,7 @@ class TestExplore:
         assert "objective: paper(alpha=0.5)" in out
 
     def test_explore_slo_rerank_serving(self, capsys, tmp_path):
-        """A seeded --objective slo --rerank serving search completes and
+        """A seeded --rerank serving search scores by SLO, completes and
         reports per-stage oracle invocation counts plus replayed SLOs."""
         path = tmp_path / "net.json"
         path.write_text(graph_to_json(make_tiny_decoder()))
@@ -143,7 +143,6 @@ class TestExplore:
             "--iterations", "2",
             "--population", "8",
             "--seed", "0",
-            "--objective", "slo",
             "--rerank", "serving",
             "--rerank-top-k", "2",
         )
@@ -152,7 +151,23 @@ class TestExplore:
         assert "serving" in out and "invocations" in out
         assert "p99" in out and "deadline-miss" in out
 
-    def test_explore_sweep_with_objective(self, capsys):
+    def test_explore_rerank_sim_scores_by_paper(self, capsys, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(graph_to_json(make_tiny_decoder()))
+        out = run_cli(
+            capsys,
+            "explore",
+            str(path),
+            "--device", "Z7045",
+            "--iterations", "2",
+            "--population", "8",
+            "--rerank", "sim",
+            "--rerank-top-k", "2",
+        )
+        assert "objective: paper(alpha=0.05)" in out
+        assert "sim" in out and "invocations" in out
+
+    def test_explore_sweep_with_rerank(self, capsys):
         out = run_cli(
             capsys,
             "explore",
@@ -160,9 +175,16 @@ class TestExplore:
             "--sweep", "Z7045,ZU17EG",
             "--iterations", "2",
             "--population", "8",
-            "--objective", "slo",
+            "--rerank", "sim",
+            "--rerank-top-k", "1",
         )
         assert "Batch sweep results" in out
+
+    def test_objective_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "tiny_yolo", "--objective", "slo"])
+        assert excinfo.value.code == 2
+        assert "--objective" in capsys.readouterr().err
 
 
 #: Every command that explores a design takes --batch and --priority.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -292,34 +292,20 @@ class TestGlobalBestScan:
         assert scan_global_best([math.nan, -math.inf], -math.inf, 0.0) == (-math.inf, -1)
 
 
-class ConstantObjective:
-    """Scores every candidate the same value (a broken custom objective)."""
-
-    name = "constant"
-
-    def __init__(self, value):
-        self.value = value
-
-    @property
-    def key(self):
-        return f"constant({self.value!r})"
-
-    def score(self, metrics, priorities):
-        return self.value
-
-
 class TestNoScoringCandidate:
     @pytest.mark.parametrize("value", [math.nan, -math.inf], ids=["nan", "-inf"])
-    def test_search_fails_loudly(self, value):
+    def test_search_fails_loudly(self, value, monkeypatch):
+        # Every candidate scores the same non-finite value.
+        monkeypatch.setattr(
+            PaperObjective, "score", lambda self, metrics, priorities: value
+        )
         engine = DseEngine(
             plan=build_pipeline_plan(make_tiny_decoder()),
             budget=get_device("Z7045").budget(),
             quant=INT8,
         )
         with pytest.raises(ValueError, match="no candidate scored above -inf"):
-            engine.search(
-                iterations=2, population=4, objective=ConstantObjective(value)
-            )
+            engine.search(iterations=2, population=4)
 
 
 class TestSearchSizes:
@@ -605,7 +591,7 @@ class DiscountingOracle:
     name = "discounting"
     key = "discounting"
 
-    def measure(self, spec, position, solutions):
+    def measure(self, spec, solutions):
         return BranchMetrics(
             fps=tuple(s.fps / (j + 1) for j, s in enumerate(solutions)),
             meets_batch=tuple(s.meets_batch_target for s in solutions),
@@ -661,3 +647,48 @@ class TestAssembledPerf:
             assert result.best_perf == evaluate(
                 engine.plan, result.best_config, engine.quant, engine.frequency_mhz
             )
+
+
+@dataclass(frozen=True)
+class RecordingOracle(DiscountingOracle):
+    """The discounting oracle, recording each measured design."""
+
+    measured: list = field(default_factory=list, compare=False)
+
+    def measure(self, spec, solutions):
+        self.measured.append(tuple(s.config for s in solutions))
+        return super().measure(spec, solutions)
+
+
+class ForgetfulCache(LocalEvalCache):
+    """A cache that never returns a re-rank entry: every re-ranked
+    candidate is measured again."""
+
+    def get(self, key):
+        return None if key[1] == "rerank" else super().get(key)
+
+
+class TestDesignKeyedRerank:
+    """A re-rank measures each distinct design once, and its result is
+    the one re-measuring every re-ranked candidate gives."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_searches())
+    def test_equals_re_measuring_every_candidate(self, search):
+        engine, sizes = search
+        keyed, forgetful = RecordingOracle(), RecordingOracle()
+        normal = engine.search(**sizes, rerank_oracle=keyed, rerank_top_k=2)
+        again = engine.search(
+            **sizes, cache=ForgetfulCache(), rerank_oracle=forgetful, rerank_top_k=2
+        )
+        for name in (
+            "best_fitness", "history", "best_config", "convergence_iteration",
+            "best_metrics",
+        ):
+            assert getattr(normal, name) == getattr(again, name), name
+        # The forgetful search measured every re-ranked candidate.
+        assert again.rerank_invocations == len(forgetful.measured)
+        assert normal.rerank_invocations == len(set(forgetful.measured))
+        # ... and the normal one each of those designs once.
+        assert len(keyed.measured) == len(set(keyed.measured))
+        assert set(keyed.measured) == set(forgetful.measured)

@@ -24,9 +24,7 @@ from repro.dse.cache import LocalEvalCache
 from repro.dse.engine import DseEngine, SweepCase
 from repro.dse.inbranch import BranchEvalTable, optimize_branch
 from repro.dse.objective import (
-    CompositeObjective,
     PaperObjective,
-    SloObjective,
     metrics_from_solutions,
     penalized_score,
 )
@@ -48,12 +46,13 @@ from repro.utils.rng import seed_fingerprint
 from tests.conftest import HOST_TIME_KEYS, make_tiny_decoder, scalar_generation
 
 
-def make_engine(plan, device="Z7045", quant=INT8):
+def make_engine(plan, device="Z7045", quant=INT8, alpha=0.05):
     return DseEngine(
         plan=plan,
         budget=get_device(device).budget(),
         customization=Customization.uniform(plan.num_branches),
         quant=quant,
+        alpha=alpha,
     )
 
 
@@ -288,13 +287,8 @@ def generations(draw, branches=2):
     )
 
 
-MEMO_OBJECTIVES = {
-    "paper": PaperObjective(),
-    "slo": SloObjective(),
-    "composite": CompositeObjective(
-        ((PaperObjective(), 1.0), (SloObjective(miss_weight=10.0), 2.0))
-    ),
-}
+#: Variance weights of the paper fitness the evaluator scores with.
+MEMO_ALPHAS = (0.0, 0.05, 5.0)
 
 
 def open_cache(backend, spec, positions):
@@ -311,21 +305,21 @@ class TestDesignMemo:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        objective=st.sampled_from(sorted(MEMO_OBJECTIVES)),
+        alpha=st.sampled_from(MEMO_ALPHAS),
         backend=st.sampled_from(["local", "warm local"]),
         search=generations(),
     )
     def test_memo_is_exact_and_builds_each_design_once(
-        self, spec, objective, backend, search
+        self, spec, alpha, backend, search
     ):
-        objective = MEMO_OBJECTIVES[objective]
+        objective = PaperObjective(alpha=alpha)
         priorities = spec.customization.priorities
         cache = open_cache(
             backend,
             spec,
             [position for positions in search for position in positions],
         )
-        evaluator = GenerationEvaluator(spec, cache, objective=objective)
+        evaluator = GenerationEvaluator(spec, cache, alpha=alpha)
         designs = []
         with mock.patch(
             "repro.dse.worker.metrics_from_solutions",
@@ -1024,14 +1018,14 @@ class TestSweepWorkers:
 
 class TestPoolEqualsSerial:
     """A pooled sweep returns the serial sweep's records, accounting
-    included, also for cases that share a spec and for every objective
+    included, also for cases that share a spec and for every ``alpha``
     and re-rank oracle; equal cases share one result, and only equal
     ones do."""
 
     @staticmethod
-    def sweep(plan, cases, workers, **options):
+    def sweep(plan, cases, workers, alpha=0.05, **options):
         return DseEngine.search_many(
-            [make_engine(plan, device, quant) for device, quant, _ in cases],
+            [make_engine(plan, device, quant, alpha) for device, quant, _ in cases],
             seeds=[seed for _, _, seed in cases],
             iterations=2,
             population=8,
@@ -1103,23 +1097,28 @@ class TestPoolEqualsSerial:
         assert pooled[0] is pooled[2]
 
     @pytest.mark.parametrize(
-        "objective, oracle",
-        [("slo", None), ("composite", "sim"), ("slo", "serving")],
-        ids=["slo", "composite-sim", "slo-serving"],
+        "alpha, oracle",
+        [(5.0, None), (0.5, "sim"), (0.05, "serving")],
+        ids=["alpha", "alpha-sim", "serving"],
     )
-    def test_objective_and_oracle_reach_the_workers(
-        self, tiny_plan_module, objective, oracle
+    def test_alpha_and_oracle_reach_the_workers(
+        self, tiny_plan_module, alpha, oracle
     ):
-        # Each case carries its resolved objective and oracle, pickled to
-        # the worker that runs it.
+        # Each case carries its engine and resolved oracle, pickled to the
+        # worker that runs it.
         cases = [("Z7045", INT8, 0), ("ZU9CG", INT8, 0), ("Z7045", INT8, 0)]
-        options = dict(objective=objective, rerank_oracle=oracle, rerank_top_k=2)
+        options = dict(alpha=alpha, rerank_oracle=oracle, rerank_top_k=2)
         clear_process_caches()
         serial = self.sweep(tiny_plan_module, cases, workers=1, **options)
         clear_process_caches()
         pooled = self.sweep(tiny_plan_module, cases, workers=2, **options)
         assert [record(r) for r in pooled] == [record(r) for r in serial]
         assert pooled[0] is pooled[2]
+        assert {r.objective for r in pooled} == {
+            "slo(miss_weight=1000.0)"
+            if oracle == "serving"
+            else f"paper(alpha={alpha!r})"
+        }
         if oracle is not None:
             assert all(r.rerank_invocations > 0 for r in pooled)
 

@@ -1,4 +1,5 @@
-"""Objective-layer unit tests: metrics, objectives, factories."""
+"""Objective-layer unit tests: metrics, objectives, the oracle's choice of
+score, oracle checks and factories."""
 
 from __future__ import annotations
 
@@ -15,28 +16,28 @@ from hypothesis import strategies as st
 
 from repro.construction.reorg import build_pipeline_plan
 from repro.devices.fpga import get_device
-from repro.dse import objective
+from repro.dse.cache import LocalEvalCache
+from repro.dse.crossbranch import CrossBranchOptimizer
 from repro.dse.engine import DseEngine
 from repro.dse.objective import (
     INFEASIBILITY_PENALTY,
     BranchMetrics,
-    CompositeObjective,
     PaperObjective,
     ServingOracle,
     SimOracle,
     SloObjective,
-    make_objective,
     make_oracle,
     metrics_from_solutions,
+    objective_for,
     penalized_score,
     _pvariance,
-    resolve_objective,
     resolve_oracle,
 )
 from repro.dse.result import _metrics_to_dict
+from repro.dse.worker import GenerationEvaluator
 from repro.fcad.flow import FCad, sweep_grid
 from repro.quant.schemes import INT8
-from tests.conftest import compensated_sum, make_tiny_decoder
+from tests.conftest import make_tiny_decoder
 
 
 def analytical(fps, meets=None):
@@ -248,13 +249,13 @@ def alpha_entry_points():
     network = make_tiny_decoder()
     plan = build_pipeline_plan(network)
     device = get_device("Z7045")
+    spec = DseEngine(plan=plan, budget=device.budget(), quant=INT8).spec
     return {
         "PaperObjective": lambda a: PaperObjective(alpha=a),
-        "SloObjective": lambda a: SloObjective(fallback_alpha=a),
-        "make_objective-paper": lambda a: make_objective("paper", alpha=a),
-        "make_objective-slo": lambda a: make_objective("slo", alpha=a),
-        "make_objective-composite": lambda a: make_objective("composite", alpha=a),
-        "resolve_objective": lambda a: resolve_objective(None, alpha=a),
+        "CrossBranchOptimizer": lambda a: CrossBranchOptimizer(spec, alpha=a),
+        "GenerationEvaluator": lambda a: GenerationEvaluator(
+            spec, LocalEvalCache(), alpha=a
+        ),
         "DseEngine": lambda a: DseEngine(
             plan=plan, budget=device.budget(), quant=INT8, alpha=a
         ),
@@ -292,129 +293,54 @@ class TestAlphaIsChecked:
             ALPHA_ENTRY_POINTS[entry](alpha)
 
 
+def served(p99_ms, miss=0.0, **rates):
+    """A served record of one branch at 30 FPS."""
+    return BranchMetrics(
+        fps=(30.0,), meets_batch=(True,), oracle="serving", p99_ms=p99_ms,
+        deadline_miss_rate=miss, **rates,
+    )
+
+
 class TestSloObjective:
     def test_scores_serving_metrics(self):
-        metrics = BranchMetrics(
-            fps=(30.0,),
-            meets_batch=(True,),
-            oracle="serving",
-            p99_ms=12.5,
-            deadline_miss_rate=0.1,
-            throughput_fps=300.0,
-        )
-        assert SloObjective(miss_weight=1000.0).score(metrics, (1.0,)) == -(
-            12.5 + 1000.0 * 0.1
-        )
+        metrics = served(12.5, miss=0.1, throughput_fps=300.0)
+        assert SloObjective().score(metrics, (1.0,)) == -(12.5 + 1000.0 * 0.1)
 
     def test_lower_p99_scores_higher(self):
-        fast = BranchMetrics((30.0,), (True,), "serving", p99_ms=5.0,
-                             deadline_miss_rate=0.0)
-        slow = BranchMetrics((30.0,), (True,), "serving", p99_ms=40.0,
-                             deadline_miss_rate=0.2)
         slo = SloObjective()
-        assert slo.score(fast, (1.0,)) > slo.score(slow, (1.0,))
+        assert slo.score(served(5.0), (1.0,)) > slo.score(served(40.0, 0.2), (1.0,))
 
-    @pytest.mark.parametrize(
-        "miss_weight, error",
-        [
-            (math.nan, ValueError),
-            (math.inf, ValueError),
-            (-math.inf, ValueError),
-            (-5.0, ValueError),
-            (True, TypeError),
-            ("1000", TypeError),
-        ],
-        ids=["nan", "inf", "-inf", "-5", "True", "str"],
-    )
-    def test_rejects_a_bad_miss_weight(self, miss_weight, error):
-        with pytest.raises(error, match="miss_weight"):
-            SloObjective(miss_weight=miss_weight)
-
-    def test_accepts_finite_non_negative_miss_weights(self):
-        for miss_weight in (0, 0.0, 1000, np.float64(2.5)):
-            assert SloObjective(miss_weight=miss_weight).miss_weight == miss_weight
-
-    def test_falls_back_to_paper_proxy_on_analytical_metrics(self):
-        metrics = analytical([10.0, 30.0])
-        priorities = (1.0, 2.0)
-        assert SloObjective(fallback_alpha=0.5).score(
-            metrics, priorities
-        ) == PaperObjective(alpha=0.5).score(metrics, priorities)
-
-
-class TestCompositeObjective:
-    def test_weights_are_normalized(self):
-        metrics = analytical([10.0, 20.0])
-        priorities = (1.0, 1.0)
-        heavy = CompositeObjective(
-            parts=((PaperObjective(), 2.0), (SloObjective(), 2.0))
-        )
-        light = CompositeObjective(
-            parts=((PaperObjective(), 0.5), (SloObjective(), 0.5))
-        )
-        assert heavy.parts[0][1] == pytest.approx(0.5)
-        assert sum(w for _, w in heavy.parts) == pytest.approx(1.0)
-        assert heavy.score(metrics, priorities) == pytest.approx(
-            light.score(metrics, priorities)
+    def test_failed_frames_cost_like_misses(self):
+        slo = SloObjective()
+        assert slo.score(served(20.0, failed_rate=0.1), (1.0,)) == slo.score(
+            served(20.0, miss=0.1), (1.0,)
         )
 
-    def test_single_part_scores_like_the_part(self):
-        metrics = analytical([15.0, 45.0])
-        priorities = (1.0, 1.0)
-        composite = CompositeObjective(parts=((PaperObjective(), 7.0),))
-        assert composite.parts[0][1] == pytest.approx(1.0)
-        assert composite.score(metrics, priorities) == pytest.approx(
-            PaperObjective().score(metrics, priorities)
-        )
+    def test_key_names_the_constant_miss_weight(self):
+        assert SloObjective().key == "slo(miss_weight=1000.0)"
+        assert SloObjective() == SloObjective()
 
-    def test_blend_adds_left_to_right_under_a_compensated_sum(self, monkeypatch):
-        # Python 3.12's ``sum()`` would round a blend of three or more
-        # parts differently from 3.10 and 3.11.
-        monkeypatch.setattr(objective, "sum", compensated_sum, raising=False)
-        rng = random.Random(0)
-        for _ in range(200):
-            parts = [
-                (PaperObjective(alpha=rng.random()), rng.uniform(0.1, 3.0))
-                for _ in range(rng.randint(3, 5))
-            ]
-            composite = CompositeObjective(parts=tuple(parts))
-            total = 0.0
-            for _, weight in parts:
-                total += weight
-            assert composite.parts == tuple((part, w / total) for part, w in parts)
-            fps = [rng.uniform(0.0, 500.0) for _ in range(3)]
-            metrics, priorities = analytical(fps), (1.0, 2.0, 0.5)
-            expected = 0.0
-            for part, weight in composite.parts:
-                expected += weight * part.score(metrics, priorities)
-            assert composite.score(metrics, priorities) == expected
+    @pytest.mark.parametrize("oracle", ["analytical", "sim"])
+    def test_refuses_metrics_without_served_slos(self, oracle):
+        metrics = BranchMetrics((10.0, 30.0), (True, True), oracle)
+        with pytest.raises(ValueError, match="served metrics only"):
+            SloObjective().score(metrics, (1.0, 2.0))
 
-    @pytest.mark.parametrize(
-        "weight, error",
-        [
-            (math.nan, ValueError),
-            (math.inf, ValueError),
-            (-math.inf, ValueError),
-            (True, TypeError),
-            ("1.0", TypeError),
-        ],
-        ids=["nan", "inf", "-inf", "True", "str"],
-    )
-    def test_rejects_a_non_finite_weight_naming_its_position(self, weight, error):
-        with pytest.raises(error, match="composite weight 1"):
-            CompositeObjective(
-                parts=((PaperObjective(), 1.0), (SloObjective(), weight))
-            )
 
-    def test_empty_and_nonpositive_weights_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeObjective(parts=())
-        with pytest.raises(ValueError, match="composite weight 0 must be > 0"):
-            CompositeObjective(parts=((PaperObjective(), 0.0),))
-        with pytest.raises(ValueError, match="composite weight 1"):
-            CompositeObjective(
-                parts=((PaperObjective(), 1.0), (SloObjective(), -2.0))
-            )
+class TestObjectiveFor:
+    """The oracle chooses the score: served records get the SLO fitness,
+    every other record the engine's paper fitness."""
+
+    @pytest.mark.parametrize("oracle", ["analytical", "sim", "discounting"])
+    def test_unserved_metrics_get_the_given_paper_objective(self, oracle):
+        paper = PaperObjective(alpha=0.5)
+        metrics = BranchMetrics((10.0, 30.0), (True, False), oracle)
+        assert objective_for(metrics, paper) is paper
+
+    def test_served_metrics_get_the_slo_objective(self):
+        chosen = objective_for(served(12.5), PaperObjective(alpha=0.5))
+        assert isinstance(chosen, SloObjective)
+        assert chosen.key == "slo(miss_weight=1000.0)"
 
 
 class TestPenalizedScore:
@@ -427,17 +353,6 @@ class TestPenalizedScore:
 
 
 class TestFactories:
-    def test_make_objective_names(self):
-        assert isinstance(make_objective("paper"), PaperObjective)
-        assert isinstance(make_objective("slo"), SloObjective)
-        assert isinstance(make_objective("composite"), CompositeObjective)
-        with pytest.raises(ValueError):
-            make_objective("nope")
-
-    def test_make_objective_threads_alpha(self):
-        assert make_objective("paper", alpha=0.7).alpha == 0.7
-        assert make_objective("slo", alpha=0.7).fallback_alpha == 0.7
-
     def test_make_oracle_names(self):
         assert make_oracle("none") is None
         assert isinstance(make_oracle("sim"), SimOracle)
@@ -448,10 +363,6 @@ class TestFactories:
                 make_oracle(name)
 
     def test_resolvers_pass_instances_through(self):
-        paper = PaperObjective(alpha=0.2)
-        assert resolve_objective(paper) is paper
-        assert resolve_objective(None, alpha=0.3).alpha == 0.3
-        assert resolve_objective("slo").name == "slo"
         oracle = SimOracle()
         assert resolve_oracle(oracle) is oracle
         assert resolve_oracle(None) is None
@@ -462,3 +373,55 @@ class TestFactories:
         assert (
             ServingOracle(avatars=16).key != ServingOracle(avatars=32).key
         )
+
+
+#: (oracle, field, bad value, error): each is refused when the oracle is
+#: built, naming the field, instead of at its first measurement.
+BAD_ORACLE_FIELDS = [
+    (SimOracle, "frames", 1, ValueError),
+    (SimOracle, "frames", 2.5, ValueError),
+    (SimOracle, "frames", True, ValueError),
+    (SimOracle, "warmup", -1, ValueError),
+    (SimOracle, "warmup", 1.5, ValueError),
+    (ServingOracle, "avatars", 0, ValueError),
+    (ServingOracle, "avatars", True, ValueError),
+    (ServingOracle, "frames_per_avatar", 1.5, ValueError),
+    (ServingOracle, "replicas", 0, ValueError),
+    (ServingOracle, "sim_frames", 1, ValueError),
+    (ServingOracle, "avatar_fps", math.nan, ValueError),
+    (ServingOracle, "avatar_fps", 0.0, ValueError),
+    (ServingOracle, "avatar_fps", "30", TypeError),
+    (ServingOracle, "deadline_ms", -50.0, ValueError),
+    (ServingOracle, "deadline_ms", math.inf, ValueError),
+    (ServingOracle, "deadline_tiers", (20.0, math.nan), ValueError),
+    (ServingOracle, "batch_window_ms", -1.0, ValueError),
+    (ServingOracle, "batch_window_ms", math.nan, ValueError),
+    (ServingOracle, "jitter_ms", -1.0, ValueError),
+    (ServingOracle, "jitter_ms", 40.0, ValueError),  # >= 1000 / 30 ms
+    (ServingOracle, "policy", "nope", ValueError),
+    (ServingOracle, "router", "nope", ValueError),
+    (ServingOracle, "shed", "yes", TypeError),
+    (ServingOracle, "shed", 1, TypeError),
+]
+
+
+class TestOracleFieldsChecked:
+    @pytest.mark.parametrize(
+        "oracle, field, value, error",
+        BAD_ORACLE_FIELDS,
+        ids=[f"{o.__name__}-{f}-{v!r}" for o, f, v, _ in BAD_ORACLE_FIELDS],
+    )
+    def test_bad_field_refused_naming_it(self, oracle, field, value, error):
+        with pytest.raises(error, match=rf"^{field} must"):
+            oracle(**{field: value})
+
+    def test_good_values_accepted(self):
+        SimOracle(frames=np.int64(2), warmup=0)
+        ServingOracle(
+            avatars=np.int64(4), avatar_fps=np.float64(60.0), jitter_ms=16.0,
+            deadline_tiers=(20, 60.0), batch_window_ms=0, shed=True,
+        )
+        for policy in ("fifo", "edf", "fair"):
+            ServingOracle(policy=policy)
+        for router in ("round-robin", "least-loaded", "deadline"):
+            ServingOracle(router=router)

@@ -1,5 +1,6 @@
 """Staged-search integration: bit-identity pins, objective-independent
-caching, and the expensive re-rank track (sim / serving oracles)."""
+caching, and the expensive re-rank track (sim / serving oracles), whose
+oracle chooses the score."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from repro.dse.objective import (
     PaperObjective,
     ServingOracle,
     SimOracle,
+    penalized_score,
 )
 from repro.dse.space import Customization
 from repro.quant.schemes import INT8
@@ -40,10 +42,13 @@ def make_engine(plan, **kwargs):
 TINY_ORACLE = ServingOracle(
     avatars=8, frames_per_avatar=8, replicas=1, sim_frames=3
 )
+#: The two re-rank oracles, test-sized.
+TINY_SIM = SimOracle(frames=3, warmup=1)
+ORACLES = {"sim": TINY_SIM, "serving": TINY_ORACLE}
 
 
 class TestPaperBitIdentity:
-    """objective="paper" + no re-rank must reproduce the historical search."""
+    """A search without a re-rank must reproduce the historical search."""
 
     #: Pinned from the pre-objective-layer main at the same seed/config
     #: (Z7045, tiny decoder, uniform customization, INT8, 3 x 12, seed 7).
@@ -56,20 +61,16 @@ class TestPaperBitIdentity:
         assert result.best_fitness == self.PINNED_BEST_FITNESS
         assert result.objective == "paper(alpha=0.05)"
 
-    def test_explicit_paper_objective_matches_default(self, tiny_plan):
-        default = make_engine(tiny_plan).search(
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 5.0])
+    def test_engine_alpha_is_the_score(self, tiny_plan, alpha):
+        result = make_engine(tiny_plan, alpha=alpha).search(
             iterations=2, population=8, seed=3
         )
-        explicit = make_engine(tiny_plan).search(
-            iterations=2, population=8, seed=3, objective=PaperObjective()
+        assert result.objective == f"paper(alpha={alpha!r})"
+        priorities = Customization.uniform(tiny_plan.num_branches).priorities
+        assert result.best_fitness == penalized_score(
+            PaperObjective(alpha=alpha), result.best_metrics, priorities
         )
-        by_name = make_engine(tiny_plan).search(
-            iterations=2, population=8, seed=3, objective="paper"
-        )
-        assert default.best_fitness == explicit.best_fitness
-        assert default.best_fitness == by_name.best_fitness
-        assert default.history == explicit.history == by_name.history
-        assert default.best_config == explicit.best_config == by_name.best_config
 
     def test_analytical_oracle_stats_reported(self, tiny_plan):
         result = make_engine(tiny_plan).search(
@@ -86,25 +87,23 @@ class TestPaperBitIdentity:
 
 
 class TestObjectiveIndependentCache:
-    """Cache entries are metrics, not scores: switching objectives keeps hits."""
+    """Cache entries are metrics, not scores: changing ``alpha`` or adding
+    a re-rank keeps stage 1's hits."""
 
-    def test_warm_cache_zero_solves_after_objective_switch(self, tiny_plan):
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_warm_cache_zero_solves_under_a_rerank(self, tiny_plan, oracle):
         cache = LocalEvalCache()
         first = make_engine(tiny_plan).search(
             iterations=2, population=10, seed=0, cache=cache
         )
         assert first.evaluations > 0
-        slo = make_engine(tiny_plan).search(
+        reranked = make_engine(tiny_plan).search(
             iterations=2, population=10, seed=0, cache=cache,
-            objective="slo",
+            rerank_oracle=ORACLES[oracle], rerank_top_k=2,
         )
-        composite = make_engine(tiny_plan).search(
-            iterations=2, population=10, seed=0, cache=cache,
-            objective="composite",
-        )
-        assert slo.evaluations == 0, "warm cache must absorb every solve"
-        assert composite.evaluations == 0
-        assert slo.cache_hits == first.evaluations + first.cache_hits
+        assert reranked.evaluations == 0, "warm cache must absorb every solve"
+        assert reranked.cache_hits == first.evaluations + first.cache_hits
+        assert reranked.history == first.history
 
     def test_alpha_change_keeps_cache_warm(self, tiny_plan):
         cache = LocalEvalCache()
@@ -117,26 +116,28 @@ class TestObjectiveIndependentCache:
         )
         assert second.evaluations == 0
 
-    def test_objective_affects_search_many_dedup(self, tiny_plan):
-        # The spec digest excludes the objective, so the planned key must
-        # carry it, built with each engine's alpha.
+    def test_alpha_and_oracle_affect_search_many_dedup(self, tiny_plan):
+        # The spec digest excludes alpha, so the planned key must carry
+        # it, as the result's objective names it: 0 and 0.0 differ.
         keys = []
-        for objective, alpha in (
-            ("paper", 0.05),
-            ("paper", 5.0),
-            ("slo", 0.05),
-            (PaperObjective(alpha=0.5), 0.05),
+        for alpha, oracle in (
+            (0.05, None),
+            (5.0, None),
+            (0, None),
+            (0.0, None),
+            (0.05, TINY_SIM),
+            (0.05, TINY_ORACLE),
         ):
             cases, placement = plan_sweep(
                 [make_engine(tiny_plan, alpha=alpha) for _ in range(2)],
                 iterations=2,
                 population=8,
-                objective=objective,
+                rerank_oracle=oracle,
             )
             assert placement == [0, 0], "identical cases share one search"
             keys.append(cases[0].key())
         assert len(set(keys)) == len(keys), (
-            "a different objective is a different case"
+            "a different alpha or oracle is a different case"
         )
 
 
@@ -146,7 +147,6 @@ class TestStagedRerank:
             iterations=2,
             population=8,
             seed=0,
-            objective="slo",
             rerank_oracle=TINY_ORACLE,
             rerank_top_k=2,
         )
@@ -156,6 +156,7 @@ class TestStagedRerank:
         assert serving.invocations > 0
         assert serving.invocations <= 2 * 2  # top-K per generation, cached
         assert result.rerank_invocations == serving.invocations
+        assert result.objective == "slo(miss_weight=1000.0)"
         metrics = result.best_metrics
         assert metrics is not None and metrics.oracle == "serving"
         assert metrics.p99_ms is not None and metrics.p99_ms > 0
@@ -165,12 +166,29 @@ class TestStagedRerank:
             metrics.p99_ms + 1000.0 * metrics.deadline_miss_rate
         )
 
-    def test_rerank_metrics_cached_across_searches(self, tiny_plan):
+    def test_sim_rerank_runs(self, tiny_plan):
+        engine = make_engine(tiny_plan, alpha=0.5)
+        result = engine.search(
+            iterations=2, population=6, seed=0, rerank_oracle=TINY_SIM,
+            rerank_top_k=2,
+        )
+        assert [s.name for s in result.oracle_stats] == ["analytical", "sim"]
+        assert result.oracle_stats[1].invocations > 0
+        assert result.objective == "paper(alpha=0.5)"
+        metrics = result.best_metrics
+        assert metrics is not None and metrics.oracle == "sim"
+        assert metrics.p99_ms is None
+        assert result.best_fitness == penalized_score(
+            PaperObjective(alpha=0.5), metrics, engine.customization.priorities
+        )
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_rerank_metrics_cached_across_searches(self, tiny_plan, oracle):
         cache = LocalEvalCache()
         engine = make_engine(tiny_plan)
         kwargs = dict(
-            iterations=2, population=8, seed=0, objective="slo",
-            rerank_oracle=TINY_ORACLE, rerank_top_k=2, cache=cache,
+            iterations=2, population=8, seed=0,
+            rerank_oracle=ORACLES[oracle], rerank_top_k=2, cache=cache,
         )
         first = engine.search(**kwargs)
         second = engine.search(**kwargs)
@@ -179,23 +197,11 @@ class TestStagedRerank:
         assert second.oracle_stats[1].cache_hits > 0
         assert second.best_fitness == first.best_fitness
 
-    def test_sim_rerank_runs(self, tiny_plan):
-        result = make_engine(tiny_plan).search(
-            iterations=2,
-            population=6,
-            seed=0,
-            rerank_oracle=SimOracle(frames=3, warmup=1),
-            rerank_top_k=2,
-        )
-        assert [s.name for s in result.oracle_stats] == ["analytical", "sim"]
-        assert result.oracle_stats[1].invocations > 0
-        assert result.best_metrics is not None
-        assert result.best_metrics.oracle == "sim"
-
-    def test_deterministic_at_same_seed(self, tiny_plan):
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_deterministic_at_same_seed(self, tiny_plan, oracle):
         kwargs = dict(
-            iterations=2, population=8, seed=4, objective="slo",
-            rerank_oracle=TINY_ORACLE, rerank_top_k=2,
+            iterations=2, population=8, seed=4,
+            rerank_oracle=ORACLES[oracle], rerank_top_k=2,
         )
         a = make_engine(tiny_plan).search(**kwargs)
         b = make_engine(tiny_plan).search(**kwargs)
@@ -213,7 +219,6 @@ class TestStagedRerank:
             iterations=2,
             population=8,
             seed=0,
-            objective="slo",
             rerank_oracle=TINY_ORACLE,
             rerank_top_k=3,
         )
