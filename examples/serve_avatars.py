@@ -29,13 +29,7 @@ import argparse
 
 from repro import FCad, get_device
 from repro.models.codec_avatar import build_codec_avatar_decoder
-from repro.serving import (
-    AutoscalePolicy,
-    AvatarWorkload,
-    ReplicaPool,
-    make_trace,
-    serve_trace,
-)
+from repro.serving import AutoscalePolicy, AvatarWorkload, make_trace, serve_trace
 
 
 def main() -> None:
@@ -70,7 +64,7 @@ def main() -> None:
         f"designed accelerator: {design.fps:.1f} FPS steady decode rate\n"
         f"per replica: first frame {profile.first_frame_ms:.2f} ms (cold "
         f"fill), then one per {profile.steady_interval_ms:.2f} ms\n"
-        f"pool capacity: ~{args.replicas * profile.steady_fps:.0f} FPS "
+        f"fleet capacity: ~{args.replicas * profile.steady_fps:.0f} FPS "
         f"across {args.replicas} replicas"
     )
 
@@ -92,8 +86,11 @@ def main() -> None:
     )
 
     for policy in ("fifo", "edf", "fair"):
-        pool = ReplicaPool(profile, replicas=args.replicas, max_batch=8)
-        report = serve_trace(pool, workload, policy=policy)
+        group = design.serving_group(
+            name="call", replicas=args.replicas, policy=policy, max_batch=8,
+            profile=profile,
+        )
+        report = serve_trace(group, workload)
         print(report.render())
         print()
 

@@ -66,13 +66,7 @@ from repro.perf.energy import EnergyReport, estimate_energy
 from repro.profiler import profile_network
 from repro.quant import INT8, INT16, QuantScheme, get_scheme
 from repro.runtime import Executor, run_graph
-from repro.serving import (
-    AvatarWorkload,
-    ReplicaPool,
-    ServingReport,
-    pool_from_result,
-    serve_from_result,
-)
+from repro.serving import AvatarWorkload, ServingReport, serve_from_result
 from repro.sim import (
     FrameLatencyProfile,
     SimulationReport,
@@ -116,7 +110,6 @@ __all__ = [
     "ParetoFrontier",
     "PipelinePlan",
     "QuantScheme",
-    "ReplicaPool",
     "ResourceBudget",
     "SNAPDRAGON_865",
     "ServingOracle",
@@ -148,7 +141,6 @@ __all__ = [
     "make_oracle",
     "profile_network",
     "render_markdown_report",
-    "pool_from_result",
     "run_graph",
     "run_sweep",
     "serve_from_result",

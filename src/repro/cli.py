@@ -528,7 +528,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Explore design(s), deploy replicas, serve a multi-avatar workload."""
-    from repro.serving import pool_from_result, report_to_json, serve_trace
+    from repro.serving import report_to_json, serve_trace
 
     # Validate every workload knob before the (expensive) design search.
     cluster_spec = None
@@ -651,40 +651,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"first frame {profile.first_frame_ms:.2f} ms, then one per "
             f"{profile.steady_interval_ms:.2f} ms"
         )
-        traffic = _serve_traffic(args, tiers, frames_per_avatar)
-        autoscale = _serve_autoscale(args)
-        if args.shed or autoscale is not None:
-            # Admission control and autoscaling act on replica groups; a
-            # single group of the explored design keeps the rest identical.
-            report = serve_trace(
-                result.serving_group(
-                    replicas=args.replicas,
-                    policy=args.policy,
-                    batch_window_ms=args.batch_window_ms,
-                    max_batch=args.max_batch,
-                    profile=profile,
-                ),
-                traffic,
-                admission=args.shed or None,
-                autoscale=autoscale,
-                chaos=chaos,
-                recovery=recovery,
-            )
-        else:
-            report = serve_trace(
-                pool_from_result(
-                    result,
-                    replicas=args.replicas,
-                    max_batch=args.max_batch,
-                    profile=profile,
-                ),
-                traffic,
+        report = serve_trace(
+            result.serving_group(
+                replicas=args.replicas,
                 policy=args.policy,
                 batch_window_ms=args.batch_window_ms,
                 max_batch=args.max_batch,
-                chaos=chaos,
-                recovery=recovery,
-            )
+                profile=profile,
+            ),
+            _serve_traffic(args, tiers, frames_per_avatar),
+            admission=args.shed or None,
+            autoscale=_serve_autoscale(args),
+            chaos=chaos,
+            recovery=recovery,
+        )
     else:
         report = _cluster_session(
             args, network, customization, cluster_spec, tiers,
@@ -1026,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cluster",
-        help="serve a heterogeneous cluster instead of one pool: "
+        help="serve a heterogeneous cluster instead of one design: "
         "comma-separated design:replicas[:policy] groups, designs from "
         f"{{{', '.join(sorted(CLUSTER_DESIGNS))}}} "
         "(e.g. latency:1,throughput:3)",
@@ -1039,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shed", action="store_true",
         help="enable admission control: bounded queues plus "
         "predicted-deadline-miss load shedding (tracked as the shed_rate "
-        "SLO); works with --cluster or on a single pool",
+        "SLO); works with --cluster or on a single design",
     )
     p.add_argument(
         "--chaos", metavar="SPEC",

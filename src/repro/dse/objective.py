@@ -402,14 +402,14 @@ class ServingOracle:
     serve it at 45-177 FPS, with a p99 of 147-1,748 ms against the 50 ms
     deadline. Tune the fleet to the designs being searched.
 
-    ``companions`` scores the candidate *as a member of a heterogeneous
-    cluster* instead of as a lone pool: each companion is a fixed
-    :class:`~repro.serving.cluster.GroupSpec` (e.g. an already-chosen
-    big-batch tier) serving next to the candidate's own group, with
-    ``router`` splitting the traffic and ``shed`` enabling admission
-    control. The replayed SLOs are then the *cluster's* — the search
-    optimizes the candidate's marginal contribution to the fleet it will
-    actually join, not its solo performance.
+    The candidate serves as one replica group. ``companions`` scores it
+    *as a member of a heterogeneous cluster* instead: each companion is a
+    fixed :class:`~repro.serving.cluster.GroupSpec` (e.g. an
+    already-chosen big-batch tier) serving next to the candidate's own
+    group, with ``router`` splitting the traffic and ``shed`` enabling
+    admission control. The replayed SLOs are then the *cluster's* — the
+    search optimizes the candidate's marginal contribution to the fleet
+    it will actually join, not its solo performance.
     """
 
     avatars: int = 8

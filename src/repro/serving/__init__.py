@@ -9,8 +9,8 @@ decode requests from many concurrent avatars under latency SLOs —
   fill/steady-state latency profiles;
 - :mod:`~repro.serving.policies`  — FIFO / deadline-EDF / per-avatar
   fairness batch selection;
-- :mod:`~repro.serving.cluster`   — heterogeneous replica groups behind
-  one front door;
+- :mod:`~repro.serving.cluster`   — the replica group: one design, or
+  one tier of a heterogeneous cluster behind one front door;
 - :mod:`~repro.serving.router`    — round-robin / least-loaded /
   deadline-tiered request routing across groups;
 - :mod:`~repro.serving.admission` — bounded queues and
@@ -26,7 +26,7 @@ decode requests from many concurrent avatars under latency SLOs —
   runs on (:func:`serve_trace`), at up to millions of requests per
   session, plus replica autoscaling.
 
-One design, one pool::
+One design, one replica group::
 
     from repro import FCad
     from repro.serving import serve_from_result
@@ -36,6 +36,10 @@ One design, one pool::
         result, avatars=64, replicas=4, policy="edf", seed=0
     )
     print(report.render())
+
+A lone group under chaos fails new arrivals at the door while its
+circuit breaker is open, until a batch succeeds;
+``RecoveryPolicy(breaker_threshold=0)`` keeps the door open.
 
 A heterogeneous cluster (a low-latency tier next to a big-batch tier,
 deadline-tiered routing, load shedding at saturation)::
@@ -64,12 +68,7 @@ from repro.serving.chaos import (
 from repro.serving.engine import AutoscalePolicy, serve_trace
 from repro.serving.cluster import GroupSpec
 from repro.serving.policies import list_policies
-from repro.serving.replica import (
-    Replica,
-    ReplicaPool,
-    health_summary,
-    pool_from_result,
-)
+from repro.serving.replica import Replica, health_summary
 from repro.serving.router import (
     DeadlineTieredRouter,
     LeastLoadedRouter,
@@ -122,14 +121,16 @@ def serve_from_result(
 
     Samples the design's per-frame latency from the cycle-accurate
     simulator (pass a ``profile`` you already sampled to skip that run),
-    deploys ``replicas`` copies, and serves ``avatars`` concurrent frame
-    streams (each at ``avatar_fps``, each frame due ``deadline_ms`` after
-    it arrives — or its tier's budget when ``deadline_tiers`` is given)
-    under the chosen policy.
+    deploys ``replicas`` copies as one group
+    (:meth:`FcadResult.serving_group`), and serves ``avatars``
+    concurrent frame streams (each at ``avatar_fps``, each frame due
+    ``deadline_ms`` after it arrives — or its tier's budget when
+    ``deadline_tiers`` is given) under the chosen policy.
     """
-    pool = pool_from_result(
-        result,
+    group = result.serving_group(
         replicas=replicas,
+        policy=policy,
+        batch_window_ms=batch_window_ms,
         max_batch=max_batch,
         sim_frames=sim_frames,
         profile=profile,
@@ -143,15 +144,7 @@ def serve_from_result(
         jitter_ms=jitter_ms,
         seed=seed,
     )
-    return serve_trace(
-        pool,
-        workload,
-        policy=policy,
-        batch_window_ms=batch_window_ms,
-        max_batch=max_batch,
-        chaos=chaos,
-        recovery=recovery,
-    )
+    return serve_trace(group, workload, chaos=chaos, recovery=recovery)
 
 
 def serve_from_results(
@@ -222,7 +215,6 @@ __all__ = [
     "LeastLoadedRouter",
     "RecoveryPolicy",
     "Replica",
-    "ReplicaPool",
     "RequestTrace",
     "RoundRobinRouter",
     "RoutingPolicy",
@@ -236,7 +228,6 @@ __all__ = [
     "list_shapes",
     "make_trace",
     "nearest_rank",
-    "pool_from_result",
     "replay_workload",
     "report_from_json",
     "report_to_json",

@@ -25,7 +25,7 @@ Spec grammar (comma-separated clauses)::
                         stretch by factor M (health ``degraded``).
 
 ``REP`` is a replica index, optionally group-qualified:``3`` targets
-replica 3 of *every* group (the natural form for a single pool), while
+replica 3 of *every* group (the natural form for a single design), while
 ``throughput/0`` targets replica 0 of the group named ``throughput``.
 Indices refer to session-start replica numbering; replacements provision
 with fresh indices past the initial fleet, so a replacement is fault-free
@@ -282,9 +282,10 @@ class RecoveryPolicy:
 class CircuitBreaker:
     """Trip after K consecutive batch failures; close on any success.
 
-    While open, the cluster front door diverts new traffic away from
-    the group — frames already queued there stay, and the first batch a
-    surviving or replacement replica completes closes the breaker again.
+    While open, the front door diverts new traffic away from the group
+    (a lone group's new arrivals fail at the door) — frames already
+    queued there stay, and the first batch a surviving or replacement
+    replica completes closes the breaker again.
     Purely event-driven, so it flips at deterministic session times.
     """
 

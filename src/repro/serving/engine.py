@@ -34,6 +34,14 @@ through :func:`~repro.serving.router.failover_route`, and dead replicas
 provision cold replacements through the same ``_EV_PROVISION`` events
 autoscaling uses.
 
+A session serves one or more replica groups
+(:class:`~repro.serving.cluster.GroupSpec`). One design is a session of
+one group, and its report carries that group's slice and the router's
+name like any cluster's. Under chaos, a lone group whose breaker is open
+fails new arrivals at the door until a batch succeeds, since it has no
+other group to divert them to; ``RecoveryPolicy(breaker_threshold=0)``
+keeps its door open.
+
 Every session is a pure function of its inputs: same trace + same specs
 → the same report, bit for bit.
 """
@@ -53,12 +61,12 @@ import numpy as np
 from repro.serving.admission import AdmissionControl, resolve_admission
 from repro.serving.chaos import ChaosPlan, CircuitBreaker, RecoveryPolicy
 from repro.serving.cluster import GroupSpec
-from repro.serving.replica import Replica, ReplicaPool, health_summary
+from repro.serving.replica import Replica, health_summary
 from repro.serving.router import RoutingPolicy, failover_route, get_router
 from repro.serving.slo import GroupReport, ServingReport, nearest_rank
 from repro.serving.traffic import RequestTrace, trace_from_workload
 from repro.serving.workload import AvatarWorkload
-from repro.utils.checks import check_count, check_finite, check_positive
+from repro.utils.checks import check_finite, check_positive
 from repro.utils.sums import ordered_sum
 
 #: Per-avatar p99 latencies are only folded into the report up to this
@@ -158,7 +166,6 @@ class _EngineGroup:
         self,
         spec: GroupSpec,
         index: int,
-        batch_limit: int,
         recovery: RecoveryPolicy | None = None,
         chaos_states: "dict | None" = None,
     ) -> None:
@@ -168,7 +175,7 @@ class _EngineGroup:
         self.profile = spec.profile
         self.policy_name = spec.policy
         self.policy_kind = _POLICY_KIND[spec.policy]
-        self.batch_limit = batch_limit
+        self.batch_limit = spec.max_batch
         self.window_ms = spec.batch_window_ms
         #: Best-case response latency, batching window plus cold fill:
         #: what the deadline-tiered choice compares budgets with.
@@ -234,14 +241,6 @@ class _EngineGroup:
         self.refresh_fleet()
         return replica
 
-    def adopt_pool(self, pool: ReplicaPool) -> None:
-        """Serve on an existing pool's replicas (single-pool mode)."""
-        pool.reset()
-        self.all_replicas = list(pool.replicas)
-        self.free = deque(pool.replicas)
-        self.live = len(pool.replicas)
-        self.refresh_fleet()
-
     def refresh_fleet(self) -> None:
         """Recompute ``replicas`` (live minus draining, at least one) and
         ``capacity_fps`` (their warm steady-state frames/second); a new
@@ -290,7 +289,6 @@ class _HeapSession:
         autoscale: AutoscalePolicy | None,
         recovery: RecoveryPolicy | None = None,
         may_fail: bool = False,
-        cluster: bool = True,
     ) -> None:
         self.groups = groups
         # One table of deadline-router answers for the whole cluster: a
@@ -306,7 +304,6 @@ class _HeapSession:
         # The fault machinery (retries, breakers, failover) runs only when
         # a replica can fail: under a chaos plan or behind a wire.
         self._may_fail = may_fail
-        self._cluster = cluster
         self._attempts: dict[int, int] = {}
         # With one group and nothing that can fail, every arrival goes to
         # that group: no routing, no failover.
@@ -414,26 +411,22 @@ class _HeapSession:
                 preferred = self.router.route(rel, t, groups)
             group = groups[preferred]
             if self._may_fail and (group.breaker.open or group.exhausted):
-                # Failure-aware front door: a cluster diverts an arrival
-                # from a tripped or exhausted group via failover_route; no
-                # group available → the frame fails at the door, charged
-                # to the preferred group. A bare pool has nowhere to
-                # divert, so only exhaustion fails its arrivals.
-                if self._cluster:
-                    index = failover_route(
-                        preferred,
-                        rel,
-                        groups,
-                        [not g.breaker.open and not g.exhausted for g in groups],
-                    )
-                    if index is None:
-                        self._fail_at_door(i, group)
-                        return
-                    group = groups[index]
-                    group.failovers += 1
-                elif group.exhausted:
+                # Failure-aware front door: an arrival whose group is
+                # tripped or exhausted diverts via failover_route; no
+                # group available (a lone group has none to divert to) →
+                # the frame fails at the door, charged to the preferred
+                # group.
+                index = failover_route(
+                    preferred,
+                    rel,
+                    groups,
+                    [not g.breaker.open and not g.exhausted for g in groups],
+                )
+                if index is None:
                     self._fail_at_door(i, group)
                     return
+                group = groups[index]
+                group.failovers += 1
             self._group_of[i] = group.index
         admit = self._admit
         if admit is not None and not admit(group, rel):
@@ -519,11 +512,7 @@ class _HeapSession:
         tiers.
         """
         replica = group.free.popleft()
-        limit = (
-            group.batch_limit
-            if group.batch_limit <= replica.max_batch
-            else replica.max_batch
-        )
+        limit = group.batch_limit
         kind = group.policy_kind
         if kind == _EDF:
             batch = self._select_edf(group, limit)
@@ -919,9 +908,9 @@ class _HeapSession:
 
     # ------------------------------------------------------------------
     def finalize(self) -> ServingReport:
-        """The session's report: a bare pool reports no group slices and
-        no router; a cluster reports both, and ``cluster(<router>)`` as
-        its policy once it has more than one group."""
+        """The session's report: one slice per group, the router's name,
+        and ``cluster(<router>)`` as the policy once there is more than
+        one group."""
         trace = self.trace
         n = len(trace)
         arrival = trace.arrival_ms
@@ -955,7 +944,6 @@ class _HeapSession:
             ) - 1
             per_avatar = tuple(latencies[by_avatar][ranks].tolist())
 
-        group_reports: tuple[GroupReport, ...] = ()
         utilization: tuple[float, ...] = ()
         scale_ups = sum(g.scale_ups for g in self.groups)
         scale_downs = sum(g.scale_downs for g in self.groups)
@@ -963,13 +951,10 @@ class _HeapSession:
             utilization += tuple(
                 r.utilization(duration_ms) for r in group.all_replicas
             )
-        if self._cluster:
-            group_reports = tuple(
-                self._group_report(
-                    g, finish, served, missed, group_of, duration_ms
-                )
-                for g in self.groups
-            )
+        group_reports = tuple(
+            self._group_report(g, finish, served, missed, group_of, duration_ms)
+            for g in self.groups
+        )
 
         all_batches = [s for g in self.groups for s in g.batch_sizes]
         completed = int(np.count_nonzero(served))
@@ -1003,7 +988,7 @@ class _HeapSession:
             replica_utilization=utilization,
             per_avatar_p99_ms=per_avatar,
             shed=sum(g.shed for g in self.groups),
-            router=self.router.name if self._cluster else "",
+            router=self.router.name,
             groups=group_reports,
             engine="heap",
             shape=trace.shape,
@@ -1084,26 +1069,22 @@ class _HeapSession:
 # public entry point
 # ---------------------------------------------------------------------------
 def serve_trace(
-    groups: "ReplicaPool | GroupSpec | Sequence[GroupSpec]",
+    groups: GroupSpec | Sequence[GroupSpec],
     trace: RequestTrace | AvatarWorkload,
     *,
     router: str | RoutingPolicy = "round-robin",
     admission: AdmissionControl | bool | None = None,
     autoscale: AutoscalePolicy | None = None,
-    policy: str = "fifo",
-    batch_window_ms: float = 2.0,
-    max_batch: int | None = None,
     chaos: ChaosPlan | None = None,
     recovery: RecoveryPolicy | None = None,
 ) -> ServingReport:
     """Serve a request trace: the entry point of every serving session.
 
-    Pass a :class:`~repro.serving.replica.ReplicaPool` to serve it as
-    one pool (``policy`` / ``batch_window_ms`` / ``max_batch`` apply),
-    or one or more :class:`~repro.serving.cluster.GroupSpec` s to serve
-    a cluster, each group with its own policy, window and batch cap
-    (``router`` / ``admission`` / ``autoscale`` apply). ``trace`` is a
-    :class:`~repro.serving.traffic.RequestTrace` or an
+    ``groups`` is one :class:`~repro.serving.cluster.GroupSpec` (one
+    design) or several (a cluster), each with its own policy, window and
+    batch cap; ``router`` picks a group per arrival when there are
+    several, ``admission`` sheds, ``autoscale`` resizes each group.
+    ``trace`` is a :class:`~repro.serving.traffic.RequestTrace` or an
     :class:`~repro.serving.workload.AvatarWorkload` (expanded via
     :func:`~repro.serving.traffic.trace_from_workload`). A ``chaos`` plan
     injects deterministic replica faults; ``recovery`` sets how the
@@ -1114,61 +1095,29 @@ def serve_trace(
         trace = trace_from_workload(trace)
     admission_ctl = resolve_admission(admission)
     routing = get_router(router)
-
-    if isinstance(groups, ReplicaPool):
-        if admission_ctl is not None or autoscale is not None:
-            raise ValueError(
-                "admission control and autoscaling need replica groups; "
-                "pass GroupSpec(s) instead of a bare ReplicaPool"
-            )
-        pool = groups
-        limit = pool.max_batch
-        if max_batch is not None:
-            limit = min(check_count("max_batch", max_batch), limit)
-        spec = GroupSpec(
-            name="pool",
-            profile=pool.profile,
-            replicas=len(pool),
-            policy=policy,
-            batch_window_ms=batch_window_ms,
-            max_batch=pool.max_batch,
-        )
-        # A bare pool's chaos clauses name replicas by index alone: they
-        # resolve against the empty group name.
+    specs = [groups] if isinstance(groups, GroupSpec) else list(groups)
+    if not specs:
+        raise ValueError("a session needs at least one replica group")
+    names = [spec.name for spec in specs]
+    if len(set(names)) != len(names):
+        raise ValueError(f"replica group names must be unique: {names}")
+    engine_groups = []
+    for index, spec in enumerate(specs):
         group = _EngineGroup(
             spec,
-            0,
-            batch_limit=limit,
+            index,
             recovery=recovery,
-            chaos_states=chaos.states("") if chaos else None,
+            chaos_states=chaos.states(spec.name) if chaos else None,
         )
-        group.adopt_pool(pool)
-        engine_groups = [group]
-    else:
-        specs = [groups] if isinstance(groups, GroupSpec) else list(groups)
-        if not specs:
-            raise ValueError("a cluster needs at least one replica group")
-        names = [spec.name for spec in specs]
-        if len(set(names)) != len(names):
-            raise ValueError(f"replica group names must be unique: {names}")
-        engine_groups = []
-        for index, spec in enumerate(specs):
-            group = _EngineGroup(
-                spec,
-                index,
-                batch_limit=spec.max_batch,
-                recovery=recovery,
-                chaos_states=chaos.states(spec.name) if chaos else None,
+        start_replicas = spec.replicas
+        if autoscale is not None:
+            start_replicas = min(
+                max(start_replicas, autoscale.min_replicas),
+                autoscale.max_replicas,
             )
-            start_replicas = spec.replicas
-            if autoscale is not None:
-                start_replicas = min(
-                    max(start_replicas, autoscale.min_replicas),
-                    autoscale.max_replicas,
-                )
-            for _ in range(start_replicas):
-                group.add_replica()
-            engine_groups.append(group)
+        for _ in range(start_replicas):
+            group.add_replica()
+        engine_groups.append(group)
     session = _HeapSession(
         engine_groups,
         trace,
@@ -1177,7 +1126,6 @@ def serve_trace(
         autoscale,
         recovery=recovery,
         may_fail=bool(chaos),
-        cluster=not isinstance(groups, ReplicaPool),
     )
     session.run()
     return session.finalize()

@@ -1,4 +1,4 @@
-"""Simulated accelerator replicas and the pools they serve in.
+"""Simulated accelerator replicas.
 
 A *replica* is one deployed instance of a DSE-selected accelerator design.
 It does not re-run the cycle-accurate simulator per request; instead it is
@@ -13,18 +13,17 @@ steady-state accounting:
   interval of the previous batch draining) streams every frame at the
   steady interval.
 
-:class:`ReplicaPool` holds N identical replicas for one serving session;
-:func:`pool_from_result` builds a pool straight from an
-:class:`~repro.fcad.flow.FcadResult` (``FCad.run`` → serve).
+A :class:`~repro.serving.cluster.GroupSpec` says how many replicas of
+one design to deploy; the engine builds them fresh for every session
+(:meth:`~repro.fcad.flow.FcadResult.serving_group` takes ``FCad.run``
+to a spec).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.fcad.flow import FcadResult
 from repro.sim.runner import FrameLatencyProfile
-from repro.utils.checks import check_count
 
 
 @dataclass
@@ -88,41 +87,6 @@ class Replica:
         return self.busy_ms / elapsed_ms if elapsed_ms > 0 else 0.0
 
 
-class ReplicaPool:
-    """N identical replicas of one design, served as one group."""
-
-    def __init__(
-        self,
-        latency: FrameLatencyProfile,
-        replicas: int = 1,
-        max_batch: int = 8,
-    ) -> None:
-        # A float count would fail only inside ``range`` or at a
-        # dispatch; a numpy integer is stored as a plain int.
-        replicas = check_count("replicas", replicas)
-        max_batch = check_count("max_batch", max_batch)
-        self.profile = latency
-        self.replicas = [
-            Replica(replica_id=i, latency=latency, max_batch=max_batch)
-            for i in range(replicas)
-        ]
-        self.max_batch = max_batch
-
-    def __len__(self) -> int:
-        return len(self.replicas)
-
-    def reset(self) -> None:
-        """Forget all serving state (busy time, warm windows, health), so
-        one pool serves back-to-back sessions without state leaking."""
-        for replica in self.replicas:
-            replica.busy_ms = 0.0
-            replica.frames_served = 0
-            replica.batches_served = 0
-            replica.last_finish_ms = float("-inf")
-            replica.health = "up"
-            replica.latency_factor = 1.0
-
-
 def health_summary(replicas) -> str:
     """Human-readable fleet health, or ``""`` while everything is up."""
     up = sum(1 for r in replicas if r.health == "up")
@@ -138,39 +102,15 @@ def design_max_batch(config) -> int:
 
     The design was optimized for specific per-branch batch sizes; let a
     replica absorb a few frames beyond that before the dispatcher must
-    spill to the next one. The single home of this heuristic — both
-    :func:`pool_from_result` and
-    :meth:`~repro.fcad.flow.FcadResult.serving_group` size from it, so a
-    single pool and a cluster group of the same design always agree.
+    spill to the next one. The single home of this heuristic:
+    :meth:`~repro.fcad.flow.FcadResult.serving_group` sizes its groups
+    from it.
     """
     return max(8, 2 * max(b.batch_size for b in config.branches))
 
 
-def pool_from_result(
-    result: FcadResult,
-    replicas: int = 1,
-    max_batch: int | None = None,
-    sim_frames: int = 8,
-    warmup: int = 2,
-    profile: FrameLatencyProfile | None = None,
-) -> ReplicaPool:
-    """Deploy ``replicas`` copies of a DSE-selected design as a pool.
-
-    The per-frame latency model is sampled from one cycle-accurate run of
-    the design (see :meth:`FcadResult.frame_latency_profile`); pass a
-    ``profile`` you already sampled to skip the simulation.
-    """
-    if profile is None:
-        profile = result.frame_latency_profile(frames=sim_frames, warmup=warmup)
-    if max_batch is None:
-        max_batch = design_max_batch(result.dse.best_config)
-    return ReplicaPool(latency=profile, replicas=replicas, max_batch=max_batch)
-
-
 __all__ = [
     "Replica",
-    "ReplicaPool",
     "design_max_batch",
     "health_summary",
-    "pool_from_result",
 ]

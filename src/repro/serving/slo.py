@@ -132,9 +132,11 @@ class ServingReport:
     #: ``submitted`` counts them — they entered the front door — so
     #: ``completed + shed == submitted`` in a fully drained session.
     shed: int = 0
-    #: Routing policy of the cluster session ("" for a bare pool).
+    #: Routing policy of the session ("" only in older payloads, whose
+    #: bare pools had no router).
     router: str = ""
-    #: Per-group SLO slices of a cluster session (empty for a single pool).
+    #: Per-group SLO slices, one per replica group (empty only in older
+    #: payloads of a bare pool).
     groups: tuple[GroupReport, ...] = field(default=())
     #: The serving engine that produced the report: always "heap" (the
     #: event heap of :mod:`repro.serving.engine`); "" in older payloads.

@@ -23,9 +23,8 @@ if TYPE_CHECKING:
     from repro.sim.runner import FrameLatencyProfile
 
 from repro.serving.cluster import GroupSpec
-from repro.serving.replica import ReplicaPool
 from repro.serving.slo import ServingReport
-from repro.utils.checks import check_real, is_count
+from repro.utils.checks import check_positive, check_real, is_count
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,8 @@ class AvatarWorkload:
         the natural knob for "serve a 30-second call" style sessions
         (``repro serve --duration`` routes through here).
         """
+        # Checked before it becomes a rate, so a bad interval is named.
+        check_positive("frame_interval_ms", frame_interval_ms)
         return cls(
             avatars=avatars,
             frames_per_avatar=frames_for_duration(
@@ -113,8 +114,8 @@ def frames_for_duration(duration_s: float, avatar_fps: float) -> int:
     The single place the duration→frame-count rule lives, shared by
     :meth:`AvatarWorkload.for_duration` and ``repro serve --duration``.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    check_positive("duration_s", duration_s)
+    check_positive("avatar_fps", avatar_fps)
     return max(1, round(duration_s * avatar_fps))
 
 
@@ -174,45 +175,31 @@ def replay_workload(
     ``repro serve``. Defaults to the :func:`canned_workload`: same
     profile + same workload → the same report, bit for bit.
 
-    ``companions`` places the profile *inside a heterogeneous cluster*:
-    each companion is a :class:`~repro.serving.cluster.GroupSpec` for a
-    fixed group serving alongside the profile's own group (named
-    ``group_name``), with ``router``/``admission`` steering traffic
-    between them. That is how a DSE candidate is scored as a member of a
-    mixed cluster rather than as a lone pool. ``admission`` alone (no
-    companions) also routes through the cluster path, so a single-group
-    replay can exercise load shedding too.
+    The profile serves as one :class:`~repro.serving.cluster.GroupSpec`
+    named ``group_name``. ``companions`` places it *inside a
+    heterogeneous cluster*: each companion is a fixed group serving
+    alongside it, with ``router`` steering traffic between them. That is
+    how a DSE candidate is scored as a member of a mixed cluster rather
+    than on its own. ``admission`` sheds load, with or without
+    companions.
     """
     from repro.serving.engine import serve_trace
 
     if workload is None:
         workload = canned_workload()
-    if companions or admission:
-        own_group = GroupSpec(
-            name=group_name,
-            profile=profile,
-            replicas=replicas,
-            policy=policy,
-            batch_window_ms=batch_window_ms,
-            max_batch=max_batch if max_batch is not None else 8,
-        )
-        return serve_trace(
-            [own_group, *(companions or ())],
-            workload,
-            router=router,
-            admission=admission,
-        )
-    pool = ReplicaPool(
-        profile,
+    own_group = GroupSpec(
+        name=group_name,
+        profile=profile,
         replicas=replicas,
+        policy=policy,
+        batch_window_ms=batch_window_ms,
         max_batch=max_batch if max_batch is not None else 8,
     )
     return serve_trace(
-        pool,
+        [own_group, *(companions or ())],
         workload,
-        policy=policy,
-        batch_window_ms=batch_window_ms,
-        max_batch=max_batch,
+        router=router,
+        admission=admission,
     )
 
 
@@ -230,7 +217,7 @@ def saturation_workload(
     """A mixed-deadline workload, sized off measured capacity.
 
     The avatar fleet is scaled so the offered load is ``saturation`` of
-    the pool's steady-state capacity — the regime where scheduling policy
+    the replicas' steady-state capacity — the regime where scheduling policy
     decides how many frames make their deadlines (well under it nothing
     misses; far over it everything does). Deriving the fleet from the
     profile keeps a session in that regime even as the cost models

@@ -21,7 +21,6 @@ from repro.serving import (
     GroupSpec,
     RecoveryPolicy,
     Replica,
-    ReplicaPool,
     canned_workload,
     health_summary,
     report_from_json,
@@ -51,12 +50,11 @@ def assert_lossless(report):
     assert report.completed + report.shed + report.failed == report.submitted
 
 
-def serve_pool(workload, *, replicas, policy, chaos, recovery):
-    """One faulty session on a fresh pool of ``FAST`` replicas."""
+def serve_group(workload, *, replicas, policy, chaos, recovery):
+    """One faulty session on one group of ``FAST`` replicas."""
     return serve_trace(
-        ReplicaPool(FAST, replicas=replicas, max_batch=4),
+        GroupSpec("pool", FAST, replicas=replicas, policy=policy, max_batch=4),
         workload,
-        policy=policy,
         chaos=chaos,
         recovery=recovery,
     )
@@ -239,12 +237,47 @@ def test_health_summary_empty_while_all_up():
 # ---------------------------------------------------------------------------
 # faulty sessions
 # ---------------------------------------------------------------------------
+class TestLoneGroupBreaker:
+    """A lone group has no other group to divert to: while its breaker is
+    open, new arrivals fail at the door until a batch succeeds.
+    ``breaker_threshold=0`` keeps the door open."""
+
+    @staticmethod
+    def session(threshold):
+        # Both replicas crash on their first batch and are replaced 50 ms
+        # later; three retries see every crashed frame through.
+        return serve_trace(
+            GroupSpec("g", FAST, replicas=2, policy="edf", max_batch=4),
+            canned_workload(avatars=6, frames_per_avatar=10, seed=3),
+            chaos=ChaosPlan.parse("crash-at:0:1,crash-at:1:1"),
+            recovery=RecoveryPolicy(
+                max_retries=3, breaker_threshold=threshold,
+                replace_after_ms=50.0,
+            ),
+        )
+
+    @pytest.mark.parametrize("threshold", [1, 2])
+    def test_open_breaker_fails_arrivals_at_the_door(self, threshold):
+        report = self.session(threshold)
+        assert_lossless(report)
+        assert report.retries == report.replicas_replaced == 2
+        # No frame ran out of retries: each failed one failed at the door.
+        assert report.failed > 0 and report.failovers == 0
+        assert report.groups[0].failed == report.failed
+
+    def test_threshold_zero_keeps_the_door_open(self):
+        report = self.session(0)
+        assert report.completed == report.submitted and report.failed == 0
+        # A breaker that never trips is no breaker at all.
+        assert report_to_json(report) == report_to_json(self.session(3))
+
+
 class TestRecoveryUnderChaos:
     @pytest.mark.parametrize("policy", ["fifo", "edf", "fair"])
     def test_mixed_faults_single_pool(self, policy):
         """Crash + degrade + stall with retries and replacement, under
         every scheduling policy."""
-        report = serve_pool(
+        report = serve_group(
             canned_workload(avatars=6, frames_per_avatar=10, seed=3),
             replicas=3,
             policy=policy,
@@ -286,7 +319,7 @@ class TestRecoveryUnderChaos:
     def test_total_kill_is_lossless(self):
         """Every replica dead and no retries: the session still ends,
         with every unserved frame counted failed — none hang."""
-        report = serve_pool(
+        report = serve_group(
             canned_workload(avatars=4, frames_per_avatar=8, seed=0),
             replicas=2,
             policy="fifo",
@@ -301,7 +334,7 @@ class TestRecoveryUnderChaos:
     def test_hedging_wins_against_a_degraded_replica(self):
         """With one replica degraded 4x, hedged duplicates on a healthy
         replica win; the loser's occupancy is still charged."""
-        report = serve_pool(
+        report = serve_group(
             canned_workload(
                 avatars=6,
                 frames_per_avatar=8,
@@ -328,8 +361,8 @@ class TestRecoveryUnderChaos:
             recovery=RecoveryPolicy(max_retries=2, replace_after_ms=250.0),
         )
         workload = canned_workload(avatars=6, frames_per_avatar=10, seed=5)
-        first = serve_pool(workload, **kwargs)
-        second = serve_pool(workload, **kwargs)
+        first = serve_group(workload, **kwargs)
+        second = serve_group(workload, **kwargs)
         assert report_to_json(first) == report_to_json(second)
 
     def test_no_chaos_and_default_knobs_change_nothing(self):
@@ -337,9 +370,10 @@ class TestRecoveryUnderChaos:
         knobs reproduce the fault-free report bit for bit."""
         workload = canned_workload(avatars=6, frames_per_avatar=10, seed=4)
         baseline = serve_trace(
-            ReplicaPool(FAST, replicas=2, max_batch=4), workload, policy="edf"
+            GroupSpec("pool", FAST, replicas=2, policy="edf", max_batch=4),
+            workload,
         )
-        guarded = serve_pool(
+        guarded = serve_group(
             workload,
             replicas=2,
             policy="edf",
@@ -353,9 +387,8 @@ class TestRecoveryUnderChaos:
         interval after the replica's last finish, and a gap equal to the
         steady interval is warm: no cold fill is charged."""
         report = serve_trace(
-            ReplicaPool(BIG, replicas=1, max_batch=4),
+            GroupSpec("pool", BIG, replicas=1, policy="fifo", max_batch=4),
             canned_workload(avatars=5, frames_per_avatar=5, seed=282),
-            policy="fifo",
             chaos=ChaosPlan.parse("stall:0:2:4,die-at:0:41,degrade:0:6:3"),
             recovery=RecoveryPolicy(max_retries=3),
         )
@@ -365,8 +398,8 @@ class TestRecoveryUnderChaos:
 
 @st.composite
 def sessions(draw):
-    """``(groups, workload, kwargs)`` for one small session: a bare pool
-    or one or two groups, with up to three chaos clauses."""
+    """``(groups, workload, kwargs)`` for one small session: one or two
+    groups, with up to three chaos clauses."""
     recovery = RecoveryPolicy(
         max_retries=draw(st.integers(0, 3)),
         hedge=draw(st.booleans()),
@@ -391,18 +424,6 @@ def sessions(draw):
             max_batch=draw(st.integers(1, 4)),
         )
 
-    if draw(st.booleans()):
-        pool = spec("pool")
-        kwargs = dict(
-            policy=pool.policy,
-            batch_window_ms=pool.batch_window_ms,
-            chaos=draw(chaos_plans([])),
-            recovery=recovery,
-        )
-        replicas = ReplicaPool(
-            pool.profile, replicas=pool.replicas, max_batch=pool.max_batch
-        )
-        return replicas, workload, kwargs
     specs = [spec(f"g{k}") for k in range(draw(st.integers(1, 2)))]
     kwargs = dict(
         router=draw(st.sampled_from(["round-robin", "least-loaded", "deadline"])),

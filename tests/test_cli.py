@@ -445,6 +445,29 @@ class TestServe:
             == report.submitted
         )
 
+    def test_serve_single_design_reports_one_group(self, capsys, tmp_path):
+        # Without --cluster the explored design serves as one group, whose
+        # slice holds every frame of the session.
+        from repro.serving import report_from_json
+
+        path = tmp_path / "single.json"
+        run_cli(
+            capsys,
+            *self.SERVE,
+            "--policy", "edf",
+            "--chaos", "crash-at:0:1",
+            "--json", str(path),
+        )
+        report = report_from_json(path.read_text())
+        (group,) = report.groups
+        assert (group.name, group.policy, group.replicas) == (
+            "codec_avatar_decoder", "edf", 2,
+        )
+        assert report.policy == "edf"
+        for name in ("completed", "shed", "failed", "retries"):
+            assert getattr(group, name) == getattr(report, name), name
+        assert report.retries > 0
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -12,7 +12,6 @@ from repro.fcad.flow import FCad
 from repro.serving import (
     AdmissionControl,
     GroupSpec,
-    ReplicaPool,
     canned_workload,
     get_router,
     replay_workload,
@@ -82,14 +81,10 @@ class TestSpecsAndValidation:
         for window in (-5.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="batch_window_ms"):
                 GroupSpec("g", FAST, batch_window_ms=window)
-        # True was served as a 1 ms window, by a group and by a bare pool.
+        # True was served as a 1 ms window.
         for window in (True, False):
             with pytest.raises(TypeError, match="batch_window_ms"):
                 GroupSpec("g", FAST, batch_window_ms=window)
-            with pytest.raises(TypeError, match="batch_window_ms"):
-                serve_trace(
-                    ReplicaPool(FAST, 2, 8), tiered_workload(), batch_window_ms=window
-                )
         assert GroupSpec("g", FAST, batch_window_ms=1).batch_window_ms == 1
         with pytest.raises(ValueError, match="max_batch"):
             GroupSpec("g", FAST, max_batch=0)
@@ -174,7 +169,7 @@ class TestRouters:
     def groups(self):
         groups = []
         for index, spec in enumerate(mixed_groups()):
-            group = _EngineGroup(spec, index, batch_limit=spec.max_batch)
+            group = _EngineGroup(spec, index)
             for _ in range(spec.replicas):
                 group.add_replica()
             groups.append(group)
@@ -211,35 +206,6 @@ class TestRouters:
 
 
 class TestClusterSessions:
-    def test_single_group_cluster_matches_pool_mode(self):
-        # One in-process group with no admission control serves exactly
-        # like the same replicas passed as a bare pool, SLO for SLO.
-        workload = tiered_workload()
-        pool = ReplicaPool(FAST, replicas=2, max_batch=8)
-        direct = serve_trace(
-            pool, workload, policy="edf", batch_window_ms=2.0
-        )
-        clustered = serve_trace(
-            [
-                GroupSpec(
-                    "only", FAST, replicas=2, policy="edf",
-                    batch_window_ms=2.0, max_batch=8,
-                )
-            ],
-            workload,
-        )
-        for field in (
-            "policy", "submitted", "completed", "duration_ms",
-            "latency_p50_ms", "latency_p95_ms", "latency_p99_ms",
-            "latency_mean_ms", "latency_max_ms", "queue_mean_ms",
-            "deadline_misses", "batches", "mean_batch_size",
-            "replica_utilization", "per_avatar_p99_ms",
-        ):
-            assert getattr(clustered, field) == getattr(direct, field), field
-        assert clustered.router == "round-robin"
-        assert len(clustered.groups) == 1
-        assert clustered.shed == 0
-
     def test_mixed_cluster_routes_by_deadline(self):
         report = serve_trace(
             mixed_groups(), tiered_workload(), router="deadline"
@@ -339,15 +305,16 @@ def tiered_cluster(workload, admission):
 
 
 class TestMixedClusterOnExploredDesigns:
-    """A batch-1/batch-2 cluster against one-design pools of equal size."""
+    """A batch-1/batch-2 cluster against one-design groups of equal size."""
 
     def test_mixed_cluster_beats_every_homogeneous_pool(self):
         workload = two_tier_workload(CLUSTER_SATURATION, CLUSTER_BUDGET)
         best = min(
             serve_trace(
-                ReplicaPool(profile, replicas=CLUSTER_BUDGET, max_batch=8),
+                GroupSpec(
+                    "pool", profile, replicas=CLUSTER_BUDGET, policy=policy
+                ),
                 workload,
-                policy=policy,
             ).miss_rate
             for profile in (EXPLORED_BATCH1, EXPLORED_BATCH2)
             for policy in ("fifo", "edf")
@@ -385,9 +352,9 @@ class TestReplayWorkloadClusters:
         assert names == ["candidate", "companion"]
         assert report.completed == report.submitted
 
-    def test_admission_alone_routes_through_the_cluster_path(self):
-        # A shedding single-group replay must actually shed (the plain
-        # pool path silently dropping admission= was a bug).
+    def test_admission_alone_sheds(self):
+        # A shedding replay without companions must actually shed: its
+        # one group takes admission= like any cluster.
         report = replay_workload(
             FAST,
             workload=tiered_workload(avatars=16, deadline_tiers=()),

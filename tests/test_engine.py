@@ -19,7 +19,6 @@ from repro.serving import (
     ChaosPlan,
     GroupSpec,
     RecoveryPolicy,
-    ReplicaPool,
     RequestTrace,
     canned_workload,
     list_shapes,
@@ -32,6 +31,7 @@ from repro.serving import (
 )
 from repro.serving import engine
 from repro.serving.traffic import _stable_argsort
+from repro.serving.workload import frames_for_duration
 from repro.sim.runner import FrameLatencyProfile
 
 FAST = FrameLatencyProfile(
@@ -57,7 +57,7 @@ def test_saturated_pool_misses_deadlines(policy):
     # one, and every policy misses deadlines.
     workload = saturation_workload(BIG, replicas=2, saturation=1.3, seed=7)
     report = serve_trace(
-        ReplicaPool(BIG, replicas=2, max_batch=8), workload, policy=policy
+        GroupSpec("pool", BIG, replicas=2, policy=policy), workload
     )
     assert report.deadline_misses > 0
     assert report.completed == report.submitted == workload.total_frames
@@ -90,12 +90,9 @@ def test_overloaded_cluster_sheds(router):
 
 def test_trace_and_workload_inputs_agree():
     workload = canned_workload(avatars=6, frames_per_avatar=8, jitter_ms=5.0)
-    via_workload = serve_trace(
-        ReplicaPool(BIG, replicas=1), workload, policy="edf"
-    )
-    via_trace = serve_trace(
-        ReplicaPool(BIG, replicas=1), trace_from_workload(workload), policy="edf"
-    )
+    spec = GroupSpec("g", BIG, replicas=1, policy="edf")
+    via_workload = serve_trace(spec, workload)
+    via_trace = serve_trace(spec, trace_from_workload(workload))
     assert report_to_json(via_workload) == report_to_json(via_trace)
 
 
@@ -231,7 +228,39 @@ def test_make_trace_validation():
         fields = {"frame_interval_ms": 33.3, "deadline_ms": 50.0, name: value}
         with pytest.raises(TypeError, match=name):
             AvatarWorkload(2, 3, **fields)
+    # The duration-to-frames rule behind ``AvatarWorkload.for_duration``
+    # and ``repro serve --duration``: NaN and an infinity failed inside
+    # ``round``, True streamed 30 frames, a string failed in a comparison,
+    # and a zero rate streamed one frame.
+    for duration, error in (
+        (float("nan"), ValueError),
+        (float("inf"), ValueError),
+        (0.0, ValueError),
+        (-1.0, ValueError),
+        (True, TypeError),
+        ("3", TypeError),
+    ):
+        with pytest.raises(error, match="duration_s"):
+            frames_for_duration(duration, 30.0)
+        with pytest.raises(error, match="duration_s"):
+            AvatarWorkload.for_duration(duration, 2, 33.3, 50.0)
+    for fps, error in (
+        (0.0, ValueError),
+        (-30.0, ValueError),
+        (float("nan"), ValueError),
+        (float("inf"), ValueError),
+        (True, TypeError),
+        ("30", TypeError),
+    ):
+        with pytest.raises(error, match="avatar_fps"):
+            frames_for_duration(2.0, fps)
+    # ``for_duration`` turns the interval into a rate: a zero interval
+    # raised ZeroDivisionError, and the others blamed ``avatar_fps``.
+    for interval in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="frame_interval_ms"):
+            AvatarWorkload.for_duration(2.0, 2, interval, 50.0)
     # Whole numbers are numbers: ints keep working beside floats.
+    assert frames_for_duration(2, 30) == 60
     assert make_trace(4, 2, avatar_fps=2, deadline_ms=50, jitter_ms=0).requests == 16
     assert AvatarWorkload(2, 3, 33, 50, jitter_ms=1, deadline_tiers=(20, 60))
     # The shapes' parameters: churn=True served as churn=1.0, floor=False
@@ -554,10 +583,12 @@ def test_heap_sessions_are_bit_identical():
 
 def test_engine_rejects_unsupported_configurations():
     workload = canned_workload(avatars=2, frames_per_avatar=2)
-    with pytest.raises(KeyError, match="known policies"):
-        serve_trace(ReplicaPool(BIG), workload, policy="lifo")
-    with pytest.raises(ValueError, match="GroupSpec"):
-        serve_trace(ReplicaPool(BIG), workload, admission=True)
+    with pytest.raises(ValueError, match="at least one replica group"):
+        serve_trace([], workload)
+    # A batching knob belongs to a group's spec, not to the session.
+    for knob in ("policy", "batch_window_ms", "max_batch"):
+        with pytest.raises(TypeError, match=knob):
+            serve_trace(GroupSpec("g", BIG), workload, **{knob: 4})
     with pytest.raises(ValueError, match="unique"):
         serve_trace(
             [GroupSpec("g", BIG), GroupSpec("g", FAST)], workload

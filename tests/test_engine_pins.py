@@ -6,11 +6,14 @@ before its group state became event-maintained counters, so any change
 that moves a single admission, routing, batching or recovery decision —
 or a single float of a latency — shows up here as a digest mismatch.
 
-Together the sessions cover the fifo, edf and fair policies, a bare
-``ReplicaPool``, a two-group cluster with admission under the
-``deadline`` and ``least-loaded`` routers, autoscaling with scale-ups and
-drains, and chaos plans with crash, die, stall and degrade clauses under
-retries, hedging and replacement. Each session also asserts the feature
+Together the sessions cover the fifo, edf and fair policies, single
+groups with a session batch cap below the default and with no batching
+window, a two-group cluster with admission under the ``deadline`` and
+``least-loaded`` routers, autoscaling with scale-ups and drains, and
+chaos plans with crash, die, stall and degrade clauses under retries,
+hedging and replacement. The three ``pool_`` sessions were bare replica
+pools once; as one-group sessions their reports equal the pools' in every
+field but ``router`` and ``groups``. Each session also asserts the feature
 it is there for actually fired, so a pin cannot quietly stop covering it.
 
 The report adds its float sums left to right, never with ``sum()``, which
@@ -31,7 +34,6 @@ from repro.serving import (
     ChaosPlan,
     GroupSpec,
     RecoveryPolicy,
-    ReplicaPool,
     make_trace,
     report_to_json,
     serve_trace,
@@ -98,19 +100,17 @@ def fair_group():
 
 
 def pool_fifo():
-    pool = ReplicaPool(BIG, replicas=2, max_batch=4)
-    report = serve_trace(
-        pool, _steady(4), policy="fifo", batch_window_ms=2.0, max_batch=3
+    spec = GroupSpec(
+        "g", BIG, replicas=2, policy="fifo", batch_window_ms=2.0, max_batch=3
     )
-    return report, {}
+    return serve_trace(spec, _steady(4)), {}
 
 
 def pool_edf_eager():
-    pool = ReplicaPool(FAST, replicas=1, max_batch=8)
-    report = serve_trace(
-        pool, _tiered(5, avatars=30), policy="edf", batch_window_ms=0.0
+    spec = GroupSpec(
+        "g", FAST, replicas=1, policy="edf", batch_window_ms=0.0, max_batch=8
     )
-    return report, {}
+    return serve_trace(spec, _tiered(5, avatars=30)), {}
 
 
 def cluster_deadline_admission():
@@ -192,12 +192,12 @@ def chaos_cluster():
 
 
 def chaos_pool_fifo():
-    pool = ReplicaPool(BIG, replicas=3, max_batch=4)
+    spec = GroupSpec(
+        "g", BIG, replicas=3, policy="fifo", batch_window_ms=2.0, max_batch=4
+    )
     report = serve_trace(
-        pool,
+        spec,
         _tiered(12, avatars=60),
-        policy="fifo",
-        batch_window_ms=2.0,
         chaos=ChaosPlan.parse("crash-at:0:2,stall:1:3:25,degrade:2:5:2.0"),
         recovery=RecoveryPolicy(
             max_retries=1, hedge=True, replace_after_ms=100.0
@@ -279,7 +279,7 @@ PINS = {
         "05235d842600117ed9ee351f2a8a3a3a37cd324069219d1c8155b3cda5153977"
     ),
     "chaos_pool_fifo": (
-        "d8efbbbf0c07a79a447265e361da7af7baa338721ffb5016d779f07961b13164"
+        "04baf2879e46e8b2d1fd5c5dcc64f103447bb56cc3e95cdc9291b1a603fc7807"
     ),
     "cluster_deadline_admission": (
         "abe9b9a8d3481b5aa960901e3d4dd6f23a797c9f9010a2a93df55430c431845e"
@@ -300,10 +300,10 @@ PINS = {
         "c0230c89c5b7764e52b41fedb8ee6f87c92510c3226ce9f003fb8e97530a7999"
     ),
     "pool_edf_eager": (
-        "32a43c3700388816f101c67da26ce0518a5f09005c0b05f88bf34e8d577cbe36"
+        "0ea605d476574e5f7dff62e3d31a1c5cd2718a3117241436df8e20a9774503cf"
     ),
     "pool_fifo": (
-        "95a9addd50118ef7af6166f2e9ffeb7c4c5685f167764be2da6ae87a466505ed"
+        "2240e904be7fbc5efa78bf78e5a8ae16480be0c50ca4b4dbc212733b465c0d48"
     ),
 }
 

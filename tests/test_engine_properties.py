@@ -10,8 +10,9 @@ deadline-tiered choice, in ``DeadlineTieredRouter.route`` and in
 ``failover_route``, to the list-and-``max``/``min`` formulation it
 replaced, ties and infeasible budgets included; one checks every answer
 the router keeps per budget against a fresh choice over the groups as
-they are at that moment; and one checks that the front door consults
-``failover_route`` only for an arrival it must divert.
+they are at that moment; one checks that the front door consults
+``failover_route`` only for an arrival it must divert; and one checks
+that a one-group session's group slice agrees with its totals.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.serving import (
     ChaosPlan,
     GroupSpec,
     RecoveryPolicy,
-    ReplicaPool,
     make_trace,
     serve_trace,
 )
@@ -202,16 +202,6 @@ def sessions(draw):
             replace_after_ms=draw(st.sampled_from([None, 20.0, 120.0])),
         ),
     )
-    if count == 1 and admission is None and autoscale is None and draw(
-        st.booleans()
-    ):
-        # A bare pool: the single-pool path, replicas adopted up front.
-        spec = specs[0]
-        pool = ReplicaPool(
-            spec.profile, replicas=spec.replicas, max_batch=spec.max_batch
-        )
-        kwargs.update(policy=spec.policy, batch_window_ms=spec.batch_window_ms)
-        return pool, trace, kwargs
     return specs, trace, kwargs
 
 
@@ -267,7 +257,7 @@ def checked_front_door(diverted: list[int]):
 
 class TestFrontDoor:
     def test_failover_route_only_for_unavailable_groups(self):
-        # Generated pools and clusters under every router, with chaos
+        # Generated groups and clusters under every router, with chaos
         # plans that trip breakers and exhaust groups.
         seen: set[str] = set()
 
@@ -296,6 +286,68 @@ class TestFrontDoor:
             report, _ = SESSIONS["chaos_cluster"]()
         assert report.failovers >= 1
         assert diverted[0] >= report.failovers
+
+
+# ---------------------------------------------------------------------------
+# the one group of a single-design session
+# ---------------------------------------------------------------------------
+@st.composite
+def one_group_sessions(draw):
+    """A :func:`sessions` draw cut to its first group: admission,
+    autoscale and chaos drawn as for a cluster."""
+    groups, trace, kwargs = draw(sessions())
+    return groups[:1], trace, kwargs
+
+
+#: Fields a one-group report carries twice, in its totals and in its one
+#: group slice (``latency_p50_ms`` and ``latency_p99_ms`` included).
+SHARED_FIELDS = (
+    "policy",
+    "max_batch",
+    "batch_window_ms",
+    "shed",
+    "completed",
+    "failed",
+    "deadline_misses",
+    "latency_p50_ms",
+    "latency_p99_ms",
+    "mean_batch_size",
+    "replicas",
+    "retries",
+    "hedges",
+    "hedge_wins",
+    "failovers",
+    "replicas_lost",
+    "replicas_replaced",
+    "scale_ups",
+    "scale_downs",
+    "degraded_time_ms",
+)
+
+
+class TestOneGroupReport:
+    def test_the_group_slice_equals_the_totals(self):
+        # Every frame of a one-group session is offered to its group, so
+        # the slice and the totals count the same frames, shed and failed
+        # at the door included.
+        seen: set[str] = set()
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(one_group_sessions())
+        def run(session):
+            groups, trace, kwargs = session
+            report = serve_trace(groups, trace, **kwargs)
+            (group,) = report.groups
+            assert report.router == kwargs["router"]
+            assert group.offered == report.submitted
+            for field in SHARED_FIELDS:
+                assert getattr(group, field) == getattr(report, field), field
+            for name in ("shed", "failed", "retries", "scale_ups"):
+                if getattr(report, name):
+                    seen.add(name)
+
+        run()
+        assert seen == {"shed", "failed", "retries", "scale_ups"}
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +400,6 @@ def checked_fair_selection(dispatches: list[int]):
 def fair_sessions(draw):
     """A :func:`sessions` draw with every group on the fair policy."""
     groups, trace, kwargs = draw(sessions())
-    if isinstance(groups, ReplicaPool):
-        return groups, trace, dict(kwargs, policy="fair")
     fair = [dataclasses.replace(spec, policy="fair") for spec in groups]
     return fair, trace, kwargs
 
@@ -437,17 +487,6 @@ def checked_admission(seen: set[str]):
 def admitted_sessions(draw):
     """A :func:`sessions` draw on replica groups, always with admission."""
     groups, trace, kwargs = draw(sessions())
-    if isinstance(groups, ReplicaPool):
-        groups = [
-            GroupSpec(
-                "g0",
-                groups.profile,
-                replicas=len(groups),
-                policy=kwargs.pop("policy"),
-                batch_window_ms=kwargs.pop("batch_window_ms"),
-                max_batch=groups.max_batch,
-            )
-        ]
     kwargs["admission"] = AdmissionControl(
         max_queue_per_replica=draw(st.sampled_from([None, 1, 2, 4, 16])),
         predict_miss=draw(st.booleans()),
@@ -487,7 +526,7 @@ class TestAdmissionTable:
         }
 
     def test_a_fleet_change_clears_the_table(self):
-        group = engine._EngineGroup(GroupSpec("g", PROFILES[1], replicas=2), 0, 8)
+        group = engine._EngineGroup(GroupSpec("g", PROFILES[1], replicas=2), 0)
         group.add_replica()
         group.add_replica()
         group.extend_predicted(5)
@@ -597,7 +636,7 @@ def checked_router(seen: set[str]):
 def routed_sessions(draw):
     """A :func:`sessions` draw on two or more groups, deadline-routed."""
     groups, trace, kwargs = draw(sessions())
-    assume(not isinstance(groups, ReplicaPool) and len(groups) >= 2)
+    assume(len(groups) >= 2)
     return groups, trace, dict(kwargs, router="deadline")
 
 
@@ -626,7 +665,7 @@ class TestKeptRoutes:
         assert seen == {"answer moved", "autoscaled", "killed replica"}
 
     def test_a_fleet_change_clears_the_answers(self):
-        group = engine._EngineGroup(GroupSpec("g", PROFILES[1], replicas=2), 0, 8)
+        group = engine._EngineGroup(GroupSpec("g", PROFILES[1], replicas=2), 0)
         group.add_replica()
         group.add_replica()
         group.tier_picks[30.0] = 1

@@ -6,11 +6,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.arch.config import AcceleratorConfig, BranchConfig, StageConfig
 from repro.construction.reorg import build_pipeline_plan
 from repro.devices.fpga import get_device
 from repro.dse.cache import LocalEvalCache
 from repro.dse.engine import DseEngine, plan_sweep
 from repro.dse.objective import (
+    BranchMetrics,
+    OracleStats,
     PaperObjective,
     ServingOracle,
     SimOracle,
@@ -164,6 +167,44 @@ class TestStagedRerank:
         # SLO fitness is -(p99 + w * miss): negative for any real replay.
         assert result.best_fitness == -(
             metrics.p99_ms + 1000.0 * metrics.deadline_miss_rate
+        )
+
+    def test_pinned_serving_rerank(self, tiny_plan):
+        """A serving re-rank replays each finalist through
+        ``replay_workload``; this search must not move by a bit when the
+        replay's front door does."""
+        result = make_engine(tiny_plan).search(
+            iterations=3, population=12, seed=7, rerank_oracle=TINY_ORACLE
+        )
+        assert result.best_fitness == -2.002016774193553
+        assert result.best_config == AcceleratorConfig(
+            branches=(
+                BranchConfig(
+                    batch_size=1,
+                    stages=(
+                        StageConfig(cpf=8, kpf=16, h=2),
+                        StageConfig(cpf=16, kpf=8, h=8),
+                        StageConfig(cpf=8, kpf=3, h=16),
+                    ),
+                ),
+                BranchConfig(
+                    batch_size=1, stages=(StageConfig(cpf=16, kpf=2, h=4),)
+                ),
+            )
+        )
+        assert result.best_metrics == BranchMetrics(
+            fps=(1388888.888888889, 1388888.888888889),
+            meets_batch=(True, True),
+            oracle="serving",
+            p99_ms=2.002016774193553,
+            deadline_miss_rate=0.0,
+            throughput_fps=239.5181262028482,
+            shed_rate=None,
+            failed_rate=None,
+        )
+        assert result.oracle_stats == (
+            OracleStats(name="analytical", invocations=68, cache_hits=4),
+            OracleStats(name="serving", invocations=3, cache_hits=9),
         )
 
     def test_sim_rerank_runs(self, tiny_plan):

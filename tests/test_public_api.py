@@ -14,6 +14,19 @@ class TestPublicApi:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_one_serving_front_door(self):
+        """One design serves as one ``GroupSpec``; the bare pool and its
+        session-wide batching knobs are gone."""
+        import inspect
+
+        import repro.serving
+        from repro.serving import serve_trace
+
+        for module in (repro, repro.serving):
+            assert not [n for n in module.__all__ if "pool" in n.lower()]
+        params = inspect.signature(serve_trace).parameters
+        assert not {"policy", "batch_window_ms", "max_batch"} & set(params)
+
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 

@@ -13,10 +13,9 @@ from repro.fcad.flow import FCad
 from repro.serving import (
     AvatarWorkload,
     GroupSpec,
-    ReplicaPool,
+    Replica,
     RequestTrace,
     nearest_rank,
-    pool_from_result,
     report_from_json,
     report_to_json,
     serve_from_result,
@@ -33,6 +32,14 @@ PROFILE = FrameLatencyProfile(
     steady_interval_ms=4.0,
     frequency_mhz=200.0,
 )
+
+
+def group(replicas: int, max_batch: int, policy: str = "fifo", **knobs):
+    """One group of ``PROFILE`` replicas, FIFO unless ``policy`` says."""
+    return GroupSpec(
+        "g", PROFILE, replicas=replicas, policy=policy, max_batch=max_batch,
+        **knobs,
+    )
 
 
 def make_workload(**overrides) -> AvatarWorkload:
@@ -103,8 +110,7 @@ class TestFrameLatencyProfile:
 
 class TestReplica:
     def test_warm_window_accounting(self):
-        pool = ReplicaPool(PROFILE, replicas=1, max_batch=4)
-        replica = pool.replicas[0]
+        replica = Replica(0, PROFILE, max_batch=4)
         first = replica.service_times(0.0, 2)
         assert first == (8.0, 12.0)
         # Immediately following batch keeps the pipeline warm.
@@ -117,7 +123,7 @@ class TestReplica:
         assert replica.busy_ms == pytest.approx(12.0 + 8.0 + 8.0)
         # The warm window is closed: a batch starting exactly one steady
         # interval after the last finish is warm, one ulp later is cold.
-        edge = ReplicaPool(PROFILE, replicas=1, max_batch=4).replicas[0]
+        edge = Replica(0, PROFILE, max_batch=4)
         edge.last_finish_ms = 0.0
         steady = PROFILE.steady_interval_ms
         assert edge.preview_service(steady, 1) == PROFILE.batch_finish_ms(
@@ -127,32 +133,16 @@ class TestReplica:
         assert edge.preview_service(late, 1) == PROFILE.batch_finish_ms(late, 1)
 
     def test_batch_capacity_enforced(self):
-        pool = ReplicaPool(PROFILE, replicas=1, max_batch=2)
+        replica = Replica(0, PROFILE, max_batch=2)
         with pytest.raises(ValueError, match="capacity"):
-            pool.replicas[0].service_times(0.0, 3)
+            replica.service_times(0.0, 3)
 
-    @pytest.mark.parametrize(
-        "bad", [{"replicas": 2.5}, {"replicas": True}, {"max_batch": 2.5}]
-    )
-    def test_pool_counts_must_be_counts(self, bad):
-        # A float count failed inside ``range`` or only once served, and
-        # ``True`` built one replica.
-        (name,) = bad
-        with pytest.raises(ValueError, match=name):
-            ReplicaPool(PROFILE, **bad)
-
-    def test_numpy_counts_stored_as_ints(self):
-        pool = ReplicaPool(PROFILE, replicas=np.int64(2), max_batch=np.int32(4))
-        assert len(pool) == 2
-        assert type(pool.max_batch) is int and pool.max_batch == 4
-        assert all(type(replica.max_batch) is int for replica in pool.replicas)
-
-    def test_pool_reuse_across_sessions_is_clean(self):
-        # Every session starts the pool from scratch: running the same
-        # workload twice on one pool reports identical SLOs both times.
-        pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
-        first = serve_trace(pool, make_workload(), policy="fifo")
-        second = serve_trace(pool, make_workload(), policy="fifo")
+    def test_spec_reuse_across_sessions_is_clean(self):
+        # Every session builds its replicas from scratch: running the same
+        # workload twice on one spec reports identical SLOs both times.
+        spec = group(replicas=2, max_batch=4)
+        first = serve_trace(spec, make_workload())
+        second = serve_trace(spec, make_workload())
         assert report_to_json(first) == report_to_json(second)
 
 
@@ -179,10 +169,8 @@ class TestPolicies:
             deadline_ms=100.0,
         )
         report = serve_trace(
-            ReplicaPool(PROFILE, replicas=1, max_batch=2),
+            group(replicas=1, max_batch=2, policy=policy, batch_window_ms=0.0),
             trace,
-            policy=policy,
-            batch_window_ms=0.0,
         )
         finish = {a: t + report.per_avatar_p99_ms[a] for a, t, _ in self.FRAMES}
         return sorted(finish, key=finish.get)
@@ -229,8 +217,7 @@ class TestPercentiles:
 
 class TestServingSession:
     def test_all_frames_served(self):
-        pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
-        report = serve_trace(pool, make_workload(), policy="fifo")
+        report = serve_trace(group(replicas=2, max_batch=4), make_workload())
         assert report.completed == report.submitted == 80
         assert report.latency_p50_ms > 0
         assert report.latency_p99_ms >= report.latency_p95_ms
@@ -239,38 +226,28 @@ class TestServingSession:
         assert len(report.replica_utilization) == 2
         assert all(0 <= u <= 1 for u in report.replica_utilization)
 
-    @pytest.mark.parametrize("max_batch", [math.nan, 2.5, True])
-    def test_session_max_batch_must_be_a_count(self, max_batch):
-        # NaN served with no batching window, 2.5 failed inside the
-        # dispatcher, and ``True`` served one-frame batches.
-        pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
-        with pytest.raises(ValueError, match="max_batch"):
-            serve_trace(pool, make_workload(), max_batch=max_batch)
-
-    def test_session_max_batch_caps_the_pool(self):
-        pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
-        default = report_to_json(serve_trace(pool, make_workload()))
-        for cap in (None, 4, 100):
-            # None, or any cap at or above the pool's, serves at its cap.
-            report = serve_trace(pool, make_workload(), max_batch=cap)
-            assert report.max_batch == 4
-            assert report_to_json(report) == default
-        capped = serve_trace(pool, make_workload(), max_batch=np.int64(2))
+    def test_group_max_batch_caps_every_batch(self):
+        capped = serve_trace(
+            group(replicas=2, max_batch=np.int64(2)), make_workload()
+        )
         assert type(capped.max_batch) is int and capped.max_batch == 2
+        assert capped.groups[0].max_batch == 2
         assert capped.mean_batch_size <= 2
         report_to_json(capped)
 
     def test_deterministic_at_same_seed(self):
         def run():
-            pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
-            return serve_trace(pool, make_workload(), policy="edf")
+            return serve_trace(
+                group(replicas=2, max_batch=4, policy="edf"), make_workload()
+            )
 
         assert report_to_json(run()) == report_to_json(run())
 
     def test_seed_changes_workload(self):
         def run(seed):
-            pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
-            return serve_trace(pool, make_workload(seed=seed))
+            return serve_trace(
+                group(replicas=2, max_batch=4), make_workload(seed=seed)
+            )
 
         assert report_to_json(run(0)) != report_to_json(run(1))
 
@@ -278,11 +255,9 @@ class TestServingSession:
         # Offered: 16 avatars x 30 FPS = 480 FPS against a single replica
         # that tops out at 250 FPS: the queue grows without bound and the
         # deadline-miss SLO must light up.
-        pool = ReplicaPool(PROFILE, replicas=1, max_batch=8)
         report = serve_trace(
-            pool,
+            group(replicas=1, max_batch=8),
             make_workload(avatars=16, frames_per_avatar=20),
-            policy="fifo",
         )
         assert report.completed == 320
         assert report.deadline_misses > 0
@@ -302,8 +277,9 @@ class TestServingSession:
         )
 
         def run(policy):
-            pool = ReplicaPool(PROFILE, replicas=2, max_batch=8)
-            return serve_trace(pool, workload, policy=policy)
+            return serve_trace(
+                group(replicas=2, max_batch=8, policy=policy), workload
+            )
 
         fifo, edf = run("fifo"), run("edf")
         assert fifo.completed == edf.completed == 420
@@ -313,34 +289,36 @@ class TestServingSession:
         workload = make_workload(jitter_ms=0.0)
 
         def run(window):
-            pool = ReplicaPool(PROFILE, replicas=1, max_batch=8)
             return serve_trace(
-                pool, workload, policy="fifo", batch_window_ms=window
+                group(replicas=1, max_batch=8, batch_window_ms=window),
+                workload,
             )
 
         eager, windowed = run(0.0), run(5.0)
         assert windowed.mean_batch_size > eager.mean_batch_size
 
     def test_report_json_roundtrip(self):
-        pool = ReplicaPool(PROFILE, replicas=2, max_batch=4)
-        report = serve_trace(pool, make_workload(), policy="fair")
+        report = serve_trace(
+            group(replicas=2, max_batch=4, policy="fair"), make_workload()
+        )
         clone = report_from_json(report_to_json(report))
         assert clone == report
         payload = report_to_json(report)
         assert '"miss_rate"' in payload and '"throughput_fps"' in payload
 
     def test_render_mentions_slos(self):
-        pool = ReplicaPool(PROFILE, replicas=1, max_batch=4)
-        report = serve_trace(pool, make_workload(avatars=2))
+        report = serve_trace(
+            group(replicas=1, max_batch=4), make_workload(avatars=2)
+        )
         text = report.render()
         assert "p50/p95/p99" in text
         assert "deadline misses (@40 ms)" in text
         assert "replica utilization" in text
 
     def test_tiered_deadlines_labelled_as_tiers(self):
-        pool = ReplicaPool(PROFILE, replicas=1, max_batch=4)
         report = serve_trace(
-            pool, make_workload(avatars=2, deadline_tiers=(25.0, 100.0))
+            group(replicas=1, max_batch=4),
+            make_workload(avatars=2, deadline_tiers=(25.0, 100.0)),
         )
         assert report.deadline_tiers_ms == (25.0, 100.0)
         assert "@tiers 25/100 ms" in report.render()
@@ -372,6 +350,20 @@ class TestServingSession:
         assert report.replicas == 2
         assert report.latency_p99_ms > 0
 
+    def test_replay_workload_serves_one_named_group(self):
+        from repro.serving import canned_workload, replay_workload
+
+        report = replay_workload(
+            PROFILE,
+            workload=canned_workload(avatars=4, frames_per_avatar=5),
+            policy="fair",
+            group_name="design",
+        )
+        assert report.router == "deadline"
+        (only,) = report.groups
+        assert (only.name, only.policy, only.max_batch) == ("design", "fair", 8)
+        assert only.completed == report.completed
+
     def test_replay_workload_deterministic(self):
         from repro.serving import canned_workload, replay_workload
 
@@ -394,9 +386,9 @@ class TestOverload:
         # overload: the backlog hands every frame a stale deadline, and
         # the miss SLO must measure the cliff.
         def run(saturation):
-            pool = ReplicaPool(PROFILE, replicas=1, max_batch=8)
             return serve_trace(
-                pool, self.overload_workload(saturation), policy="edf"
+                group(replicas=1, max_batch=8, policy="edf"),
+                self.overload_workload(saturation),
             )
 
         nominal, overloaded = run(0.85), run(1.3)
@@ -436,14 +428,14 @@ class TestServeFromResult:
             quant="int8",
         ).run(iterations=2, population=8, seed=0)
 
-    def test_pool_from_result(self, tiny_result):
-        pool = pool_from_result(tiny_result, replicas=3, sim_frames=4)
-        assert len(pool) == 3
-        assert pool.replicas[0].latency.steady_interval_ms > 0
+    def test_serving_group_from_result(self, tiny_result):
+        spec = tiny_result.serving_group(replicas=3, sim_frames=4)
+        assert spec.replicas == 3
+        assert spec.profile.steady_interval_ms > 0
 
     def test_precomputed_profile_skips_resampling(self, tiny_result):
-        pool = pool_from_result(tiny_result, replicas=1, profile=PROFILE)
-        assert pool.replicas[0].latency is PROFILE
+        spec = tiny_result.serving_group(profile=PROFILE)
+        assert spec.profile is PROFILE
 
     def test_batch_replication_scales_capacity(self):
         # A design whose branches each run batch=2 replica pipelines
@@ -487,3 +479,8 @@ class TestServeFromResult:
         first, second = run(), run()
         assert report_to_json(first) == report_to_json(second)
         assert first.completed == 24
+        # One design serves as one group of the design's replicas.
+        (group,) = first.groups
+        assert (group.name, group.policy, group.replicas) == (
+            tiny_result.network_name, "edf", 2,
+        )
