@@ -66,7 +66,7 @@ from repro.perf.energy import EnergyReport, estimate_energy
 from repro.profiler import profile_network
 from repro.quant import INT8, INT16, QuantScheme, get_scheme
 from repro.runtime import Executor, run_graph
-from repro.serving import AvatarWorkload, ServingReport, serve_from_result
+from repro.serving import AvatarWorkload, ServingReport
 from repro.sim import (
     FrameLatencyProfile,
     SimulationReport,
@@ -143,7 +143,6 @@ __all__ = [
     "render_markdown_report",
     "run_graph",
     "run_sweep",
-    "serve_from_result",
     "simulate",
     "sweep_grid",
 ]

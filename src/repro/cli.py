@@ -528,7 +528,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Explore design(s), deploy replicas, serve a multi-avatar workload."""
-    from repro.serving import report_to_json, serve_trace
+    from repro.serving import report_to_json
 
     # Validate every workload knob before the (expensive) design search.
     cluster_spec = None
@@ -634,42 +634,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if customization is None:
         return 2
 
-    if cluster_spec is None:
-        result = FCad(
-            network=network,
-            device=_target(args),
-            quant=args.quant,
-            customization=customization,
-        ).run(
-            iterations=args.iterations,
-            population=args.population,
-            seed=args.seed,
-        )
-        profile = result.frame_latency_profile(frames=args.sim_frames)
-        print(
-            f"design: {result.fps:.1f} FPS steady decode rate; per replica: "
-            f"first frame {profile.first_frame_ms:.2f} ms, then one per "
-            f"{profile.steady_interval_ms:.2f} ms"
-        )
-        report = serve_trace(
-            result.serving_group(
-                replicas=args.replicas,
-                policy=args.policy,
-                batch_window_ms=args.batch_window_ms,
-                max_batch=args.max_batch,
-                profile=profile,
-            ),
-            _serve_traffic(args, tiers, frames_per_avatar),
-            admission=args.shed or None,
-            autoscale=_serve_autoscale(args),
-            chaos=chaos,
-            recovery=recovery,
-        )
-    else:
-        report = _cluster_session(
-            args, network, customization, cluster_spec, tiers,
-            frames_per_avatar, chaos, recovery,
-        )
+    report = _cluster_session(
+        args, network, customization,
+        cluster_spec or [("base", args.replicas, None)],
+        tiers, frames_per_avatar, chaos, recovery,
+    )
     print()
     print(report.render())
     if args.json:
@@ -732,11 +701,13 @@ def _cluster_session(
     chaos=None,
     recovery=None,
 ):
-    """Explore one design per cluster preset and serve the mixed cluster."""
+    """Explore one design per cluster preset and serve the cluster; one
+    design alone is the one-group cluster ``base:<--replicas>``."""
     from repro.serving import serve_trace
 
     num_branches = len(customization.batch_sizes)
     results = {}
+    profiles = {}
     for design, _, _ in cluster_spec:
         if design in results:
             continue
@@ -758,9 +729,14 @@ def _cluster_session(
             population=args.population,
             seed=args.seed,
         )
+        profile = profiles[design] = results[design].frame_latency_profile(
+            frames=args.sim_frames
+        )
         print(
             f"design {design!r}: {results[design].fps:.1f} FPS steady "
-            f"decode rate"
+            f"decode rate; per replica: first frame "
+            f"{profile.first_frame_ms:.2f} ms, then one per "
+            f"{profile.steady_interval_ms:.2f} ms"
         )
     design_counts = {d: sum(1 for s in cluster_spec if s[0] == d) for d, _, _ in cluster_spec}
     groups = []
@@ -778,7 +754,7 @@ def _cluster_session(
                     else args.batch_window_ms
                 ),
                 max_batch=args.max_batch,
-                sim_frames=args.sim_frames,
+                profile=profiles[design],
             )
         )
     return serve_trace(
@@ -997,8 +973,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--replicas", type=_positive_int, default=1,
-        help="accelerator replicas to deploy (default 1; ignored with "
-        "--cluster, where each group sets its own count)",
+        help="replicas of the lone base group that serves one design "
+        "(default 1; ignored with --cluster, where each group sets its "
+        "own count)",
     )
     p.add_argument(
         "--policy", default="fifo", choices=list_policies(),

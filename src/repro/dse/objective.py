@@ -57,14 +57,14 @@ from typing import TYPE_CHECKING, ClassVar, Protocol, Sequence, runtime_checkabl
 from repro.utils.checks import (
     check_count,
     check_finite,
-    check_flag,
     check_positive,
 )
 
 if TYPE_CHECKING:
     from repro.dse.inbranch import BranchSolution
     from repro.dse.worker import EvalSpec
-    from repro.serving.cluster import GroupSpec
+    from repro.serving.slo import ServingReport
+    from repro.sim.runner import FrameLatencyProfile
 
 #: Fitness penalty per branch that cannot honour its requested batch size.
 #: Applied outside the objective (see :func:`penalized_score`): an
@@ -394,22 +394,15 @@ class ServingOracle:
     avatar fleet, cadence, deadlines, seed — and the replay is
     deterministic). Returns the analytical metrics augmented with
     the replayed p99 latency, deadline-miss rate, and throughput, which is
-    what :class:`SloObjective` scores.
+    what :class:`SloObjective` scores. :meth:`replay` serves a profile
+    the same way, so a chosen design's metrics can be reproduced from
+    the design alone.
 
     The default fleet offers 8 avatars x 30 FPS = 240 FPS to 2 replicas.
     That overloads every Table IV design: the analytical, sim and serving
     re-ranked designs of its five cases (N=20, P=200, seeds 0 and 1)
     serve it at 45-177 FPS, with a p99 of 147-1,748 ms against the 50 ms
     deadline. Tune the fleet to the designs being searched.
-
-    The candidate serves as one replica group. ``companions`` scores it
-    *as a member of a heterogeneous cluster* instead: each companion is a
-    fixed :class:`~repro.serving.cluster.GroupSpec` (e.g. an
-    already-chosen big-batch tier) serving next to the candidate's own
-    group, with ``router`` splitting the traffic and ``shed`` enabling
-    admission control. The replayed SLOs are then the *cluster's* — the
-    search optimizes the candidate's marginal contribution to the fleet
-    it will actually join, not its solo performance.
     """
 
     avatars: int = 8
@@ -423,20 +416,20 @@ class ServingOracle:
     batch_window_ms: float = 2.0
     seed: int = 0
     sim_frames: int = 4
-    companions: "tuple[GroupSpec, ...]" = ()
-    router: str = "deadline"
-    shed: bool = False
 
     name: ClassVar[str] = "serving"
 
     def __post_init__(self) -> None:
         from repro.serving.policies import POLICIES
-        from repro.serving.router import list_routers
 
         for name in ("avatars", "frames_per_avatar", "replicas"):
             check_count(name, getattr(self, name))
         # A frame latency profile's steady interval needs two frames.
         check_count("sim_frames", self.sim_frames, minimum=2)
+        # The seed is part of the key; a numpy integer is stored as an int.
+        object.__setattr__(
+            self, "seed", check_count("seed", self.seed, minimum=0)
+        )
         check_positive("avatar_fps", self.avatar_fps)
         check_positive("deadline_ms", self.deadline_ms)
         for tier in self.deadline_tiers:
@@ -452,66 +445,54 @@ class ServingOracle:
             raise ValueError(
                 f"policy must be one of {POLICIES}, got {self.policy!r}"
             )
-        routers = tuple(list_routers())
-        if self.router not in routers:
-            raise ValueError(
-                f"router must be one of {routers}, got {self.router!r}"
-            )
-        check_flag("shed", self.shed)
-
-    @staticmethod
-    def _companion_key(spec: "GroupSpec") -> str:
-        policy = getattr(spec.policy, "name", spec.policy)
-        return (
-            f"{spec.name}:{spec.profile.first_frame_ms!r}/"
-            f"{spec.profile.steady_interval_ms!r}x{spec.replicas}"
-            f"@{policy}/w{spec.batch_window_ms!r}/b{spec.max_batch}"
-        )
 
     @property
     def key(self) -> str:
-        cluster = ""
-        if self.companions or self.shed:
-            inner = ",".join(
-                self._companion_key(spec) for spec in self.companions
-            )
-            cluster = (
-                f",companions=[{inner}],router={self.router},"
-                f"shed={self.shed}"
-            )
         return (
             f"serving(avatars={self.avatars},frames={self.frames_per_avatar},"
             f"fps={self.avatar_fps!r},deadline={self.deadline_ms!r},"
             f"tiers={self.deadline_tiers!r},jitter={self.jitter_ms!r},"
             f"replicas={self.replicas},policy={self.policy},"
             f"window={self.batch_window_ms!r},seed={self.seed},"
-            f"sim_frames={self.sim_frames}{cluster})"
+            f"sim_frames={self.sim_frames})"
         )
 
     def workload(self):
         """The canned workload every candidate is replayed against.
 
-        Delegates to :func:`repro.serving.workload.canned_workload` (whose
-        defaults match this oracle's), so a CLI user who re-replays the
-        selected design via ``replay_workload(profile)`` measures the
-        same traffic the search scored.
+        It is fixed whatever design serves it: a workload sized off the
+        design under test (as
+        :func:`~repro.serving.workload.saturation_workload` is) would ask
+        each candidate a different question.
         """
-        from repro.serving.workload import canned_workload
+        from repro.serving.workload import AvatarWorkload
 
-        return canned_workload(
+        return AvatarWorkload(
             avatars=self.avatars,
             frames_per_avatar=self.frames_per_avatar,
-            avatar_fps=self.avatar_fps,
+            frame_interval_ms=1000.0 / self.avatar_fps,
             deadline_ms=self.deadline_ms,
             deadline_tiers=self.deadline_tiers,
             jitter_ms=self.jitter_ms,
             seed=self.seed,
         )
 
+    def replay(self, profile: "FrameLatencyProfile") -> "ServingReport":
+        """Serve :meth:`workload` on ``replicas`` copies of one design."""
+        from repro.serving import GroupSpec, serve_trace
+
+        group = GroupSpec(
+            "candidate",
+            profile,
+            replicas=self.replicas,
+            policy=self.policy,
+            batch_window_ms=self.batch_window_ms,
+        )
+        return serve_trace(group, self.workload())
+
     def measure(
         self, spec: "EvalSpec", solutions: Sequence["BranchSolution"]
     ) -> BranchMetrics:
-        from repro.serving.workload import replay_workload
         from repro.sim.runner import frame_latency_profile
 
         profile = frame_latency_profile(
@@ -523,23 +504,12 @@ class ServingOracle:
             frames=self.sim_frames,
             warmup=1,
         )
-        report = replay_workload(
-            profile,
-            workload=self.workload(),
-            replicas=self.replicas,
-            policy=self.policy,
-            batch_window_ms=self.batch_window_ms,
-            companions=self.companions,
-            router=self.router,
-            admission=bool(self.shed) or None,
-        )
+        report = self.replay(profile)
         return replace(
             metrics_from_solutions(solutions, oracle=self.name),
             p99_ms=report.latency_p99_ms,
             deadline_miss_rate=report.miss_rate,
             throughput_fps=report.throughput_fps,
-            shed_rate=report.shed_rate if self.shed else None,
-            failed_rate=report.failed_rate if report.failed else None,
         )
 
 

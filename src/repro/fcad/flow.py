@@ -38,18 +38,20 @@ Each search runs in one process; ``run_sweep(..., workers=N)`` (or
 on N forked processes, with the serial sweep's results.
 
 A found design can then be *deployed*: :mod:`repro.serving` batches live
-decode requests from many avatars onto simulated replicas of it::
+decode requests from many avatars onto simulated replicas of it, which
+:meth:`FcadResult.serving_group` turns into one replica group::
 
-    from repro.serving import serve_from_result
+    from repro.serving import AvatarWorkload, serve_trace
 
-    report = serve_from_result(result, avatars=64, replicas=4, policy="edf")
+    workload = AvatarWorkload(avatars=64, frames_per_avatar=30,
+                              frame_interval_ms=1000.0 / 30, deadline_ms=50.0)
+    report = serve_trace(
+        result.serving_group(replicas=4, policy="edf"), workload
+    )
     print(report.render())
 
 Several found designs can serve *together* as a heterogeneous cluster —
-:meth:`FcadResult.serving_group` turns each into a replica group, and a
-deadline-aware router splits the traffic::
-
-    from repro.serving import serve_trace
+one group each, with a deadline-aware router splitting the traffic::
 
     report = serve_trace(
         [fast.serving_group("latency", replicas=1, batch_window_ms=0.0),

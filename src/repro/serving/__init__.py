@@ -29,11 +29,13 @@ decode requests from many concurrent avatars under latency SLOs —
 One design, one replica group::
 
     from repro import FCad
-    from repro.serving import serve_from_result
+    from repro.serving import AvatarWorkload, serve_trace
 
     result = FCad(network=..., device=...).run()
-    report = serve_from_result(
-        result, avatars=64, replicas=4, policy="edf", seed=0
+    report = serve_trace(
+        result.serving_group(replicas=4, policy="edf"),
+        AvatarWorkload(avatars=64, frames_per_avatar=30,
+                       frame_interval_ms=1000.0 / 30, deadline_ms=50.0),
     )
     print(report.render())
 
@@ -44,11 +46,12 @@ circuit breaker is open, until a batch succeeds;
 A heterogeneous cluster (a low-latency tier next to a big-batch tier,
 deadline-tiered routing, load shedding at saturation)::
 
-    from repro.serving import serve_from_results
-
-    report = serve_from_results(
-        [(latency_result, 1), (throughput_result, 3)],
-        avatars=64,
+    report = serve_trace(
+        [latency_result.serving_group("latency", replicas=1),
+         throughput_result.serving_group("throughput", replicas=3)],
+        AvatarWorkload(avatars=64, frames_per_avatar=30,
+                       frame_interval_ms=1000.0 / 30, deadline_ms=50.0,
+                       deadline_tiers=(20.0, 60.0)),
         router="deadline",
         admission=True,
     )
@@ -56,8 +59,6 @@ deadline-tiered routing, load shedding at saturation)::
 
 from __future__ import annotations
 
-from repro.fcad.flow import FcadResult
-from repro.sim.runner import FrameLatencyProfile
 from repro.serving.admission import AdmissionControl, resolve_admission
 from repro.serving.chaos import (
     ChaosFault,
@@ -91,115 +92,7 @@ from repro.serving.traffic import (
     make_trace,
     trace_from_workload,
 )
-from repro.serving.workload import (
-    AvatarWorkload,
-    canned_workload,
-    replay_workload,
-    saturation_workload,
-)
-
-
-def serve_from_result(
-    result: FcadResult,
-    avatars: int = 16,
-    replicas: int = 1,
-    policy: str = "fifo",
-    frames_per_avatar: int = 30,
-    avatar_fps: float = 30.0,
-    deadline_ms: float = 50.0,
-    deadline_tiers: tuple[float, ...] = (),
-    jitter_ms: float = 0.0,
-    batch_window_ms: float = 2.0,
-    max_batch: int | None = None,
-    seed: int = 0,
-    sim_frames: int = 8,
-    profile: "FrameLatencyProfile | None" = None,
-    chaos: ChaosPlan | None = None,
-    recovery: RecoveryPolicy | None = None,
-) -> ServingReport:
-    """``FCad.run`` → serving report, in one call.
-
-    Samples the design's per-frame latency from the cycle-accurate
-    simulator (pass a ``profile`` you already sampled to skip that run),
-    deploys ``replicas`` copies as one group
-    (:meth:`FcadResult.serving_group`), and serves ``avatars``
-    concurrent frame streams (each at ``avatar_fps``, each frame due
-    ``deadline_ms`` after it arrives — or its tier's budget when
-    ``deadline_tiers`` is given) under the chosen policy.
-    """
-    group = result.serving_group(
-        replicas=replicas,
-        policy=policy,
-        batch_window_ms=batch_window_ms,
-        max_batch=max_batch,
-        sim_frames=sim_frames,
-        profile=profile,
-    )
-    workload = AvatarWorkload(
-        avatars=avatars,
-        frames_per_avatar=frames_per_avatar,
-        frame_interval_ms=1000.0 / avatar_fps,
-        deadline_ms=deadline_ms,
-        deadline_tiers=deadline_tiers,
-        jitter_ms=jitter_ms,
-        seed=seed,
-    )
-    return serve_trace(group, workload, chaos=chaos, recovery=recovery)
-
-
-def serve_from_results(
-    results,
-    avatars: int = 16,
-    router: str | RoutingPolicy = "deadline",
-    admission: AdmissionControl | bool | None = None,
-    frames_per_avatar: int = 30,
-    avatar_fps: float = 30.0,
-    deadline_ms: float = 50.0,
-    deadline_tiers: tuple[float, ...] = (),
-    jitter_ms: float = 0.0,
-    seed: int = 0,
-    sim_frames: int = 8,
-    chaos: ChaosPlan | None = None,
-    recovery: RecoveryPolicy | None = None,
-) -> ServingReport:
-    """Serve one workload on a heterogeneous cluster of explored designs.
-
-    ``results`` is a sequence of ``(FcadResult, replicas)`` pairs (or
-    ready :class:`GroupSpec` objects, passed through); each result
-    becomes one replica group via :meth:`FcadResult.serving_group`,
-    named ``group<i>`` unless the spec names it. The router assigns each frame to a group by its deadline
-    budget; ``admission=True`` enables load shedding.
-    """
-    groups = []
-    for index, entry in enumerate(results):
-        if isinstance(entry, GroupSpec):
-            groups.append(entry)
-            continue
-        result, replicas = entry
-        groups.append(
-            result.serving_group(
-                name=f"group{index}",
-                replicas=replicas,
-                sim_frames=sim_frames,
-            )
-        )
-    workload = AvatarWorkload(
-        avatars=avatars,
-        frames_per_avatar=frames_per_avatar,
-        frame_interval_ms=1000.0 / avatar_fps,
-        deadline_ms=deadline_ms,
-        deadline_tiers=deadline_tiers,
-        jitter_ms=jitter_ms,
-        seed=seed,
-    )
-    return serve_trace(
-        groups,
-        workload,
-        router=router,
-        admission=admission,
-        chaos=chaos,
-        recovery=recovery,
-    )
+from repro.serving.workload import AvatarWorkload, saturation_workload
 
 
 __all__ = [
@@ -219,7 +112,6 @@ __all__ = [
     "RoundRobinRouter",
     "RoutingPolicy",
     "ServingReport",
-    "canned_workload",
     "failover_route",
     "get_router",
     "health_summary",
@@ -228,13 +120,10 @@ __all__ = [
     "list_shapes",
     "make_trace",
     "nearest_rank",
-    "replay_workload",
     "report_from_json",
     "report_to_json",
     "resolve_admission",
     "saturation_workload",
-    "serve_from_result",
-    "serve_from_results",
     "serve_trace",
     "trace_from_workload",
 ]

@@ -231,11 +231,14 @@ class ServingReport:
                     f"(peak {self.peak_replicas})",
                 ]
             )
-        if self.router:
+        # A lone group never consults its router, and sheds only when
+        # admission turns something away.
+        cluster = len(self.groups) > 1
+        if cluster:
             rows.append(["router", self.router])
         if self.reconnects:
             rows.append(["transport reconnects", str(self.reconnects)])
-        if self.shed or self.router:
+        if self.shed or cluster:
             rows.append(
                 ["shed", f"{self.shed} ({100 * self.shed_rate:.1f}%)"]
             )

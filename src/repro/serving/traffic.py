@@ -35,10 +35,10 @@ from typing import Callable
 import numpy as np
 
 from repro.utils.checks import (
+    check_count,
     check_finite,
     check_positive,
     check_real,
-    is_count,
 )
 
 
@@ -301,9 +301,8 @@ def make_trace(
 
     Deterministic in ``seed``: same arguments, same trace, bit for bit.
     """
-    if not is_count(avatars):
-        raise ValueError(f"avatars must be an integer >= 1, got {avatars!r}")
-    avatars = int(avatars)
+    avatars = check_count("avatars", avatars)
+    seed = check_count("seed", seed, minimum=0)
     for name, value in (
         ("duration_s", duration_s),
         ("avatar_fps", avatar_fps),

@@ -1,4 +1,4 @@
-"""Multi-avatar decode workloads and their replay on one design.
+"""Multi-avatar decode workloads.
 
 A workload is N concurrent avatars, each streaming frames at a target
 cadence (e.g. 30 FPS per avatar) with seeded arrival jitter — the shape
@@ -8,8 +8,17 @@ display deadlines. Like a live camera, an avatar issues frames on its
 own clock whether or not earlier frames finished, so backpressure shows
 up as queueing latency and deadline misses, not as a slower source.
 
-:func:`replay_workload` serves a workload on replicas of one design
-profile; the run is deterministic: same seed, same report, bit for bit.
+A workload is served like any trace, on the groups it is given::
+
+    from repro.serving import AvatarWorkload, serve_trace
+
+    report = serve_trace(
+        result.serving_group(replicas=2, policy="edf"),
+        AvatarWorkload(avatars=8, frames_per_avatar=30,
+                       frame_interval_ms=1000.0 / 30, deadline_ms=50.0),
+    )
+
+The run is deterministic: same seed, same report, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,14 +26,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.sim.runner import FrameLatencyProfile
 
-from repro.serving.cluster import GroupSpec
-from repro.serving.slo import ServingReport
-from repro.utils.checks import check_positive, check_real, is_count
+from repro.utils.checks import check_count, check_positive, check_real
 
 
 @dataclass(frozen=True)
@@ -45,14 +52,14 @@ class AvatarWorkload:
     deadline_tiers: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("avatars", "frames_per_avatar"):
-            value = getattr(self, name)
-            if not is_count(value):
-                raise ValueError(
-                    f"{name} must be an integer >= 1, got {value!r}"
-                )
-            # A numpy integer is a valid count; store it as a plain int.
-            object.__setattr__(self, name, int(value))
+        # A numpy integer is a valid count; store it as a plain int. A
+        # seed is a count too: ``random.Random`` seeds a NaN by its
+        # identity hash, so one workload would expand to two traces.
+        for name, minimum in (
+            ("avatars", 1), ("frames_per_avatar", 1), ("seed", 0)
+        ):
+            value = check_count(name, getattr(self, name), minimum)
+            object.__setattr__(self, name, value)
         for name in ("frame_interval_ms", "deadline_ms", "jitter_ms"):
             check_real(name, getattr(self, name))
         for tier in self.deadline_tiers:
@@ -71,33 +78,6 @@ class AvatarWorkload:
     def total_frames(self) -> int:
         return self.avatars * self.frames_per_avatar
 
-    @classmethod
-    def for_duration(
-        cls,
-        duration_s: float,
-        avatars: int,
-        frame_interval_ms: float,
-        deadline_ms: float,
-        **kwargs,
-    ) -> "AvatarWorkload":
-        """Size a workload by session length instead of frame count.
-
-        ``duration_s`` seconds of streaming at the per-avatar cadence —
-        the natural knob for "serve a 30-second call" style sessions
-        (``repro serve --duration`` routes through here).
-        """
-        # Checked before it becomes a rate, so a bad interval is named.
-        check_positive("frame_interval_ms", frame_interval_ms)
-        return cls(
-            avatars=avatars,
-            frames_per_avatar=frames_for_duration(
-                duration_s, 1000.0 / frame_interval_ms
-            ),
-            frame_interval_ms=frame_interval_ms,
-            deadline_ms=deadline_ms,
-            **kwargs,
-        )
-
     def deadline_for(self, avatar_id: int) -> float:
         if self.deadline_tiers:
             return self.deadline_tiers[avatar_id % len(self.deadline_tiers)]
@@ -111,96 +91,12 @@ class AvatarWorkload:
 def frames_for_duration(duration_s: float, avatar_fps: float) -> int:
     """Frames one avatar streams in ``duration_s`` seconds at its cadence.
 
-    The single place the duration→frame-count rule lives, shared by
-    :meth:`AvatarWorkload.for_duration` and ``repro serve --duration``.
+    The single place the duration→frame-count rule lives (``repro serve
+    --duration`` sizes its sessions here).
     """
     check_positive("duration_s", duration_s)
     check_positive("avatar_fps", avatar_fps)
     return max(1, round(duration_s * avatar_fps))
-
-
-def canned_workload(
-    avatars: int = 8,
-    frames_per_avatar: int = 12,
-    avatar_fps: float = 30.0,
-    deadline_ms: float = 50.0,
-    deadline_tiers: tuple[float, ...] = (),
-    jitter_ms: float = 0.0,
-    seed: int = 0,
-) -> AvatarWorkload:
-    """A *fixed* workload, identical no matter what design serves it.
-
-    The counterpart of :func:`saturation_workload` (which sizes the fleet
-    off the design's measured capacity): when the point is to *compare*
-    designs — the serving-driven DSE replays every candidate against the
-    same traffic — the workload must not adapt to the design under test,
-    or every candidate would see a different question.
-
-    The defaults deliberately mirror
-    :class:`~repro.dse.objective.ServingOracle`'s, so replaying a
-    DSE-selected design with a bare ``replay_workload(profile)`` measures
-    the same traffic the search scored it under.
-    """
-    return AvatarWorkload(
-        avatars=avatars,
-        frames_per_avatar=frames_per_avatar,
-        frame_interval_ms=1000.0 / avatar_fps,
-        deadline_ms=deadline_ms,
-        deadline_tiers=deadline_tiers,
-        jitter_ms=jitter_ms,
-        seed=seed,
-    )
-
-
-def replay_workload(
-    profile: "FrameLatencyProfile",
-    workload: AvatarWorkload | None = None,
-    replicas: int = 2,
-    policy: str = "edf",
-    batch_window_ms: float = 2.0,
-    max_batch: int | None = None,
-    companions: "Sequence[GroupSpec] | None" = None,
-    router: str = "deadline",
-    admission=None,
-    group_name: str = "candidate",
-) -> ServingReport:
-    """Replay a multi-avatar workload on replicas of one design profile.
-
-    The workload-replay entry point that needs no :class:`FcadResult` and
-    no fresh simulation — just a design's
-    :class:`~repro.sim.runner.FrameLatencyProfile`. This is what the
-    serving-driven DSE calls per candidate
-    (:class:`~repro.dse.objective.ServingOracle`), and what ad-hoc "how
-    would this design serve workload X" questions should use outside
-    ``repro serve``. Defaults to the :func:`canned_workload`: same
-    profile + same workload → the same report, bit for bit.
-
-    The profile serves as one :class:`~repro.serving.cluster.GroupSpec`
-    named ``group_name``. ``companions`` places it *inside a
-    heterogeneous cluster*: each companion is a fixed group serving
-    alongside it, with ``router`` steering traffic between them. That is
-    how a DSE candidate is scored as a member of a mixed cluster rather
-    than on its own. ``admission`` sheds load, with or without
-    companions.
-    """
-    from repro.serving.engine import serve_trace
-
-    if workload is None:
-        workload = canned_workload()
-    own_group = GroupSpec(
-        name=group_name,
-        profile=profile,
-        replicas=replicas,
-        policy=policy,
-        batch_window_ms=batch_window_ms,
-        max_batch=max_batch if max_batch is not None else 8,
-    )
-    return serve_trace(
-        [own_group, *(companions or ())],
-        workload,
-        router=router,
-        admission=admission,
-    )
 
 
 def saturation_workload(
@@ -238,8 +134,6 @@ def saturation_workload(
 
 __all__ = [
     "AvatarWorkload",
-    "canned_workload",
     "frames_for_duration",
-    "replay_workload",
     "saturation_workload",
 ]

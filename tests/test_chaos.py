@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving import (
+    AvatarWorkload,
     ChaosPlan,
     CircuitBreaker,
     GroupSpec,
     RecoveryPolicy,
     Replica,
-    canned_workload,
     health_summary,
     report_from_json,
     report_to_json,
@@ -248,7 +248,10 @@ class TestLoneGroupBreaker:
         # later; three retries see every crashed frame through.
         return serve_trace(
             GroupSpec("g", FAST, replicas=2, policy="edf", max_batch=4),
-            canned_workload(avatars=6, frames_per_avatar=10, seed=3),
+            AvatarWorkload(
+                avatars=6, frames_per_avatar=10, frame_interval_ms=1000.0 / 30,
+                deadline_ms=50.0, seed=3,
+            ),
             chaos=ChaosPlan.parse("crash-at:0:1,crash-at:1:1"),
             recovery=RecoveryPolicy(
                 max_retries=3, breaker_threshold=threshold,
@@ -278,7 +281,10 @@ class TestRecoveryUnderChaos:
         """Crash + degrade + stall with retries and replacement, under
         every scheduling policy."""
         report = serve_group(
-            canned_workload(avatars=6, frames_per_avatar=10, seed=3),
+            AvatarWorkload(
+                avatars=6, frames_per_avatar=10, frame_interval_ms=1000.0 / 30,
+                deadline_ms=50.0, seed=3,
+            ),
             replicas=3,
             policy=policy,
             chaos=ChaosPlan.parse(
@@ -301,8 +307,9 @@ class TestRecoveryUnderChaos:
         ]
         report = serve_trace(
             groups,
-            canned_workload(
-                avatars=8, frames_per_avatar=10, deadline_ms=60.0, seed=1
+            AvatarWorkload(
+                avatars=8, frames_per_avatar=10, frame_interval_ms=1000.0 / 30,
+                deadline_ms=60.0, seed=1,
             ),
             router="deadline",
             chaos=ChaosPlan.parse("die-at:latency/0:60,die-at:latency/1:90"),
@@ -320,7 +327,10 @@ class TestRecoveryUnderChaos:
         """Every replica dead and no retries: the session still ends,
         with every unserved frame counted failed — none hang."""
         report = serve_group(
-            canned_workload(avatars=4, frames_per_avatar=8, seed=0),
+            AvatarWorkload(
+                avatars=4, frames_per_avatar=8, frame_interval_ms=1000.0 / 30,
+                deadline_ms=50.0, seed=0,
+            ),
             replicas=2,
             policy="fifo",
             chaos=ChaosPlan.parse("die-at:0:0,die-at:1:0"),
@@ -335,12 +345,9 @@ class TestRecoveryUnderChaos:
         """With one replica degraded 4x, hedged duplicates on a healthy
         replica win; the loser's occupancy is still charged."""
         report = serve_group(
-            canned_workload(
-                avatars=6,
-                frames_per_avatar=8,
-                deadline_ms=15.0,
-                jitter_ms=3.0,
-                seed=2,
+            AvatarWorkload(
+                avatars=6, frames_per_avatar=8, frame_interval_ms=1000.0 / 30,
+                deadline_ms=15.0, jitter_ms=3.0, seed=2,
             ),
             replicas=3,
             policy="edf",
@@ -360,7 +367,10 @@ class TestRecoveryUnderChaos:
             chaos=ChaosPlan.parse("crash-at:0:2,die-at:1:100"),
             recovery=RecoveryPolicy(max_retries=2, replace_after_ms=250.0),
         )
-        workload = canned_workload(avatars=6, frames_per_avatar=10, seed=5)
+        workload = AvatarWorkload(
+            avatars=6, frames_per_avatar=10, frame_interval_ms=1000.0 / 30,
+            deadline_ms=50.0, seed=5,
+        )
         first = serve_group(workload, **kwargs)
         second = serve_group(workload, **kwargs)
         assert report_to_json(first) == report_to_json(second)
@@ -368,7 +378,10 @@ class TestRecoveryUnderChaos:
     def test_no_chaos_and_default_knobs_change_nothing(self):
         """The recovery stack is invisible until a fault fires: default
         knobs reproduce the fault-free report bit for bit."""
-        workload = canned_workload(avatars=6, frames_per_avatar=10, seed=4)
+        workload = AvatarWorkload(
+            avatars=6, frames_per_avatar=10, frame_interval_ms=1000.0 / 30,
+            deadline_ms=50.0, seed=4,
+        )
         baseline = serve_trace(
             GroupSpec("pool", FAST, replicas=2, policy="edf", max_batch=4),
             workload,
@@ -388,7 +401,10 @@ class TestRecoveryUnderChaos:
         steady interval is warm: no cold fill is charged."""
         report = serve_trace(
             GroupSpec("pool", BIG, replicas=1, policy="fifo", max_batch=4),
-            canned_workload(avatars=5, frames_per_avatar=5, seed=282),
+            AvatarWorkload(
+                avatars=5, frames_per_avatar=5, frame_interval_ms=1000.0 / 30,
+                deadline_ms=50.0, seed=282,
+            ),
             chaos=ChaosPlan.parse("stall:0:2:4,die-at:0:41,degrade:0:6:3"),
             recovery=RecoveryPolicy(max_retries=3),
         )
@@ -406,9 +422,11 @@ def sessions(draw):
         breaker_threshold=draw(st.integers(0, 3)),
         replace_after_ms=draw(st.sampled_from([None, 50.0])),
     )
-    workload = canned_workload(
+    workload = AvatarWorkload(
         avatars=draw(st.integers(1, 8)),
         frames_per_avatar=draw(st.integers(1, 8)),
+        frame_interval_ms=1000.0 / 30,
+        deadline_ms=50.0,
         deadline_tiers=draw(st.sampled_from([(), (15.0, 60.0)])),
         jitter_ms=draw(st.sampled_from([0.0, 5.0])),
         seed=draw(st.integers(0, 1000)),
@@ -541,7 +559,10 @@ class TestChaosReporting:
         ]
         return serve_trace(
             groups,
-            canned_workload(avatars=6, frames_per_avatar=8, seed=1),
+            AvatarWorkload(
+                avatars=6, frames_per_avatar=8, frame_interval_ms=1000.0 / 30,
+                deadline_ms=50.0, seed=1,
+            ),
             router="deadline",
             chaos=ChaosPlan.parse("die-at:latency/0:40"),
             recovery=RecoveryPolicy(max_retries=1),

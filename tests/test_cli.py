@@ -446,8 +446,8 @@ class TestServe:
         )
 
     def test_serve_single_design_reports_one_group(self, capsys, tmp_path):
-        # Without --cluster the explored design serves as one group, whose
-        # slice holds every frame of the session.
+        # Without --cluster the explored design serves as the one group
+        # base, whose slice holds every frame of the session.
         from repro.serving import report_from_json
 
         path = tmp_path / "single.json"
@@ -460,13 +460,22 @@ class TestServe:
         )
         report = report_from_json(path.read_text())
         (group,) = report.groups
-        assert (group.name, group.policy, group.replicas) == (
-            "codec_avatar_decoder", "edf", 2,
-        )
+        assert (group.name, group.policy, group.replicas) == ("base", "edf", 2)
         assert report.policy == "edf"
         for name in ("completed", "shed", "failed", "retries"):
             assert getattr(group, name) == getattr(report, name), name
         assert report.retries > 0
+
+    def test_serve_single_design_is_the_base_cluster(self, capsys, tmp_path):
+        # One design is the one-group cluster base:<--replicas>: the
+        # same session, the same JSON, byte for byte.
+        argv = [*self.SERVE, "--policy", "edf", "--chaos", "crash-at:0:1"]
+        plain, cluster = tmp_path / "plain.json", tmp_path / "cluster.json"
+        out = run_cli(capsys, *argv, "--json", str(plain))
+        run_cli(capsys, *argv, "--cluster", "base:2", "--json", str(cluster))
+        assert plain.read_bytes() == cluster.read_bytes()
+        # The design line keeps the per-replica latency model.
+        assert "design 'base':" in out and "per replica: first frame" in out
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -527,7 +536,9 @@ class TestServe:
             "--shed",
         )
         assert "shed" in out
-        assert "router" in out
+        # The one group sheds but never routes: a shed row, no router row.
+        labels = {line.split("|")[0].strip() for line in out.splitlines()}
+        assert "shed" in labels and "router" not in labels
 
     def test_serve_shaped_autoscaled_session(self, capsys, tmp_path):
         # --shape, --autoscale and --shed all reach the one engine; the

@@ -11,13 +11,11 @@ from repro.devices.fpga import get_device
 from repro.fcad.flow import FCad
 from repro.serving import (
     AdmissionControl,
+    AvatarWorkload,
     GroupSpec,
-    canned_workload,
     get_router,
-    replay_workload,
     report_from_json,
     report_to_json,
-    serve_from_results,
     serve_trace,
 )
 from repro.serving.engine import _EngineGroup
@@ -64,12 +62,14 @@ def tiered_workload(**overrides):
     defaults = dict(
         avatars=9,
         frames_per_avatar=12,
+        frame_interval_ms=1000.0 / 30,
+        deadline_ms=50.0,
         deadline_tiers=(20.0, 60.0, 60.0),
         jitter_ms=4.0,
         seed=0,
     )
     defaults.update(overrides)
-    return canned_workload(**defaults)
+    return AvatarWorkload(**defaults)
 
 
 class TestSpecsAndValidation:
@@ -336,47 +336,17 @@ class TestMixedClusterOnExploredDesigns:
         assert unshed.latency_p99_ms > shed.latency_p99_ms
 
 
-class TestReplayWorkloadClusters:
-    def test_companions_score_candidate_in_mixed_cluster(self):
-        companion = GroupSpec(
-            "companion", BIG, replicas=2, policy="fifo", batch_window_ms=4.0
-        )
-        report = replay_workload(
-            FAST,
-            workload=tiered_workload(),
-            replicas=1,
-            companions=[companion],
-            router="deadline",
-        )
-        names = [group.name for group in report.groups]
-        assert names == ["candidate", "companion"]
-        assert report.completed == report.submitted
-
+class TestShedding:
     def test_admission_alone_sheds(self):
-        # A shedding replay without companions must actually shed: its
-        # one group takes admission= like any cluster.
-        report = replay_workload(
-            FAST,
-            workload=tiered_workload(avatars=16, deadline_tiers=()),
-            replicas=1,
+        # A shedding session of one group must actually shed: its one
+        # group takes admission= like any cluster.
+        report = serve_trace(
+            GroupSpec("candidate", FAST, replicas=1),
+            tiered_workload(avatars=16, deadline_tiers=()),
             admission=True,
         )
         assert report.shed > 0
         assert report.completed + report.shed == report.submitted
-
-    def test_serving_oracle_key_folds_cluster_membership(self):
-        from repro.dse.objective import ServingOracle
-
-        solo = ServingOracle()
-        companion = GroupSpec("companion", BIG, replicas=2)
-        clustered = ServingOracle(
-            companions=(companion,), router="deadline", shed=True
-        )
-        assert solo.key != clustered.key
-        assert "companion" in clustered.key
-        assert "shed=True" in clustered.key
-        # shed without companions still changes the replay -> the key.
-        assert ServingOracle(shed=True).key != solo.key
 
     def test_slo_objective_penalizes_shedding(self):
         from repro.dse.objective import BranchMetrics, SloObjective
@@ -397,7 +367,7 @@ class TestReplayWorkloadClusters:
         )
 
 
-class TestServeFromResults:
+class TestExploredGroups:
     @pytest.fixture(scope="class")
     def tiny_results(self):
         def explore(batch):
@@ -423,16 +393,22 @@ class TestServeFromResults:
         assert spec.replicas == 2
         assert spec.profile.steady_interval_ms > 0
 
-    def test_serve_from_results_mixed_cluster(self, tiny_results):
+    def test_mixed_cluster_of_explored_designs(self, tiny_results):
         latency, throughput = tiny_results
-        report = serve_from_results(
-            [(latency, 1), (throughput, 2)],
-            avatars=4,
-            frames_per_avatar=5,
-            deadline_tiers=(25.0, 100.0),
+        report = serve_trace(
+            [
+                latency.serving_group("group0", replicas=1, sim_frames=4),
+                throughput.serving_group("group1", replicas=2, sim_frames=4),
+            ],
+            AvatarWorkload(
+                avatars=4,
+                frames_per_avatar=5,
+                frame_interval_ms=1000.0 / 30,
+                deadline_ms=50.0,
+                deadline_tiers=(25.0, 100.0),
+            ),
             router="deadline",
             admission=True,
-            sim_frames=4,
         )
         assert len(report.groups) == 2
         assert report.router == "deadline"

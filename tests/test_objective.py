@@ -374,6 +374,14 @@ class TestFactories:
             ServingOracle(avatars=16).key != ServingOracle(avatars=32).key
         )
 
+    def test_default_serving_key_is_pinned(self):
+        # Re-rank cache entries and sweep-dedup keys are written under
+        # this key; it must not move when the oracle's code does.
+        assert ServingOracle().key == (
+            "serving(avatars=8,frames=12,fps=30.0,deadline=50.0,tiers=(),"
+            "jitter=0.0,replicas=2,policy=edf,window=2.0,seed=0,sim_frames=4)"
+        )
+
 
 #: (oracle, field, bad value, error): each is refused when the oracle is
 #: built, naming the field, instead of at its first measurement.
@@ -399,9 +407,10 @@ BAD_ORACLE_FIELDS = [
     (ServingOracle, "jitter_ms", -1.0, ValueError),
     (ServingOracle, "jitter_ms", 40.0, ValueError),  # >= 1000 / 30 ms
     (ServingOracle, "policy", "nope", ValueError),
-    (ServingOracle, "router", "nope", ValueError),
-    (ServingOracle, "shed", "yes", TypeError),
-    (ServingOracle, "shed", 1, TypeError),
+    (ServingOracle, "seed", math.nan, ValueError),
+    (ServingOracle, "seed", 1.5, ValueError),
+    (ServingOracle, "seed", True, ValueError),
+    (ServingOracle, "seed", -1, ValueError),
 ]
 
 
@@ -417,11 +426,12 @@ class TestOracleFieldsChecked:
 
     def test_good_values_accepted(self):
         SimOracle(frames=np.int64(2), warmup=0)
-        ServingOracle(
+        oracle = ServingOracle(
             avatars=np.int64(4), avatar_fps=np.float64(60.0), jitter_ms=16.0,
-            deadline_tiers=(20, 60.0), batch_window_ms=0, shed=True,
+            deadline_tiers=(20, 60.0), batch_window_ms=0, seed=np.int64(3),
         )
+        # A numpy seed is stored as an int: the key and the workload
+        # read it as one.
+        assert type(oracle.seed) is int and "seed=3," in oracle.key
         for policy in ("fifo", "edf", "fair"):
             ServingOracle(policy=policy)
-        for router in ("round-robin", "least-loaded", "deadline"):
-            ServingOracle(router=router)

@@ -5,6 +5,8 @@ oracle chooses the score."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.config import AcceleratorConfig, BranchConfig, StageConfig
 from repro.construction.reorg import build_pipeline_plan
@@ -20,9 +22,9 @@ from repro.dse.objective import (
     penalized_score,
 )
 from repro.dse.space import Customization
+from repro.models import build_codec_avatar_decoder
 from repro.quant.schemes import INT8
-from repro.sim.runner import frame_latency_profile
-from repro.serving.workload import replay_workload
+from repro.sim.runner import frame_latency_profile, simulate
 from tests.conftest import make_tiny_decoder
 
 
@@ -171,8 +173,8 @@ class TestStagedRerank:
 
     def test_pinned_serving_rerank(self, tiny_plan):
         """A serving re-rank replays each finalist through
-        ``replay_workload``; this search must not move by a bit when the
-        replay's front door does."""
+        ``ServingOracle.replay``; this search must not move by a bit when
+        the replay's front door does."""
         result = make_engine(tiny_plan).search(
             iterations=3, population=12, seed=7, rerank_oracle=TINY_ORACLE
         )
@@ -274,13 +276,7 @@ class TestStagedRerank:
                 frames=TINY_ORACLE.sim_frames,
                 warmup=1,
             )
-            report = replay_workload(
-                profile,
-                workload=TINY_ORACLE.workload(),
-                replicas=TINY_ORACLE.replicas,
-                policy=TINY_ORACLE.policy,
-                batch_window_ms=TINY_ORACLE.batch_window_ms,
-            )
+            report = TINY_ORACLE.replay(profile)
             return report.latency_p99_ms + 1000.0 * report.miss_rate
 
         assert replayed_slo_cost(slo_pick.best_config) <= replayed_slo_cost(
@@ -293,3 +289,87 @@ class TestStagedRerank:
                 iterations=1, population=4, rerank_oracle="sim",
                 rerank_top_k=0,
             )
+
+
+def remeasure(engine, config, oracle):
+    """What ``oracle`` measures for ``config`` afresh, outside a search:
+    branch FPS for the sim oracle, (p99, miss rate, throughput) for the
+    serving one."""
+    design = dict(
+        plan=engine.plan,
+        config=config,
+        quant=engine.quant,
+        bandwidth_gbps=engine.budget.bandwidth_gbps,
+        frequency_mhz=engine.frequency_mhz,
+    )
+    if isinstance(oracle, SimOracle):
+        return simulate(
+            **design, frames=oracle.frames, warmup=oracle.warmup
+        ).branch_fps
+    profile = frame_latency_profile(
+        **design, frames=oracle.sim_frames, warmup=1
+    )
+    report = oracle.replay(profile)
+    return report.latency_p99_ms, report.miss_rate, report.throughput_fps
+
+
+class TestRerankedMetricsReproduce:
+    """A re-ranked search's ``best_metrics`` equals a fresh measurement
+    of its ``best_config``: the design-keyed re-rank cache hands out the
+    chosen design's own metrics, so they can be reproduced from the
+    design alone. Searches at two seeds share one cache, so the second
+    is handed metrics the first measured."""
+
+    @staticmethod
+    def check(engine, oracle, seeds, **sizes):
+        cache = LocalEvalCache()
+        for seed in seeds:
+            result = engine.search(
+                **sizes, seed=seed, cache=cache, rerank_oracle=oracle
+            )
+            metrics = result.best_metrics
+            assert metrics.oracle == oracle.name
+            if isinstance(oracle, SimOracle):
+                handed_out = metrics.fps
+            else:
+                handed_out = (
+                    metrics.p99_ms, metrics.deadline_miss_rate,
+                    metrics.throughput_fps,
+                )
+            assert handed_out == remeasure(engine, result.best_config, oracle)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        device=st.sampled_from(["Z7045", "ZU17EG", "ZU9CG", "KU115"]),
+        oracle=st.sampled_from(sorted(ORACLES)),
+        seeds=st.lists(st.integers(0, 2**16), min_size=2, max_size=2),
+        iterations=st.integers(1, 3),
+        population=st.integers(1, 12),
+        top_k=st.integers(1, 3),
+    )
+    def test_tiny_decoder(
+        self, tiny_plan, device, oracle, seeds, iterations, population, top_k
+    ):
+        engine = DseEngine(
+            plan=tiny_plan,
+            budget=get_device(device).budget(),
+            customization=Customization.uniform(tiny_plan.num_branches),
+            quant=INT8,
+        )
+        self.check(
+            engine, ORACLES[oracle], seeds, iterations=iterations,
+            population=population, rerank_top_k=top_k,
+        )
+
+    def test_codec_avatar_decoder_on_zu9cg(self):
+        plan = build_pipeline_plan(build_codec_avatar_decoder())
+        engine = DseEngine(
+            plan=plan,
+            budget=get_device("ZU9CG").budget(),
+            customization=Customization.uniform(plan.num_branches),
+            quant=INT8,
+        )
+        self.check(
+            engine, TINY_ORACLE, (0, 1), iterations=2, population=8,
+            rerank_top_k=2,
+        )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.devices.fpga import get_device
+from repro.dse.objective import ServingOracle
 from repro.fcad.flow import FCad
 from repro.serving import (
     AvatarWorkload,
@@ -18,7 +19,6 @@ from repro.serving import (
     nearest_rank,
     report_from_json,
     report_to_json,
-    serve_from_result,
     serve_trace,
 )
 from repro.sim.runner import FrameLatencyProfile
@@ -315,6 +315,40 @@ class TestServingSession:
         assert "deadline misses (@40 ms)" in text
         assert "replica utilization" in text
 
+    def test_render_shows_router_and_shed_rows_only_when_they_act(self):
+        def rows(report):
+            return {
+                line.split("|")[0].strip()
+                for line in report.render().splitlines()
+                if "|" in line
+            }
+
+        # One group never consults its router and here sheds nothing.
+        quiet = serve_trace(
+            group(replicas=1, max_batch=4), make_workload(avatars=2)
+        )
+        assert quiet.shed == 0 and len(quiet.groups) == 1
+        assert not {"router", "shed"} & rows(quiet)
+        # One group whose admission turns frames away shows the shed row.
+        shedding = serve_trace(
+            group(replicas=1, max_batch=4),
+            make_workload(avatars=24, deadline_ms=10.0),
+            admission=True,
+        )
+        assert shedding.shed > 0
+        assert "shed" in rows(shedding) and "router" not in rows(shedding)
+        # A cluster shows both, sheds or not.
+        cluster = serve_trace(
+            [
+                group(replicas=1, max_batch=4),
+                GroupSpec("h", PROFILE, replicas=1, max_batch=4),
+            ],
+            make_workload(avatars=2),
+            router="least-loaded",
+        )
+        assert cluster.shed == 0
+        assert {"router", "shed"} <= rows(cluster)
+
     def test_tiered_deadlines_labelled_as_tiers(self):
         report = serve_trace(
             group(replicas=1, max_batch=4),
@@ -331,46 +365,35 @@ class TestServingSession:
         assert workload.avatars == 14
         assert workload.deadline_tiers == (20.0, 60.0)
 
-    def test_canned_workload_is_design_independent(self):
-        from repro.serving import canned_workload
-
-        # Unlike saturation_workload, the canned fleet must not depend on
-        # any design profile — every DSE candidate sees the same traffic.
-        workload = canned_workload(avatars=12, frames_per_avatar=6)
+    def test_oracle_workload_is_design_independent(self):
+        # Unlike saturation_workload, the oracle's fleet must not depend
+        # on any design profile — every DSE candidate sees the same traffic.
+        workload = ServingOracle(avatars=12, frames_per_avatar=6).workload()
         assert workload.avatars == 12
         assert workload.frames_per_avatar == 6
-        assert workload.frame_interval_ms == pytest.approx(1000.0 / 30.0)
+        assert workload.frame_interval_ms == 1000.0 / 30.0
+        assert (workload.deadline_ms, workload.seed) == (50.0, 0)
 
-    def test_replay_workload_from_bare_profile(self):
-        from repro.serving import canned_workload, replay_workload
-
-        workload = canned_workload(avatars=4, frames_per_avatar=5)
-        report = replay_workload(PROFILE, workload=workload, replicas=2)
-        assert report.completed == workload.total_frames
+    def test_oracle_replay_from_bare_profile(self):
+        oracle = ServingOracle(avatars=4, frames_per_avatar=5)
+        report = oracle.replay(PROFILE)
+        assert report.completed == oracle.workload().total_frames
         assert report.replicas == 2
         assert report.latency_p99_ms > 0
 
-    def test_replay_workload_serves_one_named_group(self):
-        from repro.serving import canned_workload, replay_workload
-
-        report = replay_workload(
-            PROFILE,
-            workload=canned_workload(avatars=4, frames_per_avatar=5),
-            policy="fair",
-            group_name="design",
-        )
-        assert report.router == "deadline"
+    def test_oracle_replay_serves_one_candidate_group(self):
+        report = ServingOracle(
+            avatars=4, frames_per_avatar=5, policy="fair"
+        ).replay(PROFILE)
         (only,) = report.groups
-        assert (only.name, only.policy, only.max_batch) == ("design", "fair", 8)
+        assert (only.name, only.policy, only.max_batch) == (
+            "candidate", "fair", 8,
+        )
         assert only.completed == report.completed
 
-    def test_replay_workload_deterministic(self):
-        from repro.serving import canned_workload, replay_workload
-
-        workload = canned_workload(avatars=4, frames_per_avatar=5)
-        first = replay_workload(PROFILE, workload=workload)
-        second = replay_workload(PROFILE, workload=workload)
-        assert first == second
+    def test_oracle_replay_deterministic(self):
+        oracle = ServingOracle(avatars=4, frames_per_avatar=5)
+        assert oracle.replay(PROFILE) == oracle.replay(PROFILE)
 
 
 class TestOverload:
@@ -419,7 +442,7 @@ class TestOverload:
         assert shielded.latency_p99_ms < unshielded.latency_p99_ms / 4
 
 
-class TestServeFromResult:
+class TestExploredDesign:
     @pytest.fixture(scope="class")
     def tiny_result(self):
         return FCad(
@@ -466,14 +489,16 @@ class TestServeFromResult:
 
     def test_end_to_end_deterministic(self, tiny_result):
         def run():
-            return serve_from_result(
-                tiny_result,
-                avatars=4,
-                replicas=2,
-                policy="edf",
-                frames_per_avatar=6,
-                seed=0,
-                sim_frames=4,
+            return serve_trace(
+                tiny_result.serving_group(
+                    replicas=2, policy="edf", sim_frames=4
+                ),
+                AvatarWorkload(
+                    avatars=4,
+                    frames_per_avatar=6,
+                    frame_interval_ms=1000.0 / 30,
+                    deadline_ms=50.0,
+                ),
             )
 
         first, second = run(), run()
