@@ -244,10 +244,12 @@ class SloObjective:
 
     Scores records that carry served SLOs (``p99_ms`` set):
     ``-(p99_ms + MISS_WEIGHT x (miss_rate + shed_rate + failed_rate))``.
-    A deadline-miss rate of 10 % costs as much as 100 ms of p99, and a
-    *shed* or *failed* (unrecovered after a replica fault) frame costs
-    exactly as much as a late one (otherwise a shedding or chaos replay
-    could game the score by dropping the traffic it cannot serve).
+    A deadline-miss rate of 10 % costs as much as 100 ms of p99. A *shed*
+    or *failed* (unrecovered after a replica fault) frame would cost
+    exactly as much as a late one, but only a record that carries
+    ``shed_rate`` or ``failed_rate`` pays it: :class:`ServingOracle`
+    replays without admission or chaos and sets neither, so a search
+    scores replayed p99 and miss rate.
     """
 
     #: Milliseconds of p99 one whole missed, shed or failed workload costs.

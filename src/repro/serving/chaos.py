@@ -42,22 +42,67 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.utils.checks import check_finite, check_flag, is_count
+from repro.utils.checks import check_finite, check_flag, check_real, is_count
 
 #: Fault kinds and the number of ``:``-separated fields each clause takes
 #: (including the kind itself).
 _KINDS = {"crash-at": 3, "die-at": 3, "stall": 4, "degrade": 4}
 
 
+def _check_kind(kind: object) -> None:
+    if kind not in _KINDS:
+        known = ", ".join(sorted(_KINDS))
+        raise ValueError(f"unknown chaos fault {kind!r}; known faults: {known}")
+
+
 @dataclass(frozen=True)
 class ChaosFault:
-    """One parsed fault clause, targeting one replica."""
+    """One fault clause, targeting one replica.
+
+    Built directly or by :meth:`ChaosPlan.parse`, a fault is checked
+    once, here: a known kind, a replica index ``>= 0``, finite numbers, a
+    positive-integer batch ordinal for the batch kinds, a death time
+    ``>= 0`` ms, a stall ``> 0`` ms and a degrade multiplier ``> 1``.
+    """
 
     kind: str  # "crash-at" | "die-at" | "stall" | "degrade"
     group: str  # "" = any group
     replica: int
     at: float  # batch ordinal (1-based) or session time ms
     value: float = 0.0  # stall duration ms / degrade multiplier
+
+    def __post_init__(self) -> None:
+        kind = self.kind
+        _check_kind(kind)
+        replica = self.replica
+        if not is_count(replica, minimum=0):
+            raise ValueError(
+                f"replica index must be >= 0 and an integer, got {replica!r}"
+            )
+        # A numpy integer is stored as a plain int, like GroupSpec's.
+        object.__setattr__(self, "replica", int(replica))
+        at, value = self.at, self.value
+        check_real("at", at)
+        check_real("value", value)
+        if not (math.isfinite(at) and math.isfinite(value)):
+            raise ValueError(
+                f"numbers must be finite, got at={at!r}, value={value!r}"
+            )
+        if kind == "die-at":
+            if at < 0:
+                raise ValueError(f"death time must be >= 0 ms, got {at!r}")
+        elif at < 1 or at != int(at):
+            raise ValueError(
+                f"batch ordinal must be a positive integer, got {at!r}"
+            )
+        if kind == "stall" and value <= 0:
+            raise ValueError(
+                f"stall duration must be positive, got {value!r} ms"
+            )
+        if kind == "degrade" and value <= 1.0:
+            raise ValueError(
+                f"degrade multiplier must be > 1, got {value!r}"
+            )
 
     def to_spec(self) -> str:
         rep = f"{self.group}/{self.replica}" if self.group else str(self.replica)
@@ -87,11 +132,7 @@ class ChaosPlan:
                 continue
             parts = clause.split(":")
             kind = parts[0].strip()
-            if kind not in _KINDS:
-                known = ", ".join(sorted(_KINDS))
-                raise ValueError(
-                    f"unknown chaos fault {kind!r}; known faults: {known}"
-                )
+            _check_kind(kind)
             if len(parts) != _KINDS[kind]:
                 raise ValueError(
                     f"chaos fault {clause!r}: expected "
@@ -106,10 +147,6 @@ class ChaosPlan:
                     f"chaos fault {clause!r}: replica must be an integer "
                     f"index (optionally 'group/index'), got {parts[1]!r}"
                 ) from exc
-            if replica < 0:
-                raise ValueError(
-                    f"chaos fault {clause!r}: replica index must be >= 0"
-                )
             try:
                 at = float(parts[2])
                 value = float(parts[3]) if len(parts) > 3 else 0.0
@@ -117,29 +154,12 @@ class ChaosPlan:
                 raise ValueError(
                     f"chaos fault {clause!r}: numeric argument expected"
                 ) from exc
-            if not (math.isfinite(at) and math.isfinite(value)):
-                raise ValueError(
-                    f"chaos fault {clause!r}: numbers must be finite"
+            try:
+                fault = ChaosFault(
+                    kind=kind, group=group, replica=replica, at=at, value=value
                 )
-            if kind != "die-at" and (at < 1 or at != int(at)):
-                raise ValueError(
-                    f"chaos fault {clause!r}: batch ordinal must be a "
-                    f"positive integer"
-                )
-            if kind == "die-at" and at < 0:
-                raise ValueError(
-                    f"chaos fault {clause!r}: death time must be >= 0 ms"
-                )
-            if kind == "stall" and value <= 0:
-                raise ValueError(
-                    f"chaos fault {clause!r}: stall duration must be "
-                    f"positive"
-                )
-            if kind == "degrade" and value <= 1.0:
-                raise ValueError(
-                    f"chaos fault {clause!r}: degrade multiplier must be "
-                    f"> 1"
-                )
+            except ValueError as exc:
+                raise ValueError(f"chaos fault {clause!r}: {exc}") from None
             key = (kind, group, replica)
             if key in seen:
                 raise ValueError(
@@ -147,11 +167,7 @@ class ChaosPlan:
                     f"for replica {parts[1]!r}"
                 )
             seen.add(key)
-            faults.append(
-                ChaosFault(
-                    kind=kind, group=group, replica=replica, at=at, value=value
-                )
-            )
+            faults.append(fault)
         return cls(faults=tuple(faults))
 
     def to_spec(self) -> str:

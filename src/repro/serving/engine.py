@@ -518,8 +518,11 @@ class _HeapSession:
             batch = self._select_edf(group, limit)
         elif kind == _FIFO:
             queue = group.fifo_q
-            size = min(limit, len(queue))
-            batch = [queue.popleft() for _ in range(size)]
+            if len(queue) > limit:
+                batch = [queue.popleft() for _ in range(limit)]
+            else:
+                batch = list(queue)
+                queue.clear()
         else:
             batch = self._select_fair(group, t, limit)
         size = len(batch)
@@ -639,9 +642,12 @@ class _HeapSession:
         rel = self._rel
         if len(edf_q) == 1:
             (queue,) = edf_q.values()
-            batch = [queue.popleft() for _ in range(min(limit, len(queue)))]
-            if not queue:
-                del edf_q[rel[batch[0]]]
+            if len(queue) > limit:
+                return [queue.popleft() for _ in range(limit)]
+            # The whole deque fits the batch: take it, and its budget
+            # leaves ``edf_q``.
+            batch = list(queue)
+            del edf_q[rel[batch[0]]]
             return batch
         due = self._due
         heads = []

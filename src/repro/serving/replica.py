@@ -44,6 +44,13 @@ class Replica:
     #: healthy). Set by the engine from the session's chaos state before
     #: each dispatch.
     latency_factor: float = 1.0
+    #: ``j * latency.steady_interval_ms`` for each ``j`` below the
+    #: largest batch asked of this replica: frame ``j`` of a batch
+    #: finishes at the batch's base time plus ``steps[j]``. It grows on
+    #: demand, never to ``max_batch`` up front, which may be huge.
+    steps: tuple[float, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
 
     def preview_service(
         self, start_ms: float, batch: int
@@ -54,15 +61,29 @@ class Replica:
         replica fails at its would-be finish time (the detection
         latency), but the replica serves nothing and must not be charged
         busy time or a warm window.
+
+        Each finish is ``base + steps[j]``: the same two roundings as
+        :meth:`~repro.sim.runner.FrameLatencyProfile.batch_finish_ms`'s
+        ``base + j * steady``, so the same float, read from the table.
         """
         if not 1 <= batch <= self.max_batch:
             raise ValueError(
                 f"batch of {batch} outside replica capacity 1..{self.max_batch}"
             )
-        warm = (
-            start_ms - self.last_finish_ms <= self.latency.steady_interval_ms
-        )
-        finishes = self.latency.batch_finish_ms(start_ms, batch, warm=warm)
+        latency = self.latency
+        steady = latency.steady_interval_ms
+        steps = self.steps
+        if batch > len(steps):
+            steps = self.steps = tuple([j * steady for j in range(batch)])
+        if start_ms - self.last_finish_ms <= steady:
+            base = start_ms + steady  # warm: the pipeline is still full
+        else:
+            base = start_ms + latency.first_frame_ms
+        if batch == 1:
+            # A lone frame skips the comprehension's frame.
+            finishes = (base + steps[0],)
+        else:
+            finishes = tuple([base + step for step in steps[:batch]])
         if self.latency_factor != 1.0:
             finishes = tuple(
                 start_ms + (finish - start_ms) * self.latency_factor
@@ -76,10 +97,11 @@ class Replica:
         Also advances the replica's accounting (busy time, warm window).
         """
         finishes = self.preview_service(start_ms, batch)
-        self.busy_ms += finishes[-1] - start_ms
-        self.frames_served += len(finishes)
+        last = finishes[-1]
+        self.busy_ms += last - start_ms
+        self.frames_served += batch
         self.batches_served += 1
-        self.last_finish_ms = finishes[-1]
+        self.last_finish_ms = last
         return finishes
 
     def utilization(self, elapsed_ms: float) -> float:

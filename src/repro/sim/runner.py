@@ -58,6 +58,10 @@ class FrameLatencyProfile:
         A cold start (idle pipeline) pays the full fill latency on its
         first frame; a warm start (the pipeline was still draining when the
         batch arrived) streams every frame at the steady interval.
+
+        The scalar reference: a serving replica reads the same floats
+        from its step table (:meth:`~repro.serving.replica.Replica.preview_service`),
+        and the tests compare the two.
         """
         if batch < 1:
             raise ValueError("need at least one frame in a batch")

@@ -9,6 +9,7 @@ changes at all.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.serving import (
     AvatarWorkload,
+    ChaosFault,
     ChaosPlan,
     CircuitBreaker,
     GroupSpec,
@@ -122,6 +124,53 @@ class TestChaosSpec:
     def test_bad_specs_rejected(self, spec, message):
         with pytest.raises(ValueError, match=message):
             ChaosPlan.parse(spec)
+
+    #: One row per rule, each a fault that used to be built and then
+    #: served silently wrong or never fired.
+    @pytest.mark.parametrize(
+        ("fields", "error", "message"),
+        [
+            ({"kind": "bogus"}, ValueError, "unknown chaos fault 'bogus'"),
+            ({"replica": -1}, ValueError, "replica index must be >= 0"),
+            ({"replica": 1.5}, ValueError, "an integer, got 1.5"),
+            ({"replica": True}, ValueError, "an integer, got True"),
+            ({"at": math.nan}, ValueError, "numbers must be finite"),
+            ({"kind": "die-at", "at": math.inf}, ValueError, "must be finite"),
+            (
+                {"kind": "degrade", "value": math.nan},
+                ValueError,
+                "numbers must be finite",
+            ),
+            ({"at": "2"}, TypeError, "at must be a real number"),
+            ({"kind": "stall", "value": True}, TypeError, "value must be a real"),
+            ({"at": 0.5}, ValueError, "batch ordinal must be a positive integer"),
+            (
+                {"kind": "degrade", "at": 0.0, "value": 2.0},
+                ValueError,
+                "positive integer",
+            ),
+            ({"kind": "die-at", "at": -1.0}, ValueError, "death time must be >= 0"),
+            ({"kind": "stall", "value": -5.0}, ValueError, "stall duration"),
+            ({"kind": "stall", "value": 0.0}, ValueError, "must be positive"),
+            ({"kind": "degrade", "value": -2.0}, ValueError, "multiplier must be > 1"),
+            ({"kind": "degrade", "value": 1.0}, ValueError, "multiplier must be > 1"),
+        ],
+    )
+    def test_bad_faults_refused_when_built_directly(self, fields, error, message):
+        crash = {"kind": "crash-at", "group": "", "replica": 0, "at": 2.0}
+        with pytest.raises(error, match=message):
+            ChaosFault(**{**crash, **fields})
+
+    def test_good_faults_built_directly(self):
+        for fault in (
+            ChaosFault("crash-at", "", np.int64(1), 3.0),
+            ChaosFault("die-at", "latency", 0, 0.0),
+            ChaosFault("stall", "", 2, 2.0, 40.0),
+            ChaosFault("degrade", "", 1, 1, 2.5),
+        ):
+            assert ChaosPlan.parse(fault.to_spec()).faults == (fault,)
+        # A numpy index is stored as an int, as parse stores it.
+        assert type(ChaosFault("crash-at", "", np.int64(1), 3.0).replica) is int
 
 
 class TestChaosState:

@@ -10,6 +10,7 @@ import pickle
 import random
 import sys
 import threading
+import traceback
 from concurrent.futures.process import BrokenProcessPool
 from unittest import mock
 
@@ -808,19 +809,34 @@ class TestConcurrentSearches:
     what it reports alone from cold tables."""
 
     SIZE = dict(iterations=3, population=20, seed=0)
+    DEVICES = ("Z7045", "ZU17EG", "ZU9CG", "KU115")
 
     @staticmethod
     def fields(result):
         record = result_to_dict(result)
         return {k: v for k, v in record.items() if k not in HOST_TIME_KEYS}
 
+    @classmethod
+    def divergence(cls, device: str, solo: dict, result) -> str:
+        """What a threaded search got that its cold solo search did not
+        (``""`` when they agree), naming the search and each field."""
+        if isinstance(result, BaseException):
+            trace = "".join(traceback.format_exception(result))
+            return f"\n  the {device} search raised:\n{trace}"
+        got = cls.fields(result)
+        fields = sorted(
+            key for key in solo.keys() | got.keys() if solo.get(key) != got.get(key)
+        )
+        return "".join(
+            f"\n  the {device} search's {key!r}: solo {solo.get(key)!r:.300}, "
+            f"threaded {got.get(key)!r:.300}"
+            for key in fields
+        )
+
     def test_threads_each_equal_a_cold_solo_search(self, tiny_plan_module):
         # More searching threads than CI cores, and frequent thread
         # switches, so unguarded table growth would interleave.
-        engines = [
-            make_engine(tiny_plan_module, device)
-            for device in ("Z7045", "ZU17EG", "ZU9CG", "KU115")
-        ]
+        engines = [make_engine(tiny_plan_module, device) for device in self.DEVICES]
         solo = []
         for engine in engines:
             clear_process_caches()
@@ -828,7 +844,7 @@ class TestConcurrentSearches:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for _ in range(10):
+            for round_ in range(10):
                 clear_process_caches()
                 barrier = threading.Barrier(len(engines))
                 results: list = [None] * len(engines)
@@ -841,15 +857,25 @@ class TestConcurrentSearches:
                         results[index] = error
 
                 threads = [
-                    threading.Thread(target=search, args=(index,))
-                    for index in range(len(engines))
+                    threading.Thread(
+                        target=search, args=(index,), name=f"search-{device}"
+                    )
+                    for index, device in enumerate(self.DEVICES)
                 ]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=60)
-                    assert not thread.is_alive()
-                assert [self.fields(result) for result in results] == solo
+                alive = [thread.name for thread in threads if thread.is_alive()]
+                assert not alive, f"round {round_}: still running after 60 s: {alive}"
+                diverged = "".join(
+                    self.divergence(device, expected, result)
+                    for device, expected, result in zip(self.DEVICES, solo, results)
+                )
+                assert not diverged, (
+                    f"round {round_}: threaded searches differ from their cold "
+                    f"solo searches:{diverged}"
+                )
         finally:
             sys.setswitchinterval(interval)
 

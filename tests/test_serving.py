@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices.fpga import get_device
 from repro.dse.objective import ServingOracle
@@ -136,6 +138,93 @@ class TestReplica:
         replica = Replica(0, PROFILE, max_batch=2)
         with pytest.raises(ValueError, match="capacity"):
             replica.service_times(0.0, 3)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_step_table_equals_the_scalar_reference(self, data):
+        # Steady intervals whose multiples round (0.1, 1/3, 1e-3) and
+        # start times far from zero make any reassociation of
+        # ``base + j * steady`` show in the last bits.
+        steady = data.draw(
+            st.sampled_from([0.1, 1 / 3, 1e-3, 4.0, 16.7])
+            | st.floats(1e-3, 50.0)
+        )
+        first = data.draw(st.sampled_from([steady, 8.0, 0.7]) | st.floats(1e-3, 100.0))
+        profile = FrameLatencyProfile(
+            finish_ms=(first,),
+            first_frame_ms=first,
+            steady_interval_ms=steady,
+            frequency_mhz=200.0,
+        )
+        max_batch = data.draw(st.integers(1, 12))
+        replica = Replica(0, profile, max_batch=max_batch)
+        start = data.draw(st.sampled_from([0.0, 0.1, 1e6 + 0.1]) | st.floats(0.0, 1e7))
+        largest = 0
+        for _ in range(data.draw(st.integers(1, 10))):
+            # Any size in any order, so the table grows mid-session.
+            batch = data.draw(st.integers(1, max_batch))
+            factor = data.draw(st.sampled_from([1.0, 1.5, 2.0]) | st.floats(1.0, 4.0))
+            replica.latency_factor = factor
+            warm = start - replica.last_finish_ms <= steady
+            expected = profile.batch_finish_ms(start, batch, warm=warm)
+            if factor != 1.0:
+                expected = tuple(start + (f - start) * factor for f in expected)
+            largest = max(largest, batch)
+            before = (
+                replica.busy_ms,
+                replica.frames_served,
+                replica.batches_served,
+                replica.last_finish_ms,
+            )
+            if data.draw(st.booleans()):
+                # A crashing dispatch previews and charges nothing.
+                assert replica.preview_service(start, batch) == expected
+                assert before == (
+                    replica.busy_ms,
+                    replica.frames_served,
+                    replica.batches_served,
+                    replica.last_finish_ms,
+                )
+            else:
+                assert replica.service_times(start, batch) == expected
+                busy, frames, batches, _ = before
+                assert replica.busy_ms == busy + (expected[-1] - start)
+                assert replica.frames_served == frames + batch
+                assert replica.batches_served == batches + 1
+                assert replica.last_finish_ms == expected[-1]
+            assert len(replica.steps) == largest
+            # The next batch starts on the warm edge, one ulp past it,
+            # or after an idle gap (from this start, until one is served).
+            last = replica.last_finish_ms if replica.batches_served else start
+            edge = last + steady
+            start = data.draw(
+                st.sampled_from([edge, math.nextafter(edge, math.inf)])
+                | st.floats(0.0, 1e3).map(lambda gap: last + gap)
+            )
+
+    def test_step_table_grows_only_to_the_largest_batch(self, monkeypatch):
+        # A cap of a million frames must not size the table: each
+        # replica's table is as long as the largest batch it was asked.
+        asked: dict[int, tuple[Replica, int]] = {}
+        preview = Replica.preview_service
+
+        def record(replica, start_ms, batch):
+            _, largest = asked.get(id(replica), (replica, 0))
+            asked[id(replica)] = (replica, max(largest, batch))
+            return preview(replica, start_ms, batch)
+
+        monkeypatch.setattr(Replica, "preview_service", record)
+        report = serve_trace(
+            group(replicas=2, max_batch=10**6),
+            make_workload(
+                avatars=8, frames_per_avatar=5, frame_interval_ms=2.0, jitter_ms=0.0
+            ),
+        )
+        assert report.submitted == 40 and report.completed == 40
+        assert len(asked) == 2
+        assert max(largest for _, largest in asked.values()) > 1
+        for replica, largest in asked.values():
+            assert len(replica.steps) == largest <= 40
 
     def test_spec_reuse_across_sessions_is_clean(self):
         # Every session builds its replicas from scratch: running the same
